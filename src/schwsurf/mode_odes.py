@@ -12,6 +12,15 @@ posed on ``r >= m/2`` (isotropic radius along the plane) with horizon data
 condition of the original mode.  ``lam`` here is raw, in units of inverse
 length squared.
 
+Shots run in ``x = log r`` on the mode itself, ``u_xx + P(x) u = 0`` with
+``P = r^2 Q - 1/4`` and horizon data ``u = sqrt(2/m)``, ``u_x = 0``, written
+as a scaled Prüfer pair ``u = rho S^-1/2 sin theta``, ``u_x = rho S^1/2
+cos theta`` with scale ``S = (P^2 + 1)^1/4`` (see :mod:`schwsurf.ode`).
+The zeros of ``v`` are where the phase passes a multiple of ``pi``, which
+it only ever does upward, so the zero count is read off ``theta(R)``.
+Nothing overflows and no step cap applies, so the cost of a shot does not
+grow with ``R`` where ``v`` neither oscillates nor grows fast.
+
 The module also carries the closed forms this problem admits: the explicit
 ``lam = 0``, ``k = 0`` solution ``v0``, the lower barriers ``psi_k`` for the
 logarithmic derivative of nonradial modes, and the one-parameter Riccati
@@ -20,6 +29,7 @@ family ``psi_c`` whose blow-up radius encodes where radial stability ends.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -31,9 +41,6 @@ from .errors import DomainError, NoSingularityError, SingularityError
 from .geometry import SchwarzschildModel
 
 DEFAULT_ODE_TOL = 1e-10
-# dense output and crossing refinement stay sharp only while steps are
-# moderate; cap at a fixed fraction of the mass scale
-_MAX_STEP_MASS_FRACTION = 0.05
 
 
 @dataclass(frozen=True)
@@ -81,87 +88,148 @@ def _q_closure(m: float, k: int, lam: float):
     return q
 
 
-class RadialSolution:
-    """Shot of one mode from the horizon: trajectory, zeros, accessors.
+def _prufer_closure(m: float, k: int, lam: float):
+    """Coefficients ``(A, B, D) = (S + P/S, S - P/S, S_x/S)`` of the scaled
+    Prüfer pair at ``x = log r``, with ``S = (P^2 + 1)^1/4`` and
 
-    Wraps the integrator output; node arrays are the accepted steps with
-    the first node at ``r = m/2`` carrying the horizon data ``(1, 1/m)``.
-    ``node_log_scale`` is zero everywhere unless the run was renormalized
-    against overflow, in which case true values are ``v * exp(log_scale)``.
+        P = (m/r)(1 + m/2r)^-2 + lam r^2 (1 + m/2r)^4 - k^2,
+        P_x = (r - m/2)(2 lam r^2 (1 + m/2r)^4 - (m/r)(1 + m/2r)^-2)/(r + m/2).
+    """
+    k2 = float(k * k)
+    hm = 0.5 * m
+    exp, sqrt = math.exp, math.sqrt
+
+    def coefficients(x: float) -> tuple:
+        r = exp(x)
+        s = r + hm
+        g = m * r / (s * s)
+        w = lam * (s * s / r) ** 2
+        p = g + w - k2
+        s2 = sqrt(p * p + 1.0)
+        sc = sqrt(s2)
+        # S^2 + P and S^2 - P multiply to one: form the one free of cancellation
+        if p >= 0.0:
+            t = s2 + p
+            a, b = t / sc, 1.0 / (t * sc)
+        else:
+            t = s2 - p
+            a, b = 1.0 / (t * sc), t / sc
+        return a, b, 0.5 * p * (r - hm) * (2.0 * w - g) / (s * s2 * s2)
+
+    return coefficients
+
+
+def _log_scale(p):
+    """``log S`` for the Prüfer scale ``S = (P^2 + 1)^1/4``."""
+    return 0.25 * np.log1p(p * p)
+
+
+class RadialSolution:
+    """Shot of one mode from the horizon, read through its Prüfer pair.
+
+    ``nodes_r`` holds one node per accepted step, from ``m/2`` to ``r_max``.
+    Reads at ``r = m/2`` return the horizon data ``v = 1``, ``v' = 1/m``
+    and ``gamma = 1/m`` exactly; elsewhere ``v`` and ``v'`` come from the
+    dense phase and log-amplitude, so ``log_abs_v`` never overflows.
     """
 
-    def __init__(self, params: ModeParams, trajectory: ode.Trajectory):
+    def __init__(self, params: ModeParams, trajectory: ode.Trajectory, r_max: float):
         self.params = params
+        self.r_max = float(r_max)
         self._traj = trajectory
+        self._q = _q_closure(params.model.mass, params.k, params.lam)
+        self.nodes_r = np.exp(trajectory.x)
+        self.nodes_r[[0, -1]] = 0.5 * params.model.mass, self.r_max
 
-    @property
-    def nodes_r(self) -> np.ndarray:
-        return self._traj.r
+    def _read(self, r):
+        """``(r, theta, log rho, log S)`` at the radii ``r``."""
+        r = np.asarray(r, dtype=float)
+        if np.any((r < self.nodes_r[0]) | (r > self.r_max)):
+            raise DomainError(f"evaluation point outside [{self.nodes_r[0]}, {self.r_max}]")
+        y = self._traj.eval(np.log(r))
+        return r, y[..., 0], y[..., 1], _log_scale(r * r * self._q(r) - 0.25)
+
+    def values(self, r) -> tuple:
+        """``(v, v')`` at the radii ``r`` (a scalar or an array)."""
+        r, theta, log_rho, log_s = self._read(r)
+        amp = np.exp(log_rho - 0.5 * log_s) / np.sqrt(r)
+        sn = np.sin(theta)
+        horizon = r == self.nodes_r[0]
+        vp = amp * (0.5 * sn + np.exp(log_s) * np.cos(theta))
+        return np.where(horizon, 1.0, amp * r * sn), np.where(horizon, 1.0 / self.params.model.mass, vp)
+
+    def v(self, r: float) -> float:
+        return float(self.values(r)[0])
+
+    def v_prime(self, r: float) -> float:
+        return float(self.values(r)[1])
 
     @property
     def nodes_v(self) -> np.ndarray:
-        return self._traj.v
+        return self.values(self.nodes_r)[0]
 
     @property
     def nodes_v_prime(self) -> np.ndarray:
-        return self._traj.vp
+        return self.values(self.nodes_r)[1]
 
-    @property
-    def node_log_scale(self) -> np.ndarray:
-        return self._traj.log_scale
-
-    @property
-    def zero_crossings(self) -> tuple:
-        return self._traj.crossings
-
-    @property
-    def r_max(self) -> float:
-        return float(self._traj.r[-1])
-
-    def v(self, r: float) -> float:
-        return self._traj.eval(r)[0]
-
-    def v_prime(self, r: float) -> float:
-        return self._traj.eval(r)[1]
+    def phase(self, r: float) -> float:
+        """Prüfer phase ``theta``: ``pi/2`` on the horizon, ``j pi`` at the
+        ``j``-th zero of ``v``."""
+        return float(self._read(r)[1])
 
     def log_abs_v(self, r: float) -> tuple:
-        """(log |v|, sign); overflow-safe for renormalized shots."""
-        return self._traj.log_abs_v(r)
+        """(log |v|, sign of v)."""
+        r, theta, log_rho, log_s = self._read(r)
+        if r == self.nodes_r[0]:
+            return 0.0, 1.0
+        sn = math.sin(theta)
+        if sn == 0.0:
+            return -math.inf, 0.0
+        return (
+            float(0.5 * math.log(r) + log_rho - 0.5 * log_s + math.log(abs(sn))),
+            math.copysign(1.0, sn),
+        )
 
     def gamma(self, r: float) -> float:
         """Logarithmic derivative ``v'/v``; blows up exactly at zeros of v."""
-        return self._traj.gamma(r)
+        r, theta, _, log_s = self._read(r)
+        if r == self.nodes_r[0]:
+            return 1.0 / self.params.model.mass
+        sn = math.sin(theta)
+        if sn == 0.0:
+            raise DomainError(f"gamma undefined at a zero of v (r = {r})")
+        return float((0.5 + math.exp(log_s) * math.cos(theta) / sn) / r)
+
+    @functools.cached_property
+    def zero_crossings(self) -> tuple:
+        """Zeros of v in ``(m/2, r_max]``: where the phase passes ``j pi``."""
+        n = int(self._traj.y[-1, 0] // math.pi)
+        x = [self._traj.phase_crossing(j * math.pi) for j in range(1, n + 1)]
+        return tuple(min(math.exp(z), self.r_max) for z in x)
 
     def terminal_value(self) -> float:
-        """v at the right endpoint, clamped into double range if rescaled."""
-        v, _, L = self._traj.final_state
-        if L == 0.0 or v == 0.0:
-            return v
-        return math.copysign(math.exp(min(math.log(abs(v)) + L, 700.0)), v)
+        """v at the right endpoint (overflows to +-inf past the double range)."""
+        return self.v(self.r_max)
 
     def sup_abs_v(self) -> float:
-        """max |v| over nodes, clamped into double range if rescaled."""
-        absv = np.abs(self._traj.v)
-        if np.any(self._traj.log_scale != 0.0):
-            logs = np.full_like(absv, -np.inf)
-            mask = absv > 0.0
-            logs[mask] = np.log(absv[mask]) + self._traj.log_scale[mask]
-            return float(np.exp(min(np.max(logs), 700.0)))
-        return float(np.max(absv))
+        """max |v| over the nodes (inf past the double range)."""
+        return float(np.max(np.abs(self.nodes_v)))
 
 
 def integrate_v(
     params: ModeParams,
     r_max: float | None = None,
     tol: float = DEFAULT_ODE_TOL,
-    max_step: float | None = None,
 ) -> RadialSolution:
     """Shoot the mode from the horizon out to ``r_max`` (default ``params.R``).
 
-    Embedded 4(5) pair with absolute and relative tolerance both ``tol``,
-    cubic Hermite dense output on accepted steps; zero crossings of ``v``
-    are refined to width ``tol * m`` (bisection on the interpolant plus a
-    Newton polish).
+    One scaled Prüfer integration in ``x = log r`` from the horizon data
+    ``theta = pi/2`` (``u_x = 0``) and ``rho = sqrt(2/m) S^1/2``
+    (``u = sqrt(2/m)``).  ``tol`` bounds the local error of each step in
+    the phase (radians) and in ``log rho`` (relative amplitude); the step
+    size is set by that alone, with no cap and no step budget.  Zeros of
+    ``v`` are located to the accuracy of the phase, by Newton's method on
+    fresh steps (see :meth:`schwsurf.ode.Trajectory.phase_crossing`).
     """
     m = params.model.mass
     if r_max is None:
@@ -170,21 +238,17 @@ def integrate_v(
         raise DomainError(f"r_max must exceed m/2 = {0.5 * m}, got {r_max}")
     if not (tol > 0.0):
         raise DomainError(f"tol must be > 0, got {tol}")
-    if max_step is None:
-        max_step = _MAX_STEP_MASS_FRACTION * m
-    q = _q_closure(m, params.k, params.lam)
-    traj = ode.integrate_linear2(
-        q,
-        0.5 * m,
-        r_max,
-        1.0,
-        1.0 / m,
-        rtol=tol,
-        atol=tol,
-        max_step=max_step,
-        crossing_tol=tol * m,
+    hm = 0.5 * m
+    p0 = hm * hm * _q_closure(m, params.k, params.lam)(hm) - 0.25
+    traj = ode.integrate_prufer(
+        _prufer_closure(m, params.k, params.lam),
+        math.log(hm),
+        math.log(r_max),
+        0.5 * math.pi,
+        0.5 * math.log(2.0 / m) + 0.5 * float(_log_scale(p0)),
+        tol,
     )
-    return RadialSolution(params, traj)
+    return RadialSolution(params, traj, r_max)
 
 
 # -------------------------------------------------------------------------

@@ -1,23 +1,30 @@
-"""Adaptive integration of ``v'' + q(r) v = 0`` with dense output.
+"""Adaptive integration of a scaled Prüfer system, with dense output.
 
-Embedded Dormand-Prince 4(5) pair on the first-order system ``(v, v')``,
-absolute and relative tolerance both settable, cubic Hermite dense output
-on accepted steps and sign-change detection for the zeros of ``v``.
+The mode shots of :mod:`schwsurf.mode_odes` are posed in ``x = log r`` as a
+phase ``theta`` and a log-amplitude ``log rho`` (J. D. Pryce, *Numerical
+Solution of Sturm-Liouville Problems*, OUP 1993).  Given the coefficients
+``(A, B, D)`` of the mode at ``x``, the pair obeys
 
-The stepper works on plain floats (the system has two components; numpy
-per-step overhead would dominate the run time of long shots).  Solutions
-of the underlying mode problems can grow like ``exp(c r)`` over thousands
-of mass units, so the state is renormalized by a positive factor whenever
-it threatens the double range; zeros and signs are invariant under that,
-and per-node log-scale offsets keep magnitudes recoverable.
+    theta'     = (A + B cos 2 theta + D sin 2 theta) / 2,
+    (log rho)' = (B sin 2 theta - D cos 2 theta) / 2,
+
+so the right-hand side depends on ``x`` and ``theta`` only, and ``log rho``
+is a quadrature along the phase.  Neither variable overflows: the
+amplitude is carried as a logarithm and the phase grows by ``pi`` per zero.
+
+The Dormand-Prince 4(5) stepper works on plain floats (two components;
+numpy per-step overhead would dominate).  ``tol`` is an absolute bound on
+the RMS of the two estimated local errors of each step: radians of phase
+and relative error of the amplitude.  No step cap applies.  The stages of
+every accepted step are kept, so the pair's 4th-order continuous extension
+gives dense output of both components, vectorized over the read points.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -46,270 +53,147 @@ _E1, _E3, _E4, _E5, _E6, _E7 = (
     22.0 / 525.0,
     -1.0 / 40.0,
 )
+# continuous extension: y(x + s h) = y + h * sum_p (K^T P)[p] s^(p+1) over
+# the seven stages K (Dormand & Prince; the coefficients scipy's RK45 uses)
+_DENSE_P = np.array(
+    [
+        [1.0, -8048581381 / 2820520608, 8663915743 / 2820520608, -12715105075 / 11282082432],
+        [0.0, 0.0, 0.0, 0.0],
+        [0.0, 131558114200 / 32700410799, -68118460800 / 10900136933, 87487479700 / 32700410799],
+        [0.0, -1754552775 / 470086768, 14199869525 / 1410260304, -10690763975 / 1880347072],
+        [0.0, 127303824393 / 49829197408, -318862633887 / 49829197408, 701980252875 / 199316789632],
+        [0.0, -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844],
+        [0.0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423],
+    ]
+)
 
-_RENORM_THRESHOLD = 1e150
-_MAX_STEPS = 20_000_000
+
+def _rhs(c: tuple, th: float, cos=math.cos, sin=math.sin) -> tuple:
+    a, b, d = c
+    c2 = cos(2.0 * th)
+    s2 = sin(2.0 * th)
+    return 0.5 * (a + b * c2 + d * s2), 0.5 * (b * s2 - d * c2)
 
 
-def _hermite(tau: float, h: float, y0: float, d0: float, y1: float, d1: float) -> float:
-    t2 = tau * tau
-    t3 = t2 * tau
-    return (
-        y0 * (2.0 * t3 - 3.0 * t2 + 1.0)
-        + h * d0 * (t3 - 2.0 * t2 + tau)
-        + y1 * (-2.0 * t3 + 3.0 * t2)
-        + h * d1 * (t3 - t2)
+def _step(coefficients, x, h, th, lr, k1t, k1l) -> tuple:
+    """One Dormand-Prince step from ``x`` to ``x + h``: the fifth-order
+    ``(theta, log rho)``, the two error estimates and the seven stages."""
+    k2t, k2l = _rhs(coefficients(x + _C2 * h), th + h * _A21 * k1t)
+    k3t, k3l = _rhs(coefficients(x + _C3 * h), th + h * (_A31 * k1t + _A32 * k2t))
+    k4t, k4l = _rhs(coefficients(x + _C4 * h), th + h * (_A41 * k1t + _A42 * k2t + _A43 * k3t))
+    k5t, k5l = _rhs(
+        coefficients(x + _C5 * h), th + h * (_A51 * k1t + _A52 * k2t + _A53 * k3t + _A54 * k4t)
     )
-
-
-def _hermite_d(tau: float, h: float, y0: float, d0: float, y1: float, d1: float) -> float:
-    t2 = tau * tau
-    return (
-        y0 * (6.0 * t2 - 6.0 * tau)
-        + h * d0 * (3.0 * t2 - 4.0 * tau + 1.0)
-        + y1 * (-6.0 * t2 + 6.0 * tau)
-        + h * d1 * (3.0 * t2 - 2.0 * tau)
-    ) / h
+    c6 = coefficients(x + h)  # stages 6 and 7 share the abscissa x + h
+    k6t, k6l = _rhs(
+        c6, th + h * (_A61 * k1t + _A62 * k2t + _A63 * k3t + _A64 * k4t + _A65 * k5t)
+    )
+    th_new = th + h * (_B1 * k1t + _B3 * k3t + _B4 * k4t + _B5 * k5t + _B6 * k6t)
+    lr_new = lr + h * (_B1 * k1l + _B3 * k3l + _B4 * k4l + _B5 * k5l + _B6 * k6l)
+    k7t, k7l = _rhs(c6, th_new)
+    err_t = h * (_E1 * k1t + _E3 * k3t + _E4 * k4t + _E5 * k5t + _E6 * k6t + _E7 * k7t)
+    err_l = h * (_E1 * k1l + _E3 * k3l + _E4 * k4l + _E5 * k5l + _E6 * k6l + _E7 * k7l)
+    stages = (k1t, k1l, k2t, k2l, k3t, k3l, k4t, k4l, k5t, k5l, k6t, k6l, k7t, k7l)
+    return th_new, lr_new, err_t, err_l, stages
 
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Accepted-step samples of one integration of ``v'' + q v = 0``.
+    """Accepted steps of one Prüfer integration.
 
-    ``v``/``vp`` hold frame-local values: the true solution at node ``i``
-    is ``v[i] * exp(log_scale[i])``.  ``log_scale`` is identically zero
-    unless the run grew past the renormalization threshold.
+    ``x`` holds the nodes, ``y[i] = (theta, log rho)`` at node ``i``, and
+    ``dense[i]`` the ``(2, 4)`` continuous-extension coefficients of the
+    step from node ``i`` to node ``i + 1``; ``dense[i, :, 0]`` is the
+    right-hand side at node ``i``.
     """
 
-    r: np.ndarray
-    v: np.ndarray
-    vp: np.ndarray
-    log_scale: np.ndarray
-    q_nodes: np.ndarray
-    crossings: tuple
+    coefficients: Callable[[float], tuple]
+    x: np.ndarray
+    y: np.ndarray
+    dense: np.ndarray
 
-    def _interval(self, x: float) -> int:
-        if not (self.r[0] <= x <= self.r[-1]):
-            raise DomainError(f"evaluation point {x} outside [{self.r[0]}, {self.r[-1]}]")
-        i = bisect_right(self.r, x) - 1
-        return min(max(i, 0), len(self.r) - 2)
+    def eval(self, x) -> np.ndarray:
+        """``(theta, log rho)`` at the points ``x``, shape ``x.shape + (2,)``.
 
-    def _eval_frame(self, x: float) -> tuple:
-        """(v, vp, log_scale) at x, values in the left node's frame."""
-        if x == self.r[-1]:
-            i = len(self.r) - 2
-        else:
-            i = self._interval(x)
-        r0, r1 = self.r[i], self.r[i + 1]
-        dL = self.log_scale[i + 1] - self.log_scale[i]
-        fac = math.exp(dL)
-        v0, w0 = self.v[i], self.vp[i]
-        v1, w1 = self.v[i + 1] * fac, self.vp[i + 1] * fac
-        h = r1 - r0
-        if h == 0.0:
-            return v0, w0, self.log_scale[i]
-        tau = (x - r0) / h
-        val = _hermite(tau, h, v0, w0, v1, w1)
-        # v' gets its own cubic: endpoint slopes are v'' = -q v
-        w0p = -self.q_nodes[i] * v0
-        w1p = -self.q_nodes[i + 1] * v1
-        der = _hermite(tau, h, w0, w0p, w1, w1p)
-        return val, der, self.log_scale[i]
+        Points are clipped into ``[x[0], x[-1]]``; callers check the domain.
+        """
+        nodes = self.x
+        x = np.minimum(np.maximum(x, nodes[0]), nodes[-1])
+        i = np.minimum(np.searchsorted(nodes, x, side="right"), len(nodes) - 1) - 1
+        h = nodes[i + 1] - nodes[i]
+        s = ((x - nodes[i]) / h)[..., None]
+        c = self.dense[i]
+        poly = c[..., 0] + s * (c[..., 1] + s * (c[..., 2] + s * c[..., 3]))
+        return self.y[i] + h[..., None] * s * poly
 
-    def eval(self, x: float) -> tuple:
-        """(v, v') at x; overflows to +-inf if the stored scale is extreme."""
-        val, der, L = self._eval_frame(x)
-        fac = math.exp(min(L, 709.0)) if L != 0.0 else 1.0
-        return val * fac, der * fac
+    def phase_crossing(self, target: float) -> float:
+        """Abscissa where the phase passes ``target``.
 
-    def log_abs_v(self, x: float) -> tuple:
-        """(log |v(x)|, sign of v(x)); safe for renormalized runs."""
-        val, _, L = self._eval_frame(x)
-        if val == 0.0:
-            return -math.inf, 0.0
-        return math.log(abs(val)) + L, math.copysign(1.0, val)
-
-    def gamma(self, x: float) -> float:
-        """Logarithmic derivative ``v'/v`` (frame factors cancel)."""
-        val, der, _ = self._eval_frame(x)
-        if val == 0.0:
-            raise DomainError(f"gamma undefined at a zero of v (r = {x})")
-        return der / val
-
-    @property
-    def final_state(self) -> tuple:
-        """(v, v', log_scale) at the right endpoint."""
-        return float(self.v[-1]), float(self.vp[-1]), float(self.log_scale[-1])
+        ``target`` must lie in ``(theta(x0), theta(x_end)]`` and be crossed
+        upward only, as a multiple of ``pi`` is.  Newton's method runs on
+        the length of a fresh step from the node before the crossing, so
+        the result carries the step's local error, not the interpolant's.
+        """
+        theta = self.y[:, 0]
+        i = int(np.argmax(theta >= target)) - 1
+        x0, th0, lr0 = self.x[i], theta[i], self.y[i, 1]
+        h_max = self.x[i + 1] - x0
+        h = h_max * (target - th0) / (theta[i + 1] - th0)
+        for _ in range(4):
+            th1, _, _, _, stages = _step(self.coefficients, x0, h, th0, lr0, *self.dense[i, :, 0])
+            h = min(max(h - (th1 - target) / stages[12], 0.0), h_max)
+        return float(x0 + h)
 
 
-def _refine_crossing(r0, r1, v0, w0, v1, w1, tol_r: float) -> float:
-    """Locate the sign change of the Hermite interpolant on [r0, r1].
-
-    Bisection down to width ``tol_r``, then two Newton polish steps on the
-    interpolant using its derivative.
-    """
-    h = r1 - r0
-    lo, hi = 0.0, 1.0
-    flo = v0
-    for _ in range(80):
-        if (hi - lo) * h <= tol_r:
-            break
-        mid = 0.5 * (lo + hi)
-        fm = _hermite(mid, h, v0, w0, v1, w1)
-        if fm == 0.0:
-            lo = hi = mid
-            break
-        if (fm > 0.0) == (flo > 0.0):
-            lo, flo = mid, fm
-        else:
-            hi = mid
-    tau = 0.5 * (lo + hi)
-    for _ in range(2):
-        p = _hermite(tau, h, v0, w0, v1, w1)
-        dp = _hermite_d(tau, h, v0, w0, v1, w1) * h
-        if dp == 0.0:
-            break
-        step = p / dp
-        nt = tau - step
-        if 0.0 <= nt <= 1.0:
-            tau = nt
-    return r0 + tau * h
-
-
-def integrate_linear2(
-    q: Callable[[float], float],
-    r0: float,
-    r1: float,
-    v_init: float,
-    vp_init: float,
-    rtol: float,
-    atol: float,
-    max_step: float,
-    crossing_tol: float,
+def integrate_prufer(    coefficients: Callable[[float], tuple],
+    x0: float,
+    x1: float,
+    theta0: float,
+    log_rho0: float,
+    tol: float,
 ) -> Trajectory:
-    """Integrate ``v'' + q(r) v = 0`` from ``(r0, v_init, vp_init)`` to ``r1``.
+    """Integrate the scaled Prüfer pair from ``(x0, theta0, log_rho0)`` to ``x1``.
 
-    Raises :class:`IntegrationError` with the last good abscissa if the
+    ``coefficients(x)`` returns ``(A, B, D)``.  Raises
+    :class:`IntegrationError` with the last good radius ``exp(x)`` if the
     step size underflows.
     """
-    if not (r1 > r0):
-        raise DomainError(f"need r1 > r0, got [{r0}, {r1}]")
-    if not (rtol > 0.0 and atol > 0.0):
-        raise DomainError("tolerances must be > 0")
-    if not (max_step > 0.0):
-        raise DomainError("max_step must be > 0")
+    if not (x1 > x0):
+        raise DomainError(f"need x1 > x0, got [{x0}, {x1}]")
+    if not (tol > 0.0):
+        raise DomainError("tolerance must be > 0")
+    xs = [x0]
+    ys = [theta0, log_rho0]
+    stages = []
 
-    rs = [r0]
-    vs = [v_init]
-    ws = [vp_init]
-    Ls = [0.0]
-    qs = [q(r0)]
+    x, th, lr = x0, theta0, log_rho0
+    k1t, k1l = _rhs(coefficients(x0), th)  # FSAL seed
+    h = (x1 - x0) / 100.0
 
-    r = r0
-    v, w = v_init, vp_init
-    L = 0.0
-    k1v, k1w = w, -qs[0] * v  # FSAL seed
-    h = min(max_step, (r1 - r0) / 100.0)
-
-    n_steps = 0
-    while r < r1:
-        n_steps += 1
-        if n_steps > _MAX_STEPS:
-            raise IntegrationError(f"step budget exhausted at r = {r}", last_r=r)
-        if h < 1e-14 * max(1.0, abs(r)):
-            raise IntegrationError(f"step size underflow at r = {r}", last_r=r)
-        last = False
-        if r + h >= r1:
-            h = r1 - r
-            last = True
-
-        # stages (k1 carried over, FSAL)
-        yv = v + h * _A21 * k1v
-        yw = w + h * _A21 * k1w
-        q2 = q(r + _C2 * h)
-        k2v, k2w = yw, -q2 * yv
-
-        yv = v + h * (_A31 * k1v + _A32 * k2v)
-        yw = w + h * (_A31 * k1w + _A32 * k2w)
-        q3 = q(r + _C3 * h)
-        k3v, k3w = yw, -q3 * yv
-
-        yv = v + h * (_A41 * k1v + _A42 * k2v + _A43 * k3v)
-        yw = w + h * (_A41 * k1w + _A42 * k2w + _A43 * k3w)
-        q4 = q(r + _C4 * h)
-        k4v, k4w = yw, -q4 * yv
-
-        yv = v + h * (_A51 * k1v + _A52 * k2v + _A53 * k3v + _A54 * k4v)
-        yw = w + h * (_A51 * k1w + _A52 * k2w + _A53 * k3w + _A54 * k4w)
-        q5 = q(r + _C5 * h)
-        k5v, k5w = yw, -q5 * yv
-
-        yv = v + h * (_A61 * k1v + _A62 * k2v + _A63 * k3v + _A64 * k4v + _A65 * k5v)
-        yw = w + h * (_A61 * k1w + _A62 * k2w + _A63 * k3w + _A64 * k4w + _A65 * k5w)
-        q6 = q(r + h)
-        k6v, k6w = yw, -q6 * yv
-
-        v_new = v + h * (_B1 * k1v + _B3 * k3v + _B4 * k4v + _B5 * k5v + _B6 * k6v)
-        w_new = w + h * (_B1 * k1w + _B3 * k3w + _B4 * k4w + _B5 * k5w + _B6 * k6w)
-        q7 = q6  # stages 6 and 7 share the abscissa r + h
-        k7v, k7w = w_new, -q7 * v_new
-
-        err_v = h * (_E1 * k1v + _E3 * k3v + _E4 * k4v + _E5 * k5v + _E6 * k6v + _E7 * k7v)
-        err_w = h * (_E1 * k1w + _E3 * k3w + _E4 * k4w + _E5 * k5w + _E6 * k6w + _E7 * k7w)
-        sc_v = atol + rtol * max(abs(v), abs(v_new))
-        sc_w = atol + rtol * max(abs(w), abs(w_new))
-        ev = err_v / sc_v
-        ew = err_w / sc_w
-        err = math.sqrt(0.5 * (ev * ev + ew * ew))
+    while x < x1:
+        if h < 1e-14 * max(1.0, abs(x)):
+            raise IntegrationError(f"step size underflow at r = {math.exp(x)}", last_r=math.exp(x))
+        last = x + h >= x1
+        if last:
+            h = x1 - x
+        th_new, lr_new, err_t, err_l, ks = _step(coefficients, x, h, th, lr, k1t, k1l)
+        err = math.sqrt(0.5 * (err_t * err_t + err_l * err_l)) / tol
         if not math.isfinite(err):
             h *= 0.2
             continue
 
         if err <= 1.0:
-            r = r1 if last else r + h
-            v, w = v_new, w_new
-            k1v, k1w = k7v, k7w
-            rs.append(r)
-            mag = max(abs(v), abs(w))
-            if mag > _RENORM_THRESHOLD:
-                v /= mag
-                w /= mag
-                k1v /= mag
-                k1w /= mag
-                L += math.log(mag)
-            vs.append(v)
-            ws.append(w)
-            Ls.append(L)
-            qs.append(q7)
+            stages.append(ks)
+            x = x1 if last else x + h
+            th, lr = th_new, lr_new
+            k1t, k1l = ks[12], ks[13]
+            xs.append(x)
+            ys += (th, lr)
             grow = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err ** -0.2))
-            h = min(max_step, h * grow)
+            h *= grow
         else:
             h *= max(0.2, 0.9 * err ** -0.2)
 
-    r_arr = np.asarray(rs)
-    v_arr = np.asarray(vs)
-    w_arr = np.asarray(ws)
-    L_arr = np.asarray(Ls)
-    q_arr = np.asarray(qs)
-
-    crossings = _scan_crossings(r_arr, v_arr, w_arr, L_arr, q_arr, crossing_tol)
-    return Trajectory(r_arr, v_arr, w_arr, L_arr, q_arr, tuple(crossings))
-
-
-def _scan_crossings(r, v, w, L, qn, tol_r) -> Sequence[float]:
-    out = []
-    n = len(r)
-    i = 0
-    while i < n:
-        if v[i] == 0.0:
-            out.append(float(r[i]))
-            i += 1
-            continue
-        if i + 1 < n and v[i + 1] != 0.0 and (v[i] > 0.0) != (v[i + 1] > 0.0):
-            fac = math.exp(L[i + 1] - L[i])
-            z = _refine_crossing(
-                r[i], r[i + 1], v[i], w[i], v[i + 1] * fac, w[i + 1] * fac, tol_r
-            )
-            out.append(float(z))
-        i += 1
-    return out
+    k = np.asarray(stages).reshape(-1, 7, 2)
+    dense = np.einsum("nsc,sp->ncp", k, _DENSE_P)
+    return Trajectory(coefficients, np.asarray(xs), np.asarray(ys).reshape(-1, 2), dense)

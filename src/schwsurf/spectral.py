@@ -5,7 +5,10 @@ on the horizon and a Dirichlet condition at ``R``.  Its spectrum per
 Fourier mode ``k`` is simple, and classical oscillation theory ties the
 position of the ``n``-th eigenvalue to the number of interior zeros of
 the horizon shot: the ``lam = 0`` shot has as many interior zeros as the
-mode has negative eigenvalues.
+mode has negative eigenvalues.  Shots run in ``log r`` as a scaled Prüfer
+phase (:mod:`schwsurf.mode_odes`), so counts are read off the phase at
+``R`` and the ``n``-th eigenvalue is the root of ``theta(R; lam) = n pi``.
+No step cap or step budget ties the cost of a shot to ``R``.
 
 Eigenvalues are reported in mass-squared units (``lam_report = lam_raw m^2``)
 so that results are invariant under rescaling the mass.
@@ -63,27 +66,24 @@ class IndexReport:
     morse_index: int
 
 
-def _boundary_band(R: float, tol: float, m: float) -> float:
-    # crossings this close to R count as the boundary zero, not interior
-    return max(1e-9 * R, 10.0 * tol * m)
-
-
 def interior_zero_count(
     solution: RadialSolution, R: float, tol: float, exclude_boundary: bool = True
 ) -> int:
-    """Zeros of the shot strictly inside ``(m/2, R)``.
+    """Zeros of the shot strictly inside ``(m/2, R)``, read off the phase.
 
-    With ``exclude_boundary`` (the default, used by :func:`negative_count`)
-    a refined crossing within ``max(1e-9 R, 10 tol m)`` of ``R`` is treated
-    as the boundary zero of an eigenfunction, not an interior one; that
-    makes the count insensitive to roundoff when an eigenvalue sits at
-    exactly zero.  The eigenvalue search instead counts every crossing up
-    to ``R``, because a crossing that close to the edge is a zero that has
-    just entered through it.
+    The ``j``-th zero is where the Prüfer phase passes ``j pi``.  With
+    ``exclude_boundary`` (the default, used by :func:`negative_count`) a
+    phase within ``10 tol`` below or above ``j pi`` at ``R`` is treated as
+    the boundary zero of an eigenfunction, not an interior one; that makes
+    the count insensitive to roundoff when an eigenvalue sits at exactly
+    zero.  Without it, such a zero counts, as one that has just entered
+    through ``R``.
     """
-    m = solution.params.model.mass
-    band = _boundary_band(R, tol, m) if exclude_boundary else 0.0
-    return sum(1 for z in solution.zero_crossings if 0.5 * m < z <= R - band)
+    band = 10.0 * tol
+    theta = solution.phase(R)
+    if exclude_boundary:
+        return max(0, math.ceil((theta - band) / math.pi) - 1)
+    return math.floor((theta + band) / math.pi)
 
 
 def negative_count(
@@ -117,13 +117,15 @@ def eigenvalues_shooting(
 ) -> Spectrum:
     """Lowest ``how_many`` eigenvalues of mode ``k`` by shooting.
 
-    Each eigenvalue is bracketed by oscillation count (shots with ``n - 1``
-    versus ``n`` interior zeros), then polished on the terminal value
-    ``v(R; lam)``, which changes sign exactly once inside such a bracket.
+    The ``n``-th eigenvalue is the ``lam`` at which the shot's Prüfer phase
+    ends on ``theta(R; lam) = n pi``.  ``theta(R; lam) - n pi`` changes sign
+    once, upward, as ``lam`` grows, so it is bracketed on one side by the
+    previous eigenvalue (or by 0 for the first) and on the other by
+    doubling a step of ``10/m^2``, then polished by bracketed root finding.
     ``tol`` bounds the final bracket width in mass-squared units.
 
     Raises :class:`SearchError` with diagnostics if bracket expansion
-    fails to enclose the requested count.
+    fails to enclose the requested eigenvalue.
     """
     model.require_horizon("eigenvalues_shooting")
     m = model.mass
@@ -138,79 +140,37 @@ def eigenvalues_shooting(
     tol_raw = tol / m2
     cache: dict = {}
 
-    def probe(lam_raw: float):
+    def phase(lam_raw: float) -> float:
         if lam_raw not in cache:
-            sol = _shot(model, k, lam_raw, R, ode_tol)
-            cache[lam_raw] = (
-                interior_zero_count(sol, R, ode_tol, exclude_boundary=False),
-                sol.terminal_value(),
-            )
+            cache[lam_raw] = _shot(model, k, lam_raw, R, ode_tol).phase(R)
         return cache[lam_raw]
 
-    def count(lam_raw: float) -> int:
-        return probe(lam_raw)[0]
-
-    def terminal(lam_raw: float) -> float:
-        return probe(lam_raw)[1]
+    def expand(lam: float, n: int, side: str) -> float:
+        sign = -1.0 if side == "lower" else 1.0
+        for _ in range(_MAX_DOUBLINGS):
+            if sign * (phase(lam) - n * math.pi) > 0.0:
+                return lam
+            lam *= 2.0
+        raise SearchError(
+            f"{side} bracket expansion failed",
+            diagnostics={"k": k, "n": n, "side": side, "lam": lam * m2, "phase": phase(lam / 2.0)},
+        )
 
     entries = []
     for n in range(1, how_many + 1):
-        lam_lo = -_BRACKET_START / m2
-        lam_hi = _BRACKET_START / m2
-        doublings = 0
-        while count(lam_lo) > n - 1:
-            lam_lo *= 2.0
-            doublings += 1
-            if doublings > _MAX_DOUBLINGS:
-                raise SearchError(
-                    "lower bracket expansion failed",
-                    diagnostics={"k": k, "n": n, "lam_lo": lam_lo * m2,
-                                 "count": count(lam_lo / 2.0)},
-                )
-        doublings = 0
-        while count(lam_hi) < n:
-            lam_hi *= 2.0
-            doublings += 1
-            if doublings > _MAX_DOUBLINGS:
-                raise SearchError(
-                    "upper bracket expansion failed",
-                    diagnostics={"k": k, "n": n, "lam_hi": lam_hi * m2,
-                                 "count": count(lam_hi / 2.0)},
-                )
-
-        # bisect on the count until the bracket holds exactly one eigenvalue;
-        # stop at width tol in the roundoff regime where |v(R)| sits at noise
-        # level and the count flickers
-        while not (count(lam_lo) == n - 1 and count(lam_hi) == n):
-            if lam_hi - lam_lo <= tol_raw:
-                break
-            mid = 0.5 * (lam_lo + lam_hi)
-            if mid == lam_lo or mid == lam_hi:
-                break
-            if count(mid) >= n:
-                lam_hi = mid
-            else:
-                lam_lo = mid
-
-        t_lo = terminal(lam_lo)
-        t_hi = terminal(lam_hi)
-        if t_lo == 0.0:
-            lam_n = lam_lo
-        elif t_hi == 0.0:
-            lam_n = lam_hi
-        elif (t_lo > 0.0) != (t_hi > 0.0):
-            lam_n = brentq(
-                terminal, lam_lo, lam_hi, xtol=tol_raw, rtol=8.0 * np.finfo(float).eps
-            )
-        elif lam_hi - lam_lo <= tol_raw:
-            lam_n = 0.5 * (lam_lo + lam_hi)
+        # one end is the previous eigenvalue, or 0 for the first: cheap shots
+        lam_lo = entries[-1].lam / m2 if entries else 0.0
+        if phase(lam_lo) > n * math.pi:  # only n = 1, with lam = 0 above it
+            lam_lo, lam_hi = expand(-_BRACKET_START / m2, n, "lower"), lam_lo
         else:
-            # terminal signs agree only if the count bisection stalled
-            raise SearchError(
-                "terminal value does not change sign across the bracket",
-                diagnostics={"k": k, "n": n, "lam_lo": lam_lo * m2,
-                             "lam_hi": lam_hi * m2, "t_lo": t_lo, "t_hi": t_hi},
-            )
+            lam_hi = expand(max(lam_lo, 0.0) + _BRACKET_START / m2, n, "upper")
+        lam_n = brentq(
+            lambda lam: phase(lam) - n * math.pi,
+            lam_lo,
+            lam_hi,
+            xtol=tol_raw,
+            rtol=8.0 * np.finfo(float).eps,
+        )
         entries.append(SpectrumEntry(k=k, n=n, lam=lam_n * m2))
 
     return Spectrum(
@@ -242,10 +202,7 @@ def eigenfunction(
     lam_raw = lam / (m * m)
     sol = _shot(model, k, lam_raw, R, ode_tol)
     r = np.linspace(0.5 * m, R, n_samples)
-    v = np.empty_like(r)
-    vp = np.empty_like(r)
-    for i, x in enumerate(r):
-        v[i], vp[i] = sol._traj.eval(x)
+    v, vp = sol.values(r)
     sq = np.sqrt(r)
     u = v / sq
     up = vp / sq - 0.5 * v / (r * sq)
@@ -375,7 +332,9 @@ def morse_index(
 
     ``R`` defaults to ``1e3 m`` (the truncation at which the index of the
     full plane is reported).  ``workers`` caps the thread pool used for
-    independent modes; 0 means one thread per CPU.
+    independent modes; 0 means one thread per CPU.  Raises
+    :class:`SearchError` if a count grows with ``|k|``, which Sturm
+    comparison rules out.
     """
     model.require_horizon("morse_index")
     m = model.mass
@@ -393,6 +352,13 @@ def morse_index(
     else:
         counts = [negative_count(model, k, R, ode_tol) for k in ks]
 
+    # Q decreases as k^2 grows while the horizon data stay the same, so by
+    # Sturm comparison the count cannot grow with |k|
+    if any(b > a for a, b in zip(counts, counts[1:])):
+        raise SearchError(
+            "negative count grows with |k|, against Sturm comparison",
+            diagnostics={"R": R, "counts": dict(zip(ks, counts))},
+        )
     per_mode = {}
     total = 0
     for k, c in zip(ks, counts):

@@ -1,8 +1,21 @@
-"""Shared fixtures plus the acceptance-summary reporting hook."""
+"""Shared fixtures and references, plus the acceptance-summary reporting hook."""
 
+import mpmath
 import pytest
 
 from schwsurf import SchwarzschildModel
+
+
+def _r_star_over_m():
+    """R*/m: the root of (1/2) log(2x) = (2x + 1)/(2x - 1), to 50 digits."""
+    with mpmath.workdps(50):
+        return mpmath.findroot(
+            lambda x: mpmath.log(2 * x) / 2 - (2 * x + 1) / (2 * x - 1), mpmath.mpf("2.75")
+        )
+
+
+# the stability radius at m = 2, rounded to double
+R_STAR_M2 = float(2 * _r_star_over_m())
 
 # filled by tests/test_acceptance.py; printed by the terminal-summary hook
 ACCEPTANCE_RESULTS = []

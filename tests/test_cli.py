@@ -14,9 +14,9 @@ import pytest
 from click.testing import CliRunner
 
 import schwsurf
+from conftest import R_STAR_M2
 from schwsurf.cli import main
 
-R_STAR_M2 = 11.016093846685423
 F_AT_R1E4_M2 = 0.99979965105436941
 
 

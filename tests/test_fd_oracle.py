@@ -124,6 +124,13 @@ def test_cross_solver_agreement(m2, R):
     assert negative_count_fd(assemble(m2, 0, R, 2048)) == negative_count(m2, 0, R)
 
 
+@pytest.mark.parametrize("k, expect", [(0, 1), (1, 0)])
+def test_cross_solver_counts_at_claim_radius(m2, k, expect):
+    """Shooting and a fine FD grid agree on the counts at R = 1e3 m."""
+    R = 1e3 * m2.mass
+    assert negative_count(m2, k, R) == negative_count_fd(assemble(m2, k, R, 65536)) == expect
+
+
 def test_nonradial_mode_positive(m2):
     assert richardson_lowest(m2, 1, 20.0, n=1024)[0] > 0.0
 

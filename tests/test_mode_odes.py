@@ -23,6 +23,7 @@ from schwsurf import (
     singularity_radius,
     stability_radius,
 )
+from conftest import R_STAR_M2
 from schwsurf.errors import DomainError, NoSingularityError, SingularityError
 from schwsurf.mode_odes import (
     ode_residual_grid,
@@ -33,7 +34,6 @@ from schwsurf.mode_odes import (
 
 # Independently computed reference values (30-digit evaluation of the
 # defining relations, rounded to double).
-R_STAR_M2 = 11.016093846685423  # zero of the radial closed form at m = 2
 CBAR_M1 = -5.2274112777602188  # -8 + 4 log 2
 PSI_C_AT_2_M2 = 0.068706462548020818  # psi_c(r=2), c = -8, m = 2
 R_C_MINUS9_M2 = 13.177148230967081  # blow-up radius for c = -9, m = 2
@@ -80,10 +80,35 @@ def test_shot_initial_data_and_node_order(m2):
     assert np.all(np.diff(sol.nodes_r) > 0.0)
 
 
+@pytest.mark.parametrize("mass", [0.7, 2.0, 3.0])
+def test_horizon_reads_are_exact(mass):
+    """Node 0 and every read at r = m/2 carry the horizon data exactly."""
+    model = SchwarzschildModel(mass)
+    for k, lam in ((0, 0.0), (2, 0.0), (0, -1.5), (1, 3.0)):
+        sol = integrate_v(ModeParams(model, k, lam, 30.0 * mass))
+        h = 0.5 * mass
+        assert sol.nodes_r[0] == h
+        assert sol.nodes_v[0] == 1.0 and sol.nodes_v_prime[0] == 1.0 / mass
+        assert sol.v(h) == 1.0 and sol.v_prime(h) == 1.0 / mass
+        assert sol.gamma(h) == 1.0 / mass
+        assert sol.log_abs_v(h) == (0.0, 1.0)
+        assert sol.phase(h) == 0.5 * math.pi
+
+
+def test_shot_reaches_far_radii_in_few_steps(m2):
+    """No step budget ties R: the radial shot to 1e7 m takes a few hundred steps."""
+    sol = integrate_v(ModeParams(m2, 0, 0.0, 2e7), tol=1e-10)
+    assert len(sol.nodes_r) < 1000
+    assert sol.nodes_r[-1] == 2e7
+    assert len(sol.zero_crossings) == 1
+    assert sol.zero_crossings[0] == pytest.approx(R_STAR_M2, abs=1.5e-9)
+
+
 def test_radial_shot_crosses_once_at_stability_radius(m2):
     sol = integrate_v(ModeParams(m2, 0, 0.0, 50.0), tol=1e-10)
     assert len(sol.zero_crossings) == 1
-    assert sol.zero_crossings[0] == pytest.approx(R_STAR_M2, abs=1e-7)
+    # the shot reaches 1.5e-10 at ode tol 1e-10
+    assert sol.zero_crossings[0] == pytest.approx(R_STAR_M2, abs=1.5e-9)
 
 
 def test_nonradial_negative_mode_never_crosses(m2):

@@ -15,11 +15,10 @@ from schwsurf import (
     rayleigh_quotient,
     stability_radius,
 )
-from schwsurf.errors import DomainError
+from conftest import R_STAR_M2
+from schwsurf import spectral
+from schwsurf.errors import DomainError, SearchError
 from schwsurf.spectral import interior_zero_count
-
-# zero of the radial closed form at m = 2, 30-digit reference
-R_STAR_M2 = 11.016093846685423
 
 LAMBDA_TOL = 1e-9  # mass-squared units, the search default
 ODE_TOL = 1e-10
@@ -247,6 +246,23 @@ def test_morse_index_default_truncation(m2):
     assert rep.morse_index == 1
     assert rep.per_mode_negative_counts[0] == 1
     assert set(rep.per_mode_negative_counts) == set(range(-5, 6))
+
+
+@pytest.mark.parametrize("ratio", [1e4, 1e6, 1e7])
+def test_morse_index_one_at_far_truncations(m2, ratio):
+    """The index claim holds out where it is made, not just at 1e3 m."""
+    rep = morse_index(m2, R=ratio * m2.mass, kmax=5)
+    assert rep.morse_index == 1
+    assert rep.per_mode_negative_counts[0] == 1
+    assert all(c == 0 for k, c in rep.per_mode_negative_counts.items() if k != 0)
+
+
+def test_morse_index_rejects_count_growing_with_k(m2, monkeypatch):
+    """Sturm comparison: a count that grows with |k| is a numerical failure."""
+    monkeypatch.setattr(spectral, "negative_count", lambda model, k, R, tol: int(k == 2))
+    with pytest.raises(SearchError) as info:
+        morse_index(m2, R=20.0, kmax=3)
+    assert info.value.diagnostics["counts"] == {0: 0, 1: 0, 2: 1, 3: 0}
 
 
 def test_morse_index_threaded_matches_serial(m2):
