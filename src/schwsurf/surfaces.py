@@ -24,11 +24,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import quadrature
-from .errors import DomainError, GeometryError, PreconditionError, QuadratureError
+from .errors import DomainError, GeometryError, PreconditionError
 from .geometry import (
     SchwarzschildModel,
     areal_from_distance,
-    areal_from_isotropic,
     distance_from_isotropic,
     isotropic_from_areal,
 )
@@ -237,8 +236,10 @@ def make_general(
 ) -> ParamSurface:
     """User-supplied chart; missing derivatives by central differences.
 
-    The chart must be evaluable slightly outside the ``t`` range (two
-    finite-difference steps) and safe for concurrent calls.
+    Each of ``chart``, ``chart_t`` and ``chart_s`` is called once per
+    quadrature node with scalar ``(t, s)`` and returns a 3-vector.  The
+    chart must be evaluable slightly outside the ``t`` range (two
+    finite-difference steps).
     """
     t0, t1 = t_range
     if not (t1 > t0):
@@ -338,25 +339,37 @@ def ball_filter(model: SchwarzschildModel, a: float):
     return inside
 
 
+def _chart_samples(fn, t, s) -> np.ndarray:
+    """``fn`` called once per node of the broadcast ``(t, s)`` with scalar
+    arguments, its 3-vectors stacked into an ``(n, 3)`` array."""
+    t, s = np.broadcast_arrays(t, s)
+    pts = [fn(a, b) for a, b in zip(t.ravel().tolist(), s.ravel().tolist())]
+    return np.array(pts, dtype=float).reshape(-1, 3)
+
+
+def _radial_normal_sq(x: np.ndarray, x_t: np.ndarray, x_s: np.ndarray) -> np.ndarray:
+    """Squared cosine between ``x`` and the normal ``x_t x x_s``, row by row,
+    clamped to [0, 1]."""
+    nrm = np.cross(x_t, x_s)
+    n2 = np.sum(nrm * nrm, axis=1)
+    bad = n2 <= 1e-24 * np.sum(x_t * x_t, axis=1) * np.sum(x_s * x_s, axis=1)
+    if np.any(bad):
+        raise GeometryError(f"degenerate tangent plane at chart point {x[np.argmax(bad)]}")
+    r = np.linalg.norm(x, axis=1)
+    if np.any(r == 0.0):
+        raise GeometryError("radial direction undefined at the origin")
+    cosine = np.sum(x * nrm, axis=1) / (r * np.sqrt(n2))
+    return np.clip(cosine * cosine, 0.0, 1.0)
+
+
 def radial_normal_component(model: SchwarzschildModel, surface: ParamSurface, t: float, s: float) -> float:
     """Squared g-norm of the normal part of the unit radial field, in [0, 1].
 
     Conformal metrics preserve angles, so this equals the squared cosine
     between the flat radial direction and the flat surface normal.
     """
-    x = np.asarray(surface.chart(t, s), dtype=float)
-    xt = np.asarray(surface.chart_t(t, s), dtype=float)
-    xs = np.asarray(surface.chart_s(t, s), dtype=float)
-    nrm = np.cross(xt, xs)
-    n2 = float(np.dot(nrm, nrm))
-    if n2 <= 1e-24 * float(np.dot(xt, xt)) * float(np.dot(xs, xs)):
-        raise GeometryError(f"degenerate tangent plane at (t,s)=({t},{s})")
-    r = float(np.linalg.norm(x))
-    if r == 0.0:
-        raise GeometryError("radial direction undefined at the origin")
-    cosine = float(np.dot(x, nrm)) / (r * math.sqrt(n2))
-    val = cosine * cosine
-    return min(max(val, 0.0), 1.0)
+    fns = (surface.chart, surface.chart_t, surface.chart_s)
+    return float(_radial_normal_sq(*(_chart_samples(f, t, s) for f in fns))[0])
 
 
 # -------------------------------------------------------------------------
@@ -392,13 +405,14 @@ def _cone_integral(model, surface, rho, spec, density) -> float:
 
 
 def _general_integral(model, surface, rho, spec, weight) -> float:
-    """Tensor-product quadrature of ``weight(x) * flat area element`` over
-    the chart preimage of the ball, doubling panels in both directions.
+    """Integral of ``weight * flat area element`` over the chart preimage of
+    the ball: an outer :func:`quadrature.integrate` over ``s`` in ``[0, S)``
+    whose every node runs an inner one over ``t`` up to the slice's clip level.
 
-    ``weight`` maps isotropic radius to the scalar factor multiplying the
-    flat area element (the conformal factor is part of it).
+    ``weight(r, x, x_t, x_s)`` maps one slice's radii ``(n,)`` and chart
+    values and partials ``(n, 3)`` to the factor multiplying the flat area
+    element (the conformal factor is part of it).
     """
-    m = model.mass
     t0, t1 = surface.t_range
     t_iso = clip_radius(model, rho)
     chart, chart_t, chart_s = surface.chart, surface.chart_t, surface.chart_s
@@ -413,45 +427,28 @@ def _general_integral(model, surface, rho, spec, weight) -> float:
             return t1
         for _ in range(80):
             mid = 0.5 * (lo + hi)
+            if not lo < mid < hi:
+                break  # adjacent doubles: every further halving is a no-op
             if np.linalg.norm(chart(mid, s)) <= t_iso:
                 lo = mid
             else:
                 hi = mid
         return 0.5 * (lo + hi)
 
-    def value(n_s: int, n_t: int) -> float:
-        xs, ws = quadrature.panel_nodes(0.0, surface.s_period, n_s, spec.points)
-        total = 0.0
-        for s, w_s in zip(xs, ws):
-            tc = slice_limit(s)
-            if tc <= t0:
-                continue
-            xt, wt = quadrature.panel_nodes(t0, tc, n_t, spec.points)
-            acc = 0.0
-            for t, w_t in zip(xt, wt):
-                p = chart(t, s)
-                r = float(np.linalg.norm(p))
-                el = float(np.linalg.norm(np.cross(chart_t(t, s), chart_s(t, s))))
-                acc += w_t * weight(r, t, s) * el
-            total += w_s * acc
-        return total
+    def slice_integral(s: float) -> float:
+        def integrand(t):
+            x = _chart_samples(chart, t, s)
+            x_t = _chart_samples(chart_t, t, s)
+            x_s = _chart_samples(chart_s, t, s)
+            el = np.linalg.norm(np.cross(x_t, x_s), axis=1)
+            return weight(np.linalg.norm(x, axis=1), x, x_t, x_s) * el
 
-    n_s, n_t = 2, 2
-    prev = value(n_s, n_t)
-    while True:
-        n_s *= 2
-        n_t *= 2
-        if n_s * n_t > spec.max_panels:
-            raise QuadratureError(
-                f"2-D quadrature did not reach rel_tol={spec.rel_tol} within "
-                f"{spec.max_panels} panels at rho={rho}"
-            )
-        cur = value(n_s, n_t)
-        scale = max(abs(cur), abs(prev), 1e-300)
-        # general charts target a looser tolerance than the 1-D cone path
-        if abs(cur - prev) <= 100.0 * spec.rel_tol * scale:
-            return cur
-        prev = cur
+        return quadrature.integrate(integrand, t0, slice_limit(s), spec)
+
+    def slices(s):
+        return np.array([slice_integral(x) for x in s.tolist()])
+
+    return quadrature.integrate(slices, 0.0, surface.s_period, spec)
 
 
 def mu_integral(model: SchwarzschildModel, surface: ParamSurface, rho: float, spec: QuadSpec = QuadSpec()) -> float:
@@ -464,9 +461,9 @@ def mu_integral(model: SchwarzschildModel, surface: ParamSurface, rho: float, sp
         return _cone_integral(model, surface, rho, spec, _mu_density_cone)
     m = model.mass
 
-    def w(r, t, s):
-        x = 0.5 * m / r
-        return (1.0 - x) * (1.0 + x) ** 3  # f times conformal area factor
+    def w(r, x, x_t, x_s):
+        q = 0.5 * m / r
+        return (1.0 - q) * (1.0 + q) ** 3  # f times conformal area factor
 
     return _general_integral(model, surface, rho, spec, w)
 
@@ -481,7 +478,7 @@ def area_integral(model: SchwarzschildModel, surface: ParamSurface, rho: float, 
         return _cone_integral(model, surface, rho, spec, _area_density_cone)
     m = model.mass
 
-    def w(r, t, s):
+    def w(r, x, x_t, x_s):
         return (1.0 + 0.5 * m / r) ** 4
 
     return _general_integral(model, surface, rho, spec, w)
@@ -500,11 +497,14 @@ def defect_integral(model: SchwarzschildModel, surface: ParamSurface, rho: float
         return 0.0
     m = model.mass
 
-    def w(r, t, s):
-        x = 0.5 * m / r
-        f = (1.0 - x) / (1.0 + x)
-        h = areal_from_isotropic(model, r)
-        return f / (h * h) * radial_normal_component(model, surface, t, s) * (1.0 + x) ** 4
+    def w(r, x, x_t, x_s):
+        normal = _radial_normal_sq(x, x_t, x_s)
+        if np.any(r < 0.5 * m):
+            raise DomainError(f"chart reaches |x| = {r.min()} inside the horizon |x| = {0.5 * m}")
+        q = 0.5 * m / r
+        f = (1.0 - q) / (1.0 + q)
+        h = r * (1.0 + q) ** 2  # areal radius
+        return f / (h * h) * normal * (1.0 + q) ** 4
 
     return _general_integral(model, surface, rho, spec, w)
 
@@ -519,13 +519,10 @@ def boundary_length(model: SchwarzschildModel, surface: ParamSurface) -> float:
         # edge speed is t0, conformal factor 4 on the horizon
         return 4.0 * t0 * surface.s_period
 
-    def speed(svals):
-        out = np.empty_like(svals)
-        for i, s in enumerate(svals):
-            p = surface.chart(t0, s)
-            conf = (1.0 + 0.5 * model.mass / float(np.linalg.norm(p))) ** 2
-            out[i] = conf * float(np.linalg.norm(surface.chart_s(t0, s)))
-        return out
+    def speed(s):
+        x = _chart_samples(surface.chart, t0, s)
+        conf = (1.0 + 0.5 * model.mass / np.linalg.norm(x, axis=1)) ** 2
+        return conf * np.linalg.norm(_chart_samples(surface.chart_s, t0, s), axis=1)
 
     return quadrature.integrate(speed, 0.0, surface.s_period, QuadSpec())
 

@@ -17,7 +17,7 @@ from schwsurf import (
 )
 from conftest import R_STAR_M2
 from schwsurf import spectral
-from schwsurf.errors import DomainError, SearchError
+from schwsurf.errors import DomainError, PreconditionError, SearchError
 from schwsurf.spectral import interior_zero_count
 
 LAMBDA_TOL = 1e-9  # mass-squared units, the search default
@@ -220,6 +220,25 @@ def test_rayleigh_validation(m2):
         rayleigh_quotient(m2, 3.0, r[:4], u[:4])  # too few samples
     with pytest.raises(Exception):
         rayleigh_quotient(m2, 3.0, r + 1.0, (1.0 - (r - 1.0) / 2.0))  # wrong span
+
+
+def test_derivative_samples_match_per_sample_quartic_fits():
+    """The batched stencil solve against one np.polyfit per sample as the
+    reference, on an uneven grid; exact on a quartic."""
+    r = np.geomspace(1.0, 40.0, 301)
+    g = np.sin(r) * np.exp(-r / 15.0)
+    ref = np.empty_like(r)
+    for i in range(len(r)):
+        j = min(max(i - 2, 0), len(r) - 5)
+        x0 = r[j + 2]
+        coef = np.polyfit(r[j : j + 5] - x0, g[j : j + 5], 4)
+        ref[i] = np.polyval(np.polyder(coef), r[i] - x0)
+    got = spectral._derivative_samples(r, g)
+    assert np.max(np.abs(got - ref)) <= 1e-11 * np.max(np.abs(ref))
+    quartic = spectral._derivative_samples(r, (r - 3.0) ** 4 - 2.0 * r)
+    assert quartic == pytest.approx(4.0 * (r - 3.0) ** 3 - 2.0, rel=1e-9, abs=1e-9)
+    with pytest.raises(PreconditionError):
+        spectral._derivative_samples(r[:4], g[:4])
 
 
 # ----------------------------------------------------------------- Morse index

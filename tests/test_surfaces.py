@@ -1,7 +1,7 @@
 """Cones, clipped integrals, monotonicity, density, boundary bound.
 
 One genuinely 2-D chart (a flat graph at constant height) exercises the
-general tensor-product path against classical closed forms; everything
+general nested-quadrature path against classical closed forms; everything
 else rides the 1-D cone fast path whose densities have elementary
 antiderivatives.
 """
@@ -255,13 +255,15 @@ def test_radial_normal_degenerate_chart_raises(flat):
     )
     with pytest.raises(GeometryError):
         radial_normal_component(flat, line, 1.0, 0.5)
+    with pytest.raises(GeometryError):
+        defect_integral(flat, line, 1.0)  # the same check, through the weight
 
 
 # ------------------------------------------------------------- general path
 
 
 def test_general_path_matches_cone_path(m2):
-    """The 2-D tensor quadrature reproduces the 1-D cone integral."""
+    """The nested 2-D quadrature reproduces the 1-D cone integral."""
     theta0 = math.pi / 3
     curve = latitude_circle(theta0)
     cone = make_cone(m2, curve, t_max=12.0)
@@ -275,7 +277,7 @@ def test_general_path_matches_cone_path(m2):
     for rho in (2.0, 5.0):
         ref = mu_integral(m2, cone, rho)
         got = mu_integral(m2, general, rho)
-        assert got == pytest.approx(ref, rel=1e-5)
+        assert got == pytest.approx(ref, rel=1e-12)
 
 
 def test_defect_zero_on_cones_positive_off_origin(m2, flat):
@@ -283,6 +285,13 @@ def test_defect_zero_on_cones_positive_off_origin(m2, flat):
     assert defect_integral(m2, plane, 10.0) == 0.0
     graph = flat_graph(1.0, 8.0)
     assert defect_integral(flat, graph, 4.0) > 0.0
+
+
+def test_defect_rejects_chart_inside_horizon(m2):
+    """Graph z = 0.3 at m = 2 dips inside |x| = m/2 = 1 near its axis."""
+    graph = flat_graph(0.3, 5.0)
+    with pytest.raises(DomainError):
+        defect_integral(m2, graph, 3.0)
 
 
 def test_flat_graph_monotonicity_identity(flat):
@@ -422,6 +431,12 @@ def test_rotate_surface_general_chart(flat):
     assert not rotated.is_cone
     p = graph.chart(1.3, 0.4)
     assert rotated.chart(1.3, 0.4) == pytest.approx(Q @ p, abs=1e-14)
+    # rotation invariance of the clipped integrals, on the general path
+    mu, defect = mu_integral(flat, graph, 4.0), defect_integral(flat, graph, 4.0)
+    for seed in (9, 21, 77):
+        rotated = rotate_surface(graph, random_rotation(seed))
+        assert mu_integral(flat, rotated, 4.0) == pytest.approx(mu, rel=1e-12)
+        assert defect_integral(flat, rotated, 4.0) == pytest.approx(defect, rel=1e-12)
 
 
 def test_scale_covariance_of_measures():
