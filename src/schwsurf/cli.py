@@ -4,8 +4,13 @@ Text outputs are CSV (comma separator, 17 significant digits, LF
 endings) or JSON carrying the same numbers plus a provenance header with
 the package version and the active tolerances.  Exit codes: 0 success,
 2 usage or configuration error, 3 numerical failure (diagnostics on
-stderr).  ``SCHW_THREADS`` caps internal parallelism (0 = one thread
-per CPU; unset = single-threaded, which keeps runs reproducible).
+stderr).  ``SCHW_THREADS`` must be a nonnegative integer if set (else
+exit 2) but has no effect: the mode sweep runs serially, because the
+pure-Python stepper holds the GIL and threads did not shorten it.
+
+Only ``spectrum --method fd|both`` imports scipy (for the FD oracle's
+LAPACK solver, on its first solve); every other subcommand starts
+without it.
 
 Eigenvalues are reported in mass-squared units throughout; radius flags
 (``--R``, ``--rho-max``, ``--r-max``) are raw lengths in the same units
@@ -157,17 +162,17 @@ def _resolve_config(kwargs) -> dict:
     return cfg
 
 
-def _threads() -> int:
+def _check_threads() -> None:
+    """``SCHW_THREADS`` has no effect, but a malformed value is a usage error."""
     raw = os.environ.get("SCHW_THREADS")
     if raw is None:
-        return 1
+        return
     try:
         val = int(raw)
     except ValueError:
         raise click.UsageError(f"SCHW_THREADS must be an integer, got {raw!r}")
     if val < 0:
         raise click.UsageError(f"SCHW_THREADS must be >= 0, got {val}")
-    return val if val > 0 else (os.cpu_count() or 1)
 
 
 def common_options(fn):
@@ -334,9 +339,8 @@ def morse_index_cmd(radius, kmax, **kwargs):
     """Morse index of the truncated plane: per-mode counts and the sum."""
     config = _resolve_config(kwargs)
     model = SchwarzschildModel(config["mass"])
-    rep = spectral.morse_index(
-        model, R=radius, kmax=kmax, ode_tol=config["ode_tol"], workers=_threads()
-    )
+    _check_threads()
+    rep = spectral.morse_index(model, R=radius, kmax=kmax, ode_tol=config["ode_tol"])
     rows = [(k, c) for k, c in rep.per_mode_negative_counts.items()]
     _emit(
         config,

@@ -7,8 +7,11 @@ the mode equation is discretized in divergence form
 
 on a uniform grid over [m/2, R] with a flux-mirrored Neumann row at the
 horizon and Dirichlet elimination at R, and the symmetric tridiagonal
-generalized problem is solved by Sturm-sequence bisection.  Agreement
-with the shooting spectra is the anti-bug oracle for both sides.
+generalized problem is solved by Sturm-sequence bisection (LAPACK
+``stebz`` through ``scipy.linalg.eigvalsh_tridiagonal``).  scipy is
+imported on the first solve, not with the package, so everything else
+starts without it.  Agreement with the shooting spectra is the anti-bug
+oracle for both sides.
 
 With ``m = 0`` the same assembly covers the flat disc (``k = 0``) and
 annulus-degenerate Bessel problems used to validate the scheme against
@@ -21,7 +24,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigvalsh_tridiagonal
 
 from .errors import DomainError
 from .geometry import SchwarzschildModel
@@ -138,6 +140,9 @@ def lowest_eigenvalues(problem: DiscreteModeProblem, how_many: int) -> Spectrum:
         raise DomainError(
             f"how_many = {how_many} must be < matrix size {problem.n}"
         )
+    # scipy.linalg costs about 0.3 s to import: load it on the first solve
+    from scipy.linalg import eigvalsh_tridiagonal
+
     d, e = _standard_form(problem)
     vals = eigvalsh_tridiagonal(
         d, e, select="i", select_range=(0, how_many - 1), lapack_driver="stebz"

@@ -34,11 +34,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from . import ode
 from .errors import DomainError, NoSingularityError, SingularityError
 from .geometry import SchwarzschildModel
+from .roots import brentq
 
 DEFAULT_ODE_TOL = 1e-10
 

@@ -17,16 +17,14 @@ so that results are invariant under rescaling the mass.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import DomainError, PreconditionError, SearchError
 from .geometry import SchwarzschildModel
 from .mode_odes import DEFAULT_ODE_TOL, ModeParams, RadialSolution, closed_form_v0, integrate_v
+from .roots import brentq
 
 DEFAULT_LAMBDA_TOL = 1e-9  # mass-squared units; keep >= 10x the ODE tol
 _BRACKET_START = 10.0  # mass-squared units
@@ -125,7 +123,7 @@ def eigenvalues_shooting(
     ``tol`` bounds the final bracket width in mass-squared units.
 
     Raises :class:`SearchError` with diagnostics if bracket expansion
-    fails to enclose the requested eigenvalue.
+    fails to enclose the requested eigenvalue or the root search fails.
     """
     model.require_horizon("eigenvalues_shooting")
     m = model.mass
@@ -335,8 +333,9 @@ def morse_index(
     over the modes ``k = 0, +-1, ..., +-kmax``.
 
     ``R`` defaults to ``1e3 m`` (the truncation at which the index of the
-    full plane is reported).  ``workers`` caps the thread pool used for
-    independent modes; 0 means one thread per CPU.  Raises
+    full plane is reported).  ``workers`` is accepted for compatibility
+    and has no effect: the modes run one after another, since the stepper
+    holds the GIL and threads did not shorten the sweep.  Raises
     :class:`SearchError` if a count grows with ``|k|``, which Sturm
     comparison rules out.
     """
@@ -348,13 +347,7 @@ def morse_index(
         raise DomainError(f"kmax must be >= 0, got {kmax}")
 
     ks = list(range(0, kmax + 1))
-    if workers == 0:
-        workers = os.cpu_count() or 1
-    if workers > 1 and len(ks) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            counts = list(pool.map(lambda k: negative_count(model, k, R, ode_tol), ks))
-    else:
-        counts = [negative_count(model, k, R, ode_tol) for k in ks]
+    counts = [negative_count(model, k, R, ode_tol) for k in ks]
 
     # Q decreases as k^2 grows while the horizon data stay the same, so by
     # Sturm comparison the count cannot grow with |k|

@@ -288,3 +288,32 @@ def test_threads_env_rejects_garbage():
         "morse-index", "--mass", "2", "--R", "12", env_extra={"SCHW_THREADS": "x"}
     )
     assert proc.returncode == 2
+
+
+_IMPORT_PROBE = """
+import json, sys
+import schwsurf.cli, schwsurf
+loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+from schwsurf import SchwarzschildModel, assemble, lowest_eigenvalues
+vals = lowest_eigenvalues(assemble(SchwarzschildModel(2.0), 0, 40.0, 256), 3).lambdas()
+print(json.dumps({"at_import": loaded, "after_solve": "scipy.linalg" in sys.modules,
+                  "vals": [float(v).hex() for v in vals]}))
+"""
+
+
+def test_import_loads_no_scipy():
+    # scipy costs about 0.6 s of interpreter start: only the FD solve may
+    # load it, and it must still give the values of a direct LAPACK call
+    from scipy.linalg import eigvalsh_tridiagonal
+
+    from schwsurf.fd_oracle import _standard_form
+
+    proc = subprocess.run(
+        [sys.executable, "-c", _IMPORT_PROBE], capture_output=True, text=True, check=True
+    )
+    probe = json.loads(proc.stdout)
+    assert probe["at_import"] == []
+    assert probe["after_solve"]
+    d, e = _standard_form(schwsurf.assemble(schwsurf.SchwarzschildModel(2.0), 0, 40.0, 256))
+    direct = eigvalsh_tridiagonal(d, e, select="i", select_range=(0, 2), lapack_driver="stebz")
+    assert probe["vals"] == [float(v * 4.0).hex() for v in direct]
