@@ -132,15 +132,7 @@ _CONFIG_KEYS = {
 def _resolve_config(kwargs) -> dict:
     """Merge the config file (if any) under the explicit flags."""
     ctx = click.get_current_context()
-    cfg = {
-        "mass": kwargs.pop("mass"),
-        "ode_tol": kwargs.pop("ode_tol"),
-        "root_tol": kwargs.pop("root_tol"),
-        "quad_tol": kwargs.pop("quad_tol"),
-        "output": kwargs.pop("output"),
-        "out": kwargs.pop("out"),
-        "seed": kwargs.pop("seed"),
-    }
+    cfg = {key: kwargs.pop(key) for key in _CONFIG_KEYS}
     path = kwargs.pop("config")
     if path is not None:
         file_vals = _read_config_file(path)
@@ -208,7 +200,7 @@ def numerics_guard(fn):
     return wrapper
 
 
-def _parse_surface(model: SchwarzschildModel, spec_text: str, t_max: float, seed: int):
+def _parse_surface(model: SchwarzschildModel, spec_text: str, t_max: float):
     """Mini-grammar: plane | plane:rotated:<seed> | cone:<theta0>.
 
     Returns (surface, minimal_flag)."""
@@ -253,8 +245,8 @@ def main():
 def geom(r_max, n_rows, **kwargs):
     """Coordinate table: isotropic radius, areal radius, distance, potential."""
     config = _resolve_config(kwargs)
-    if r_max <= 0.0 or n_rows < 2:
-        raise click.UsageError("need --r-max > 0 and --n >= 2")
+    if not (0.0 < r_max < math.inf) or n_rows < 2:
+        raise click.UsageError("need a finite --r-max > 0 and --n >= 2")
     model = SchwarzschildModel(config["mass"])
     m = model.mass
     lo = 0.01 * m if m > 0.0 else r_max * 1e-4
@@ -367,7 +359,7 @@ def monotonicity(surface_spec, rho_max, **kwargs):
         raise click.UsageError(f"--rho-max must be > 0, got {rho_max}")
     spec = QuadSpec(rel_tol=config["quad_tol"])
     t_need = 2.0 * surfaces.clip_radius(model, rho_max)
-    surface, minimal = _parse_surface(model, surface_spec, t_need, config["seed"])
+    surface, minimal = _parse_surface(model, surface_spec, t_need)
     if not minimal:
         click.echo(
             f"warning: surface {surface_spec!r} is not minimal; "
@@ -408,7 +400,7 @@ def boundary_bound(surface_spec, rho_max, **kwargs):
         rho_max = 500.0 * m if m > 0.0 else 500.0
     spec = QuadSpec(rel_tol=config["quad_tol"])
     t_need = 2.0 * surfaces.clip_radius(model, rho_max)
-    surface, minimal = _parse_surface(model, surface_spec, t_need, config["seed"])
+    surface, minimal = _parse_surface(model, surface_spec, t_need)
     if not minimal:
         click.echo(
             f"warning: surface {surface_spec!r} is not minimal; "

@@ -81,8 +81,8 @@ def assemble(model: SchwarzschildModel, k: int, R: float, n: int = 1024) -> Disc
     m = model.mass
     if n < 16:
         raise DomainError(f"grid size must be >= 16, got {n}")
-    if not (R > 0.5 * m):
-        raise DomainError(f"R must exceed m/2 = {0.5 * m}, got {R}")
+    if not (0.5 * m < R < math.inf):
+        raise DomainError(f"R must be finite and exceed m/2 = {0.5 * m}, got {R}")
 
     r0 = 0.5 * m
     dx = (R - r0) / n

@@ -61,8 +61,8 @@ class ModeParams:
         self.model.require_horizon("ModeParams")
         if int(self.k) != self.k:
             raise DomainError(f"k must be an integer, got {self.k}")
-        if not (self.R > self.model.horizon_rho):
-            raise DomainError(f"R must exceed m/2 = {self.model.horizon_rho}, got {self.R}")
+        if not (self.model.horizon_rho < self.R < math.inf):
+            raise DomainError(f"R must be finite and exceed m/2 = {self.model.horizon_rho}, got {self.R}")
         if not math.isfinite(self.lam):
             raise DomainError(f"lam must be finite, got {self.lam}")
 
@@ -393,6 +393,8 @@ def singularity_radius(model: SchwarzschildModel, c: float, tol: float = 1e-12) 
     m = model.mass
     if not (tol > 0.0):
         raise DomainError(f"tol must be > 0, got {tol}")
+    if not math.isfinite(c):
+        raise DomainError(f"c must be finite, got {c}")
 
     def F(R: float) -> float:
         return (2.0 * R - m) * (4.0 * math.log(R) + 8.0 + c) - 8.0 * (2.0 * R + m)

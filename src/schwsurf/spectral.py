@@ -205,7 +205,7 @@ def eigenfunction(
     u = v / sq
     up = vp / sq - 0.5 * v / (r * sq)
     w = (1.0 + 0.5 * m / r) ** 4 * r
-    norm2 = _panel_integral_hermite(r, u * u * w, None)
+    norm2 = _panel_integral_hermite(r, u * u * w)
     u /= math.sqrt(norm2)
     up /= math.sqrt(norm2)
     return r, u, up
@@ -215,36 +215,13 @@ def eigenfunction(
 # Rayleigh quotient
 # -------------------------------------------------------------------------
 
-_GL16_X, _GL16_W = np.polynomial.legendre.leggauss(16)
-
-
-def _panel_integral_hermite(r, g, gp) -> float:
-    """Integral of sampled data: 16-point Gauss panels per sample interval.
-
-    Values on each panel come from the cubic Hermite through the samples;
-    when ``gp`` is None the slopes are 4th-order finite differences.
-    """
-    if gp is None:
-        gp = _derivative_samples(r, g)
-    total = 0.0
-    r0 = r[:-1]
-    r1 = r[1:]
-    h = r1 - r0
-    tau = 0.5 * (_GL16_X + 1.0)
-    t2 = tau * tau
-    t3 = t2 * tau
-    h00 = 2.0 * t3 - 3.0 * t2 + 1.0
-    h10 = t3 - 2.0 * t2 + tau
-    h01 = -2.0 * t3 + 3.0 * t2
-    h11 = t3 - t2
-    vals = (
-        np.outer(g[:-1], h00)
-        + np.outer(gp[:-1] * h, h10)
-        + np.outer(g[1:], h01)
-        + np.outer(gp[1:] * h, h11)
-    )
-    total = float(np.sum(vals @ _GL16_W * (0.5 * h)))
-    return total
+def _panel_integral_hermite(r, g) -> float:
+    """Integral of sampled data: the cubic Hermite through the samples, with
+    4th-order finite-difference slopes, integrated exactly per interval as
+    ``h (g0 + g1)/2 + h^2 (g0' - g1')/12``."""
+    gp = _derivative_samples(r, g)
+    h = np.diff(r)
+    return float(np.sum(h * (g[:-1] + g[1:]) / 2.0 + h * h * (gp[:-1] - gp[1:]) / 12.0))
 
 
 def _derivative_samples(r: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -312,8 +289,8 @@ def rayleigh_quotient(
 
     num_g = (u_prime**2 - pot * u**2) * r
     den_g = u**2 * weight * r
-    num = _panel_integral_hermite(r, num_g, None)
-    den = _panel_integral_hermite(r, den_g, None)
+    num = _panel_integral_hermite(r, num_g)
+    den = _panel_integral_hermite(r, den_g)
     return (num / den) * m * m
 
 

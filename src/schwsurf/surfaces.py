@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import quadrature
+from . import quadrature, roots
 from .errors import DomainError, GeometryError, PreconditionError
 from .geometry import (
     SchwarzschildModel,
@@ -133,7 +133,9 @@ def rotate_curve(curve: SphereCurve, rotation: np.ndarray) -> SphereCurve:
 
 
 def random_rotation(seed: int) -> np.ndarray:
-    """Deterministic rotation matrix, uniform over SO(3)."""
+    """Deterministic rotation matrix, uniform over SO(3); ``seed >= 0``."""
+    if seed < 0:
+        raise DomainError(f"rotation seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     q, r = np.linalg.qr(rng.standard_normal((3, 3)))
     q = q * np.sign(np.diag(r))
@@ -151,17 +153,16 @@ def random_rotation(seed: int) -> np.ndarray:
 class ParamSurface:
     """Chart ``(t, s) -> R^3`` on ``[t0, t1] x [0, S)``, s-periodic.
 
-    ``kind`` is one of ``cone_over_curve``, ``plane_through_origin``,
-    ``general``; cones carry their ``curve`` so integrals can use the
-    1-D fast path.  ``chart_t``/``chart_s`` are the partial derivatives
-    (finite-difference fallbacks are installed for general charts).
+    Cones (planes through the origin among them) carry their ``curve``, so
+    integrals can use the 1-D fast path; general charts carry none.
+    ``chart_t``/``chart_s`` are the partial derivatives (finite-difference
+    fallbacks are installed for general charts).
     """
 
     chart: object
     t_range: tuple
     s_period: float
     free_boundary: bool
-    kind: str
     chart_t: object = None
     chart_s: object = None
     curve: SphereCurve | None = field(default=None, repr=False)
@@ -190,22 +191,25 @@ class ParamSurface:
         return out
 
 
+def _cone(curve: SphereCurve, t_range: tuple, free_boundary: bool = True) -> ParamSurface:
+    al, ald = curve.alpha, curve.alpha_d
+    return ParamSurface(
+        chart=lambda t, s: t * al(s),
+        t_range=t_range,
+        s_period=curve.period,
+        free_boundary=free_boundary,
+        chart_t=lambda t, s: al(s),
+        chart_s=lambda t, s: t * ald(s),
+        curve=curve,
+    )
+
+
 def make_cone(model: SchwarzschildModel, curve: SphereCurve, t_max: float) -> ParamSurface:
     """Cone ``{t alpha(s) : m/2 <= t <= t_max}`` over a unit-sphere curve."""
     m = model.mass
     if not (t_max > 0.5 * m):
         raise DomainError(f"t_max must exceed m/2 = {0.5 * m}, got {t_max}")
-    al, ald = curve.alpha, curve.alpha_d
-    return ParamSurface(
-        chart=lambda t, s: t * al(s),
-        t_range=(0.5 * m, t_max),
-        s_period=curve.period,
-        free_boundary=True,
-        kind="cone_over_curve",
-        chart_t=lambda t, s: al(s),
-        chart_s=lambda t, s: t * ald(s),
-        curve=curve,
-    )
+    return _cone(curve, (0.5 * m, t_max))
 
 
 def make_plane(model: SchwarzschildModel, t_max: float, rotation: np.ndarray | None = None) -> ParamSurface:
@@ -213,17 +217,7 @@ def make_plane(model: SchwarzschildModel, t_max: float, rotation: np.ndarray | N
     curve = great_circle()
     if rotation is not None:
         curve = rotate_curve(curve, rotation)
-    cone = make_cone(model, curve, t_max)
-    return ParamSurface(
-        chart=cone.chart,
-        t_range=cone.t_range,
-        s_period=cone.s_period,
-        free_boundary=True,
-        kind="plane_through_origin",
-        chart_t=cone.chart_t,
-        chart_s=cone.chart_s,
-        curve=curve,
-    )
+    return make_cone(model, curve, t_max)
 
 
 def make_general(
@@ -269,10 +263,8 @@ def make_general(
         t_range=(t0, t1),
         s_period=s_period,
         free_boundary=free_boundary,
-        kind="general",
         chart_t=chart_t,
         chart_s=chart_s,
-        curve=None,
     )
 
 
@@ -280,16 +272,7 @@ def rotate_surface(surface: ParamSurface, rotation: np.ndarray) -> ParamSurface:
     """Surface composed with a fixed rotation; cones stay cones."""
     if surface.curve is not None:
         curve = rotate_curve(surface.curve, rotation)
-        return ParamSurface(
-            chart=lambda t, s: t * curve.alpha(s),
-            t_range=surface.t_range,
-            s_period=surface.s_period,
-            free_boundary=surface.free_boundary,
-            kind=surface.kind,
-            chart_t=lambda t, s: curve.alpha(s),
-            chart_s=lambda t, s: t * curve.alpha_d(s),
-            curve=curve,
-        )
+        return _cone(curve, surface.t_range, surface.free_boundary)
     Q = np.asarray(rotation, dtype=float)
     old_chart, old_t, old_s = surface.chart, surface.chart_t, surface.chart_s
     return ParamSurface(
@@ -297,10 +280,8 @@ def rotate_surface(surface: ParamSurface, rotation: np.ndarray) -> ParamSurface:
         t_range=surface.t_range,
         s_period=surface.s_period,
         free_boundary=surface.free_boundary,
-        kind=surface.kind,
         chart_t=lambda t, s: Q @ old_t(t, s),
         chart_s=lambda t, s: Q @ old_s(t, s),
-        curve=None,
     )
 
 
@@ -379,69 +360,54 @@ def radial_normal_component(model: SchwarzschildModel, surface: ParamSurface, t:
 
 def clip_radius(model: SchwarzschildModel, rho: float) -> float:
     """Isotropic radius of the sphere at horizon distance ``rho``."""
-    if rho < 0.0:
-        raise DomainError(f"horizon distance must be >= 0, got {rho}")
+    if not 0.0 <= rho < math.inf:
+        raise DomainError(f"horizon distance must be finite and >= 0, got {rho}")
     return isotropic_from_areal(model, areal_from_distance(model, rho))
 
 
-def _mu_density_cone(m: float, t: np.ndarray) -> np.ndarray:
-    # f * e^{2 phi} * t with all factors in isotropic form
-    x = 0.5 * m / t
-    return (1.0 - x) * (1.0 + x) ** 3 * t
+def _clipped_integral(model, surface, rho, spec, w, normal=False) -> float:
+    """Integral over the part of the surface within ``B_rho`` of the radial
+    factor ``w(|x|)`` (conformal factor included) times the flat area
+    element, times the squared radial-normal part when ``normal``.
 
-
-def _area_density_cone(m: float, t: np.ndarray) -> np.ndarray:
-    return (1.0 + 0.5 * m / t) ** 4 * t
-
-
-def _cone_integral(model, surface, rho, spec, density) -> float:
-    m = model.mass
-    t0, t1 = surface.t_range
-    t_clip = min(clip_radius(model, rho), t1)
-    if t_clip <= t0:
-        return 0.0
-    val = quadrature.integrate(lambda t: density(m, t), t0, t_clip, spec)
-    return surface.s_period * val
-
-
-def _general_integral(model, surface, rho, spec, weight) -> float:
-    """Integral of ``weight * flat area element`` over the chart preimage of
-    the ball: an outer :func:`quadrature.integrate` over ``s`` in ``[0, S)``
-    whose every node runs an inner one over ``t`` up to the slice's clip level.
-
-    ``weight(r, x, x_t, x_s)`` maps one slice's radii ``(n,)`` and chart
-    values and partials ``(n, 3)`` to the factor multiplying the flat area
-    element (the conformal factor is part of it).
+    Cones integrate ``w(t) t`` over ``t`` (their flat element is
+    ``t dt ds`` and the radial field is tangent to them).  General charts
+    run an outer :func:`quadrature.integrate` over ``s`` in ``[0, S)``
+    whose every node runs an inner one over ``t`` up to the slice's clip
+    level.
     """
-    t0, t1 = surface.t_range
+    if rho == 0.0:
+        return 0.0
     t_iso = clip_radius(model, rho)
+    t0, t1 = surface.t_range
+    if surface.is_cone:
+        if normal:
+            return 0.0
+        return surface.s_period * quadrature.integrate(lambda t: w(t) * t, t0, min(t_iso, t1), spec)
+
     chart, chart_t, chart_s = surface.chart, surface.chart_t, surface.chart_s
+    # a few ulps of the t range: every Brent search ends well within maxiter
+    xtol = 4.0 * np.finfo(float).eps * max(abs(t0), abs(t1))
 
     def slice_limit(s: float) -> float:
-        # largest t with |chart| <= clip level, by bisection (monotone
-        # radial profile assumed, as documented)
-        lo, hi = t0, t1
-        if np.linalg.norm(chart(t0, s)) > t_iso:
+        # largest t with |chart| <= clip level (monotone radial profile
+        # assumed, as documented)
+        def excess(t):
+            return float(np.linalg.norm(chart(t, s))) - t_iso
+
+        if excess(t0) > 0.0:
             return t0
-        if np.linalg.norm(chart(t1, s)) <= t_iso:
+        if excess(t1) <= 0.0:
             return t1
-        for _ in range(80):
-            mid = 0.5 * (lo + hi)
-            if not lo < mid < hi:
-                break  # adjacent doubles: every further halving is a no-op
-            if np.linalg.norm(chart(mid, s)) <= t_iso:
-                lo = mid
-            else:
-                hi = mid
-        return 0.5 * (lo + hi)
+        return roots.brentq(excess, t0, t1, xtol=xtol)
 
     def slice_integral(s: float) -> float:
         def integrand(t):
-            x = _chart_samples(chart, t, s)
-            x_t = _chart_samples(chart_t, t, s)
-            x_s = _chart_samples(chart_s, t, s)
+            x, x_t, x_s = (_chart_samples(f, t, s) for f in (chart, chart_t, chart_s))
             el = np.linalg.norm(np.cross(x_t, x_s), axis=1)
-            return weight(np.linalg.norm(x, axis=1), x, x_t, x_s) * el
+            if normal:
+                el = _radial_normal_sq(x, x_t, x_s) * el
+            return w(np.linalg.norm(x, axis=1)) * el
 
         return quadrature.integrate(integrand, t0, slice_limit(s), spec)
 
@@ -453,35 +419,19 @@ def _general_integral(model, surface, rho, spec, weight) -> float:
 
 def mu_integral(model: SchwarzschildModel, surface: ParamSurface, rho: float, spec: QuadSpec = QuadSpec()) -> float:
     """f-weighted g-area of the part of the surface within ``B_rho``."""
-    if rho < 0.0:
-        raise DomainError(f"horizon distance must be >= 0, got {rho}")
-    if rho == 0.0:
-        return 0.0
-    if surface.is_cone:
-        return _cone_integral(model, surface, rho, spec, _mu_density_cone)
     m = model.mass
 
-    def w(r, x, x_t, x_s):
+    def w(r):
         q = 0.5 * m / r
         return (1.0 - q) * (1.0 + q) ** 3  # f times conformal area factor
 
-    return _general_integral(model, surface, rho, spec, w)
+    return _clipped_integral(model, surface, rho, spec, w)
 
 
 def area_integral(model: SchwarzschildModel, surface: ParamSurface, rho: float, spec: QuadSpec = QuadSpec()) -> float:
     """Unweighted g-area of the part of the surface within ``B_rho``."""
-    if rho < 0.0:
-        raise DomainError(f"horizon distance must be >= 0, got {rho}")
-    if rho == 0.0:
-        return 0.0
-    if surface.is_cone:
-        return _cone_integral(model, surface, rho, spec, _area_density_cone)
     m = model.mass
-
-    def w(r, x, x_t, x_s):
-        return (1.0 + 0.5 * m / r) ** 4
-
-    return _general_integral(model, surface, rho, spec, w)
+    return _clipped_integral(model, surface, rho, spec, lambda r: (1.0 + 0.5 * m / r) ** 4)
 
 
 def defect_integral(model: SchwarzschildModel, surface: ParamSurface, rho: float, spec: QuadSpec = QuadSpec()) -> float:
@@ -491,22 +441,17 @@ def defect_integral(model: SchwarzschildModel, surface: ParamSurface, rho: float
     is the middle term of the monotonicity identity and the defect in the
     boundary-length bound.
     """
-    if rho < 0.0:
-        raise DomainError(f"horizon distance must be >= 0, got {rho}")
-    if rho == 0.0 or surface.is_cone:
-        return 0.0
     m = model.mass
 
-    def w(r, x, x_t, x_s):
-        normal = _radial_normal_sq(x, x_t, x_s)
+    def w(r):
         if np.any(r < 0.5 * m):
             raise DomainError(f"chart reaches |x| = {r.min()} inside the horizon |x| = {0.5 * m}")
         q = 0.5 * m / r
         f = (1.0 - q) / (1.0 + q)
         h = r * (1.0 + q) ** 2  # areal radius
-        return f / (h * h) * normal * (1.0 + q) ** 4
+        return f / (h * h) * (1.0 + q) ** 4
 
-    return _general_integral(model, surface, rho, spec, w)
+    return _clipped_integral(model, surface, rho, spec, w, normal=True)
 
 
 def boundary_length(model: SchwarzschildModel, surface: ParamSurface) -> float:
@@ -536,9 +481,9 @@ def boundary_length(model: SchwarzschildModel, surface: ParamSurface) -> float:
 class MonotonicityReport:
     """Ratio trace of the weighted-area monotonicity identity.
 
-    ``ratios[i] = mu(B_rhos[i]) / h(rhos[i])^2``; ``formula_residuals[i]``
-    is the identity mismatch for the consecutive pair
-    ``(rhos[i], rhos[i+1])``.  ``max_backstep`` is the largest decrease
+    ``ratios[i] = mu(B_rhos[i]) / h(rhos[i])^2``, and 0 at ``rhos[i] = 0``;
+    ``formula_residuals[i]`` is the identity mismatch for the consecutive
+    pair ``(rhos[i], rhos[i+1])``.  ``max_backstep`` is the largest decrease
     between consecutive ratios (0 when the trace is monotone).
     """
 
@@ -580,10 +525,6 @@ class BoundaryBoundReport:
     bound_satisfied: bool
 
 
-def _h_of(model: SchwarzschildModel, rho: float) -> float:
-    return areal_from_distance(model, rho)
-
-
 def formula_residual(
     model: SchwarzschildModel,
     surface: ParamSurface,
@@ -597,24 +538,11 @@ def formula_residual(
             - [defect(rho) - defect(sigma)]
             - m (1/h(sigma)^2 - 1/h(rho)^2) |boundary|
 
-    Vanishes (up to quadrature) for minimal free-boundary surfaces; the
-    ``sigma = 0`` case is the form integrated directly from the horizon.
+    The two-radius :func:`monotonicity_report`.  Vanishes (up to quadrature)
+    for minimal free-boundary surfaces; the ``sigma = 0`` case is the form
+    integrated directly from the horizon.
     """
-    if not (0.0 <= sigma < rho):
-        raise DomainError(f"need 0 <= sigma < rho, got ({sigma}, {rho})")
-    m = model.mass
-    h_s = _h_of(model, sigma)
-    h_r = _h_of(model, rho)
-    ratio_r = mu_integral(model, surface, rho, spec) / h_r**2
-    ratio_s = mu_integral(model, surface, sigma, spec) / h_s**2 if sigma > 0.0 else 0.0
-    mid = defect_integral(model, surface, rho, spec) - defect_integral(
-        model, surface, sigma, spec
-    )
-    if m > 0.0 and surface.free_boundary:
-        edge = m * (1.0 / h_s**2 - 1.0 / h_r**2) * boundary_length(model, surface)
-    else:
-        edge = 0.0
-    return ratio_r - ratio_s - mid - edge
+    return float(monotonicity_report(model, surface, [sigma, rho], spec).formula_residuals[0])
 
 
 def monotonicity_report(
@@ -630,8 +558,8 @@ def monotonicity_report(
     m = model.mass
 
     mus = np.array([mu_integral(model, surface, r, spec) for r in rhos])
-    hs = np.array([_h_of(model, r) for r in rhos])
-    ratios = mus / hs**2
+    hs = np.array([areal_from_distance(model, r) for r in rhos])
+    ratios = np.divide(mus, hs**2, out=np.zeros_like(mus), where=rhos > 0.0)
 
     if m > 0.0 and surface.free_boundary:
         blen = boundary_length(model, surface)
@@ -651,7 +579,7 @@ def monotonicity_report(
         )
 
     steps = np.diff(ratios)
-    max_backstep = float(max(0.0, -steps.min())) if len(steps) else 0.0
+    max_backstep = float(max(0.0, -steps.min()))
     scale = float(np.max(np.abs(ratios))) or 1.0
     return MonotonicityReport(
         rhos=rhos,
@@ -678,6 +606,8 @@ def density_at_infinity(
     is flagged as not converged ("no finite density detected").
     """
     m = model.mass
+    if n_tail < 2:
+        raise DomainError(f"n_tail must be >= 2 for the extrapolation, got {n_tail}")
     if not (rho_max > max(m, surface.t_range[0])):
         raise DomainError(f"rho_max = {rho_max} is too small for a tail estimate")
     rhos = rho_max * 0.5 ** np.arange(n_tail - 1, -1, -1)
@@ -690,7 +620,7 @@ def density_at_infinity(
         denom = area_integral(model, ref, r, spec)
         ratios[i] = area_integral(model, surface, r, spec) / denom
 
-    xs = np.array([1.0 / _h_of(model, r) for r in rhos])
+    xs = np.array([1.0 / areal_from_distance(model, r) for r in rhos])
     # two-point linear extrapolation to 1/h -> 0
     x0, x1 = xs[-2], xs[-1]
     y0, y1 = ratios[-2], ratios[-1]
@@ -730,7 +660,7 @@ def boundary_bound_check(
 
     # tail bound: pi Theta - ratio(rho_max) - m |boundary| / h(rho_max)^2,
     # clipped at zero against extrapolation noise
-    h_max = _h_of(model, rho_max)
+    h_max = areal_from_distance(model, rho_max)
     ratio_max = mu_integral(model, surface, rho_max, spec) / h_max**2
     tail = max(
         0.0, (math.pi * dens.theta - ratio_max) / math.pi - m * blen / (math.pi * h_max**2)

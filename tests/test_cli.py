@@ -159,6 +159,27 @@ def test_monotonicity_warns_for_non_minimal_surface():
 def test_monotonicity_bad_surface_spec():
     assert run_cli("monotonicity", "--mass", "2", "--surface", "torus").exit_code == 2
     assert run_cli("monotonicity", "--mass", "2", "--surface", "cone:9").exit_code == 2
+    assert run_cli("monotonicity", "--mass", "2", "--surface", "plane:rotated:-5").exit_code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("spectrum", "--R", "inf"),
+        ("spectrum", "--R", "inf", "--method", "fd"),
+        ("morse-index", "--R", "inf"),
+        ("monotonicity", "--rho-max", "inf"),
+        ("boundary-bound", "--rho-max", "inf"),
+        ("riccati", "--c", "nan"),
+        ("geom", "--r-max", "nan"),
+        ("geom", "--r-max", "inf"),
+    ],
+    ids=" ".join,
+)
+def test_non_finite_input_is_usage_error(argv):
+    result = run_cli(*argv, "--mass", "2")
+    assert result.exit_code == 2
+    assert result.stdout == ""
 
 
 # ---------------------------------------------------------- boundary-bound
