@@ -153,8 +153,11 @@ def random_rotation(seed: int) -> np.ndarray:
 class ParamSurface:
     """Chart ``(t, s) -> R^3`` on ``[t0, t1] x [0, S)``, s-periodic.
 
-    Cones (planes through the origin among them) carry their ``curve``, so
-    integrals can use the 1-D fast path; general charts carry none.
+    ``S = s_period`` must be the chart's true period: general charts are
+    integrated over ``s`` by the periodic trapezoid rule, which assumes a
+    smooth periodic integrand.  Cones (planes through the origin among
+    them) carry their ``curve``, so integrals can use the 1-D fast path;
+    general charts carry none.
     ``chart_t``/``chart_s`` are the partial derivatives (finite-difference
     fallbacks are installed for general charts).
     """
@@ -233,7 +236,9 @@ def make_general(
     Each of ``chart``, ``chart_t`` and ``chart_s`` is called once per
     quadrature node with scalar ``(t, s)`` and returns a 3-vector.  The
     chart must be evaluable slightly outside the ``t`` range (two
-    finite-difference steps).
+    finite-difference steps).  ``s_period`` must be the chart's true
+    period in ``s`` (not a multiple or a fraction of it): the outer
+    trapezoid rule converges only on a smooth periodic integrand.
     """
     t0, t1 = t_range
     if not (t1 > t0):
@@ -372,9 +377,13 @@ def _clipped_integral(model, surface, rho, spec, w, normal=False) -> float:
 
     Cones integrate ``w(t) t`` over ``t`` (their flat element is
     ``t dt ds`` and the radial field is tangent to them).  General charts
-    run an outer :func:`quadrature.integrate` over ``s`` in ``[0, S)``
-    whose every node runs an inner one over ``t`` up to the slice's clip
-    level.
+    run the periodic trapezoid rule :func:`quadrature.integrate_periodic`
+    over ``s`` in ``[0, S)`` (so ``S`` must be the chart's true period),
+    whose every node runs a Gauss-Legendre :func:`quadrature.integrate`
+    over ``t`` up to the slice's clip level.  With ``normal`` both rules
+    carry the integral without the radial-normal factor alongside, which
+    bounds it: its scale is the floor that ends a defect that is rounding
+    noise (a cone written as a general chart).
     """
     if rho == 0.0:
         return 0.0
@@ -401,20 +410,25 @@ def _clipped_integral(model, surface, rho, spec, w, normal=False) -> float:
             return t1
         return roots.brentq(excess, t0, t1, xtol=xtol)
 
-    def slice_integral(s: float) -> float:
+    empty = np.zeros(2) if normal else 0.0
+
+    def slice_integral(s: float):
         def integrand(t):
             x, x_t, x_s = (_chart_samples(f, t, s) for f in (chart, chart_t, chart_s))
             el = np.linalg.norm(np.cross(x_t, x_s), axis=1)
+            weight = w(np.linalg.norm(x, axis=1))
             if normal:
-                el = _radial_normal_sq(x, x_t, x_s) * el
-            return w(np.linalg.norm(x, axis=1)) * el
+                return np.array([weight * (_radial_normal_sq(x, x_t, x_s) * el), weight * el])
+            return weight * el
 
-        return quadrature.integrate(integrand, t0, slice_limit(s), spec)
+        top = slice_limit(s)
+        return quadrature.integrate(integrand, t0, top, spec) if top > t0 else empty
 
     def slices(s):
-        return np.array([slice_integral(x) for x in s.tolist()])
+        return np.array([slice_integral(x) for x in s.tolist()]).T
 
-    return quadrature.integrate(slices, 0.0, surface.s_period, spec)
+    total = quadrature.integrate_periodic(slices, surface.s_period, spec)
+    return float(total[0]) if normal else total
 
 
 def mu_integral(model: SchwarzschildModel, surface: ParamSurface, rho: float, spec: QuadSpec = QuadSpec()) -> float:
@@ -469,7 +483,7 @@ def boundary_length(model: SchwarzschildModel, surface: ParamSurface) -> float:
         conf = (1.0 + 0.5 * model.mass / np.linalg.norm(x, axis=1)) ** 2
         return conf * np.linalg.norm(_chart_samples(surface.chart_s, t0, s), axis=1)
 
-    return quadrature.integrate(speed, 0.0, surface.s_period, QuadSpec())
+    return quadrature.integrate_periodic(speed, surface.s_period, QuadSpec())
 
 
 # -------------------------------------------------------------------------

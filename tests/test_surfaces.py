@@ -1,9 +1,9 @@
 """Cones, clipped integrals, monotonicity, density, boundary bound.
 
-One genuinely 2-D chart (a flat graph at constant height) exercises the
-general nested-quadrature path against classical closed forms; everything
-else rides the 1-D cone fast path whose densities have elementary
-antiderivatives.
+General charts (flat and tilted planes, k-fold wavy graphs, cones written
+as general charts) exercise the nested-quadrature path against closed
+forms, the cone path and frozen values; everything else rides the 1-D
+cone fast path whose densities have elementary antiderivatives.
 """
 
 import math
@@ -291,8 +291,99 @@ def test_general_path_matches_cone_path(m2):
         got = mu_integral(m2, general, rho)
         assert got == pytest.approx(ref, rel=1e-12)
     # chart, chart_t and chart_s calls of the rho = 5 integral: 33 038 with
-    # an 80-step bisection per slice, 28 182 with Brent
-    assert calls[0] < 30000
+    # an 80-step bisection per slice, 28 182 with Brent and an outer
+    # Gauss-Legendre rule, 4 702 with the periodic trapezoid rule
+    assert calls[0] < 6000
+
+
+def general_cone(model, theta0, derivatives=True, free_boundary=False):
+    """The latitude cone written as a general chart, from the horizon out."""
+    curve = latitude_circle(theta0)
+    extra = {}
+    if derivatives:
+        extra = dict(
+            chart_t=lambda t, s: curve.alpha(s),
+            chart_s=lambda t, s: t * curve.alpha_d(s),
+        )
+    return make_general(
+        chart=lambda t, s: t * curve.alpha(s),
+        t_range=(0.5 * model.mass, 12.0),
+        s_period=curve.period,
+        free_boundary=free_boundary,
+        **extra,
+    )
+
+
+def test_boundary_length_general_chart_matches_cone(m2):
+    """The periodic rule over the horizon edge of a general chart against
+    the cone path's 4 t0 S."""
+    for theta0 in (math.pi / 3, 1.0):
+        general = general_cone(m2, theta0, free_boundary=True)
+        cone = make_cone(m2, latitude_circle(theta0), t_max=12.0)
+        assert boundary_length(m2, general) == pytest.approx(
+            boundary_length(m2, cone), rel=1e-13
+        )
+
+
+@pytest.mark.parametrize("derivatives", [True, False], ids=["analytic", "fd"])
+def test_vanishing_defect_on_general_chart_ends(m2, derivatives):
+    """The radial-normal part of a cone is rounding noise (cos^2 below
+    1e-24 even with finite-difference derivatives).  The integral that
+    bounds it ends the doubling instead of QuadratureError at the cap."""
+    general = general_cone(m2, math.pi / 3, derivatives)
+    got = defect_integral(m2, general, 2.0)
+    assert 0.0 <= got <= 1e-22
+
+
+def tilted_plane(a, b, d, t_max):
+    """The plane z = d + a x + b y over a polar chart."""
+    return make_general(
+        chart=lambda t, s: np.array(
+            [t * math.cos(s), t * math.sin(s), d + t * (a * math.cos(s) + b * math.sin(s))]
+        ),
+        t_range=(0.0, t_max),
+        s_period=TWO_PI,
+        chart_t=lambda t, s: np.array(
+            [math.cos(s), math.sin(s), a * math.cos(s) + b * math.sin(s)]
+        ),
+        chart_s=lambda t, s: np.array(
+            [-t * math.sin(s), t * math.cos(s), t * (b * math.cos(s) - a * math.sin(s))]
+        ),
+    )
+
+
+@pytest.mark.parametrize("rho", [2.0, 5.0])
+def test_tilted_off_centre_plane_closed_form(flat, rho):
+    """At m = 0, mu is the flat area of a disc: pi (rho^2 - dist^2), with
+    the plane at distance 1/sqrt(1.13) from the origin.  Every slice has
+    its own clip level, so the outer rule sees a genuinely s-dependent
+    integrand."""
+    plane = tilted_plane(0.3, 0.2, 1.0, t_max=10.0)
+    expected = math.pi * (rho * rho - 1.0 / 1.13)
+    assert mu_integral(flat, plane, rho) == pytest.approx(expected, rel=1e-10)
+
+
+# mu at m = 0, rho = 3 of the graph below, from the nested Gauss-Legendre
+# rule that preceded the periodic one
+WAVY_REFERENCE = {16: 28.757123380978094, 32: 37.120784276361384}
+
+
+@pytest.mark.parametrize("k", sorted(WAVY_REFERENCE))
+def test_k_fold_wavy_graph(flat, k):
+    """z = 1 + 0.05 t cos(k s): the s integrand has only harmonics of
+    k = 4 and 8 times the periodic rule's start, so its first nested
+    levels agree on a wrong value and only the alias guard refuses it."""
+    a = 0.05
+    graph = make_general(
+        chart=lambda t, s: np.array([t * math.cos(s), t * math.sin(s), 1.0 + a * t * math.cos(k * s)]),
+        t_range=(0.0, 4.0),
+        s_period=TWO_PI,
+        chart_t=lambda t, s: np.array([math.cos(s), math.sin(s), a * math.cos(k * s)]),
+        chart_s=lambda t, s: np.array(
+            [-t * math.sin(s), t * math.cos(s), -a * k * t * math.sin(k * s)]
+        ),
+    )
+    assert mu_integral(flat, graph, 3.0) == pytest.approx(WAVY_REFERENCE[k], rel=1e-10)
 
 
 def test_defect_zero_on_cones_positive_off_origin(m2, flat):
