@@ -168,16 +168,17 @@ def negative_count_fd(problem: DiscreteModeProblem) -> int:
     Sturm/LDL factorization of A: since B is positive, the inertia of A
     equals the signature of the generalized spectrum (Sylvester's law).
     """
-    d = problem.stiffness_diag
-    e = problem.stiffness_off
+    # memoryviews yield Python floats without copying the arrays
+    d = memoryview(problem.stiffness_diag)
+    e = memoryview(problem.stiffness_off)
     count = 0
     piv = d[0]
     if piv < 0.0:
         count += 1
-    for j in range(1, len(d)):
+    for dj, ej in zip(d[1:], e):
         if piv == 0.0:
             piv = 1e-300
-        piv = d[j] - e[j - 1] * e[j - 1] / piv
+        piv = dj - ej * ej / piv
         if piv < 0.0:
             count += 1
     return count

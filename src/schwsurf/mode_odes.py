@@ -124,6 +124,14 @@ def _log_scale(p):
     return 0.25 * np.log1p(p * p)
 
 
+def _exp(x: float) -> float:
+    """``math.exp``, saturating to ``inf`` past the double range as ``np.exp`` does."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
+
+
 class RadialSolution:
     """Shot of one mode from the horizon, read through its Prüfer pair.
 
@@ -131,6 +139,11 @@ class RadialSolution:
     Reads at ``r = m/2`` return the horizon data ``v = 1``, ``v' = 1/m``
     and ``gamma = 1/m`` exactly; elsewhere ``v`` and ``v'`` come from the
     dense phase and log-amplitude, so ``log_abs_v`` never overflows.
+    :meth:`values` reads an array of radii in numpy; the scalar methods
+    (``v``, ``v_prime``, ``phase``, ``log_abs_v``, ``gamma``) read one
+    radius in plain floats.  Both raise :class:`DomainError` for radii
+    outside ``[m/2, r_max]`` or NaN, and both give ``+-inf`` where ``v``
+    leaves the double range.
     """
 
     def __init__(self, params: ModeParams, trajectory: ode.Trajectory, r_max: float):
@@ -138,31 +151,51 @@ class RadialSolution:
         self.r_max = float(r_max)
         self._traj = trajectory
         self._q = _q_closure(params.model.mass, params.k, params.lam)
+        self._r0 = 0.5 * params.model.mass
         self.nodes_r = np.exp(trajectory.x)
-        self.nodes_r[[0, -1]] = 0.5 * params.model.mass, self.r_max
+        self.nodes_r[[0, -1]] = self._r0, self.r_max
+
+    def _domain_error(self) -> DomainError:
+        return DomainError(f"evaluation point outside [{self._r0}, {self.r_max}]")
 
     def _read(self, r):
         """``(r, theta, log rho, log S)`` at the radii ``r``."""
         r = np.asarray(r, dtype=float)
-        if np.any((r < self.nodes_r[0]) | (r > self.r_max)):
-            raise DomainError(f"evaluation point outside [{self.nodes_r[0]}, {self.r_max}]")
+        if not np.all((r >= self._r0) & (r <= self.r_max)):
+            raise self._domain_error()
         y = self._traj.eval(np.log(r))
         return r, y[..., 0], y[..., 1], _log_scale(r * r * self._q(r) - 0.25)
+
+    def _read_scalar(self, r: float) -> tuple:
+        """``(r, theta, log rho, log S)`` at one radius, as floats."""
+        r = float(r)
+        if not (self._r0 <= r <= self.r_max):
+            raise self._domain_error()
+        theta, log_rho = self._traj.eval_scalar(math.log(r))
+        p = r * r * self._q(r) - 0.25
+        return r, theta, log_rho, 0.25 * math.log1p(p * p)
 
     def values(self, r) -> tuple:
         """``(v, v')`` at the radii ``r`` (a scalar or an array)."""
         r, theta, log_rho, log_s = self._read(r)
         amp = np.exp(log_rho - 0.5 * log_s) / np.sqrt(r)
         sn = np.sin(theta)
-        horizon = r == self.nodes_r[0]
+        horizon = r == self._r0
         vp = amp * (0.5 * sn + np.exp(log_s) * np.cos(theta))
         return np.where(horizon, 1.0, amp * r * sn), np.where(horizon, 1.0 / self.params.model.mass, vp)
 
     def v(self, r: float) -> float:
-        return float(self.values(r)[0])
+        r, theta, log_rho, log_s = self._read_scalar(r)
+        if r == self._r0:
+            return 1.0
+        return _exp(log_rho - 0.5 * log_s) / math.sqrt(r) * r * math.sin(theta)
 
     def v_prime(self, r: float) -> float:
-        return float(self.values(r)[1])
+        r, theta, log_rho, log_s = self._read_scalar(r)
+        if r == self._r0:
+            return 1.0 / self.params.model.mass
+        amp = _exp(log_rho - 0.5 * log_s) / math.sqrt(r)
+        return amp * (0.5 * math.sin(theta) + math.exp(log_s) * math.cos(theta))
 
     @property
     def nodes_v(self) -> np.ndarray:
@@ -175,30 +208,27 @@ class RadialSolution:
     def phase(self, r: float) -> float:
         """Prüfer phase ``theta``: ``pi/2`` on the horizon, ``j pi`` at the
         ``j``-th zero of ``v``."""
-        return float(self._read(r)[1])
+        return self._read_scalar(r)[1]
 
     def log_abs_v(self, r: float) -> tuple:
         """(log |v|, sign of v)."""
-        r, theta, log_rho, log_s = self._read(r)
-        if r == self.nodes_r[0]:
+        r, theta, log_rho, log_s = self._read_scalar(r)
+        if r == self._r0:
             return 0.0, 1.0
         sn = math.sin(theta)
         if sn == 0.0:
             return -math.inf, 0.0
-        return (
-            float(0.5 * math.log(r) + log_rho - 0.5 * log_s + math.log(abs(sn))),
-            math.copysign(1.0, sn),
-        )
+        return 0.5 * math.log(r) + log_rho - 0.5 * log_s + math.log(abs(sn)), math.copysign(1.0, sn)
 
     def gamma(self, r: float) -> float:
         """Logarithmic derivative ``v'/v``; blows up exactly at zeros of v."""
-        r, theta, _, log_s = self._read(r)
-        if r == self.nodes_r[0]:
+        r, theta, _, log_s = self._read_scalar(r)
+        if r == self._r0:
             return 1.0 / self.params.model.mass
         sn = math.sin(theta)
         if sn == 0.0:
             raise DomainError(f"gamma undefined at a zero of v (r = {r})")
-        return float((0.5 + math.exp(log_s) * math.cos(theta) / sn) / r)
+        return (0.5 + math.exp(log_s) * math.cos(theta) / sn) / r
 
     @functools.cached_property
     def zero_crossings(self) -> tuple:

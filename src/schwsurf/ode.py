@@ -17,11 +17,15 @@ numpy per-step overhead would dominate).  ``tol`` is an absolute bound on
 the RMS of the two estimated local errors of each step: radians of phase
 and relative error of the amplitude.  No step cap applies.  The stages of
 every accepted step are kept, so the pair's 4th-order continuous extension
-gives dense output of both components, vectorized over the read points.
+gives dense output of both components: :meth:`Trajectory.eval` reads a
+whole array of points in numpy, :meth:`Trajectory.eval_scalar` reads one
+point in plain floats, without numpy's per-call overhead.
 """
 
 from __future__ import annotations
 
+import bisect
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -126,6 +130,30 @@ class Trajectory:
         poly = c[..., 0] + s * (c[..., 1] + s * (c[..., 2] + s * c[..., 3]))
         return self.y[i] + h[..., None] * s * poly
 
+    @functools.cached_property
+    def _nodes(self) -> list:
+        return self.x.tolist()
+
+    def eval_scalar(self, x: float) -> tuple:
+        """``(theta, log rho)`` at one point ``x``, as floats.
+
+        The same clipping, step choice and Horner evaluation as :meth:`eval`,
+        in the same order of operations.
+        """
+        nodes = self._nodes
+        x = min(max(x, nodes[0]), nodes[-1])
+        i = min(bisect.bisect_right(nodes, x), len(nodes) - 1) - 1
+        x0 = nodes[i]
+        h = nodes[i + 1] - x0
+        s = (x - x0) / h
+        (a0, a1, a2, a3), (b0, b1, b2, b3) = self.dense[i].tolist()
+        th0, lr0 = self.y[i].tolist()
+        hs = h * s
+        return (
+            th0 + hs * (a0 + s * (a1 + s * (a2 + s * a3))),
+            lr0 + hs * (b0 + s * (b1 + s * (b2 + s * b3))),
+        )
+
     def phase_crossing(self, target: float) -> float:
         """Abscissa where the phase passes ``target``.
 
@@ -145,7 +173,8 @@ class Trajectory:
         return float(x0 + h)
 
 
-def integrate_prufer(    coefficients: Callable[[float], tuple],
+def integrate_prufer(
+    coefficients: Callable[[float], tuple],
     x0: float,
     x1: float,
     theta0: float,

@@ -27,12 +27,17 @@ def brentq(
     xtol: float = 2e-12,
     rtol: float = _RTOL_MIN,
     maxiter: int = 100,
+    *,
+    f_a: float | None = None,
+    f_b: float | None = None,
 ) -> float:
     """Root of ``f`` in ``[a, b]``, where ``f(a)`` and ``f(b)`` differ in sign.
 
     Stops once half the bracket is below ``delta = (xtol + rtol |x|)/2``,
     with ``x`` the end of smaller ``|f|``, and returns that end; an exact
-    zero returns at once.
+    zero returns at once.  A caller that has already evaluated ``f(a)`` or
+    ``f(b)`` passes the value as ``f_a`` or ``f_b``, and ``f`` is not called
+    there again; the iterates are the same.
 
     Raises :class:`DomainError` for ``xtol <= 0`` or ``rtol < 4 eps``, and
     :class:`SearchError` with diagnostics (bracket, end values, last
@@ -45,10 +50,13 @@ def brentq(
         raise DomainError(f"rtol must be >= 4 eps = {_RTOL_MIN}, got {rtol}")
     calls = 0
 
-    def call(x: float) -> float:
+    def call(x: float, known: float | None = None) -> float:
         nonlocal calls
-        fx = float(f(x))
-        calls += 1
+        if known is None:
+            fx = float(f(x))
+            calls += 1
+        else:
+            fx = float(known)
         if math.isnan(fx):
             raise SearchError(
                 "function value is NaN",
@@ -58,8 +66,8 @@ def brentq(
 
     xpre, xcur = float(a), float(b)
     xblk = fblk = spre = scur = 0.0
-    fpre = fa = call(xpre)
-    fcur = fb = call(xcur)
+    fpre = fa = call(xpre, f_a)
+    fcur = fb = call(xcur, f_b)
     if fpre == 0.0:
         return xpre
     if fcur == 0.0:

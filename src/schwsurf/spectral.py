@@ -205,7 +205,7 @@ def eigenfunction(
     u = v / sq
     up = vp / sq - 0.5 * v / (r * sq)
     w = (1.0 + 0.5 * m / r) ** 4 * r
-    norm2 = _panel_integral_hermite(r, u * u * w)
+    norm2 = _panel_integral_hermite(r, u * u * w, _slope_operator(r))
     u /= math.sqrt(norm2)
     up /= math.sqrt(norm2)
     return r, u, up
@@ -215,34 +215,51 @@ def eigenfunction(
 # Rayleigh quotient
 # -------------------------------------------------------------------------
 
-def _panel_integral_hermite(r, g) -> float:
+def _panel_integral_hermite(r, g, slope) -> float:
     """Integral of sampled data: the cubic Hermite through the samples, with
-    4th-order finite-difference slopes, integrated exactly per interval as
-    ``h (g0 + g1)/2 + h^2 (g0' - g1')/12``."""
-    gp = _derivative_samples(r, g)
+    the 4th-order slopes ``slope(g)`` (see :func:`_slope_operator`),
+    integrated exactly per interval as ``h (g0 + g1)/2 + h^2 (g0' - g1')/12``."""
+    gp = slope(g)
     h = np.diff(r)
     return float(np.sum(h * (g[:-1] + g[1:]) / 2.0 + h * h * (gp[:-1] - gp[1:]) / 12.0))
 
 
-def _derivative_samples(r: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """4th-order derivatives of sampled data via local quartic fits.
+def _slope_operator(r: np.ndarray):
+    """4th-order derivatives of data sampled at ``r``, as a map ``g -> g'``.
 
     At each sample, the slope of the quartic through the 5 nearest samples
-    (a centred stencil, shifted inward at the ends); every stencil's
-    Vandermonde system, in coordinates scaled to its width, in one solve.
+    (a centred stencil, shifted inward at the ends), from the closed-form
+    weights of Lagrange interpolation differentiated at a node (Fornberg,
+    *Math. Comp.* 51 (1988) 699-706): with ``c`` the sample's position in
+    its stencil ``x_0 < ... < x_4``,
+
+        w_c = sum_{l != c} 1/(x_c - x_l),
+        w_j = prod_{l != j, c} (x_c - x_l) / prod_{l != j} (x_j - x_l)   (j != c),
+
+    and ``g'(x_c) = sum_j w_j g(x_j)``.  The weights depend on ``r`` only,
+    so they are formed once and shared by every ``g`` on the grid.
     """
     n = len(r)
     if n < 5:
         raise PreconditionError("need at least 5 samples for the derivative stencil")
-    j = np.clip(np.arange(n) - 2, 0, n - 5)
-    idx = j[:, None] + np.arange(5)
-    x0 = r[j + 2]
-    width = r[j + 4] - r[j]
-    u = (r[idx] - x0[:, None]) / width[:, None]
-    coef = np.linalg.solve(u[:, :, None] ** np.arange(5), g[idx][:, :, None])[:, :, 0]
-    d = ((r - x0) / width)[:, None]
-    p = np.arange(1, 5)
-    return np.sum(coef[:, 1:] * p * d ** (p - 1), axis=1) / width
+    idx = np.clip(np.arange(n) - 2, 0, n - 5) + np.arange(5)[:, None]  # (5, n)
+    x = r[idx]
+    own = idx == np.arange(n)  # row c of each column
+    d = np.where(own, 1.0, r - x)  # x_c - x_l, with 1 in row c
+    w = np.empty_like(x)
+    for j in range(5):
+        num = den = 1.0
+        for l in range(5):
+            if l != j:
+                num = num * d[l]
+                den = den * (x[j] - x[l])
+        w[j] = num / den
+    w[own] = np.sum(np.where(own, 0.0, 1.0 / d), axis=0)
+
+    def slope(g: np.ndarray) -> np.ndarray:
+        return np.einsum("jn,jn->n", w, g[idx])
+
+    return slope
 
 
 def rayleigh_quotient(
@@ -279,8 +296,9 @@ def rayleigh_quotient(
         raise PreconditionError(
             f"u(R) = {u[-1]} does not vanish within 1e-6 of sup |u| = {sup}"
         )
+    slope = _slope_operator(r)
     if u_prime is None:
-        u_prime = _derivative_samples(r, u)
+        u_prime = slope(u)
     else:
         u_prime = np.asarray(u_prime, dtype=float)
 
@@ -289,8 +307,8 @@ def rayleigh_quotient(
 
     num_g = (u_prime**2 - pot * u**2) * r
     den_g = u**2 * weight * r
-    num = _panel_integral_hermite(r, num_g)
-    den = _panel_integral_hermite(r, den_g)
+    num = _panel_integral_hermite(r, num_g, slope)
+    den = _panel_integral_hermite(r, den_g, slope)
     return (num / den) * m * m
 
 

@@ -404,11 +404,13 @@ def _clipped_integral(model, surface, rho, spec, w, normal=False) -> float:
         def excess(t):
             return float(np.linalg.norm(chart(t, s))) - t_iso
 
-        if excess(t0) > 0.0:
+        e0 = excess(t0)
+        if e0 > 0.0:
             return t0
-        if excess(t1) <= 0.0:
+        e1 = excess(t1)
+        if e1 <= 0.0:
             return t1
-        return roots.brentq(excess, t0, t1, xtol=xtol)
+        return roots.brentq(excess, t0, t1, xtol=xtol, f_a=e0, f_b=e1)
 
     empty = np.zeros(2) if normal else 0.0
 

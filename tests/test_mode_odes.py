@@ -95,6 +95,68 @@ def test_horizon_reads_are_exact(mass):
         assert sol.phase(h) == 0.5 * math.pi
 
 
+# (k, lam m^2, R, ode tol) at m = 2: radial, nonradial and oscillating shots,
+# and a nonradial one whose v leaves the double range near r = 450
+SCALAR_SHOTS = [(0, 0.0, 50.0, 1e-10), (1, -0.1, 300.0, 1e-10), (0, 1.2, 40.0, 1e-10), (2, -10.0, 1900.0, 1e-6)]
+
+
+@pytest.fixture(scope="module", params=SCALAR_SHOTS, ids=lambda p: "k{}-lam{}-R{}".format(*p))
+def scalar_shot(request, m2):
+    k, lam, R, tol = request.param
+    sol = integrate_v(ModeParams(m2, k, lam / 4.0, R), tol=tol)
+    rng = np.random.default_rng(7)
+    random_r = np.concatenate([rng.uniform(1.0, R, 100), np.exp(rng.uniform(0.0, math.log(R), 100))])
+    return sol, np.concatenate([sol.nodes_r, [1.0, R], np.clip(random_r, 1.0, R)])
+
+
+def test_scalar_reads_match_array_reads(scalar_shot):
+    """v, v', phase, log|v| and gamma read one radius at a time agree with
+    the array reader at the nodes, both ends and random radii."""
+    sol, radii = scalar_shot
+    with np.errstate(over="ignore"):
+        v_arr, vp_arr = sol.values(radii)
+    r, theta, log_rho, log_s = sol._read(radii)
+    sn = np.sin(theta)
+    horizon = r == 1.0
+    log_v_arr = np.where(horizon, 0.0, 0.5 * np.log(r) + log_rho - 0.5 * log_s + np.log(np.abs(sn)))
+    gamma_arr = np.where(horizon, 0.5, (0.5 + np.exp(log_s) * np.cos(theta) / sn) / r)
+    finite = np.isfinite(v_arr)
+    for x, fin, v, vp, th, lv, sign, ga in zip(
+        radii.tolist(), finite, v_arr, vp_arr, theta, log_v_arr, np.sign(sn), gamma_arr
+    ):
+        if fin:
+            assert sol.v(x) == pytest.approx(v, rel=1e-13, abs=0.0)
+            assert sol.v_prime(x) == pytest.approx(vp, rel=1e-13, abs=0.0)
+        assert sol.phase(x) == pytest.approx(th, rel=1e-13, abs=0.0)
+        # an absolute error in log |v| is a relative error in |v|
+        log_v, s = sol.log_abs_v(x)
+        assert log_v == pytest.approx(lv, rel=1e-13, abs=1e-13)
+        assert s == (1.0 if x == 1.0 else sign)
+        assert sol.gamma(x) == pytest.approx(ga, rel=1e-13, abs=0.0)
+
+
+def test_scalar_v_overflows_to_inf_like_array_reads(scalar_shot):
+    """Where v leaves the double range, v and v' read +-inf, not OverflowError."""
+    sol, radii = scalar_shot
+    with np.errstate(over="ignore"):
+        v_arr, vp_arr = sol.values(radii)
+    over = np.isinf(v_arr)
+    if sol.params.k == 2:  # the lam = -10/m^2 shot grows like exp(1.58 r)
+        assert over.sum() > 100 and np.isinf(sol.terminal_value())
+    for x, v, vp in zip(radii[over].tolist(), v_arr[over], vp_arr[over]):
+        assert sol.v(x) == v and sol.v_prime(x) == vp
+
+
+def test_scalar_reads_reject_points_off_the_shot(scalar_shot):
+    sol, _ = scalar_shot
+    for bad in (np.nextafter(1.0, 0.0), np.nextafter(sol.r_max, math.inf), math.nan):
+        for read in (sol.v, sol.v_prime, sol.phase, sol.log_abs_v, sol.gamma):
+            with pytest.raises(DomainError):
+                read(bad)
+        with pytest.raises(DomainError):
+            sol.values(np.array([2.0, bad]))
+
+
 def test_shot_reaches_far_radii_in_few_steps(m2):
     """No step budget ties R: the radial shot to 1e7 m takes a few hundred steps."""
     sol = integrate_v(ModeParams(m2, 0, 0.0, 2e7), tol=1e-10)

@@ -89,6 +89,23 @@ def test_root_at_endpoint_matches_scipy():
     assert assert_matches_scipy(lambda x: x * x - 4.0, 2.0, 5.0) == (2.0, 2)
 
 
+def test_known_end_values_skip_the_end_calls():
+    """End values passed in: scipy's iterates and root, two calls fewer."""
+    f = lambda x: x**3 - 2.0 * x - 5.0  # noqa: E731
+    seen = []
+    root = roots.brentq(lambda x: seen.append(x) or f(x), 2.0, 3.0, xtol=1e-14, rtol=RTOL, f_a=-1.0, f_b=16.0)
+    ref_x = []
+    ref = scipy.optimize.brentq(lambda x: ref_x.append(x) or f(x), 2.0, 3.0, xtol=1e-14, rtol=RTOL)
+    assert root.hex() == float(ref).hex()
+    assert [x.hex() for x in seen] == [float(x).hex() for x in ref_x[2:]]
+    # one known end: only the other is called
+    seen.clear()
+    assert roots.brentq(lambda x: seen.append(x) or f(x), 2.0, 3.0, xtol=1e-14, rtol=RTOL, f_b=16.0) == root
+    assert seen[0] == 2.0 and len(seen) == len(ref_x) - 1
+    with pytest.raises(SearchError):
+        roots.brentq(f, 2.0, 3.0, f_a=math.nan)
+
+
 def test_same_sign_bracket_raises_search_error():
     with pytest.raises(SearchError) as err:
         roots.brentq(lambda x: x * x + 1.0, -1.0, 2.0)

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from schwsurf import (
     ModeParams,
@@ -223,8 +225,8 @@ def test_rayleigh_validation(m2):
 
 
 def test_derivative_samples_match_per_sample_quartic_fits():
-    """The batched stencil solve against one np.polyfit per sample as the
-    reference, on an uneven grid; exact on a quartic."""
+    """The closed-form stencil weights against one np.polyfit per sample as
+    the reference, on an uneven grid; exact on a quartic."""
     r = np.geomspace(1.0, 40.0, 301)
     g = np.sin(r) * np.exp(-r / 15.0)
     ref = np.empty_like(r)
@@ -233,12 +235,73 @@ def test_derivative_samples_match_per_sample_quartic_fits():
         x0 = r[j + 2]
         coef = np.polyfit(r[j : j + 5] - x0, g[j : j + 5], 4)
         ref[i] = np.polyval(np.polyder(coef), r[i] - x0)
-    got = spectral._derivative_samples(r, g)
+    got = spectral._slope_operator(r)(g)
     assert np.max(np.abs(got - ref)) <= 1e-11 * np.max(np.abs(ref))
-    quartic = spectral._derivative_samples(r, (r - 3.0) ** 4 - 2.0 * r)
+    quartic = spectral._slope_operator(r)((r - 3.0) ** 4 - 2.0 * r)
     assert quartic == pytest.approx(4.0 * (r - 3.0) ** 3 - 2.0, rel=1e-9, abs=1e-9)
     with pytest.raises(PreconditionError):
-        spectral._derivative_samples(r[:4], g[:4])
+        spectral._slope_operator(r[:4])
+
+
+# deterministic and small, so the properties cost well under a second
+PROPERTY_SETTINGS = settings(max_examples=30, deadline=None, database=None, derandomize=True)
+
+
+@st.composite
+def increasing_grids(draw):
+    """A strictly increasing grid of 5-40 samples: gaps within a factor 20
+    of each other, at a scale from 1e-3 to 1e3 and an offset of a few widths."""
+    n = draw(st.integers(5, 40))
+    gaps = np.array(draw(st.lists(st.floats(0.05, 1.0), min_size=n - 1, max_size=n - 1)))
+    t = np.concatenate([[0.0], np.cumsum(gaps)]) / np.sum(gaps)
+    scale = 10.0 ** draw(st.floats(-3.0, 3.0))
+    offset = draw(st.floats(-5.0, 5.0))
+    return scale * (offset + t), scale
+
+
+@PROPERTY_SETTINGS
+@given(
+    grid=increasing_grids(),
+    coef=st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4),
+    lead=st.floats(0.25, 1.0),
+    centre=st.floats(0.0, 1.0),
+)
+def test_stencil_is_exact_on_random_quartics(grid, coef, lead, centre):
+    """Any quartic is differentiated exactly, up to rounding, on any grid."""
+    r, scale = grid
+    c = r[0] + centre * (r[-1] - r[0])
+    a = np.array(coef + [lead])  # a_0 .. a_4 in the coordinate (r - c)/scale
+    t = (r - c) / scale
+    g = np.polynomial.polynomial.polyval(t, a)
+    ref = np.polynomial.polynomial.polyval(t, a[1:] * np.arange(1, 5)) / scale
+    got = spectral._slope_operator(r)(g)
+    assert np.max(np.abs(got - ref)) <= 1e-9 * np.max(np.abs(ref))
+
+
+BATTERY = {
+    "sine": lambda x, j: np.sin(np.pi * j * x),
+    "cosine": lambda x, j: (1.0 - x) * np.cos(2.3 * j * x),
+    "power": lambda x, j: (1.0 - x) ** j * (1.0 + 0.5 * x),
+}
+
+
+@PROPERTY_SETTINGS
+@given(
+    family=st.sampled_from(sorted(BATTERY)),
+    j=st.integers(1, 5),
+    mass=st.floats(0.5, 4.0),
+    ratio=st.floats(0.75, 4.0),
+    log_mu=st.floats(-2.0, 2.0),
+)
+def test_rayleigh_quotient_is_scale_covariant(family, j, mass, ratio, log_mu):
+    """Rescaling m, R and the samples by mu leaves the quotient in m^2 units."""
+    mu = 10.0**log_mu
+    R = ratio * mass
+    r = np.linspace(0.5 * mass, R, 401)
+    u = BATTERY[family]((r - r[0]) / (R - r[0]), j)  # vanishes at R
+    q = rayleigh_quotient(SchwarzschildModel(mass), R, r, u)
+    q_mu = rayleigh_quotient(SchwarzschildModel(mu * mass), mu * R, mu * r, u)
+    assert q_mu == pytest.approx(q, rel=1e-10, abs=0.0)
 
 
 # ----------------------------------------------------------------- Morse index
