@@ -4,9 +4,8 @@ Text outputs are CSV (comma separator, 17 significant digits, LF
 endings) or JSON carrying the same numbers plus a provenance header with
 the package version and the active tolerances.  Exit codes: 0 success,
 2 usage or configuration error, 3 numerical failure (diagnostics on
-stderr).  ``SCHW_THREADS`` must be a nonnegative integer if set (else
-exit 2) but has no effect: the mode sweep runs serially, because the
-pure-Python stepper holds the GIL and threads did not shorten it.
+stderr).  Every subcommand is registered through :func:`command`, which
+carries the shared flags, the config merge and that exit-code mapping.
 
 Only ``spectrum --method fd|both`` imports scipy (for the FD oracle's
 LAPACK solver, on its first solve); every other subcommand starts
@@ -22,7 +21,6 @@ from __future__ import annotations
 import functools
 import json
 import math
-import os
 import sys
 
 import click
@@ -72,7 +70,6 @@ def _emit(config, rows, header, scalars=None, payload_key="rows"):
                 "root_tol": config["root_tol"],
                 "quad_tol": config["quad_tol"],
             },
-            "seed": config["seed"],
         }
         doc.update(scalars)
         if rows is not None:
@@ -118,103 +115,85 @@ def _read_config_file(path: str) -> dict:
     return out
 
 
-_CONFIG_KEYS = {
-    "mass": float,
-    "ode_tol": float,
-    "root_tol": float,
-    "quad_tol": float,
-    "output": str,
-    "out": str,
-    "seed": int,
-}
+_CONFIG_KEYS = ("mass", "ode_tol", "root_tol", "quad_tol", "output", "out")
 
 
 def _resolve_config(kwargs) -> dict:
-    """Merge the config file (if any) under the explicit flags."""
+    """Merge the config file (if any) under the explicit flags; a file
+    value is converted and checked by the type of its flag."""
     ctx = click.get_current_context()
     cfg = {key: kwargs.pop(key) for key in _CONFIG_KEYS}
     path = kwargs.pop("config")
     if path is not None:
-        file_vals = _read_config_file(path)
-        for key, raw in file_vals.items():
+        params = {p.name: p for p in ctx.command.params}
+        for key, raw in _read_config_file(path).items():
             if key not in _CONFIG_KEYS:
                 raise click.UsageError(f"unknown config key {key!r} in {path}")
             if ctx.get_parameter_source(key) == click.core.ParameterSource.DEFAULT:
                 try:
-                    cfg[key] = _CONFIG_KEYS[key](raw)
-                except ValueError:
-                    raise click.UsageError(
-                        f"config value for {key!r} is not a {_CONFIG_KEYS[key].__name__}: {raw!r}"
-                    )
+                    cfg[key] = params[key].type.convert(raw, params[key], ctx)
+                except click.BadParameter as exc:
+                    raise click.UsageError(f"config value for {key!r}: {exc.message}")
     if cfg["mass"] < 0.0:
         raise click.UsageError(f"mass must be nonnegative, got {cfg['mass']}")
     for key in ("ode_tol", "root_tol", "quad_tol"):
-        if cfg[key] <= 0.0:
-            raise click.UsageError(f"{key} must be positive, got {cfg[key]}")
+        if not (0.0 < cfg[key] < math.inf):
+            raise click.UsageError(f"{key} must be positive and finite, got {cfg[key]}")
     return cfg
 
 
-def _check_threads() -> None:
-    """``SCHW_THREADS`` has no effect, but a malformed value is a usage error."""
-    raw = os.environ.get("SCHW_THREADS")
-    if raw is None:
-        return
-    try:
-        val = int(raw)
-    except ValueError:
-        raise click.UsageError(f"SCHW_THREADS must be an integer, got {raw!r}")
-    if val < 0:
-        raise click.UsageError(f"SCHW_THREADS must be >= 0, got {val}")
+def command(name: str):
+    """Register ``fn`` as the subcommand ``name``, called as
+    ``fn(config, model, **own_options)``.
+
+    Adds the shared flags and merges the config file under them.  Bad
+    parameter values (the mass included) are usage errors (exit 2);
+    solver failures are numerical errors (exit 3) with stderr diagnostics.
+    """
+
+    def register(fn):
+        @main.command(name)
+        @click.option("--mass", type=float, default=1.0, show_default=True, help="ADM mass m.")
+        @click.option("--ode-tol", type=float, default=1e-10, show_default=True, help="Shooting integrator tolerance.")
+        @click.option("--root-tol", type=float, default=1e-12, show_default=True, help="Root-finding residual tolerance.")
+        @click.option("--quad-tol", type=float, default=1e-8, show_default=True, help="Quadrature relative tolerance.")
+        @click.option("--output", type=click.Choice(["table", "json"]), default="table", show_default=True, help="Output format.")
+        @click.option("--out", type=click.Path(dir_okay=False, writable=True), default=None, help="Write output to this file instead of stdout.")
+        @click.option("--config", type=click.Path(exists=False), default=None, help="key=value file merged under the flags.")
+        @functools.wraps(fn)
+        def run(**kwargs):
+            config = _resolve_config(kwargs)
+            try:
+                return fn(config, SchwarzschildModel(config["mass"]), **kwargs)
+            except (DomainError, PreconditionError) as exc:
+                raise click.UsageError(str(exc))
+            except NUMERICAL_ERRORS as exc:
+                click.echo(f"numerical failure: {exc}", err=True)
+                sys.exit(3)
+
+        return run
+
+    return register
 
 
-def common_options(fn):
-    @click.option("--mass", type=float, default=1.0, show_default=True, help="ADM mass m.")
-    @click.option("--ode-tol", type=float, default=1e-10, show_default=True, help="Shooting integrator tolerance.")
-    @click.option("--root-tol", type=float, default=1e-12, show_default=True, help="Root-finding residual tolerance.")
-    @click.option("--quad-tol", type=float, default=1e-8, show_default=True, help="Quadrature relative tolerance.")
-    @click.option("--output", type=click.Choice(["table", "json"]), default="table", show_default=True, help="Output format.")
-    @click.option("--out", type=click.Path(dir_okay=False, writable=True), default=None, help="Write output to this file instead of stdout.")
-    @click.option("--config", type=click.Path(exists=False), default=None, help="key=value file merged under the flags.")
-    @click.option("--seed", type=int, default=0, show_default=True, help="Seed for randomized rotations.")
-    @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
-        return fn(*args, **kwargs)
+def _surface(model: SchwarzschildModel, spec_text: str, rho_max: float, claim: str):
+    """Mini-grammar: plane | plane:rotated:<seed> | cone:<theta0>, built out
+    to the chart length the integrals up to ``rho_max`` need.
 
-    return wrapper
-
-
-def numerics_guard(fn):
-    """Exit-code mapping: bad parameter values are usage errors (2),
-    solver failures are numerical errors (3) with stderr diagnostics."""
-
-    @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
-        try:
-            return fn(*args, **kwargs)
-        except (DomainError, PreconditionError) as exc:
-            raise click.UsageError(str(exc))
-        except NUMERICAL_ERRORS as exc:
-            click.echo(f"numerical failure: {exc}", err=True)
-            sys.exit(3)
-
-    return wrapper
-
-
-def _parse_surface(model: SchwarzschildModel, spec_text: str, t_max: float):
-    """Mini-grammar: plane | plane:rotated:<seed> | cone:<theta0>.
-
-    Returns (surface, minimal_flag)."""
+    A cone off the equator is not minimal: stderr gets a warning that ends
+    in ``claim``."""
+    t_max = 2.0 * surfaces.clip_radius(model, rho_max)
     parts = spec_text.split(":")
     if parts[0] == "plane":
         if len(parts) == 1:
-            return surfaces.make_plane(model, t_max), True
+            return surfaces.make_plane(model, t_max)
         if len(parts) == 3 and parts[1] == "rotated":
             try:
                 rot_seed = int(parts[2])
             except ValueError:
                 raise click.UsageError(f"bad rotation seed in {spec_text!r}")
             rot = surfaces.random_rotation(rot_seed)
-            return surfaces.make_plane(model, t_max, rotation=rot), True
+            return surfaces.make_plane(model, t_max, rotation=rot)
         raise click.UsageError(f"bad surface spec {spec_text!r}")
     if parts[0] == "cone" and len(parts) == 2:
         try:
@@ -223,9 +202,10 @@ def _parse_surface(model: SchwarzschildModel, spec_text: str, t_max: float):
             raise click.UsageError(f"bad colatitude in {spec_text!r}")
         if not (0.0 < theta0 < math.pi):
             raise click.UsageError(f"colatitude must be in (0, pi), got {theta0}")
-        curve = surfaces.latitude_circle(theta0)
-        is_great = abs(theta0 - 0.5 * math.pi) < 1e-15
-        return surfaces.make_cone(model, curve, t_max), is_great
+        cone = surfaces.make_cone(model, surfaces.latitude_circle(theta0), t_max)
+        if abs(theta0 - 0.5 * math.pi) >= 1e-15:
+            click.echo(f"warning: surface {spec_text!r} is not minimal; {claim}", err=True)
+        return cone
     raise click.UsageError(
         f"unknown surface spec {spec_text!r}; use plane, plane:rotated:<seed>, cone:<theta0>"
     )
@@ -237,17 +217,13 @@ def main():
     """Desk-scale numerical checks for minimal surfaces outside a horizon."""
 
 
-@main.command()
-@common_options
+@command("geom")
 @click.option("--r-max", type=float, default=1e4, show_default=True, help="Largest horizon distance in the grid.")
 @click.option("--n", "n_rows", type=int, default=65, show_default=True, help="Number of grid rows.")
-@numerics_guard
-def geom(r_max, n_rows, **kwargs):
+def geom(config, model, r_max, n_rows):
     """Coordinate table: isotropic radius, areal radius, distance, potential."""
-    config = _resolve_config(kwargs)
     if not (0.0 < r_max < math.inf) or n_rows < 2:
         raise click.UsageError("need a finite --r-max > 0 and --n >= 2")
-    model = SchwarzschildModel(config["mass"])
     m = model.mass
     lo = 0.01 * m if m > 0.0 else r_max * 1e-4
     grid = np.concatenate([[0.0], np.geomspace(lo, r_max, n_rows - 1)])
@@ -266,13 +242,9 @@ def geom(r_max, n_rows, **kwargs):
     _emit(config, rows, ("rho_iso", "s", "r", "h", "f"))
 
 
-@main.command("stability-radius")
-@common_options
-@numerics_guard
-def stability_radius_cmd(**kwargs):
+@command("stability-radius")
+def stability_radius_cmd(config, model):
     """Largest radius of a stable truncated plane, with the equation residual."""
-    config = _resolve_config(kwargs)
-    model = SchwarzschildModel(config["mass"])
     m = model.mass
     R = spectral.stability_radius(model, tol=config["root_tol"])
     residual = 0.5 * math.log(2.0 * R / m) - (2.0 * R + m) / (2.0 * R - m)
@@ -284,17 +256,13 @@ def stability_radius_cmd(**kwargs):
     )
 
 
-@main.command()
-@common_options
+@command("spectrum")
 @click.option("--k", type=int, default=0, show_default=True, help="Fourier mode number.")
 @click.option("--R", "radius", type=float, required=True, help="Truncation radius (isotropic).")
 @click.option("--count", type=int, default=1, show_default=True, help="How many eigenvalues.")
 @click.option("--method", type=click.Choice(["shooting", "fd", "both"]), default="shooting", show_default=True)
-@numerics_guard
-def spectrum(k, radius, count, method, **kwargs):
+def spectrum(config, model, k, radius, count, method):
     """Lowest eigenvalues of one truncated mode, in mass-squared units."""
-    config = _resolve_config(kwargs)
-    model = SchwarzschildModel(config["mass"])
     scalars = {"R": radius, "method": method}
     if method in ("shooting", "both"):
         shoot = spectral.eigenvalues_shooting(
@@ -322,16 +290,11 @@ def spectrum(k, radius, count, method, **kwargs):
         )
 
 
-@main.command("morse-index")
-@common_options
+@command("morse-index")
 @click.option("--R", "radius", type=float, required=True, help="Truncation radius (isotropic).")
 @click.option("--kmax", type=int, default=5, show_default=True, help="Largest Fourier mode swept.")
-@numerics_guard
-def morse_index_cmd(radius, kmax, **kwargs):
+def morse_index_cmd(config, model, radius, kmax):
     """Morse index of the truncated plane: per-mode counts and the sum."""
-    config = _resolve_config(kwargs)
-    model = SchwarzschildModel(config["mass"])
-    _check_threads()
     rep = spectral.morse_index(model, R=radius, kmax=kmax, ode_tol=config["ode_tol"])
     rows = [(k, c) for k, c in rep.per_mode_negative_counts.items()]
     _emit(
@@ -343,29 +306,18 @@ def morse_index_cmd(radius, kmax, **kwargs):
     )
 
 
-@main.command()
-@common_options
+@command("monotonicity")
 @click.option("--surface", "surface_spec", type=str, default="plane", show_default=True, help="plane | plane:rotated:<seed> | cone:<theta0>.")
 @click.option("--rho-max", type=float, default=None, help="Largest horizon distance [default: 100 mass].")
-@numerics_guard
-def monotonicity(surface_spec, rho_max, **kwargs):
+def monotonicity(config, model, surface_spec, rho_max):
     """Weighted-area ratio trace over a log-spaced grid of ball radii."""
-    config = _resolve_config(kwargs)
-    model = SchwarzschildModel(config["mass"])
     m = model.mass
     if rho_max is None:
         rho_max = 100.0 * m if m > 0.0 else 100.0
     if rho_max <= 0.0:
         raise click.UsageError(f"--rho-max must be > 0, got {rho_max}")
     spec = QuadSpec(rel_tol=config["quad_tol"])
-    t_need = 2.0 * surfaces.clip_radius(model, rho_max)
-    surface, minimal = _parse_surface(model, surface_spec, t_need)
-    if not minimal:
-        click.echo(
-            f"warning: surface {surface_spec!r} is not minimal; "
-            "the monotonicity identity is not expected to hold",
-            err=True,
-        )
+    surface = _surface(model, surface_spec, rho_max, "the monotonicity identity is not expected to hold")
     lo = 0.1 * m if m > 0.0 else rho_max * 1e-3
     grid = np.geomspace(lo, rho_max, _MONO_GRID_SIZE)
     rep = surfaces.monotonicity_report(model, surface, grid, spec)
@@ -386,27 +338,16 @@ def monotonicity(surface_spec, rho_max, **kwargs):
     )
 
 
-@main.command("boundary-bound")
-@common_options
+@command("boundary-bound")
 @click.option("--surface", "surface_spec", type=str, default="plane", show_default=True, help="plane | plane:rotated:<seed> | cone:<theta0>.")
 @click.option("--rho-max", type=float, default=None, help="Truncation distance for the tail [default: 500 mass].")
-@numerics_guard
-def boundary_bound(surface_spec, rho_max, **kwargs):
+def boundary_bound(config, model, surface_spec, rho_max):
     """Boundary length against density at infinity, with the defect split."""
-    config = _resolve_config(kwargs)
-    model = SchwarzschildModel(config["mass"])
     m = model.mass
     if rho_max is None:
         rho_max = 500.0 * m if m > 0.0 else 500.0
     spec = QuadSpec(rel_tol=config["quad_tol"])
-    t_need = 2.0 * surfaces.clip_radius(model, rho_max)
-    surface, minimal = _parse_surface(model, surface_spec, t_need)
-    if not minimal:
-        click.echo(
-            f"warning: surface {surface_spec!r} is not minimal; "
-            "the boundary-length bound applies to minimal surfaces",
-            err=True,
-        )
+    surface = _surface(model, surface_spec, rho_max, "the boundary-length bound applies to minimal surfaces")
     rep = surfaces.boundary_bound_check(model, surface, rho_max, spec)
     blen = surfaces.boundary_length(model, surface)
     _emit(
@@ -427,15 +368,11 @@ def boundary_bound(surface_spec, rho_max, **kwargs):
     )
 
 
-@main.command()
-@common_options
+@command("riccati")
 @click.option("--c", "c_value", type=float, required=True, help="Integration constant of the comparison solution.")
 @click.option("--n", "n_rows", type=int, default=65, show_default=True, help="Trace rows.")
-@numerics_guard
-def riccati(c_value, n_rows, **kwargs):
+def riccati(config, model, c_value, n_rows):
     """Comparison-solution trace and its blow-up radius."""
-    config = _resolve_config(kwargs)
-    model = SchwarzschildModel(config["mass"])
     m = model.mass
     if n_rows < 2:
         raise click.UsageError("need --n >= 2")

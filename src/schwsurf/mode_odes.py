@@ -135,7 +135,8 @@ def _exp(x: float) -> float:
 class RadialSolution:
     """Shot of one mode from the horizon, read through its Prüfer pair.
 
-    ``nodes_r`` holds one node per accepted step, from ``m/2`` to ``r_max``.
+    ``nodes_r`` holds one node per accepted step, from ``m/2`` to
+    ``r_max = params.R``.
     Reads at ``r = m/2`` return the horizon data ``v = 1``, ``v' = 1/m``
     and ``gamma = 1/m`` exactly; elsewhere ``v`` and ``v'`` come from the
     dense phase and log-amplitude, so ``log_abs_v`` never overflows.
@@ -146,9 +147,9 @@ class RadialSolution:
     leaves the double range.
     """
 
-    def __init__(self, params: ModeParams, trajectory: ode.Trajectory, r_max: float):
+    def __init__(self, params: ModeParams, trajectory: ode.Trajectory):
         self.params = params
-        self.r_max = float(r_max)
+        self.r_max = float(params.R)
         self._traj = trajectory
         self._q = _q_closure(params.model.mass, params.k, params.lam)
         self._r0 = 0.5 * params.model.mass
@@ -178,11 +179,13 @@ class RadialSolution:
     def values(self, r) -> tuple:
         """``(v, v')`` at the radii ``r`` (a scalar or an array)."""
         r, theta, log_rho, log_s = self._read(r)
-        amp = np.exp(log_rho - 0.5 * log_s) / np.sqrt(r)
         sn = np.sin(theta)
+        with np.errstate(over="ignore"):  # +-inf past the double range
+            amp = np.exp(log_rho - 0.5 * log_s) / np.sqrt(r)
+            vp = amp * (0.5 * sn + np.exp(log_s) * np.cos(theta))
+            v = amp * r * sn
         horizon = r == self._r0
-        vp = amp * (0.5 * sn + np.exp(log_s) * np.cos(theta))
-        return np.where(horizon, 1.0, amp * r * sn), np.where(horizon, 1.0 / self.params.model.mass, vp)
+        return np.where(horizon, 1.0, v), np.where(horizon, 1.0 / self.params.model.mass, vp)
 
     def v(self, r: float) -> float:
         r, theta, log_rho, log_s = self._read_scalar(r)
@@ -246,12 +249,8 @@ class RadialSolution:
         return float(np.max(np.abs(self.nodes_v)))
 
 
-def integrate_v(
-    params: ModeParams,
-    r_max: float | None = None,
-    tol: float = DEFAULT_ODE_TOL,
-) -> RadialSolution:
-    """Shoot the mode from the horizon out to ``r_max`` (default ``params.R``).
+def integrate_v(params: ModeParams, tol: float = DEFAULT_ODE_TOL) -> RadialSolution:
+    """Shoot the mode from the horizon out to the truncation radius ``params.R``.
 
     One scaled Prüfer integration in ``x = log r`` from the horizon data
     ``theta = pi/2`` (``u_x = 0``) and ``rho = sqrt(2/m) S^1/2``
@@ -262,10 +261,6 @@ def integrate_v(
     fresh steps (see :meth:`schwsurf.ode.Trajectory.phase_crossing`).
     """
     m = params.model.mass
-    if r_max is None:
-        r_max = params.R
-    if not (r_max > 0.5 * m):
-        raise DomainError(f"r_max must exceed m/2 = {0.5 * m}, got {r_max}")
     if not (tol > 0.0):
         raise DomainError(f"tol must be > 0, got {tol}")
     hm = 0.5 * m
@@ -273,12 +268,12 @@ def integrate_v(
     traj = ode.integrate_prufer(
         _prufer_closure(m, params.k, params.lam),
         math.log(hm),
-        math.log(r_max),
+        math.log(params.R),
         0.5 * math.pi,
         0.5 * math.log(2.0 / m) + 0.5 * float(_log_scale(p0)),
         tol,
     )
-    return RadialSolution(params, traj, r_max)
+    return RadialSolution(params, traj)
 
 
 # -------------------------------------------------------------------------

@@ -29,20 +29,24 @@ from .errors import QuadratureError
 class QuadSpec:
     """Accuracy contract for the surface integrals.
 
-    ``rel_tol`` is the convergence target between doublings; ``points``
-    the Gauss-Legendre order per panel; ``max_panels`` the refinement cap
-    before :class:`QuadratureError`.  The periodic rule stops at the same
-    node budget, ``max_panels * points``.
+    ``rel_tol`` (positive and finite) is the convergence target between
+    doublings; ``max_panels`` the refinement cap before
+    :class:`QuadratureError`.  Every panel carries the ``GL_POINTS``-point
+    Gauss-Legendre rule, and the periodic rule stops at the same node
+    budget, ``max_panels * GL_POINTS``.
     """
 
-    points: int = 32
     rel_tol: float = 1e-8
     max_panels: int = 4096
 
     def __post_init__(self):
-        if self.points < 2 or self.rel_tol <= 0.0 or self.max_panels < 2:
+        if not (0.0 < self.rel_tol < math.inf) or self.max_panels < 2:
             raise ValueError(f"invalid quadrature spec {self}")
 
+
+# Gauss-Legendre order per panel, and its nodes and weights on [-1, 1]
+GL_POINTS = 32
+_GL_X, _GL_W = np.polynomial.legendre.leggauss(GL_POINTS)
 
 # periodic rule: nodes of the first level, and the alias guard's shift in
 # units of the node spacing (the golden-ratio fraction, far from every
@@ -50,23 +54,14 @@ class QuadSpec:
 PERIODIC_START = 4
 ALIAS_SHIFT = 0.5 * (math.sqrt(5.0) - 1.0)
 
-_NODE_CACHE: dict = {}
 
-
-def _rule(points: int) -> tuple:
-    if points not in _NODE_CACHE:
-        _NODE_CACHE[points] = np.polynomial.legendre.leggauss(points)
-    return _NODE_CACHE[points]
-
-
-def panel_nodes(a: float, b: float, n_panels: int, points: int) -> tuple:
+def panel_nodes(a: float, b: float, n_panels: int) -> tuple:
     """Nodes and weights of the composite rule on ``n_panels`` uniform panels."""
-    x, w = _rule(points)
     edges = np.linspace(a, b, n_panels + 1)
     mid = 0.5 * (edges[:-1] + edges[1:])
     half = 0.5 * (edges[1] - edges[0])
-    nodes = (mid[:, None] + half * x[None, :]).ravel()
-    weights = np.broadcast_to(half * w[None, :], (n_panels, points)).ravel()
+    nodes = (mid[:, None] + half * _GL_X[None, :]).ravel()
+    weights = np.broadcast_to(half * _GL_W[None, :], (n_panels, GL_POINTS)).ravel()
     return nodes, weights
 
 
@@ -107,17 +102,17 @@ def integrate(f, a: float, b: float, spec: QuadSpec = QuadSpec()):
     if b <= a:
         return 0.0
     n = 1
-    x, w = panel_nodes(a, b, n, spec.points)
+    x, w = panel_nodes(a, b, n)
     prev = _value(np.dot(f(x), w))
     while True:
         n *= 2
-        x, w = panel_nodes(a, b, n, spec.points)
+        x, w = panel_nodes(a, b, n)
         cur = _value(np.dot(f(x), w))
         if _settled(cur, prev, spec.rel_tol):
             return cur
         if 2 * n > spec.max_panels:
             raise _no_convergence(
-                "Gauss-Legendre", n * spec.points, prev, cur, spec.rel_tol, f"[{a}, {b}]"
+                "Gauss-Legendre", n * GL_POINTS, prev, cur, spec.rel_tol, f"[{a}, {b}]"
             )
         prev = cur
 
@@ -131,9 +126,9 @@ def integrate_periodic(f, period: float, spec: QuadSpec = QuadSpec()):
     multiple of ``2n``, so before a value is accepted the ``2n`` grid
     shifted by ``ALIAS_SHIFT`` of its spacing must reproduce it too.
     Raises :class:`QuadratureError` when the next level would pass
-    ``spec.max_panels * spec.points`` nodes.
+    ``spec.max_panels * GL_POINTS`` nodes.
     """
-    budget = spec.max_panels * spec.points
+    budget = spec.max_panels * GL_POINTS
     n = PERIODIC_START
     h = period / n
     total = np.sum(f(h * np.arange(n)), axis=-1)

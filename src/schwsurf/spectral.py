@@ -64,24 +64,16 @@ class IndexReport:
     morse_index: int
 
 
-def interior_zero_count(
-    solution: RadialSolution, R: float, tol: float, exclude_boundary: bool = True
-) -> int:
+def interior_zero_count(solution: RadialSolution, R: float, tol: float) -> int:
     """Zeros of the shot strictly inside ``(m/2, R)``, read off the phase.
 
-    The ``j``-th zero is where the Prüfer phase passes ``j pi``.  With
-    ``exclude_boundary`` (the default, used by :func:`negative_count`) a
-    phase within ``10 tol`` below or above ``j pi`` at ``R`` is treated as
-    the boundary zero of an eigenfunction, not an interior one; that makes
-    the count insensitive to roundoff when an eigenvalue sits at exactly
-    zero.  Without it, such a zero counts, as one that has just entered
-    through ``R``.
+    The ``j``-th zero is where the Prüfer phase passes ``j pi``.  A phase
+    within ``10 tol`` below or above ``j pi`` at ``R`` is treated as the
+    boundary zero of an eigenfunction, not an interior one; that makes the
+    count insensitive to roundoff when an eigenvalue sits at exactly zero.
     """
-    band = 10.0 * tol
     theta = solution.phase(R)
-    if exclude_boundary:
-        return max(0, math.ceil((theta - band) / math.pi) - 1)
-    return math.floor((theta + band) / math.pi)
+    return max(0, math.ceil((theta - 10.0 * tol) / math.pi) - 1)
 
 
 def negative_count(
@@ -94,15 +86,8 @@ def negative_count(
 
     Equals the number of interior zeros of the ``lam = 0`` shot.
     """
-    params = ModeParams(model, k, 0.0, R)
-    sol = integrate_v(params, r_max=R, tol=ode_tol)
+    sol = integrate_v(ModeParams(model, k, 0.0, R), tol=ode_tol)
     return interior_zero_count(sol, R, ode_tol)
-
-
-def _shot(model, k, lam_raw, R, ode_tol):
-    params = ModeParams(model, k, lam_raw, R)
-    sol = integrate_v(params, r_max=R, tol=ode_tol)
-    return sol
 
 
 def eigenvalues_shooting(
@@ -140,7 +125,7 @@ def eigenvalues_shooting(
 
     def phase(lam_raw: float) -> float:
         if lam_raw not in cache:
-            cache[lam_raw] = _shot(model, k, lam_raw, R, ode_tol).phase(R)
+            cache[lam_raw] = integrate_v(ModeParams(model, k, lam_raw, R), tol=ode_tol).phase(R)
         return cache[lam_raw]
 
     def expand(lam: float, n: int, side: str) -> float:
@@ -198,7 +183,7 @@ def eigenfunction(
     model.require_horizon("eigenfunction")
     m = model.mass
     lam_raw = lam / (m * m)
-    sol = _shot(model, k, lam_raw, R, ode_tol)
+    sol = integrate_v(ModeParams(model, k, lam_raw, R), tol=ode_tol)
     r = np.linspace(0.5 * m, R, n_samples)
     v, vp = sol.values(r)
     sq = np.sqrt(r)

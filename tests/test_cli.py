@@ -6,7 +6,6 @@ the entry point is what is actually exercised.
 """
 
 import json
-import os
 import subprocess
 import sys
 
@@ -25,15 +24,9 @@ def run_cli(*args):
     return result
 
 
-def run_proc(*args, env_extra=None):
-    env = dict(os.environ)
-    if env_extra:
-        env.update(env_extra)
+def run_proc(*args):
     return subprocess.run(
-        [sys.executable, "-m", "schwsurf.cli", *args],
-        capture_output=True,
-        text=True,
-        env=env,
+        [sys.executable, "-m", "schwsurf.cli", *args], capture_output=True, text=True
     )
 
 
@@ -68,6 +61,7 @@ def test_geom_json_provenance_header():
     assert doc["version"] == schwsurf.__version__
     assert doc["mass"] == 2.0
     assert set(doc["tolerances"]) == {"ode_tol", "root_tol", "quad_tol"}
+    assert set(doc) == {"tool", "version", "mass", "tolerances", "rows"}
     assert len(doc["rows"]) == 5
     assert doc["rows"][0]["rho_iso"] == 1.0
 
@@ -173,6 +167,10 @@ def test_monotonicity_bad_surface_spec():
         ("riccati", "--c", "nan"),
         ("geom", "--r-max", "nan"),
         ("geom", "--r-max", "inf"),
+        ("monotonicity", "--quad-tol", "nan"),
+        ("boundary-bound", "--quad-tol", "inf"),
+        ("spectrum", "--R", "20", "--ode-tol", "inf"),
+        ("stability-radius", "--root-tol", "nan"),
     ],
     ids=" ".join,
 )
@@ -247,8 +245,19 @@ def test_config_rejects_unknown_key(tmp_path):
 
 def test_config_rejects_bad_value(tmp_path):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("mass = heavy\n")
-    assert run_cli("stability-radius", "--config", str(cfg)).exit_code == 2
+    for line in ("mass = heavy", "output = yaml", "quad_tol = nan"):
+        cfg.write_text(line + "\n")
+        result = run_cli("stability-radius", "--config", str(cfg))
+        assert result.exit_code == 2, line
+        assert result.stdout == ""
+
+
+def test_seed_is_not_an_option(tmp_path):
+    """Rotations are seeded by the surface spec, ``plane:rotated:<seed>``."""
+    assert run_cli("geom", "--seed", "5").exit_code == 2
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("seed = 1\n")
+    assert run_cli("geom", "--config", str(cfg)).exit_code == 2
 
 
 def test_config_rejects_bad_line(tmp_path):
@@ -294,21 +303,6 @@ def test_exit_code_numerical_failure():
     proc = run_proc("riccati", "--mass", "2", "--c", "-1e6")
     assert proc.returncode == 3
     assert "numerical failure" in proc.stderr
-
-
-def test_threads_env_parallel_matches_serial():
-    args = ("morse-index", "--mass", "2", "--R", "50", "--kmax", "2")
-    serial = run_proc(*args)
-    parallel = run_proc(*args, env_extra={"SCHW_THREADS": "4"})
-    assert serial.returncode == parallel.returncode == 0
-    assert serial.stdout == parallel.stdout
-
-
-def test_threads_env_rejects_garbage():
-    proc = run_proc(
-        "morse-index", "--mass", "2", "--R", "12", env_extra={"SCHW_THREADS": "x"}
-    )
-    assert proc.returncode == 2
 
 
 _IMPORT_PROBE = """

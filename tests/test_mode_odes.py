@@ -6,6 +6,7 @@ defining equations rather than against each other.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -147,6 +148,17 @@ def test_scalar_v_overflows_to_inf_like_array_reads(scalar_shot):
         assert sol.v(x) == v and sol.v_prime(x) == vp
 
 
+def test_array_reads_overflow_quietly(m2):
+    """The array reader saturates to +-inf without a RuntimeWarning, as the
+    scalar reads do."""
+    sol = integrate_v(ModeParams(m2, 2, -10.0 / 4.0, 1900.0), tol=1e-6)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert sol.sup_abs_v() == math.inf
+        assert abs(float(sol.values(1900.0)[0])) == math.inf
+        assert abs(sol.terminal_value()) == math.inf
+
+
 def test_scalar_reads_reject_points_off_the_shot(scalar_shot):
     sol, _ = scalar_shot
     for bad in (np.nextafter(1.0, 0.0), np.nextafter(sol.r_max, math.inf), math.nan):
@@ -195,8 +207,6 @@ def test_single_crossing_for_small_negative_lambda(m2):
 
 
 def test_integrate_v_validation(m2):
-    with pytest.raises(DomainError):
-        integrate_v(ModeParams(m2, 0, 0.0, 20.0), r_max=0.5)
     with pytest.raises(DomainError):
         integrate_v(ModeParams(m2, 0, 0.0, 20.0), tol=-1.0)
 

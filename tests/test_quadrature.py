@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from schwsurf import QuadSpec, QuadratureError
-from schwsurf.quadrature import PERIODIC_START, integrate, integrate_periodic
+from schwsurf.quadrature import GL_POINTS, PERIODIC_START, integrate, integrate_periodic
 
 TWO_PI = 2.0 * math.pi
 
@@ -82,7 +82,8 @@ def test_periodic_rule_reuses_every_node():
 
 def test_periodic_rule_raises_at_node_budget():
     """|sin s| has a kink: the trapezoid error falls only like n^-2."""
-    spec = QuadSpec(points=8, max_panels=8)
+    spec = QuadSpec(max_panels=2)
+    assert spec.max_panels * GL_POINTS == 64
     with pytest.raises(QuadratureError) as err:
         integrate_periodic(lambda s: np.abs(np.sin(s)), TWO_PI, spec)
     message = str(err.value)
@@ -98,12 +99,12 @@ def test_periodic_rule_raises_at_node_budget():
 def test_gauss_legendre_raises_at_panel_cap():
     """sqrt(x) is not smooth at 0: the composite error falls only like
     h^1.5, far from 1e-8 after four panels."""
-    spec = QuadSpec(points=4, max_panels=4)
+    spec = QuadSpec(max_panels=4)
     with pytest.raises(QuadratureError) as err:
         integrate(np.sqrt, 0.0, 1.0, spec)
     message = str(err.value)
     assert "Gauss-Legendre" in message
-    assert "after 16 nodes" in message
+    assert f"after {4 * GL_POINTS} nodes" in message
     prev, cur = map(float, re.search(r"estimates (\S+) and (\S+)$", message).groups())
     assert prev != cur and cur == pytest.approx(2.0 / 3.0, rel=1e-3)
 
@@ -113,7 +114,7 @@ def test_gauss_legendre_stops_at_first_agreement():
     f, sizes = counted(np.exp)
     spec = QuadSpec()
     got = integrate(f, 0.0, 1.0, spec)
-    assert sizes == [spec.points, 2 * spec.points]
+    assert sizes == [GL_POINTS, 2 * GL_POINTS]
     assert got == pytest.approx(math.e - 1.0, rel=1e-15)
 
 
@@ -135,7 +136,7 @@ def test_noise_component_ends_beside_its_bound():
 
     pair, sizes = counted(lambda x: np.array([noise(x), 1.0 + x]))
     got = integrate(pair, 0.0, 1.0, spec)
-    assert sizes == [spec.points, 2 * spec.points]
+    assert sizes == [GL_POINTS, 2 * GL_POINTS]
     assert 0.0 <= got[0] <= 1e-30 and got[1] == pytest.approx(1.5, rel=1e-15)
 
     got = integrate_periodic(lambda s: np.array([noise(s / TWO_PI), 2.0 + np.cos(s)]), TWO_PI, spec)
@@ -148,3 +149,9 @@ def test_component_above_floor_keeps_relative_test():
         lambda s: np.array([1e-6 * np.exp(np.cos(5.0 * s)), np.ones_like(s)]), TWO_PI
     )
     assert got[0] == pytest.approx(1e-6 * 7.954926521012845, rel=1e-12)
+
+
+@pytest.mark.parametrize("rel_tol", [0.0, -1e-8, math.nan, math.inf])
+def test_quad_spec_rejects_bad_tolerance(rel_tol):
+    with pytest.raises(ValueError):
+        QuadSpec(rel_tol=rel_tol)

@@ -1,5 +1,7 @@
 """Eigenvalue search, oscillation counts, Morse index, Rayleigh quotient."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,6 +17,7 @@ from schwsurf import (
     morse_index,
     negative_count,
     rayleigh_quotient,
+    richardson_lowest,
     stability_radius,
 )
 from conftest import R_STAR_M2
@@ -75,9 +78,7 @@ def test_negative_count_stable_at_the_critical_radius(m2):
 def test_interior_zero_count_boundary_band(m2):
     R = stability_radius(m2)
     sol = integrate_v(ModeParams(m2, 0, 0.0, R), tol=ODE_TOL)
-    assert interior_zero_count(sol, R, ODE_TOL, exclude_boundary=True) == 0
-    # the search-side count sees the crossing that sits on the edge
-    assert interior_zero_count(sol, R, ODE_TOL, exclude_boundary=False) == 1
+    assert interior_zero_count(sol, R, ODE_TOL) == 0
 
 
 # ------------------------------------------------------------------- spectrum
@@ -119,7 +120,7 @@ def test_oscillation_consistency_around_eigenvalues(spec20, m2):
         for sign, expect in ((-1.0, e.n - 1), (+1.0, e.n)):
             lam_raw = (e.lam + sign * 10.0 * LAMBDA_TOL) / (m * m)
             sol = integrate_v(ModeParams(m2, 0, lam_raw, 20.0), tol=ODE_TOL)
-            count = interior_zero_count(sol, 20.0, ODE_TOL, exclude_boundary=False)
+            count = math.floor(sol.phase(20.0) / math.pi)
             assert count == expect, (e.n, sign, count)
 
 
@@ -302,6 +303,30 @@ def test_rayleigh_quotient_is_scale_covariant(family, j, mass, ratio, log_mu):
     q = rayleigh_quotient(SchwarzschildModel(mass), R, r, u)
     q_mu = rayleigh_quotient(SchwarzschildModel(mu * mass), mu * R, mu * r, u)
     assert q_mu == pytest.approx(q, rel=1e-10, abs=0.0)
+
+
+@settings(max_examples=15, deadline=None, database=None, derandomize=True)
+@given(
+    mass=st.floats(0.3, 5.0),
+    ratio=st.floats(3.0, 30.0),
+    k=st.integers(0, 2),
+    log2_mu=st.integers(-3, 3),
+)
+def test_spectra_are_scale_covariant_by_both_routes(mass, ratio, k, log2_mu):
+    """Rescaling m and R by a power of two leaves both spectra in m^2 units.
+
+    The FD eigenvalues carry rounding of about 1e-11 absolute, and the
+    radial lam_1 passes through zero at R = R*: they are compared to 1e-9
+    relative, floored at 1e-10 absolute."""
+    mu = 2.0**log2_mu
+    model, scaled = SchwarzschildModel(mass), SchwarzschildModel(mu * mass)
+    R = ratio * mass
+    shoot = eigenvalues_shooting(model, k, R, 2).lambdas()
+    shoot_mu = eigenvalues_shooting(scaled, k, mu * R, 2).lambdas()
+    assert np.max(np.abs(shoot_mu - shoot)) <= 1e-12
+    fd = richardson_lowest(model, k, R, n=256, how_many=2)
+    fd_mu = richardson_lowest(scaled, k, mu * R, n=256, how_many=2)
+    assert fd_mu == pytest.approx(fd, rel=1e-9, abs=1e-10)
 
 
 # ----------------------------------------------------------------- Morse index
