@@ -2,10 +2,11 @@
 
 Text outputs are CSV (comma separator, 17 significant digits, LF
 endings) or JSON carrying the same numbers plus a provenance header with
-the package version and the active tolerances.  Exit codes: 0 success,
-2 usage or configuration error, 3 numerical failure (diagnostics on
-stderr).  Every subcommand is registered through :func:`command`, which
-carries the shared flags, the config merge and that exit-code mapping.
+the package version and the one tolerance the subcommand reads.  Exit
+codes: 0 success, 2 usage or configuration error, 3 numerical failure
+(diagnostics on stderr).  Every subcommand is registered through
+:func:`command`, which carries the shared flags, that tolerance flag, the
+config merge and that exit-code mapping.
 
 Only ``spectrum --method fd|both`` imports scipy (for the FD oracle's
 LAPACK solver, on its first solve); every other subcommand starts
@@ -29,16 +30,24 @@ import numpy as np
 from . import __version__, fd_oracle, spectral, surfaces
 from .errors import NUMERICAL_ERRORS, DomainError, PreconditionError
 from .geometry import (
+    DEFAULT_ROOT_TOL,
     SchwarzschildModel,
     areal_from_distance,
     distance_from_areal,
     isotropic_from_areal,
     static_potential,
 )
-from .mode_odes import psi_c, singularity_radius
+from .mode_odes import DEFAULT_ODE_TOL, psi_c, singularity_radius
 from .quadrature import QuadSpec
 
 _MONO_GRID_SIZE = 40
+
+# the tolerance flags by name, each defaulting to the library constant
+_TOLERANCE_FLAGS = {
+    "ode_tol": click.option("--ode-tol", type=float, default=DEFAULT_ODE_TOL, show_default=True, help="Shooting integrator tolerance."),
+    "root_tol": click.option("--root-tol", type=float, default=DEFAULT_ROOT_TOL, show_default=True, help="Root-finding residual tolerance."),
+    "quad_tol": click.option("--quad-tol", type=float, default=QuadSpec.rel_tol, show_default=True, help="Quadrature relative tolerance."),
+}
 
 
 def _fmt(x) -> str:
@@ -65,11 +74,7 @@ def _emit(config, rows, header, scalars=None, payload_key="rows"):
             "tool": "schwsurf",
             "version": __version__,
             "mass": config["mass"],
-            "tolerances": {
-                "ode_tol": config["ode_tol"],
-                "root_tol": config["root_tol"],
-                "quad_tol": config["quad_tol"],
-            },
+            "tolerances": {key: config[key] for key in _TOLERANCE_FLAGS if key in config},
         }
         doc.update(scalars)
         if rows is not None:
@@ -115,19 +120,16 @@ def _read_config_file(path: str) -> dict:
     return out
 
 
-_CONFIG_KEYS = ("mass", "ode_tol", "root_tol", "quad_tol", "output", "out")
-
-
-def _resolve_config(kwargs) -> dict:
-    """Merge the config file (if any) under the explicit flags; a file
-    value is converted and checked by the type of its flag."""
+def _resolve_config(kwargs, tol: str) -> dict:
+    """Merge the config file (if any), keyed by the subcommand's flags,
+    under those flags; a file value is converted and checked by its flag."""
     ctx = click.get_current_context()
-    cfg = {key: kwargs.pop(key) for key in _CONFIG_KEYS}
+    cfg = {key: kwargs.pop(key) for key in ("mass", tol, "output", "out")}
     path = kwargs.pop("config")
     if path is not None:
         params = {p.name: p for p in ctx.command.params}
         for key, raw in _read_config_file(path).items():
-            if key not in _CONFIG_KEYS:
+            if key not in cfg:
                 raise click.UsageError(f"unknown config key {key!r} in {path}")
             if ctx.get_parameter_source(key) == click.core.ParameterSource.DEFAULT:
                 try:
@@ -136,17 +138,17 @@ def _resolve_config(kwargs) -> dict:
                     raise click.UsageError(f"config value for {key!r}: {exc.message}")
     if cfg["mass"] < 0.0:
         raise click.UsageError(f"mass must be nonnegative, got {cfg['mass']}")
-    for key in ("ode_tol", "root_tol", "quad_tol"):
-        if not (0.0 < cfg[key] < math.inf):
-            raise click.UsageError(f"{key} must be positive and finite, got {cfg[key]}")
+    if not (0.0 < cfg[tol] < math.inf):
+        raise click.UsageError(f"{tol} must be positive and finite, got {cfg[tol]}")
     return cfg
 
 
-def command(name: str):
+def command(name: str, tol: str):
     """Register ``fn`` as the subcommand ``name``, called as
     ``fn(config, model, **own_options)``.
 
-    Adds the shared flags and merges the config file under them.  Bad
+    Adds the shared flags and the flag of the tolerance ``tol`` (a key of
+    ``_TOLERANCE_FLAGS``), and merges the config file under them.  Bad
     parameter values (the mass included) are usage errors (exit 2);
     solver failures are numerical errors (exit 3) with stderr diagnostics.
     """
@@ -154,15 +156,13 @@ def command(name: str):
     def register(fn):
         @main.command(name)
         @click.option("--mass", type=float, default=1.0, show_default=True, help="ADM mass m.")
-        @click.option("--ode-tol", type=float, default=1e-10, show_default=True, help="Shooting integrator tolerance.")
-        @click.option("--root-tol", type=float, default=1e-12, show_default=True, help="Root-finding residual tolerance.")
-        @click.option("--quad-tol", type=float, default=1e-8, show_default=True, help="Quadrature relative tolerance.")
+        @_TOLERANCE_FLAGS[tol]
         @click.option("--output", type=click.Choice(["table", "json"]), default="table", show_default=True, help="Output format.")
         @click.option("--out", type=click.Path(dir_okay=False, writable=True), default=None, help="Write output to this file instead of stdout.")
         @click.option("--config", type=click.Path(exists=False), default=None, help="key=value file merged under the flags.")
         @functools.wraps(fn)
         def run(**kwargs):
-            config = _resolve_config(kwargs)
+            config = _resolve_config(kwargs, tol)
             try:
                 return fn(config, SchwarzschildModel(config["mass"]), **kwargs)
             except (DomainError, PreconditionError) as exc:
@@ -217,7 +217,7 @@ def main():
     """Desk-scale numerical checks for minimal surfaces outside a horizon."""
 
 
-@command("geom")
+@command("geom", "root_tol")
 @click.option("--r-max", type=float, default=1e4, show_default=True, help="Largest horizon distance in the grid.")
 @click.option("--n", "n_rows", type=int, default=65, show_default=True, help="Number of grid rows.")
 def geom(config, model, r_max, n_rows):
@@ -242,7 +242,7 @@ def geom(config, model, r_max, n_rows):
     _emit(config, rows, ("rho_iso", "s", "r", "h", "f"))
 
 
-@command("stability-radius")
+@command("stability-radius", "root_tol")
 def stability_radius_cmd(config, model):
     """Largest radius of a stable truncated plane, with the equation residual."""
     m = model.mass
@@ -256,7 +256,7 @@ def stability_radius_cmd(config, model):
     )
 
 
-@command("spectrum")
+@command("spectrum", "ode_tol")
 @click.option("--k", type=int, default=0, show_default=True, help="Fourier mode number.")
 @click.option("--R", "radius", type=float, required=True, help="Truncation radius (isotropic).")
 @click.option("--count", type=int, default=1, show_default=True, help="How many eigenvalues.")
@@ -290,7 +290,7 @@ def spectrum(config, model, k, radius, count, method):
         )
 
 
-@command("morse-index")
+@command("morse-index", "ode_tol")
 @click.option("--R", "radius", type=float, required=True, help="Truncation radius (isotropic).")
 @click.option("--kmax", type=int, default=5, show_default=True, help="Largest Fourier mode swept.")
 def morse_index_cmd(config, model, radius, kmax):
@@ -306,7 +306,7 @@ def morse_index_cmd(config, model, radius, kmax):
     )
 
 
-@command("monotonicity")
+@command("monotonicity", "quad_tol")
 @click.option("--surface", "surface_spec", type=str, default="plane", show_default=True, help="plane | plane:rotated:<seed> | cone:<theta0>.")
 @click.option("--rho-max", type=float, default=None, help="Largest horizon distance [default: 100 mass].")
 def monotonicity(config, model, surface_spec, rho_max):
@@ -338,7 +338,7 @@ def monotonicity(config, model, surface_spec, rho_max):
     )
 
 
-@command("boundary-bound")
+@command("boundary-bound", "quad_tol")
 @click.option("--surface", "surface_spec", type=str, default="plane", show_default=True, help="plane | plane:rotated:<seed> | cone:<theta0>.")
 @click.option("--rho-max", type=float, default=None, help="Truncation distance for the tail [default: 500 mass].")
 def boundary_bound(config, model, surface_spec, rho_max):
@@ -368,7 +368,7 @@ def boundary_bound(config, model, surface_spec, rho_max):
     )
 
 
-@command("riccati")
+@command("riccati", "root_tol")
 @click.option("--c", "c_value", type=float, required=True, help="Integration constant of the comparison solution.")
 @click.option("--n", "n_rows", type=int, default=65, show_default=True, help="Trace rows.")
 def riccati(config, model, c_value, n_rows):

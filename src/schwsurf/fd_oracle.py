@@ -158,7 +158,6 @@ def lowest_eigenvalues(problem: DiscreteModeProblem, how_many: int) -> Spectrum:
         R=problem.R,
         entries=entries,
         method="finite-difference",
-        tolerances={"n": problem.n},
     )
 
 

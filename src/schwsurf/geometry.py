@@ -32,6 +32,8 @@ from dataclasses import dataclass
 
 from .errors import DomainError
 
+DEFAULT_ROOT_TOL = 1e-12
+
 # -------------------------------------------------------------------------
 # model
 # -------------------------------------------------------------------------
@@ -142,7 +144,7 @@ def distance_from_areal(model: SchwarzschildModel, s: float) -> float:
 # -------------------------------------------------------------------------
 
 
-def areal_from_distance(model: SchwarzschildModel, r: float, tol: float = 1e-12) -> float:
+def areal_from_distance(model: SchwarzschildModel, r: float, tol: float = DEFAULT_ROOT_TOL) -> float:
     """Areal radius ``h(r)`` at horizon distance ``r``.
 
     Inverts :func:`distance_from_areal` by bisection sharpened with the
@@ -197,7 +199,7 @@ def distance_from_isotropic(model: SchwarzschildModel, rho: float) -> float:
 # -------------------------------------------------------------------------
 
 
-def static_potential(model: SchwarzschildModel, r: float, tol: float = 1e-12) -> float:
+def static_potential(model: SchwarzschildModel, r: float, tol: float = DEFAULT_ROOT_TOL) -> float:
     """Static potential ``f(r) = h'(r) = sqrt(1 - 2m/h(r))``.
 
     Vanishes on the horizon and tends to 1 at infinity with the expansion

@@ -37,7 +37,7 @@ import numpy as np
 
 from . import ode
 from .errors import DomainError, NoSingularityError, SingularityError
-from .geometry import SchwarzschildModel
+from .geometry import DEFAULT_ROOT_TOL, SchwarzschildModel
 from .roots import brentq
 
 DEFAULT_ODE_TOL = 1e-10
@@ -405,7 +405,7 @@ def psi_c(model: SchwarzschildModel, c: float, r: float) -> float:
     return 0.5 / r + num / den
 
 
-def singularity_radius(model: SchwarzschildModel, c: float, tol: float = 1e-12) -> float:
+def singularity_radius(model: SchwarzschildModel, c: float, tol: float = DEFAULT_ROOT_TOL) -> float:
     """Blow-up radius ``R_c > m/2`` of ``psi_c``.
 
     Root of ``(2R - m)(4 log R + 8 + c) = 8 (2R + m)``, located by
@@ -485,7 +485,7 @@ def riccati_residual_grid(
     return out
 
 
-def radial_q(model: SchwarzschildModel, lam: float = 0.0, k: int = 0):
-    """Convenience: the coefficient ``Q`` as a plain callable of ``r``."""
+def radial_q(model: SchwarzschildModel):
+    """The radial ``lam = 0`` coefficient ``Q`` as a plain callable of ``r``."""
     model.require_horizon("radial_q")
-    return _q_closure(model.mass, k, lam)
+    return _q_closure(model.mass, 0, 0.0)

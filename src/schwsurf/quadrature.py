@@ -17,6 +17,7 @@ result to a ``k``-vector whose components are tested together (see
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -44,9 +45,10 @@ class QuadSpec:
             raise ValueError(f"invalid quadrature spec {self}")
 
 
-# Gauss-Legendre order per panel, and its nodes and weights on [-1, 1]
+# Gauss-Legendre order per panel, and its nodes and weights on [-1, 1],
+# formed on first use so that importing the package loads no numpy.polynomial
 GL_POINTS = 32
-_GL_X, _GL_W = np.polynomial.legendre.leggauss(GL_POINTS)
+_gauss_legendre = functools.cache(lambda: np.polynomial.legendre.leggauss(GL_POINTS))
 
 # periodic rule: nodes of the first level, and the alias guard's shift in
 # units of the node spacing (the golden-ratio fraction, far from every
@@ -57,11 +59,12 @@ ALIAS_SHIFT = 0.5 * (math.sqrt(5.0) - 1.0)
 
 def panel_nodes(a: float, b: float, n_panels: int) -> tuple:
     """Nodes and weights of the composite rule on ``n_panels`` uniform panels."""
+    x, w = _gauss_legendre()
     edges = np.linspace(a, b, n_panels + 1)
     mid = 0.5 * (edges[:-1] + edges[1:])
     half = 0.5 * (edges[1] - edges[0])
-    nodes = (mid[:, None] + half * _GL_X[None, :]).ravel()
-    weights = np.broadcast_to(half * _GL_W[None, :], (n_panels, GL_POINTS)).ravel()
+    nodes = (mid[:, None] + half * x[None, :]).ravel()
+    weights = np.broadcast_to(half * w[None, :], (n_panels, GL_POINTS)).ravel()
     return nodes, weights
 
 

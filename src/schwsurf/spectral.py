@@ -17,12 +17,12 @@ so that results are invariant under rescaling the mass.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, PreconditionError, SearchError
-from .geometry import SchwarzschildModel
+from .geometry import DEFAULT_ROOT_TOL, SchwarzschildModel
 from .mode_odes import DEFAULT_ODE_TOL, ModeParams, RadialSolution, closed_form_v0, integrate_v
 from .roots import brentq
 
@@ -46,11 +46,9 @@ class Spectrum:
     R: float
     entries: tuple
     method: str
-    tolerances: dict = field(default_factory=dict)
 
-    def lambdas(self, k: int | None = None) -> np.ndarray:
-        vals = [e.lam for e in self.entries if k is None or e.k == k]
-        return np.asarray(vals)
+    def lambdas(self) -> np.ndarray:
+        return np.asarray([e.lam for e in self.entries])
 
 
 @dataclass(frozen=True)
@@ -161,7 +159,6 @@ def eigenvalues_shooting(
         R=R,
         entries=tuple(entries),
         method="shooting",
-        tolerances={"lambda_tol": tol, "ode_tol": ode_tol},
     )
 
 
@@ -351,7 +348,7 @@ def morse_index(
     )
 
 
-def stability_radius(model: SchwarzschildModel, tol: float = 1e-12) -> float:
+def stability_radius(model: SchwarzschildModel, tol: float = DEFAULT_ROOT_TOL) -> float:
     """Largest truncation radius with a nonnegative radial mode.
 
     Root of ``(1/2) log(2R/m) = (2R + m)/(2R - m)`` on ``(m/2, infinity)``,

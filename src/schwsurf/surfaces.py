@@ -95,11 +95,11 @@ def latitude_circle(theta0: float) -> SphereCurve:
     )
 
 
-def curve_from_callable(alpha, period: float, fd_step: float | None = None) -> SphereCurve:
-    """Wrap a user curve; derivatives by 4th-order central differences."""
+def curve_from_callable(alpha, period: float) -> SphereCurve:
+    """Wrap a user curve; derivatives by 4th-order central differences, step 1e-5 period."""
     if not (period > 0.0):
         raise DomainError(f"period must be > 0, got {period}")
-    h = 1e-5 * period if fd_step is None else fd_step
+    h = 1e-5 * period
 
     def a(s):
         return np.asarray(alpha(s), dtype=float)
@@ -210,8 +210,8 @@ def _cone(curve: SphereCurve, t_range: tuple, free_boundary: bool = True) -> Par
 def make_cone(model: SchwarzschildModel, curve: SphereCurve, t_max: float) -> ParamSurface:
     """Cone ``{t alpha(s) : m/2 <= t <= t_max}`` over a unit-sphere curve."""
     m = model.mass
-    if not (t_max > 0.5 * m):
-        raise DomainError(f"t_max must exceed m/2 = {0.5 * m}, got {t_max}")
+    if not (0.5 * m < t_max < math.inf):
+        raise DomainError(f"t_max must be finite and exceed m/2 = {0.5 * m}, got {t_max}")
     return _cone(curve, (0.5 * m, t_max))
 
 
@@ -241,8 +241,8 @@ def make_general(
     trapezoid rule converges only on a smooth periodic integrand.
     """
     t0, t1 = t_range
-    if not (t1 > t0):
-        raise DomainError(f"empty t range {t_range}")
+    if not (-math.inf < t0 < t1 < math.inf):
+        raise DomainError(f"t range {t_range} is empty or not finite")
     if not (s_period > 0.0):
         raise DomainError(f"s period must be > 0, got {s_period}")
     ht = 1e-5 * (t1 - t0)
@@ -364,10 +364,14 @@ def radial_normal_component(model: SchwarzschildModel, surface: ParamSurface, t:
 
 
 def clip_radius(model: SchwarzschildModel, rho: float) -> float:
-    """Isotropic radius of the sphere at horizon distance ``rho``."""
+    """Isotropic radius of the sphere at horizon distance ``rho``, if finite."""
     if not 0.0 <= rho < math.inf:
         raise DomainError(f"horizon distance must be finite and >= 0, got {rho}")
-    return isotropic_from_areal(model, areal_from_distance(model, rho))
+    # in plain floats, which overflow to inf without a warning
+    t = isotropic_from_areal(model, areal_from_distance(model, float(rho)))
+    if t == math.inf:
+        raise DomainError(f"the sphere at horizon distance {rho} is beyond the double range")
+    return t
 
 
 def _clipped_integral(model, surface, rho, spec, w, normal=False) -> float:
@@ -613,25 +617,22 @@ def density_at_infinity(
     surface: ParamSurface,
     rho_max: float,
     spec: QuadSpec = QuadSpec(),
-    n_tail: int = 6,
 ) -> DensityReport:
     """Limiting area ratio against the reference great-circle cone.
 
-    Samples the ratio on a geometric tail up to ``rho_max``, then
+    Samples the ratio at six radii, halving down from ``rho_max``, then
     extrapolates linearly in ``1/h(rho)``.  A tail whose increments grow
     is flagged as not converged ("no finite density detected").
     """
     m = model.mass
-    if n_tail < 2:
-        raise DomainError(f"n_tail must be >= 2 for the extrapolation, got {n_tail}")
     if not (rho_max > max(m, surface.t_range[0])):
         raise DomainError(f"rho_max = {rho_max} is too small for a tail estimate")
-    rhos = rho_max * 0.5 ** np.arange(n_tail - 1, -1, -1)
+    rhos = rho_max * 0.5 ** np.arange(5, -1, -1)
 
     # reference cone large enough to never be clipped by its own t_max
     ref = make_plane(model, t_max=2.0 * clip_radius(model, rho_max))
 
-    ratios = np.empty(n_tail)
+    ratios = np.empty(len(rhos))
     for i, r in enumerate(rhos):
         denom = area_integral(model, ref, r, spec)
         ratios[i] = area_integral(model, surface, r, spec) / denom
@@ -643,7 +644,7 @@ def density_at_infinity(
     theta = (y1 * x0 - y0 * x1) / (x0 - x1)
 
     d_last = abs(ratios[-1] - ratios[-2])
-    d_prev = abs(ratios[-2] - ratios[-3]) if n_tail >= 3 else d_last
+    d_prev = abs(ratios[-2] - ratios[-3])
     scale = max(abs(ratios[-1]), 1e-300)
     converged = d_last <= max(1.05 * d_prev, 1e3 * spec.rel_tol * scale)
     note = "" if converged else "no finite density detected"

@@ -60,7 +60,7 @@ def test_geom_json_provenance_header():
     assert doc["tool"] == "schwsurf"
     assert doc["version"] == schwsurf.__version__
     assert doc["mass"] == 2.0
-    assert set(doc["tolerances"]) == {"ode_tol", "root_tol", "quad_tol"}
+    assert set(doc["tolerances"]) == {"root_tol"}
     assert set(doc) == {"tool", "version", "mass", "tolerances", "rows"}
     assert len(doc["rows"]) == 5
     assert doc["rows"][0]["rho_iso"] == 1.0
@@ -171,6 +171,8 @@ def test_monotonicity_bad_surface_spec():
         ("boundary-bound", "--quad-tol", "inf"),
         ("spectrum", "--R", "20", "--ode-tol", "inf"),
         ("stability-radius", "--root-tol", "nan"),
+        ("monotonicity", "--rho-max", "1e308"),
+        ("boundary-bound", "--rho-max", "1e308"),
     ],
     ids=" ".join,
 )
@@ -178,6 +180,44 @@ def test_non_finite_input_is_usage_error(argv):
     result = run_cli(*argv, "--mass", "2")
     assert result.exit_code == 2
     assert result.stdout == ""
+
+
+# -------------------------------------------------------- tolerance flags
+
+# each subcommand with its required options, and the tolerance it reads
+SUBCOMMANDS = {
+    "geom": (("geom",), "--root-tol"),
+    "stability-radius": (("stability-radius",), "--root-tol"),
+    "riccati": (("riccati", "--c", "0"), "--root-tol"),
+    "spectrum": (("spectrum", "--R", "20"), "--ode-tol"),
+    "morse-index": (("morse-index", "--R", "100"), "--ode-tol"),
+    "monotonicity": (("monotonicity",), "--quad-tol"),
+    "boundary-bound": (("boundary-bound",), "--quad-tol"),
+}
+FOREIGN_FLAGS = [
+    (name, flag)
+    for name, (_, own) in SUBCOMMANDS.items()
+    for flag in ("--ode-tol", "--root-tol", "--quad-tol")
+    if flag != own
+]
+
+
+@pytest.mark.parametrize("name, flag", FOREIGN_FLAGS, ids=" ".join)
+def test_foreign_tolerance_flag_is_usage_error(name, flag):
+    argv, _ = SUBCOMMANDS[name]
+    result = run_cli(*argv, "--mass", "2", flag, "1e-3")
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert "No such option" in result.stderr
+
+
+def test_config_rejects_foreign_tolerance_key(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("mass = 2\nquad_tol = 1e-9\n")
+    result = run_cli("stability-radius", "--config", str(cfg))
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert "unknown config key 'quad_tol'" in result.stderr
 
 
 # ---------------------------------------------------------- boundary-bound
@@ -219,11 +259,11 @@ def test_riccati_flat_model_is_usage_error():
 
 def test_config_file_fills_defaults(tmp_path):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("# sample\nmass = 2\nquad_tol = 1e-9\n")
+    cfg.write_text("# sample\nmass = 2\nroot_tol = 1e-11\n")
     result = run_cli("stability-radius", "--config", str(cfg), "--output", "json")
     doc = json.loads(result.output)
     assert doc["mass"] == 2.0
-    assert doc["tolerances"]["quad_tol"] == 1e-9
+    assert doc["tolerances"] == {"root_tol": 1e-11}
 
 
 def test_flags_win_over_config(tmp_path):
@@ -245,7 +285,7 @@ def test_config_rejects_unknown_key(tmp_path):
 
 def test_config_rejects_bad_value(tmp_path):
     cfg = tmp_path / "run.cfg"
-    for line in ("mass = heavy", "output = yaml", "quad_tol = nan"):
+    for line in ("mass = heavy", "output = yaml", "root_tol = nan"):
         cfg.write_text(line + "\n")
         result = run_cli("stability-radius", "--config", str(cfg))
         assert result.exit_code == 2, line

@@ -5,13 +5,17 @@ fool the plain nested test, the floor for a component that is rounding
 noise beside its bound, and the error raised at the node budget.
 """
 
+import json
 import math
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from schwsurf import QuadSpec, QuadratureError
+from schwsurf import QuadSpec, QuadratureError, SchwarzschildModel, make_plane, mu_integral
+from schwsurf import quadrature
 from schwsurf.quadrature import GL_POINTS, PERIODIC_START, integrate, integrate_periodic
 
 TWO_PI = 2.0 * math.pi
@@ -155,3 +159,34 @@ def test_component_above_floor_keeps_relative_test():
 def test_quad_spec_rejects_bad_tolerance(rel_tol):
     with pytest.raises(ValueError):
         QuadSpec(rel_tol=rel_tol)
+
+
+# --------------------------------------------------------- Gauss-Legendre rule
+
+_LAZY_RULE_PROBE = """
+import json, sys
+import numpy
+by_numpy = "numpy.polynomial" in sys.modules
+import schwsurf.cli
+at_import = "numpy.polynomial" in sys.modules
+from schwsurf import SchwarzschildModel, make_plane, mu_integral
+m2 = SchwarzschildModel(2.0)
+mu = mu_integral(m2, make_plane(m2, 100.0), 20.0)
+print(json.dumps({"by_numpy": by_numpy, "at_import": at_import,
+                  "after_integral": "numpy.polynomial" in sys.modules, "mu": mu.hex()}))
+"""
+
+
+def test_gauss_legendre_rule_formed_on_first_use(monkeypatch):
+    # importing the package loads numpy.polynomial only if numpy itself does;
+    # the first integral forms the rule, and it is the eager rule to the bit
+    proc = subprocess.run(
+        [sys.executable, "-c", _LAZY_RULE_PROBE], capture_output=True, text=True, check=True
+    )
+    probe = json.loads(proc.stdout)
+    assert probe["at_import"] == probe["by_numpy"]
+    assert probe["after_integral"]
+    eager = np.polynomial.legendre.leggauss(GL_POINTS)
+    monkeypatch.setattr(quadrature, "_gauss_legendre", lambda: eager)
+    m2 = SchwarzschildModel(2.0)
+    assert probe["mu"] == mu_integral(m2, make_plane(m2, 100.0), 20.0).hex()

@@ -129,6 +129,15 @@ def test_nonradial_spectrum_positive(m2):
     assert spec.lambdas()[0] > 0.0
 
 
+def test_upper_bracket_doubles_across_wide_gaps(m2):
+    # at R = 1.5 m the gaps between high eigenvalues pass the 10/m^2 start
+    # step, so the upper bracket must double; FD Richardson is the oracle
+    shoot = eigenvalues_shooting(m2, 0, 3.0, 5).lambdas()
+    assert np.max(np.diff(shoot)) > 10.0
+    fd = richardson_lowest(m2, 0, 3.0, 1024, 5)
+    assert np.max(np.abs(shoot - fd) / np.abs(fd)) <= 1e-8
+
+
 def test_spectrum_search_validation(m2):
     with pytest.raises(DomainError):
         eigenvalues_shooting(m2, 0, 20.0, 0)

@@ -187,6 +187,15 @@ def test_clipped_integral_outside_range_is_zero(m2):
 def test_make_cone_validation(m2):
     with pytest.raises(DomainError):
         make_cone(m2, great_circle(), t_max=0.5)
+    with pytest.raises(DomainError):
+        make_cone(m2, great_circle(), t_max=math.inf)
+
+
+def test_make_general_rejects_non_finite_t_range():
+    chart = lambda t, s: np.array([t * math.cos(s), t * math.sin(s), 1.0])
+    for t_range in ((0.0, math.inf), (-math.inf, 1.0), (0.0, math.nan), (2.0, 1.0)):
+        with pytest.raises(DomainError):
+            make_general(chart, t_range, TWO_PI)
 
 
 def test_surface_check_plane(m2):
@@ -261,6 +270,28 @@ def test_radial_normal_degenerate_chart_raises(flat):
 
 
 # ------------------------------------------------------------- general path
+
+
+@pytest.mark.parametrize(
+    "rho, expected", [(1.2, 0.0), (5.0, 8.0 * math.pi), (2.0, 2.0 * math.pi)],
+    ids=["every-slice-empty", "every-slice-whole", "brent"],
+)
+def test_slice_limit_whole_slice_shortcuts(flat, rho, expected):
+    # z = 1 over the annulus 1 <= t <= 3: |x| = sqrt(t^2 + 1) runs from
+    # sqrt(2) to sqrt(10), so the ball of radius rho clips nothing, all,
+    # or t up to sqrt(rho^2 - 1)
+    graph = make_general(
+        chart=lambda t, s: np.array([t * math.cos(s), t * math.sin(s), 1.0]),
+        t_range=(1.0, 3.0),
+        s_period=TWO_PI,
+        chart_t=lambda t, s: np.array([math.cos(s), math.sin(s), 0.0]),
+        chart_s=lambda t, s: np.array([-t * math.sin(s), t * math.cos(s), 0.0]),
+    )
+    area = area_integral(flat, graph, rho)
+    if expected == 0.0:
+        assert area == 0.0
+    else:
+        assert area == pytest.approx(expected, rel=1e-13)
 
 
 def test_general_path_matches_cone_path(m2):
@@ -490,13 +521,6 @@ def test_density_of_latitude_cone(m2, theta0):
     assert rep.theta == pytest.approx(math.sin(theta0), abs=1e-6)
 
 
-def test_density_rejects_short_tail(m2):
-    plane = make_plane(m2, t_max=1e4)
-    for n_tail in (0, 1):
-        with pytest.raises(DomainError):
-            density_at_infinity(m2, plane, 500.0, n_tail=n_tail)
-
-
 def test_density_flat_plane(flat):
     plane = make_plane(flat, t_max=1e4)
     rep = density_at_infinity(flat, plane, 300.0)
@@ -536,6 +560,16 @@ def test_clip_radius_inverts_horizon_distance(m2):
         assert distance_from_isotropic(m2, clip_radius(m2, rho)) == pytest.approx(
             rho, rel=1e-10
         )
+
+
+def test_clip_radius_beyond_double_range_is_domain_error(m2):
+    # the areal radius squares past the double range: an error, no warning
+    for rho in (2e154, np.float64(1e308)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError):
+                clip_radius(m2, rho)
+    assert clip_radius(m2, np.float64(1e150)) == clip_radius(m2, 1e150)
 
 
 def test_ball_filter_predicate(m2):
