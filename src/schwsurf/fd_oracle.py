@@ -158,6 +158,7 @@ def lowest_eigenvalues(problem: DiscreteModeProblem, how_many: int) -> Spectrum:
         R=problem.R,
         entries=entries,
         method="finite-difference",
+        probes=0,
     )
 
 

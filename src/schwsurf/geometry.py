@@ -104,7 +104,9 @@ def isotropic_from_areal(model: SchwarzschildModel, s: float) -> float:
     """Exterior inverse of :func:`areal_from_isotropic`.
 
     Solves ``rho + m + m^2/(4 rho) = s`` on the branch ``rho >= m/2``:
-    ``rho = (s - m + sqrt(s (s - 2m))) / 2``.
+    ``rho = (s - m + sqrt(s) sqrt(s - 2m)) / 2``.  The root of the product
+    is taken as a product of roots, so ``s^2`` never overflows, and
+    ``s - 2m`` is exact near the horizon.
     """
     m = model.mass
     if m == 0.0:
@@ -113,7 +115,7 @@ def isotropic_from_areal(model: SchwarzschildModel, s: float) -> float:
         return s
     if s < 2.0 * m:
         raise DomainError(f"s must be >= 2m = {2.0 * m}, got {s}")
-    return 0.5 * (s - m + math.sqrt(s * (s - 2.0 * m)))
+    return 0.5 * (s - m + math.sqrt(s) * math.sqrt(s - 2.0 * m))
 
 
 def distance_from_areal(model: SchwarzschildModel, s: float) -> float:
@@ -121,7 +123,10 @@ def distance_from_areal(model: SchwarzschildModel, s: float) -> float:
 
     Closed form ``r(s) = s q + m log((1+q)^2 s / 2m)`` with
     ``q = sqrt(1 - 2m/s)``; the log argument is the cancellation-free
-    rewrite of ``(1+q)/(1-q)``.  For ``s - 2m < 1e-8 m`` the leading
+    rewrite of ``(1+q)/(1-q)``, taken as ``2 log1p(q) + log(s/2m)`` so
+    that it does not overflow for ``s`` near the top of the double range
+    (nor does ``s/2m`` itself, whose log is then ``log s - log 2m``).
+    For ``s - 2m < 1e-8 m`` the leading
     series ``r = 2 sqrt(2m (s - 2m))`` is used instead, where the direct
     formula has lost its significant digits.
     """
@@ -136,7 +141,9 @@ def distance_from_areal(model: SchwarzschildModel, s: float) -> float:
     if gap < 1e-8 * m:
         return 2.0 * math.sqrt(2.0 * m * gap)
     q = math.sqrt(gap / s)
-    return s * q + m * math.log((1.0 + q) * (1.0 + q) * s / (2.0 * m))
+    x = s / (2.0 * m)
+    log_x = math.log(x) if x < math.inf else math.log(s) - math.log(2.0 * m)
+    return s * q + m * (2.0 * math.log1p(q) + log_x)
 
 
 # -------------------------------------------------------------------------

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import ode
-from .errors import DomainError, NoSingularityError, SingularityError
+from .errors import DomainError, IntegrationError, NoSingularityError, SingularityError
 from .geometry import DEFAULT_ROOT_TOL, SchwarzschildModel
 from .roots import brentq
 
@@ -274,6 +274,42 @@ def integrate_v(params: ModeParams, tol: float = DEFAULT_ODE_TOL) -> RadialSolut
         tol,
     )
     return RadialSolution(params, traj)
+
+
+def miss_distance(params: ModeParams, r_c: float, tol: float = DEFAULT_ODE_TOL) -> float:
+    """Pryce's miss-distance ``theta_L(r_c) - theta_R(r_c)`` at the matching
+    radius ``r_c`` (Pryce, *Numerical Solution of Sturm-Liouville Problems*).
+
+    ``theta_L`` is the phase of the horizon shot stopped at ``r_c`` (the
+    shot of the mode truncated there); ``theta_R`` is the phase of the
+    solution with ``v(R) = 0``, shot inward from ``theta(R) = 0``.  The
+    inward half runs forward in ``y = -x`` through the same integrator:
+    there the Prüfer pair obeys the same equations with the coefficients
+    ``(-A, -B, -D)`` taken at ``x = -y``.
+
+    The miss-distance increases strictly with ``lam``, and since the
+    right-hand side depends on the phase through ``2 theta`` only, the two
+    halves join into one solution exactly where it is a multiple of ``pi``:
+    the ``n``-th eigenvalue of the truncated mode is the root of
+    ``D(lam) = n pi``.  Neither half crosses the region where the horizon
+    shot grows exponentially past ``r_c``, so ``D`` stays smooth in ``lam``
+    where the one-sided ``theta(R; lam)`` jumps by ``pi``.
+    """
+    if not (params.model.horizon_rho < r_c < params.R):
+        raise DomainError(f"r_c must lie in ({params.model.horizon_rho}, {params.R}), got {r_c}")
+    theta_left = integrate_v(ModeParams(params.model, params.k, params.lam, r_c), tol=tol).phase(r_c)
+    coefficients = _prufer_closure(params.model.mass, params.k, params.lam)
+
+    def reflected(y: float) -> tuple:
+        a, b, d = coefficients(-y)
+        return -a, -b, -d
+
+    try:
+        inward = ode.integrate_prufer(reflected, -math.log(params.R), -math.log(r_c), 0.0, 0.0, tol)
+    except IntegrationError as err:  # report the radius, not 1/r
+        r = 1.0 / err.last_r
+        raise IntegrationError(f"step size underflow at r = {r}", last_r=r) from None
+    return theta_left - float(inward.y[-1, 0])
 
 
 # -------------------------------------------------------------------------

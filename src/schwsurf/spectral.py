@@ -7,8 +7,16 @@ position of the ``n``-th eigenvalue to the number of interior zeros of
 the horizon shot: the ``lam = 0`` shot has as many interior zeros as the
 mode has negative eigenvalues.  Shots run in ``log r`` as a scaled Prüfer
 phase (:mod:`schwsurf.mode_odes`), so counts are read off the phase at
-``R`` and the ``n``-th eigenvalue is the root of ``theta(R; lam) = n pi``.
-No step cap or step budget ties the cost of a shot to ``R``.
+``R``.  No step cap or step budget ties the cost of a shot to ``R``.
+
+Eigenvalues come from two-sided shooting (Pryce, *Numerical Solution of
+Sturm-Liouville Problems*, OUP 1993): the horizon shot and the shot inward
+from ``v(R) = 0`` meet at the matching radius ``r_c = min(4m, sqrt(m R/2))``,
+and the ``n``-th eigenvalue is the root of the miss-distance
+``D(lam) = theta_L(r_c) - theta_R(r_c) = n pi``.  Past ``R`` of about
+``50 m`` the one-sided ``theta(R; lam)`` jumps by ``pi`` across an
+exponentially narrow window in ``lam``, where a root search can only
+bisect; ``D`` stays smooth there.
 
 Eigenvalues are reported in mass-squared units (``lam_report = lam_raw m^2``)
 so that results are invariant under rescaling the mass.
@@ -23,11 +31,18 @@ import numpy as np
 
 from .errors import DomainError, PreconditionError, SearchError
 from .geometry import DEFAULT_ROOT_TOL, SchwarzschildModel
-from .mode_odes import DEFAULT_ODE_TOL, ModeParams, RadialSolution, closed_form_v0, integrate_v
+from .mode_odes import (
+    DEFAULT_ODE_TOL,
+    ModeParams,
+    RadialSolution,
+    closed_form_v0,
+    integrate_v,
+    miss_distance,
+)
 from .roots import brentq
 
 DEFAULT_LAMBDA_TOL = 1e-9  # mass-squared units; keep >= 10x the ODE tol
-_BRACKET_START = 10.0  # mass-squared units
+_SPECTRUM_FLOOR = -0.125  # mass-squared units: lam_1 > -1/(8 m^2) for every k and R
 _MAX_DOUBLINGS = 60
 
 
@@ -46,6 +61,7 @@ class Spectrum:
     R: float
     entries: tuple
     method: str
+    probes: int  # values of lam shot; 0 for FD
 
     def lambdas(self) -> np.ndarray:
         return np.asarray([e.lam for e in self.entries])
@@ -96,17 +112,32 @@ def eigenvalues_shooting(
     tol: float = DEFAULT_LAMBDA_TOL,
     ode_tol: float = DEFAULT_ODE_TOL,
 ) -> Spectrum:
-    """Lowest ``how_many`` eigenvalues of mode ``k`` by shooting.
+    """Lowest ``how_many`` eigenvalues of mode ``k`` by two-sided shooting.
 
-    The ``n``-th eigenvalue is the ``lam`` at which the shot's Prüfer phase
-    ends on ``theta(R; lam) = n pi``.  ``theta(R; lam) - n pi`` changes sign
-    once, upward, as ``lam`` grows, so it is bracketed on one side by the
-    previous eigenvalue (or by 0 for the first) and on the other by
-    doubling a step of ``10/m^2``, then polished by bracketed root finding.
-    ``tol`` bounds the final bracket width in mass-squared units.
+    The ``n``-th eigenvalue is the root of Pryce's miss-distance
+    ``D(lam) = theta_L(r_c; lam) - theta_R(r_c; lam) = n pi``
+    (:func:`schwsurf.mode_odes.miss_distance`): the horizon shot and the
+    shot inward from ``v(R) = 0`` meet at the matching radius
+    ``r_c = min(4m, sqrt(m R/2))``, the midpoint of ``[m/2, R]`` in
+    ``log r``, capped near the horizon where the lowest mode lives.  ``D``
+    increases strictly and smoothly with ``lam``, also where the one-sided
+    ``theta(R; lam)`` jumps by ``pi`` across an exponentially narrow
+    window, so the root search does not degrade to bisection.
 
-    Raises :class:`SearchError` with diagnostics if bracket expansion
-    fails to enclose the requested eigenvalue or the root search fails.
+    One pair of half-shots per ``lam`` serves every ``n``, so each probe is
+    kept and every bracket is the tightest the probes made so far allow.
+    The probes start at ``lam = 0`` and, when ``D(0) > pi``, at the lower
+    bound ``-1/(8 m^2)`` of the spectrum (the largest ratio of the
+    potential ``(m/r^3)(1 + m/2r)^-2`` to the weight ``(1 + m/2r)^4``,
+    reached on the horizon).  Above the highest probe, brackets grow by
+    doubling a step of ``(pi/(R - m/2))^2``, the lowest Dirichlet
+    eigenvalue of ``-u''`` on ``[m/2, R]``.  Each bracket is polished by
+    Brent's method; ``tol`` bounds its final width in mass-squared units.
+    :attr:`Spectrum.probes` counts the values of ``lam`` shot.
+
+    Raises :class:`SearchError` with diagnostics if no probe falls below
+    an eigenvalue, bracket expansion fails to enclose it, or the root
+    search fails.
     """
     model.require_horizon("eigenvalues_shooting")
     m = model.mass
@@ -119,34 +150,44 @@ def eigenvalues_shooting(
 
     m2 = m * m
     tol_raw = tol / m2
+    r_c = min(4.0 * m, math.sqrt(0.5 * m * R))
+    step = (math.pi / (R - 0.5 * m)) ** 2
     cache: dict = {}
 
-    def phase(lam_raw: float) -> float:
+    def miss(lam_raw: float) -> float:
         if lam_raw not in cache:
-            cache[lam_raw] = integrate_v(ModeParams(model, k, lam_raw, R), tol=ode_tol).phase(R)
+            cache[lam_raw] = miss_distance(ModeParams(model, k, lam_raw, R), r_c, tol=ode_tol)
         return cache[lam_raw]
 
-    def expand(lam: float, n: int, side: str) -> float:
-        sign = -1.0 if side == "lower" else 1.0
+    def bracket(n: int) -> tuple:
+        target = n * math.pi
+        lam = max(max(cache), 0.0) + step
         for _ in range(_MAX_DOUBLINGS):
-            if sign * (phase(lam) - n * math.pi) > 0.0:
-                return lam
+            if max(cache.values()) > target:
+                break
+            miss(lam)
             lam *= 2.0
-        raise SearchError(
-            f"{side} bracket expansion failed",
-            diagnostics={"k": k, "n": n, "side": side, "lam": lam * m2, "phase": phase(lam / 2.0)},
-        )
+        if max(cache.values()) <= target:
+            raise SearchError(
+                "upper bracket expansion failed",
+                diagnostics={"k": k, "n": n, "lam": lam * m2, "miss": max(cache.values())},
+            )
+        below = [x for x, d in cache.items() if d <= target]
+        if not below:
+            lowest = min(cache)
+            raise SearchError(
+                "no probe below the eigenvalue",
+                diagnostics={"k": k, "n": n, "lam": lowest * m2, "miss": cache[lowest]},
+            )
+        return max(below), min(x for x, d in cache.items() if d > target)
 
+    if miss(0.0) > math.pi:
+        miss(_SPECTRUM_FLOOR / m2)
     entries = []
     for n in range(1, how_many + 1):
-        # one end is the previous eigenvalue, or 0 for the first: cheap shots
-        lam_lo = entries[-1].lam / m2 if entries else 0.0
-        if phase(lam_lo) > n * math.pi:  # only n = 1, with lam = 0 above it
-            lam_lo, lam_hi = expand(-_BRACKET_START / m2, n, "lower"), lam_lo
-        else:
-            lam_hi = expand(max(lam_lo, 0.0) + _BRACKET_START / m2, n, "upper")
+        lam_lo, lam_hi = bracket(n)
         lam_n = brentq(
-            lambda lam: phase(lam) - n * math.pi,
+            lambda lam: miss(lam) - n * math.pi,
             lam_lo,
             lam_hi,
             xtol=tol_raw,
@@ -159,6 +200,7 @@ def eigenvalues_shooting(
         R=R,
         entries=tuple(entries),
         method="shooting",
+        probes=len(cache),
     )
 
 

@@ -85,6 +85,7 @@ def test_assembly_validation(m2):
 def test_spectrum_units_and_metadata(m2):
     spec = lowest_eigenvalues(assemble(m2, 0, 20.0, 256), 2)
     assert spec.method == "finite-difference"
+    assert spec.probes == 0
     assert [e.n for e in spec.entries] == [1, 2]
     assert np.all(np.diff(spec.lambdas()) > 0.0)
 

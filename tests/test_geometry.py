@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -86,6 +87,21 @@ def test_distance_from_areal_examples(m2, flat):
     assert distance_from_areal(m2, 20.0) == pytest.approx(R_OF_S20_M2, rel=1e-12)
     with pytest.raises(DomainError):
         distance_from_areal(m2, 3.9)
+
+
+@pytest.mark.parametrize("mass", [2.0, 0.1])
+def test_distance_from_areal_near_the_top_of_the_double_range(mass):
+    """``(1+q)^2 s/2m`` overflows past s = 4.5e307 at m = 2, and ``s/2m``
+    past 3.6e307 at m = 0.1; the distance does not, and its inverse
+    recovers s (it stopped where the distance overflowed before)."""
+    model = SchwarzschildModel(mass)
+    s = 1e308
+    with mpmath.workdps(40):
+        q = mpmath.sqrt(1 - 2 * mpmath.mpf(mass) / s)
+        ref = s * q + mass * mpmath.log((1 + q) ** 2 * s / (2 * mpmath.mpf(mass)))
+    r = distance_from_areal(model, s)
+    assert abs(r - ref) <= 1e-15 * ref
+    assert areal_from_distance(model, r) == pytest.approx(s, rel=1e-15)
 
 
 def test_distance_near_horizon_series(m2):

@@ -67,8 +67,9 @@ def test_singularity_radius_residual_matches_scipy(compared, m2, c):
 
 @pytest.mark.parametrize("R, count", [(40.0, 3), (200.0, 2)])
 def test_phase_residual_matches_scipy(compared, m2, R, count):
-    # at R = 200 m the phase jumps by about pi across a narrow window in
-    # lambda, so the search falls back to bisection for most steps
+    # R = 200 is 100 m at m = 2: far enough out that the one-sided phase
+    # would jump by pi across a narrow window in lambda; the miss-distance
+    # the search solves is smooth there
     searches = compared(spectral)
     spectral.eigenvalues_shooting(m2, 0, R, count)
     assert len(searches) == count

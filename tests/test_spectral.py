@@ -23,6 +23,8 @@ from schwsurf import (
 from conftest import R_STAR_M2
 from schwsurf import spectral
 from schwsurf.errors import DomainError, PreconditionError, SearchError
+from schwsurf.mode_odes import miss_distance
+from schwsurf.roots import brentq
 from schwsurf.spectral import interior_zero_count
 
 LAMBDA_TOL = 1e-9  # mass-squared units, the search default
@@ -96,6 +98,9 @@ def test_spectrum_metadata(spec20, m2):
     assert spec20.R == 20.0
     assert [e.n for e in spec20.entries] == [1, 2, 3]
     assert all(e.k == 0 for e in spec20.entries)
+    # the probe count is deterministic: the same search shoots the same lams
+    again = eigenvalues_shooting(m2, 0, 20.0, 3, tol=LAMBDA_TOL, ode_tol=ODE_TOL)
+    assert spec20.probes == again.probes > 0
 
 
 def test_spectrum_terminal_condition(spec20, m2):
@@ -130,8 +135,9 @@ def test_nonradial_spectrum_positive(m2):
 
 
 def test_upper_bracket_doubles_across_wide_gaps(m2):
-    # at R = 1.5 m the gaps between high eigenvalues pass the 10/m^2 start
-    # step, so the upper bracket must double; FD Richardson is the oracle
+    # at R = 1.5 m the gaps between high eigenvalues pass the start step
+    # (pi/(R - m/2))^2 = 9.9/m^2, so the upper bracket must double; FD
+    # Richardson is the oracle
     shoot = eigenvalues_shooting(m2, 0, 3.0, 5).lambdas()
     assert np.max(np.diff(shoot)) > 10.0
     fd = richardson_lowest(m2, 0, 3.0, 1024, 5)
@@ -152,6 +158,80 @@ def test_spectrum_scale_covariance():
     a = eigenvalues_shooting(SchwarzschildModel(1.0), 0, 10.0, 2)
     b = eigenvalues_shooting(SchwarzschildModel(2.0), 0, 20.0, 2)
     assert b.lambdas() == pytest.approx(a.lambdas(), rel=1e-6, abs=1e-9)
+
+
+# ------------------------------------------------------- two-sided shooting
+
+
+def one_sided_eigenvalue(model, k, R, n):
+    """Reference route: the root of the horizon shot's phase alone,
+    ``theta(R; lam) = n pi``, in mass-squared units.  The phase increases
+    with lam, so ``lam_n`` is its only root between the lower bound
+    ``-1/8`` of the spectrum and ``1``; where the phase jumps across a
+    narrow window, Brent's method bisects there."""
+    mass_sq = model.mass**2
+
+    def residual(lam):
+        return integrate_v(ModeParams(model, k, lam, R), tol=ODE_TOL).phase(R) - n * math.pi
+
+    lam = brentq(
+        residual, -0.125 / mass_sq, 1.0 / mass_sq, xtol=LAMBDA_TOL / mass_sq, rtol=8.0 * np.finfo(float).eps
+    )
+    return lam * mass_sq
+
+
+@pytest.mark.parametrize("R", [40.0, 200.0])  # 20 m and 100 m
+@pytest.mark.parametrize("k", [0, 1])
+def test_two_sided_shooting_matches_one_sided_reference(m2, k, R):
+    lams = eigenvalues_shooting(m2, k, R, 2).lambdas()
+    ref = [one_sided_eigenvalue(m2, k, R, n) for n in (1, 2)]
+    assert np.max(np.abs(lams - ref)) <= 2.0 * LAMBDA_TOL
+
+
+def test_miss_distance_roots_do_not_depend_on_the_matching_radius(m2):
+    R = 40.0
+    mass_sq = m2.mass**2
+    for n in (1, 2):
+        found = []
+        for r_c in (1.5, 8.0, 30.0):
+
+            def residual(lam):
+                return miss_distance(ModeParams(m2, 0, lam, R), r_c, tol=ODE_TOL) - n * math.pi
+
+            lam = brentq(residual, -0.125 / mass_sq, 1.0 / mass_sq, xtol=1e-13, rtol=8.0 * np.finfo(float).eps)
+            found.append(lam * mass_sq)
+        assert max(found) - min(found) <= LAMBDA_TOL, (n, found)
+
+
+def test_miss_distance_validation(m2):
+    params = ModeParams(m2, 0, 0.0, 20.0)
+    for r_c in (1.0, 20.0, 0.5, 25.0):
+        with pytest.raises(DomainError):
+            miss_distance(params, r_c)
+
+
+def test_search_at_100m_takes_few_probes(m2, monkeypatch):
+    """The one-sided search took 35 shots here, bisecting across the jump."""
+    shot = []
+
+    def counted(params, r_c, tol):
+        shot.append(params.lam)
+        return miss_distance(params, r_c, tol=tol)
+
+    monkeypatch.setattr(spectral, "miss_distance", counted)
+    spec = eigenvalues_shooting(m2, 0, 200.0, 1)
+    assert spec.probes == len(shot) == len(set(shot))
+    assert spec.probes <= 20
+
+
+def test_eigenvalues_at_the_index_truncation(m2):
+    """At R = 1e3 m, lam_1 has converged to its value at 100 m, and the
+    spectrum's sign change agrees with the Morse count."""
+    far = eigenvalues_shooting(m2, 0, 2000.0, 2).lambdas()
+    mid = eigenvalues_shooting(m2, 0, 200.0, 1).lambdas()
+    assert abs(far[0] - mid[0]) <= 2e-9
+    assert far[0] < 0.0 < far[1]
+    assert morse_index(m2, R=2000.0, kmax=0).morse_index == 1
 
 
 # -------------------------------------------------------------- eigenfunctions

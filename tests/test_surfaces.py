@@ -9,6 +9,7 @@ cone fast path whose densities have elementary antiderivatives.
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -563,13 +564,33 @@ def test_clip_radius_inverts_horizon_distance(m2):
 
 
 def test_clip_radius_beyond_double_range_is_domain_error(m2):
-    # the areal radius squares past the double range: an error, no warning
-    for rho in (2e154, np.float64(1e308)):
+    # the isotropic radius leaves the double range: an error, no warning
+    for model in (m2, SchwarzschildModel(0.1)):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(DomainError):
-                clip_radius(m2, rho)
+                clip_radius(model, np.float64(1e308))
     assert clip_radius(m2, np.float64(1e150)) == clip_radius(m2, 1e150)
+
+
+@pytest.mark.parametrize("rho", [2e154, 1e300])
+def test_clip_radius_where_the_areal_radius_squared_overflows(m2, rho):
+    """Past s = 1.34e154 the square of the areal radius overflows, but the
+    clip radius is finite: against the exact distance inverted in mpmath."""
+    m = mpmath.mpf(m2.mass)
+    with mpmath.workdps(50):
+
+        def distance(s):
+            q = mpmath.sqrt(1 - 2 * m / s)
+            return s * q + m * mpmath.log((1 + q) ** 2 * s / (2 * m)) - rho
+
+        s = mpmath.findroot(distance, mpmath.mpf(rho))
+        ref = (s - m + mpmath.sqrt(s * (s - 2 * m))) / 2
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = clip_radius(m2, rho)
+    assert math.isfinite(got)
+    assert abs(got - ref) <= 1e-12 * ref
 
 
 def test_ball_filter_predicate(m2):
