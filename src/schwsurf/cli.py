@@ -8,9 +8,13 @@ codes: 0 success, 2 usage or configuration error, 3 numerical failure
 :func:`command`, which carries the shared flags, that tolerance flag, the
 config merge and that exit-code mapping.
 
-Only ``spectrum --method fd|both`` imports scipy (for the FD oracle's
-LAPACK solver, on its first solve); every other subcommand starts
-without it.
+A subcommand loads only the modules it calls.  ``stability-radius``,
+``morse-index``, ``riccati`` and ``spectrum --method shooting`` load no
+numpy (the shooting solvers run on plain floats); ``geom`` loads numpy
+for its ``geomspace`` grid, ``monotonicity`` and ``boundary-bound`` for
+the surface integrals, and ``spectrum --method fd|both`` for the FD
+oracle, which also imports scipy on its first solve.  No other
+subcommand loads scipy.
 
 Eigenvalues are reported in mass-squared units throughout; radius flags
 (``--R``, ``--rho-max``, ``--r-max``) are raw lengths in the same units
@@ -22,12 +26,12 @@ from __future__ import annotations
 import functools
 import json
 import math
+import numbers
 import sys
 
 import click
-import numpy as np
 
-from . import __version__, fd_oracle, spectral, surfaces
+from . import __version__
 from .errors import NUMERICAL_ERRORS, DomainError, PreconditionError
 from .geometry import (
     DEFAULT_ROOT_TOL,
@@ -55,11 +59,18 @@ def _fmt(x) -> str:
         return ""
     if isinstance(x, bool):
         return "true" if x else "false"
-    if isinstance(x, (int, np.integer)):
+    if isinstance(x, numbers.Integral):
         return str(int(x))
     if isinstance(x, str):
         return x
     return format(float(x), ".17g")
+
+
+def _linspace(start: float, stop: float, n: int) -> list:
+    """The ``n >= 2`` nodes of ``np.linspace(start, stop, n)``, to the bit:
+    ``start + i step``, the last one ``stop``."""
+    step = (stop - start) / (n - 1)
+    return [start + i * step for i in range(n - 1)] + [stop]
 
 
 def _emit(config, rows, header, scalars=None, payload_key="rows"):
@@ -182,6 +193,8 @@ def _surface(model: SchwarzschildModel, spec_text: str, rho_max: float, claim: s
 
     A cone off the equator is not minimal: stderr gets a warning that ends
     in ``claim``."""
+    from . import surfaces
+
     t_max = 2.0 * surfaces.clip_radius(model, rho_max)
     parts = spec_text.split(":")
     if parts[0] == "plane":
@@ -222,6 +235,8 @@ def main():
 @click.option("--n", "n_rows", type=int, default=65, show_default=True, help="Number of grid rows.")
 def geom(config, model, r_max, n_rows):
     """Coordinate table: isotropic radius, areal radius, distance, potential."""
+    import numpy as np
+
     if not (0.0 < r_max < math.inf) or n_rows < 2:
         raise click.UsageError("need a finite --r-max > 0 and --n >= 2")
     m = model.mass
@@ -245,6 +260,8 @@ def geom(config, model, r_max, n_rows):
 @command("stability-radius", "root_tol")
 def stability_radius_cmd(config, model):
     """Largest radius of a stable truncated plane, with the equation residual."""
+    from . import spectral
+
     m = model.mass
     R = spectral.stability_radius(model, tol=config["root_tol"])
     residual = 0.5 * math.log(2.0 * R / m) - (2.0 * R + m) / (2.0 * R - m)
@@ -263,12 +280,16 @@ def stability_radius_cmd(config, model):
 @click.option("--method", type=click.Choice(["shooting", "fd", "both"]), default="shooting", show_default=True)
 def spectrum(config, model, k, radius, count, method):
     """Lowest eigenvalues of one truncated mode, in mass-squared units."""
+    from . import spectral
+
     scalars = {"R": radius, "method": method}
     if method in ("shooting", "both"):
         shoot = spectral.eigenvalues_shooting(
             model, k, radius, count, ode_tol=config["ode_tol"]
         )
     if method in ("fd", "both"):
+        from . import fd_oracle
+
         fd_vals = fd_oracle.richardson_lowest(model, k, radius, 1024, count)
     if method == "shooting":
         rows = [(e.k, e.n, e.lam) for e in shoot.entries]
@@ -295,6 +316,8 @@ def spectrum(config, model, k, radius, count, method):
 @click.option("--kmax", type=int, default=5, show_default=True, help="Largest Fourier mode swept.")
 def morse_index_cmd(config, model, radius, kmax):
     """Morse index of the truncated plane: per-mode counts and the sum."""
+    from . import spectral
+
     rep = spectral.morse_index(model, R=radius, kmax=kmax, ode_tol=config["ode_tol"])
     rows = [(k, c) for k, c in rep.per_mode_negative_counts.items()]
     _emit(
@@ -311,6 +334,10 @@ def morse_index_cmd(config, model, radius, kmax):
 @click.option("--rho-max", type=float, default=None, help="Largest horizon distance [default: 100 mass].")
 def monotonicity(config, model, surface_spec, rho_max):
     """Weighted-area ratio trace over a log-spaced grid of ball radii."""
+    import numpy as np
+
+    from . import surfaces
+
     m = model.mass
     if rho_max is None:
         rho_max = 100.0 * m if m > 0.0 else 100.0
@@ -343,6 +370,8 @@ def monotonicity(config, model, surface_spec, rho_max):
 @click.option("--rho-max", type=float, default=None, help="Truncation distance for the tail [default: 500 mass].")
 def boundary_bound(config, model, surface_spec, rho_max):
     """Boundary length against density at infinity, with the defect split."""
+    from . import surfaces
+
     m = model.mass
     if rho_max is None:
         rho_max = 500.0 * m if m > 0.0 else 500.0
@@ -377,8 +406,7 @@ def riccati(config, model, c_value, n_rows):
     if n_rows < 2:
         raise click.UsageError("need --n >= 2")
     R_c = singularity_radius(model, c_value, tol=config["root_tol"])
-    grid = np.linspace(0.5 * m, 0.98 * R_c, n_rows)
-    rows = [(r, psi_c(model, c_value, r)) for r in grid]
+    rows = [(r, psi_c(model, c_value, r)) for r in _linspace(0.5 * m, 0.98 * R_c, n_rows)]
     _emit(
         config,
         rows,

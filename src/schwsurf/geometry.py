@@ -30,7 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError
+from .errors import DomainError, SearchError
 
 DEFAULT_ROOT_TOL = 1e-12
 
@@ -160,18 +160,26 @@ def areal_from_distance(model: SchwarzschildModel, r: float, tol: float = DEFAUL
     ``|r(h) - r| <= tol * max(r, m)``.  The initial bracket is
     ``[2m, 2m + r + 2m max(0, log(1 + r/m))]``; its upper end is valid
     because ``r(s) >= s - 2m``.
+
+    An iterate that stops moving is returned as it is: near the horizon
+    ``s - 2m`` carries too few digits to meet ``tol`` (at ``m = 2``,
+    ``r = 1e-4`` the residual stalls at 4e-11).  ``r = inf`` gives
+    ``inf``.  A non-finite residual, or no convergence in 200 steps,
+    raises :class:`SearchError` with ``r``, ``s`` and the residual.
     """
     m = model.mass
     if m == 0.0:
-        if r < 0.0:
+        if not (r >= 0.0):
             raise DomainError(f"r must be >= 0 for mass 0, got {r}")
         return r
-    if r < 0.0:
+    if not (r >= 0.0):
         raise DomainError(f"r must be >= 0, got {r}")
     if not (tol > 0.0):
         raise DomainError(f"tol must be > 0, got {tol}")
     if r == 0.0:
         return 2.0 * m
+    if r == math.inf:
+        return math.inf
 
     scale = max(r, m)
     lo = 2.0 * m
@@ -181,6 +189,8 @@ def areal_from_distance(model: SchwarzschildModel, r: float, tol: float = DEFAUL
         resid = distance_from_areal(model, s) - r
         if abs(resid) <= tol * scale:
             return s
+        if not math.isfinite(resid):
+            break
         if resid > 0.0:
             hi = s
         else:
@@ -191,9 +201,12 @@ def areal_from_distance(model: SchwarzschildModel, r: float, tol: float = DEFAUL
         if not (lo < s_new < hi) or q == 0.0:
             s_new = 0.5 * (lo + hi)
         if s_new == s:
-            break
+            return s
         s = s_new
-    return s
+    raise SearchError(
+        f"no areal radius at distance r = {r}: last s = {s}, residual {resid}",
+        diagnostics={"r": r, "s": s, "residual": resid},
+    )
 
 
 def distance_from_isotropic(model: SchwarzschildModel, rho: float) -> float:

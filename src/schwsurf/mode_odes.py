@@ -31,11 +31,9 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 
-import numpy as np
-
-from . import ode
 from .errors import DomainError, IntegrationError, NoSingularityError, SingularityError
 from .geometry import DEFAULT_ROOT_TOL, SchwarzschildModel
 from .roots import brentq
@@ -120,7 +118,10 @@ def _prufer_closure(m: float, k: int, lam: float):
 
 
 def _log_scale(p):
-    """``log S`` for the Prüfer scale ``S = (P^2 + 1)^1/4``."""
+    """``log S`` for the Prüfer scale ``S = (P^2 + 1)^1/4``, by numpy's
+    ``log1p`` (for an array, or a float: see :func:`integrate_v`)."""
+    import numpy as np
+
     return 0.25 * np.log1p(p * p)
 
 
@@ -135,16 +136,16 @@ def _exp(x: float) -> float:
 class RadialSolution:
     """Shot of one mode from the horizon, read through its Prüfer pair.
 
-    ``nodes_r`` holds one node per accepted step, from ``m/2`` to
-    ``r_max = params.R``.
+    ``nodes_r`` (an array, formed on first use) holds one node per
+    accepted step, from ``m/2`` to ``r_max = params.R``.
     Reads at ``r = m/2`` return the horizon data ``v = 1``, ``v' = 1/m``
     and ``gamma = 1/m`` exactly; elsewhere ``v`` and ``v'`` come from the
     dense phase and log-amplitude, so ``log_abs_v`` never overflows.
     :meth:`values` reads an array of radii in numpy; the scalar methods
     (``v``, ``v_prime``, ``phase``, ``log_abs_v``, ``gamma``) read one
-    radius in plain floats.  Both raise :class:`DomainError` for radii
-    outside ``[m/2, r_max]`` or NaN, and both give ``+-inf`` where ``v``
-    leaves the double range.
+    radius in plain floats, and ``phase`` loads no numpy.  Both raise
+    :class:`DomainError` for radii outside ``[m/2, r_max]`` or NaN, and
+    both give ``+-inf`` where ``v`` leaves the double range.
     """
 
     def __init__(self, params: ModeParams, trajectory: ode.Trajectory):
@@ -153,31 +154,45 @@ class RadialSolution:
         self._traj = trajectory
         self._q = _q_closure(params.model.mass, params.k, params.lam)
         self._r0 = 0.5 * params.model.mass
-        self.nodes_r = np.exp(trajectory.x)
-        self.nodes_r[[0, -1]] = self._r0, self.r_max
+
+    @functools.cached_property
+    def nodes_r(self) -> np.ndarray:
+        import numpy as np
+
+        r = np.exp(self._traj.x)
+        r[[0, -1]] = self._r0, self.r_max
+        return r
 
     def _domain_error(self) -> DomainError:
         return DomainError(f"evaluation point outside [{self._r0}, {self.r_max}]")
 
     def _read(self, r):
         """``(r, theta, log rho, log S)`` at the radii ``r``."""
+        import numpy as np
+
         r = np.asarray(r, dtype=float)
         if not np.all((r >= self._r0) & (r <= self.r_max)):
             raise self._domain_error()
         y = self._traj.eval(np.log(r))
         return r, y[..., 0], y[..., 1], _log_scale(r * r * self._q(r) - 0.25)
 
-    def _read_scalar(self, r: float) -> tuple:
-        """``(r, theta, log rho, log S)`` at one radius, as floats."""
+    def _checked(self, r: float) -> float:
         r = float(r)
         if not (self._r0 <= r <= self.r_max):
             raise self._domain_error()
+        return r
+
+    def _read_scalar(self, r: float) -> tuple:
+        """``(r, theta, log rho, log S)`` at one radius, as floats."""
+        r = self._checked(r)
         theta, log_rho = self._traj.eval_scalar(math.log(r))
         p = r * r * self._q(r) - 0.25
         return r, theta, log_rho, 0.25 * math.log1p(p * p)
 
     def values(self, r) -> tuple:
         """``(v, v')`` at the radii ``r`` (a scalar or an array)."""
+        import numpy as np
+
         r, theta, log_rho, log_s = self._read(r)
         sn = np.sin(theta)
         with np.errstate(over="ignore"):  # +-inf past the double range
@@ -211,7 +226,7 @@ class RadialSolution:
     def phase(self, r: float) -> float:
         """Prüfer phase ``theta``: ``pi/2`` on the horizon, ``j pi`` at the
         ``j``-th zero of ``v``."""
-        return self._read_scalar(r)[1]
+        return self._traj.phase_scalar(math.log(self._checked(r)))
 
     def log_abs_v(self, r: float) -> tuple:
         """(log |v|, sign of v)."""
@@ -236,7 +251,7 @@ class RadialSolution:
     @functools.cached_property
     def zero_crossings(self) -> tuple:
         """Zeros of v in ``(m/2, r_max]``: where the phase passes ``j pi``."""
-        n = int(self._traj.y[-1, 0] // math.pi)
+        n = int(self._traj.theta[-1] // math.pi)
         x = [self._traj.phase_crossing(j * math.pi) for j in range(1, n + 1)]
         return tuple(min(math.exp(z), self.r_max) for z in x)
 
@@ -246,6 +261,8 @@ class RadialSolution:
 
     def sup_abs_v(self) -> float:
         """max |v| over the nodes (inf past the double range)."""
+        import numpy as np
+
         return float(np.max(np.abs(self.nodes_v)))
 
 
@@ -260,17 +277,26 @@ def integrate_v(params: ModeParams, tol: float = DEFAULT_ODE_TOL) -> RadialSolut
     ``v`` are located to the accuracy of the phase, by Newton's method on
     fresh steps (see :meth:`schwsurf.ode.Trajectory.phase_crossing`).
     """
+    from . import ode
+
     m = params.model.mass
     if not (tol > 0.0):
         raise DomainError(f"tol must be > 0, got {tol}")
     hm = 0.5 * m
     p0 = hm * hm * _q_closure(m, params.k, params.lam)(hm) - 0.25
+
+    def log_rho0() -> float:
+        # formed on the first amplitude read, so that a shot read only for
+        # its phase loads no numpy; numpy's log1p (as in the array reads)
+        # and math.log1p differ in the last bit for some p0
+        return 0.5 * math.log(2.0 / m) + 0.5 * float(_log_scale(p0))
+
     traj = ode.integrate_prufer(
         _prufer_closure(m, params.k, params.lam),
         math.log(hm),
         math.log(params.R),
         0.5 * math.pi,
-        0.5 * math.log(2.0 / m) + 0.5 * float(_log_scale(p0)),
+        log_rho0,
         tol,
     )
     return RadialSolution(params, traj)
@@ -295,6 +321,8 @@ def miss_distance(params: ModeParams, r_c: float, tol: float = DEFAULT_ODE_TOL) 
     shot grows exponentially past ``r_c``, so ``D`` stays smooth in ``lam``
     where the one-sided ``theta(R; lam)`` jumps by ``pi``.
     """
+    from . import ode
+
     if not (params.model.horizon_rho < r_c < params.R):
         raise DomainError(f"r_c must lie in ({params.model.horizon_rho}, {params.R}), got {r_c}")
     theta_left = integrate_v(ModeParams(params.model, params.k, params.lam, r_c), tol=tol).phase(r_c)
@@ -309,7 +337,7 @@ def miss_distance(params: ModeParams, r_c: float, tol: float = DEFAULT_ODE_TOL) 
     except IntegrationError as err:  # report the radius, not 1/r
         r = 1.0 / err.last_r
         raise IntegrationError(f"step size underflow at r = {r}", last_r=r) from None
-    return theta_left - float(inward.y[-1, 0])
+    return theta_left - inward.theta[-1]
 
 
 # -------------------------------------------------------------------------
@@ -473,7 +501,7 @@ def singularity_radius(model: SchwarzschildModel, c: float, tol: float = DEFAULT
             )
         f_hi = F(hi)
     # F(m/2) = -16 m < 0, so the bracket is valid
-    root = brentq(F, lo, hi, xtol=1e-15 * max(1.0, hi), rtol=8.0 * np.finfo(float).eps)
+    root = brentq(F, lo, hi, xtol=1e-15 * max(1.0, hi), rtol=8.0 * sys.float_info.epsilon)
     scale = 8.0 * (2.0 * root + m)
     if abs(F(root)) > tol * scale:
         raise NoSingularityError(
@@ -490,6 +518,8 @@ def ode_residual_grid(
     Utility for checking closed-form solutions of ``v'' + Q v = 0``
     without symbolic differentiation; ``step`` is the stencil spacing.
     """
+    import numpy as np
+
     r = np.asarray(r_values, dtype=float)
     out = np.empty_like(r)
     for i, x in enumerate(r):
@@ -508,6 +538,8 @@ def riccati_residual_grid(
     func, rhs_func, r_values: np.ndarray, step: float
 ) -> np.ndarray:
     """5-point central ``func' + func^2 - rhs`` residuals on a grid."""
+    import numpy as np
+
     r = np.asarray(r_values, dtype=float)
     out = np.empty_like(r)
     for i, x in enumerate(r):

@@ -15,11 +15,16 @@ amplitude is carried as a logarithm and the phase grows by ``pi`` per zero.
 The Dormand-Prince 4(5) stepper works on plain floats (two components;
 numpy per-step overhead would dominate).  ``tol`` is an absolute bound on
 the RMS of the two estimated local errors of each step: radians of phase
-and relative error of the amplitude.  No step cap applies.  The stages of
-every accepted step are kept, so the pair's 4th-order continuous extension
-gives dense output of both components: :meth:`Trajectory.eval` reads a
-whole array of points in numpy, :meth:`Trajectory.eval_scalar` reads one
-point in plain floats, without numpy's per-call overhead.
+and relative error of the amplitude.  No step cap applies.  A
+:class:`Trajectory` holds plain lists: the nodes, the phase at each node,
+the ``log rho`` increment and the seven stages of each accepted step.  The
+pair's 4th-order continuous extension gives dense output of both
+components: :meth:`Trajectory.eval_scalar` and
+:meth:`Trajectory.phase_scalar` read one point in plain floats, forming
+that step's extension coefficients on first read; only
+:meth:`Trajectory.eval`, which reads a whole array of points, imports
+numpy and builds arrays.  Integrating and reading single points load no
+numpy.
 """
 
 from __future__ import annotations
@@ -29,8 +34,6 @@ import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
-
-import numpy as np
 
 from .errors import DomainError, IntegrationError
 
@@ -58,18 +61,18 @@ _E1, _E3, _E4, _E5, _E6, _E7 = (
     -1.0 / 40.0,
 )
 # continuous extension: y(x + s h) = y + h * sum_p (K^T P)[p] s^(p+1) over
-# the seven stages K (Dormand & Prince; the coefficients scipy's RK45 uses)
-_DENSE_P = np.array(
-    [
-        [1.0, -8048581381 / 2820520608, 8663915743 / 2820520608, -12715105075 / 11282082432],
-        [0.0, 0.0, 0.0, 0.0],
-        [0.0, 131558114200 / 32700410799, -68118460800 / 10900136933, 87487479700 / 32700410799],
-        [0.0, -1754552775 / 470086768, 14199869525 / 1410260304, -10690763975 / 1880347072],
-        [0.0, 127303824393 / 49829197408, -318862633887 / 49829197408, 701980252875 / 199316789632],
-        [0.0, -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844],
-        [0.0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423],
-    ]
+# the seven stages K (Dormand & Prince; the coefficients scipy's RK45 uses),
+# one row of P per stage, and its columns: the stage weights of each power
+_DENSE_P = (
+    (1.0, -8048581381 / 2820520608, 8663915743 / 2820520608, -12715105075 / 11282082432),
+    (0.0, 0.0, 0.0, 0.0),
+    (0.0, 131558114200 / 32700410799, -68118460800 / 10900136933, 87487479700 / 32700410799),
+    (0.0, -1754552775 / 470086768, 14199869525 / 1410260304, -10690763975 / 1880347072),
+    (0.0, 127303824393 / 49829197408, -318862633887 / 49829197408, 701980252875 / 199316789632),
+    (0.0, -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844),
+    (0.0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423),
 )
+_DENSE_COLUMNS = tuple(zip(*_DENSE_P))
 
 
 def _rhs(c: tuple, th: float, cos=math.cos, sin=math.sin) -> tuple:
@@ -79,9 +82,10 @@ def _rhs(c: tuple, th: float, cos=math.cos, sin=math.sin) -> tuple:
     return 0.5 * (a + b * c2 + d * s2), 0.5 * (b * s2 - d * c2)
 
 
-def _step(coefficients, x, h, th, lr, k1t, k1l) -> tuple:
+def _step(coefficients, x, h, th, k1t, k1l) -> tuple:
     """One Dormand-Prince step from ``x`` to ``x + h``: the fifth-order
-    ``(theta, log rho)``, the two error estimates and the seven stages."""
+    ``theta`` and increment of ``log rho``, the two error estimates and the
+    seven stages."""
     k2t, k2l = _rhs(coefficients(x + _C2 * h), th + h * _A21 * k1t)
     k3t, k3l = _rhs(coefficients(x + _C3 * h), th + h * (_A31 * k1t + _A32 * k2t))
     k4t, k4l = _rhs(coefficients(x + _C4 * h), th + h * (_A41 * k1t + _A42 * k2t + _A43 * k3t))
@@ -93,46 +97,109 @@ def _step(coefficients, x, h, th, lr, k1t, k1l) -> tuple:
         c6, th + h * (_A61 * k1t + _A62 * k2t + _A63 * k3t + _A64 * k4t + _A65 * k5t)
     )
     th_new = th + h * (_B1 * k1t + _B3 * k3t + _B4 * k4t + _B5 * k5t + _B6 * k6t)
-    lr_new = lr + h * (_B1 * k1l + _B3 * k3l + _B4 * k4l + _B5 * k5l + _B6 * k6l)
+    d_lr = h * (_B1 * k1l + _B3 * k3l + _B4 * k4l + _B5 * k5l + _B6 * k6l)
     k7t, k7l = _rhs(c6, th_new)
     err_t = h * (_E1 * k1t + _E3 * k3t + _E4 * k4t + _E5 * k5t + _E6 * k6t + _E7 * k7t)
     err_l = h * (_E1 * k1l + _E3 * k3l + _E4 * k4l + _E5 * k5l + _E6 * k6l + _E7 * k7l)
     stages = (k1t, k1l, k2t, k2l, k3t, k3l, k4t, k4l, k5t, k5l, k6t, k6l, k7t, k7l)
-    return th_new, lr_new, err_t, err_l, stages
+    return th_new, d_lr, err_t, err_l, stages
+
+
+def _extension(ks) -> tuple:
+    """Continuous-extension coefficients of one component from its seven
+    stages ``ks``: per power, the products with the stage weights summed
+    from the first stage on, the order of the ``einsum`` in
+    :meth:`Trajectory.eval`, so both give the same bits."""
+    out = []
+    for weights in _DENSE_COLUMNS:
+        acc = 0.0
+        for k, w in zip(ks, weights):
+            acc += k * w
+        out.append(acc)
+    return tuple(out)
 
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Accepted steps of one Prüfer integration.
+    """Accepted steps of one Prüfer integration, in plain lists.
 
-    ``x`` holds the nodes, ``y[i] = (theta, log rho)`` at node ``i``, and
-    ``dense[i]`` the ``(2, 4)`` continuous-extension coefficients of the
-    step from node ``i`` to node ``i + 1``; ``dense[i, :, 0]`` is the
-    right-hand side at node ``i``.
+    ``x`` holds the nodes and ``theta`` the phase at each node.  Step ``i``
+    runs from node ``i`` to node ``i + 1``: ``log_rho_steps[i]`` is its
+    increment of ``log rho`` and ``stages[i]`` its seven stages
+    ``(k1 theta, k1 log rho, ..., k7 log rho)``, the first two the
+    right-hand side at node ``i``.  ``log rho`` feeds back into neither the
+    phase nor the step size, so its column :attr:`log_rho` is summed from
+    ``log_rho0`` on first read; ``log_rho0`` is a float or a callable
+    returning it, called then.
     """
 
     coefficients: Callable[[float], tuple]
-    x: np.ndarray
-    y: np.ndarray
-    dense: np.ndarray
+    x: list
+    theta: list
+    log_rho0: float | Callable[[], float]
+    log_rho_steps: list
+    stages: list
 
-    def eval(self, x) -> np.ndarray:
+    @functools.cached_property
+    def log_rho(self) -> list:
+        """``log rho`` at each node, summed in the order the stepper took."""
+        lr = self.log_rho0() if callable(self.log_rho0) else self.log_rho0
+        out = [lr]
+        for d_lr in self.log_rho_steps:
+            lr += d_lr
+            out.append(lr)
+        return out
+
+    @functools.cached_property
+    def _dense(self) -> list:
+        return [None] * len(self.stages)
+
+    def dense(self, i: int) -> tuple:
+        """The ``(theta, log rho)`` continuous-extension coefficients of
+        step ``i``, two 4-tuples formed on first read; the first of each is
+        the right-hand side at node ``i``."""
+        coeffs = self._dense[i]
+        if coeffs is None:
+            k = self.stages[i]
+            coeffs = self._dense[i] = (_extension(k[0::2]), _extension(k[1::2]))
+        return coeffs
+
+    @functools.cached_property
+    def _arrays(self) -> tuple:
+        """Nodes, ``(n, 2)`` states and ``(n - 1, 2, 4)`` extension
+        coefficients as arrays, for :meth:`eval`."""
+        import numpy as np
+
+        k = np.asarray(self.stages).reshape(-1, 7, 2)
+        dense = np.einsum("nsc,sp->ncp", k, np.asarray(_DENSE_P))
+        return np.asarray(self.x), np.column_stack((self.theta, self.log_rho)), dense
+
+    def eval(self, x):
         """``(theta, log rho)`` at the points ``x``, shape ``x.shape + (2,)``.
 
         Points are clipped into ``[x[0], x[-1]]``; callers check the domain.
         """
-        nodes = self.x
+        import numpy as np
+
+        nodes, y, dense = self._arrays
         x = np.minimum(np.maximum(x, nodes[0]), nodes[-1])
         i = np.minimum(np.searchsorted(nodes, x, side="right"), len(nodes) - 1) - 1
         h = nodes[i + 1] - nodes[i]
         s = ((x - nodes[i]) / h)[..., None]
-        c = self.dense[i]
+        c = dense[i]
         poly = c[..., 0] + s * (c[..., 1] + s * (c[..., 2] + s * c[..., 3]))
-        return self.y[i] + h[..., None] * s * poly
+        return y[i] + h[..., None] * s * poly
 
-    @functools.cached_property
-    def _nodes(self) -> list:
-        return self.x.tolist()
+    def _locate(self, x: float) -> tuple:
+        """Step ``i`` holding ``x`` (clipped into ``[x[0], x[-1]]``), and
+        ``h s`` and ``s`` for the fraction ``s`` of that step before ``x``."""
+        nodes = self.x
+        x = min(max(x, nodes[0]), nodes[-1])
+        i = min(bisect.bisect_right(nodes, x), len(nodes) - 1) - 1
+        x0 = nodes[i]
+        h = nodes[i + 1] - x0
+        s = (x - x0) / h
+        return i, h * s, s
 
     def eval_scalar(self, x: float) -> tuple:
         """``(theta, log rho)`` at one point ``x``, as floats.
@@ -140,19 +207,19 @@ class Trajectory:
         The same clipping, step choice and Horner evaluation as :meth:`eval`,
         in the same order of operations.
         """
-        nodes = self._nodes
-        x = min(max(x, nodes[0]), nodes[-1])
-        i = min(bisect.bisect_right(nodes, x), len(nodes) - 1) - 1
-        x0 = nodes[i]
-        h = nodes[i + 1] - x0
-        s = (x - x0) / h
-        (a0, a1, a2, a3), (b0, b1, b2, b3) = self.dense[i].tolist()
-        th0, lr0 = self.y[i].tolist()
-        hs = h * s
+        i, hs, s = self._locate(x)
+        (a0, a1, a2, a3), (b0, b1, b2, b3) = self.dense(i)
         return (
-            th0 + hs * (a0 + s * (a1 + s * (a2 + s * a3))),
-            lr0 + hs * (b0 + s * (b1 + s * (b2 + s * b3))),
+            self.theta[i] + hs * (a0 + s * (a1 + s * (a2 + s * a3))),
+            self.log_rho[i] + hs * (b0 + s * (b1 + s * (b2 + s * b3))),
         )
+
+    def phase_scalar(self, x: float) -> float:
+        """``theta`` at one point ``x``, as :meth:`eval_scalar` reads it,
+        without forming the ``log rho`` column."""
+        i, hs, s = self._locate(x)
+        a0, a1, a2, a3 = self.dense(i)[0]
+        return self.theta[i] + hs * (a0 + s * (a1 + s * (a2 + s * a3)))
 
     def phase_crossing(self, target: float) -> float:
         """Abscissa where the phase passes ``target``.
@@ -162,15 +229,16 @@ class Trajectory:
         the length of a fresh step from the node before the crossing, so
         the result carries the step's local error, not the interpolant's.
         """
-        theta = self.y[:, 0]
-        i = int(np.argmax(theta >= target)) - 1
-        x0, th0, lr0 = self.x[i], theta[i], self.y[i, 1]
+        theta = self.theta
+        i = next(j for j, th in enumerate(theta) if th >= target) - 1
+        x0, th0 = self.x[i], theta[i]
         h_max = self.x[i + 1] - x0
         h = h_max * (target - th0) / (theta[i + 1] - th0)
+        k1t, k1l = self.stages[i][:2]
         for _ in range(4):
-            th1, _, _, _, stages = _step(self.coefficients, x0, h, th0, lr0, *self.dense[i, :, 0])
+            th1, _, _, _, stages = _step(self.coefficients, x0, h, th0, k1t, k1l)
             h = min(max(h - (th1 - target) / stages[12], 0.0), h_max)
-        return float(x0 + h)
+        return x0 + h
 
 
 def integrate_prufer(
@@ -178,24 +246,26 @@ def integrate_prufer(
     x0: float,
     x1: float,
     theta0: float,
-    log_rho0: float,
+    log_rho0: float | Callable[[], float],
     tol: float,
 ) -> Trajectory:
     """Integrate the scaled Prüfer pair from ``(x0, theta0, log_rho0)`` to ``x1``.
 
-    ``coefficients(x)`` returns ``(A, B, D)``.  Raises
-    :class:`IntegrationError` with the last good radius ``exp(x)`` if the
-    step size underflows.
+    ``coefficients(x)`` returns ``(A, B, D)``.  ``log_rho0`` may be a
+    callable, called on the first read of ``log rho`` (see
+    :class:`Trajectory`).  Raises :class:`IntegrationError` with the last
+    good radius ``exp(x)`` if the step size underflows.
     """
     if not (x1 > x0):
         raise DomainError(f"need x1 > x0, got [{x0}, {x1}]")
     if not (tol > 0.0):
         raise DomainError("tolerance must be > 0")
     xs = [x0]
-    ys = [theta0, log_rho0]
+    thetas = [theta0]
+    d_lrs = []
     stages = []
 
-    x, th, lr = x0, theta0, log_rho0
+    x, th = x0, theta0
     k1t, k1l = _rhs(coefficients(x0), th)  # FSAL seed
     h = (x1 - x0) / 100.0
 
@@ -205,7 +275,7 @@ def integrate_prufer(
         last = x + h >= x1
         if last:
             h = x1 - x
-        th_new, lr_new, err_t, err_l, ks = _step(coefficients, x, h, th, lr, k1t, k1l)
+        th_new, d_lr, err_t, err_l, ks = _step(coefficients, x, h, th, k1t, k1l)
         err = math.sqrt(0.5 * (err_t * err_t + err_l * err_l)) / tol
         if not math.isfinite(err):
             h *= 0.2
@@ -213,16 +283,15 @@ def integrate_prufer(
 
         if err <= 1.0:
             stages.append(ks)
+            d_lrs.append(d_lr)
             x = x1 if last else x + h
-            th, lr = th_new, lr_new
+            th = th_new
             k1t, k1l = ks[12], ks[13]
             xs.append(x)
-            ys += (th, lr)
+            thetas.append(th)
             grow = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err ** -0.2))
             h *= grow
         else:
             h *= max(0.2, 0.9 * err ** -0.2)
 
-    k = np.asarray(stages).reshape(-1, 7, 2)
-    dense = np.einsum("nsc,sp->ncp", k, _DENSE_P)
-    return Trajectory(coefficients, np.asarray(xs), np.asarray(ys).reshape(-1, 2), dense)
+    return Trajectory(coefficients, xs, thetas, log_rho0, d_lrs, stages)

@@ -12,7 +12,8 @@ tolerance.
 Integrands are vectorized: ``f(x)`` returns an array whose last axis runs
 over the nodes ``x``.  A 1-D result integrates to a float; a ``(k, n)``
 result to a ``k``-vector whose components are tested together (see
-:func:`_settled`).
+:func:`_settled`).  numpy is imported by the rules, not with the module,
+so reading :class:`QuadSpec` defaults loads no numpy.
 """
 
 from __future__ import annotations
@@ -20,8 +21,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import QuadratureError
 
@@ -48,7 +47,14 @@ class QuadSpec:
 # Gauss-Legendre order per panel, and its nodes and weights on [-1, 1],
 # formed on first use so that importing the package loads no numpy.polynomial
 GL_POINTS = 32
-_gauss_legendre = functools.cache(lambda: np.polynomial.legendre.leggauss(GL_POINTS))
+
+
+@functools.cache
+def _gauss_legendre() -> tuple:
+    import numpy as np
+
+    return np.polynomial.legendre.leggauss(GL_POINTS)
+
 
 # periodic rule: nodes of the first level, and the alias guard's shift in
 # units of the node spacing (the golden-ratio fraction, far from every
@@ -59,6 +65,8 @@ ALIAS_SHIFT = 0.5 * (math.sqrt(5.0) - 1.0)
 
 def panel_nodes(a: float, b: float, n_panels: int) -> tuple:
     """Nodes and weights of the composite rule on ``n_panels`` uniform panels."""
+    import numpy as np
+
     x, w = _gauss_legendre()
     edges = np.linspace(a, b, n_panels + 1)
     mid = 0.5 * (edges[:-1] + edges[1:])
@@ -69,6 +77,8 @@ def panel_nodes(a: float, b: float, n_panels: int) -> tuple:
 
 
 def _value(v):
+    import numpy as np
+
     return float(v) if np.ndim(v) == 0 else v
 
 
@@ -82,6 +92,8 @@ def _settled(cur, prev, rel_tol: float) -> bool:
     above ``rel_tol`` of the largest meets the plain relative test, and a
     scalar always does.
     """
+    import numpy as np
+
     if np.ndim(cur) == 0:
         return abs(cur - prev) <= rel_tol * max(abs(cur), abs(prev), 1e-300)
     size = np.maximum(np.abs(cur), np.abs(prev))
@@ -102,6 +114,8 @@ def integrate(f, a: float, b: float, spec: QuadSpec = QuadSpec()):
     Doubles the panel count until two successive composite values agree;
     raises :class:`QuadratureError` at the panel cap.
     """
+    import numpy as np
+
     if b <= a:
         return 0.0
     n = 1
@@ -131,6 +145,8 @@ def integrate_periodic(f, period: float, spec: QuadSpec = QuadSpec()):
     Raises :class:`QuadratureError` when the next level would pass
     ``spec.max_panels * GL_POINTS`` nodes.
     """
+    import numpy as np
+
     budget = spec.max_panels * GL_POINTS
     n = PERIODIC_START
     h = period / n

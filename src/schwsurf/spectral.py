@@ -25,9 +25,8 @@ so that results are invariant under rescaling the mass.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import DomainError, PreconditionError, SearchError
 from .geometry import DEFAULT_ROOT_TOL, SchwarzschildModel
@@ -64,6 +63,8 @@ class Spectrum:
     probes: int  # values of lam shot; 0 for FD
 
     def lambdas(self) -> np.ndarray:
+        import numpy as np
+
         return np.asarray([e.lam for e in self.entries])
 
 
@@ -191,7 +192,7 @@ def eigenvalues_shooting(
             lam_lo,
             lam_hi,
             xtol=tol_raw,
-            rtol=8.0 * np.finfo(float).eps,
+            rtol=8.0 * sys.float_info.epsilon,
         )
         entries.append(SpectrumEntry(k=k, n=n, lam=lam_n * m2))
 
@@ -219,6 +220,8 @@ def eigenfunction(
     ``integral of u^2 (1 + m/2r)^4 r dr`` (the angular factor ``2 pi`` is
     left out) with ``u(m/2) > 0``.
     """
+    import numpy as np
+
     model.require_horizon("eigenfunction")
     m = model.mass
     lam_raw = lam / (m * m)
@@ -243,6 +246,8 @@ def _panel_integral_hermite(r, g, slope) -> float:
     """Integral of sampled data: the cubic Hermite through the samples, with
     the 4th-order slopes ``slope(g)`` (see :func:`_slope_operator`),
     integrated exactly per interval as ``h (g0 + g1)/2 + h^2 (g0' - g1')/12``."""
+    import numpy as np
+
     gp = slope(g)
     h = np.diff(r)
     return float(np.sum(h * (g[:-1] + g[1:]) / 2.0 + h * h * (gp[:-1] - gp[1:]) / 12.0))
@@ -263,6 +268,8 @@ def _slope_operator(r: np.ndarray):
     and ``g'(x_c) = sum_j w_j g(x_j)``.  The weights depend on ``r`` only,
     so they are formed once and shared by every ``g`` on the grid.
     """
+    import numpy as np
+
     n = len(r)
     if n < 5:
         raise PreconditionError("need at least 5 samples for the derivative stencil")
@@ -303,6 +310,8 @@ def rayleigh_quotient(
     form, and on an eigenfunction it reproduces the eigenvalue (returned
     in mass-squared units).
     """
+    import numpy as np
+
     model.require_horizon("rayleigh_quotient")
     m = model.mass
     r = np.asarray(r, dtype=float)
@@ -406,7 +415,7 @@ def stability_radius(model: SchwarzschildModel, tol: float = DEFAULT_ROOT_TOL) -
     def G(R: float) -> float:
         return 0.5 * math.log(2.0 * R / m) - (2.0 * R + m) / (2.0 * R - m)
 
-    root = brentq(G, 2.0 * m, 100.0 * m, xtol=1e-15 * m, rtol=8.0 * np.finfo(float).eps)
+    root = brentq(G, 2.0 * m, 100.0 * m, xtol=1e-15 * m, rtol=8.0 * sys.float_info.epsilon)
     if abs(G(root)) > tol:
         raise SearchError(
             "stability radius residual above tolerance",

@@ -28,7 +28,6 @@ from .errors import DomainError, GeometryError, PreconditionError
 from .geometry import (
     SchwarzschildModel,
     areal_from_distance,
-    distance_from_isotropic,
     isotropic_from_areal,
 )
 from .quadrature import QuadSpec
@@ -93,30 +92,6 @@ def latitude_circle(theta0: float) -> SphereCurve:
         ),
         period=_TWO_PI * rho,
     )
-
-
-def curve_from_callable(alpha, period: float) -> SphereCurve:
-    """Wrap a user curve; derivatives by 4th-order central differences, step 1e-5 period."""
-    if not (period > 0.0):
-        raise DomainError(f"period must be > 0, got {period}")
-    h = 1e-5 * period
-
-    def a(s):
-        return np.asarray(alpha(s), dtype=float)
-
-    def ad(s):
-        return (a(s - 2 * h) - 8.0 * a(s - h) + 8.0 * a(s + h) - a(s + 2 * h)) / (12.0 * h)
-
-    def add(s):
-        return (
-            -a(s - 2 * h)
-            + 16.0 * a(s - h)
-            - 30.0 * a(s)
-            + 16.0 * a(s + h)
-            - a(s + 2 * h)
-        ) / (12.0 * h * h)
-
-    return SphereCurve(alpha=a, alpha_d=ad, alpha_dd=add, period=period)
 
 
 def rotate_curve(curve: SphereCurve, rotation: np.ndarray) -> SphereCurve:
@@ -311,18 +286,6 @@ def cone_mean_curvature(model: SchwarzschildModel, curve: SphereCurve, t: float,
     triple = float(np.dot(np.cross(a, add), ad))
     conf = (1.0 + 0.5 * model.mass / t) ** 2
     return triple / (t * conf)
-
-
-def ball_filter(model: SchwarzschildModel, a: float):
-    """Predicate: is a point within horizon distance ``a``?"""
-    if a < 0.0:
-        raise DomainError(f"radius must be >= 0, got {a}")
-
-    def inside(point) -> bool:
-        rho = float(np.linalg.norm(np.asarray(point, dtype=float)))
-        return distance_from_isotropic(model, rho) <= a
-
-    return inside
 
 
 def _chart_samples(fn, t, s) -> np.ndarray:

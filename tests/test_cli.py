@@ -372,3 +372,82 @@ def test_import_loads_no_scipy():
     d, e = _standard_form(schwsurf.assemble(schwsurf.SchwarzschildModel(2.0), 0, 40.0, 256))
     direct = eigvalsh_tridiagonal(d, e, select="i", select_range=(0, 2), lapack_driver="stebz")
     assert probe["vals"] == [float(v * 4.0).hex() for v in direct]
+
+
+# the benchmark's eight children: argv, exit code, and the modules each must
+# not load; the shooting-only and scalar subcommands load no numpy
+_NO_ARRAYS = ("numpy", "scipy", "schwsurf.surfaces", "schwsurf.fd_oracle")
+_NO_SHOOTING = ("scipy", "schwsurf.ode", "schwsurf.spectral", "schwsurf.fd_oracle")
+_CHILD_MODULES = {
+    "geom": (["geom", "--mass", "2"], 0, _NO_SHOOTING + ("schwsurf.surfaces",)),
+    "stability-radius": (["stability-radius", "--mass", "2", "--output", "json"], 0, _NO_ARRAYS + ("schwsurf.ode",)),
+    "spectrum": (["spectrum", "--mass", "2", "--R", "40", "--count", "3", "--method", "both"], 0, ("schwsurf.surfaces",)),
+    "morse-index": (["morse-index", "--mass", "2", "--R", "2000", "--kmax", "5"], 0, _NO_ARRAYS),
+    "monotonicity": (["monotonicity", "--mass", "2", "--surface", "plane:rotated:5"], 0, _NO_SHOOTING),
+    "boundary-bound": (["boundary-bound", "--mass", "2"], 0, _NO_SHOOTING),
+    "riccati": (["riccati", "--mass", "2", "--c", "0"], 0, _NO_ARRAYS + ("schwsurf.ode", "schwsurf.spectral")),
+    "usage-error": (["spectrum", "--mass", "2", "--R", "0.5"], 2, _NO_ARRAYS + ("schwsurf.ode",)),
+}
+
+_MODULE_PROBE = """
+import json, runpy, sys
+sys.argv = ["schwsurf", *sys.argv[1:]]
+try:
+    runpy.run_module("schwsurf.cli", run_name="__main__")
+    code = 0
+except SystemExit as exc:
+    code = exc.code
+print(json.dumps({"code": code, "modules": sorted(sys.modules)}), file=sys.stderr)
+"""
+
+
+@pytest.mark.parametrize("child", _CHILD_MODULES)
+def test_subcommand_loads_only_what_it_calls(child):
+    argv, code, absent = _CHILD_MODULES[child]
+    proc = subprocess.run(
+        [sys.executable, "-c", _MODULE_PROBE, *argv], capture_output=True, text=True, check=True
+    )
+    probe = json.loads(proc.stderr.splitlines()[-1])
+    assert probe["code"] == code
+    loaded = set(probe["modules"])
+    assert "schwsurf.geometry" in loaded
+    assert loaded.isdisjoint(absent), sorted(loaded & set(absent))
+
+
+def test_import_package_loads_no_numpy():
+    code = "import sys, schwsurf; print(sorted(m for m in sys.modules if m.startswith(('numpy', 'schwsurf'))))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "['schwsurf']"
+
+
+def test_package_exports_resolve_to_their_modules():
+    from schwsurf import spectral
+
+    assert schwsurf.morse_index is spectral.morse_index
+    assert "morse_index" in dir(schwsurf) and "ode" in schwsurf.__all__
+    with pytest.raises(AttributeError):
+        schwsurf.no_such_name
+
+
+def test_linspace_nodes_match_numpy_to_the_bit():
+    import random
+
+    import numpy as np
+
+    from schwsurf.cli import _linspace
+
+    rng = random.Random(13)
+    for _ in range(2000):
+        a = rng.uniform(-1e3, 1e3)
+        b = a + rng.choice([0.0, rng.uniform(0.0, 10.0) * 10.0 ** rng.randint(-6, 6)])
+        n = rng.randint(2, 200)
+        assert _linspace(a, b, n) == np.linspace(a, b, n).tolist()
+
+
+def test_unconverged_areal_radius_is_a_numerical_failure(monkeypatch):
+    from schwsurf import geometry
+
+    monkeypatch.setattr(geometry, "distance_from_areal", lambda model, s: float("nan"))
+    result = CliRunner().invoke(main, ["geom", "--mass", "2", "--n", "3"])
+    assert result.exit_code == 3
+    assert "numerical failure" in result.output

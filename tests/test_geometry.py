@@ -18,7 +18,8 @@ from schwsurf import (
     static_potential,
     static_potential_from_isotropic,
 )
-from schwsurf.errors import DomainError
+from schwsurf import geometry
+from schwsurf.errors import DomainError, SearchError
 
 # Reference values evaluated independently at 30-digit precision from the
 # defining closed forms, rounded to double.
@@ -127,6 +128,28 @@ def test_areal_from_distance_examples(m2, flat):
         areal_from_distance(m2, -0.1)
     with pytest.raises(DomainError):
         areal_from_distance(m2, 1.0, tol=0.0)
+
+
+def test_areal_from_distance_failures(m2, flat, monkeypatch):
+    """NaN is outside the domain; inf maps to inf; an iteration whose
+    residual turns non-finite raises with its last state."""
+    for model in (m2, flat):
+        with pytest.raises(DomainError):
+            areal_from_distance(model, math.nan)
+    assert areal_from_distance(m2, math.inf) == math.inf
+    monkeypatch.setattr(geometry, "distance_from_areal", lambda model, s: math.nan)
+    with pytest.raises(SearchError) as err:
+        areal_from_distance(m2, 10.0)
+    assert err.value.diagnostics["r"] == 10.0 and math.isnan(err.value.diagnostics["residual"])
+
+
+def test_areal_from_distance_stall_near_horizon(m2):
+    """Near the horizon s - 2m carries about 6 digits: the iterate stops
+    moving with residual 4e-11 above tol * max(r, m) = 2e-12, and is
+    returned as it is."""
+    s = areal_from_distance(m2, 1e-4)
+    assert s == float.fromhex("0x1.00000000abcc8p+2")
+    assert 2e-12 < abs(distance_from_areal(m2, s) - 1e-4) < 1e-10
 
 
 def test_round_trip_areal_isotropic(m2):

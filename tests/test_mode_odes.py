@@ -26,6 +26,7 @@ from schwsurf import (
 )
 from conftest import R_STAR_M2
 from schwsurf.errors import DomainError, NoSingularityError, SingularityError
+from schwsurf import ode
 from schwsurf.mode_odes import (
     ode_residual_grid,
     radial_q,
@@ -134,6 +135,16 @@ def test_scalar_reads_match_array_reads(scalar_shot):
         assert log_v == pytest.approx(lv, rel=1e-13, abs=1e-13)
         assert s == (1.0 if x == 1.0 else sign)
         assert sol.gamma(x) == pytest.approx(ga, rel=1e-13, abs=0.0)
+
+
+def test_lazy_dense_coefficients_match_the_array_path(scalar_shot):
+    """Each step's extension coefficients, formed on first scalar read,
+    equal to the bit the einsum over all steps that the array reader builds."""
+    traj = scalar_shot[0]._traj
+    stages = np.asarray(traj.stages).reshape(-1, 7, 2)
+    dense = np.einsum("nsc,sp->ncp", stages, np.asarray(ode._DENSE_P))
+    assert traj._arrays[2].tobytes() == dense.tobytes()
+    assert np.asarray([traj.dense(i) for i in range(len(traj.stages))]).tobytes() == dense.tobytes()
 
 
 def test_scalar_v_overflows_to_inf_like_array_reads(scalar_shot):

@@ -18,11 +18,9 @@ from schwsurf import (
     SchwarzschildModel,
     areal_from_distance,
     area_integral,
-    ball_filter,
     boundary_bound_check,
     boundary_length,
     cone_mean_curvature,
-    curve_from_callable,
     defect_integral,
     density_at_infinity,
     formula_residual,
@@ -71,18 +69,6 @@ def test_latitude_circle_validation():
     for bad in (0.0, math.pi, -0.3, 4.0):
         with pytest.raises(DomainError):
             latitude_circle(bad)
-
-
-def test_curve_from_callable_matches_analytic():
-    wrapped = curve_from_callable(
-        lambda s: np.array([math.cos(s), math.sin(s), 0.0]), TWO_PI
-    )
-    exact = great_circle()
-    for s in (0.0, 0.7, 2.0, 5.1):
-        assert wrapped.alpha_d(s) == pytest.approx(exact.alpha_d(s), abs=1e-9)
-        assert wrapped.alpha_dd(s) == pytest.approx(exact.alpha_dd(s), abs=1e-6)
-    dev = wrapped.check(64)
-    assert dev["speed"] <= 1e-9
 
 
 def test_rotate_curve_stays_on_sphere():
@@ -591,15 +577,6 @@ def test_clip_radius_where_the_areal_radius_squared_overflows(m2, rho):
         got = clip_radius(m2, rho)
     assert math.isfinite(got)
     assert abs(got - ref) <= 1e-12 * ref
-
-
-def test_ball_filter_predicate(m2):
-    inside = ball_filter(m2, 5.0)
-    assert inside(np.array([1.0, 0.0, 0.0]))  # horizon point, distance 0
-    assert inside(clip_radius(m2, 4.99) * np.array([0.0, 1.0, 0.0]))
-    assert not inside(clip_radius(m2, 5.01) * np.array([0.0, 1.0, 0.0]))
-    with pytest.raises(DomainError):
-        ball_filter(m2, -1.0)
 
 
 def test_rotate_surface_cone_keeps_fast_path(m2):
