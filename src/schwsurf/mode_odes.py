@@ -117,14 +117,6 @@ def _prufer_closure(m: float, k: int, lam: float):
     return coefficients
 
 
-def _log_scale(p):
-    """``log S`` for the Prüfer scale ``S = (P^2 + 1)^1/4``, by numpy's
-    ``log1p`` (for an array, or a float: see :func:`integrate_v`)."""
-    import numpy as np
-
-    return 0.25 * np.log1p(p * p)
-
-
 def _exp(x: float) -> float:
     """``math.exp``, saturating to ``inf`` past the double range as ``np.exp`` does."""
     try:
@@ -143,9 +135,9 @@ class RadialSolution:
     dense phase and log-amplitude, so ``log_abs_v`` never overflows.
     :meth:`values` reads an array of radii in numpy; the scalar methods
     (``v``, ``v_prime``, ``phase``, ``log_abs_v``, ``gamma``) read one
-    radius in plain floats, and ``phase`` loads no numpy.  Both raise
-    :class:`DomainError` for radii outside ``[m/2, r_max]`` or NaN, and
-    both give ``+-inf`` where ``v`` leaves the double range.
+    radius in plain floats through one dense reader and load no numpy.
+    Both raise :class:`DomainError` for radii outside ``[m/2, r_max]`` or
+    NaN, and both give ``+-inf`` where ``v`` leaves the double range.
     """
 
     def __init__(self, params: ModeParams, trajectory: ode.Trajectory):
@@ -174,7 +166,8 @@ class RadialSolution:
         if not np.all((r >= self._r0) & (r <= self.r_max)):
             raise self._domain_error()
         y = self._traj.eval(np.log(r))
-        return r, y[..., 0], y[..., 1], _log_scale(r * r * self._q(r) - 0.25)
+        p = r * r * self._q(r) - 0.25
+        return r, y[..., 0], y[..., 1], 0.25 * np.log1p(p * p)
 
     def _checked(self, r: float) -> float:
         r = float(r)
@@ -215,18 +208,10 @@ class RadialSolution:
         amp = _exp(log_rho - 0.5 * log_s) / math.sqrt(r)
         return amp * (0.5 * math.sin(theta) + math.exp(log_s) * math.cos(theta))
 
-    @property
-    def nodes_v(self) -> np.ndarray:
-        return self.values(self.nodes_r)[0]
-
-    @property
-    def nodes_v_prime(self) -> np.ndarray:
-        return self.values(self.nodes_r)[1]
-
     def phase(self, r: float) -> float:
         """Prüfer phase ``theta``: ``pi/2`` on the horizon, ``j pi`` at the
         ``j``-th zero of ``v``."""
-        return self._traj.phase_scalar(math.log(self._checked(r)))
+        return self._traj.eval_scalar(math.log(self._checked(r)))[0]
 
     def log_abs_v(self, r: float) -> tuple:
         """(log |v|, sign of v)."""
@@ -255,16 +240,6 @@ class RadialSolution:
         x = [self._traj.phase_crossing(j * math.pi) for j in range(1, n + 1)]
         return tuple(min(math.exp(z), self.r_max) for z in x)
 
-    def terminal_value(self) -> float:
-        """v at the right endpoint (overflows to +-inf past the double range)."""
-        return self.v(self.r_max)
-
-    def sup_abs_v(self) -> float:
-        """max |v| over the nodes (inf past the double range)."""
-        import numpy as np
-
-        return float(np.max(np.abs(self.nodes_v)))
-
 
 def integrate_v(params: ModeParams, tol: float = DEFAULT_ODE_TOL) -> RadialSolution:
     """Shoot the mode from the horizon out to the truncation radius ``params.R``.
@@ -284,19 +259,12 @@ def integrate_v(params: ModeParams, tol: float = DEFAULT_ODE_TOL) -> RadialSolut
         raise DomainError(f"tol must be > 0, got {tol}")
     hm = 0.5 * m
     p0 = hm * hm * _q_closure(m, params.k, params.lam)(hm) - 0.25
-
-    def log_rho0() -> float:
-        # formed on the first amplitude read, so that a shot read only for
-        # its phase loads no numpy; numpy's log1p (as in the array reads)
-        # and math.log1p differ in the last bit for some p0
-        return 0.5 * math.log(2.0 / m) + 0.5 * float(_log_scale(p0))
-
     traj = ode.integrate_prufer(
         _prufer_closure(m, params.k, params.lam),
         math.log(hm),
         math.log(params.R),
         0.5 * math.pi,
-        log_rho0,
+        0.5 * math.log(2.0 / m) + 0.125 * math.log1p(p0 * p0),
         tol,
     )
     return RadialSolution(params, traj)

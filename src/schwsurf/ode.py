@@ -16,12 +16,11 @@ The Dormand-Prince 4(5) stepper works on plain floats (two components;
 numpy per-step overhead would dominate).  ``tol`` is an absolute bound on
 the RMS of the two estimated local errors of each step: radians of phase
 and relative error of the amplitude.  No step cap applies.  A
-:class:`Trajectory` holds plain lists: the nodes, the phase at each node,
-the ``log rho`` increment and the seven stages of each accepted step.  The
+:class:`Trajectory` holds plain lists: the nodes, the phase and
+``log rho`` at each node, and the seven stages of each accepted step.  The
 pair's 4th-order continuous extension gives dense output of both
-components: :meth:`Trajectory.eval_scalar` and
-:meth:`Trajectory.phase_scalar` read one point in plain floats, forming
-that step's extension coefficients on first read; only
+components: :meth:`Trajectory.eval_scalar` reads one point in plain
+floats, forming that step's extension coefficients on first read; only
 :meth:`Trajectory.eval`, which reads a whole array of points, imports
 numpy and builds arrays.  Integrating and reading single points load no
 numpy.
@@ -123,32 +122,17 @@ def _extension(ks) -> tuple:
 class Trajectory:
     """Accepted steps of one Prüfer integration, in plain lists.
 
-    ``x`` holds the nodes and ``theta`` the phase at each node.  Step ``i``
-    runs from node ``i`` to node ``i + 1``: ``log_rho_steps[i]`` is its
-    increment of ``log rho`` and ``stages[i]`` its seven stages
-    ``(k1 theta, k1 log rho, ..., k7 log rho)``, the first two the
-    right-hand side at node ``i``.  ``log rho`` feeds back into neither the
-    phase nor the step size, so its column :attr:`log_rho` is summed from
-    ``log_rho0`` on first read; ``log_rho0`` is a float or a callable
-    returning it, called then.
+    ``x`` holds the nodes, ``theta`` and ``log_rho`` the pair at each node.
+    Step ``i`` runs from node ``i`` to node ``i + 1``: ``stages[i]`` holds
+    its seven stages ``(k1 theta, k1 log rho, ..., k7 log rho)``, the first
+    two the right-hand side at node ``i``.
     """
 
     coefficients: Callable[[float], tuple]
     x: list
     theta: list
-    log_rho0: float | Callable[[], float]
-    log_rho_steps: list
+    log_rho: list
     stages: list
-
-    @functools.cached_property
-    def log_rho(self) -> list:
-        """``log rho`` at each node, summed in the order the stepper took."""
-        lr = self.log_rho0() if callable(self.log_rho0) else self.log_rho0
-        out = [lr]
-        for d_lr in self.log_rho_steps:
-            lr += d_lr
-            out.append(lr)
-        return out
 
     @functools.cached_property
     def _dense(self) -> list:
@@ -190,36 +174,24 @@ class Trajectory:
         poly = c[..., 0] + s * (c[..., 1] + s * (c[..., 2] + s * c[..., 3]))
         return y[i] + h[..., None] * s * poly
 
-    def _locate(self, x: float) -> tuple:
-        """Step ``i`` holding ``x`` (clipped into ``[x[0], x[-1]]``), and
-        ``h s`` and ``s`` for the fraction ``s`` of that step before ``x``."""
-        nodes = self.x
-        x = min(max(x, nodes[0]), nodes[-1])
-        i = min(bisect.bisect_right(nodes, x), len(nodes) - 1) - 1
-        x0 = nodes[i]
-        h = nodes[i + 1] - x0
-        s = (x - x0) / h
-        return i, h * s, s
-
     def eval_scalar(self, x: float) -> tuple:
         """``(theta, log rho)`` at one point ``x``, as floats.
 
         The same clipping, step choice and Horner evaluation as :meth:`eval`,
         in the same order of operations.
         """
-        i, hs, s = self._locate(x)
+        nodes = self.x
+        x = min(max(x, nodes[0]), nodes[-1])
+        i = min(bisect.bisect_right(nodes, x), len(nodes) - 1) - 1
+        x0 = nodes[i]
+        h = nodes[i + 1] - x0
+        s = (x - x0) / h
+        hs = h * s
         (a0, a1, a2, a3), (b0, b1, b2, b3) = self.dense(i)
         return (
             self.theta[i] + hs * (a0 + s * (a1 + s * (a2 + s * a3))),
             self.log_rho[i] + hs * (b0 + s * (b1 + s * (b2 + s * b3))),
         )
-
-    def phase_scalar(self, x: float) -> float:
-        """``theta`` at one point ``x``, as :meth:`eval_scalar` reads it,
-        without forming the ``log rho`` column."""
-        i, hs, s = self._locate(x)
-        a0, a1, a2, a3 = self.dense(i)[0]
-        return self.theta[i] + hs * (a0 + s * (a1 + s * (a2 + s * a3)))
 
     def phase_crossing(self, target: float) -> float:
         """Abscissa where the phase passes ``target``.
@@ -246,15 +218,14 @@ def integrate_prufer(
     x0: float,
     x1: float,
     theta0: float,
-    log_rho0: float | Callable[[], float],
+    log_rho0: float,
     tol: float,
 ) -> Trajectory:
     """Integrate the scaled Prüfer pair from ``(x0, theta0, log_rho0)`` to ``x1``.
 
-    ``coefficients(x)`` returns ``(A, B, D)``.  ``log_rho0`` may be a
-    callable, called on the first read of ``log rho`` (see
-    :class:`Trajectory`).  Raises :class:`IntegrationError` with the last
-    good radius ``exp(x)`` if the step size underflows.
+    ``coefficients(x)`` returns ``(A, B, D)``.  Raises
+    :class:`IntegrationError` with the last good radius ``exp(x)`` if the
+    step size underflows.
     """
     if not (x1 > x0):
         raise DomainError(f"need x1 > x0, got [{x0}, {x1}]")
@@ -262,10 +233,10 @@ def integrate_prufer(
         raise DomainError("tolerance must be > 0")
     xs = [x0]
     thetas = [theta0]
-    d_lrs = []
+    lrs = [log_rho0]
     stages = []
 
-    x, th = x0, theta0
+    x, th, lr = x0, theta0, log_rho0
     k1t, k1l = _rhs(coefficients(x0), th)  # FSAL seed
     h = (x1 - x0) / 100.0
 
@@ -283,15 +254,16 @@ def integrate_prufer(
 
         if err <= 1.0:
             stages.append(ks)
-            d_lrs.append(d_lr)
             x = x1 if last else x + h
             th = th_new
+            lr += d_lr
             k1t, k1l = ks[12], ks[13]
             xs.append(x)
             thetas.append(th)
+            lrs.append(lr)
             grow = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err ** -0.2))
             h *= grow
         else:
             h *= max(0.2, 0.9 * err ** -0.2)
 
-    return Trajectory(coefficients, xs, thetas, log_rho0, d_lrs, stages)
+    return Trajectory(coefficients, xs, thetas, lrs, stages)

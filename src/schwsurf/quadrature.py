@@ -76,12 +76,6 @@ def panel_nodes(a: float, b: float, n_panels: int) -> tuple:
     return nodes, weights
 
 
-def _value(v):
-    import numpy as np
-
-    return float(v) if np.ndim(v) == 0 else v
-
-
 def _settled(cur, prev, rel_tol: float) -> bool:
     """Do two estimates agree to ``rel_tol``, component by component?
 
@@ -101,6 +95,26 @@ def _settled(cur, prev, rel_tol: float) -> bool:
     return bool(np.all(np.abs(cur - prev) <= rel_tol * scale))
 
 
+def _estimate(v, rule: str, where):
+    """A rule's value ``v`` (a numpy scalar or array) as a float or an
+    array, or :class:`QuadratureError` if any component is not finite:
+    refining cannot bring it back.  ``where()`` names the interval, formed
+    only for the message."""
+    if v.ndim == 0:
+        v = float(v)
+        finite = math.isfinite(v)
+    else:
+        finite = all(map(math.isfinite, v.ravel().tolist()))
+    if not finite:
+        raise QuadratureError(f"{rule}: estimate {v!r} on {where()} is not finite")
+    return v
+
+
+# estimates are sums of finite samples that may still overflow; _estimate
+# reports that, so numpy need not warn about it too
+_QUIET = {"over": "ignore", "invalid": "ignore"}
+
+
 def _no_convergence(rule: str, nodes: int, prev, cur, rel_tol: float, where: str):
     return QuadratureError(
         f"{rule}: no convergence to rel_tol={rel_tol} on {where} after "
@@ -112,25 +126,32 @@ def integrate(f, a: float, b: float, spec: QuadSpec = QuadSpec()):
     """Integral of a vectorized callable over ``[a, b]`` to ``spec.rel_tol``.
 
     Doubles the panel count until two successive composite values agree;
-    raises :class:`QuadratureError` at the panel cap.
+    raises :class:`QuadratureError` at the panel cap or on the first
+    estimate that is not finite.
     """
     import numpy as np
 
     if b <= a:
         return 0.0
+
+    def where() -> str:
+        return f"[{a}, {b}]"
+
+    def estimate(n: int):
+        x, w = panel_nodes(a, b, n)
+        y = f(x)
+        with np.errstate(**_QUIET):
+            return _estimate(np.dot(y, w), "Gauss-Legendre", where)
+
     n = 1
-    x, w = panel_nodes(a, b, n)
-    prev = _value(np.dot(f(x), w))
+    prev = estimate(n)
     while True:
         n *= 2
-        x, w = panel_nodes(a, b, n)
-        cur = _value(np.dot(f(x), w))
+        cur = estimate(n)
         if _settled(cur, prev, spec.rel_tol):
             return cur
         if 2 * n > spec.max_panels:
-            raise _no_convergence(
-                "Gauss-Legendre", n * GL_POINTS, prev, cur, spec.rel_tol, f"[{a}, {b}]"
-            )
+            raise _no_convergence("Gauss-Legendre", n * GL_POINTS, prev, cur, spec.rel_tol, where())
         prev = cur
 
 
@@ -143,26 +164,35 @@ def integrate_periodic(f, period: float, spec: QuadSpec = QuadSpec()):
     multiple of ``2n``, so before a value is accepted the ``2n`` grid
     shifted by ``ALIAS_SHIFT`` of its spacing must reproduce it too.
     Raises :class:`QuadratureError` when the next level would pass
-    ``spec.max_panels * GL_POINTS`` nodes.
+    ``spec.max_panels * GL_POINTS`` nodes, or on the first estimate that
+    is not finite.
     """
     import numpy as np
 
     budget = spec.max_panels * GL_POINTS
+
+    def where() -> str:
+        return f"[0, {period})"
+
     n = PERIODIC_START
     h = period / n
-    total = np.sum(f(h * np.arange(n)), axis=-1)
-    prev = _value(h * total)
+    y = f(h * np.arange(n))
+    with np.errstate(**_QUIET):
+        total = np.sum(y, axis=-1)
+        prev = _estimate(h * total, "periodic trapezoid", where)
     while True:
-        total = total + np.sum(f(h * (np.arange(n) + 0.5)), axis=-1)
+        y = f(h * (np.arange(n) + 0.5))
         n *= 2
         h = period / n
-        cur = _value(h * total)
+        with np.errstate(**_QUIET):
+            total = total + np.sum(y, axis=-1)
+            cur = _estimate(h * total, "periodic trapezoid", where)
         if _settled(cur, prev, spec.rel_tol):
-            shifted = _value(h * np.sum(f(h * (np.arange(n) + ALIAS_SHIFT)), axis=-1))
+            y = f(h * (np.arange(n) + ALIAS_SHIFT))
+            with np.errstate(**_QUIET):
+                shifted = _estimate(h * np.sum(y, axis=-1), "periodic trapezoid", where)
             if _settled(shifted, cur, spec.rel_tol):
                 return cur
         if 2 * n > budget:
-            raise _no_convergence(
-                "periodic trapezoid", n, prev, cur, spec.rel_tol, f"[0, {period})"
-            )
+            raise _no_convergence("periodic trapezoid", n, prev, cur, spec.rel_tol, where())
         prev = cur

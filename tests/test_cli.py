@@ -345,6 +345,16 @@ def test_exit_code_numerical_failure():
     assert "numerical failure" in proc.stderr
 
 
+def test_overflowing_area_is_a_numerical_failure():
+    # the area of the sphere of radius h, about pi h^2, overflows once h
+    # passes about 1.3e154: the quadrature stops at its first estimate
+    proc = run_proc("monotonicity", "--mass", "2", "--rho-max", "1e160")
+    assert proc.returncode == 3
+    assert proc.stderr.startswith("numerical failure: ")
+    assert proc.stderr.count("\n") == 1  # one line: no numpy warning before it
+    assert "is not finite" in proc.stderr
+
+
 _IMPORT_PROBE = """
 import json, sys
 import schwsurf.cli, schwsurf

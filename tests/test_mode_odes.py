@@ -77,8 +77,9 @@ def test_shot_matches_closed_form(m2):
 def test_shot_initial_data_and_node_order(m2):
     sol = integrate_v(ModeParams(m2, 0, 0.0, 20.0))
     assert sol.nodes_r[0] == 1.0
-    assert sol.nodes_v[0] == 1.0
-    assert sol.nodes_v_prime[0] == 0.5  # 1/m
+    nodes_v, nodes_v_prime = sol.values(sol.nodes_r)
+    assert nodes_v[0] == 1.0
+    assert nodes_v_prime[0] == 0.5  # 1/m
     assert np.all(np.diff(sol.nodes_r) > 0.0)
 
 
@@ -90,7 +91,8 @@ def test_horizon_reads_are_exact(mass):
         sol = integrate_v(ModeParams(model, k, lam, 30.0 * mass))
         h = 0.5 * mass
         assert sol.nodes_r[0] == h
-        assert sol.nodes_v[0] == 1.0 and sol.nodes_v_prime[0] == 1.0 / mass
+        nodes_v, nodes_v_prime = sol.values(sol.nodes_r)
+        assert nodes_v[0] == 1.0 and nodes_v_prime[0] == 1.0 / mass
         assert sol.v(h) == 1.0 and sol.v_prime(h) == 1.0 / mass
         assert sol.gamma(h) == 1.0 / mass
         assert sol.log_abs_v(h) == (0.0, 1.0)
@@ -154,7 +156,7 @@ def test_scalar_v_overflows_to_inf_like_array_reads(scalar_shot):
         v_arr, vp_arr = sol.values(radii)
     over = np.isinf(v_arr)
     if sol.params.k == 2:  # the lam = -10/m^2 shot grows like exp(1.58 r)
-        assert over.sum() > 100 and np.isinf(sol.terminal_value())
+        assert over.sum() > 100 and np.isinf(sol.v(sol.r_max))
     for x, v, vp in zip(radii[over].tolist(), v_arr[over], vp_arr[over]):
         assert sol.v(x) == v and sol.v_prime(x) == vp
 
@@ -165,9 +167,9 @@ def test_array_reads_overflow_quietly(m2):
     sol = integrate_v(ModeParams(m2, 2, -10.0 / 4.0, 1900.0), tol=1e-6)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert sol.sup_abs_v() == math.inf
+        assert np.max(np.abs(sol.values(sol.nodes_r)[0])) == math.inf
         assert abs(float(sol.values(1900.0)[0])) == math.inf
-        assert abs(sol.terminal_value()) == math.inf
+        assert abs(sol.v(sol.r_max)) == math.inf
 
 
 def test_scalar_reads_reject_points_off_the_shot(scalar_shot):

@@ -122,6 +122,24 @@ def test_gauss_legendre_stops_at_first_agreement():
     assert got == pytest.approx(math.e - 1.0, rel=1e-15)
 
 
+# ------------------------------------------------- estimates that overflow
+
+
+@pytest.mark.parametrize("rule", ["gauss-legendre", "periodic"])
+@pytest.mark.parametrize("sample", [math.inf, 1e308])
+def test_non_finite_estimate_raises_at_once(rule, sample):
+    """An infinite integrand, or finite samples whose sum overflows, raises
+    QuadratureError after at most two levels, without a RuntimeWarning
+    (Tier-1 turns those into errors); refining cannot bring it back."""
+    f, sizes = counted(lambda x: np.full(np.shape(x), sample))
+    with pytest.raises(QuadratureError, match="is not finite"):
+        if rule == "periodic":
+            integrate_periodic(f, TWO_PI)
+        else:
+            integrate(f, 0.0, 10.0)
+    assert len(sizes) <= 2
+
+
 # ------------------------------------------------------------ the noise floor
 
 

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from schwsurf import (
@@ -113,9 +113,10 @@ def test_spectrum_terminal_condition(spec20, m2):
         d = 1e-6
         lo = integrate_v(ModeParams(m2, 0, lam_raw - d, 20.0), tol=ODE_TOL)
         hi = integrate_v(ModeParams(m2, 0, lam_raw + d, 20.0), tol=ODE_TOL)
-        slope = abs(hi.terminal_value() - lo.terminal_value()) / (2.0 * d)
+        slope = abs(hi.v(hi.r_max) - lo.v(lo.r_max)) / (2.0 * d)
         band = LAMBDA_TOL / (m * m)
-        assert abs(sol.terminal_value()) <= 4.0 * slope * band + 1e-12 * sol.sup_abs_v()
+        sup_abs_v = np.max(np.abs(sol.values(sol.nodes_r)[0]))
+        assert abs(sol.v(sol.r_max)) <= 4.0 * slope * band + 1e-12 * sup_abs_v
 
 
 def test_oscillation_consistency_around_eigenvalues(spec20, m2):
@@ -451,6 +452,24 @@ def test_morse_index_one_at_far_truncations(m2, ratio):
     assert rep.morse_index == 1
     assert rep.per_mode_negative_counts[0] == 1
     assert all(c == 0 for k, c in rep.per_mode_negative_counts.items() if k != 0)
+
+
+@settings(max_examples=40, deadline=None, database=None, derandomize=True)
+@given(
+    mass=st.floats(0.3, 5.0),
+    log_ratio=st.floats(math.log(0.51), math.log(3000.0), exclude_min=True, exclude_max=True),
+)
+def test_index_is_one_exactly_beyond_the_stability_radius(mass, log_ratio):
+    """The index dichotomy: 1 for R > R*, 0 below, with a negative count
+    that does not increase with |k|.  Draws within a relative 1e-4 of R*
+    are left out, so that no draw rests on the sign of a nearly zero lam_1."""
+    ratio = math.exp(log_ratio)
+    r_star_over_m = 0.5 * R_STAR_M2
+    assume(abs(ratio / r_star_over_m - 1.0) >= 1e-4)
+    rep = morse_index(SchwarzschildModel(mass), R=ratio * mass, kmax=3)
+    assert rep.morse_index == (1 if ratio > r_star_over_m else 0)
+    counts = [rep.per_mode_negative_counts[k] for k in range(4)]
+    assert all(b <= a for a, b in zip(counts, counts[1:]))
 
 
 def test_morse_index_rejects_count_growing_with_k(m2, monkeypatch):
