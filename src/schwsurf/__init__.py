@@ -37,6 +37,7 @@ _EXPORTS = {
         "distance_from_areal",
         "distance_from_isotropic",
         "isotropic_from_areal",
+        "isotropic_from_distance",
         "static_potential",
         "static_potential_from_isotropic",
     ),

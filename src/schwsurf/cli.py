@@ -36,9 +36,8 @@ from .errors import NUMERICAL_ERRORS, DomainError, PreconditionError
 from .geometry import (
     DEFAULT_ROOT_TOL,
     SchwarzschildModel,
-    areal_from_distance,
-    distance_from_areal,
-    isotropic_from_areal,
+    areal_from_isotropic,
+    isotropic_from_distance,
     static_potential,
 )
 from .mode_odes import DEFAULT_ODE_TOL, psi_c, singularity_radius
@@ -244,16 +243,9 @@ def geom(config, model, r_max, n_rows):
     grid = np.concatenate([[0.0], np.geomspace(lo, r_max, n_rows - 1)])
     rows = []
     for r in grid:
-        s = areal_from_distance(model, r, tol=config["root_tol"])
-        rows.append(
-            (
-                isotropic_from_areal(model, s),
-                s,
-                r,
-                s,
-                static_potential(model, r, tol=config["root_tol"]),
-            )
-        )
+        rho = isotropic_from_distance(model, r, tol=config["root_tol"])
+        s = areal_from_isotropic(model, rho)
+        rows.append((rho, s, r, s, static_potential(model, r, tol=config["root_tol"])))
     _emit(config, rows, ("rho_iso", "s", "r", "h", "f"))
 
 
@@ -378,14 +370,13 @@ def boundary_bound(config, model, surface_spec, rho_max):
     spec = QuadSpec(rel_tol=config["quad_tol"])
     surface = _surface(model, surface_spec, rho_max, "the boundary-length bound applies to minimal surfaces")
     rep = surfaces.boundary_bound_check(model, surface, rho_max, spec)
-    blen = surfaces.boundary_length(model, surface)
     _emit(
         config,
         None,
         (),
         {
             "surface": surface_spec,
-            "boundary_len": blen,
+            "boundary_len": rep.boundary_length,
             "lhs": rep.lhs,
             "rhs": rep.rhs,
             "equality_defect": rep.equality_defect,

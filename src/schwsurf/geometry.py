@@ -12,17 +12,24 @@ used throughout the package:
 ``r``
     Riemannian distance to the horizon, ``r >= 0``.
 
-The maps between them are
+Every map between them is a closed form in the isotropic excess
+``d = rho - m/2``, which vanishes on the horizon:
 
-    s(rho) = rho (1 + m/2 rho)^2
-    r(s)   = s sqrt(1 - 2m/s) + m log[(1 + sqrt(1 - 2m/s)) / (1 - sqrt(1 - 2m/s))]
+    s(d) = (m + d)^2 / (m/2 + d),        so  s - 2m = d^2 / (m/2 + d),
+    r(d) = d (m + d)/(m/2 + d) + m log(1 + 2d/m),
+    f(d) = d / (m + d) = sqrt(1 - 2m/s),
+    d(s) = (s - 2m)/2 + sqrt(s) sqrt(s - 2m)/2,
 
-and their inverses.  ``h`` denotes the inverse of ``r(s)``, so ``h(r)`` is
+none of which cancels near the horizon.  The one inverse is ``d(r)``:
+``r(d)`` is increasing and concave with slope ``((m + d)/(m/2 + d))^2``
+in ``(1, 4]``, so Newton's method started at ``d = r/4``, where
+``r(d) <= r``, climbs to the root monotonically.  ``h(r) = s(d(r))`` is
 the areal radius at horizon distance ``r``, with ``h(0) = 2m`` and
-``h'(r) = sqrt(1 - 2m/h(r))``, the static potential.
+``h'(r) = f``, the static potential.
 
-``mass = 0`` is admitted as a degenerate flat model for testing; operations
-that reference the horizon raise :class:`~schwsurf.errors.DomainError` on it.
+``mass = 0`` is admitted as a degenerate flat model for testing: every
+radial map is the identity there and ``f = 1``; operations that
+reference the horizon raise :class:`~schwsurf.errors.DomainError` on it.
 """
 
 from __future__ import annotations
@@ -60,8 +67,75 @@ class SchwarzschildModel:
         return 2.0 * self.mass
 
     def require_horizon(self, what: str) -> None:
-        if self.mass == 0.0:
+        if _flat(self, "mass", self.mass, 0.0):
             raise DomainError(f"{what} references the horizon; mass must be > 0")
+
+
+def _flat(model: SchwarzschildModel, name: str, x: float, horizon: float) -> bool:
+    """Reject ``x`` below its horizon value ``horizon * m`` (and NaN);
+    True on the flat model, where every radial map is the identity."""
+    bound = horizon * model.mass
+    if not (x >= bound):
+        raise DomainError(f"{name} must be >= {bound}, got {x}")
+    return model.mass == 0.0
+
+
+# -------------------------------------------------------------------------
+# closed forms in the isotropic excess d = rho - m/2, for m > 0
+# -------------------------------------------------------------------------
+
+
+def _ratio(m: float, d: float) -> float:
+    """``(m + d)/(m/2 + d) = 1 + m/2 rho``, in ``(1, 2]``; 1 at ``d = inf``."""
+    return 1.0 + 0.5 * m / (0.5 * m + d)
+
+
+def _areal(m: float, d: float) -> float:
+    """``s = (m + d)^2/(m/2 + d)``, as a product that does not overflow."""
+    return (m + d) * _ratio(m, d)
+
+
+def _distance(m: float, d: float) -> float:
+    """``r = d (m + d)/(m/2 + d) + m log(1 + 2d/m)``; the log is
+    ``log d - log(m/2)`` where ``2d/m`` overflows."""
+    x = d / (0.5 * m)
+    log_x = math.log1p(x) if x < math.inf else math.log(d) - math.log(0.5 * m)
+    return d * _ratio(m, d) + m * log_x
+
+
+def _potential(m: float, d: float) -> float:
+    """``f = d/(m + d)``; 1 at ``d = inf``."""
+    return d / (m + d) if d < math.inf else 1.0
+
+
+def _excess_from_areal(m: float, s: float) -> float:
+    """``d = (s - 2m)/2 + sqrt(s) sqrt(s - 2m)/2``: ``s - 2m`` is exact near
+    the horizon, and each half is taken before the sum, which then does
+    not overflow."""
+    gap = s - 2.0 * m
+    return 0.5 * gap + 0.5 * (math.sqrt(s) * math.sqrt(gap))
+
+
+def _excess_from_distance(m: float, r: float, tol: float) -> float:
+    """The inverse ``d(r)``, under the contract of :func:`isotropic_from_distance`."""
+    if not (tol > 0.0):
+        raise DomainError(f"tol must be > 0, got {tol}")
+    if r == math.inf:
+        return math.inf
+    d = 0.25 * r
+    while True:
+        k = _ratio(m, d)
+        step = (r - _distance(m, d)) / (k * k)
+        d += step
+        if not step > 4.0 * math.ulp(d):
+            break
+    residual = _distance(m, d) - r
+    if not abs(residual) <= tol * max(r, m):
+        raise SearchError(
+            f"no isotropic radius at distance r = {r}: residual {residual} exceeds {tol} * max(r, m)",
+            diagnostics={"r": r, "residual": residual},
+        )
+    return d
 
 
 # -------------------------------------------------------------------------
@@ -76,74 +150,38 @@ def conformal_exponent(model: SchwarzschildModel, rho: float) -> float:
     root and areas by its square root squared, i.e. by ``(1 + m/2 rho)^4``
     per unit flat area element when combined over two directions.
     """
-    m = model.mass
-    if m == 0.0:
-        if rho < 0.0:
-            raise DomainError(f"rho must be >= 0 for mass 0, got {rho}")
+    if _flat(model, "rho", rho, 0.5):
         return 1.0
-    if rho < 0.5 * m:
-        raise DomainError(f"rho must be >= m/2 = {0.5 * m}, got {rho}")
-    a = 1.0 + 0.5 * m / rho
+    a = 1.0 + 0.5 * model.mass / rho
     return a * a * a * a
 
 
 def areal_from_isotropic(model: SchwarzschildModel, rho: float) -> float:
     """Areal radius ``s = rho (1 + m/2 rho)^2``; increasing on [m/2, oo)."""
-    m = model.mass
-    if m == 0.0:
-        if rho < 0.0:
-            raise DomainError(f"rho must be >= 0 for mass 0, got {rho}")
+    if _flat(model, "rho", rho, 0.5):
         return rho
-    if rho < 0.5 * m:
-        raise DomainError(f"rho must be >= m/2 = {0.5 * m}, got {rho}")
-    a = 1.0 + 0.5 * m / rho
-    return rho * a * a
+    return _areal(model.mass, rho - 0.5 * model.mass)
 
 
 def isotropic_from_areal(model: SchwarzschildModel, s: float) -> float:
-    """Exterior inverse of :func:`areal_from_isotropic`.
-
-    Solves ``rho + m + m^2/(4 rho) = s`` on the branch ``rho >= m/2``:
-    ``rho = (s - m + sqrt(s) sqrt(s - 2m)) / 2``.  The root of the product
-    is taken as a product of roots, so ``s^2`` never overflows, and
-    ``s - 2m`` is exact near the horizon.
-    """
-    m = model.mass
-    if m == 0.0:
-        if s < 0.0:
-            raise DomainError(f"s must be >= 0 for mass 0, got {s}")
+    """Exterior inverse of :func:`areal_from_isotropic`: ``rho = m/2 + d(s)``."""
+    if _flat(model, "s", s, 2.0):
         return s
-    if s < 2.0 * m:
-        raise DomainError(f"s must be >= 2m = {2.0 * m}, got {s}")
-    return 0.5 * (s - m + math.sqrt(s) * math.sqrt(s - 2.0 * m))
+    return 0.5 * model.mass + _excess_from_areal(model.mass, s)
 
 
 def distance_from_areal(model: SchwarzschildModel, s: float) -> float:
-    """Riemannian distance from the horizon to the sphere of areal radius s.
-
-    Closed form ``r(s) = s q + m log((1+q)^2 s / 2m)`` with
-    ``q = sqrt(1 - 2m/s)``; the log argument is the cancellation-free
-    rewrite of ``(1+q)/(1-q)``, taken as ``2 log1p(q) + log(s/2m)`` so
-    that it does not overflow for ``s`` near the top of the double range
-    (nor does ``s/2m`` itself, whose log is then ``log s - log 2m``).
-    For ``s - 2m < 1e-8 m`` the leading
-    series ``r = 2 sqrt(2m (s - 2m))`` is used instead, where the direct
-    formula has lost its significant digits.
-    """
-    m = model.mass
-    if m == 0.0:
-        if s < 0.0:
-            raise DomainError(f"s must be >= 0 for mass 0, got {s}")
+    """Riemannian distance from the horizon to the sphere of areal radius s."""
+    if _flat(model, "s", s, 2.0):
         return s
-    if s < 2.0 * m:
-        raise DomainError(f"s must be >= 2m = {2.0 * m}, got {s}")
-    gap = s - 2.0 * m
-    if gap < 1e-8 * m:
-        return 2.0 * math.sqrt(2.0 * m * gap)
-    q = math.sqrt(gap / s)
-    x = s / (2.0 * m)
-    log_x = math.log(x) if x < math.inf else math.log(s) - math.log(2.0 * m)
-    return s * q + m * (2.0 * math.log1p(q) + log_x)
+    return _distance(model.mass, _excess_from_areal(model.mass, s))
+
+
+def distance_from_isotropic(model: SchwarzschildModel, rho: float) -> float:
+    """Horizon distance of the sphere with isotropic radius ``rho``."""
+    if _flat(model, "rho", rho, 0.5):
+        return rho
+    return _distance(model.mass, rho - 0.5 * model.mass)
 
 
 # -------------------------------------------------------------------------
@@ -151,67 +189,29 @@ def distance_from_areal(model: SchwarzschildModel, s: float) -> float:
 # -------------------------------------------------------------------------
 
 
-def areal_from_distance(model: SchwarzschildModel, r: float, tol: float = DEFAULT_ROOT_TOL) -> float:
-    """Areal radius ``h(r)`` at horizon distance ``r``.
+def isotropic_from_distance(model: SchwarzschildModel, r: float, tol: float = DEFAULT_ROOT_TOL) -> float:
+    """Isotropic radius ``m/2 + d(r)`` of the sphere at horizon distance ``r``.
 
-    Inverts :func:`distance_from_areal` by bisection sharpened with the
-    derivative step ``ds = f dr``, ``f = sqrt(1 - 2m/s)``.  ``tol`` is
-    relative: the iteration stops once the distance residual satisfies
-    ``|r(h) - r| <= tol * max(r, m)``.  The initial bracket is
-    ``[2m, 2m + r + 2m max(0, log(1 + r/m))]``; its upper end is valid
-    because ``r(s) >= s - 2m``.
-
-    An iterate that stops moving is returned as it is: near the horizon
-    ``s - 2m`` carries too few digits to meet ``tol`` (at ``m = 2``,
-    ``r = 1e-4`` the residual stalls at 4e-11).  ``r = inf`` gives
-    ``inf``.  A non-finite residual, or no convergence in 200 steps,
-    raises :class:`SearchError` with ``r``, ``s`` and the residual.
+    Newton's method on ``r(d) = r`` from ``d = r/4`` climbs to the root
+    and stops at the first step that does not climb by more than 4 ulps
+    of ``d``.  The answer must then meet the residual
+    ``|r(d) - r| <= tol * max(r, m)``; ``tol`` is that bound, not a
+    stopping rule, and one finer than doubles can meet (below about
+    1e-15) fails.  A failed residual, a non-finite one included, raises
+    :class:`SearchError` with ``r`` and the residual.  ``r = inf`` gives
+    ``inf``.
     """
-    m = model.mass
-    if m == 0.0:
-        if not (r >= 0.0):
-            raise DomainError(f"r must be >= 0 for mass 0, got {r}")
+    if _flat(model, "r", r, 0.0):
         return r
-    if not (r >= 0.0):
-        raise DomainError(f"r must be >= 0, got {r}")
-    if not (tol > 0.0):
-        raise DomainError(f"tol must be > 0, got {tol}")
-    if r == 0.0:
-        return 2.0 * m
-    if r == math.inf:
-        return math.inf
-
-    scale = max(r, m)
-    lo = 2.0 * m
-    hi = 2.0 * m + r + 2.0 * m * max(0.0, math.log1p(r / m))
-    s = min(2.0 * m + r, hi)  # r(s) >= s - 2m makes this an upper-side guess
-    for _ in range(200):
-        resid = distance_from_areal(model, s) - r
-        if abs(resid) <= tol * scale:
-            return s
-        if not math.isfinite(resid):
-            break
-        if resid > 0.0:
-            hi = s
-        else:
-            lo = s
-        q = math.sqrt(max(0.0, 1.0 - 2.0 * m / s)) if s > 2.0 * m else 0.0
-        step = -resid * q  # Newton step via dr/ds = 1/q
-        s_new = s + step
-        if not (lo < s_new < hi) or q == 0.0:
-            s_new = 0.5 * (lo + hi)
-        if s_new == s:
-            return s
-        s = s_new
-    raise SearchError(
-        f"no areal radius at distance r = {r}: last s = {s}, residual {resid}",
-        diagnostics={"r": r, "s": s, "residual": resid},
-    )
+    return 0.5 * model.mass + _excess_from_distance(model.mass, r, tol)
 
 
-def distance_from_isotropic(model: SchwarzschildModel, rho: float) -> float:
-    """Horizon distance of the sphere with isotropic radius ``rho``."""
-    return distance_from_areal(model, areal_from_isotropic(model, rho))
+def areal_from_distance(model: SchwarzschildModel, r: float, tol: float = DEFAULT_ROOT_TOL) -> float:
+    """Areal radius ``h(r)`` at horizon distance ``r``, through the inverse
+    ``d(r)`` of :func:`isotropic_from_distance` and under its contract."""
+    if _flat(model, "r", r, 0.0):
+        return r
+    return _areal(model.mass, _excess_from_distance(model.mass, r, tol))
 
 
 # -------------------------------------------------------------------------
@@ -223,32 +223,24 @@ def static_potential(model: SchwarzschildModel, r: float, tol: float = DEFAULT_R
     """Static potential ``f(r) = h'(r) = sqrt(1 - 2m/h(r))``.
 
     Vanishes on the horizon and tends to 1 at infinity with the expansion
-    ``f = 1 - m/r + o(1/r)``.
+    ``f = 1 - m/r + o(1/r)``.  Formed as ``d/(m + d)`` from the inverse
+    ``d(r)`` of :func:`isotropic_from_distance`, under its contract.
     """
-    m = model.mass
-    if m == 0.0:
-        if r < 0.0:
-            raise DomainError(f"r must be >= 0 for mass 0, got {r}")
+    if _flat(model, "r", r, 0.0):
         return 1.0
-    h = areal_from_distance(model, r, tol=tol)
-    return math.sqrt(max(0.0, 1.0 - 2.0 * m / h))
+    return _potential(model.mass, _excess_from_distance(model.mass, r, tol))
 
 
 def static_potential_from_isotropic(model: SchwarzschildModel, rho: float) -> float:
     """Static potential at isotropic radius rho: ``(1 - m/2 rho)/(1 + m/2 rho)``.
 
-    Algebraically equal to ``sqrt(1 - 2m/s(rho))`` on ``rho >= m/2``; this
-    form needs no inversion and no square root of a small difference.
+    Formed as ``d/(m + d)``, which is algebraically equal to
+    ``sqrt(1 - 2m/s(rho))`` on ``rho >= m/2`` and needs no inversion and
+    no square root of a small difference.
     """
-    m = model.mass
-    if m == 0.0:
-        if rho < 0.0:
-            raise DomainError(f"rho must be >= 0 for mass 0, got {rho}")
+    if _flat(model, "rho", rho, 0.5):
         return 1.0
-    if rho < 0.5 * m:
-        raise DomainError(f"rho must be >= m/2 = {0.5 * m}, got {rho}")
-    x = 0.5 * m / rho
-    return (1.0 - x) / (1.0 + x)
+    return _potential(model.mass, rho - 0.5 * model.mass)
 
 
 def asymptotic_defect(model: SchwarzschildModel, r: float) -> float:

@@ -34,7 +34,6 @@ from .mode_odes import (
     DEFAULT_ODE_TOL,
     ModeParams,
     RadialSolution,
-    closed_form_v0,
     integrate_v,
     miss_distance,
 )

@@ -25,11 +25,7 @@ import numpy as np
 
 from . import quadrature, roots
 from .errors import DomainError, GeometryError, PreconditionError
-from .geometry import (
-    SchwarzschildModel,
-    areal_from_distance,
-    isotropic_from_areal,
-)
+from .geometry import SchwarzschildModel, areal_from_distance, isotropic_from_distance
 from .quadrature import QuadSpec
 
 _TWO_PI = 2.0 * math.pi
@@ -327,14 +323,11 @@ def radial_normal_component(model: SchwarzschildModel, surface: ParamSurface, t:
 
 
 def clip_radius(model: SchwarzschildModel, rho: float) -> float:
-    """Isotropic radius of the sphere at horizon distance ``rho``, if finite."""
+    """Isotropic radius of the sphere at horizon distance ``rho``; it is
+    at most ``rho + m/2``, so finite with ``rho``."""
     if not 0.0 <= rho < math.inf:
         raise DomainError(f"horizon distance must be finite and >= 0, got {rho}")
-    # in plain floats, which overflow to inf without a warning
-    t = isotropic_from_areal(model, areal_from_distance(model, float(rho)))
-    if t == math.inf:
-        raise DomainError(f"the sphere at horizon distance {rho} is beyond the double range")
-    return t
+    return isotropic_from_distance(model, float(rho))
 
 
 def _clipped_integral(model, surface, rho, spec, w, normal=False) -> float:
@@ -496,11 +489,13 @@ class BoundaryBoundReport:
 
     ``lhs`` is the density at infinity, ``rhs`` the boundary-length side
     plus the defect integral; ``equality_defect = lhs - rhs`` vanishes
-    exactly on planes through the origin.
+    exactly on planes through the origin.  ``boundary_length`` is the
+    g-length of the boundary curve on the horizon.
     """
 
     lhs: float
     rhs: float
+    boundary_length: float
     equality_defect: float
     boundary_term: float
     defect_value: float
@@ -652,6 +647,7 @@ def boundary_bound_check(
     return BoundaryBoundReport(
         lhs=lhs,
         rhs=rhs,
+        boundary_length=blen,
         equality_defect=lhs - rhs,
         boundary_term=bterm,
         defect_value=defect,

@@ -17,6 +17,18 @@ def _r_star_over_m():
 # the stability radius at m = 2, rounded to double
 R_STAR_M2 = float(2 * _r_star_over_m())
 
+
+def exact_radii(m, r):
+    """Isotropic radius, areal radius and static potential at horizon
+    distance ``r > 0``, to 50 digits, from the parametrization
+    ``r = m (sinh w + w)``, ``rho = (m/2) e^w``, ``s = m (1 + cosh w)``,
+    ``f = tanh(w/2)``, which shares no formula with the package."""
+    with mpmath.workdps(50):
+        m, r = mpmath.mpf(m), mpmath.mpf(r)
+        w = mpmath.findroot(lambda w: mpmath.log((mpmath.sinh(w) + w) * m / r), mpmath.asinh(r / (2 * m)))
+        return m / 2 * mpmath.exp(w), m * (1 + mpmath.cosh(w)), mpmath.tanh(w / 2)
+
+
 # filled by tests/test_acceptance.py; printed by the terminal-summary hook
 ACCEPTANCE_RESULTS = []
 

@@ -13,7 +13,7 @@ import pytest
 from click.testing import CliRunner
 
 import schwsurf
-from conftest import R_STAR_M2
+from conftest import R_STAR_M2, exact_radii
 from schwsurf.cli import main
 
 F_AT_R1E4_M2 = 0.99979965105436941
@@ -52,6 +52,23 @@ def test_geom_table_reaches_far_field():
     assert last["h"] == last["s"]
     first = dict(zip(header, map(float, rows[0])))
     assert first["r"] == 0.0 and first["f"] == 0.0 and first["s"] == 4.0
+
+
+def test_geom_rows_against_mpmath():
+    """Every row within 1e-15 relative of the exact radii at its distance."""
+    header, rows = parse_csv(run_cli("geom", "--mass", "2").output)
+    assert [float(x) for x in rows[0]] == [1.0, 4.0, 0.0, 4.0, 0.0]
+    for row in rows[1:]:
+        got = dict(zip(header, map(float, row)))
+        rho, s, f = exact_radii(2.0, got["r"])
+        for key, want in (("rho_iso", rho), ("s", s), ("f", f)):
+            assert abs(got[key] - want) <= 1e-15 * want, (got["r"], key)
+
+
+def test_geom_root_tol_finer_than_doubles_is_a_numerical_failure():
+    result = run_cli("geom", "--mass", "2", "--root-tol", "1e-20")
+    assert result.exit_code == 3
+    assert "numerical failure: no isotropic radius at distance" in result.output
 
 
 def test_geom_json_provenance_header():
@@ -439,6 +456,26 @@ def test_package_exports_resolve_to_their_modules():
         schwsurf.no_such_name
 
 
+def test_every_module_level_import_is_used():
+    """Each name a package module imports at module level is referenced
+    in it (``from __future__`` aside)."""
+    import ast
+    import pathlib
+
+    unused = []
+    for path in sorted(pathlib.Path(schwsurf.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        imported = set()
+        for node in tree.body:
+            if isinstance(node, ast.Import):
+                imported |= {(a.asname or a.name).split(".")[0] for a in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported |= {a.asname or a.name for a in node.names}
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.name}: {name}" for name in sorted(imported - used)]
+    assert unused == []
+
+
 def test_linspace_nodes_match_numpy_to_the_bit():
     import random
 
@@ -457,7 +494,7 @@ def test_linspace_nodes_match_numpy_to_the_bit():
 def test_unconverged_areal_radius_is_a_numerical_failure(monkeypatch):
     from schwsurf import geometry
 
-    monkeypatch.setattr(geometry, "distance_from_areal", lambda model, s: float("nan"))
+    monkeypatch.setattr(geometry, "_distance", lambda m, d: float("nan"))
     result = CliRunner().invoke(main, ["geom", "--mass", "2", "--n", "3"])
     assert result.exit_code == 3
     assert "numerical failure" in result.output

@@ -5,7 +5,10 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import exact_radii
 from schwsurf import (
     SchwarzschildModel,
     areal_from_distance,
@@ -15,11 +18,13 @@ from schwsurf import (
     distance_from_areal,
     distance_from_isotropic,
     isotropic_from_areal,
+    isotropic_from_distance,
     static_potential,
     static_potential_from_isotropic,
 )
 from schwsurf import geometry
 from schwsurf.errors import DomainError, SearchError
+from schwsurf.surfaces import clip_radius
 
 # Reference values evaluated independently at 30-digit precision from the
 # defining closed forms, rounded to double.
@@ -131,25 +136,29 @@ def test_areal_from_distance_examples(m2, flat):
 
 
 def test_areal_from_distance_failures(m2, flat, monkeypatch):
-    """NaN is outside the domain; inf maps to inf; an iteration whose
-    residual turns non-finite raises with its last state."""
+    """NaN is outside the domain; inf maps to inf; an inversion whose
+    residual turns non-finite raises with it."""
     for model in (m2, flat):
         with pytest.raises(DomainError):
             areal_from_distance(model, math.nan)
     assert areal_from_distance(m2, math.inf) == math.inf
-    monkeypatch.setattr(geometry, "distance_from_areal", lambda model, s: math.nan)
+    monkeypatch.setattr(geometry, "_distance", lambda m, d: math.nan)
     with pytest.raises(SearchError) as err:
         areal_from_distance(m2, 10.0)
     assert err.value.diagnostics["r"] == 10.0 and math.isnan(err.value.diagnostics["residual"])
 
 
-def test_areal_from_distance_stall_near_horizon(m2):
-    """Near the horizon s - 2m carries about 6 digits: the iterate stops
-    moving with residual 4e-11 above tol * max(r, m) = 2e-12, and is
-    returned as it is."""
-    s = areal_from_distance(m2, 1e-4)
-    assert s == float.fromhex("0x1.00000000abcc8p+2")
-    assert 2e-12 < abs(distance_from_areal(m2, s) - 1e-4) < 1e-10
+def test_distance_inverse_meets_tol_near_horizon(m2):
+    """Near the horizon s - 2m carries about 6 digits, so no double s has
+    a distance within tol * max(r, m) = 2e-12 of r = 1e-4 (neighbours
+    miss by 3e-11 and 4e-11); the isotropic excess, in which the inverse
+    is taken, meets it, and h lands next to the root."""
+    r = 1e-4
+    rho = isotropic_from_distance(m2, r)
+    assert abs(distance_from_isotropic(m2, rho) - r) <= 1e-12 * max(r, m2.mass)
+    s = areal_from_distance(m2, r)
+    below, above = math.nextafter(s, 0.0), math.nextafter(s, math.inf)
+    assert distance_from_areal(m2, below) < r < distance_from_areal(m2, above)
 
 
 def test_round_trip_areal_isotropic(m2):
@@ -240,3 +249,45 @@ def test_scale_covariance_of_lengths():
         assert static_potential(b, 2.0 * r) == pytest.approx(
             static_potential(a, r), rel=1e-10
         )
+
+
+@pytest.mark.parametrize("mass", [0.1, 2.0])
+def test_radial_maps_against_mpmath(mass):
+    """h, the isotropic radius and f within 1e-15 relative at 20 distances
+    from 1e-12 m to 1e300 m, the horizon neighbourhood included."""
+    model = SchwarzschildModel(mass)
+    for exponent in np.linspace(-12.0, 300.0, 20):
+        r = mass * 10.0**exponent
+        rho, s, f = exact_radii(mass, r)
+        for got, want in (
+            (isotropic_from_distance(model, r), rho),
+            (areal_from_distance(model, r), s),
+            (static_potential(model, r), f),
+        ):
+            assert abs(got - want) <= 1e-15 * want, (r, got, want)
+
+
+@settings(max_examples=50, deadline=None, database=None, derandomize=True)
+@given(
+    log_m=st.floats(-3.0, 3.0),
+    log_ratio=st.floats(-12.0, 290.0),
+    log2_mu=st.integers(-3, 3),
+)
+def test_radial_maps_are_scale_covariant_and_increasing(log_m, log_ratio, log2_mu):
+    """Rescaling (m, r) by a power of two rescales h and the clip radius
+    and keeps f, to the bit; the distance of the isotropic radius is r to
+    4 ulps of max(r, m) (the isotropic radius near the horizon is rounded
+    to ulps of m/2); doubling r increases each map, f strictly until it
+    rounds to 1."""
+    m, mu = 10.0**log_m, 2.0**log2_mu
+    r = m * 10.0**log_ratio
+    model, scaled = SchwarzschildModel(m), SchwarzschildModel(mu * m)
+    assert areal_from_distance(scaled, mu * r) == mu * areal_from_distance(model, r)
+    assert clip_radius(scaled, mu * r) == mu * clip_radius(model, r)
+    assert static_potential(scaled, mu * r) == static_potential(model, r)
+    rho = isotropic_from_distance(model, r)
+    assert abs(distance_from_isotropic(model, rho) - r) <= 4.0 * math.ulp(max(r, m))
+    assert areal_from_distance(model, r) < areal_from_distance(model, 2.0 * r)
+    assert rho < clip_radius(model, 2.0 * r)
+    f, f_2r = static_potential(model, r), static_potential(model, 2.0 * r)
+    assert f < f_2r if r < 1e12 * m else f <= f_2r

@@ -13,6 +13,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from conftest import exact_radii
 from schwsurf import (
     QuadSpec,
     SchwarzschildModel,
@@ -549,13 +550,15 @@ def test_clip_radius_inverts_horizon_distance(m2):
         )
 
 
-def test_clip_radius_beyond_double_range_is_domain_error(m2):
-    # the isotropic radius leaves the double range: an error, no warning
+def test_clip_radius_at_the_top_of_the_double_range(m2):
+    """The isotropic radius at distance 1e308 is finite, against mpmath on
+    ``r = m (sinh w + w)``, ``rho = (m/2) e^w``; no warning on the way."""
     for model in (m2, SchwarzschildModel(0.1)):
+        ref = exact_radii(model.mass, 1e308)[0]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(DomainError):
-                clip_radius(model, np.float64(1e308))
+            got = clip_radius(model, np.float64(1e308))
+        assert abs(got - ref) <= 1e-15 * ref
     assert clip_radius(m2, np.float64(1e150)) == clip_radius(m2, 1e150)
 
 
