@@ -3,10 +3,10 @@
 Text outputs are CSV (comma separator, 17 significant digits, LF
 endings) or JSON carrying the same numbers plus a provenance header with
 the package version and the one tolerance the subcommand reads.  Exit
-codes: 0 success, 2 usage or configuration error, 3 numerical failure
-(diagnostics on stderr).  Every subcommand is registered through
-:func:`command`, which carries the shared flags, that tolerance flag, the
-config merge and that exit-code mapping.
+codes: 0 success, 2 usage error, 3 numerical failure (diagnostics on
+stderr).  Every subcommand is registered through :func:`command`, which
+carries the shared flags, that tolerance flag and that exit-code mapping.
+Reports go to stdout.
 
 A subcommand loads only the modules it calls.  ``stability-radius``,
 ``morse-index``, ``riccati`` and ``spectrum --method shooting`` load no
@@ -73,10 +73,11 @@ def _linspace(start: float, stop: float, n: int) -> list:
 
 
 def _emit(config, rows, header, scalars=None, payload_key="rows"):
-    """Write one report: CSV rows in table mode, a keyed object in JSON.
+    """Write one report to stdout: CSV rows in table mode, a keyed object
+    in JSON.
 
     ``scalars`` are constant summary values; in CSV they repeat as extra
-    trailing columns so the file stays rectangular.
+    trailing columns so the table stays rectangular.
     """
     scalars = scalars or {}
     if config["output"] == "json":
@@ -103,54 +104,7 @@ def _emit(config, rows, header, scalars=None, payload_key="rows"):
                 vals = [_fmt(v) for v in row] + [_fmt(v) for v in scalars.values()]
                 lines.append(",".join(vals))
         text = "\n".join(lines) + "\n"
-
-    if config["out"] is not None:
-        with open(config["out"], "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-    else:
-        click.echo(text, nl=False)
-
-
-def _read_config_file(path: str) -> dict:
-    out = {}
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            for ln, raw in enumerate(fh, 1):
-                line = raw.strip()
-                if not line or line.startswith("#"):
-                    continue
-                if "=" not in line:
-                    raise click.UsageError(
-                        f"config line {ln} is not key=value: {line!r}"
-                    )
-                key, _, val = line.partition("=")
-                out[key.strip()] = val.strip()
-    except OSError as exc:
-        raise click.UsageError(f"cannot read config file {path}: {exc}")
-    return out
-
-
-def _resolve_config(kwargs, tol: str) -> dict:
-    """Merge the config file (if any), keyed by the subcommand's flags,
-    under those flags; a file value is converted and checked by its flag."""
-    ctx = click.get_current_context()
-    cfg = {key: kwargs.pop(key) for key in ("mass", tol, "output", "out")}
-    path = kwargs.pop("config")
-    if path is not None:
-        params = {p.name: p for p in ctx.command.params}
-        for key, raw in _read_config_file(path).items():
-            if key not in cfg:
-                raise click.UsageError(f"unknown config key {key!r} in {path}")
-            if ctx.get_parameter_source(key) == click.core.ParameterSource.DEFAULT:
-                try:
-                    cfg[key] = params[key].type.convert(raw, params[key], ctx)
-                except click.BadParameter as exc:
-                    raise click.UsageError(f"config value for {key!r}: {exc.message}")
-    if cfg["mass"] < 0.0:
-        raise click.UsageError(f"mass must be nonnegative, got {cfg['mass']}")
-    if not (0.0 < cfg[tol] < math.inf):
-        raise click.UsageError(f"{tol} must be positive and finite, got {cfg[tol]}")
-    return cfg
+    click.echo(text, nl=False)
 
 
 def command(name: str, tol: str):
@@ -158,9 +112,9 @@ def command(name: str, tol: str):
     ``fn(config, model, **own_options)``.
 
     Adds the shared flags and the flag of the tolerance ``tol`` (a key of
-    ``_TOLERANCE_FLAGS``), and merges the config file under them.  Bad
-    parameter values (the mass included) are usage errors (exit 2);
-    solver failures are numerical errors (exit 3) with stderr diagnostics.
+    ``_TOLERANCE_FLAGS``); ``config`` holds their values.  Bad parameter
+    values (the mass included) are usage errors (exit 2); solver failures
+    are numerical errors (exit 3) with stderr diagnostics.
     """
 
     def register(fn):
@@ -168,11 +122,13 @@ def command(name: str, tol: str):
         @click.option("--mass", type=float, default=1.0, show_default=True, help="ADM mass m.")
         @_TOLERANCE_FLAGS[tol]
         @click.option("--output", type=click.Choice(["table", "json"]), default="table", show_default=True, help="Output format.")
-        @click.option("--out", type=click.Path(dir_okay=False, writable=True), default=None, help="Write output to this file instead of stdout.")
-        @click.option("--config", type=click.Path(exists=False), default=None, help="key=value file merged under the flags.")
         @functools.wraps(fn)
         def run(**kwargs):
-            config = _resolve_config(kwargs, tol)
+            config = {key: kwargs.pop(key) for key in ("mass", tol, "output")}
+            if config["mass"] < 0.0:
+                raise click.UsageError(f"mass must be nonnegative, got {config['mass']}")
+            if not (0.0 < config[tol] < math.inf):
+                raise click.UsageError(f"{tol} must be positive and finite, got {config[tol]}")
             try:
                 return fn(config, SchwarzschildModel(config["mass"]), **kwargs)
             except (DomainError, PreconditionError) as exc:
@@ -188,13 +144,17 @@ def command(name: str, tol: str):
 
 def _surface(model: SchwarzschildModel, spec_text: str, rho_max: float, claim: str):
     """Mini-grammar: plane | plane:rotated:<seed> | cone:<theta0>, built out
-    to the chart length the integrals up to ``rho_max`` need.
+    to the chart length ``2 clip_radius(rho_max)`` the integrals up to
+    ``rho_max`` need; a ``--rho-max`` for which that length is not finite
+    and positive is a usage error.
 
     A cone off the equator is not minimal: stderr gets a warning that ends
     in ``claim``."""
     from . import surfaces
 
-    t_max = 2.0 * surfaces.clip_radius(model, rho_max)
+    t_max = 2.0 * surfaces.clip_radius(model, rho_max) if 0.0 < rho_max < math.inf else math.nan
+    if not t_max < math.inf:
+        raise click.UsageError(f"--rho-max must be > 0 and give a finite chart length, got {rho_max}")
     parts = spec_text.split(":")
     if parts[0] == "plane":
         if len(parts) == 1:
@@ -333,8 +293,6 @@ def monotonicity(config, model, surface_spec, rho_max):
     m = model.mass
     if rho_max is None:
         rho_max = 100.0 * m if m > 0.0 else 100.0
-    if rho_max <= 0.0:
-        raise click.UsageError(f"--rho-max must be > 0, got {rho_max}")
     spec = QuadSpec(rel_tol=config["quad_tol"])
     surface = _surface(model, surface_spec, rho_max, "the monotonicity identity is not expected to hold")
     lo = 0.1 * m if m > 0.0 else rho_max * 1e-3

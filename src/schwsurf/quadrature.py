@@ -30,23 +30,24 @@ class QuadSpec:
     """Accuracy contract for the surface integrals.
 
     ``rel_tol`` (positive and finite) is the convergence target between
-    doublings; ``max_panels`` the refinement cap before
-    :class:`QuadratureError`.  Every panel carries the ``GL_POINTS``-point
-    Gauss-Legendre rule, and the periodic rule stops at the same node
-    budget, ``max_panels * GL_POINTS``.
+    doublings.  Every panel carries the ``GL_POINTS``-point Gauss-Legendre
+    rule; past ``MAX_PANELS`` panels, or the periodic rule's equal node
+    budget ``MAX_PANELS * GL_POINTS``, a rule raises
+    :class:`QuadratureError`.
     """
 
     rel_tol: float = 1e-8
-    max_panels: int = 4096
 
     def __post_init__(self):
-        if not (0.0 < self.rel_tol < math.inf) or self.max_panels < 2:
+        if not (0.0 < self.rel_tol < math.inf):
             raise ValueError(f"invalid quadrature spec {self}")
 
 
-# Gauss-Legendre order per panel, and its nodes and weights on [-1, 1],
-# formed on first use so that importing the package loads no numpy.polynomial
+# Gauss-Legendre order per panel, the refinement cap in panels, and the
+# nodes and weights on [-1, 1], formed on first use so that importing the
+# package loads no numpy.polynomial
 GL_POINTS = 32
+MAX_PANELS = 4096
 
 
 @functools.cache
@@ -150,7 +151,7 @@ def integrate(f, a: float, b: float, spec: QuadSpec = QuadSpec()):
         cur = estimate(n)
         if _settled(cur, prev, spec.rel_tol):
             return cur
-        if 2 * n > spec.max_panels:
+        if 2 * n > MAX_PANELS:
             raise _no_convergence("Gauss-Legendre", n * GL_POINTS, prev, cur, spec.rel_tol, where())
         prev = cur
 
@@ -164,12 +165,10 @@ def integrate_periodic(f, period: float, spec: QuadSpec = QuadSpec()):
     multiple of ``2n``, so before a value is accepted the ``2n`` grid
     shifted by ``ALIAS_SHIFT`` of its spacing must reproduce it too.
     Raises :class:`QuadratureError` when the next level would pass
-    ``spec.max_panels * GL_POINTS`` nodes, or on the first estimate that
-    is not finite.
+    ``MAX_PANELS * GL_POINTS`` nodes, or on the first estimate that is not
+    finite.
     """
     import numpy as np
-
-    budget = spec.max_panels * GL_POINTS
 
     def where() -> str:
         return f"[0, {period})"
@@ -193,6 +192,6 @@ def integrate_periodic(f, period: float, spec: QuadSpec = QuadSpec()):
                 shifted = _estimate(h * np.sum(y, axis=-1), "periodic trapezoid", where)
             if _settled(shifted, cur, spec.rel_tol):
                 return cur
-        if 2 * n > budget:
+        if 2 * n > MAX_PANELS * GL_POINTS:
             raise _no_convergence("periodic trapezoid", n, prev, cur, spec.rel_tol, where())
         prev = cur

@@ -383,18 +383,9 @@ def morse_index(
             "negative count grows with |k|, against Sturm comparison",
             diagnostics={"R": R, "counts": dict(zip(ks, counts))},
         )
-    per_mode = {}
-    total = 0
-    for k, c in zip(ks, counts):
-        per_mode[k] = c
-        if k > 0:
-            per_mode[-k] = c
-            total += 2 * c
-        else:
-            total += c
-    per_mode = dict(sorted(per_mode.items()))
+    per_mode = {k: counts[abs(k)] for k in range(-kmax, kmax + 1)}
     return IndexReport(
-        model=model, R=R, kmax=kmax, per_mode_negative_counts=per_mode, morse_index=total
+        model=model, R=R, kmax=kmax, per_mode_negative_counts=per_mode, morse_index=sum(per_mode.values())
     )
 
 

@@ -340,10 +340,11 @@ def _clipped_integral(model, surface, rho, spec, w, normal=False) -> float:
     run the periodic trapezoid rule :func:`quadrature.integrate_periodic`
     over ``s`` in ``[0, S)`` (so ``S`` must be the chart's true period),
     whose every node runs a Gauss-Legendre :func:`quadrature.integrate`
-    over ``t`` up to the slice's clip level.  With ``normal`` both rules
-    carry the integral without the radial-normal factor alongside, which
-    bounds it: its scale is the floor that ends a defect that is rounding
-    noise (a cone written as a general chart).
+    over ``t`` up to the slice's clip level; a chart node inside the
+    horizon ``|x| < m/2`` raises :class:`DomainError`.  With ``normal``
+    both rules carry the integral without the radial-normal factor
+    alongside, which bounds it: its scale is the floor that ends a defect
+    that is rounding noise (a cone written as a general chart).
     """
     if rho == 0.0:
         return 0.0
@@ -355,6 +356,7 @@ def _clipped_integral(model, surface, rho, spec, w, normal=False) -> float:
         return surface.s_period * quadrature.integrate(lambda t: w(t) * t, t0, min(t_iso, t1), spec)
 
     chart, chart_t, chart_s = surface.chart, surface.chart_t, surface.chart_s
+    horizon = 0.5 * model.mass
     # a few ulps of the t range: every Brent search ends well within maxiter
     xtol = 4.0 * np.finfo(float).eps * max(abs(t0), abs(t1))
 
@@ -378,7 +380,10 @@ def _clipped_integral(model, surface, rho, spec, w, normal=False) -> float:
         def integrand(t):
             x, x_t, x_s = (_chart_samples(f, t, s) for f in (chart, chart_t, chart_s))
             el = np.linalg.norm(np.cross(x_t, x_s), axis=1)
-            weight = w(np.linalg.norm(x, axis=1))
+            r = np.linalg.norm(x, axis=1)
+            if np.any(r < horizon):
+                raise DomainError(f"chart reaches |x| = {r.min()} inside the horizon |x| = {horizon}")
+            weight = w(r)
             if normal:
                 return np.array([weight * (_radial_normal_sq(x, x_t, x_s) * el), weight * el])
             return weight * el
@@ -420,8 +425,6 @@ def defect_integral(model: SchwarzschildModel, surface: ParamSurface, rho: float
     m = model.mass
 
     def w(r):
-        if np.any(r < 0.5 * m):
-            raise DomainError(f"chart reaches |x| = {r.min()} inside the horizon |x| = {0.5 * m}")
         q = 0.5 * m / r
         f = (1.0 - q) / (1.0 + q)
         h = r * (1.0 + q) ** 2  # areal radius

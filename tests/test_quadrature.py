@@ -16,7 +16,7 @@ import pytest
 
 from schwsurf import QuadSpec, QuadratureError, SchwarzschildModel, make_plane, mu_integral
 from schwsurf import quadrature
-from schwsurf.quadrature import GL_POINTS, PERIODIC_START, integrate, integrate_periodic
+from schwsurf.quadrature import GL_POINTS, MAX_PANELS, PERIODIC_START, integrate, integrate_periodic
 
 TWO_PI = 2.0 * math.pi
 
@@ -85,32 +85,34 @@ def test_periodic_rule_reuses_every_node():
 
 
 def test_periodic_rule_raises_at_node_budget():
-    """|sin s| has a kink: the trapezoid error falls only like n^-2."""
-    spec = QuadSpec(max_panels=2)
-    assert spec.max_panels * GL_POINTS == 64
+    """sqrt|sin s| has cusps: the trapezoid error falls only like n^-1.5,
+    still above 1e-8 at the budget."""
+    assert MAX_PANELS * GL_POINTS == 131072
     with pytest.raises(QuadratureError) as err:
-        integrate_periodic(lambda s: np.abs(np.sin(s)), TWO_PI, spec)
+        integrate_periodic(lambda s: np.sqrt(np.abs(np.sin(s))), TWO_PI)
     message = str(err.value)
     assert "periodic trapezoid" in message
-    assert "after 64 nodes" in message
+    assert "after 131072 nodes" in message
     prev, cur = map(float, re.search(r"estimates (\S+) and (\S+)$", message).groups())
-    assert prev != cur and cur == pytest.approx(4.0, rel=1e-3)
+    # 4 int_0^(pi/2) sin^(1/2) = 2 sqrt(pi) Gamma(3/4) / Gamma(5/4)
+    exact = 2.0 * math.sqrt(math.pi) * math.gamma(0.75) / math.gamma(1.25)
+    assert prev != cur and cur == pytest.approx(exact, rel=1e-6)
 
 
 # ----------------------------------------------------------- Gauss-Legendre
 
 
 def test_gauss_legendre_raises_at_panel_cap():
-    """sqrt(x) is not smooth at 0: the composite error falls only like
-    h^1.5, far from 1e-8 after four panels."""
-    spec = QuadSpec(max_panels=4)
+    """|x - 1/3|^(1/2) has a cusp that no panel edge of [0, 1] meets: the
+    composite error falls only like h^1.5, still above 1e-8 at the cap."""
     with pytest.raises(QuadratureError) as err:
-        integrate(np.sqrt, 0.0, 1.0, spec)
+        integrate(lambda x: np.abs(x - 1.0 / 3.0) ** 0.5, 0.0, 1.0)
     message = str(err.value)
     assert "Gauss-Legendre" in message
-    assert f"after {4 * GL_POINTS} nodes" in message
+    assert f"after {MAX_PANELS * GL_POINTS} nodes" in message
     prev, cur = map(float, re.search(r"estimates (\S+) and (\S+)$", message).groups())
-    assert prev != cur and cur == pytest.approx(2.0 / 3.0, rel=1e-3)
+    exact = 2.0 / 3.0 * ((1.0 / 3.0) ** 1.5 + (2.0 / 3.0) ** 1.5)
+    assert prev != cur and cur == pytest.approx(exact, rel=1e-6)
 
 
 def test_gauss_legendre_stops_at_first_agreement():
@@ -150,18 +152,17 @@ def test_noise_component_ends_beside_its_bound():
     def noise(x):
         return 1e-30 * np.sin(1e6 * x) ** 2
 
-    spec = QuadSpec(max_panels=64)
     with pytest.raises(QuadratureError):
-        integrate(noise, 0.0, 1.0, spec)
+        integrate(noise, 0.0, 1.0)
     with pytest.raises(QuadratureError):
-        integrate_periodic(lambda s: noise(s / TWO_PI), TWO_PI, spec)
+        integrate_periodic(lambda s: noise(s / TWO_PI), TWO_PI)
 
     pair, sizes = counted(lambda x: np.array([noise(x), 1.0 + x]))
-    got = integrate(pair, 0.0, 1.0, spec)
+    got = integrate(pair, 0.0, 1.0)
     assert sizes == [GL_POINTS, 2 * GL_POINTS]
     assert 0.0 <= got[0] <= 1e-30 and got[1] == pytest.approx(1.5, rel=1e-15)
 
-    got = integrate_periodic(lambda s: np.array([noise(s / TWO_PI), 2.0 + np.cos(s)]), TWO_PI, spec)
+    got = integrate_periodic(lambda s: np.array([noise(s / TWO_PI), 2.0 + np.cos(s)]), TWO_PI)
     assert 0.0 <= got[0] <= 1e-29 and got[1] == pytest.approx(4.0 * math.pi, rel=1e-15)
 
 

@@ -420,6 +420,16 @@ def test_defect_rejects_chart_inside_horizon(m2):
         defect_integral(m2, graph, 3.0)
 
 
+@pytest.mark.parametrize("integral", [mu_integral, area_integral, defect_integral])
+def test_every_clipped_integral_rejects_chart_inside_horizon(m2, integral):
+    """The plane chart from t = 0.2, inside |x| = m/2 = 1 at m = 2."""
+    disc = make_general(
+        lambda t, s: np.array([t * math.cos(s), t * math.sin(s), 0.0]), (0.2, 8.0), TWO_PI
+    )
+    with pytest.raises(DomainError, match="inside the horizon"):
+        integral(m2, disc, 3.0)
+
+
 def test_flat_graph_monotonicity_identity(flat):
     """m = 0 graph z = c: ratio pi (1 - c^2/rho^2), defect makes up the gap."""
     c = 1.0
