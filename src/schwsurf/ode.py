@@ -12,18 +12,32 @@ so the right-hand side depends on ``x`` and ``theta`` only, and ``log rho``
 is a quadrature along the phase.  Neither variable overflows: the
 amplitude is carried as a logarithm and the phase grows by ``pi`` per zero.
 
-The Dormand-Prince 4(5) stepper works on plain floats (two components;
-numpy per-step overhead would dominate).  ``tol`` is an absolute bound on
-the RMS of the two estimated local errors of each step: radians of phase
-and relative error of the amplitude.  No step cap applies.  A
-:class:`Trajectory` holds plain lists: the nodes, the phase and
-``log rho`` at each node, and the seven stages of each accepted step.  The
-pair's 4th-order continuous extension gives dense output of both
-components: :meth:`Trajectory.eval_scalar` reads one point in plain
-floats, forming that step's extension coefficients on first read; only
-:meth:`Trajectory.eval`, which reads a whole array of points, imports
-numpy and builds arrays.  Integrating and reading single points load no
-numpy.
+Two steppers work on plain floats (two components; numpy per-step
+overhead would dominate).  ``tol`` is an absolute bound on the RMS of the
+two estimated local errors of each step, for either: radians of phase and
+relative error of the amplitude.  No step cap applies.
+
+* Dormand-Prince 4(5) takes the steps while the phase oscillates or
+  drifts.  Where ``P < 0`` the phase is drawn to a fixed point at the rate
+  ``d theta'/d theta = -B sin 2 theta + D cos 2 theta = -2 (log rho)'``,
+  and the explicit pair is then held to ``h |d theta'/d theta| < 3.3`` by
+  stability, not accuracy.
+* Radau IIA of order 5 (3 stages, L-stable; Hairer & Wanner, *Solving
+  ODEs II*, Springer 1996) takes every step that follows an accepted
+  step of either kind with ``2 h (log rho)' > 3``, ``h`` that step's
+  length and ``(log rho)'`` its last stage.  Its phase is solved by
+  simplified Newton, which is scalar here; ``log rho`` is a quadrature
+  over the same collocation stages.
+
+A :class:`Trajectory` holds plain lists: the nodes, the phase and
+``log rho`` at each node, and each accepted step's record, its seven
+stages or its three collocation increments.  Dense output of both
+components comes from the Dormand-Prince 4th-order continuous extension
+or from the Radau collocation cubic: :meth:`Trajectory.eval_scalar` reads
+one point in plain floats, forming that step's coefficients on first
+read; only :meth:`Trajectory.eval`, which reads a whole array of points,
+imports numpy and builds arrays.  Integrating and reading single points
+load no numpy.
 """
 
 from __future__ import annotations
@@ -31,6 +45,7 @@ from __future__ import annotations
 import bisect
 import functools
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable
 
@@ -73,6 +88,37 @@ _DENSE_P = (
 )
 _DENSE_COLUMNS = tuple(zip(*_DENSE_P))
 
+# Radau IIA of order 5 (Hairer & Wanner, *Solving ODEs II*, Springer 1996,
+# sec. IV.8), with the constants of scipy's ``Radau``: the abscissae, the
+# error weights, the eigenvalues of the inverse of the Runge-Kutta matrix
+# (one real, one complex), the transformation ``T`` that diagonalizes it
+# and its inverse ``TI``, and the collocation cubic's weights ``P``
+_S6 = 6.0 ** 0.5
+_RC1, _RC2 = (4.0 - _S6) / 10.0, (4.0 + _S6) / 10.0
+_RE1, _RE2, _RE3 = (-13.0 - 7.0 * _S6) / 3.0, (-13.0 + 7.0 * _S6) / 3.0, -1.0 / 3.0
+_MU_REAL = 3.0 + 3.0 ** (2.0 / 3.0) - 3.0 ** (1.0 / 3.0)
+_MU_COMPLEX = 3.0 + 0.5 * (3.0 ** (1.0 / 3.0) - 3.0 ** (2.0 / 3.0)) - 0.5j * (3.0 ** (5.0 / 6.0) + 3.0 ** (7.0 / 6.0))
+_T = (
+    (0.09443876248897524, -0.14125529502095421, 0.03002919410514742),
+    (0.25021312296533332, 0.20412935229379994, -0.38294211275726192),
+    (1.0, 1.0, 0.0),
+)
+_TI = (
+    (4.17871859155190428, 0.32768282076106237, 0.52337644549944951),
+    (-4.17871859155190428, -0.32768282076106237, 0.47662355450055044),
+    (0.50287263494578682, -2.57192694985560522, 0.59603920482822492),
+)
+_TI_COMPLEX = tuple(a + 1j * b for a, b in zip(_TI[1], _TI[2]))
+# the collocation cubic: y(x + s h) = y + sum_p (Z^T P)[p] s^(p+1) over the
+# three stage increments Z, one row of P per stage
+_RADAU_P = (
+    (13.0 / 3.0 + 7.0 * _S6 / 3.0, -23.0 / 3.0 - 22.0 * _S6 / 3.0, 10.0 / 3.0 + 5.0 * _S6),
+    (13.0 / 3.0 - 7.0 * _S6 / 3.0, -23.0 / 3.0 + 22.0 * _S6 / 3.0, 10.0 / 3.0 - 5.0 * _S6),
+    (1.0 / 3.0, -8.0 / 3.0, 10.0 / 3.0),
+)
+_RADAU_COLUMNS = tuple(zip(*_RADAU_P))
+_NEWTON_MAXITER = 6
+
 
 def _rhs(c: tuple, th: float, cos=math.cos, sin=math.sin) -> tuple:
     a, b, d = c
@@ -104,13 +150,79 @@ def _step(coefficients, x, h, th, k1t, k1l) -> tuple:
     return th_new, d_lr, err_t, err_l, stages
 
 
-def _extension(ks) -> tuple:
-    """Continuous-extension coefficients of one component from its seven
-    stages ``ks``: per power, the products with the stage weights summed
-    from the first stage on, the order of the ``einsum`` in
+def _radau_step(coefficients, x, h, th, tol) -> tuple:
+    """One Radau IIA step from ``x`` to ``x + h``: ``theta`` at ``x + h``,
+    the increment of ``log rho``, the two error estimates and the step's
+    record, the three collocation increments ``(Z theta, Z log rho)`` of
+    each stage followed by the right-hand side at ``x + h``.
+
+    The phase is solved by simplified Newton with the Jacobian
+    ``d theta'/d theta = -2 (log rho)'`` at ``x``, in scipy's transformed
+    variables: one real and one complex division per iteration.  ``log rho``
+    is a quadrature over the converged stages.  If Newton does not converge
+    the error estimates are ``nan``.
+    """
+    c0 = coefficients(x)
+    f0, g0 = _rhs(c0, th)
+    hj = -2.0 * h * g0
+    den_r = _MU_REAL - hj
+    den_c = _MU_COMPLEX - hj
+    cs = (coefficients(x + _RC1 * h), coefficients(x + _RC2 * h), coefficients(x + h))
+    newton_tol = max(10.0 * sys.float_info.epsilon / tol, min(0.03, math.sqrt(tol)))
+    (t11, t12, t13), (t21, t22, t23), (t31, t32, _) = _T
+    r1, r2, r3 = _TI[0]
+    q1, q2, q3 = _TI_COMPLEX
+    w0, wc = 0.0, 0j
+    z1 = z2 = z3 = 0.0
+    norm_old = rate = None
+    converged = False
+    for it in range(_NEWTON_MAXITER):
+        f1 = _rhs(cs[0], th + z1)[0]
+        f2 = _rhs(cs[1], th + z2)[0]
+        f3 = _rhs(cs[2], th + z3)[0]
+        if not math.isfinite(f1 + f2 + f3):
+            break
+        dw0 = (h * (r1 * f1 + r2 * f2 + r3 * f3) - _MU_REAL * w0) / den_r
+        dwc = (h * (q1 * f1 + q2 * f2 + q3 * f3) - _MU_COMPLEX * wc) / den_c
+        norm = math.sqrt((dw0 * dw0 + dwc.real * dwc.real + dwc.imag * dwc.imag) / 3.0) / tol
+        if norm_old is not None:
+            rate = norm / norm_old
+            if rate >= 1.0 or rate ** (_NEWTON_MAXITER - it) / (1.0 - rate) * norm > newton_tol:
+                break
+        w0 += dw0
+        wc += dwc
+        z1 = t11 * w0 + t12 * wc.real + t13 * wc.imag
+        z2 = t21 * w0 + t22 * wc.real + t23 * wc.imag
+        z3 = t31 * w0 + t32 * wc.real
+        if norm == 0.0 or (rate is not None and rate / (1.0 - rate) * norm < newton_tol):
+            converged = True
+            break
+        norm_old = norm
+    if not converged:
+        return th, 0.0, math.nan, math.nan, ()
+    f1, g1 = _rhs(cs[0], th + z1)
+    f2, g2 = _rhs(cs[1], th + z2)
+    f3, g3 = _rhs(cs[2], th + z3)
+    # log rho' does not depend on log rho: its stages are a quadrature
+    v0 = h * (r1 * g1 + r2 * g2 + r3 * g3) / _MU_REAL
+    vc = h * (q1 * g1 + q2 * g2 + q3 * g3) / _MU_COMPLEX
+    y1 = t11 * v0 + t12 * vc.real + t13 * vc.imag
+    y2 = t21 * v0 + t22 * vc.real + t23 * vc.imag
+    y3 = t31 * v0 + t32 * vc.real
+    # embedded third-order estimate, filtered through (MU_REAL/h - J)^-1
+    # with the Jacobian of the pair, [[-2 log rho', 0], [2 theta' - A, 0]]
+    err_t = (h * f0 + _RE1 * z1 + _RE2 * z2 + _RE3 * z3) / den_r
+    err_l = (h * g0 + _RE1 * y1 + _RE2 * y2 + _RE3 * y3 + h * (2.0 * f0 - c0[0]) * err_t) / _MU_REAL
+    return th + z3, y3, err_t, err_l, (z1, y1, z2, y2, z3, y3, f3, g3)
+
+
+def _extension(ks, columns) -> tuple:
+    """Dense-output coefficients of one component from its stages ``ks``
+    and the stage weights of each power, ``columns``: per power, the
+    products summed from the first stage on, the order of the ``einsum`` in
     :meth:`Trajectory.eval`, so both give the same bits."""
     out = []
-    for weights in _DENSE_COLUMNS:
+    for weights in columns:
         acc = 0.0
         for k, w in zip(ks, weights):
             acc += k * w
@@ -123,40 +235,72 @@ class Trajectory:
     """Accepted steps of one Prüfer integration, in plain lists.
 
     ``x`` holds the nodes, ``theta`` and ``log_rho`` the pair at each node.
-    Step ``i`` runs from node ``i`` to node ``i + 1``: ``stages[i]`` holds
-    its seven stages ``(k1 theta, k1 log rho, ..., k7 log rho)``, the first
-    two the right-hand side at node ``i``.
+    Step ``i`` runs from node ``i`` to node ``i + 1``.  ``stages[i]`` is
+    its record: for a Dormand-Prince step the seven stages ``(k1 theta,
+    k1 log rho, ..., k7 log rho)``, 14 floats, the first two the
+    right-hand side at node ``i``; for a Radau IIA step the three
+    collocation increments ``(Z1 theta, Z1 log rho, ..., Z3 log rho)``,
+    8 floats.  Either record ends with the right-hand side at node
+    ``i + 1``.  ``tol`` is the integration's tolerance.  The step counts
+    are ``rejected_steps`` and the accepted ``dp45_steps`` and
+    ``radau_steps``.
     """
 
     coefficients: Callable[[float], tuple]
+    tol: float
     x: list
     theta: list
     log_rho: list
     stages: list
+    rejected_steps: int
+
+    @property
+    def radau_steps(self) -> int:
+        return sum(len(k) == 8 for k in self.stages)
+
+    @property
+    def dp45_steps(self) -> int:
+        return len(self.stages) - self.radau_steps
 
     @functools.cached_property
     def _dense(self) -> list:
         return [None] * len(self.stages)
 
     def dense(self, i: int) -> tuple:
-        """The ``(theta, log rho)`` continuous-extension coefficients of
-        step ``i``, two 4-tuples formed on first read; the first of each is
-        the right-hand side at node ``i``."""
+        """The ``(theta, log rho)`` dense-output coefficients of step ``i``,
+        two 4-tuples formed on first read: ``y(x_i + s h) = y_i + h s (c0
+        + s (c1 + s (c2 + s c3)))``.  A Dormand-Prince step gives its
+        continuous extension, whose ``c0`` is the right-hand side at node
+        ``i``; a Radau step its collocation cubic, with ``c3 = 0``."""
         coeffs = self._dense[i]
         if coeffs is None:
             k = self.stages[i]
-            coeffs = self._dense[i] = (_extension(k[0::2]), _extension(k[1::2]))
+            if len(k) == 14:
+                coeffs = (_extension(k[0::2], _DENSE_COLUMNS), _extension(k[1::2], _DENSE_COLUMNS))
+            else:
+                h = self.x[i + 1] - self.x[i]
+                coeffs = tuple((*(q / h for q in _extension(k[c:6:2], _RADAU_COLUMNS)), 0.0) for c in (0, 1))
+            self._dense[i] = coeffs
         return coeffs
 
     @functools.cached_property
     def _arrays(self) -> tuple:
-        """Nodes, ``(n, 2)`` states and ``(n - 1, 2, 4)`` extension
+        """Nodes, ``(n, 2)`` states and ``(n - 1, 2, 4)`` dense-output
         coefficients as arrays, for :meth:`eval`."""
         import numpy as np
 
-        k = np.asarray(self.stages).reshape(-1, 7, 2)
-        dense = np.einsum("nsc,sp->ncp", k, np.asarray(_DENSE_P))
-        return np.asarray(self.x), np.column_stack((self.theta, self.log_rho)), dense
+        nodes = np.asarray(self.x)
+        dense = np.zeros((len(self.stages), 2, 4))
+        dp = [i for i, k in enumerate(self.stages) if len(k) == 14]
+        if dp:
+            k = np.asarray([self.stages[i] for i in dp]).reshape(-1, 7, 2)
+            dense[dp] = np.einsum("nsc,sp->ncp", k, np.asarray(_DENSE_P))
+        ra = [i for i, k in enumerate(self.stages) if len(k) != 14]
+        if ra:
+            z = np.asarray([self.stages[i][:6] for i in ra]).reshape(-1, 3, 2)
+            h = (nodes[1:] - nodes[:-1])[ra]
+            dense[ra, :, :3] = np.einsum("nsc,sp->ncp", z, np.asarray(_RADAU_P)) / h[:, None, None]
+        return nodes, np.column_stack((self.theta, self.log_rho)), dense
 
     def eval(self, x):
         """``(theta, log rho)`` at the points ``x``, shape ``x.shape + (2,)``.
@@ -198,18 +342,24 @@ class Trajectory:
 
         ``target`` must lie in ``(theta(x0), theta(x_end)]`` and be crossed
         upward only, as a multiple of ``pi`` is.  Newton's method runs on
-        the length of a fresh step from the node before the crossing, so
-        the result carries the step's local error, not the interpolant's.
+        the length of a fresh step from the node before the crossing, taken
+        by the method that took the step there, so the result carries the
+        step's local error, not the dense output's.
         """
         theta = self.theta
         i = next(j for j, th in enumerate(theta) if th >= target) - 1
         x0, th0 = self.x[i], theta[i]
         h_max = self.x[i + 1] - x0
         h = h_max * (target - th0) / (theta[i + 1] - th0)
-        k1t, k1l = self.stages[i][:2]
+        k = self.stages[i]
         for _ in range(4):
-            th1, _, _, _, stages = _step(self.coefficients, x0, h, th0, k1t, k1l)
-            h = min(max(h - (th1 - target) / stages[12], 0.0), h_max)
+            if len(k) == 14:
+                th1, _, _, _, ks = _step(self.coefficients, x0, h, th0, k[0], k[1])
+            else:
+                th1, _, _, _, ks = _radau_step(self.coefficients, x0, h, th0, self.tol)
+                if not ks:
+                    break
+            h = min(max(h - (th1 - target) / ks[-2], 0.0), h_max)
         return x0 + h
 
 
@@ -223,7 +373,11 @@ def integrate_prufer(
 ) -> Trajectory:
     """Integrate the scaled Prüfer pair from ``(x0, theta0, log_rho0)`` to ``x1``.
 
-    ``coefficients(x)`` returns ``(A, B, D)``.  Raises
+    ``coefficients(x)`` returns ``(A, B, D)``.  A step is a Radau IIA step
+    if the accepted step before it was limited by the stability of
+    Dormand-Prince, ``h d theta'/d theta < -3`` with ``d theta'/d theta =
+    -2 (log rho)'`` read off its last stage, and a Dormand-Prince step
+    otherwise.  Raises
     :class:`IntegrationError` with the last good radius ``exp(x)`` if the
     step size underflows.
     """
@@ -235,10 +389,12 @@ def integrate_prufer(
     thetas = [theta0]
     lrs = [log_rho0]
     stages = []
+    rejected = 0
 
     x, th, lr = x0, theta0, log_rho0
     k1t, k1l = _rhs(coefficients(x0), th)  # FSAL seed
     h = (x1 - x0) / 100.0
+    stiff = False
 
     while x < x1:
         if h < 1e-14 * max(1.0, abs(x)):
@@ -246,9 +402,15 @@ def integrate_prufer(
         last = x + h >= x1
         if last:
             h = x1 - x
-        th_new, d_lr, err_t, err_l, ks = _step(coefficients, x, h, th, k1t, k1l)
+        if stiff:
+            th_new, d_lr, err_t, err_l, ks = _radau_step(coefficients, x, h, th, tol)
+        else:
+            th_new, d_lr, err_t, err_l, ks = _step(coefficients, x, h, th, k1t, k1l)
         err = math.sqrt(0.5 * (err_t * err_t + err_l * err_l)) / tol
+        # the Radau error estimate is of third order, the DP45 one of fourth
+        expo = -0.25 if stiff else -0.2
         if not math.isfinite(err):
+            rejected += 1
             h *= 0.2
             continue
 
@@ -257,13 +419,15 @@ def integrate_prufer(
             x = x1 if last else x + h
             th = th_new
             lr += d_lr
-            k1t, k1l = ks[12], ks[13]
+            k1t, k1l = ks[-2], ks[-1]
             xs.append(x)
             thetas.append(th)
             lrs.append(lr)
-            grow = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err ** -0.2))
+            stiff = 2.0 * h * k1l > 3.0
+            grow = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err ** expo))
             h *= grow
         else:
-            h *= max(0.2, 0.9 * err ** -0.2)
+            rejected += 1
+            h *= max(0.2, 0.9 * err ** expo)
 
-    return Trajectory(coefficients, xs, thetas, lrs, stages)
+    return Trajectory(coefficients, tol, xs, thetas, lrs, stages, rejected)

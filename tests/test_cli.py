@@ -391,6 +391,23 @@ def test_subcommand_loads_only_what_it_calls(child):
     assert loaded.isdisjoint(absent), sorted(loaded & set(absent))
 
 
+def test_morse_index_at_loose_ode_tol():
+    """At --ode-tol 1e-6 the stiff stretches of the k = 3, 4, 5 shots of a
+    2000 m sweep take Radau steps: the index is still 1, exit 0, and the
+    child still loads no numpy."""
+    argv = ["morse-index", "--mass", "2", "--R", "2000", "--kmax", "5", "--ode-tol", "1e-6"]
+    proc = subprocess.run(
+        [sys.executable, "-c", _MODULE_PROBE, *argv], capture_output=True, text=True, check=True
+    )
+    probe = json.loads(proc.stderr.splitlines()[-1])
+    assert probe["code"] == 0
+    header, rows = parse_csv(proc.stdout)
+    assert len(rows) == 11 and {row[header.index("morse_index")] for row in rows} == {"1"}
+    assert "numpy" not in probe["modules"]
+    params = schwsurf.ModeParams(schwsurf.SchwarzschildModel(2.0), 3, 0.0, 2000.0)
+    assert schwsurf.integrate_v(params, tol=1e-6)._traj.radau_steps > 0
+
+
 def test_import_package_loads_no_numpy():
     code = "import sys, schwsurf; print(sorted(m for m in sys.modules if m.startswith(('numpy', 'schwsurf'))))"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)

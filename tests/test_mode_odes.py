@@ -5,6 +5,7 @@ versa; the finite-difference residual grids check both against the
 defining equations rather than against each other.
 """
 
+import bisect
 import math
 import warnings
 
@@ -28,6 +29,7 @@ from conftest import R_STAR_M2
 from schwsurf.errors import DomainError, NoSingularityError, SingularityError
 from schwsurf import ode
 from schwsurf.mode_odes import (
+    _prufer_closure,
     ode_residual_grid,
     radial_q,
     riccati_residual_grid,
@@ -140,11 +142,25 @@ def test_scalar_reads_match_array_reads(scalar_shot):
 
 
 def test_lazy_dense_coefficients_match_the_array_path(scalar_shot):
-    """Each step's extension coefficients, formed on first scalar read,
-    equal to the bit the einsum over all steps that the array reader builds."""
+    """Each step's dense-output coefficients, formed on first scalar read,
+    equal to the bit those the array reader builds for all steps at once:
+    the DP45 extension from a 14-float record of seven stages, the Radau
+    collocation cubic from an 8-float record of three increments."""
     traj = scalar_shot[0]._traj
-    stages = np.asarray(traj.stages).reshape(-1, 7, 2)
-    dense = np.einsum("nsc,sp->ncp", stages, np.asarray(ode._DENSE_P))
+    size = np.array([len(k) for k in traj.stages])
+    dp, ra = size == 14, size == 8
+    assert np.all(dp | ra)
+    assert (dp.sum(), ra.sum()) == (traj.dp45_steps, traj.radau_steps)
+    if scalar_shot[0].params.k == 2:  # the stiff shot takes both kinds of step
+        assert traj.dp45_steps > 0 and traj.radau_steps > 0
+    dense = np.zeros((len(size), 2, 4))
+    if dp.any():
+        stages = np.asarray([k for k in traj.stages if len(k) == 14]).reshape(-1, 7, 2)
+        dense[dp] = np.einsum("nsc,sp->ncp", stages, np.asarray(ode._DENSE_P))
+    if ra.any():
+        z = np.asarray([k[:6] for k in traj.stages if len(k) == 8]).reshape(-1, 3, 2)
+        h = np.diff(traj.x)[ra]
+        dense[ra, :, :3] = np.einsum("nsc,sp->ncp", z, np.asarray(ode._RADAU_P)) / h[:, None, None]
     assert traj._arrays[2].tobytes() == dense.tobytes()
     assert np.asarray([traj.dense(i) for i in range(len(traj.stages))]).tobytes() == dense.tobytes()
 
@@ -298,6 +314,129 @@ def test_envelope_bounds_nonpositive_shots(m2):
                 log_v, sign = sol.log_abs_v(r)
                 assert sign > 0
                 assert log_v >= log_barrier_envelope(m2, k, r) - 1e-4
+
+
+# ------------------------------------------------------------ stiff stretches
+
+
+def _reference(coefficients, x0, x1, y0):
+    """scipy's DOP853 at rtol = atol = 1e-12 on the same Prüfer pair: an
+    integrator that shares no code with :mod:`schwsurf.ode`."""
+    from scipy.integrate import solve_ivp
+
+    def rhs(x, y):
+        a, b, d = coefficients(x)
+        c2, s2 = math.cos(2.0 * y[0]), math.sin(2.0 * y[0])
+        return [0.5 * (a + b * c2 + d * s2), 0.5 * (b * s2 - d * c2)]
+
+    return solve_ivp(rhs, (x0, x1), y0, method="DOP853", rtol=1e-12, atol=1e-12, dense_output=True).sol
+
+
+def _reference_shot(sol):
+    p = sol.params
+    coefficients = _prufer_closure(p.model.mass, p.k, p.lam)
+    return _reference(coefficients, sol._traj.x[0], math.log(p.R), [sol._traj.theta[0], sol._traj.log_rho[0]])
+
+
+@pytest.mark.parametrize("k, lam_units", [(1, -0.1), (2, -1.0), (3, -10.0)])
+def test_stiff_shots_match_an_independent_reference(m2, k, lam_units):
+    """The envelope check's shots (R = 2000, tol 1e-6) take Radau steps on
+    their stiff stretch; log|v| at the check's 160 radii stays within 1e-5
+    of DOP853 at 1e-12 (2.5e-6 reached over all nine (k, lam) shots)."""
+    sol = integrate_v(ModeParams(m2, k, lam_units / 4.0, 2000.0), tol=1e-6)
+    assert sol._traj.radau_steps > 0
+    ref = _reference_shot(sol)
+    for r in np.geomspace(1.1, 0.995 * 2000.0, 160):
+        theta, log_rho = ref(math.log(r))
+        p = r * r * v_coefficient(sol.params, r) - 0.25
+        expect = 0.5 * math.log(r) + log_rho - 0.125 * math.log1p(p * p) + math.log(abs(math.sin(theta)))
+        assert sol.log_abs_v(r)[0] == pytest.approx(expect, abs=1e-5)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_stiffest_envelope_shot_takes_few_steps(m2, k):
+    """At lam = -10/m^2 DP45 alone is held to 1952 steps by stability; with
+    Radau steps on the stiff stretch the shot takes about 220."""
+    traj = integrate_v(ModeParams(m2, k, -10.0 / 4.0, 2000.0), tol=1e-6)._traj
+    assert traj.dp45_steps + traj.radau_steps <= 400
+    assert traj.radau_steps > traj.dp45_steps
+
+
+def test_zero_after_the_unstable_stretch(m2):
+    """Just above lam_1(inf) = -0.019995/m^2 the radial shot's one zero lies
+    where P < 0, past a stretch near the unstable phase 3 pi/4 and before
+    the stiff approach to 5 pi/4, where the shot switches to Radau steps.
+    The zero matches the reference (1.1e-5 relative reached: the unstable
+    stretch amplifies the phase error), and the fresh step that locates it
+    lands on pi to within its local error."""
+    from scipy.optimize import brentq
+
+    sol = integrate_v(ModeParams(m2, 0, -0.0198 / 4.0, 2000.0), tol=1e-6)
+    traj = sol._traj
+    assert traj.radau_steps > 0
+    ref = _reference_shot(sol)
+    (zero,) = sol.zero_crossings
+    x_ref = brentq(lambda x: ref(x)[0] - math.pi, math.log(20.0), math.log(60.0), xtol=1e-14)
+    assert zero == pytest.approx(math.exp(x_ref), rel=1e-4)
+    i = bisect.bisect_right(traj.x, math.log(zero)) - 1
+    coefficients = _prufer_closure(2.0, 0, -0.0198 / 4.0)
+    local = _reference(coefficients, traj.x[i], math.log(zero), [traj.theta[i], 0.0])
+    assert local(math.log(zero))[0] == pytest.approx(math.pi, abs=1e-6)
+
+
+def test_phase_crossing_inside_a_radau_step():
+    """No mode shot crosses a multiple of pi inside a Radau step: there
+    (log rho)' > 0 holds the phase near a stable point, and at theta = j pi
+    it is -D/2 < 0.  A stiff phase drawn to a fixed point that moves up
+    across pi does: theta' = (beta/2) cos(2 theta - phi(x)) with beta = 1e3
+    and the fixed point pi - 1/2 + sin x.  The crossing is then found by a
+    fresh Radau step, which lands on pi to within its local error (1.4e-8
+    reached; a Dormand-Prince step there misses by 0.1)."""
+    beta = 1e3
+
+    def coefficients(x):
+        phi = 2.0 * (math.pi - 0.5 + math.sin(x)) - 0.5 * math.pi
+        return 0.0, beta * math.cos(phi), beta * math.sin(phi)
+
+    traj = ode.integrate_prufer(coefficients, 0.0, 1.0, math.pi - 0.5, 0.0, 1e-6)
+    x_cross = traj.phase_crossing(math.pi)
+    i = bisect.bisect_right(traj.x, x_cross) - 1
+    assert len(traj.stages[i]) == 8  # a Radau step
+    local = _reference(coefficients, traj.x[i], x_cross, [traj.theta[i], 0.0])
+    assert local(x_cross)[0] == pytest.approx(math.pi, abs=1e-6)
+    assert x_cross == pytest.approx(math.pi / 6.0 + 1e-3, abs=1e-5)  # sin x = 1/2, lagged by 1/beta
+
+
+def test_default_tolerance_shots_take_no_radau_step(m2, monkeypatch):
+    """At the default ode_tol no eigenvalue, Morse or profile shot is stiff
+    enough to switch, so they take the same DP45 steps as before Radau
+    steps existed: every shot of a three-eigenvalue search (both halves of
+    each miss-distance probe), of a Morse sweep at 2000 m, and of the
+    mode-profile checks (spectra and eigenfunctions at 16-24 m, the v0
+    shot)."""
+    from schwsurf import eigenfunction, eigenvalues_shooting, morse_index
+
+    shots = []
+    integrate = ode.integrate_prufer
+
+    def recorded(*args):
+        traj = integrate(*args)
+        shots.append(traj)
+        return traj
+
+    monkeypatch.setattr(ode, "integrate_prufer", recorded)
+    eigenvalues_shooting(m2, 0, 40.0, 3)
+    assert any(traj.x[0] < 0.0 for traj in shots)  # inward halves
+    morse_index(m2, R=2000.0, kmax=5)
+    for R in (32.0, 40.0, 48.0):
+        for lam in eigenvalues_shooting(m2, 0, R, 3).lambdas():
+            eigenfunction(m2, 0, R, lam)
+    integrate_v(ModeParams(m2, 0, 0.0, 50.0), tol=1e-10)
+    assert len(shots) > 100
+    for traj in shots:
+        assert traj.radau_steps == 0
+        assert traj.dp45_steps == len(traj.stages) and traj.rejected_steps >= 0
+        assert [type(n) for n in (traj.dp45_steps, traj.radau_steps, traj.rejected_steps)] == [int] * 3
 
 
 # ------------------------------------------------------------- Riccati family
