@@ -63,6 +63,9 @@ class ModeParams:
             raise DomainError(f"R must be finite and exceed m/2 = {self.model.horizon_rho}, got {self.R}")
         if not math.isfinite(self.lam):
             raise DomainError(f"lam must be finite, got {self.lam}")
+        # a numpy scalar (an entry of Spectrum.lambdas()) would make every
+        # coefficient and step of the shot a numpy scalar operation
+        object.__setattr__(self, "lam", float(self.lam))
 
 
 def v_coefficient(params: ModeParams, r: float) -> float:

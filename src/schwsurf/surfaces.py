@@ -339,7 +339,7 @@ def _clipped_integral(model, surface, rho, spec, w, normal=False) -> float:
     ``t dt ds`` and the radial field is tangent to them).  General charts
     run the periodic trapezoid rule :func:`quadrature.integrate_periodic`
     over ``s`` in ``[0, S)`` (so ``S`` must be the chart's true period),
-    whose every node runs a Gauss-Legendre :func:`quadrature.integrate`
+    whose every node runs a Gauss-Kronrod :func:`quadrature.integrate`
     over ``t`` up to the slice's clip level; a chart node inside the
     horizon ``|x| < m/2`` raises :class:`DomainError`.  With ``normal``
     both rules carry the integral without the radial-normal factor

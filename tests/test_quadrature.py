@@ -1,22 +1,34 @@
-"""The two 1-D rules: Gauss-Legendre panels and the periodic trapezoid rule.
+"""The two 1-D rules: Gauss-Kronrod panels and the periodic trapezoid rule.
 
-Exactness on trig polynomials, the alias guard on k-fold integrands that
-fool the plain nested test, the floor for a component that is rounding
-noise beside its bound, and the error raised at the node budget.
+The Kronrod rule and its embedded Gauss rule against their degrees and
+the Legendre zeros, exactness on trig polynomials, the alias guard on
+k-fold integrands that fool the plain nested test, the floor for a
+component that is rounding noise beside its bound, and the error raised
+at the node budget.
 """
 
+import functools
 import json
 import math
 import re
 import subprocess
 import sys
 
+import mpmath
 import numpy as np
 import pytest
 
 from schwsurf import QuadSpec, QuadratureError, SchwarzschildModel, make_plane, mu_integral
 from schwsurf import quadrature
-from schwsurf.quadrature import GL_POINTS, MAX_PANELS, PERIODIC_START, integrate, integrate_periodic
+from schwsurf.quadrature import (
+    GL_POINTS,
+    KRONROD_POINTS,
+    MAX_PANELS,
+    PERIODIC_START,
+    integrate,
+    integrate_periodic,
+    panel_nodes,
+)
 
 TWO_PI = 2.0 * math.pi
 
@@ -99,28 +111,31 @@ def test_periodic_rule_raises_at_node_budget():
     assert prev != cur and cur == pytest.approx(exact, rel=1e-6)
 
 
-# ----------------------------------------------------------- Gauss-Legendre
+# ----------------------------------------------------------- Gauss-Kronrod
 
 
 def test_gauss_legendre_raises_at_panel_cap():
     """|x - 1/3|^(1/2) has a cusp that no panel edge of [0, 1] meets: the
-    composite error falls only like h^1.5, still above 1e-8 at the cap."""
+    composite error falls only like h^1.5, still above 1e-8 at the cap.
+    The message counts the nodes of the last level."""
     with pytest.raises(QuadratureError) as err:
         integrate(lambda x: np.abs(x - 1.0 / 3.0) ** 0.5, 0.0, 1.0)
     message = str(err.value)
-    assert "Gauss-Legendre" in message
-    assert f"after {MAX_PANELS * GL_POINTS} nodes" in message
+    assert "Gauss-Kronrod" in message
+    assert MAX_PANELS * KRONROD_POINTS == 266240
+    assert "after 266240 nodes" in message
     prev, cur = map(float, re.search(r"estimates (\S+) and (\S+)$", message).groups())
     exact = 2.0 / 3.0 * ((1.0 / 3.0) ** 1.5 + (2.0 / 3.0) ** 1.5)
     assert prev != cur and cur == pytest.approx(exact, rel=1e-6)
 
 
 def test_gauss_legendre_stops_at_first_agreement():
-    """One panel, then two: a smooth integrand is accepted at once."""
+    """One panel: its Kronrod and Gauss sums agree on a smooth integrand,
+    which is accepted after one evaluation."""
     f, sizes = counted(np.exp)
     spec = QuadSpec()
     got = integrate(f, 0.0, 1.0, spec)
-    assert sizes == [GL_POINTS, 2 * GL_POINTS]
+    assert sizes == [KRONROD_POINTS]
     assert got == pytest.approx(math.e - 1.0, rel=1e-15)
 
 
@@ -159,7 +174,7 @@ def test_noise_component_ends_beside_its_bound():
 
     pair, sizes = counted(lambda x: np.array([noise(x), 1.0 + x]))
     got = integrate(pair, 0.0, 1.0)
-    assert sizes == [GL_POINTS, 2 * GL_POINTS]
+    assert sizes == [KRONROD_POINTS]
     assert 0.0 <= got[0] <= 1e-30 and got[1] == pytest.approx(1.5, rel=1e-15)
 
     got = integrate_periodic(lambda s: np.array([noise(s / TWO_PI), 2.0 + np.cos(s)]), TWO_PI)
@@ -180,32 +195,111 @@ def test_quad_spec_rejects_bad_tolerance(rel_tol):
         QuadSpec(rel_tol=rel_tol)
 
 
-# --------------------------------------------------------- Gauss-Legendre rule
+# --------------------------------------------------------- Gauss-Kronrod rule
+
+
+def even_monomial_errors(nodes, weights, degree):
+    """Largest error of the rule over x^d, d = 0, 2, ..., degree, on [-1, 1]."""
+    return max(abs(float(np.dot(weights, nodes**d)) - 2.0 / (d + 1)) for d in range(0, degree + 1, 2))
+
+
+def legendre_zeros_and_weights():
+    """The 32-point Gauss-Legendre rule to 30 digits: Newton on P_32 from
+    numpy's zeros, weights 2 / ((1 - x^2) P_32'(x)^2)."""
+    n = GL_POINTS
+
+    def slope(x):
+        return n * (x * mpmath.legendre(n, x) - mpmath.legendre(n - 1, x)) / (x * x - 1)
+
+    with mpmath.workdps(30):
+        rule = []
+        for x in np.polynomial.legendre.leggauss(n)[0].tolist():
+            x = mpmath.mpf(x)
+            for _ in range(4):
+                x -= mpmath.legendre(n, x) / slope(x)
+            rule.append((float(x), float(2 / ((1 - x * x) * slope(x) ** 2))))
+    return map(np.array, zip(*rule))
+
+
+def test_kronrod_and_gauss_rules_reach_their_degrees():
+    """K65 is exact through degree 3 * 32 + 1 = 97 and its embedded G32
+    through 63; odd degrees vanish by the exact symmetry of the nodes."""
+    x, kronrod, gauss = quadrature._gauss_kronrod()
+    assert np.array_equal(x, -x[::-1])
+    assert even_monomial_errors(x, kronrod, 96) <= 1e-15
+    assert even_monomial_errors(x[1::2], gauss, 62) <= 1e-15
+    # and no further: P_98 and P_64 integrate to 0, which the rules miss
+    # by far more than rounding
+    legendre = np.polynomial.legendre.Legendre.basis
+    assert abs(np.dot(kronrod, legendre(98)(x))) > 1e-5
+    assert abs(np.dot(gauss, legendre(64)(x[1::2]))) > 1e-2
+
+
+def test_gauss_nodes_are_kronrod_nodes():
+    """The Gauss sum weighs only the odd Kronrod nodes of each panel, and
+    those are the zeros of P_32 with Gauss-Legendre weights."""
+    x, kronrod, gauss = quadrature._gauss_kronrod()
+    assert len(x) == KRONROD_POINTS and len(gauss) == GL_POINTS
+    zeros, weights = legendre_zeros_and_weights()
+    # eigenvalues of the Jacobi matrix (norm below 1) are good to a few
+    # units of rounding at 1
+    assert np.max(np.abs(x[1::2] - zeros)) <= 2.0 * np.finfo(float).eps
+    # the weights to a unit of rounding at 1 (numpy's leggauss: 4.1e-16)
+    assert np.max(np.abs(gauss - weights)) <= np.finfo(float).eps
+    nodes, w = panel_nodes(-3.0, 5.0, 4)
+    assert len(nodes) == 4 * KRONROD_POINTS
+    odd = (np.arange(len(nodes)) % KRONROD_POINTS) % 2 == 1
+    assert np.array_equal(w[:, 1] != 0.0, odd)
+    assert np.all(np.diff(nodes) > 0.0) and -3.0 < nodes[0] and nodes[-1] < 5.0
+
+
+def test_rule_weights_are_positive_and_sum_to_two():
+    _, kronrod, gauss = quadrature._gauss_kronrod()
+    assert np.all(kronrod > 0.0) and np.all(gauss > 0.0)
+    assert math.fsum(kronrod) == pytest.approx(2.0, abs=4.5e-16)
+    assert math.fsum(gauss) == pytest.approx(2.0, abs=4.5e-16)
+
+
+def test_kronrod_sum_beats_gauss_sum_on_runge():
+    """On 1/(1 + 25 x^2), whose poles at +-i/5 slow both rules, the
+    Kronrod sum is at least 1e4 times closer than the Gauss sum."""
+    x, kronrod, gauss = quadrature._gauss_kronrod()
+    exact = 0.4 * math.atan(5.0)
+    y = 1.0 / (1.0 + 25.0 * x * x)
+    k_err = abs(float(np.dot(kronrod, y)) - exact)
+    g_err = abs(float(np.dot(gauss, y[1::2])) - exact)
+    assert g_err > 1e-7 and k_err <= 1e-4 * g_err
+
 
 _LAZY_RULE_PROBE = """
 import json, sys
 import numpy
 by_numpy = "numpy.polynomial" in sys.modules
 import schwsurf.cli
-at_import = "numpy.polynomial" in sys.modules
+from schwsurf import quadrature
+at_import = quadrature._gauss_kronrod.cache_info().currsize
 from schwsurf import SchwarzschildModel, make_plane, mu_integral
 m2 = SchwarzschildModel(2.0)
 mu = mu_integral(m2, make_plane(m2, 100.0), 20.0)
 print(json.dumps({"by_numpy": by_numpy, "at_import": at_import,
-                  "after_integral": "numpy.polynomial" in sys.modules, "mu": mu.hex()}))
+                  "after_integral": quadrature._gauss_kronrod.cache_info().currsize,
+                  "polynomial": "numpy.polynomial" in sys.modules, "mu": mu.hex()}))
 """
 
 
 def test_gauss_legendre_rule_formed_on_first_use(monkeypatch):
-    # importing the package loads numpy.polynomial only if numpy itself does;
-    # the first integral forms the rule, and it is the eager rule to the bit
+    # importing the package forms no rule and the first integral forms it,
+    # without numpy.polynomial; the lazily formed rule is the eager rule to
+    # the bit
     proc = subprocess.run(
         [sys.executable, "-c", _LAZY_RULE_PROBE], capture_output=True, text=True, check=True
     )
     probe = json.loads(proc.stdout)
-    assert probe["at_import"] == probe["by_numpy"]
-    assert probe["after_integral"]
-    eager = np.polynomial.legendre.leggauss(GL_POINTS)
-    monkeypatch.setattr(quadrature, "_gauss_legendre", lambda: eager)
+    assert probe["at_import"] == 0
+    assert probe["after_integral"] == 1
+    assert probe["polynomial"] == probe["by_numpy"]
+    eager = quadrature._gauss_kronrod.__wrapped__()
+    monkeypatch.setattr(quadrature, "_gauss_kronrod", lambda: eager)
+    monkeypatch.setattr(quadrature, "_unit_panels", functools.cache(quadrature._unit_panels.__wrapped__))
     m2 = SchwarzschildModel(2.0)
     assert probe["mu"] == mu_integral(m2, make_plane(m2, 100.0), 20.0).hex()

@@ -12,6 +12,8 @@ import warnings
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import exact_radii
 from schwsurf import (
@@ -312,7 +314,8 @@ def test_general_path_matches_cone_path(m2):
     # chart, chart_t and chart_s calls of the rho = 5 integral: 33 038 with
     # an 80-step bisection per slice, 28 182 with Brent and an outer
     # Gauss-Legendre rule, 4 702 with the periodic trapezoid rule, 4 670
-    # with Brent taking the end values the slice checks already computed
+    # with Brent taking the end values the slice checks already computed,
+    # 3 182 with one Gauss-Kronrod evaluation per inner level
     assert calls[0] < 4700
 
 
@@ -613,6 +616,28 @@ def test_rotate_surface_general_chart(flat):
         rotated = rotate_surface(graph, random_rotation(seed))
         assert mu_integral(flat, rotated, 4.0) == pytest.approx(mu, rel=1e-12)
         assert defect_integral(flat, rotated, 4.0) == pytest.approx(defect, rel=1e-12)
+
+
+@settings(max_examples=8, deadline=None, database=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    theta0=st.floats(0.2, math.pi - 0.2),
+    rho=st.floats(0.05, 15.0),
+)
+def test_general_chart_mu_is_rotation_invariant(seed, theta0, rho):
+    """mu of a latitude cone written as a general chart is unchanged by a
+    rotation of space, and equals the cone path's 1-D integral, at radii
+    that clip the chart (from next to the horizon) and past its end.  Each
+    value meets QuadSpec().rel_tol against its own error estimate, so two
+    routes may differ by twice that."""
+    model = SchwarzschildModel(2.0)
+    general = general_cone(model, theta0)
+    rel = 2.0 * QuadSpec().rel_tol
+    mu = mu_integral(model, general, rho)
+    rotated = rotate_surface(general, random_rotation(seed))
+    assert mu_integral(model, rotated, rho) == pytest.approx(mu, rel=rel)
+    cone = make_cone(model, latitude_circle(theta0), t_max=12.0)
+    assert mu_integral(model, cone, rho) == pytest.approx(mu, rel=rel)
 
 
 def test_scale_covariance_of_measures():
