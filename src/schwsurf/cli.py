@@ -200,6 +200,8 @@ def geom(config, model, r_max, n_rows):
         raise click.UsageError("need a finite --r-max > 0 and --n >= 2")
     m = model.mass
     lo = 0.01 * m if m > 0.0 else r_max * 1e-4
+    if not r_max > lo:
+        raise click.UsageError(f"--r-max must be > 0.01 m = {lo}, the first row after the horizon, got {r_max}")
     grid = np.concatenate([[0.0], np.geomspace(lo, r_max, n_rows - 1)])
     rows = []
     for r in grid:
@@ -216,12 +218,11 @@ def stability_radius_cmd(config, model):
 
     m = model.mass
     R = spectral.stability_radius(model, tol=config["root_tol"])
-    residual = 0.5 * math.log(2.0 * R / m) - (2.0 * R + m) / (2.0 * R - m)
     _emit(
         config,
         None,
         (),
-        scalars={"mass": m, "R_star": R, "ratio": R / m, "residual": residual},
+        scalars={"mass": m, "R_star": R, "ratio": R / m, "residual": spectral.stability_residual(model, R)},
     )
 
 
@@ -296,6 +297,8 @@ def monotonicity(config, model, surface_spec, rho_max):
     spec = QuadSpec(rel_tol=config["quad_tol"])
     surface = _surface(model, surface_spec, rho_max, "the monotonicity identity is not expected to hold")
     lo = 0.1 * m if m > 0.0 else rho_max * 1e-3
+    if not rho_max > lo:
+        raise click.UsageError(f"--rho-max must be > 0.1 m = {lo}, where the grid starts, got {rho_max}")
     grid = np.geomspace(lo, rho_max, _MONO_GRID_SIZE)
     rep = surfaces.monotonicity_report(model, surface, grid, spec)
     rows = []
@@ -327,6 +330,8 @@ def boundary_bound(config, model, surface_spec, rho_max):
         rho_max = 500.0 * m if m > 0.0 else 500.0
     spec = QuadSpec(rel_tol=config["quad_tol"])
     surface = _surface(model, surface_spec, rho_max, "the boundary-length bound applies to minimal surfaces")
+    if not rho_max > m:
+        raise click.UsageError(f"--rho-max must be > m = {m} for a tail estimate, got {rho_max}")
     rep = surfaces.boundary_bound_check(model, surface, rho_max, spec)
     _emit(
         config,
@@ -355,6 +360,11 @@ def riccati(config, model, c_value, n_rows):
     if n_rows < 2:
         raise click.UsageError("need --n >= 2")
     R_c = singularity_radius(model, c_value, tol=config["root_tol"])
+    if 0.98 * R_c < 0.5 * m:
+        raise click.UsageError(
+            f"--c {c_value} puts R_c = {R_c} below m/1.96 = {m / 1.96}: the trace would end"
+            " at 0.98 R_c, inside the horizon; take a smaller --c"
+        )
     rows = [(r, psi_c(model, c_value, r)) for r in _linspace(0.5 * m, 0.98 * R_c, n_rows)]
     _emit(
         config,

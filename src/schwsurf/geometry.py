@@ -144,11 +144,11 @@ def _excess_from_distance(m: float, r: float, tol: float) -> float:
 
 
 def conformal_exponent(model: SchwarzschildModel, rho: float) -> float:
-    """Conformal factor ``(1 + m/2 rho)^4`` multiplying the flat metric.
+    """Conformal factor ``(1 + m/2 rho)^4 = e^{2 phi}``, ``phi = 2 log(1 +
+    m/2 rho)``, multiplying the flat metric.
 
-    This is the factor on the metric tensor; lengths scale by its square
-    root and areas by its square root squared, i.e. by ``(1 + m/2 rho)^4``
-    per unit flat area element when combined over two directions.
+    This is the factor on the metric tensor: lengths scale by its square
+    root ``(1 + m/2 rho)^2`` and areas by the factor itself.
     """
     if _flat(model, "rho", rho, 0.5):
         return 1.0

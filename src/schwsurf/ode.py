@@ -36,14 +36,15 @@ components comes from the Dormand-Prince 4th-order continuous extension
 or from the Radau collocation cubic: :meth:`Trajectory.eval_scalar` reads
 one point in plain floats, forming that step's coefficients on first
 read; only :meth:`Trajectory.eval`, which reads a whole array of points,
-imports numpy and builds arrays.  Integrating and reading single points
-load no numpy.
+imports numpy and stacks the same coefficients of every step.
+Integrating and reading single points load no numpy.
 """
 
 from __future__ import annotations
 
 import bisect
 import functools
+import itertools
 import math
 import sys
 from dataclasses import dataclass
@@ -86,7 +87,6 @@ _DENSE_P = (
     (0.0, -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844),
     (0.0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423),
 )
-_DENSE_COLUMNS = tuple(zip(*_DENSE_P))
 
 # Radau IIA of order 5 (Hairer & Wanner, *Solving ODEs II*, Springer 1996,
 # sec. IV.8), with the constants of scipy's ``Radau``: the abscissae, the
@@ -116,7 +116,6 @@ _RADAU_P = (
     (13.0 / 3.0 - 7.0 * _S6 / 3.0, -23.0 / 3.0 + 22.0 * _S6 / 3.0, 10.0 / 3.0 - 5.0 * _S6),
     (1.0 / 3.0, -8.0 / 3.0, 10.0 / 3.0),
 )
-_RADAU_COLUMNS = tuple(zip(*_RADAU_P))
 _NEWTON_MAXITER = 6
 
 
@@ -216,18 +215,32 @@ def _radau_step(coefficients, x, h, th, tol) -> tuple:
     return th + z3, y3, err_t, err_l, (z1, y1, z2, y2, z3, y3, f3, g3)
 
 
-def _extension(ks, columns) -> tuple:
-    """Dense-output coefficients of one component from its stages ``ks``
-    and the stage weights of each power, ``columns``: per power, the
-    products summed from the first stage on, the order of the ``einsum`` in
-    :meth:`Trajectory.eval`, so both give the same bits."""
-    out = []
-    for weights in columns:
-        acc = 0.0
-        for k, w in zip(ks, weights):
-            acc += k * w
-        out.append(acc)
-    return tuple(out)
+def _dense_output(k: tuple, h: float) -> tuple:
+    """The two 4-tuples of :meth:`Trajectory.dense` for a step of length
+    ``h`` and record ``k``: ``K^T P`` with ``P = _DENSE_P``, leaving out
+    DP45's second stage (weight zero in every power), or ``Z^T P / h``
+    with ``P = _RADAU_P`` and ``c3 = 0``; each power sums in stage order."""
+    if len(k) == 14:
+        # the weights of powers 0 to 3 of stage j are aj, bj, cj, dj
+        (a1, b1, c1, d1), _, (a3, b3, c3, d3), (a4, b4, c4, d4) = _DENSE_P[:4]
+        (a5, b5, c5, d5), (a6, b6, c6, d6), (a7, b7, c7, d7) = _DENSE_P[4:]
+        t1, l1, _, _, t3, l3, t4, l4, t5, l5, t6, l6, t7, l7 = k
+        return (
+            (t1 * a1 + t3 * a3 + t4 * a4 + t5 * a5 + t6 * a6 + t7 * a7,
+             t1 * b1 + t3 * b3 + t4 * b4 + t5 * b5 + t6 * b6 + t7 * b7,
+             t1 * c1 + t3 * c3 + t4 * c4 + t5 * c5 + t6 * c6 + t7 * c7,
+             t1 * d1 + t3 * d3 + t4 * d4 + t5 * d5 + t6 * d6 + t7 * d7),
+            (l1 * a1 + l3 * a3 + l4 * a4 + l5 * a5 + l6 * a6 + l7 * a7,
+             l1 * b1 + l3 * b3 + l4 * b4 + l5 * b5 + l6 * b6 + l7 * b7,
+             l1 * c1 + l3 * c3 + l4 * c4 + l5 * c5 + l6 * c6 + l7 * c7,
+             l1 * d1 + l3 * d3 + l4 * d4 + l5 * d5 + l6 * d6 + l7 * d7),
+        )
+    (a1, b1, c1), (a2, b2, c2), (a3, b3, c3) = _RADAU_P
+    z1, y1, z2, y2, z3, y3 = k[:6]
+    return (
+        ((z1 * a1 + z2 * a2 + z3 * a3) / h, (z1 * b1 + z2 * b2 + z3 * b3) / h, (z1 * c1 + z2 * c2 + z3 * c3) / h, 0.0),
+        ((y1 * a1 + y2 * a2 + y3 * a3) / h, (y1 * b1 + y2 * b2 + y3 * b3) / h, (y1 * c1 + y2 * c2 + y3 * c3) / h, 0.0),
+    )
 
 
 @dataclass(frozen=True)
@@ -268,39 +281,26 @@ class Trajectory:
 
     def dense(self, i: int) -> tuple:
         """The ``(theta, log rho)`` dense-output coefficients of step ``i``,
-        two 4-tuples formed on first read: ``y(x_i + s h) = y_i + h s (c0
-        + s (c1 + s (c2 + s c3)))``.  A Dormand-Prince step gives its
-        continuous extension, whose ``c0`` is the right-hand side at node
-        ``i``; a Radau step its collocation cubic, with ``c3 = 0``."""
+        two 4-tuples formed by :func:`_dense_output` on first read and kept:
+        ``y(x_i + s h) = y_i + h s (c0 + s (c1 + s (c2 + s c3)))``.  A
+        Dormand-Prince step gives its continuous extension, whose ``c0`` is
+        the right-hand side at node ``i``; a Radau step its collocation
+        cubic, with ``c3 = 0``.  Both readers read these."""
         coeffs = self._dense[i]
         if coeffs is None:
-            k = self.stages[i]
-            if len(k) == 14:
-                coeffs = (_extension(k[0::2], _DENSE_COLUMNS), _extension(k[1::2], _DENSE_COLUMNS))
-            else:
-                h = self.x[i + 1] - self.x[i]
-                coeffs = tuple((*(q / h for q in _extension(k[c:6:2], _RADAU_COLUMNS)), 0.0) for c in (0, 1))
-            self._dense[i] = coeffs
+            coeffs = self._dense[i] = _dense_output(self.stages[i], self.x[i + 1] - self.x[i])
         return coeffs
 
     @functools.cached_property
     def _arrays(self) -> tuple:
-        """Nodes, ``(n, 2)`` states and ``(n - 1, 2, 4)`` dense-output
-        coefficients as arrays, for :meth:`eval`."""
+        """Nodes, ``(n, 2)`` states and the ``(n - 1, 2, 4)`` stack of every
+        step's :meth:`dense` coefficients as arrays, for :meth:`eval`."""
         import numpy as np
 
-        nodes = np.asarray(self.x)
-        dense = np.zeros((len(self.stages), 2, 4))
-        dp = [i for i, k in enumerate(self.stages) if len(k) == 14]
-        if dp:
-            k = np.asarray([self.stages[i] for i in dp]).reshape(-1, 7, 2)
-            dense[dp] = np.einsum("nsc,sp->ncp", k, np.asarray(_DENSE_P))
-        ra = [i for i, k in enumerate(self.stages) if len(k) != 14]
-        if ra:
-            z = np.asarray([self.stages[i][:6] for i in ra]).reshape(-1, 3, 2)
-            h = (nodes[1:] - nodes[:-1])[ra]
-            dense[ra, :, :3] = np.einsum("nsc,sp->ncp", z, np.asarray(_RADAU_P)) / h[:, None, None]
-        return nodes, np.column_stack((self.theta, self.log_rho)), dense
+        n = len(self.stages)
+        flat = itertools.chain.from_iterable(itertools.chain.from_iterable(map(self.dense, range(n))))
+        dense = np.fromiter(flat, float, 8 * n).reshape(n, 2, 4)
+        return np.asarray(self.x), np.column_stack((self.theta, self.log_rho)), dense
 
     def eval(self, x):
         """``(theta, log rho)`` at the points ``x``, shape ``x.shape + (2,)``.
@@ -321,8 +321,8 @@ class Trajectory:
     def eval_scalar(self, x: float) -> tuple:
         """``(theta, log rho)`` at one point ``x``, as floats.
 
-        The same clipping, step choice and Horner evaluation as :meth:`eval`,
-        in the same order of operations.
+        The same clipping, step choice, :meth:`dense` coefficients and
+        Horner evaluation as :meth:`eval`, in the same order of operations.
         """
         nodes = self.x
         x = min(max(x, nodes[0]), nodes[-1])

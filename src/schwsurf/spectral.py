@@ -389,26 +389,33 @@ def morse_index(
     )
 
 
+def stability_residual(model: SchwarzschildModel, R: float) -> float:
+    """Residual ``G(R) = (1/2) log(2R/m) - (2R + m)/(2R - m)`` of the
+    equation whose root on ``(m/2, infinity)`` is :func:`stability_radius`."""
+    m = model.mass
+    return 0.5 * math.log(2.0 * R / m) - (2.0 * R + m) / (2.0 * R - m)
+
+
 def stability_radius(model: SchwarzschildModel, tol: float = DEFAULT_ROOT_TOL) -> float:
     """Largest truncation radius with a nonnegative radial mode.
 
-    Root of ``(1/2) log(2R/m) = (2R + m)/(2R - m)`` on ``(m/2, infinity)``,
-    bracketed in ``[2m, 100m]``; the returned root has residual at most
-    ``tol`` in the defining equation.  Numerically ``5.508 m``; the
-    explicit radial solution :func:`closed_form_v0` vanishes there.
+    Root of :func:`stability_residual` on ``(m/2, infinity)``, bracketed in
+    ``[2m, 100m]``; the returned root has residual at most ``tol`` in the
+    defining equation.  Numerically ``5.508 m``; the explicit radial
+    solution :func:`closed_form_v0` vanishes there.
     """
     model.require_horizon("stability_radius")
     m = model.mass
     if not (tol > 0.0):
         raise DomainError(f"tol must be > 0, got {tol}")
 
-    def G(R: float) -> float:
-        return 0.5 * math.log(2.0 * R / m) - (2.0 * R + m) / (2.0 * R - m)
-
-    root = brentq(G, 2.0 * m, 100.0 * m, xtol=1e-15 * m, rtol=8.0 * sys.float_info.epsilon)
-    if abs(G(root)) > tol:
+    root = brentq(
+        lambda R: stability_residual(model, R), 2.0 * m, 100.0 * m, xtol=1e-15 * m, rtol=8.0 * sys.float_info.epsilon
+    )
+    residual = stability_residual(model, root)
+    if abs(residual) > tol:
         raise SearchError(
             "stability radius residual above tolerance",
-            diagnostics={"root": root, "residual": G(root), "tol": tol},
+            diagnostics={"root": root, "residual": residual, "tol": tol},
         )
     return float(root)

@@ -87,6 +87,10 @@ def test_geom_validation():
     assert run_cli("geom", "--mass", "2", "--n", "1").exit_code == 2
     assert run_cli("geom", "--mass", "-3").exit_code == 2
     assert run_cli("geom", "--mass", "2", "--output", "yaml").exit_code == 2
+    # below the first row after the horizon, 0.01 m, the grid would descend
+    result = run_cli("geom", "--mass", "2", "--r-max", "0.001")
+    assert result.exit_code == 2
+    assert "--r-max" in result.stderr
 
 
 # -------------------------------------------------------------- stability
@@ -243,11 +247,12 @@ def test_boundary_bound_plane():
     assert doc["boundary_len"] == pytest.approx(8.0 * 3.141592653589793, rel=1e-12)
 
 
-@pytest.mark.parametrize("rho_max", ["1e308", "-5", "nan", "0"])
+@pytest.mark.parametrize("rho_max", ["1e308", "-5", "nan", "0", "0.2"])
 @pytest.mark.parametrize("name", ["monotonicity", "boundary-bound"])
 def test_rho_max_is_checked_by_name(name, rho_max):
-    """Not positive, not finite, or a chart length 2 clip_radius(rho_max)
-    that overflows: one usage error that names the flag."""
+    """Not positive, not finite, a chart length 2 clip_radius(rho_max)
+    that overflows, or not above where the grid starts (0.1 m) or the tail
+    estimate needs (m): one usage error that names the flag."""
     result = run_cli(name, "--mass", "2", "--rho-max", rho_max)
     assert result.exit_code == 2
     assert result.stdout == ""
@@ -274,6 +279,15 @@ def test_riccati_blow_up_ordering_in_c():
 
 def test_riccati_flat_model_is_usage_error():
     assert run_cli("riccati", "--mass", "0", "--c", "-8").exit_code == 2
+
+
+def test_riccati_trace_inside_the_horizon_is_usage_error():
+    """At c = 1e3 the blow-up radius is 1.016 < m/1.96, so the trace's end
+    0.98 R_c lies inside the horizon."""
+    result = run_cli("riccati", "--mass", "2", "--c", "1e3")
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert "--c" in result.stderr
 
 
 # ------------------------------------------------------------------- misc
