@@ -8,8 +8,12 @@ the error of the Gauss sum (Piessens et al., *QUADPACK*, Springer 1983).
 Over a full period of a smooth periodic function, the equispaced
 trapezoid rule converges geometrically and nests on doubling, so no node
 is evaluated twice (Trefethen & Weideman, "The exponentially convergent
-trapezoidal rule", SIAM Review 56 (2014) 385-458).  Both doubling loops
-turn that into a verified relative tolerance.
+trapezoidal rule", SIAM Review 56 (2014) 385-458).  Two nested levels
+agree exactly on the frequencies that alias on both, so the periodic
+rule also checks the value it accepts against the coarser of the two
+levels shifted off its nodes: that grid aliases the same frequencies
+with a phase the unshifted grids do not share, and costs half the finer
+level.  Both doubling loops turn this into a verified relative tolerance.
 
 Integrands are vectorized: ``f(x)`` returns an array whose last axis runs
 over the nodes ``x``.  A 1-D result integrates to a float; a ``(k, n)``
@@ -233,8 +237,15 @@ def integrate_periodic(f, period: float, spec: QuadSpec = QuadSpec()):
 
     Each doubling adds the midpoints of the current grid.  Equispaced
     levels ``n`` and ``2n`` agree exactly on every frequency that is a
-    multiple of ``2n``, so before a value is accepted the ``2n`` grid
-    shifted by ``ALIAS_SHIFT`` of its spacing must reproduce it too.
+    multiple of ``2n``, so before the ``2n`` value is accepted the ``n``
+    grid shifted by ``ALIAS_SHIFT`` of its spacing must reproduce it too.
+    That grid aliases every multiple of ``n``, those of ``2n`` among them,
+    but a multiple ``j n`` arrives turned by the phase ``2 pi j
+    ALIAS_SHIFT``, which no integer ``j`` makes a full turn: a value that
+    fools both nested levels moves on it.  It is as thorough as the
+    shifted ``2n`` grid on everything that aliases on both levels, and
+    costs ``n`` samples instead of ``2n``.
+
     Raises :class:`QuadratureError` when the next level would pass
     ``MAX_PANELS * GL_POINTS`` nodes, or on the first estimate that is not
     finite.
@@ -252,15 +263,16 @@ def integrate_periodic(f, period: float, spec: QuadSpec = QuadSpec()):
         prev = _estimate(h * total, "periodic trapezoid", where)
     while True:
         y = f(h * (np.arange(n) + 0.5))
+        coarse = h
         n *= 2
         h = period / n
         with np.errstate(**_QUIET):
             total = total + np.sum(y, axis=-1)
             cur = _estimate(h * total, "periodic trapezoid", where)
         if _settled(cur, prev, spec.rel_tol):
-            y = f(h * (np.arange(n) + ALIAS_SHIFT))
+            y = f(coarse * (np.arange(n // 2) + ALIAS_SHIFT))
             with np.errstate(**_QUIET):
-                shifted = _estimate(h * np.sum(y, axis=-1), "periodic trapezoid", where)
+                shifted = _estimate(coarse * np.sum(y, axis=-1), "periodic trapezoid", where)
             if _settled(shifted, cur, spec.rel_tol):
                 return cur
         if 2 * n > MAX_PANELS * GL_POINTS:

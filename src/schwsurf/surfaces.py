@@ -205,11 +205,14 @@ def make_general(
     """User-supplied chart; missing derivatives by central differences.
 
     Each of ``chart``, ``chart_t`` and ``chart_s`` is called once per
-    quadrature node with scalar ``(t, s)`` and returns a 3-vector.  The
-    chart must be evaluable slightly outside the ``t`` range (two
-    finite-difference steps).  ``s_period`` must be the chart's true
-    period in ``s`` (not a multiple or a fraction of it): the outer
-    trapezoid rule converges only on a smooth periodic integrand.
+    quadrature node with scalar ``(t, s)`` and returns a 3-vector: any
+    sequence of three numbers (an array, a tuple, a list).  The chart is
+    stored as given; only the finite-difference fallbacks convert its
+    values to arrays.  It must be evaluable slightly outside the ``t``
+    range (two finite-difference steps).  ``s_period`` must be the
+    chart's true period in ``s`` (not a multiple or a fraction of it):
+    the outer trapezoid rule converges only on a smooth periodic
+    integrand.
     """
     t0, t1 = t_range
     if not (-math.inf < t0 < t1 < math.inf):
@@ -235,7 +238,7 @@ def make_general(
             ) / (12.0 * _h)
 
     return ParamSurface(
-        chart=c,
+        chart=chart,
         t_range=(t0, t1),
         s_period=s_period,
         free_boundary=free_boundary,
@@ -286,9 +289,14 @@ def cone_mean_curvature(model: SchwarzschildModel, curve: SphereCurve, t: float,
 
 def _chart_samples(fn, t, s) -> np.ndarray:
     """``fn`` called once per node of the broadcast ``(t, s)`` with scalar
-    arguments, its 3-vectors stacked into an ``(n, 3)`` array."""
-    t, s = np.broadcast_arrays(t, s)
-    pts = [fn(a, b) for a, b in zip(t.ravel().tolist(), s.ravel().tolist())]
+    arguments, its 3-vectors stacked into an ``(n, 3)`` array.  A scalar
+    ``s`` (one slice of a general chart) is passed as given, with no
+    broadcast."""
+    if np.ndim(s) == 0:
+        pts = [fn(a, s) for a in np.ravel(t).tolist()]
+    else:
+        t, s = np.broadcast_arrays(t, s)
+        pts = [fn(a, b) for a, b in zip(t.ravel().tolist(), s.ravel().tolist())]
     return np.array(pts, dtype=float).reshape(-1, 3)
 
 
@@ -330,12 +338,21 @@ def clip_radius(model: SchwarzschildModel, rho: float) -> float:
     return isotropic_from_distance(model, float(rho))
 
 
-def _clipped_integral(model, surface, rho, spec, w, normal=False) -> float:
+def _kept(store, key, make):
+    """``make()``, kept in ``store`` under ``key`` when a store is given."""
+    if store is None:
+        return make()
+    if key not in store:
+        store[key] = make()
+    return store[key]
+
+
+def _clipped_integral(model, surface, rho, spec, w, normal=False, store=None) -> float:
     """Integral over the part of the surface within ``B_rho`` of the radial
-    factor ``w(|x|)`` (conformal factor included) times the flat area
+    factor ``w(m, |x|)`` (conformal factor included) times the flat area
     element, times the squared radial-normal part when ``normal``.
 
-    Cones integrate ``w(t) t`` over ``t`` (their flat element is
+    Cones integrate ``w(m, t) t`` over ``t`` (their flat element is
     ``t dt ds`` and the radial field is tangent to them).  General charts
     run the periodic trapezoid rule :func:`quadrature.integrate_periodic`
     over ``s`` in ``[0, S)`` (so ``S`` must be the chart's true period),
@@ -345,18 +362,26 @@ def _clipped_integral(model, surface, rho, spec, w, normal=False) -> float:
     both rules carry the integral without the radial-normal factor
     alongside, which bounds it: its scale is the floor that ends a defect
     that is rounding noise (a cone written as a general chart).
+
+    ``store``, a dict, keeps each slice's clip level and the chart samples
+    of each inner level, keyed by ``s`` and the node count, so that the
+    integrals of one radius that share it evaluate each chart node once.
+    Each integral still runs its own rules to its own tests; where their
+    levels coincide they visit the same ``s`` and ``t`` nodes bit for
+    bit.  Without a store nothing is kept.
     """
     if rho == 0.0:
         return 0.0
     t_iso = clip_radius(model, rho)
     t0, t1 = surface.t_range
+    m = model.mass
     if surface.is_cone:
         if normal:
             return 0.0
-        return surface.s_period * quadrature.integrate(lambda t: w(t) * t, t0, min(t_iso, t1), spec)
+        return surface.s_period * quadrature.integrate(lambda t: w(m, t) * t, t0, min(t_iso, t1), spec)
 
     chart, chart_t, chart_s = surface.chart, surface.chart_t, surface.chart_s
-    horizon = 0.5 * model.mass
+    horizon = 0.5 * m
     # a few ulps of the t range: every Brent search ends well within maxiter
     xtol = 4.0 * np.finfo(float).eps * max(abs(t0), abs(t1))
 
@@ -364,7 +389,7 @@ def _clipped_integral(model, surface, rho, spec, w, normal=False) -> float:
         # largest t with |chart| <= clip level (monotone radial profile
         # assumed, as documented)
         def excess(t):
-            return float(np.linalg.norm(chart(t, s))) - t_iso
+            return math.hypot(*chart(t, s)) - t_iso
 
         e0 = excess(t0)
         if e0 > 0.0:
@@ -374,21 +399,26 @@ def _clipped_integral(model, surface, rho, spec, w, normal=False) -> float:
             return t1
         return roots.brentq(excess, t0, t1, xtol=xtol, f_a=e0, f_b=e1)
 
+    def samples(t, s):
+        # the chart and its partials at the nodes t of slice s, |x| and
+        # the flat area element
+        x, x_t, x_s = (_chart_samples(f, t, s) for f in (chart, chart_t, chart_s))
+        r = np.linalg.norm(x, axis=1)
+        if np.any(r < horizon):
+            raise DomainError(f"chart reaches |x| = {r.min()} inside the horizon |x| = {horizon}")
+        return x, x_t, x_s, r, np.linalg.norm(np.cross(x_t, x_s), axis=1)
+
     empty = np.zeros(2) if normal else 0.0
 
     def slice_integral(s: float):
         def integrand(t):
-            x, x_t, x_s = (_chart_samples(f, t, s) for f in (chart, chart_t, chart_s))
-            el = np.linalg.norm(np.cross(x_t, x_s), axis=1)
-            r = np.linalg.norm(x, axis=1)
-            if np.any(r < horizon):
-                raise DomainError(f"chart reaches |x| = {r.min()} inside the horizon |x| = {horizon}")
-            weight = w(r)
+            x, x_t, x_s, r, el = _kept(store, (s, len(t)), lambda: samples(t, s))
+            weight = w(m, r)
             if normal:
                 return np.array([weight * (_radial_normal_sq(x, x_t, x_s) * el), weight * el])
             return weight * el
 
-        top = slice_limit(s)
+        top = _kept(store, s, lambda: slice_limit(s))
         return quadrature.integrate(integrand, t0, top, spec) if top > t0 else empty
 
     def slices(s):
@@ -398,21 +428,30 @@ def _clipped_integral(model, surface, rho, spec, w, normal=False) -> float:
     return float(total[0]) if normal else total
 
 
+def _mu_weight(m, r):
+    q = 0.5 * m / r
+    return (1.0 - q) * (1.0 + q) ** 3  # f times conformal area factor
+
+
+def _area_weight(m, r):
+    return (1.0 + 0.5 * m / r) ** 4
+
+
+def _defect_weight(m, r):
+    q = 0.5 * m / r
+    f = (1.0 - q) / (1.0 + q)
+    h = r * (1.0 + q) ** 2  # areal radius
+    return f / (h * h) * (1.0 + q) ** 4
+
+
 def mu_integral(model: SchwarzschildModel, surface: ParamSurface, rho: float, spec: QuadSpec = QuadSpec()) -> float:
     """f-weighted g-area of the part of the surface within ``B_rho``."""
-    m = model.mass
-
-    def w(r):
-        q = 0.5 * m / r
-        return (1.0 - q) * (1.0 + q) ** 3  # f times conformal area factor
-
-    return _clipped_integral(model, surface, rho, spec, w)
+    return _clipped_integral(model, surface, rho, spec, _mu_weight)
 
 
 def area_integral(model: SchwarzschildModel, surface: ParamSurface, rho: float, spec: QuadSpec = QuadSpec()) -> float:
     """Unweighted g-area of the part of the surface within ``B_rho``."""
-    m = model.mass
-    return _clipped_integral(model, surface, rho, spec, lambda r: (1.0 + 0.5 * m / r) ** 4)
+    return _clipped_integral(model, surface, rho, spec, _area_weight)
 
 
 def defect_integral(model: SchwarzschildModel, surface: ParamSurface, rho: float, spec: QuadSpec = QuadSpec()) -> float:
@@ -422,19 +461,13 @@ def defect_integral(model: SchwarzschildModel, surface: ParamSurface, rho: float
     is the middle term of the monotonicity identity and the defect in the
     boundary-length bound.
     """
-    m = model.mass
-
-    def w(r):
-        q = 0.5 * m / r
-        f = (1.0 - q) / (1.0 + q)
-        h = r * (1.0 + q) ** 2  # areal radius
-        return f / (h * h) * (1.0 + q) ** 4
-
-    return _clipped_integral(model, surface, rho, spec, w, normal=True)
+    return _clipped_integral(model, surface, rho, spec, _defect_weight, normal=True)
 
 
-def boundary_length(model: SchwarzschildModel, surface: ParamSurface) -> float:
-    """g-length of the horizon edge ``t = t0`` of a free-boundary surface."""
+def boundary_length(model: SchwarzschildModel, surface: ParamSurface, spec: QuadSpec = QuadSpec()) -> float:
+    """g-length of the horizon edge ``t = t0`` of a free-boundary surface:
+    ``4 t0 S`` on a cone, the periodic rule to ``spec.rel_tol`` on a
+    general chart."""
     model.require_horizon("boundary_length")
     if not surface.free_boundary:
         raise PreconditionError("surface does not carry the free-boundary flag")
@@ -448,7 +481,7 @@ def boundary_length(model: SchwarzschildModel, surface: ParamSurface) -> float:
         conf = (1.0 + 0.5 * model.mass / np.linalg.norm(x, axis=1)) ** 2
         return conf * np.linalg.norm(_chart_samples(surface.chart_s, t0, s), axis=1)
 
-    return quadrature.integrate_periodic(speed, surface.s_period, QuadSpec())
+    return quadrature.integrate_periodic(speed, surface.s_period, spec)
 
 
 # -------------------------------------------------------------------------
@@ -532,22 +565,31 @@ def monotonicity_report(
     rho_grid,
     spec: QuadSpec = QuadSpec(),
 ) -> MonotonicityReport:
-    """Ratio trace over an increasing grid of horizon distances."""
+    """Ratio trace over an increasing grid of horizon distances.
+
+    On a general chart, mu and the defect at one radius share one store
+    of chart samples (see :func:`_clipped_integral`), dropped once both
+    are formed: each chart node is evaluated once per radius.
+    """
     rhos = np.asarray(rho_grid, dtype=float)
     if rhos.ndim != 1 or len(rhos) < 2 or np.any(np.diff(rhos) <= 0.0) or rhos[0] < 0.0:
         raise DomainError("rho grid must be increasing and nonnegative")
     m = model.mass
 
-    mus = np.array([mu_integral(model, surface, r, spec) for r in rhos])
+    mus = np.empty(len(rhos))
+    defects = np.empty(len(rhos))
+    for i, r in enumerate(rhos):
+        store = {}
+        mus[i] = _clipped_integral(model, surface, r, spec, _mu_weight, store=store)
+        defects[i] = _clipped_integral(model, surface, r, spec, _defect_weight, normal=True, store=store)
     hs = np.array([areal_from_distance(model, r) for r in rhos])
     ratios = np.divide(mus, hs**2, out=np.zeros_like(mus), where=rhos > 0.0)
 
     if m > 0.0 and surface.free_boundary:
-        blen = boundary_length(model, surface)
+        blen = boundary_length(model, surface, spec)
     else:
         blen = 0.0
 
-    defects = np.array([defect_integral(model, surface, r, spec) for r in rhos])
     resid = np.empty(len(rhos) - 1)
     for i in range(len(resid)):
         edge = (
@@ -632,7 +674,7 @@ def boundary_bound_check(
     model.require_horizon("boundary_bound_check")
     m = model.mass
     dens = density_at_infinity(model, surface, rho_max, spec)
-    blen = boundary_length(model, surface)
+    blen = boundary_length(model, surface, spec)
     bterm = blen / (4.0 * math.pi * m)
     defect = defect_integral(model, surface, rho_max, spec) / math.pi
 

@@ -65,8 +65,8 @@ def test_periodic_rule_exact_on_low_trig_polynomials(period):
 
     f, sizes = counted(f)
     assert integrate_periodic(f, period) == pytest.approx(2.0 * period, rel=1e-15)
-    # level 4, its midpoints (level 8), and the shifted level-8 guard
-    assert sizes == [4, 4, 8]
+    # level 4, its midpoints (level 8), and the guard: level 4 shifted
+    assert sizes == [4, 4, 4]
 
 
 @pytest.mark.parametrize("k", [2 * PERIODIC_START, 4 * PERIODIC_START])
@@ -90,10 +90,12 @@ def test_periodic_rule_reuses_every_node():
     value = integrate_periodic(f, TWO_PI)
     # 2 pi I_0(1)
     assert value == pytest.approx(7.954926521012845, rel=1e-14)
-    # level 4, then one batch of midpoints per doubling, then the shifted
-    # guard on the accepted level
-    assert sizes[:2] == [PERIODIC_START, PERIODIC_START]
-    assert all(b == 2 * a for a, b in zip(sizes[1:], sizes[2:]))
+    # level 4, then one batch of midpoints per doubling, then the guard:
+    # the level before the accepted one, shifted, half the accepted level
+    *levels, guard = sizes
+    assert levels[:2] == [PERIODIC_START, PERIODIC_START]
+    assert all(b == 2 * a for a, b in zip(levels[1:], levels[2:]))
+    assert guard == sum(levels) // 2
 
 
 def test_periodic_rule_raises_at_node_budget():

@@ -284,6 +284,41 @@ def test_slice_limit_whole_slice_shortcuts(flat, rho, expected):
         assert area == pytest.approx(expected, rel=1e-13)
 
 
+def test_general_chart_may_return_any_sequence(flat):
+    """The chart is stored as given: a tilted plane whose chart and partials
+    return tuples gives the values of the same plane returning arrays, on
+    the clipped integrals, a rotation and the finite-difference fallbacks."""
+    a, b, d = 0.3, 0.2, 1.0
+
+    def plane(vector, derivatives=True):
+        extra = {}
+        if derivatives:
+            extra = dict(
+                chart_t=lambda t, s: vector([math.cos(s), math.sin(s), a * math.cos(s) + b * math.sin(s)]),
+                chart_s=lambda t, s: vector(
+                    [-t * math.sin(s), t * math.cos(s), t * (b * math.cos(s) - a * math.sin(s))]
+                ),
+            )
+        return make_general(
+            lambda t, s: vector([t * math.cos(s), t * math.sin(s), d + t * (a * math.cos(s) + b * math.sin(s))]),
+            (0.0, 10.0),
+            TWO_PI,
+            **extra,
+        )
+
+    Q = random_rotation(3)
+    values = {}
+    for vector in (np.array, tuple):
+        surface = plane(vector)
+        values[vector] = (
+            mu_integral(flat, surface, 2.0),
+            defect_integral(flat, surface, 2.0),
+            mu_integral(flat, rotate_surface(surface, Q), 2.0),
+            radial_normal_component(flat, plane(vector, derivatives=False), 1.5, 0.7),
+        )
+    assert values[tuple] == values[np.array]
+
+
 def test_general_path_matches_cone_path(m2):
     """The nested 2-D quadrature reproduces the 1-D cone integral, with
     Brent's method (not bisection) finding each slice's clip level."""
@@ -315,7 +350,8 @@ def test_general_path_matches_cone_path(m2):
     # an 80-step bisection per slice, 28 182 with Brent and an outer
     # Gauss-Legendre rule, 4 702 with the periodic trapezoid rule, 4 670
     # with Brent taking the end values the slice checks already computed,
-    # 3 182 with one Gauss-Kronrod evaluation per inner level
+    # 3 182 with one Gauss-Kronrod evaluation per inner level, 2 384 with
+    # the alias guard on the coarser of the two compared levels
     assert calls[0] < 4700
 
 
@@ -346,6 +382,80 @@ def test_boundary_length_general_chart_matches_cone(m2):
         assert boundary_length(m2, general) == pytest.approx(
             boundary_length(m2, cone), rel=1e-13
         )
+
+
+def bumped_curve():
+    """normalize(cos s, sin s, 0.3 |sin s|^2.5), its s derivative, and its
+    speed in mpmath: a closed sphere curve whose third derivative is
+    singular at s = 0 and pi, so the periodic rule converges on it only
+    algebraically."""
+    b = 0.3
+
+    def v(s):
+        return np.array([math.cos(s), math.sin(s), b * abs(math.sin(s)) ** 2.5])
+
+    def alpha(s):
+        x = v(s)
+        return x / np.linalg.norm(x)
+
+    def alpha_d(s):
+        x = v(s)
+        sin = math.sin(s)
+        dx = np.array([-sin, math.cos(s), 2.5 * b * abs(sin) ** 1.5 * math.copysign(1.0, sin) * math.cos(s)])
+        n = np.linalg.norm(x)
+        a = x / n
+        return (dx - a * np.dot(a, dx)) / n
+
+    def speed(s):  # |alpha'(s)| in mpmath
+        sin = mpmath.sin(s)
+        z = b * abs(sin) ** 2.5
+        dz = 2.5 * b * abs(sin) ** 1.5 * mpmath.sign(sin) * mpmath.cos(s)
+        vv, dd, vd = 1 + z * z, 1 + dz * dz, z * dz
+        return mpmath.sqrt(vv * dd - vd * vd) / vv
+
+    return alpha, alpha_d, speed
+
+
+def test_boundary_length_of_general_chart_meets_its_spec(m2):
+    """The horizon edge of a free-boundary general chart is integrated to
+    the caller's rel_tol: 4 t0 times the curve's length, against a 30-digit
+    mpmath value (5.4e-10 off when the edge ignored its spec and ran at
+    the default 1e-8)."""
+    alpha, alpha_d, speed = bumped_curve()
+    t0 = 0.5 * m2.mass
+    cone = make_general(
+        chart=lambda t, s: t * alpha(s),
+        t_range=(t0, 12.0),
+        s_period=TWO_PI,
+        free_boundary=True,
+        chart_t=lambda t, s: alpha(s),
+        chart_s=lambda t, s: t * alpha_d(s),
+    )
+    with mpmath.workdps(30):
+        pi = mpmath.pi
+        ref = float(4 * t0 * mpmath.quad(speed, [0, pi / 2, pi, 3 * pi / 2, 2 * pi]))
+    got = boundary_length(m2, cone, QuadSpec(rel_tol=1e-12))
+    assert abs(got - ref) <= 1e-12 * ref
+
+
+@pytest.mark.parametrize("report", ["monotonicity", "boundary_bound"])
+def test_reports_pass_their_spec_to_the_boundary_length(m2, monkeypatch, report):
+    from schwsurf import surfaces
+
+    seen = []
+
+    def spy(model, surface, spec=QuadSpec()):
+        seen.append(spec)
+        return boundary_length(model, surface, spec)
+
+    monkeypatch.setattr(surfaces, "boundary_length", spy)
+    spec = QuadSpec(rel_tol=1e-9)
+    plane = make_plane(m2, t_max=50.0)
+    if report == "monotonicity":
+        monotonicity_report(m2, plane, [0.5, 2.0], spec)
+    else:
+        boundary_bound_check(m2, plane, 20.0, spec)
+    assert seen == [spec]
 
 
 @pytest.mark.parametrize("derivatives", [True, False], ids=["analytic", "fd"])
@@ -449,6 +559,47 @@ def test_flat_graph_monotonicity_identity(flat):
         resid = formula_residual(flat, graph, rhos[i], rhos[i + 1], spec)
         assert abs(resid) <= 1e-5 * ratios[-1]
         assert resid == rep.formula_residuals[i]  # one identity, bit for bit
+
+
+@pytest.mark.parametrize(
+    "surface",
+    [flat_graph(1.0, 8.0), tilted_plane(0.3, 0.2, 1.0, t_max=10.0)],
+    ids=["flat-graph", "tilted-plane"],
+)
+def test_monotonicity_report_shares_samples_per_radius(flat, surface):
+    """mu and the defect at one radius read one set of chart samples: the
+    report's values are those of separate calls bit for bit, from about
+    half their chart calls."""
+    calls = [0]
+
+    def counted(fn):
+        def wrapped(t, s):
+            calls[0] += 1
+            return fn(t, s)
+
+        return wrapped
+
+    surface = make_general(
+        counted(surface.chart),
+        surface.t_range,
+        surface.s_period,
+        chart_t=counted(surface.chart_t),
+        chart_s=counted(surface.chart_s),
+    )
+    rhos = [1.8, 2.5, 4.0]
+    spec = QuadSpec(rel_tol=1e-7)
+    rep = monotonicity_report(flat, surface, rhos, spec)
+    shared, calls[0] = calls[0], 0
+    mus = [mu_integral(flat, surface, rho, spec) for rho in rhos]
+    defects = [defect_integral(flat, surface, rho, spec) for rho in rhos]
+    separate = calls[0]
+    assert rep.mu_values.tolist() == mus
+    # m = 0: no boundary term, so each residual is the ratio step less the
+    # defect step
+    steps = np.diff(rep.ratios)
+    for i in (0, 1):
+        assert rep.formula_residuals[i] == steps[i] - (defects[i + 1] - defects[i])
+    assert shared <= 0.55 * separate
 
 
 # -------------------------------------------------------------- monotonicity
