@@ -8,13 +8,19 @@ stderr).  Every subcommand is registered through :func:`command`, which
 carries the shared flags, that tolerance flag and that exit-code mapping.
 Reports go to stdout.
 
+The parser is the standard library's ``argparse``, built with
+``allow_abbrev=False`` so that a flag is taken only by its full name.
+Before parsing, each flag that takes a value is joined to the token after
+it (``--c -1e6`` is read as ``--c=-1e6``), so that a value beginning with
+``-`` is a value and not an option string.
+
 A subcommand loads only the modules it calls.  ``stability-radius``,
-``morse-index``, ``riccati`` and ``spectrum --method shooting`` load no
-numpy (the shooting solvers run on plain floats); ``geom`` loads numpy
-for its ``geomspace`` grid, ``monotonicity`` and ``boundary-bound`` for
-the surface integrals, and ``spectrum --method fd|both`` for the FD
-oracle, which also imports scipy on its first solve.  No other
-subcommand loads scipy.
+``morse-index``, ``riccati`` and ``spectrum --method shooting`` need
+nothing beyond the standard library (the shooting solvers run on plain
+floats); ``geom`` loads numpy for its ``geomspace`` grid, ``monotonicity``
+and ``boundary-bound`` for the surface integrals, and ``spectrum --method
+fd|both`` for the FD oracle, which also imports scipy on its first solve.
+No other subcommand loads scipy.
 
 Eigenvalues are reported in mass-squared units throughout; radius flags
 (``--R``, ``--rho-max``, ``--r-max``) are raw lengths in the same units
@@ -23,13 +29,10 @@ as the mass.
 
 from __future__ import annotations
 
-import functools
-import json
+import argparse
 import math
 import numbers
 import sys
-
-import click
 
 from . import __version__
 from .errors import NUMERICAL_ERRORS, DomainError, PreconditionError
@@ -45,12 +48,26 @@ from .quadrature import QuadSpec
 
 _MONO_GRID_SIZE = 40
 
-# the tolerance flags by name, each defaulting to the library constant
+# the tolerance flags by name: flag, default (the library constant), help
 _TOLERANCE_FLAGS = {
-    "ode_tol": click.option("--ode-tol", type=float, default=DEFAULT_ODE_TOL, show_default=True, help="Shooting integrator tolerance."),
-    "root_tol": click.option("--root-tol", type=float, default=DEFAULT_ROOT_TOL, show_default=True, help="Root-finding residual tolerance."),
-    "quad_tol": click.option("--quad-tol", type=float, default=QuadSpec.rel_tol, show_default=True, help="Quadrature relative tolerance."),
+    "ode_tol": ("--ode-tol", DEFAULT_ODE_TOL, "Shooting integrator tolerance"),
+    "root_tol": ("--root-tol", DEFAULT_ROOT_TOL, "Root-finding residual tolerance"),
+    "quad_tol": ("--quad-tol", QuadSpec.rel_tol, "Quadrature relative tolerance"),
 }
+
+_PARSER = argparse.ArgumentParser(
+    prog="schwsurf",
+    description="Desk-scale numerical checks for minimal surfaces outside a horizon.",
+    allow_abbrev=False,
+)
+_PARSER.add_argument("--version", action="version", version=f"schwsurf, version {__version__}")
+_SUBCOMMANDS = _PARSER.add_subparsers(metavar="COMMAND", required=True)
+# every flag of every subcommand takes one value
+_VALUE_FLAGS = set()
+
+
+class UsageError(Exception):
+    """A flag value the subcommand cannot use (exit 2)."""
 
 
 def _fmt(x) -> str:
@@ -81,6 +98,8 @@ def _emit(config, rows, header, scalars=None, payload_key="rows"):
     """
     scalars = scalars or {}
     if config["output"] == "json":
+        import json
+
         doc = {
             "tool": "schwsurf",
             "version": __version__,
@@ -104,12 +123,18 @@ def _emit(config, rows, header, scalars=None, payload_key="rows"):
                 vals = [_fmt(v) for v in row] + [_fmt(v) for v in scalars.values()]
                 lines.append(",".join(vals))
         text = "\n".join(lines) + "\n"
-    click.echo(text, nl=False)
+    sys.stdout.write(text)
 
 
-def command(name: str, tol: str):
+def option(flag: str, **kwargs) -> tuple:
+    """One flag of a subcommand: ``flag`` with its ``add_argument`` keywords."""
+    return flag, kwargs
+
+
+def command(name: str, tol: str, *options):
     """Register ``fn`` as the subcommand ``name``, called as
-    ``fn(config, model, **own_options)``.
+    ``fn(config, model, **own_options)``; ``options`` are its own flags,
+    each an :func:`option`.
 
     Adds the shared flags and the flag of the tolerance ``tol`` (a key of
     ``_TOLERANCE_FLAGS``); ``config`` holds their values.  Bad parameter
@@ -118,28 +143,56 @@ def command(name: str, tol: str):
     """
 
     def register(fn):
-        @main.command(name)
-        @click.option("--mass", type=float, default=1.0, show_default=True, help="ADM mass m.")
-        @_TOLERANCE_FLAGS[tol]
-        @click.option("--output", type=click.Choice(["table", "json"]), default="table", show_default=True, help="Output format.")
-        @functools.wraps(fn)
-        def run(**kwargs):
-            config = {key: kwargs.pop(key) for key in ("mass", tol, "output")}
-            if config["mass"] < 0.0:
-                raise click.UsageError(f"mass must be nonnegative, got {config['mass']}")
-            if not (0.0 < config[tol] < math.inf):
-                raise click.UsageError(f"{tol} must be positive and finite, got {config[tol]}")
-            try:
-                return fn(config, SchwarzschildModel(config["mass"]), **kwargs)
-            except (DomainError, PreconditionError) as exc:
-                raise click.UsageError(str(exc))
-            except NUMERICAL_ERRORS as exc:
-                click.echo(f"numerical failure: {exc}", err=True)
-                sys.exit(3)
+        sub = _SUBCOMMANDS.add_parser(name, help=fn.__doc__, description=fn.__doc__, allow_abbrev=False)
+        tol_flag, tol_default, tol_help = _TOLERANCE_FLAGS[tol]
+        shared = (
+            option("--mass", type=float, default=1.0, help="ADM mass m (default: %(default)s)."),
+            option(tol_flag, dest=tol, type=float, default=tol_default, help=tol_help + " (default: %(default)s)."),
+            option("--output", choices=("table", "json"), default="table", help="Output format (default: %(default)s)."),
+        )
+        for flag, kwargs in shared + options:
+            sub.add_argument(flag, **kwargs)
+            _VALUE_FLAGS.add(flag)
 
-        return run
+        def run(args: dict) -> int:
+            config = {key: args.pop(key) for key in ("mass", tol, "output")}
+            try:
+                if config["mass"] < 0.0:
+                    raise UsageError(f"mass must be nonnegative, got {config['mass']}")
+                if not (0.0 < config[tol] < math.inf):
+                    raise UsageError(f"{tol} must be positive and finite, got {config[tol]}")
+                fn(config, SchwarzschildModel(config["mass"]), **args)
+            except (UsageError, DomainError, PreconditionError) as exc:
+                sub.error(str(exc))
+            except NUMERICAL_ERRORS as exc:
+                print(f"numerical failure: {exc}", file=sys.stderr)
+                return 3
+            return 0
+
+        sub.set_defaults(run=run)
+        return fn
 
     return register
+
+
+def _attach_values(argv) -> list:
+    """``argv`` with each value flag joined to the token after it, as
+    ``--flag=value``: argparse reads a separate ``-1e6``, ``-1e-3`` or
+    ``-inf`` as an option string, and a joined value as the flag's value,
+    whatever it begins with."""
+    out = []
+    tokens = iter(argv)
+    for token in tokens:
+        value = next(tokens, None) if token in _VALUE_FLAGS else None
+        out.append(token if value is None else f"{token}={value}")
+    return out
+
+
+def main(argv=None) -> int:
+    """Run the subcommand that ``argv`` (default ``sys.argv[1:]``) names and
+    return its exit code; usage errors exit 2 from the parser."""
+    args = vars(_PARSER.parse_args(_attach_values(sys.argv[1:] if argv is None else argv)))
+    return args.pop("run")(args)
 
 
 def _surface(model: SchwarzschildModel, spec_text: str, rho_max: float, claim: str):
@@ -154,7 +207,7 @@ def _surface(model: SchwarzschildModel, spec_text: str, rho_max: float, claim: s
 
     t_max = 2.0 * surfaces.clip_radius(model, rho_max) if 0.0 < rho_max < math.inf else math.nan
     if not t_max < math.inf:
-        raise click.UsageError(f"--rho-max must be > 0 and give a finite chart length, got {rho_max}")
+        raise UsageError(f"--rho-max must be > 0 and give a finite chart length, got {rho_max}")
     parts = spec_text.split(":")
     if parts[0] == "plane":
         if len(parts) == 1:
@@ -163,45 +216,45 @@ def _surface(model: SchwarzschildModel, spec_text: str, rho_max: float, claim: s
             try:
                 rot_seed = int(parts[2])
             except ValueError:
-                raise click.UsageError(f"bad rotation seed in {spec_text!r}")
+                raise UsageError(f"bad rotation seed in {spec_text!r}")
             rot = surfaces.random_rotation(rot_seed)
             return surfaces.make_plane(model, t_max, rotation=rot)
-        raise click.UsageError(f"bad surface spec {spec_text!r}")
+        raise UsageError(f"bad surface spec {spec_text!r}")
     if parts[0] == "cone" and len(parts) == 2:
         try:
             theta0 = float(parts[1])
         except ValueError:
-            raise click.UsageError(f"bad colatitude in {spec_text!r}")
+            raise UsageError(f"bad colatitude in {spec_text!r}")
         if not (0.0 < theta0 < math.pi):
-            raise click.UsageError(f"colatitude must be in (0, pi), got {theta0}")
+            raise UsageError(f"colatitude must be in (0, pi), got {theta0}")
         cone = surfaces.make_cone(model, surfaces.latitude_circle(theta0), t_max)
         if abs(theta0 - 0.5 * math.pi) >= 1e-15:
-            click.echo(f"warning: surface {spec_text!r} is not minimal; {claim}", err=True)
+            print(f"warning: surface {spec_text!r} is not minimal; {claim}", file=sys.stderr)
         return cone
-    raise click.UsageError(
+    raise UsageError(
         f"unknown surface spec {spec_text!r}; use plane, plane:rotated:<seed>, cone:<theta0>"
     )
 
 
-@click.group()
-@click.version_option(version=__version__, prog_name="schwsurf")
-def main():
-    """Desk-scale numerical checks for minimal surfaces outside a horizon."""
+_SURFACE_HELP = "plane | plane:rotated:<seed> | cone:<theta0> (default: %(default)s)."
 
 
-@command("geom", "root_tol")
-@click.option("--r-max", type=float, default=1e4, show_default=True, help="Largest horizon distance in the grid.")
-@click.option("--n", "n_rows", type=int, default=65, show_default=True, help="Number of grid rows.")
+@command(
+    "geom",
+    "root_tol",
+    option("--r-max", type=float, default=1e4, help="Largest horizon distance in the grid (default: %(default)s)."),
+    option("--n", dest="n_rows", type=int, default=65, help="Number of grid rows (default: %(default)s)."),
+)
 def geom(config, model, r_max, n_rows):
     """Coordinate table: isotropic radius, areal radius, distance, potential."""
     import numpy as np
 
     if not (0.0 < r_max < math.inf) or n_rows < 2:
-        raise click.UsageError("need a finite --r-max > 0 and --n >= 2")
+        raise UsageError("need a finite --r-max > 0 and --n >= 2")
     m = model.mass
     lo = 0.01 * m if m > 0.0 else r_max * 1e-4
     if not r_max > lo:
-        raise click.UsageError(f"--r-max must be > 0.01 m = {lo}, the first row after the horizon, got {r_max}")
+        raise UsageError(f"--r-max must be > 0.01 m = {lo}, the first row after the horizon, got {r_max}")
     grid = np.concatenate([[0.0], np.geomspace(lo, r_max, n_rows - 1)])
     rows = []
     for r in grid:
@@ -226,11 +279,14 @@ def stability_radius_cmd(config, model):
     )
 
 
-@command("spectrum", "ode_tol")
-@click.option("--k", type=int, default=0, show_default=True, help="Fourier mode number.")
-@click.option("--R", "radius", type=float, required=True, help="Truncation radius (isotropic).")
-@click.option("--count", type=int, default=1, show_default=True, help="How many eigenvalues.")
-@click.option("--method", type=click.Choice(["shooting", "fd", "both"]), default="shooting", show_default=True)
+@command(
+    "spectrum",
+    "ode_tol",
+    option("--k", type=int, default=0, help="Fourier mode number (default: %(default)s)."),
+    option("--R", dest="radius", type=float, required=True, help="Truncation radius (isotropic)."),
+    option("--count", type=int, default=1, help="How many eigenvalues (default: %(default)s)."),
+    option("--method", choices=("shooting", "fd", "both"), default="shooting", help="Solver route (default: %(default)s)."),
+)
 def spectrum(config, model, k, radius, count, method):
     """Lowest eigenvalues of one truncated mode, in mass-squared units."""
     from . import spectral
@@ -264,9 +320,12 @@ def spectrum(config, model, k, radius, count, method):
         )
 
 
-@command("morse-index", "ode_tol")
-@click.option("--R", "radius", type=float, required=True, help="Truncation radius (isotropic).")
-@click.option("--kmax", type=int, default=5, show_default=True, help="Largest Fourier mode swept.")
+@command(
+    "morse-index",
+    "ode_tol",
+    option("--R", dest="radius", type=float, required=True, help="Truncation radius (isotropic)."),
+    option("--kmax", type=int, default=5, help="Largest Fourier mode swept (default: %(default)s)."),
+)
 def morse_index_cmd(config, model, radius, kmax):
     """Morse index of the truncated plane: per-mode counts and the sum."""
     from . import spectral
@@ -282,9 +341,12 @@ def morse_index_cmd(config, model, radius, kmax):
     )
 
 
-@command("monotonicity", "quad_tol")
-@click.option("--surface", "surface_spec", type=str, default="plane", show_default=True, help="plane | plane:rotated:<seed> | cone:<theta0>.")
-@click.option("--rho-max", type=float, default=None, help="Largest horizon distance [default: 100 mass].")
+@command(
+    "monotonicity",
+    "quad_tol",
+    option("--surface", dest="surface_spec", default="plane", help=_SURFACE_HELP),
+    option("--rho-max", type=float, default=None, help="Largest horizon distance (default: 100 mass)."),
+)
 def monotonicity(config, model, surface_spec, rho_max):
     """Weighted-area ratio trace over a log-spaced grid of ball radii."""
     import numpy as np
@@ -298,7 +360,7 @@ def monotonicity(config, model, surface_spec, rho_max):
     surface = _surface(model, surface_spec, rho_max, "the monotonicity identity is not expected to hold")
     lo = 0.1 * m if m > 0.0 else rho_max * 1e-3
     if not rho_max > lo:
-        raise click.UsageError(f"--rho-max must be > 0.1 m = {lo}, where the grid starts, got {rho_max}")
+        raise UsageError(f"--rho-max must be > 0.1 m = {lo}, where the grid starts, got {rho_max}")
     grid = np.geomspace(lo, rho_max, _MONO_GRID_SIZE)
     rep = surfaces.monotonicity_report(model, surface, grid, spec)
     rows = []
@@ -318,9 +380,12 @@ def monotonicity(config, model, surface_spec, rho_max):
     )
 
 
-@command("boundary-bound", "quad_tol")
-@click.option("--surface", "surface_spec", type=str, default="plane", show_default=True, help="plane | plane:rotated:<seed> | cone:<theta0>.")
-@click.option("--rho-max", type=float, default=None, help="Truncation distance for the tail [default: 500 mass].")
+@command(
+    "boundary-bound",
+    "quad_tol",
+    option("--surface", dest="surface_spec", default="plane", help=_SURFACE_HELP),
+    option("--rho-max", type=float, default=None, help="Truncation distance for the tail (default: 500 mass)."),
+)
 def boundary_bound(config, model, surface_spec, rho_max):
     """Boundary length against density at infinity, with the defect split."""
     from . import surfaces
@@ -331,7 +396,7 @@ def boundary_bound(config, model, surface_spec, rho_max):
     spec = QuadSpec(rel_tol=config["quad_tol"])
     surface = _surface(model, surface_spec, rho_max, "the boundary-length bound applies to minimal surfaces")
     if not rho_max > m:
-        raise click.UsageError(f"--rho-max must be > m = {m} for a tail estimate, got {rho_max}")
+        raise UsageError(f"--rho-max must be > m = {m} for a tail estimate, got {rho_max}")
     rep = surfaces.boundary_bound_check(model, surface, rho_max, spec)
     _emit(
         config,
@@ -351,17 +416,20 @@ def boundary_bound(config, model, surface_spec, rho_max):
     )
 
 
-@command("riccati", "root_tol")
-@click.option("--c", "c_value", type=float, required=True, help="Integration constant of the comparison solution.")
-@click.option("--n", "n_rows", type=int, default=65, show_default=True, help="Trace rows.")
+@command(
+    "riccati",
+    "root_tol",
+    option("--c", dest="c_value", type=float, required=True, help="Integration constant of the comparison solution."),
+    option("--n", dest="n_rows", type=int, default=65, help="Trace rows (default: %(default)s)."),
+)
 def riccati(config, model, c_value, n_rows):
     """Comparison-solution trace and its blow-up radius."""
     m = model.mass
     if n_rows < 2:
-        raise click.UsageError("need --n >= 2")
+        raise UsageError("need --n >= 2")
     R_c = singularity_radius(model, c_value, tol=config["root_tol"])
     if 0.98 * R_c < 0.5 * m:
-        raise click.UsageError(
+        raise UsageError(
             f"--c {c_value} puts R_c = {R_c} below m/1.96 = {m / 1.96}: the trace would end"
             " at 0.98 R_c, inside the horizon; take a smaller --c"
         )
@@ -376,4 +444,4 @@ def riccati(config, model, c_value, n_rows):
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -165,23 +165,31 @@ def lowest_eigenvalues(problem: DiscreteModeProblem, how_many: int) -> Spectrum:
 def negative_count_fd(problem: DiscreteModeProblem) -> int:
     """Negative generalized eigenvalues, counted without solving.
 
-    Sturm/LDL factorization of A: since B is positive, the inertia of A
-    equals the signature of the generalized spectrum (Sylvester's law).
+    LDL factorization of A: since B is positive, the inertia of A equals
+    the signature of the generalized spectrum (Sylvester's law), and the
+    inertia of A is the number of negative pivots in any elimination
+    order.  The order here is odd-even (cyclic) reduction: the odd nodes
+    of a tridiagonal matrix couple only to even ones, so their pivots are
+    their diagonal entries, and eliminating them all at once leaves a
+    tridiagonal Schur complement on the even nodes, reduced again until
+    one node is left.  A zero pivot is taken as ``1e-300``.
     """
-    # memoryviews yield Python floats without copying the arrays
-    d = memoryview(problem.stiffness_diag)
-    e = memoryview(problem.stiffness_off)
+    d = problem.stiffness_diag
+    e = problem.stiffness_off
     count = 0
-    piv = d[0]
-    if piv < 0.0:
-        count += 1
-    for dj, ej in zip(d[1:], e):
-        if piv == 0.0:
-            piv = 1e-300
-        piv = dj - ej * ej / piv
-        if piv < 0.0:
-            count += 1
-    return count
+    while d.size > 1:
+        piv = d[1::2]
+        piv = np.where(piv == 0.0, 1e-300, piv)
+        count += int(np.count_nonzero(piv < 0.0))
+        left = e[0::2]  # node 2i to the pivot 2i + 1
+        right = e[1::2]  # the pivot 2i + 1 to node 2i + 2
+        inner = piv[: right.size]
+        reduced = d[0::2].copy()
+        reduced[: piv.size] -= left * left / piv
+        reduced[1:] -= right * right / inner
+        e = -left[: right.size] * right / inner
+        d = reduced
+    return count + int(d[0] < 0.0)
 
 
 def richardson_lowest(

@@ -1,4 +1,9 @@
-"""Shared fixtures and references, plus the acceptance-summary reporting hook."""
+"""Shared fixtures and references, the in-process CLI runner, plus the
+acceptance-summary reporting hook."""
+
+import contextlib
+import io
+from typing import NamedTuple
 
 import mpmath
 import pytest
@@ -27,6 +32,26 @@ def exact_radii(m, r):
         m, r = mpmath.mpf(m), mpmath.mpf(r)
         w = mpmath.findroot(lambda w: mpmath.log((mpmath.sinh(w) + w) * m / r), mpmath.asinh(r / (2 * m)))
         return m / 2 * mpmath.exp(w), m * (1 + mpmath.cosh(w)), mpmath.tanh(w / 2)
+
+
+class CliResult(NamedTuple):
+    exit_code: int
+    stdout: str
+    stderr: str
+
+
+def run_cli(*args):
+    """``schwsurf.cli.main(args)`` in process: its exit code (from its
+    return or from ``SystemExit``), stdout and stderr."""
+    from schwsurf.cli import main
+
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(list(args))
+        except SystemExit as exc:
+            code = exc.code
+    return CliResult(code, out.getvalue(), err.getvalue())
 
 
 # filled by tests/test_acceptance.py; printed by the terminal-summary hook

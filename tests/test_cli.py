@@ -1,8 +1,8 @@
 """Command-line interface: formats, determinism, exit codes.
 
-In-process invocations use click's test runner; exit-code and
-byte-determinism checks go through a real subprocess so the mapping in
-the entry point is what is actually exercised.
+In-process invocations call ``main`` through ``conftest.run_cli``;
+exit-code and byte-determinism checks go through a real subprocess so
+the mapping in the entry point is what is actually exercised.
 """
 
 import json
@@ -10,18 +10,11 @@ import subprocess
 import sys
 
 import pytest
-from click.testing import CliRunner
 
 import schwsurf
-from conftest import R_STAR_M2, exact_radii
-from schwsurf.cli import main
+from conftest import R_STAR_M2, exact_radii, run_cli
 
 F_AT_R1E4_M2 = 0.99979965105436941
-
-
-def run_cli(*args):
-    result = CliRunner().invoke(main, list(args), catch_exceptions=False)
-    return result
 
 
 def run_proc(*args):
@@ -43,7 +36,7 @@ def parse_csv(text):
 def test_geom_table_reaches_far_field():
     result = run_cli("geom", "--mass", "2")
     assert result.exit_code == 0
-    header, rows = parse_csv(result.output)
+    header, rows = parse_csv(result.stdout)
     assert header == ["rho_iso", "s", "r", "h", "f"]
     assert len(rows) == 65
     last = dict(zip(header, map(float, rows[-1])))
@@ -56,7 +49,7 @@ def test_geom_table_reaches_far_field():
 
 def test_geom_rows_against_mpmath():
     """Every row within 1e-15 relative of the exact radii at its distance."""
-    header, rows = parse_csv(run_cli("geom", "--mass", "2").output)
+    header, rows = parse_csv(run_cli("geom", "--mass", "2").stdout)
     assert [float(x) for x in rows[0]] == [1.0, 4.0, 0.0, 4.0, 0.0]
     for row in rows[1:]:
         got = dict(zip(header, map(float, row)))
@@ -68,12 +61,12 @@ def test_geom_rows_against_mpmath():
 def test_geom_root_tol_finer_than_doubles_is_a_numerical_failure():
     result = run_cli("geom", "--mass", "2", "--root-tol", "1e-20")
     assert result.exit_code == 3
-    assert "numerical failure: no isotropic radius at distance" in result.output
+    assert "numerical failure: no isotropic radius at distance" in result.stderr
 
 
 def test_geom_json_provenance_header():
     result = run_cli("geom", "--mass", "2", "--n", "5", "--output", "json")
-    doc = json.loads(result.output)
+    doc = json.loads(result.stdout)
     assert doc["tool"] == "schwsurf"
     assert doc["version"] == schwsurf.__version__
     assert doc["mass"] == 2.0
@@ -98,7 +91,7 @@ def test_geom_validation():
 
 def test_stability_radius_fields():
     result = run_cli("stability-radius", "--mass", "2", "--output", "json")
-    doc = json.loads(result.output)
+    doc = json.loads(result.stdout)
     assert set(doc) >= {"mass", "R_star", "ratio", "residual"}
     assert doc["R_star"] == pytest.approx(R_STAR_M2, rel=1e-12)
     assert 5.50 <= doc["ratio"] <= 5.52
@@ -113,7 +106,7 @@ def test_spectrum_both_methods_agree():
         "spectrum", "--mass", "2", "--R", "20", "--count", "2",
         "--method", "both", "--output", "json",
     )
-    doc = json.loads(result.output)
+    doc = json.loads(result.stdout)
     assert doc["method"] == "both"
     assert doc["R"] == 20.0
     assert len(doc["entries"]) == 2
@@ -124,7 +117,7 @@ def test_spectrum_both_methods_agree():
 
 def test_spectrum_table_columns():
     result = run_cli("spectrum", "--mass", "2", "--R", "12", "--count", "2")
-    header, rows = parse_csv(result.output)
+    header, rows = parse_csv(result.stdout)
     assert header == ["k", "n", "lambda", "R", "method"]
     assert [row[1] for row in rows] == ["1", "2"]
     lams = [float(row[2]) for row in rows]
@@ -142,7 +135,7 @@ def test_morse_index_command():
     result = run_cli(
         "morse-index", "--mass", "2", "--R", "100", "--kmax", "3", "--output", "json"
     )
-    doc = json.loads(result.output)
+    doc = json.loads(result.stdout)
     assert doc["morse_index"] == 1
     assert len(doc["per_mode"]) == 7  # k = -3..3
     counts = {row["k"]: row["negative_count"] for row in doc["per_mode"]}
@@ -156,7 +149,7 @@ def test_morse_index_command():
 def test_monotonicity_table():
     result = run_cli("monotonicity", "--mass", "2")
     assert result.exit_code == 0
-    header, rows = parse_csv(result.output)
+    header, rows = parse_csv(result.stdout)
     assert header[:4] == ["rho", "mu", "ratio", "pair_residual"]
     assert len(rows) == 40
     assert rows[0][3] == ""  # no pair residual on the first row
@@ -226,13 +219,13 @@ FOREIGN_FLAGS = [
 ]
 
 
-@pytest.mark.parametrize("name, flag", FOREIGN_FLAGS, ids=" ".join)
-def test_foreign_tolerance_flag_is_usage_error(name, flag):
+@pytest.mark.parametrize("name, flag", FOREIGN_FLAGS, ids=[f"{name} {flag}" for name, flag in FOREIGN_FLAGS])
+def test_foreign_flag_is_usage_error(name, flag):
     argv, _ = SUBCOMMANDS[name]
     result = run_cli(*argv, "--mass", "2", flag, "1e-3")
     assert result.exit_code == 2
     assert result.stdout == ""
-    assert "No such option" in result.stderr
+    assert "unrecognized arguments" in result.stderr and flag in result.stderr
 
 
 # ---------------------------------------------------------- boundary-bound
@@ -240,7 +233,7 @@ def test_foreign_tolerance_flag_is_usage_error(name, flag):
 
 def test_boundary_bound_plane():
     result = run_cli("boundary-bound", "--mass", "2", "--output", "json")
-    doc = json.loads(result.output)
+    doc = json.loads(result.stdout)
     assert doc["bound_satisfied"] is True
     assert doc["lhs"] == pytest.approx(1.0, abs=1e-3)
     assert doc["rhs"] == pytest.approx(1.0, abs=1e-3)
@@ -264,7 +257,7 @@ def test_rho_max_is_checked_by_name(name, rho_max):
 
 def test_riccati_blow_up_matches_critical_radius():
     result = run_cli("riccati", "--mass", "2", "--c", "-8", "--output", "json")
-    doc = json.loads(result.output)
+    doc = json.loads(result.stdout)
     assert doc["R_c"] == pytest.approx(R_STAR_M2, rel=1e-12)
     assert len(doc["trace"]) == 65
     assert doc["trace"][0]["psi"] == 0.5  # horizon value 1/m
@@ -272,8 +265,8 @@ def test_riccati_blow_up_matches_critical_radius():
 
 
 def test_riccati_blow_up_ordering_in_c():
-    high = json.loads(run_cli("riccati", "--mass", "2", "--c", "-20", "--output", "json").output)
-    low = json.loads(run_cli("riccati", "--mass", "2", "--c", "0", "--output", "json").output)
+    high = json.loads(run_cli("riccati", "--mass", "2", "--c", "-20", "--output", "json").stdout)
+    low = json.loads(run_cli("riccati", "--mass", "2", "--c", "0", "--output", "json").stdout)
     assert high["R_c"] > R_STAR_M2 > low["R_c"]
 
 
@@ -300,7 +293,34 @@ def test_seed_is_not_an_option():
 
 def test_version_flag():
     result = run_cli("--version")
-    assert schwsurf.__version__ in result.output
+    assert result.exit_code == 0
+    assert result.stdout == f"schwsurf, version {schwsurf.__version__}\n"
+
+
+def test_bare_command_is_usage_error():
+    result = run_cli()
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert result.stderr.startswith("usage: schwsurf")
+
+
+def test_value_beginning_with_a_minus_is_the_flags_value():
+    """``-1e-3`` is read as the value of the flag before it, not as an
+    option string; a negative mass reaches the mass check."""
+    result = run_cli("riccati", "--mass", "2", "--c", "-1e-3")
+    assert result.exit_code == 0
+    assert result.stdout == run_cli("riccati", "--mass", "2", "--c=-1e-3").stdout
+    result = run_cli("geom", "--mass", "-1e-3")
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert "mass must be nonnegative" in result.stderr
+
+
+@pytest.mark.parametrize("argv", [("geom", "--mass", "2", "--r-m", "5"), ("geom", "--ma", "2")], ids=" ".join)
+def test_abbreviated_flag_is_usage_error(argv):
+    result = run_cli(*argv)
+    assert result.exit_code == 2
+    assert result.stdout == ""
 
 
 # ----------------------------------------------- subprocess-level contracts
@@ -366,13 +386,14 @@ def test_import_loads_no_scipy():
 
 
 # the benchmark's eight children: argv, exit code, and the modules each must
-# not load; the shooting-only and scalar subcommands load no numpy
-_NO_ARRAYS = ("numpy", "scipy", "schwsurf.surfaces", "schwsurf.fd_oracle")
-_NO_SHOOTING = ("scipy", "schwsurf.ode", "schwsurf.spectral", "schwsurf.fd_oracle")
+# not load; none loads click, and the shooting-only and scalar subcommands
+# load no numpy
+_NO_ARRAYS = ("click", "numpy", "scipy", "schwsurf.surfaces", "schwsurf.fd_oracle")
+_NO_SHOOTING = ("click", "scipy", "schwsurf.ode", "schwsurf.spectral", "schwsurf.fd_oracle")
 _CHILD_MODULES = {
     "geom": (["geom", "--mass", "2"], 0, _NO_SHOOTING + ("schwsurf.surfaces",)),
     "stability-radius": (["stability-radius", "--mass", "2", "--output", "json"], 0, _NO_ARRAYS + ("schwsurf.ode",)),
-    "spectrum": (["spectrum", "--mass", "2", "--R", "40", "--count", "3", "--method", "both"], 0, ("schwsurf.surfaces",)),
+    "spectrum": (["spectrum", "--mass", "2", "--R", "40", "--count", "3", "--method", "both"], 0, ("click", "schwsurf.surfaces")),
     "morse-index": (["morse-index", "--mass", "2", "--R", "2000", "--kmax", "5"], 0, _NO_ARRAYS),
     "monotonicity": (["monotonicity", "--mass", "2", "--surface", "plane:rotated:5"], 0, _NO_SHOOTING),
     "boundary-bound": (["boundary-bound", "--mass", "2"], 0, _NO_SHOOTING),
@@ -476,6 +497,6 @@ def test_unconverged_areal_radius_is_a_numerical_failure(monkeypatch):
     from schwsurf import geometry
 
     monkeypatch.setattr(geometry, "_distance", lambda m, d: float("nan"))
-    result = CliRunner().invoke(main, ["geom", "--mass", "2", "--n", "3"])
+    result = run_cli("geom", "--mass", "2", "--n", "3")
     assert result.exit_code == 3
-    assert "numerical failure" in result.output
+    assert "numerical failure" in result.stderr

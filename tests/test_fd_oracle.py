@@ -7,6 +7,8 @@ side; the cross-solver tests then validate both against each other.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import eigh
 from scipy.special import jn_zeros
 
@@ -149,6 +151,37 @@ def test_sturm_count_matches_solved_spectrum(m2):
         assert negative_count_fd(prob) == expected
         lams = lowest_eigenvalues(prob, 4).lambdas()
         assert int(np.sum(lams < 0.0)) == expected
+
+
+def _sequential_negative_count(problem):
+    """The pivots of A's LDL factorization in natural order, counted one
+    row at a time (zero pivots taken as 1e-300): the reference for the
+    cyclic reduction of ``negative_count_fd``."""
+    d = problem.stiffness_diag.tolist()
+    e = problem.stiffness_off.tolist()
+    count = 0
+    piv = d[0]
+    if piv < 0.0:
+        count += 1
+    for dj, ej in zip(d[1:], e):
+        if piv == 0.0:
+            piv = 1e-300
+        piv = dj - ej * ej / piv
+        if piv < 0.0:
+            count += 1
+    return count
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(
+    m=st.sampled_from([0.0, 0.5, 1.0, 2.0, 7.3]),
+    k=st.integers(0, 5),
+    n=st.integers(16, 4097),
+    R_over_m=st.floats(0.6, 300.0),
+)
+def test_cyclic_reduction_count_matches_sequential_pivots(m, k, n, R_over_m):
+    problem = assemble(SchwarzschildModel(m), k, R_over_m * (m if m > 0.0 else 1.0), n)
+    assert negative_count_fd(problem) == _sequential_negative_count(problem)
 
 
 def test_scale_covariance_of_fd_spectrum():

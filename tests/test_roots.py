@@ -10,10 +10,9 @@ import math
 import numpy as np
 import pytest
 import scipy.optimize
-from click.testing import CliRunner
 
+from conftest import run_cli
 from schwsurf import mode_odes, roots, spectral
-from schwsurf.cli import main
 from schwsurf.errors import DomainError, SearchError
 
 RTOL = 8.0 * np.finfo(float).eps
@@ -141,6 +140,6 @@ def test_root_search_failure_exits_3(monkeypatch):
         return roots.brentq(f, a, b, **dict(kw, maxiter=2))
 
     monkeypatch.setattr(spectral, "brentq", starved)
-    result = CliRunner().invoke(main, ["stability-radius", "--mass", "2"])
+    result = run_cli("stability-radius", "--mass", "2")
     assert result.exit_code == 3
-    assert "numerical failure: no convergence after 2 iterations" in result.output
+    assert "numerical failure: no convergence after 2 iterations" in result.stderr
