@@ -219,8 +219,8 @@ FOREIGN_FLAGS = [
 ]
 
 
-@pytest.mark.parametrize("name, flag", FOREIGN_FLAGS, ids=[f"{name} {flag}" for name, flag in FOREIGN_FLAGS])
-def test_foreign_flag_is_usage_error(name, flag):
+@pytest.mark.parametrize("name, flag", FOREIGN_FLAGS, ids=" ".join)
+def test_foreign_tolerance_flag_is_usage_error(name, flag):
     argv, _ = SUBCOMMANDS[name]
     result = run_cli(*argv, "--mass", "2", flag, "1e-3")
     assert result.exit_code == 2
