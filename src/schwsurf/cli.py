@@ -19,8 +19,8 @@ A subcommand loads only the modules it calls.  ``stability-radius``,
 nothing beyond the standard library (the shooting solvers run on plain
 floats); ``geom`` loads numpy for its ``geomspace`` grid, ``monotonicity``
 and ``boundary-bound`` for the surface integrals, and ``spectrum --method
-fd|both`` for the FD oracle, which also imports scipy on its first solve.
-No other subcommand loads scipy.
+fd|both`` for the FD oracle, whose eigensolver is numpy alone.  No
+subcommand loads scipy.
 
 Eigenvalues are reported in mass-squared units throughout; radius flags
 (``--R``, ``--rho-max``, ``--r-max``) are raw lengths in the same units

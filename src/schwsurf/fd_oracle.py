@@ -6,12 +6,13 @@ the mode equation is discretized in divergence form
     (r u')' - (k^2/r) u + (m/r^2)(1 + m/2r)^-2 u = -lam r (1 + m/2r)^4 u
 
 on a uniform grid over [m/2, R] with a flux-mirrored Neumann row at the
-horizon and Dirichlet elimination at R, and the symmetric tridiagonal
-generalized problem is solved by Sturm-sequence bisection (LAPACK
-``stebz`` through ``scipy.linalg.eigvalsh_tridiagonal``).  scipy is
-imported on the first solve, not with the package, so everything else
-starts without it.  Agreement with the shooting spectra is the anti-bug
-oracle for both sides.
+horizon and Dirichlet elimination at R.  The symmetric tridiagonal
+generalized problem is solved in numpy alone: Sturm counts by odd-even
+reduction say which eigenvalue a bracket holds, and Newton steps on the
+determinant, computed in the same sweep, polish it (Wilkinson, *The
+Algebraic Eigenvalue Problem*, 1965, ch. 5; Barth, Martin & Wilkinson,
+*Numer. Math.* 9, 1967).  No scipy module is loaded.  Agreement with the
+shooting spectra is the anti-bug oracle for both sides.
 
 With ``m = 0`` the same assembly covers the flat disc (``k = 0``) and
 annulus-degenerate Bessel problems used to validate the scheme against
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, SearchError
 from .geometry import SchwarzschildModel
 from .spectral import Spectrum, SpectrumEntry
 
@@ -127,9 +128,206 @@ def _standard_form(problem: DiscreteModeProblem) -> tuple:
     return d, e
 
 
-def lowest_eigenvalues(problem: DiscreteModeProblem, how_many: int) -> Spectrum:
-    """Lowest eigenvalues by Sturm-sequence bisection on the congruence-
-    transformed standard problem.
+# cells of the smaller of the two coarse grids whose dense spectra give the
+# Newton starts; numpy's dense solver stays single-threaded at these sizes
+_COARSE_CELLS = 32
+# the sweeps a solve may take before it gives up with SearchError; bisection
+# alone closes a Gershgorin bracket to 4 eps ||T|| in about 51
+_MAX_SWEEPS = 200
+
+
+def _sweep(d: np.ndarray, e: np.ndarray, shifts, slope: bool = False) -> tuple:
+    """Inertia of ``T - x`` at each shift ``x`` (a float or an array), for
+    ``T`` with diagonal ``d`` and off-diagonal ``e``: the negative pivots of
+    an LDL factorization count the eigenvalues of ``T`` below ``x``
+    (Sylvester's law).
+
+    The order is odd-even (cyclic) reduction: the odd nodes of a tridiagonal
+    matrix couple only to even ones, so their pivots are their diagonal
+    entries, and eliminating them all at once leaves a tridiagonal Schur
+    complement on the even nodes, reduced again until one node is left.
+    A level whose multipliers ``e/pivot`` exceed 1 in size would let the
+    entries grow until rounding swamps the count; from there on the nodes
+    are eliminated one by one in natural order (the Sturm sequence, whose
+    count is stable at any shift), with a zero pivot taken as ``1e-300``.
+
+    Returns the counts and, with ``slope``, the derivatives
+    ``d/dx log|det(T - x)| = sum(p'/p)`` over the pivots ``p``, carried
+    through the elimination with the entries' derivatives (else ``None``).
+    """
+    if np.shape(shifts) == (1,):  # one shift runs faster on 1-D arrays
+        count, S = _sweep(d, e, shifts[0], slope)
+        return np.reshape(count, 1), None if S is None else np.reshape(S, 1)
+    shift = np.asarray(shifts)[..., None]  # comes off the diagonal as level 0 reads it
+    lead = shift.shape[:-1]
+    # each eliminated pivot's sign (and p'/p), in elimination order, and the
+    # multipliers of the level at hand
+    negative = np.empty(lead + d.shape, dtype=bool)
+    ratio = np.empty(lead + d.shape) if slope else None
+    mult = np.empty(lead + d.shape)
+    done = 0
+    D, E = d, e
+    Dp = Ep = None  # d/dx of D and E; -1 and 0 before the first reduction
+    # a pivot near 0 may overflow a multiplier; the check below then hands
+    # the level to the Sturm sequence
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        while D.shape[-1] > 1:
+            piv = D[..., 1::2] if shift is None else D[..., 1::2] - shift
+            left = E[..., 0::2]  # node 2i to the pivot 2i + 1
+            right = E[..., 1::2]  # the pivot 2i + 1 to node 2i + 2
+            p, r = piv.shape[-1], right.shape[-1]
+            a = np.divide(left, piv, out=mult[..., :p])
+            b = np.divide(right, piv[..., :r], out=mult[..., p : p + r])
+            level = mult[..., : p + r]
+            if not (level.max() <= 1.0 and level.min() >= -1.0):
+                break
+            np.less(piv, 0.0, out=negative[..., done : done + p])
+            reduced = D[..., 0::2].copy() if shift is None else D[..., 0::2] - shift
+            reduced[..., :p] -= left * a
+            reduced[..., 1:] -= right * b
+            if slope:
+                if Dp is None:
+                    inv = 1.0 / piv
+                    np.negative(inv, out=ratio[..., done : done + p])
+                    Dp = np.full(reduced.shape, -1.0)
+                    Dp[..., :p] -= a * a
+                    Dp[..., 1:] -= b * b
+                    Ep = (a * inv)[..., :r] * right
+                else:
+                    pp = Dp[..., 1::2]
+                    np.divide(pp, piv, out=ratio[..., done : done + p])
+                    lp, rp = Ep[..., 0::2], Ep[..., 1::2]
+                    a_pp = a * pp
+                    red_p = Dp[..., 0::2].copy()
+                    red_p[..., :p] -= a * (lp + lp - a_pp)
+                    red_p[..., 1:] -= b * (rp + rp - b * pp[..., :r])
+                    Ep = ((lp - a_pp) / piv)[..., :r] * right + a[..., :r] * rp
+                    Dp = red_p
+            # the Schur complement's off-diagonal is -a * right; dropping the
+            # sign flips every off-diagonal of the level, which leaves the
+            # pivots (and so counts and determinants) unchanged
+            E = a[..., :r] * right
+            D = reduced
+            done += p
+            shift = None
+        if shift is not None:
+            D = D - shift
+        count = np.add.reduce(negative[..., :done], axis=-1)
+        S = np.add.reduce(ratio[..., :done], axis=-1) if slope else None
+        if slope and Dp is None:
+            Dp, Ep = np.full(D.shape, -1.0), np.zeros(np.shape(E))
+        piv = D[..., 0]
+        pp = Dp[..., 0] if slope else None
+        for j in range(1, D.shape[-1]):
+            piv = np.where(piv == 0.0, 1e-300, piv)
+            count += piv < 0.0
+            a = E[..., j - 1] / piv
+            if slope:
+                S += pp / piv
+                pp = Dp[..., j] - a * (2.0 * Ep[..., j - 1] - a * pp)
+            piv = D[..., j] - E[..., j - 1] * a
+        piv = np.where(piv == 0.0, 1e-300, piv)
+        count += piv < 0.0
+        if slope:
+            S += pp / piv
+    return count, S
+
+
+def _coarse_estimates(problem: DiscreteModeProblem, how_many: int):
+    """``n -> `` estimates of the standard-form spectrum on ``n`` cells.
+
+    The dense spectra of the same mode on ``c`` and ``2c`` cells,
+    extrapolated in ``h^2`` (``lam(n) = lam_inf + C/n^2``).
+    """
+    c = max(_COARSE_CELLS, 2 * how_many)
+    spectra = []
+    for cells in (c, 2 * c):
+        d, e = _standard_form(assemble(problem.model, problem.k, problem.R, cells))
+        dense = np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
+        spectra.append(np.linalg.eigvalsh(dense)[:c])
+    lam_c, lam_2c = spectra
+    slope = (lam_c - lam_2c) / (c**-2 - (2 * c) ** -2)
+    return lambda n: lam_2c + slope * (n**-2 - (2 * c) ** -2)
+
+
+def _lowest(d: np.ndarray, e: np.ndarray, start: np.ndarray, how_many: int) -> np.ndarray:
+    """The ``how_many`` lowest eigenvalues of ``T``, each bracketed by
+    counts within a width of ``4 eps ||T||_inf``.
+
+    ``start`` estimates the lowest eigenvalues, at least ``how_many`` of
+    them; entries past ``how_many`` say where the eigenvalues above lie.
+    Every sweep narrows each eigenvalue's bracket: a shift with count
+    ``c`` is an upper bound for eigenvalues ``0..c-1`` and a lower bound
+    for the rest.  Inside its bracket each estimate takes Newton steps on
+    ``det(T - x)``, and bisects the bracket when a step leaves it or fails
+    to halve.  When the quadratic error predicted after a Newton step is
+    below ``eps ||T||_inf``, one count sweep at ``x -+ 1.5 eps ||T||_inf``
+    closes the bracket.
+    """
+    off = np.zeros_like(d)
+    off[:-1] += np.abs(e)
+    off[1:] += np.abs(e)
+    tol = np.finfo(float).eps * float(np.max(np.abs(d) + off))
+    # Gershgorin: every eigenvalue lies in [min(d - off), max(d + off)]
+    lo = np.full(how_many, np.min(d - off))
+    hi = np.full(how_many, np.max(d + off))
+    x = np.clip(start[:how_many], lo, hi)
+    neighbours = start.copy()
+    last_step = np.full(how_many, np.inf)
+
+    def narrow(shifts, counts):
+        for shift, c in zip(shifts, counts):
+            hi[:c] = np.minimum(hi[:c], shift)
+            lo[c:] = np.maximum(lo[c:], shift)
+
+    todo = np.arange(how_many)
+    for _ in range(_MAX_SWEEPS):
+        counts, slope = _sweep(d, e, x[todo], slope=True)
+        narrow(x[todo], counts)
+        # a zero or non-finite slope, or two estimates that meet, give a
+        # step or an error prediction that is not finite: that bisects
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = -1.0 / slope
+            new = x[todo] + step
+            newton = (lo[todo] < new) & (new < hi[todo]) & (np.abs(step) <= 0.5 * last_step[todo])
+            x[todo] = np.where(newton, new, 0.5 * (lo[todo] + hi[todo]))
+            last_step[todo] = np.where(newton, np.abs(step), np.inf)
+            # after a step s the Newton error is about s^2 sum_j 1/|x - lam_j|
+            # over the other eigenvalues j
+            neighbours[:how_many] = x
+            gaps = np.abs(x[todo, None] - neighbours[None, :])
+            gaps[np.arange(todo.size), todo] = np.inf
+            near = newton & (step * step * np.sum(1.0 / gaps, axis=1) <= tol)
+        check = todo[near]
+        if check.size:
+            shifts = np.concatenate([x[check] - 1.5 * tol, x[check] + 1.5 * tol])
+            counts, _ = _sweep(d, e, shifts)
+            narrow(shifts, counts)
+        todo = todo[hi[todo] - lo[todo] > 4.0 * tol]
+        if todo.size == 0:
+            # a value outside its closed bracket is the bracket's midpoint
+            inside = (lo <= x) & (x <= hi)
+            return np.where(inside, x, 0.5 * (lo + hi))
+    raise SearchError(
+        f"FD eigenvalues not bracketed within {4.0 * tol:.3g} after {_MAX_SWEEPS} sweeps",
+        {"unbracketed": todo.tolist()},
+    )
+
+
+def lowest_eigenvalues(
+    problem: DiscreteModeProblem, how_many: int, half: np.ndarray | None = None
+) -> Spectrum:
+    """Lowest eigenvalues of the congruence-transformed standard problem
+    ``T``, each within ``2 eps ||T||_inf``: Sturm counts bracket them and
+    Newton steps on ``det(T - lam)`` polish them (see :func:`_lowest`),
+    in numpy alone.
+
+    Newton starts from the dense spectra of the same mode on 32 and 64
+    cells, extrapolated in ``h^2`` to ``n``.  ``half``, this mode's lowest
+    eigenvalues on ``n/2`` cells (as :func:`richardson_lowest` has them),
+    moves the starts to those values plus the extrapolated change from
+    ``n/2`` to ``n`` cells.  Starts only set the cost: the counts decide
+    which eigenvalue each value is.
 
     Entries are in mass-squared units for ``m > 0`` and raw inverse-length-
     squared units for the flat ``m = 0`` oracle problems.
@@ -140,15 +338,15 @@ def lowest_eigenvalues(problem: DiscreteModeProblem, how_many: int) -> Spectrum:
         raise DomainError(
             f"how_many = {how_many} must be < matrix size {problem.n}"
         )
-    # scipy.linalg costs about 0.3 s to import: load it on the first solve
-    from scipy.linalg import eigvalsh_tridiagonal
-
-    d, e = _standard_form(problem)
-    vals = eigvalsh_tridiagonal(
-        d, e, select="i", select_range=(0, how_many - 1), lapack_driver="stebz"
-    )
     m = problem.model.mass
     unit = m * m if m > 0.0 else 1.0
+    estimate = _coarse_estimates(problem, how_many)
+    start = estimate(problem.n)[: problem.n]
+    if half is not None:
+        shift = start[:how_many] - estimate(problem.n / 2)[:how_many]
+        start[:how_many] = np.asarray(half) / unit + shift
+    d, e = _standard_form(problem)
+    vals = _lowest(d, e, start, how_many)
     entries = tuple(
         SpectrumEntry(k=problem.k, n=i + 1, lam=float(v) * unit)
         for i, v in enumerate(vals)
@@ -165,31 +363,12 @@ def lowest_eigenvalues(problem: DiscreteModeProblem, how_many: int) -> Spectrum:
 def negative_count_fd(problem: DiscreteModeProblem) -> int:
     """Negative generalized eigenvalues, counted without solving.
 
-    LDL factorization of A: since B is positive, the inertia of A equals
-    the signature of the generalized spectrum (Sylvester's law), and the
-    inertia of A is the number of negative pivots in any elimination
-    order.  The order here is odd-even (cyclic) reduction: the odd nodes
-    of a tridiagonal matrix couple only to even ones, so their pivots are
-    their diagonal entries, and eliminating them all at once leaves a
-    tridiagonal Schur complement on the even nodes, reduced again until
-    one node is left.  A zero pivot is taken as ``1e-300``.
+    Since B is positive, the inertia of A equals the signature of the
+    generalized spectrum (Sylvester's law): the count of :func:`_sweep`
+    on A at shift 0.
     """
-    d = problem.stiffness_diag
-    e = problem.stiffness_off
-    count = 0
-    while d.size > 1:
-        piv = d[1::2]
-        piv = np.where(piv == 0.0, 1e-300, piv)
-        count += int(np.count_nonzero(piv < 0.0))
-        left = e[0::2]  # node 2i to the pivot 2i + 1
-        right = e[1::2]  # the pivot 2i + 1 to node 2i + 2
-        inner = piv[: right.size]
-        reduced = d[0::2].copy()
-        reduced[: piv.size] -= left * left / piv
-        reduced[1:] -= right * right / inner
-        e = -left[: right.size] * right / inner
-        d = reduced
-    return count + int(d[0] < 0.0)
+    count, _ = _sweep(problem.stiffness_diag, problem.stiffness_off, 0.0)
+    return int(count)
 
 
 def richardson_lowest(
@@ -201,5 +380,5 @@ def richardson_lowest(
     :func:`lowest_eigenvalues`.
     """
     lam_n = lowest_eigenvalues(assemble(model, k, R, n), how_many).lambdas()
-    lam_2n = lowest_eigenvalues(assemble(model, k, R, 2 * n), how_many).lambdas()
+    lam_2n = lowest_eigenvalues(assemble(model, k, R, 2 * n), how_many, half=lam_n).lambdas()
     return (4.0 * lam_2n - lam_n) / 3.0

@@ -34,6 +34,21 @@ def exact_radii(m, r):
         return m / 2 * mpmath.exp(w), m * (1 + mpmath.cosh(w)), mpmath.tanh(w / 2)
 
 
+def stebz_lowest(problem, how_many):
+    """LAPACK's bisection (``stebz``) on the standard form of an FD
+    problem, in its raw units, with the bound the FD solver is held to:
+    8 eps ||T||_inf, the infinity norm taken of the standard form ``T``."""
+    import numpy as np
+    from scipy.linalg import eigvalsh_tridiagonal
+
+    from schwsurf.fd_oracle import _standard_form
+
+    d, e = _standard_form(problem)
+    vals = eigvalsh_tridiagonal(d, e, select="i", select_range=(0, how_many - 1), lapack_driver="stebz")
+    rows = np.abs(d) + np.r_[np.abs(e), 0.0] + np.r_[0.0, np.abs(e)]
+    return vals, 8.0 * np.finfo(float).eps * float(np.max(rows))
+
+
 class CliResult(NamedTuple):
     exit_code: int
     stdout: str

@@ -23,6 +23,9 @@ from schwsurf import (
     stability_radius,
 )
 from schwsurf.errors import DomainError
+from schwsurf.fd_oracle import _standard_form
+
+from conftest import stebz_lowest
 
 
 # ------------------------------------------------------------ flat-space oracle
@@ -188,3 +191,83 @@ def test_scale_covariance_of_fd_spectrum():
     a = richardson_lowest(SchwarzschildModel(1.0), 0, 10.0, n=512)[0]
     b = richardson_lowest(SchwarzschildModel(2.0), 0, 20.0, n=512)[0]
     assert b == pytest.approx(a, rel=1e-10)
+
+
+# ------------------------------------------------- the numpy eigenvalue solver
+
+
+@settings(max_examples=40, deadline=None, database=None, derandomize=True)
+@given(
+    m=st.sampled_from([0.0, 0.7, 2.0]),
+    k=st.integers(0, 3),
+    n=st.integers(16, 256),
+    data=st.data(),
+)
+def test_lowest_eigenvalues_match_dense_solver(m, k, n, data):
+    """Sturm counts and Newton steps give the dense spectrum of the
+    standard form to 8 eps ||T||_inf, from R just above the horizon to
+    1e3 m (1e3 for the flat m = 0 problems)."""
+    how_many = data.draw(st.integers(1, min(5, n - 1)), label="how_many")
+    scale = m if m > 0.0 else 1.0
+    R = data.draw(st.floats(0.5 * m + 1e-6 * scale, 1e3 * scale), label="R")
+    problem = assemble(SchwarzschildModel(m), k, R, n)
+    d, e = _standard_form(problem)
+    T = np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
+    dense = np.linalg.eigvalsh(T)[:how_many]
+    got = lowest_eigenvalues(problem, how_many).lambdas() / (scale * scale)
+    bound = 8.0 * np.finfo(float).eps * np.max(np.sum(np.abs(T), axis=1))
+    assert np.max(np.abs(got - dense)) <= bound
+
+
+@pytest.mark.parametrize("n", [1024, 2048, 8192, 16384])
+@pytest.mark.parametrize("R", [40.0, 200.0, "R*", 2000.0])
+def test_lowest_eigenvalues_match_stebz(m2, R, n):
+    """At the benchmark's grid sizes, and at R* (where lam_1 is about 0)
+    and R = 1000 m (a clustered spectrum), within 8 eps ||T||_inf of
+    LAPACK's bisection."""
+    R = stability_radius(m2) if R == "R*" else R
+    problem = assemble(m2, 0, R, n)
+    reference, bound = stebz_lowest(problem, 3)
+    got = lowest_eigenvalues(problem, 3).lambdas() / m2.mass**2
+    assert np.max(np.abs(got - reference)) <= bound
+    # the warm start from the half grid reaches the same values
+    half = lowest_eigenvalues(assemble(m2, 0, R, n // 2), 3).lambdas()
+    warm = lowest_eigenvalues(problem, 3, half=half).lambdas() / m2.mass**2
+    assert np.max(np.abs(warm - reference)) <= bound
+
+
+def test_counts_survive_a_near_zero_pivot_of_the_reduction(m2):
+    """At R = 55.9833 m2 on 25 cells, shifts near lam_5 meet a pivot of
+    1.6e-5 on the second level of the odd-even reduction, where the
+    entries are about 0.1.  Reduced regardless, counts at shifts as far as
+    35 eps ||T||_inf from lam_5 come out wrong, lam_5 + 8 eps ||T||_inf
+    among them; handed to the Sturm sequence, every count 8 eps ||T||_inf
+    from the six lowest eigenvalues is right."""
+    from schwsurf.fd_oracle import _sweep
+
+    d, e = _standard_form(assemble(m2, 0, 55.9833, 25))
+    T = np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
+    lams = np.linalg.eigvalsh(T)[:6]
+    margin = 8.0 * np.finfo(float).eps * np.max(np.sum(np.abs(T), axis=1))
+    below, _ = _sweep(d, e, lams - margin)
+    above, _ = _sweep(d, e, lams + margin)
+    assert below.tolist() == list(range(6))
+    assert above.tolist() == list(range(1, 7))
+
+
+@pytest.mark.parametrize("starts", ["reversed", "all at the second", "far off"])
+def test_starts_do_not_decide_which_eigenvalue(m2, starts):
+    """Warm starts in the wrong order, or all at one eigenvalue, cost sweeps
+    but not accuracy: the counts bracket each eigenvalue before it is
+    accepted.  Accepted on Newton's error estimate alone, lam_3 comes out
+    near 2e4 from the first two kinds of start."""
+    problem = assemble(m2, 0, 40.0, 2048)
+    reference, bound = stebz_lowest(problem, 3)
+    lams = reference * m2.mass**2
+    half = {
+        "reversed": lams[::-1],
+        "all at the second": np.full(3, lams[1]),
+        "far off": np.array([-10.0, 0.0, 10.0]),
+    }
+    got = lowest_eigenvalues(problem, 3, half=half[starts]).lambdas() / m2.mass**2
+    assert np.max(np.abs(got - reference)) <= bound
