@@ -158,7 +158,7 @@ def _sweep(d: np.ndarray, e: np.ndarray, shifts, slope: bool = False) -> tuple:
     if np.shape(shifts) == (1,):  # one shift runs faster on 1-D arrays
         count, S = _sweep(d, e, shifts[0], slope)
         return np.reshape(count, 1), None if S is None else np.reshape(S, 1)
-    shift = np.asarray(shifts)[..., None]  # comes off the diagonal as level 0 reads it
+    shift = np.asarray(shifts)[..., None]
     lead = shift.shape[:-1]
     # each eliminated pivot's sign (and p'/p), in elimination order, and the
     # multipliers of the level at hand
@@ -166,13 +166,13 @@ def _sweep(d: np.ndarray, e: np.ndarray, shifts, slope: bool = False) -> tuple:
     ratio = np.empty(lead + d.shape) if slope else None
     mult = np.empty(lead + d.shape)
     done = 0
-    D, E = d, e
     Dp = Ep = None  # d/dx of D and E; -1 and 0 before the first reduction
     # a pivot near 0 may overflow a multiplier; the check below then hands
     # the level to the Sturm sequence
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        D, E = d - shift, e  # T - x, reduced level by level
         while D.shape[-1] > 1:
-            piv = D[..., 1::2] if shift is None else D[..., 1::2] - shift
+            piv = D[..., 1::2]
             left = E[..., 0::2]  # node 2i to the pivot 2i + 1
             right = E[..., 1::2]  # the pivot 2i + 1 to node 2i + 2
             p, r = piv.shape[-1], right.shape[-1]
@@ -182,7 +182,7 @@ def _sweep(d: np.ndarray, e: np.ndarray, shifts, slope: bool = False) -> tuple:
             if not (level.max() <= 1.0 and level.min() >= -1.0):
                 break
             np.less(piv, 0.0, out=negative[..., done : done + p])
-            reduced = D[..., 0::2].copy() if shift is None else D[..., 0::2] - shift
+            reduced = D[..., 0::2].copy()
             reduced[..., :p] -= left * a
             reduced[..., 1:] -= right * b
             if slope:
@@ -209,9 +209,6 @@ def _sweep(d: np.ndarray, e: np.ndarray, shifts, slope: bool = False) -> tuple:
             E = a[..., :r] * right
             D = reduced
             done += p
-            shift = None
-        if shift is not None:
-            D = D - shift
         count = np.add.reduce(negative[..., :done], axis=-1)
         S = np.add.reduce(ratio[..., :done], axis=-1) if slope else None
         if slope and Dp is None:
@@ -250,9 +247,10 @@ def _coarse_estimates(problem: DiscreteModeProblem, how_many: int):
     return lambda n: lam_2c + slope * (n**-2 - (2 * c) ** -2)
 
 
-def _lowest(d: np.ndarray, e: np.ndarray, start: np.ndarray, how_many: int) -> np.ndarray:
+def _lowest(d: np.ndarray, e: np.ndarray, start: np.ndarray, how_many: int) -> tuple:
     """The ``how_many`` lowest eigenvalues of ``T``, each bracketed by
-    counts within a width of ``4 eps ||T||_inf``.
+    counts within a width of ``4 eps ||T||_inf``, and the number of shifts
+    ``x`` at which :func:`_sweep` factored ``T - x``.
 
     ``start`` estimates the lowest eigenvalues, at least ``how_many`` of
     them; entries past ``how_many`` say where the eigenvalues above lie.
@@ -281,7 +279,9 @@ def _lowest(d: np.ndarray, e: np.ndarray, start: np.ndarray, how_many: int) -> n
             lo[c:] = np.maximum(lo[c:], shift)
 
     todo = np.arange(how_many)
+    probes = 0
     for _ in range(_MAX_SWEEPS):
+        probes += todo.size
         counts, slope = _sweep(d, e, x[todo], slope=True)
         narrow(x[todo], counts)
         # a zero or non-finite slope, or two estimates that meet, give a
@@ -301,13 +301,14 @@ def _lowest(d: np.ndarray, e: np.ndarray, start: np.ndarray, how_many: int) -> n
         check = todo[near]
         if check.size:
             shifts = np.concatenate([x[check] - 1.5 * tol, x[check] + 1.5 * tol])
+            probes += shifts.size
             counts, _ = _sweep(d, e, shifts)
             narrow(shifts, counts)
         todo = todo[hi[todo] - lo[todo] > 4.0 * tol]
         if todo.size == 0:
             # a value outside its closed bracket is the bracket's midpoint
             inside = (lo <= x) & (x <= hi)
-            return np.where(inside, x, 0.5 * (lo + hi))
+            return np.where(inside, x, 0.5 * (lo + hi)), probes
     raise SearchError(
         f"FD eigenvalues not bracketed within {4.0 * tol:.3g} after {_MAX_SWEEPS} sweeps",
         {"unbracketed": todo.tolist()},
@@ -327,7 +328,9 @@ def lowest_eigenvalues(
     eigenvalues on ``n/2`` cells (as :func:`richardson_lowest` has them),
     moves the starts to those values plus the extrapolated change from
     ``n/2`` to ``n`` cells.  Starts only set the cost: the counts decide
-    which eigenvalue each value is.
+    which eigenvalue each value is.  :attr:`Spectrum.probes` counts the
+    shifts ``x`` at which a sweep factored ``T - x``, the derivative
+    sweeps' and the closing count sweeps' alike.
 
     Entries are in mass-squared units for ``m > 0`` and raw inverse-length-
     squared units for the flat ``m = 0`` oracle problems.
@@ -346,7 +349,7 @@ def lowest_eigenvalues(
         shift = start[:how_many] - estimate(problem.n / 2)[:how_many]
         start[:how_many] = np.asarray(half) / unit + shift
     d, e = _standard_form(problem)
-    vals = _lowest(d, e, start, how_many)
+    vals, probes = _lowest(d, e, start, how_many)
     entries = tuple(
         SpectrumEntry(k=problem.k, n=i + 1, lam=float(v) * unit)
         for i, v in enumerate(vals)
@@ -356,7 +359,7 @@ def lowest_eigenvalues(
         R=problem.R,
         entries=entries,
         method="finite-difference",
-        probes=0,
+        probes=probes,
     )
 
 

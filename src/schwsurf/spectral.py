@@ -59,7 +59,7 @@ class Spectrum:
     R: float
     entries: tuple
     method: str
-    probes: int  # values of lam shot; 0 for FD
+    probes: int  # values of lam shot; for FD, shifts at which T - lam was factored
 
     def lambdas(self) -> np.ndarray:
         import numpy as np

@@ -129,16 +129,18 @@ class ParamSurface:
     smooth periodic integrand.  Cones (planes through the origin among
     them) carry their ``curve``, so integrals can use the 1-D fast path;
     general charts carry none.
-    ``chart_t``/``chart_s`` are the partial derivatives (finite-difference
-    fallbacks are installed for general charts).
+    ``chart_t``/``chart_s`` are the partial derivatives, always present:
+    analytic on cones, given or finite-difference fallbacks on general
+    charts (:func:`make_general`).  Nodes are evaluated through
+    :func:`_chart_samples`.
     """
 
     chart: object
     t_range: tuple
     s_period: float
     free_boundary: bool
-    chart_t: object = None
-    chart_s: object = None
+    chart_t: object
+    chart_s: object
     curve: SphereCurve | None = field(default=None, repr=False)
 
     @property
@@ -146,32 +148,25 @@ class ParamSurface:
         return self.curve is not None
 
     def check(self, model: SchwarzschildModel, n_samples: int = 64) -> dict:
-        """Max invariant deviations: exterior containment, horizon edge."""
+        """Max invariant deviations on 9 ``t`` levels by ``n_samples`` ``s``
+        nodes: exterior containment, horizon edge (on the ``t0`` level)."""
         t0, t1 = self.t_range
-        out = {"exterior": 0.0, "horizon_edge": 0.0}
-        ts = np.linspace(t0, t1, 9)
+        half = 0.5 * model.mass
         ss = np.linspace(0.0, self.s_period, n_samples, endpoint=False)
-        m = model.mass
-        for t in ts:
-            for s in ss:
-                r = float(np.linalg.norm(self.chart(t, s)))
-                out["exterior"] = max(out["exterior"], 0.5 * m - r)
-        if self.free_boundary and m > 0.0:
-            for s in ss:
-                r = float(np.linalg.norm(self.chart(t0, s)))
-                out["horizon_edge"] = max(
-                    out["horizon_edge"], abs(r - 0.5 * m) / (0.5 * m)
-                )
+        r = np.linalg.norm(_chart_samples(self.chart, np.linspace(t0, t1, 9)[:, None], ss), axis=1)
+        out = {"exterior": max(0.0, float(np.max(half - r))), "horizon_edge": 0.0}
+        if self.free_boundary and half > 0.0:
+            out["horizon_edge"] = float(np.max(np.abs(r[:n_samples] - half) / half))
         return out
 
 
-def _cone(curve: SphereCurve, t_range: tuple, free_boundary: bool = True) -> ParamSurface:
+def _cone(curve: SphereCurve, t_range: tuple) -> ParamSurface:
     al, ald = curve.alpha, curve.alpha_d
     return ParamSurface(
         chart=lambda t, s: t * al(s),
         t_range=t_range,
         s_period=curve.period,
-        free_boundary=free_boundary,
+        free_boundary=True,
         chart_t=lambda t, s: al(s),
         chart_s=lambda t, s: t * ald(s),
         curve=curve,
@@ -202,14 +197,17 @@ def make_general(
     chart_t=None,
     chart_s=None,
 ) -> ParamSurface:
-    """User-supplied chart; missing derivatives by central differences.
+    """User-supplied chart; missing partials by central differences.
 
     Each of ``chart``, ``chart_t`` and ``chart_s`` is called once per
-    quadrature node with scalar ``(t, s)`` and returns a 3-vector: any
-    sequence of three numbers (an array, a tuple, a list).  The chart is
-    stored as given; only the finite-difference fallbacks convert its
-    values to arrays.  It must be evaluable slightly outside the ``t``
-    range (two finite-difference steps).  ``s_period`` must be the
+    node with scalar ``(t, s)`` (see :func:`_chart_samples`) and returns
+    a 3-vector: any sequence of three numbers (an array, a tuple, a
+    list).  The chart is stored as given; only the finite-difference
+    fallbacks convert its values to arrays.  A missing ``chart_t`` or
+    ``chart_s`` is one 4th-order central difference of the chart along
+    ``t`` or ``s``, with a step of ``1e-5`` times the ``t`` range or the
+    period, so the chart must be evaluable two steps outside the ``t``
+    range.  ``s_period`` must be the
     chart's true period in ``s`` (not a multiple or a fraction of it):
     the outer trapezoid rule converges only on a smooth periodic
     integrand.
@@ -222,20 +220,17 @@ def make_general(
     ht = 1e-5 * (t1 - t0)
     hs = 1e-5 * s_period
 
-    def c(t, s):
-        return np.asarray(chart(t, s), dtype=float)
+    def difference(f, u, h):
+        # 4th-order central difference of f at u with step h
+        return (f(u - 2 * h) - 8.0 * f(u - h) + 8.0 * f(u + h) - f(u + 2 * h)) / (12.0 * h)
 
     if chart_t is None:
-        def chart_t(t, s, _h=ht):
-            return (
-                c(t - 2 * _h, s) - 8.0 * c(t - _h, s) + 8.0 * c(t + _h, s) - c(t + 2 * _h, s)
-            ) / (12.0 * _h)
+        def chart_t(t, s):
+            return difference(lambda u: np.asarray(chart(u, s), dtype=float), t, ht)
 
     if chart_s is None:
-        def chart_s(t, s, _h=hs):
-            return (
-                c(t, s - 2 * _h) - 8.0 * c(t, s - _h) + 8.0 * c(t, s + _h) - c(t, s + 2 * _h)
-            ) / (12.0 * _h)
+        def chart_s(t, s):
+            return difference(lambda u: np.asarray(chart(t, u), dtype=float), s, hs)
 
     return ParamSurface(
         chart=chart,
@@ -251,7 +246,7 @@ def rotate_surface(surface: ParamSurface, rotation: np.ndarray) -> ParamSurface:
     """Surface composed with a fixed rotation; cones stay cones."""
     if surface.curve is not None:
         curve = rotate_curve(surface.curve, rotation)
-        return _cone(curve, surface.t_range, surface.free_boundary)
+        return _cone(curve, surface.t_range)
     Q = np.asarray(rotation, dtype=float)
     old_chart, old_t, old_s = surface.chart, surface.chart_t, surface.chart_s
     return ParamSurface(
@@ -289,9 +284,11 @@ def cone_mean_curvature(model: SchwarzschildModel, curve: SphereCurve, t: float,
 
 def _chart_samples(fn, t, s) -> np.ndarray:
     """``fn`` called once per node of the broadcast ``(t, s)`` with scalar
-    arguments, its 3-vectors stacked into an ``(n, 3)`` array.  A scalar
-    ``s`` (one slice of a general chart) is passed as given, with no
-    broadcast."""
+    arguments, its 3-vectors stacked into an ``(n, 3)`` array, row-major
+    in the broadcast shape.  A scalar ``s`` (one slice of a general chart)
+    is passed as given, with no broadcast.  The one place where a chart or
+    its partials are evaluated at nodes (the Brent search of a slice's
+    clip level aside)."""
     if np.ndim(s) == 0:
         pts = [fn(a, s) for a in np.ravel(t).tolist()]
     else:
@@ -590,18 +587,10 @@ def monotonicity_report(
     else:
         blen = 0.0
 
-    resid = np.empty(len(rhos) - 1)
-    for i in range(len(resid)):
-        edge = (
-            m * (1.0 / hs[i] ** 2 - 1.0 / hs[i + 1] ** 2) * blen
-            if m > 0.0
-            else 0.0
-        )
-        resid[i] = (
-            ratios[i + 1] - ratios[i] - (defects[i + 1] - defects[i]) - edge
-        )
-
+    # m |boundary| (1/h(sigma)^2 - 1/h(rho)^2); h = 0 at rho = 0 on the flat model
+    edge = m * -np.diff(1.0 / hs**2) * blen if m > 0.0 else 0.0
     steps = np.diff(ratios)
+    resid = steps - np.diff(defects) - edge
     max_backstep = float(max(0.0, -steps.min()))
     scale = float(np.max(np.abs(ratios))) or 1.0
     return MonotonicityReport(

@@ -171,6 +171,17 @@ def test_monotonicity_bad_surface_spec():
     assert run_cli("monotonicity", "--mass", "2", "--surface", "plane:rotated:-5").exit_code == 2
 
 
+@pytest.mark.parametrize("spec", ["plane:rotated:x", "plane:tilted", "cone:abc"])
+@pytest.mark.parametrize("name", ["monotonicity", "boundary-bound"])
+def test_malformed_surface_spec_is_named_in_the_usage_error(name, spec):
+    """A seed or colatitude that does not parse, or an unknown plane
+    variant: exit 2, nothing on stdout, the spec quoted on stderr."""
+    result = run_cli(name, "--mass", "2", "--surface", spec)
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert repr(spec) in result.stderr
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -281,6 +292,13 @@ def test_riccati_trace_inside_the_horizon_is_usage_error():
     assert result.exit_code == 2
     assert result.stdout == ""
     assert "--c" in result.stderr
+
+
+def test_riccati_needs_two_rows():
+    result = run_cli("riccati", "--mass", "2", "--c", "0", "--n", "1")
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert "need --n >= 2" in result.stderr
 
 
 # ------------------------------------------------------------------- misc

@@ -22,6 +22,7 @@ from schwsurf import (
     richardson_lowest,
     stability_radius,
 )
+from schwsurf import fd_oracle
 from schwsurf.errors import DomainError
 from schwsurf.fd_oracle import _standard_form
 
@@ -87,10 +88,19 @@ def test_assembly_validation(m2):
         lowest_eigenvalues(assemble(m2, 0, 20.0, 32), 32)
 
 
-def test_spectrum_units_and_metadata(m2):
+def test_spectrum_units_and_metadata(m2, monkeypatch):
+    shifts = []
+    sweep = fd_oracle._sweep
+
+    def counted(d, e, x, slope=False):
+        shifts.append(np.size(x))
+        return sweep(d, e, x, slope)
+
+    monkeypatch.setattr(fd_oracle, "_sweep", counted)
     spec = lowest_eigenvalues(assemble(m2, 0, 20.0, 256), 2)
     assert spec.method == "finite-difference"
-    assert spec.probes == 0
+    # every shift of the derivative and the closing count sweeps
+    assert spec.probes == sum(shifts) > 0
     assert [e.n for e in spec.entries] == [1, 2]
     assert np.all(np.diff(spec.lambdas()) > 0.0)
 

@@ -26,10 +26,11 @@ from schwsurf import (
     stability_radius,
 )
 from conftest import R_STAR_M2
-from schwsurf.errors import DomainError, NoSingularityError, SingularityError
-from schwsurf import ode
+from schwsurf.errors import DomainError, IntegrationError, NoSingularityError, SingularityError
+from schwsurf import mode_odes, ode
 from schwsurf.mode_odes import (
     _prufer_closure,
+    miss_distance,
     ode_residual_grid,
     radial_q,
     riccati_residual_grid,
@@ -405,6 +406,42 @@ def test_phase_crossing_inside_a_radau_step():
     local = _reference(coefficients, traj.x[i], x_cross, [traj.theta[i], 0.0])
     assert local(x_cross)[0] == pytest.approx(math.pi, abs=1e-6)
     assert x_cross == pytest.approx(math.pi / 6.0 + 1e-3, abs=1e-5)  # sin x = 1/2, lagged by 1/beta
+
+
+def test_integrate_prufer_validation():
+    def coefficients(x):
+        return 1.0, 0.0, 0.0
+
+    for x0, x1, tol in ((1.0, 1.0, 1e-8), (1.0, 0.5, 1e-8), (0.0, 1.0, 0.0), (0.0, 1.0, -1e-8)):
+        with pytest.raises(DomainError):
+            ode.integrate_prufer(coefficients, x0, x1, 0.0, 0.0, tol)
+
+
+def test_nan_coefficients_underflow_the_step():
+    """A right-hand side that is NaN fails every error test, so the step
+    shrinks until it underflows; the error carries the last good radius."""
+    with pytest.raises(IntegrationError, match="step size underflow") as info:
+        ode.integrate_prufer(lambda x: (math.nan,) * 3, 0.5, 1.0, 0.0, 0.0, 1e-8)
+    assert info.value.last_r == math.exp(0.5)
+
+
+def test_miss_distance_reports_an_inward_underflow_at_the_radius(m2, monkeypatch):
+    """The inward half runs in y = -log r, so its integrator reports
+    exp(y) = 1/r; miss_distance turns that back into r.  Coefficients that
+    are NaN beyond the matching radius make the inward half underflow on
+    its first step, at R."""
+    R, r_c = 40.0, 8.0
+    closure = mode_odes._prufer_closure
+
+    def nan_beyond_r_c(m, k, lam):
+        coefficients = closure(m, k, lam)
+        edge = math.log(r_c) + 1e-9
+        return lambda x: coefficients(x) if x <= edge else (math.nan,) * 3
+
+    monkeypatch.setattr(mode_odes, "_prufer_closure", nan_beyond_r_c)
+    with pytest.raises(IntegrationError, match="step size underflow at r = ") as info:
+        miss_distance(ModeParams(m2, 0, 0.0, R), r_c)
+    assert info.value.last_r == pytest.approx(R, rel=1e-14)
 
 
 def test_default_tolerance_shots_take_no_radau_step(m2, monkeypatch):

@@ -211,6 +211,22 @@ def test_miss_distance_validation(m2):
             miss_distance(params, r_c)
 
 
+@pytest.mark.parametrize(
+    "miss, message",
+    [(0.0, "upper bracket expansion failed"), (10.0, "no probe below the eigenvalue")],
+    ids=["never-above", "never-below"],
+)
+def test_search_errors_carry_their_diagnostics(m2, monkeypatch, miss, message):
+    """A miss-distance that never exceeds pi cannot be bracketed from
+    above; one that exceeds it at every probe, the spectrum's lower bound
+    among them, has no probe below the first eigenvalue."""
+    monkeypatch.setattr(spectral, "miss_distance", lambda params, r_c, tol: miss)
+    with pytest.raises(SearchError, match=message) as info:
+        eigenvalues_shooting(m2, 0, 20.0, 1)
+    assert info.value.diagnostics["k"] == 0 and info.value.diagnostics["n"] == 1
+    assert info.value.diagnostics["miss"] == miss
+
+
 def test_search_at_100m_takes_few_probes(m2, monkeypatch):
     """The one-sided search took 35 shots here, bisecting across the jump."""
     shot = []
@@ -332,6 +348,13 @@ def test_rayleigh_validation(m2):
         rayleigh_quotient(m2, 3.0, r[:4], u[:4])  # too few samples
     with pytest.raises(Exception):
         rayleigh_quotient(m2, 3.0, r + 1.0, (1.0 - (r - 1.0) / 2.0))  # wrong span
+    vanishing = 1.0 - (r - 1.0) / 2.0
+    with pytest.raises(PreconditionError, match="strictly increasing"):
+        rayleigh_quotient(m2, 3.0, r[::-1], vanishing)
+    with pytest.raises(PreconditionError, match="strictly increasing"):
+        rayleigh_quotient(m2, 3.0, np.r_[r[:50], r[49:-1]], vanishing)  # a repeated node
+    with pytest.raises(PreconditionError, match="vanishes identically"):
+        rayleigh_quotient(m2, 3.0, r, np.zeros_like(r))
 
 
 def test_derivative_samples_match_per_sample_quartic_fits():

@@ -188,12 +188,41 @@ def test_make_general_rejects_non_finite_t_range():
             make_general(chart, t_range, TWO_PI)
 
 
+def test_make_general_rejects_non_positive_period():
+    chart = lambda t, s: np.array([t * math.cos(s), t * math.sin(s), 1.0])
+    for s_period in (0.0, -TWO_PI, math.nan):
+        with pytest.raises(DomainError):
+            make_general(chart, (0.0, 1.0), s_period)
+
+
 def test_surface_check_plane(m2):
     plane = make_plane(m2, t_max=30.0)
     dev = plane.check(m2, 32)
     assert dev["exterior"] <= 1e-12
     assert dev["horizon_edge"] <= 1e-12
     assert plane.is_cone
+
+
+def test_surface_check_general_charts(m2):
+    """A latitude cone written as a general chart from the horizon out
+    meets both invariants to rounding (its outer rows lie far from the
+    horizon, so the edge is read off the t0 row); against m = 2.4 its
+    edge |x| = 1 lies 0.2 inside the horizon.  The graph z = 1/2 over
+    t in [-3, 3] passes |x| = 1/2 at its middle row, inside the horizon
+    |x| = 1."""
+    cone = general_cone(m2, math.pi / 3, free_boundary=True)
+    dev = cone.check(m2, 32)
+    assert dev["exterior"] <= 1e-15
+    assert dev["horizon_edge"] <= 1e-15
+    dev = cone.check(SchwarzschildModel(2.4), 32)
+    assert dev["exterior"] == pytest.approx(0.2, rel=1e-14)
+    assert dev["horizon_edge"] == pytest.approx(0.2 / 1.2, rel=1e-14)
+    dip = make_general(
+        chart=lambda t, s: np.array([t * math.cos(s), t * math.sin(s), 0.5]),
+        t_range=(-3.0, 3.0),
+        s_period=TWO_PI,
+    )
+    assert dip.check(m2, 16) == {"exterior": 0.5, "horizon_edge": 0.0}
 
 
 # ----------------------------------------------------------- boundary length
@@ -257,6 +286,18 @@ def test_radial_normal_degenerate_chart_raises(flat):
         radial_normal_component(flat, line, 1.0, 0.5)
     with pytest.raises(GeometryError):
         defect_integral(flat, line, 1.0)  # the same check, through the weight
+
+
+def test_radial_normal_undefined_at_the_origin(flat):
+    """The plane z = 0 charted by (t, sin s) passes the origin at t = s = 0,
+    where its tangent plane is regular but the radial direction is not."""
+    plane = make_general(
+        chart=lambda t, s: np.array([t, math.sin(s), 0.0]),
+        t_range=(-1.0, 1.0),
+        s_period=TWO_PI,
+    )
+    with pytest.raises(GeometryError, match="origin"):
+        radial_normal_component(flat, plane, 0.0, 0.0)
 
 
 # ------------------------------------------------------------- general path
@@ -671,6 +712,13 @@ def test_density_of_latitude_cone(m2, theta0):
     rep = density_at_infinity(m2, cone, 400.0)
     assert rep.converged
     assert rep.theta == pytest.approx(math.sin(theta0), abs=1e-6)
+
+
+def test_density_needs_rho_max_above_the_mass(m2):
+    plane = make_plane(m2, t_max=50.0)
+    for rho_max in (1.5, 2.0):
+        with pytest.raises(DomainError, match="too small"):
+            density_at_infinity(m2, plane, rho_max)
 
 
 def test_density_flat_plane(flat):
