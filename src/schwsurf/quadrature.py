@@ -186,8 +186,8 @@ def _estimate(v, rule: str, where):
     return v
 
 
-# estimates are sums of finite samples that may still overflow; _estimate
-# reports that, so numpy need not warn about it too
+# samples, and sums of finite samples, may overflow; _estimate reports
+# that, so numpy need not warn about it too
 _QUIET = {"over": "ignore", "invalid": "ignore"}
 
 
@@ -207,7 +207,9 @@ def integrate(f, a: float, b: float, spec: QuadSpec = QuadSpec()):
     the Gauss sum; once it is within ``rel_tol`` the Kronrod sum, of
     higher degree, is returned, and otherwise the panel count doubles.
     Raises :class:`QuadratureError` at the panel cap or on the first
-    estimate that is not finite.
+    estimate that is not finite.  ``f`` runs with numpy's overflow and
+    invalid-value warnings off: a sample that overflows is reported once,
+    by that error.
     """
     import numpy as np
 
@@ -220,8 +222,8 @@ def integrate(f, a: float, b: float, spec: QuadSpec = QuadSpec()):
     n = 1
     while True:
         x, w = panel_nodes(a, b, n)
-        y = f(x)
         with np.errstate(**_QUIET):
+            y = f(x)
             sums = np.dot(y, w)
         kronrod, gauss = (_estimate(sums[..., j], "Gauss-Kronrod", where) for j in (0, 1))
         if _settled(kronrod, gauss, spec.rel_tol):
@@ -248,7 +250,7 @@ def integrate_periodic(f, period: float, spec: QuadSpec = QuadSpec()):
 
     Raises :class:`QuadratureError` when the next level would pass
     ``MAX_PANELS * GL_POINTS`` nodes, or on the first estimate that is not
-    finite.
+    finite; ``f`` runs with warnings off as in :func:`integrate`.
     """
     import numpy as np
 
@@ -257,21 +259,21 @@ def integrate_periodic(f, period: float, spec: QuadSpec = QuadSpec()):
 
     n = PERIODIC_START
     h = period / n
-    y = f(h * np.arange(n))
     with np.errstate(**_QUIET):
+        y = f(h * np.arange(n))
         total = np.sum(y, axis=-1)
         prev = _estimate(h * total, "periodic trapezoid", where)
     while True:
-        y = f(h * (np.arange(n) + 0.5))
         coarse = h
         n *= 2
         h = period / n
         with np.errstate(**_QUIET):
+            y = f(coarse * (np.arange(n // 2) + 0.5))
             total = total + np.sum(y, axis=-1)
             cur = _estimate(h * total, "periodic trapezoid", where)
         if _settled(cur, prev, spec.rel_tol):
-            y = f(coarse * (np.arange(n // 2) + ALIAS_SHIFT))
             with np.errstate(**_QUIET):
+                y = f(coarse * (np.arange(n // 2) + ALIAS_SHIFT))
                 shifted = _estimate(coarse * np.sum(y, axis=-1), "periodic trapezoid", where)
             if _settled(shifted, cur, spec.rel_tol):
                 return cur

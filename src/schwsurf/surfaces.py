@@ -7,7 +7,10 @@ over unit-sphere curves are the workhorses: their flat induced metric is
 ``dt^2 + t^2 ds^2`` when ``alpha`` is parametrized by arc length, every
 ball-clipping level is a ``t`` level, and the unit radial field is
 tangent to them, which collapses the defect integral to zero and makes
-the monotonicity bookkeeping exact up to quadrature.
+the monotonicity bookkeeping exact up to quadrature.  A clipped integral
+over a cone is one 1-D integral of ``w(m, t) t dt``, taken in
+``u = log(t/t0)``: the radial factors' one pole, ``t = 0``, moves to
+``u = -inf``, and the integrand ``w(m, t) t^2`` is entire.
 
 Conformal bookkeeping used throughout (``e^phi = (1 + m/2|x|)^2``):
 
@@ -25,7 +28,7 @@ import numpy as np
 
 from . import quadrature, roots
 from .errors import DomainError, GeometryError, PreconditionError
-from .geometry import SchwarzschildModel, areal_from_distance, isotropic_from_distance
+from .geometry import SchwarzschildModel, areal_from_distance, areal_from_isotropic, isotropic_from_distance
 from .quadrature import QuadSpec
 
 _TWO_PI = 2.0 * math.pi
@@ -349,8 +352,17 @@ def _clipped_integral(model, surface, rho, spec, w, normal=False, store=None) ->
     factor ``w(m, |x|)`` (conformal factor included) times the flat area
     element, times the squared radial-normal part when ``normal``.
 
-    Cones integrate ``w(m, t) t`` over ``t`` (their flat element is
-    ``t dt ds`` and the radial field is tangent to them).  General charts
+    Cones integrate ``w(m, t) t^2`` over ``u = log(t/t0)``, with ``t = t0
+    e^u`` on ``[0, log(t_top/t0)]`` (their flat element is ``t dt ds`` and
+    the radial field is tangent to them).  The integrand is entire, and
+    one Gauss-Kronrod panel settles it out to a million masses.  The
+    variable is relative to ``t0`` so that scaling ``m`` and ``rho``
+    together leaves the nodes where they are; the upper limit is formed
+    by ``log1p``, so that a clip level next to the horizon keeps its
+    digits.  Where ``t^2`` overflows (``t`` past about ``1.3e154``) the
+    :class:`QuadratureError` names the interval in ``u``.  Only the flat
+    model's cones start at ``t0 = 0``; there every weight is 1 and ``w t``
+    is integrated over ``t``, exactly on the first level.  General charts
     run the periodic trapezoid rule :func:`quadrature.integrate_periodic`
     over ``s`` in ``[0, S)`` (so ``S`` must be the chart's true period),
     whose every node runs a Gauss-Kronrod :func:`quadrature.integrate`
@@ -360,22 +372,33 @@ def _clipped_integral(model, surface, rho, spec, w, normal=False, store=None) ->
     alongside, which bounds it: its scale is the floor that ends a defect
     that is rounding noise (a cone written as a general chart).
 
-    ``store``, a dict, keeps each slice's clip level and the chart samples
-    of each inner level, keyed by ``s`` and the node count, so that the
-    integrals of one radius that share it evaluate each chart node once.
+    ``store``, a dict, keeps the radius's clip level ``clip_radius(rho)``
+    under ``"clip"``, each slice's clip level and the chart samples of
+    each inner level, keyed by ``s`` and the node count, so that the
+    integrals of one radius that share it invert the distance once and
+    evaluate each chart node once.
     Each integral still runs its own rules to its own tests; where their
     levels coincide they visit the same ``s`` and ``t`` nodes bit for
     bit.  Without a store nothing is kept.
     """
-    if rho == 0.0:
+    # the radial field is tangent to cones; a rho out of domain goes on
+    # to clip_radius, which rejects it
+    if rho == 0.0 or (normal and surface.is_cone and 0.0 < rho < math.inf):
         return 0.0
-    t_iso = clip_radius(model, rho)
+    t_iso = _kept(store, "clip", lambda: clip_radius(model, rho))
     t0, t1 = surface.t_range
     m = model.mass
     if surface.is_cone:
-        if normal:
-            return 0.0
-        return surface.s_period * quadrature.integrate(lambda t: w(m, t) * t, t0, min(t_iso, t1), spec)
+        top = min(t_iso, t1)
+        if t0 == 0.0:
+            # flat model: every weight is 1 and w t is a polynomial
+            return surface.s_period * quadrature.integrate(lambda t: w(m, t) * t, t0, top, spec)
+
+        def integrand(u):
+            t = t0 * np.exp(u)
+            return w(m, t) * t * t
+
+        return surface.s_period * quadrature.integrate(integrand, 0.0, math.log1p((top - t0) / t0), spec)
 
     chart, chart_t, chart_s = surface.chart, surface.chart_t, surface.chart_s
     horizon = 0.5 * m
@@ -564,9 +587,11 @@ def monotonicity_report(
 ) -> MonotonicityReport:
     """Ratio trace over an increasing grid of horizon distances.
 
-    On a general chart, mu and the defect at one radius share one store
-    of chart samples (see :func:`_clipped_integral`), dropped once both
-    are formed: each chart node is evaluated once per radius.
+    Each radius's distance is inverted once: its clip level gives ``h``
+    and seeds the store that mu and the defect share (see
+    :func:`_clipped_integral`).  On a general chart the store also keeps
+    the chart samples, dropped once both are formed: each chart node is
+    evaluated once per radius.
     """
     rhos = np.asarray(rho_grid, dtype=float)
     if rhos.ndim != 1 or len(rhos) < 2 or np.any(np.diff(rhos) <= 0.0) or rhos[0] < 0.0:
@@ -575,11 +600,12 @@ def monotonicity_report(
 
     mus = np.empty(len(rhos))
     defects = np.empty(len(rhos))
+    hs = np.empty(len(rhos))
     for i, r in enumerate(rhos):
-        store = {}
+        store = {"clip": clip_radius(model, r)}
+        hs[i] = areal_from_isotropic(model, store["clip"])
         mus[i] = _clipped_integral(model, surface, r, spec, _mu_weight, store=store)
         defects[i] = _clipped_integral(model, surface, r, spec, _defect_weight, normal=True, store=store)
-    hs = np.array([areal_from_distance(model, r) for r in rhos])
     ratios = np.divide(mus, hs**2, out=np.zeros_like(mus), where=rhos > 0.0)
 
     if m > 0.0 and surface.free_boundary:

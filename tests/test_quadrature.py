@@ -159,6 +159,20 @@ def test_non_finite_estimate_raises_at_once(rule, sample):
     assert len(sizes) <= 2
 
 
+@pytest.mark.parametrize("rule", ["gauss-legendre", "periodic"])
+def test_integrand_that_overflows_raises_at_once(rule):
+    """Samples that overflow while the integrand is evaluated (finite nodes,
+    an exponential past the double range) are reported as a QuadratureError
+    on the first level, with no RuntimeWarning from the integrand."""
+    f, sizes = counted(lambda x: np.exp(1e3 + x))
+    with pytest.raises(QuadratureError, match="is not finite"):
+        if rule == "periodic":
+            integrate_periodic(f, TWO_PI)
+        else:
+            integrate(f, 0.0, 10.0)
+    assert len(sizes) == 1
+
+
 # ------------------------------------------------------------ the noise floor
 
 

@@ -39,6 +39,7 @@ from schwsurf import (
     rotate_curve,
     rotate_surface,
 )
+from schwsurf import quadrature
 from schwsurf.errors import DomainError, GeometryError, PreconditionError
 from schwsurf.surfaces import clip_radius
 
@@ -156,6 +157,91 @@ def test_plane_area_closed_form(m2):
         expected = TWO_PI * (F(t_clip) - F(0.5 * m))
         assert area_integral(m2, plane, rho) == pytest.approx(expected, rel=1e-10)
         assert area_integral(m2, plane, rho) > mu_integral(m2, plane, rho)
+
+
+def far_cones(model, rho_max):
+    """A plane, a rotated plane and a latitude cone, long enough that no
+    radius up to ``rho_max`` reaches their ends; each with its period."""
+    t_max = 2.0 * clip_radius(model, rho_max)
+    return [
+        (make_plane(model, t_max), TWO_PI),
+        (make_plane(model, t_max, rotation=random_rotation(5)), TWO_PI),
+        (make_cone(model, latitude_circle(0.8), t_max), TWO_PI * math.sin(0.8)),
+    ]
+
+
+@pytest.mark.parametrize("mass", [0.7, 2.0])
+def test_cone_integrals_settle_on_their_first_level(mass, monkeypatch):
+    """In log(t/t0) the cone integrands are entire, so from next to the
+    horizon out to a million masses every mu and area integral is accepted
+    on its first level: one panel, one panel_nodes call."""
+    model = SchwarzschildModel(mass)
+    levels = []
+    real = quadrature.panel_nodes
+
+    def counted(a, b, n_panels):
+        levels.append(n_panels)
+        return real(a, b, n_panels)
+
+    monkeypatch.setattr(quadrature, "panel_nodes", counted)
+    for cone, _ in far_cones(model, 1e6 * mass):
+        for rho in mass * np.geomspace(1e-3, 1e6, 19):
+            for integral in (mu_integral, area_integral):
+                levels.clear()
+                integral(model, cone, rho)
+                assert levels == [1], (integral.__name__, rho)
+
+
+@pytest.mark.parametrize("mass", [0.7, 2.0])
+def test_cone_integrals_match_exact_antiderivatives(mass):
+    """mu and the area of cones against 40-digit primitives of w(m, t) t,
+    from a millionth of a mass to a million masses.  With a = m/2,
+
+        (1 - a/t)(1 + a/t)^3 t:  t^2/2 + 2 a t + 2 a^3/t + a^4/(2 t^2),
+        (1 + a/t)^4 t:           t^2/2 + 4 a t + 6 a^2 log t - 4 a^3/t - a^4/(2 t^2),
+
+    each times the period, between m/2 and the clip radius the code
+    integrates up to."""
+    model = SchwarzschildModel(mass)
+    rel = QuadSpec().rel_tol
+    with mpmath.workdps(40):
+        a = mpmath.mpf(mass) / 2
+
+        def primitives(t):
+            t = mpmath.mpf(t)
+            mu = t * t / 2 + 2 * a * t + 2 * a**3 / t + a**4 / (2 * t * t)
+            area = t * t / 2 + 4 * a * t + 6 * a * a * mpmath.log(t) - 4 * a**3 / t - a**4 / (2 * t * t)
+            return mu, area
+
+        base = primitives(a)
+        for cone, period in far_cones(model, 1e6 * mass):
+            for rho in mass * np.geomspace(1e-6, 1e6, 25):
+                top = primitives(clip_radius(model, rho))
+                for integral, lo, hi in zip((mu_integral, area_integral), base, top):
+                    ref = period * (hi - lo)
+                    got = integral(model, cone, rho)
+                    assert abs(got - ref) <= rel * ref, (integral.__name__, rho)
+
+
+@settings(max_examples=20, deadline=None, database=None, derandomize=True)
+@given(
+    mass=st.floats(0.1, 10.0),
+    log_scale=st.floats(-3.0, 3.0),
+    log_rho=st.floats(-3.0, 6.0),
+    theta0=st.one_of(st.none(), st.floats(0.2, math.pi - 0.2)),
+)
+def test_cone_mu_is_scale_covariant(mass, log_scale, log_rho, theta0):
+    """mu(lambda m; lambda rho) = lambda^2 mu(m; rho) on planes and latitude
+    cones, for rho from a thousandth of a mass to a million masses."""
+    lam = 10.0**log_scale
+    values = []
+    for m in (mass, lam * mass):
+        model = SchwarzschildModel(m)
+        rho = 10.0**log_rho * m
+        t_max = 2.0 * clip_radius(model, rho)
+        cone = make_plane(model, t_max) if theta0 is None else make_cone(model, latitude_circle(theta0), t_max)
+        values.append(mu_integral(model, cone, rho))
+    assert values[1] == pytest.approx(lam * lam * values[0], rel=1e-11)
 
 
 def test_latitude_cone_mu_scales_by_sin(m2):
