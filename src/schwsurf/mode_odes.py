@@ -34,7 +34,7 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .errors import DomainError, IntegrationError, NoSingularityError, SingularityError
+from .errors import DomainError, NoSingularityError, SingularityError
 from .geometry import DEFAULT_ROOT_TOL, SchwarzschildModel
 from .roots import brentq
 
@@ -279,10 +279,8 @@ def miss_distance(params: ModeParams, r_c: float, tol: float = DEFAULT_ODE_TOL) 
 
     ``theta_L`` is the phase of the horizon shot stopped at ``r_c`` (the
     shot of the mode truncated there); ``theta_R`` is the phase of the
-    solution with ``v(R) = 0``, shot inward from ``theta(R) = 0``.  The
-    inward half runs forward in ``y = -x`` through the same integrator:
-    there the Prüfer pair obeys the same equations with the coefficients
-    ``(-A, -B, -D)`` taken at ``x = -y``.
+    solution with ``v(R) = 0``, shot inward from ``theta(R) = 0`` on the
+    mode's own coefficients, from ``log R`` down to ``log r_c``.
 
     The miss-distance increases strictly with ``lam``, and since the
     right-hand side depends on the phase through ``2 theta`` only, the two
@@ -298,16 +296,7 @@ def miss_distance(params: ModeParams, r_c: float, tol: float = DEFAULT_ODE_TOL) 
         raise DomainError(f"r_c must lie in ({params.model.horizon_rho}, {params.R}), got {r_c}")
     theta_left = integrate_v(ModeParams(params.model, params.k, params.lam, r_c), tol=tol).phase(r_c)
     coefficients = _prufer_closure(params.model.mass, params.k, params.lam)
-
-    def reflected(y: float) -> tuple:
-        a, b, d = coefficients(-y)
-        return -a, -b, -d
-
-    try:
-        inward = ode.integrate_prufer(reflected, -math.log(params.R), -math.log(r_c), 0.0, 0.0, tol)
-    except IntegrationError as err:  # report the radius, not 1/r
-        r = 1.0 / err.last_r
-        raise IntegrationError(f"step size underflow at r = {r}", last_r=r) from None
+    inward = ode.integrate_prufer(coefficients, math.log(params.R), math.log(r_c), 0.0, 0.0, tol)
     return theta_left - inward.theta[-1]
 
 

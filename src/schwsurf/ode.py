@@ -29,15 +29,17 @@ relative error of the amplitude.  No step cap applies.
   simplified Newton, which is scalar here; ``log rho`` is a quadrature
   over the same collocation stages.
 
-A :class:`Trajectory` holds plain lists: the nodes, the phase and
+A shot runs from ``x0`` toward ``x1`` on either side of it, with a signed
+step.  A :class:`Trajectory` holds plain lists: the nodes, the phase and
 ``log rho`` at each node, and each accepted step's record, its seven
 stages or its three collocation increments.  Dense output of both
-components comes from the Dormand-Prince 4th-order continuous extension
-or from the Radau collocation cubic: :meth:`Trajectory.eval_scalar` reads
-one point in plain floats, forming that step's coefficients on first
-read; only :meth:`Trajectory.eval`, which reads a whole array of points,
-imports numpy and stacks the same coefficients of every step.
-Integrating and reading single points load no numpy.
+components, read on forward shots (``x1 > x0``) only, comes from the
+Dormand-Prince 4th-order continuous extension or from the Radau
+collocation cubic: :meth:`Trajectory.eval_scalar` reads one point in plain
+floats, forming that step's coefficients on first read; only
+:meth:`Trajectory.eval`, which reads a whole array of points, imports
+numpy and stacks the same coefficients of every step.  Integrating and
+reading single points load no numpy.
 """
 
 from __future__ import annotations
@@ -248,15 +250,16 @@ class Trajectory:
     """Accepted steps of one Prüfer integration, in plain lists.
 
     ``x`` holds the nodes, ``theta`` and ``log_rho`` the pair at each node.
-    Step ``i`` runs from node ``i`` to node ``i + 1``.  ``stages[i]`` is
-    its record: for a Dormand-Prince step the seven stages ``(k1 theta,
-    k1 log rho, ..., k7 log rho)``, 14 floats, the first two the
-    right-hand side at node ``i``; for a Radau IIA step the three
-    collocation increments ``(Z1 theta, Z1 log rho, ..., Z3 log rho)``,
-    8 floats.  Either record ends with the right-hand side at node
-    ``i + 1``.  ``tol`` is the integration's tolerance.  The step counts
-    are ``rejected_steps`` and the accepted ``dp45_steps`` and
-    ``radau_steps``.
+    Step ``i`` runs from node ``i`` to node ``i + 1``, backward on a
+    backward shot.  ``stages[i]`` is its record: for a Dormand-Prince step
+    the seven stages ``(k1 theta, k1 log rho, ..., k7 log rho)``, 14
+    floats, the first two the right-hand side at node ``i``; for a Radau
+    IIA step the three collocation increments ``(Z1 theta, Z1 log rho,
+    ..., Z3 log rho)``, 8 floats.  Either record ends with the right-hand
+    side at node ``i + 1``.  ``tol`` is the integration's tolerance.  The
+    step counts are ``rejected_steps`` and the accepted ``dp45_steps`` and
+    ``radau_steps``.  Dense reads and phase crossings need a forward shot,
+    ``x[-1] > x[0]``, and raise :class:`DomainError` on a backward one.
     """
 
     coefficients: Callable[[float], tuple]
@@ -288,6 +291,8 @@ class Trajectory:
         cubic, with ``c3 = 0``.  Both readers read these."""
         coeffs = self._dense[i]
         if coeffs is None:
+            if not self.x[-1] > self.x[0]:
+                raise DomainError("dense output needs a forward shot, x[-1] > x[0]")
             coeffs = self._dense[i] = _dense_output(self.stages[i], self.x[i + 1] - self.x[i])
         return coeffs
 
@@ -346,6 +351,8 @@ class Trajectory:
         by the method that took the step there, so the result carries the
         step's local error, not the dense output's.
         """
+        if not self.x[-1] > self.x[0]:
+            raise DomainError("phase crossings need a forward shot, x[-1] > x[0]")
         theta = self.theta
         i = next(j for j, th in enumerate(theta) if th >= target) - 1
         x0, th0 = self.x[i], theta[i]
@@ -373,33 +380,32 @@ def integrate_prufer(
 ) -> Trajectory:
     """Integrate the scaled Prüfer pair from ``(x0, theta0, log_rho0)`` to ``x1``.
 
-    ``coefficients(x)`` returns ``(A, B, D)``.  A step is a Radau IIA step
-    if the accepted step before it was limited by the stability of
-    Dormand-Prince, ``h d theta'/d theta < -3`` with ``d theta'/d theta =
-    -2 (log rho)'`` read off its last stage, and a Dormand-Prince step
-    otherwise.  Raises
-    :class:`IntegrationError` with the last good radius ``exp(x)`` if the
-    step size underflows.
+    ``x1`` may lie on either side of ``x0``: the step ``h`` has the sign of
+    ``x1 - x0``, and negation rounds exactly, so a backward shot is bit for
+    bit the forward shot of ``(-A, -B, -D)`` at ``-x`` with its nodes
+    negated.  ``coefficients(x)`` returns ``(A, B, D)``.  A step is
+    a Radau IIA step if the accepted step before it was limited by the
+    stability of Dormand-Prince, ``h d theta'/d theta < -3`` with ``d
+    theta'/d theta = -2 (log rho)'`` read off its last stage, and a
+    Dormand-Prince step otherwise.  Raises :class:`IntegrationError` with
+    the last good radius ``exp(x)`` if ``|h|`` underflows.
     """
-    if not (x1 > x0):
-        raise DomainError(f"need x1 > x0, got [{x0}, {x1}]")
+    forward = x1 > x0
+    if not (forward or x1 < x0):
+        raise DomainError(f"need distinct endpoints, got {x0} and {x1}")
     if not (tol > 0.0):
         raise DomainError("tolerance must be > 0")
-    xs = [x0]
-    thetas = [theta0]
-    lrs = [log_rho0]
-    stages = []
-    rejected = 0
+    xs, thetas, lrs, stages, rejected = [x0], [theta0], [log_rho0], [], 0
 
     x, th, lr = x0, theta0, log_rho0
     k1t, k1l = _rhs(coefficients(x0), th)  # FSAL seed
     h = (x1 - x0) / 100.0
     stiff = False
 
-    while x < x1:
-        if h < 1e-14 * max(1.0, abs(x)):
+    while x != x1:
+        if abs(h) < 1e-14 * max(1.0, abs(x)):
             raise IntegrationError(f"step size underflow at r = {math.exp(x)}", last_r=math.exp(x))
-        last = x + h >= x1
+        last = x + h >= x1 if forward else x + h <= x1
         if last:
             h = x1 - x
         if stiff:
@@ -409,11 +415,6 @@ def integrate_prufer(
         err = math.sqrt(0.5 * (err_t * err_t + err_l * err_l)) / tol
         # the Radau error estimate is of third order, the DP45 one of fourth
         expo = -0.25 if stiff else -0.2
-        if not math.isfinite(err):
-            rejected += 1
-            h *= 0.2
-            continue
-
         if err <= 1.0:
             stages.append(ks)
             x = x1 if last else x + h
@@ -424,10 +425,10 @@ def integrate_prufer(
             thetas.append(th)
             lrs.append(lr)
             stiff = 2.0 * h * k1l > 3.0
-            grow = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err ** expo))
-            h *= grow
+            h *= 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err ** expo))
         else:
             rejected += 1
+            # an err of inf or nan gives 0 or nan here: max keeps the 0.2
             h *= max(0.2, 0.9 * err ** expo)
 
     return Trajectory(coefficients, tol, xs, thetas, lrs, stages, rejected)

@@ -27,8 +27,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import quadrature, roots
-from .errors import DomainError, GeometryError, PreconditionError
-from .geometry import SchwarzschildModel, areal_from_distance, areal_from_isotropic, isotropic_from_distance
+from .errors import DomainError, GeometryError, PreconditionError, QuadratureError
+from .geometry import SchwarzschildModel, areal_from_isotropic, isotropic_from_distance
 from .quadrature import QuadSpec
 
 _TWO_PI = 2.0 * math.pi
@@ -360,7 +360,8 @@ def _clipped_integral(model, surface, rho, spec, w, normal=False, store=None) ->
     together leaves the nodes where they are; the upper limit is formed
     by ``log1p``, so that a clip level next to the horizon keeps its
     digits.  Where ``t^2`` overflows (``t`` past about ``1.3e154``) the
-    :class:`QuadratureError` names the interval in ``u``.  Only the flat
+    :class:`QuadratureError` names the interval in ``u``, and where the
+    integral times the period ``S`` does, its two factors.  Only the flat
     model's cones start at ``t0 = 0``; there every weight is 1 and ``w t``
     is integrated over ``t``, exactly on the first level.  General charts
     run the periodic trapezoid rule :func:`quadrature.integrate_periodic`
@@ -392,13 +393,17 @@ def _clipped_integral(model, surface, rho, spec, w, normal=False, store=None) ->
         top = min(t_iso, t1)
         if t0 == 0.0:
             # flat model: every weight is 1 and w t is a polynomial
-            return surface.s_period * quadrature.integrate(lambda t: w(m, t) * t, t0, top, spec)
+            value = quadrature.integrate(lambda t: w(m, t) * t, t0, top, spec)
+        else:
+            def integrand(u):
+                t = t0 * np.exp(u)
+                return w(m, t) * t * t
 
-        def integrand(u):
-            t = t0 * np.exp(u)
-            return w(m, t) * t * t
-
-        return surface.s_period * quadrature.integrate(integrand, 0.0, math.log1p((top - t0) / t0), spec)
+            value = quadrature.integrate(integrand, 0.0, math.log1p((top - t0) / t0), spec)
+        total = surface.s_period * value
+        if not math.isfinite(total):
+            raise QuadratureError(f"cone integral {value!r} times the period {surface.s_period!r} is not finite")
+        return total
 
     chart, chart_t, chart_s = surface.chart, surface.chart_t, surface.chart_s
     horizon = 0.5 * m
@@ -640,22 +645,24 @@ def density_at_infinity(
 
     Samples the ratio at six radii, halving down from ``rho_max``, then
     extrapolates linearly in ``1/h(rho)``.  A tail whose increments grow
-    is flagged as not converged ("no finite density detected").
+    is flagged as not converged ("no finite density detected").  Each
+    radius's clip level gives ``h`` and seeds both area integrals' store.
     """
     m = model.mass
     if not (rho_max > max(m, surface.t_range[0])):
         raise DomainError(f"rho_max = {rho_max} is too small for a tail estimate")
     rhos = rho_max * 0.5 ** np.arange(5, -1, -1)
+    clips = [clip_radius(model, r) for r in rhos]
 
     # reference cone large enough to never be clipped by its own t_max
-    ref = make_plane(model, t_max=2.0 * clip_radius(model, rho_max))
+    ref = make_plane(model, t_max=2.0 * clips[-1])
 
     ratios = np.empty(len(rhos))
-    for i, r in enumerate(rhos):
-        denom = area_integral(model, ref, r, spec)
-        ratios[i] = area_integral(model, surface, r, spec) / denom
+    for i, (r, t) in enumerate(zip(rhos, clips)):
+        denom = _clipped_integral(model, ref, r, spec, _area_weight, store={"clip": t})
+        ratios[i] = _clipped_integral(model, surface, r, spec, _area_weight, store={"clip": t}) / denom
 
-    xs = np.array([1.0 / areal_from_distance(model, r) for r in rhos])
+    xs = np.array([1.0 / areal_from_isotropic(model, t) for t in clips])
     # two-point linear extrapolation to 1/h -> 0
     x0, x1 = xs[-2], xs[-1]
     y0, y1 = ratios[-2], ratios[-1]
@@ -691,12 +698,13 @@ def boundary_bound_check(
     dens = density_at_infinity(model, surface, rho_max, spec)
     blen = boundary_length(model, surface, spec)
     bterm = blen / (4.0 * math.pi * m)
-    defect = defect_integral(model, surface, rho_max, spec) / math.pi
+    store = {"clip": clip_radius(model, rho_max)}
+    defect = _clipped_integral(model, surface, rho_max, spec, _defect_weight, normal=True, store=store) / math.pi
 
     # tail bound: pi Theta - ratio(rho_max) - m |boundary| / h(rho_max)^2,
     # clipped at zero against extrapolation noise
-    h_max = areal_from_distance(model, rho_max)
-    ratio_max = mu_integral(model, surface, rho_max, spec) / h_max**2
+    h_max = areal_from_isotropic(model, store["clip"])
+    ratio_max = _clipped_integral(model, surface, rho_max, spec, _mu_weight, store=store) / h_max**2
     tail = max(
         0.0, (math.pi * dens.theta - ratio_max) / math.pi - m * blen / (math.pi * h_max**2)
     )

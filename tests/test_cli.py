@@ -58,6 +58,23 @@ def test_geom_rows_against_mpmath():
             assert abs(got[key] - want) <= 1e-15 * want, (got["r"], key)
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "monotonicity --mass 2 --rho-max 9e153",
+        "boundary-bound --mass 2 --rho-max 9e153",
+        "monotonicity --mass 0 --rho-max 1e154",
+    ],
+)
+def test_overflowing_cone_integral_is_a_numerical_failure(argv):
+    """A cone integral whose product with the period overflows exits 3
+    with one stderr line, where an inf or nan row used to pass."""
+    result = run_cli(*argv.split())
+    assert result.exit_code == 3
+    assert result.stdout == ""
+    assert result.stderr.startswith("numerical failure: cone integral ") and result.stderr.count("\n") == 1
+
+
 def test_geom_root_tol_finer_than_doubles_is_a_numerical_failure():
     result = run_cli("geom", "--mass", "2", "--root-tol", "1e-20")
     assert result.exit_code == 3

@@ -23,7 +23,7 @@ from schwsurf import (
     stability_radius,
 )
 from schwsurf import fd_oracle
-from schwsurf.errors import DomainError
+from schwsurf.errors import DomainError, SearchError
 from schwsurf.fd_oracle import _standard_form
 
 from conftest import stebz_lowest
@@ -86,6 +86,15 @@ def test_assembly_validation(m2):
         lowest_eigenvalues(assemble(m2, 0, 20.0, 32), 0)
     with pytest.raises(DomainError):
         lowest_eigenvalues(assemble(m2, 0, 20.0, 32), 32)
+
+
+def test_unbracketed_eigenvalues_after_the_sweep_cap_raise(m2, monkeypatch):
+    """One sweep cannot bracket three eigenvalues to 4 tol: the search
+    names the ones left open."""
+    monkeypatch.setattr(fd_oracle, "_MAX_SWEEPS", 1)
+    with pytest.raises(SearchError, match="not bracketed") as info:
+        lowest_eigenvalues(assemble(m2, 0, 20.0, 256), 3)
+    assert info.value.diagnostics["unbracketed"]
 
 
 def test_spectrum_units_and_metadata(m2, monkeypatch):

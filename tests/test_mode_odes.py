@@ -6,6 +6,7 @@ defining equations rather than against each other.
 """
 
 import bisect
+import dataclasses
 import math
 import warnings
 
@@ -412,9 +413,13 @@ def test_integrate_prufer_validation():
     def coefficients(x):
         return 1.0, 0.0, 0.0
 
-    for x0, x1, tol in ((1.0, 1.0, 1e-8), (1.0, 0.5, 1e-8), (0.0, 1.0, 0.0), (0.0, 1.0, -1e-8)):
+    cases = ((1.0, 1.0, 1e-8), (math.nan, 1.0, 1e-8), (0.0, math.nan, 1e-8), (0.0, 1.0, 0.0), (0.0, 1.0, -1e-8))
+    for x0, x1, tol in cases:
         with pytest.raises(DomainError):
             ode.integrate_prufer(coefficients, x0, x1, 0.0, 0.0, tol)
+    # x1 < x0 is a backward shot: theta' = 1/2 takes theta down by 1/4
+    back = ode.integrate_prufer(coefficients, 1.0, 0.5, 0.0, 0.0, 1e-8)
+    assert back.x[-1] == 0.5 and back.theta[-1] == pytest.approx(-0.25, abs=1e-12)
 
 
 def test_nan_coefficients_underflow_the_step():
@@ -426,10 +431,10 @@ def test_nan_coefficients_underflow_the_step():
 
 
 def test_miss_distance_reports_an_inward_underflow_at_the_radius(m2, monkeypatch):
-    """The inward half runs in y = -log r, so its integrator reports
-    exp(y) = 1/r; miss_distance turns that back into r.  Coefficients that
-    are NaN beyond the matching radius make the inward half underflow on
-    its first step, at R."""
+    """The inward half runs backward in x = log r, so the integrator's last
+    good exp(x) is the radius itself.  Coefficients that are NaN beyond
+    the matching radius make the inward half underflow on its first step,
+    at R."""
     R, r_c = 40.0, 8.0
     closure = mode_odes._prufer_closure
 
@@ -463,7 +468,7 @@ def test_default_tolerance_shots_take_no_radau_step(m2, monkeypatch):
 
     monkeypatch.setattr(ode, "integrate_prufer", recorded)
     eigenvalues_shooting(m2, 0, 40.0, 3)
-    assert any(traj.x[0] < 0.0 for traj in shots)  # inward halves
+    assert any(traj.x[-1] < traj.x[0] for traj in shots)  # inward halves
     morse_index(m2, R=2000.0, kmax=5)
     for R in (32.0, 40.0, 48.0):
         for lam in eigenvalues_shooting(m2, 0, R, 3).lambdas():
@@ -474,6 +479,79 @@ def test_default_tolerance_shots_take_no_radau_step(m2, monkeypatch):
         assert traj.radau_steps == 0
         assert traj.dp45_steps == len(traj.stages) and traj.rejected_steps >= 0
         assert [type(n) for n in (traj.dp45_steps, traj.radau_steps, traj.rejected_steps)] == [int] * 3
+
+
+@pytest.mark.parametrize(
+    "k, lam, R, tol, radau",
+    [(0, 0.05, 40.0, 1e-10, False), (1, -0.005, 2000.0, 1e-6, True)],
+    ids=["dp45", "radau"],
+)
+def test_backward_shot_is_the_reflected_forward_shot(k, lam, R, tol, radau):
+    """Negation rounds exactly, so the inward half shot down from log R on
+    the mode's own coefficients is, bit for bit, the shot up in y = -log r
+    on (-A, -B, -D) taken at -y: negated nodes, the same phase and
+    log-amplitude, the same step counts, and records whose slopes are
+    negated (every entry of a DP45 record; the closing right-hand side of
+    a Radau record, whose increments stay)."""
+    coefficients = _prufer_closure(2.0, k, lam)
+
+    def reflected(y):
+        a, b, d = coefficients(-y)
+        return -a, -b, -d
+
+    back = ode.integrate_prufer(coefficients, math.log(R), math.log(8.0), 0.0, 0.0, tol)
+    fwd = ode.integrate_prufer(reflected, -math.log(R), -math.log(8.0), 0.0, 0.0, tol)
+    assert (back.radau_steps > 0) == radau and back.rejected_steps > 0
+    assert [x.hex() for x in back.x] == [(-y).hex() for y in fwd.x]
+    assert [t.hex() for t in back.theta] == [t.hex() for t in fwd.theta]
+    assert [v.hex() for v in back.log_rho] == [v.hex() for v in fwd.log_rho]
+    assert (back.rejected_steps, back.radau_steps) == (fwd.rejected_steps, fwd.radau_steps)
+    assert len(back.stages) == len(fwd.stages)
+    for kb, kf in zip(back.stages, fwd.stages):
+        kept = 0 if len(kf) == 14 else 6
+        assert [v.hex() for v in kb] == [v.hex() for v in kf[:kept]] + [(-v).hex() for v in kf[kept:]]
+
+
+def test_backward_shot_has_no_dense_reads():
+    """Dense output and phase crossings are defined on forward shots; on a
+    backward one each read raises instead of returning a wrong value."""
+    back = ode.integrate_prufer(lambda x: (1.0, 0.0, 0.0), 1.0, 0.5, 0.0, 0.0, 1e-8)
+    reads = (lambda: back.eval(np.array([0.7])), lambda: back.eval_scalar(0.7), lambda: back.phase_crossing(-0.1))
+    for read in reads:
+        with pytest.raises(DomainError, match="forward shot"):
+            read()
+
+
+def test_radau_newton_stops_on_a_non_finite_stage():
+    """Coefficients finite at the step's start but NaN at its collocation
+    points end Newton at its first iteration: the step returns its start
+    state, NaN error estimates and no record, which the control rejects."""
+    th, d_lr, err_t, err_l, record = ode._radau_step(
+        lambda x: (1.0, 0.5, 0.5) if x == 0.0 else (math.nan,) * 3, 0.0, 0.1, 0.3, 1e-8
+    )
+    assert (th, d_lr, record) == (0.3, 0.0, ())
+    assert math.isnan(err_t) and math.isnan(err_l)
+
+
+def test_phase_crossing_keeps_its_first_guess_when_the_radau_retake_fails():
+    """The stiff phase of test_phase_crossing_inside_a_radau_step crosses
+    pi inside a Radau step; with coefficients that are NaN on the retake,
+    its Newton fails and the crossing stays at the linear interpolation
+    of the step's end phases."""
+    beta = 1e3
+
+    def coefficients(x):
+        phi = 2.0 * (math.pi - 0.5 + math.sin(x)) - 0.5 * math.pi
+        return 0.0, beta * math.cos(phi), beta * math.sin(phi)
+
+    traj = ode.integrate_prufer(coefficients, 0.0, 1.0, math.pi - 0.5, 0.0, 1e-6)
+    i = next(j for j, th in enumerate(traj.theta) if th >= math.pi) - 1
+    assert len(traj.stages[i]) == 8  # a Radau step
+    x0, th0 = traj.x[i], traj.theta[i]
+    guess = x0 + (traj.x[i + 1] - x0) * (math.pi - th0) / (traj.theta[i + 1] - th0)
+    broken = dataclasses.replace(traj, coefficients=lambda x: (math.nan,) * 3)
+    assert broken.phase_crossing(math.pi) == guess
+    assert traj.phase_crossing(math.pi) != guess
 
 
 # ------------------------------------------------------------- Riccati family

@@ -89,6 +89,21 @@ def test_root_at_endpoint_matches_scipy():
     assert assert_matches_scipy(lambda x: x * x - 4.0, 2.0, 5.0) == (2.0, 2)
 
 
+def test_exact_zero_at_the_right_end_matches_scipy():
+    # f(a) != 0 and f(b) == 0: b returns after the two end evaluations
+    assert assert_matches_scipy(lambda x: x * x - 4.0, 0.0, 2.0) == (2.0, 2)
+
+
+def test_underflowing_extrapolation_bisects_as_scipy():
+    """Values near 1e-200: the product of the divided differences in the
+    inverse quadratic step underflows to 0, and Python's ZeroDivisionError
+    takes the place of C's inf or nan; both bisect, so the iterates stay
+    scipy's."""
+    root, calls = assert_matches_scipy(lambda x: 1e-200 * (x**3 - 2.0), 0.0, 2.0)
+    assert root == pytest.approx(2.0 ** (1.0 / 3.0), abs=2e-12)
+    assert calls > 4
+
+
 def test_known_end_values_skip_the_end_calls():
     """End values passed in: scipy's iterates and root, two calls fewer."""
     f = lambda x: x**3 - 2.0 * x - 5.0  # noqa: E731

@@ -47,6 +47,15 @@ def test_stability_radius_value_and_residual(m2):
     assert abs(closed_form_v0(m2, R)) <= 1e-8
 
 
+def test_stability_radius_residual_above_tol_raises(m2):
+    """No double root has a residual of 1e-300: the search reports the
+    root and its residual instead of returning it."""
+    with pytest.raises(SearchError, match="residual above tolerance") as info:
+        stability_radius(m2, tol=1e-300)
+    assert info.value.diagnostics["root"] == pytest.approx(R_STAR_M2, rel=1e-12)
+    assert abs(info.value.diagnostics["residual"]) > 1e-300
+
+
 def test_stability_radius_scale_covariance():
     a = stability_radius(SchwarzschildModel(1.0))
     b = stability_radius(SchwarzschildModel(2.0))

@@ -39,8 +39,8 @@ from schwsurf import (
     rotate_curve,
     rotate_surface,
 )
-from schwsurf import quadrature
-from schwsurf.errors import DomainError, GeometryError, PreconditionError
+from schwsurf import geometry, quadrature
+from schwsurf.errors import DomainError, GeometryError, PreconditionError, QuadratureError
 from schwsurf.surfaces import clip_radius
 
 TWO_PI = 2.0 * math.pi
@@ -833,6 +833,43 @@ def test_boundary_bound_latitude_cone(m2):
     assert rep.bound_satisfied
     assert rep.lhs == pytest.approx(0.5, abs=1e-4)
     assert rep.boundary_term == pytest.approx(0.5, rel=1e-12)
+
+
+def test_density_and_bound_invert_each_radius_once(m2, monkeypatch):
+    """Each density radius's clip level sizes the reference plane, gives
+    h and seeds both area integrals; at rho_max mu and the defect share
+    one more: six inversions of the horizon distance, then seven."""
+    calls = [0]
+    excess = geometry._excess_from_distance
+
+    def counted(*args):
+        calls[0] += 1
+        return excess(*args)
+
+    monkeypatch.setattr(geometry, "_excess_from_distance", counted)
+    plane = make_plane(m2, t_max=2e3)
+    density_at_infinity(m2, plane, 1000.0)
+    assert calls[0] == 6
+    calls[0] = 0
+    boundary_bound_check(m2, plane, 1000.0)
+    assert calls[0] == 7
+
+
+@pytest.mark.parametrize("mass, rho", [(2.0, 9e153), (0.0, 1e154)])
+def test_cone_integral_times_its_period_must_be_finite(mass, rho):
+    """The rule's estimate is finite, but times the period 2 pi it is not:
+    that is a QuadratureError, not an inf for the reports to print."""
+    model = SchwarzschildModel(mass)
+    plane = make_plane(model, t_max=2.0 * clip_radius(model, rho))
+    with pytest.raises(QuadratureError, match="times the period"):
+        mu_integral(model, plane, rho)
+    assert math.isfinite(mu_integral(model, plane, rho / 2.0))
+
+
+@pytest.mark.parametrize("rho", [-1.0, math.inf, math.nan])
+def test_clip_radius_rejects_a_negative_or_infinite_distance(m2, rho):
+    with pytest.raises(DomainError, match="finite and >= 0"):
+        clip_radius(m2, rho)
 
 
 # --------------------------------------------------------- filters and misc
