@@ -48,6 +48,7 @@ _EXPORTS = {
         "barrier_psi_k",
         "cbar",
         "closed_form_v0",
+        "closed_form_v1",
         "integrate_v",
         "log_barrier_envelope",
         "psi_c",

@@ -15,12 +15,13 @@ it (``--c -1e6`` is read as ``--c=-1e6``), so that a value beginning with
 ``-`` is a value and not an option string.
 
 A subcommand loads only the modules it calls.  ``stability-radius``,
-``morse-index``, ``riccati`` and ``spectrum --method shooting`` need
-nothing beyond the standard library (the shooting solvers run on plain
-floats); ``geom`` loads numpy for its ``geomspace`` grid, ``monotonicity``
-and ``boundary-bound`` for the surface integrals, and ``spectrum --method
-fd|both`` for the FD oracle, whose eigensolver is numpy alone.  No
-subcommand loads scipy.
+``morse-index``, ``riccati``, ``spectrum --method shooting``,
+``monotonicity`` and ``boundary-bound`` need nothing beyond the standard
+library: the shooting solvers, the cone integrals and the surface
+reports run on plain floats (``monotonicity`` builds its grid with
+:func:`_geomspace`).  ``geom`` loads numpy for its grid, which is
+``np.geomspace``'s to the bit, and ``spectrum --method fd|both`` for the
+FD oracle, whose eigensolver is numpy alone.  No subcommand loads scipy.
 
 Eigenvalues are reported in mass-squared units throughout; radius flags
 (``--R``, ``--rho-max``, ``--r-max``) are raw lengths in the same units
@@ -87,6 +88,15 @@ def _linspace(start: float, stop: float, n: int) -> list:
     ``start + i step``, the last one ``stop``."""
     step = (stop - start) / (n - 1)
     return [start + i * step for i in range(n - 1)] + [stop]
+
+
+def _geomspace(start: float, stop: float, n: int) -> list:
+    """``n >= 2`` nodes from ``start`` to ``stop > start > 0``, equally
+    spaced in ``log``: the grid of ``np.geomspace`` up to rounding, with
+    both ends exact."""
+    a = math.log(start)
+    step = (math.log(stop) - a) / (n - 1)
+    return [start] + [math.exp(a + i * step) for i in range(1, n - 1)] + [stop]
 
 
 def _emit(config, rows, header, scalars=None, payload_key="rows"):
@@ -349,8 +359,6 @@ def morse_index_cmd(config, model, radius, kmax):
 )
 def monotonicity(config, model, surface_spec, rho_max):
     """Weighted-area ratio trace over a log-spaced grid of ball radii."""
-    import numpy as np
-
     from . import surfaces
 
     m = model.mass
@@ -361,12 +369,11 @@ def monotonicity(config, model, surface_spec, rho_max):
     lo = 0.1 * m if m > 0.0 else rho_max * 1e-3
     if not rho_max > lo:
         raise UsageError(f"--rho-max must be > 0.1 m = {lo}, where the grid starts, got {rho_max}")
-    grid = np.geomspace(lo, rho_max, _MONO_GRID_SIZE)
-    rep = surfaces.monotonicity_report(model, surface, grid, spec)
+    rep = surfaces.monotonicity_report(model, surface, _geomspace(lo, rho_max, _MONO_GRID_SIZE), spec)
     rows = []
     for i, rho in enumerate(rep.rhos):
-        resid = float(rep.formula_residuals[i - 1]) if i > 0 else None
-        rows.append((float(rho), float(rep.mu_values[i]), float(rep.ratios[i]), resid))
+        resid = rep.formula_residuals[i - 1] if i > 0 else None
+        rows.append((rho, rep.mu_values[i], rep.ratios[i], resid))
     _emit(
         config,
         rows,

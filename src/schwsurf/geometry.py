@@ -71,6 +71,15 @@ class SchwarzschildModel:
             raise DomainError(f"{what} references the horizon; mass must be > 0")
 
 
+def _exp(x: float) -> float:
+    """``math.exp``, saturating to ``inf`` past the double range as ``np.exp``
+    does: for the plain-float shots and cone integrands."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
+
+
 def _flat(model: SchwarzschildModel, name: str, x: float, horizon: float) -> bool:
     """Reject ``x`` below its horizon value ``horizon * m`` (and NaN);
     True on the flat model, where every radial map is the identity."""

@@ -22,9 +22,10 @@ Nothing overflows and no step cap applies, so the cost of a shot does not
 grow with ``R`` where ``v`` neither oscillates nor grows fast.
 
 The module also carries the closed forms this problem admits: the explicit
-``lam = 0``, ``k = 0`` solution ``v0``, the lower barriers ``psi_k`` for the
-logarithmic derivative of nonradial modes, and the one-parameter Riccati
-family ``psi_c`` whose blow-up radius encodes where radial stability ends.
+``lam = 0`` solutions ``v0`` (``k = 0``) and ``v1`` (``k = +-1``), the
+lower barriers ``psi_k`` for the logarithmic derivative of nonradial
+modes, and the one-parameter Riccati family ``psi_c`` whose blow-up radius
+encodes where radial stability ends.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ import sys
 from dataclasses import dataclass
 
 from .errors import DomainError, NoSingularityError, SingularityError
-from .geometry import DEFAULT_ROOT_TOL, SchwarzschildModel
+from .geometry import DEFAULT_ROOT_TOL, SchwarzschildModel, _exp
 from .roots import brentq
 
 DEFAULT_ODE_TOL = 1e-10
@@ -118,14 +119,6 @@ def _prufer_closure(m: float, k: int, lam: float):
         return a, b, 0.5 * p * (r - hm) * (2.0 * w - g) / (s * s2 * s2)
 
     return coefficients
-
-
-def _exp(x: float) -> float:
-    """``math.exp``, saturating to ``inf`` past the double range as ``np.exp`` does."""
-    try:
-        return math.exp(x)
-    except OverflowError:
-        return math.inf
 
 
 class RadialSolution:
@@ -319,6 +312,24 @@ def closed_form_v0(model: SchwarzschildModel, r: float) -> float:
         raise DomainError(f"r must be >= m/2 = {0.5 * m}, got {r}")
     x = 2.0 * r / m
     return math.sqrt(x) * (1.0 - (2.0 * r - m) / (2.0 * r + m) * 0.5 * math.log(x))
+
+
+def closed_form_v1(model: SchwarzschildModel, r: float) -> float:
+    """Explicit ``k = +-1``, ``lam = 0`` solution of the normal form.
+
+        v1(r) = r^{3/2} (1 + m/2r)^2
+
+    ``v1 / sqrt(r)`` is the normal component of a rotation about a
+    horizontal axis, a Jacobi field of the plane.  Its derivative vanishes
+    at ``m/2``, so ``v1 / v1(m/2)`` carries the horizon data ``v = 1``,
+    ``v' = 1/m`` of a ``k = 1`` shot at ``lam = 0``.
+    """
+    model.require_horizon("closed_form_v1")
+    m = model.mass
+    if r < 0.5 * m:
+        raise DomainError(f"r must be >= m/2 = {0.5 * m}, got {r}")
+    a = 1.0 + 0.5 * m / r
+    return r * math.sqrt(r) * a * a
 
 
 def barrier_psi_k(model: SchwarzschildModel, k: int, r: float) -> float:

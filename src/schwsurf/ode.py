@@ -388,8 +388,12 @@ def integrate_prufer(
     stability of Dormand-Prince, ``h d theta'/d theta < -3`` with ``d
     theta'/d theta = -2 (log rho)'`` read off its last stage, and a
     Dormand-Prince step otherwise.  Raises :class:`IntegrationError` with
-    the last good radius ``exp(x)`` if ``|h|`` underflows.
+    the last good radius ``exp(x)`` if ``|h|`` underflows, and
+    :class:`DomainError` on endpoints that are not finite or not distinct,
+    or on ``tol <= 0``.
     """
+    if not (abs(x0) < math.inf and abs(x1) < math.inf):
+        raise DomainError(f"need finite endpoints, got {x0} and {x1}")
     forward = x1 > x0
     if not (forward or x1 < x0):
         raise DomainError(f"need distinct endpoints, got {x0} and {x1}")

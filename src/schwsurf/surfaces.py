@@ -12,6 +12,12 @@ over a cone is one 1-D integral of ``w(m, t) t dt``, taken in
 ``u = log(t/t0)``: the radial factors' one pole, ``t = 0``, moves to
 ``u = -inf``, and the integrand ``w(m, t) t^2`` is entire.
 
+Cones, their integrals and the reports built on them (monotonicity,
+density, the boundary bound) run on plain floats, and rotations are
+nested tuples; numpy is imported by the functions that take or return
+arrays: the curves' values, general charts and their samples, and the
+invariant checks.  So a cone report loads no numpy.
+
 Conformal bookkeeping used throughout (``e^phi = (1 + m/2|x|)^2``):
 
     g-length element   = e^phi * flat
@@ -24,11 +30,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from . import quadrature, roots
 from .errors import DomainError, GeometryError, PreconditionError, QuadratureError
-from .geometry import SchwarzschildModel, areal_from_isotropic, isotropic_from_distance
+from .geometry import SchwarzschildModel, _exp, areal_from_isotropic, isotropic_from_distance
 from .quadrature import QuadSpec
 
 _TWO_PI = 2.0 * math.pi
@@ -54,6 +58,8 @@ class SphereCurve:
 
     def check(self, n_samples: int = 256) -> dict:
         """Max deviations from the unit-speed spherical invariants."""
+        import numpy as np
+
         s = np.linspace(0.0, self.period, n_samples, endpoint=False)
         a = np.array([self.alpha(x) for x in s])
         ad = np.array([self.alpha_d(x) for x in s])
@@ -64,12 +70,24 @@ class SphereCurve:
         }
 
 
+_numpy = None
+
+
+def _vector(x, y, z):
+    """A curve's value as a numpy 3-vector, for callers that compute with
+    it (a chart ``t * alpha(s)``); numpy is imported on the first one."""
+    global _numpy
+    if _numpy is None:
+        import numpy as _numpy
+    return _numpy.array((x, y, z))
+
+
 def great_circle() -> SphereCurve:
     """Equator of the unit sphere; cones over it are planes through 0."""
     return SphereCurve(
-        alpha=lambda s: np.array([math.cos(s), math.sin(s), 0.0]),
-        alpha_d=lambda s: np.array([-math.sin(s), math.cos(s), 0.0]),
-        alpha_dd=lambda s: np.array([-math.cos(s), -math.sin(s), 0.0]),
+        alpha=lambda s: _vector(math.cos(s), math.sin(s), 0.0),
+        alpha_d=lambda s: _vector(-math.sin(s), math.cos(s), 0.0),
+        alpha_dd=lambda s: _vector(-math.cos(s), -math.sin(s), 0.0),
         period=_TWO_PI,
     )
 
@@ -82,40 +100,66 @@ def latitude_circle(theta0: float) -> SphereCurve:
     z = math.cos(theta0)
     # angular rate 1/rho makes s true arc length
     return SphereCurve(
-        alpha=lambda s: np.array(
-            [rho * math.cos(s / rho), rho * math.sin(s / rho), z]
-        ),
-        alpha_d=lambda s: np.array([-math.sin(s / rho), math.cos(s / rho), 0.0]),
-        alpha_dd=lambda s: np.array(
-            [-math.cos(s / rho) / rho, -math.sin(s / rho) / rho, 0.0]
-        ),
+        alpha=lambda s: _vector(rho * math.cos(s / rho), rho * math.sin(s / rho), z),
+        alpha_d=lambda s: _vector(-math.sin(s / rho), math.cos(s / rho), 0.0),
+        alpha_dd=lambda s: _vector(-math.cos(s / rho) / rho, -math.sin(s / rho) / rho, 0.0),
         period=_TWO_PI * rho,
     )
 
 
-def rotate_curve(curve: SphereCurve, rotation: np.ndarray) -> SphereCurve:
-    """Curve composed with a fixed rotation matrix."""
-    Q = np.asarray(rotation, dtype=float)
-    if Q.shape != (3, 3) or not np.allclose(Q @ Q.T, np.eye(3), atol=1e-12):
+def _orthogonal(Q: tuple) -> bool:
+    """Is the 3x3 ``Q`` orthogonal: ``Q Q^T`` within ``1e-12 + 1e-5 |I|``
+    of the identity, entry by entry, as ``numpy.allclose(Q @ Q.T, I,
+    atol=1e-12)`` tests it?"""
+    for i, row in enumerate(Q):
+        for j, other in enumerate(Q):
+            dot = row[0] * other[0] + row[1] * other[1] + row[2] * other[2]
+            eye = 1.0 if i == j else 0.0
+            if not abs(dot - eye) <= 1e-12 + 1e-5 * eye:
+                return False
+    return True
+
+
+def _turned(Q: tuple, v):
+    x, y, z = v
+    return _vector(*(q[0] * x + q[1] * y + q[2] * z for q in Q))
+
+
+def rotate_curve(curve: SphereCurve, rotation) -> SphereCurve:
+    """Curve composed with a fixed rotation: a 3x3 orthogonal matrix, as
+    nested sequences or an array."""
+    Q = tuple(tuple(map(float, row)) for row in rotation)
+    if [len(row) for row in Q] != [3, 3, 3] or not _orthogonal(Q):
         raise DomainError("rotation must be a 3x3 orthogonal matrix")
     return SphereCurve(
-        alpha=lambda s: Q @ curve.alpha(s),
-        alpha_d=lambda s: Q @ curve.alpha_d(s),
-        alpha_dd=lambda s: Q @ curve.alpha_dd(s),
+        alpha=lambda s: _turned(Q, curve.alpha(s)),
+        alpha_d=lambda s: _turned(Q, curve.alpha_d(s)),
+        alpha_dd=lambda s: _turned(Q, curve.alpha_dd(s)),
         period=curve.period,
     )
 
 
-def random_rotation(seed: int) -> np.ndarray:
-    """Deterministic rotation matrix, uniform over SO(3); ``seed >= 0``."""
+def random_rotation(seed: int) -> tuple:
+    """Deterministic rotation matrix, uniform over SO(3), as a nested tuple
+    of rows; ``seed >= 0``.
+
+    The matrix of a unit quaternion uniform on the 3-sphere, drawn from
+    three uniforms (K. Shoemake, "Uniform random rotations", Graphics
+    Gems III, 1992).
+    """
     if seed < 0:
         raise DomainError(f"rotation seed must be >= 0, got {seed}")
-    rng = np.random.default_rng(seed)
-    q, r = np.linalg.qr(rng.standard_normal((3, 3)))
-    q = q * np.sign(np.diag(r))
-    if np.linalg.det(q) < 0.0:
-        q[:, 2] = -q[:, 2]
-    return q
+    import random
+
+    rng = random.Random(seed)
+    u1, u2, u3 = rng.random(), _TWO_PI * rng.random(), _TWO_PI * rng.random()
+    a, b = math.sqrt(1.0 - u1), math.sqrt(u1)
+    w, x, y, z = a * math.sin(u2), a * math.cos(u2), b * math.sin(u3), b * math.cos(u3)
+    return (
+        (1.0 - 2.0 * (y * y + z * z), 2.0 * (x * y - w * z), 2.0 * (x * z + w * y)),
+        (2.0 * (x * y + w * z), 1.0 - 2.0 * (x * x + z * z), 2.0 * (y * z - w * x)),
+        (2.0 * (x * z - w * y), 2.0 * (y * z + w * x), 1.0 - 2.0 * (x * x + y * y)),
+    )
 
 
 # -------------------------------------------------------------------------
@@ -153,6 +197,8 @@ class ParamSurface:
     def check(self, model: SchwarzschildModel, n_samples: int = 64) -> dict:
         """Max invariant deviations on 9 ``t`` levels by ``n_samples`` ``s``
         nodes: exterior containment, horizon edge (on the ``t0`` level)."""
+        import numpy as np
+
         t0, t1 = self.t_range
         half = 0.5 * model.mass
         ss = np.linspace(0.0, self.s_period, n_samples, endpoint=False)
@@ -184,7 +230,7 @@ def make_cone(model: SchwarzschildModel, curve: SphereCurve, t_max: float) -> Pa
     return _cone(curve, (0.5 * m, t_max))
 
 
-def make_plane(model: SchwarzschildModel, t_max: float, rotation: np.ndarray | None = None) -> ParamSurface:
+def make_plane(model: SchwarzschildModel, t_max: float, rotation=None) -> ParamSurface:
     """Totally geodesic plane through the origin (a great-circle cone)."""
     curve = great_circle()
     if rotation is not None:
@@ -215,6 +261,8 @@ def make_general(
     the outer trapezoid rule converges only on a smooth periodic
     integrand.
     """
+    import numpy as np
+
     t0, t1 = t_range
     if not (-math.inf < t0 < t1 < math.inf):
         raise DomainError(f"t range {t_range} is empty or not finite")
@@ -245,11 +293,13 @@ def make_general(
     )
 
 
-def rotate_surface(surface: ParamSurface, rotation: np.ndarray) -> ParamSurface:
+def rotate_surface(surface: ParamSurface, rotation) -> ParamSurface:
     """Surface composed with a fixed rotation; cones stay cones."""
     if surface.curve is not None:
         curve = rotate_curve(surface.curve, rotation)
         return _cone(curve, surface.t_range)
+    import numpy as np
+
     Q = np.asarray(rotation, dtype=float)
     old_chart, old_t, old_s = surface.chart, surface.chart_t, surface.chart_s
     return ParamSurface(
@@ -277,6 +327,8 @@ def cone_mean_curvature(model: SchwarzschildModel, curve: SphereCurve, t: float,
     """
     if not (t >= 0.5 * model.mass) or t <= 0.0:
         raise DomainError(f"t = {t} is inside the horizon or nonpositive")
+    import numpy as np
+
     a = np.asarray(curve.alpha(s), dtype=float)
     ad = np.asarray(curve.alpha_d(s), dtype=float)
     add = np.asarray(curve.alpha_dd(s), dtype=float)
@@ -285,13 +337,15 @@ def cone_mean_curvature(model: SchwarzschildModel, curve: SphereCurve, t: float,
     return triple / (t * conf)
 
 
-def _chart_samples(fn, t, s) -> np.ndarray:
+def _chart_samples(fn, t, s):
     """``fn`` called once per node of the broadcast ``(t, s)`` with scalar
     arguments, its 3-vectors stacked into an ``(n, 3)`` array, row-major
     in the broadcast shape.  A scalar ``s`` (one slice of a general chart)
     is passed as given, with no broadcast.  The one place where a chart or
     its partials are evaluated at nodes (the Brent search of a slice's
     clip level aside)."""
+    import numpy as np
+
     if np.ndim(s) == 0:
         pts = [fn(a, s) for a in np.ravel(t).tolist()]
     else:
@@ -300,9 +354,11 @@ def _chart_samples(fn, t, s) -> np.ndarray:
     return np.array(pts, dtype=float).reshape(-1, 3)
 
 
-def _radial_normal_sq(x: np.ndarray, x_t: np.ndarray, x_s: np.ndarray) -> np.ndarray:
-    """Squared cosine between ``x`` and the normal ``x_t x x_s``, row by row,
-    clamped to [0, 1]."""
+def _radial_normal_sq(x, x_t, x_s):
+    """Squared cosine between ``x`` and the normal ``x_t x x_s``, row by row
+    of the ``(n, 3)`` arrays, clamped to [0, 1]."""
+    import numpy as np
+
     nrm = np.cross(x_t, x_s)
     n2 = np.sum(nrm * nrm, axis=1)
     bad = n2 <= 1e-24 * np.sum(x_t * x_t, axis=1) * np.sum(x_s * x_s, axis=1)
@@ -393,17 +449,22 @@ def _clipped_integral(model, surface, rho, spec, w, normal=False, store=None) ->
         top = min(t_iso, t1)
         if t0 == 0.0:
             # flat model: every weight is 1 and w t is a polynomial
-            value = quadrature.integrate(lambda t: w(m, t) * t, t0, top, spec)
+            value = quadrature.integrate(lambda ts: [w(m, t) * t for t in ts], t0, top, spec)
         else:
-            def integrand(u):
-                t = t0 * np.exp(u)
-                return w(m, t) * t * t
+            def integrand(us):
+                try:
+                    ts = [t0 * math.exp(u) for u in us]
+                except OverflowError:
+                    ts = [t0 * _exp(u) for u in us]
+                return [w(m, t) * t * t for t in ts]
 
             value = quadrature.integrate(integrand, 0.0, math.log1p((top - t0) / t0), spec)
         total = surface.s_period * value
         if not math.isfinite(total):
             raise QuadratureError(f"cone integral {value!r} times the period {surface.s_period!r} is not finite")
         return total
+
+    import numpy as np
 
     chart, chart_t, chart_s = surface.chart, surface.chart_t, surface.chart_s
     horizon = 0.5 * m
@@ -433,15 +494,15 @@ def _clipped_integral(model, surface, rho, spec, w, normal=False, store=None) ->
             raise DomainError(f"chart reaches |x| = {r.min()} inside the horizon |x| = {horizon}")
         return x, x_t, x_s, r, np.linalg.norm(np.cross(x_t, x_s), axis=1)
 
-    empty = np.zeros(2) if normal else 0.0
+    empty = (0.0, 0.0) if normal else 0.0
 
     def slice_integral(s: float):
         def integrand(t):
             x, x_t, x_s, r, el = _kept(store, (s, len(t)), lambda: samples(t, s))
             weight = w(m, r)
             if normal:
-                return np.array([weight * (_radial_normal_sq(x, x_t, x_s) * el), weight * el])
-            return weight * el
+                return (weight * (_radial_normal_sq(x, x_t, x_s) * el)).tolist(), (weight * el).tolist()
+            return (weight * el).tolist()
 
         top = _kept(store, s, lambda: slice_limit(s))
         return quadrature.integrate(integrand, t0, top, spec) if top > t0 else empty
@@ -453,13 +514,21 @@ def _clipped_integral(model, surface, rho, spec, w, normal=False, store=None) ->
     return float(total[0]) if normal else total
 
 
+# the weights take a float (a cone node) or an array (general-chart
+# nodes); the cone weights multiply out their powers, which on a float
+# cost as much as the rest of the weight
+
+
 def _mu_weight(m, r):
     q = 0.5 * m / r
-    return (1.0 - q) * (1.0 + q) ** 3  # f times conformal area factor
+    p = 1.0 + q
+    return (1.0 - q) * (p * p * p)  # f times conformal area factor
 
 
 def _area_weight(m, r):
-    return (1.0 + 0.5 * m / r) ** 4
+    p = 1.0 + 0.5 * m / r
+    p2 = p * p
+    return p2 * p2
 
 
 def _defect_weight(m, r):
@@ -501,6 +570,8 @@ def boundary_length(model: SchwarzschildModel, surface: ParamSurface, spec: Quad
         # edge speed is t0, conformal factor 4 on the horizon
         return 4.0 * t0 * surface.s_period
 
+    import numpy as np
+
     def speed(s):
         x = _chart_samples(surface.chart, t0, s)
         conf = (1.0 + 0.5 * model.mass / np.linalg.norm(x, axis=1)) ** 2
@@ -521,25 +592,27 @@ class MonotonicityReport:
     ``ratios[i] = mu(B_rhos[i]) / h(rhos[i])^2``, and 0 at ``rhos[i] = 0``;
     ``formula_residuals[i]`` is the identity mismatch for the consecutive
     pair ``(rhos[i], rhos[i+1])``.  ``max_backstep`` is the largest decrease
-    between consecutive ratios (0 when the trace is monotone).
+    between consecutive ratios (0 when the trace is monotone).  The
+    sequences are tuples of floats.
     """
 
-    rhos: np.ndarray
-    mu_values: np.ndarray
-    ratios: np.ndarray
+    rhos: tuple
+    mu_values: tuple
+    ratios: tuple
     boundary_length: float
     monotone: bool
     max_backstep: float
-    formula_residuals: np.ndarray
+    formula_residuals: tuple
 
 
 @dataclass(frozen=True)
 class DensityReport:
-    """Area-ratio tail and its extrapolation to infinite radius."""
+    """Area-ratio tail and its extrapolation to infinite radius; ``rhos``
+    and ``ratios`` are tuples of floats."""
 
     theta: float
-    rhos: np.ndarray
-    ratios: np.ndarray
+    rhos: tuple
+    ratios: tuple
     converged: bool
     note: str
 
@@ -581,7 +654,7 @@ def formula_residual(
     for minimal free-boundary surfaces; the ``sigma = 0`` case is the form
     integrated directly from the horizon.
     """
-    return float(monotonicity_report(model, surface, [sigma, rho], spec).formula_residuals[0])
+    return monotonicity_report(model, surface, [sigma, rho], spec).formula_residuals[0]
 
 
 def monotonicity_report(
@@ -598,20 +671,18 @@ def monotonicity_report(
     the chart samples, dropped once both are formed: each chart node is
     evaluated once per radius.
     """
-    rhos = np.asarray(rho_grid, dtype=float)
-    if rhos.ndim != 1 or len(rhos) < 2 or np.any(np.diff(rhos) <= 0.0) or rhos[0] < 0.0:
+    rhos = tuple(map(float, rho_grid))
+    if len(rhos) < 2 or any(b <= a for a, b in zip(rhos, rhos[1:])) or rhos[0] < 0.0:
         raise DomainError("rho grid must be increasing and nonnegative")
     m = model.mass
 
-    mus = np.empty(len(rhos))
-    defects = np.empty(len(rhos))
-    hs = np.empty(len(rhos))
-    for i, r in enumerate(rhos):
+    mus, defects, squares = [], [], []
+    for r in rhos:
         store = {"clip": clip_radius(model, r)}
-        hs[i] = areal_from_isotropic(model, store["clip"])
-        mus[i] = _clipped_integral(model, surface, r, spec, _mu_weight, store=store)
-        defects[i] = _clipped_integral(model, surface, r, spec, _defect_weight, normal=True, store=store)
-    ratios = np.divide(mus, hs**2, out=np.zeros_like(mus), where=rhos > 0.0)
+        squares.append(_areal_square(model, r, store["clip"]))
+        mus.append(_clipped_integral(model, surface, r, spec, _mu_weight, store=store))
+        defects.append(_clipped_integral(model, surface, r, spec, _defect_weight, normal=True, store=store))
+    ratios = [mu / h2 if r > 0.0 else 0.0 for r, mu, h2 in zip(rhos, mus, squares)]
 
     if m > 0.0 and surface.free_boundary:
         blen = boundary_length(model, surface, spec)
@@ -619,20 +690,31 @@ def monotonicity_report(
         blen = 0.0
 
     # m |boundary| (1/h(sigma)^2 - 1/h(rho)^2); h = 0 at rho = 0 on the flat model
-    edge = m * -np.diff(1.0 / hs**2) * blen if m > 0.0 else 0.0
-    steps = np.diff(ratios)
-    resid = steps - np.diff(defects) - edge
-    max_backstep = float(max(0.0, -steps.min()))
-    scale = float(np.max(np.abs(ratios))) or 1.0
+    edges = [m * -(1.0 / b - 1.0 / a) * blen if m > 0.0 else 0.0 for a, b in zip(squares, squares[1:])]
+    steps = [b - a for a, b in zip(ratios, ratios[1:])]
+    resid = tuple(step - (d1 - d0) - edge for step, d0, d1, edge in zip(steps, defects, defects[1:], edges))
+    max_backstep = max(0.0, -min(steps))
+    scale = max(map(abs, ratios)) or 1.0
     return MonotonicityReport(
         rhos=rhos,
-        mu_values=mus,
-        ratios=ratios,
+        mu_values=tuple(mus),
+        ratios=tuple(ratios),
         boundary_length=blen,
-        monotone=bool(max_backstep <= spec.rel_tol * scale),
+        monotone=max_backstep <= spec.rel_tol * scale,
         max_backstep=max_backstep,
         formula_residuals=resid,
     )
+
+
+def _areal_square(model: SchwarzschildModel, rho: float, clip: float) -> float:
+    """``h^2`` at horizon distance ``rho > 0`` from its clip level, or
+    :class:`QuadratureError` where it underflows to 0 (a mass near the
+    bottom of the double range): no ratio over it can be formed.  0 at
+    ``rho = 0`` on the flat model."""
+    h = areal_from_isotropic(model, clip)
+    if h * h == 0.0 and rho > 0.0:
+        raise QuadratureError(f"areal radius {h!r} at rho = {rho!r} squares to 0: no ratio over h^2 is formed")
+    return h * h
 
 
 def density_at_infinity(
@@ -651,20 +733,21 @@ def density_at_infinity(
     m = model.mass
     if not (rho_max > max(m, surface.t_range[0])):
         raise DomainError(f"rho_max = {rho_max} is too small for a tail estimate")
-    rhos = rho_max * 0.5 ** np.arange(5, -1, -1)
+    rhos = tuple(rho_max * 0.5**k for k in range(5, -1, -1))
     clips = [clip_radius(model, r) for r in rhos]
 
     # reference cone large enough to never be clipped by its own t_max
     ref = make_plane(model, t_max=2.0 * clips[-1])
 
-    ratios = np.empty(len(rhos))
-    for i, (r, t) in enumerate(zip(rhos, clips)):
+    ratios = []
+    for r, t in zip(rhos, clips):
         denom = _clipped_integral(model, ref, r, spec, _area_weight, store={"clip": t})
-        ratios[i] = _clipped_integral(model, surface, r, spec, _area_weight, store={"clip": t}) / denom
+        if denom == 0.0:
+            raise QuadratureError(f"area {denom!r} of the reference plane within rho = {r!r} underflows")
+        ratios.append(_clipped_integral(model, surface, r, spec, _area_weight, store={"clip": t}) / denom)
 
-    xs = np.array([1.0 / areal_from_isotropic(model, t) for t in clips])
     # two-point linear extrapolation to 1/h -> 0
-    x0, x1 = xs[-2], xs[-1]
+    x0, x1 = (1.0 / areal_from_isotropic(model, t) for t in clips[-2:])
     y0, y1 = ratios[-2], ratios[-1]
     theta = (y1 * x0 - y0 * x1) / (x0 - x1)
 
@@ -673,9 +756,7 @@ def density_at_infinity(
     scale = max(abs(ratios[-1]), 1e-300)
     converged = d_last <= max(1.05 * d_prev, 1e3 * spec.rel_tol * scale)
     note = "" if converged else "no finite density detected"
-    return DensityReport(
-        theta=float(theta), rhos=rhos, ratios=ratios, converged=bool(converged), note=note
-    )
+    return DensityReport(theta=theta, rhos=rhos, ratios=tuple(ratios), converged=converged, note=note)
 
 
 def boundary_bound_check(
@@ -703,11 +784,9 @@ def boundary_bound_check(
 
     # tail bound: pi Theta - ratio(rho_max) - m |boundary| / h(rho_max)^2,
     # clipped at zero against extrapolation noise
-    h_max = areal_from_isotropic(model, store["clip"])
-    ratio_max = _clipped_integral(model, surface, rho_max, spec, _mu_weight, store=store) / h_max**2
-    tail = max(
-        0.0, (math.pi * dens.theta - ratio_max) / math.pi - m * blen / (math.pi * h_max**2)
-    )
+    h2_max = _areal_square(model, rho_max, store["clip"])
+    ratio_max = _clipped_integral(model, surface, rho_max, spec, _mu_weight, store=store) / h2_max
+    tail = max(0.0, (math.pi * dens.theta - ratio_max) / math.pi - m * blen / (math.pi * h2_max))
 
     lhs = dens.theta
     rhs = bterm + defect
@@ -720,5 +799,5 @@ def boundary_bound_check(
         boundary_term=bterm,
         defect_value=defect,
         defect_tail_bound=tail,
-        bound_satisfied=bool(lhs >= rhs - tol),
+        bound_satisfied=lhs >= rhs - tol,
     )

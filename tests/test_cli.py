@@ -391,6 +391,31 @@ def test_overflowing_area_is_a_numerical_failure():
     assert "is not finite" in proc.stderr
 
 
+@pytest.mark.parametrize("name", ["monotonicity", "boundary-bound"])
+def test_underflowing_mass_is_a_numerical_failure(name):
+    """At m = 1e-170 the ratios over h^2 cannot be formed in doubles: exit 3
+    with one stderr line (monotonicity printed nan rows and exited 0,
+    boundary-bound died on a ZeroDivisionError)."""
+    result = run_cli(name, "--mass", "1e-170")
+    assert result.exit_code == 3
+    assert result.stdout == ""
+    assert result.stderr.startswith("numerical failure: ") and result.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize("warnings", [[], ["-W", "error::RuntimeWarning"]], ids=["default", "warnings-as-errors"])
+def test_infinite_cone_limit_is_a_numerical_failure(warnings):
+    """At m = 1e-10 a clip level near 1e300 is about 1e310 horizon radii
+    out: log(t/t0) is inf, and the cone integral stops before it forms a
+    node, with one stderr line and no warning."""
+    argv = ["boundary-bound", "--mass", "1e-10", "--rho-max", "1e300"]
+    proc = subprocess.run(
+        [sys.executable, *warnings, "-m", "schwsurf.cli", *argv], capture_output=True, text=True
+    )
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert proc.stderr == "numerical failure: Gauss-Kronrod: interval [0.0, inf] is not finite\n"
+
+
 _IMPORT_PROBE = """
 import json, sys
 import schwsurf.cli, schwsurf
@@ -438,8 +463,8 @@ def test_spectrum_fd_runs_without_scipy(method):
 
 
 # the benchmark's eight children: argv, exit code, and the modules each must
-# not load; none loads click, and the shooting-only and scalar subcommands
-# load no numpy
+# not load; none loads click, and the shooting-only, scalar and cone-surface
+# subcommands load no numpy
 _NO_ARRAYS = ("click", "numpy", "scipy", "schwsurf.surfaces", "schwsurf.fd_oracle")
 _NO_SHOOTING = ("click", "scipy", "schwsurf.ode", "schwsurf.spectral", "schwsurf.fd_oracle")
 _CHILD_MODULES = {
@@ -447,8 +472,8 @@ _CHILD_MODULES = {
     "stability-radius": (["stability-radius", "--mass", "2", "--output", "json"], 0, _NO_ARRAYS + ("schwsurf.ode",)),
     "spectrum": (["spectrum", "--mass", "2", "--R", "40", "--count", "3", "--method", "both"], 0, ("click", "scipy", "schwsurf.surfaces")),
     "morse-index": (["morse-index", "--mass", "2", "--R", "2000", "--kmax", "5"], 0, _NO_ARRAYS),
-    "monotonicity": (["monotonicity", "--mass", "2", "--surface", "plane:rotated:5"], 0, _NO_SHOOTING),
-    "boundary-bound": (["boundary-bound", "--mass", "2"], 0, _NO_SHOOTING),
+    "monotonicity": (["monotonicity", "--mass", "2", "--surface", "plane:rotated:5"], 0, _NO_SHOOTING + ("numpy",)),
+    "boundary-bound": (["boundary-bound", "--mass", "2"], 0, _NO_SHOOTING + ("numpy",)),
     "riccati": (["riccati", "--mass", "2", "--c", "0"], 0, _NO_ARRAYS + ("schwsurf.ode", "schwsurf.spectral")),
     "usage-error": (["spectrum", "--mass", "2", "--R", "0.5"], 2, _NO_ARRAYS + ("schwsurf.ode",)),
 }
@@ -528,6 +553,29 @@ def test_every_module_level_import_is_used():
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         unused += [f"{path.name}: {name}" for name in sorted(imported - used)]
     assert unused == []
+
+
+def test_geomspace_nodes_match_numpy_to_rounding():
+    """The monotonicity grid without numpy: both ends exact, increasing,
+    and every node within rounding of np.geomspace, which for both grids
+    grows with the size of the logarithms they exponentiate."""
+    import math
+    import random
+
+    import numpy as np
+
+    from schwsurf.cli import _geomspace
+
+    rng = random.Random(17)
+    for _ in range(500):
+        a = 10.0 ** rng.uniform(-300, 10)
+        b = a * 10.0 ** rng.uniform(1e-6, 300)
+        n = rng.randint(2, 100)
+        got = _geomspace(a, b, n)
+        assert got[0] == a and got[-1] == b and len(got) == n
+        assert all(x < y for x, y in zip(got, got[1:]))
+        rtol = 1e-15 * (1.0 + max(abs(math.log(a)), abs(math.log(b))))
+        assert np.allclose(got, np.geomspace(a, b, n), rtol=rtol, atol=0.0)
 
 
 def test_linspace_nodes_match_numpy_to_the_bit():

@@ -25,8 +25,31 @@ from schwsurf import (
 from schwsurf import fd_oracle
 from schwsurf.errors import DomainError, SearchError
 from schwsurf.fd_oracle import _standard_form
+from schwsurf.mode_odes import closed_form_v1
 
 from conftest import stebz_lowest
+
+
+# ------------------------------------------------------------ closed forms
+
+
+def test_k1_stencil_is_second_order_on_closed_form_v1(m2):
+    """The interior rows of the k = 1 matrix applied to the lam = 0 mode
+    u1 = v1 / sqrt(r) leave a residual that falls about 4x per halving of
+    the cell, from 4.2e-3 at n = 256 (R = 20, m = 2).  The horizon row
+    (first order) and the last row (u1(R) is not 0) are left out."""
+    residuals = []
+    for n in (256, 512, 1024):
+        problem = assemble(m2, 1, 20.0, n)
+        r = problem.grid[:-1]
+        u = np.array([closed_form_v1(m2, x) for x in r.tolist()]) / np.sqrt(r)
+        rows = problem.stiffness_diag * u
+        rows[:-1] += problem.stiffness_off * u[1:]
+        rows[1:] += problem.stiffness_off * u[:-1]
+        residuals.append(float(np.max(np.abs(rows[1:-1]))))
+    assert residuals[0] <= 5e-3
+    for coarse, fine in zip(residuals, residuals[1:]):
+        assert 3.4 <= coarse / fine <= 4.4
 
 
 # ------------------------------------------------------------ flat-space oracle

@@ -20,6 +20,7 @@ from schwsurf import (
     barrier_psi_k,
     cbar,
     closed_form_v0,
+    closed_form_v1,
     integrate_v,
     log_barrier_envelope,
     psi_c,
@@ -251,6 +252,26 @@ def test_closed_form_v0_values(m2):
     assert abs(closed_form_v0(m2, R_STAR_M2)) < 1e-13
 
 
+@pytest.mark.parametrize("mass", [0.7, 2.0])
+def test_k1_shot_matches_closed_form_v1(mass):
+    """At lam = 0 the k = 1 shot is the rotation Jacobi field v1 scaled to
+    the horizon data, v1 / v1(m/2), out to 50 m."""
+    model = SchwarzschildModel(mass)
+    sol = integrate_v(ModeParams(model, 1, 0.0, 50.0 * mass), tol=1e-10)
+    scale = closed_form_v1(model, 0.5 * mass)
+    for r in np.linspace(0.5 * mass, 50.0 * mass, 400).tolist():
+        ref = closed_form_v1(model, r) / scale
+        assert abs(sol.v(r) - ref) <= 1e-9 * ref
+
+
+def test_closed_form_v1_validation(m2, flat):
+    assert closed_form_v1(m2, 1.0) == 4.0  # r = m/2: 1 * (1 + 1)^2
+    with pytest.raises(DomainError):
+        closed_form_v1(m2, 0.9)
+    with pytest.raises(DomainError):
+        closed_form_v1(flat, 1.0)
+
+
 def test_closed_form_v0_solves_its_equation(m2):
     grid = np.linspace(1.1, 50.0, 300)
     res = ode_residual_grid(
@@ -417,6 +438,10 @@ def test_integrate_prufer_validation():
     for x0, x1, tol in cases:
         with pytest.raises(DomainError):
             ode.integrate_prufer(coefficients, x0, x1, 0.0, 0.0, tol)
+    # an infinite endpoint, either way, is rejected before the first step
+    for x0, x1 in ((0.0, math.inf), (0.0, -math.inf), (math.inf, 0.0)):
+        with pytest.raises(DomainError, match="finite endpoints"):
+            ode.integrate_prufer(coefficients, x0, x1, 0.0, 0.0, 1e-8)
     # x1 < x0 is a backward shot: theta' = 1/2 takes theta down by 1/4
     back = ode.integrate_prufer(coefficients, 1.0, 0.5, 0.0, 0.0, 1e-8)
     assert back.x[-1] == 0.5 and back.theta[-1] == pytest.approx(-0.25, abs=1e-12)

@@ -1,13 +1,13 @@
 """The two 1-D rules: Gauss-Kronrod panels and the periodic trapezoid rule.
 
-The Kronrod rule and its embedded Gauss rule against their degrees and
-the Legendre zeros, exactness on trig polynomials, the alias guard on
+The Kronrod rule's table against its construction, the rule and its
+embedded Gauss rule against their degrees and the Legendre zeros,
+exactness on trig polynomials, the alias guard on
 k-fold integrands that fool the plain nested test, the floor for a
 component that is rounding noise beside its bound, and the error raised
 at the node budget.
 """
 
-import functools
 import json
 import math
 import re
@@ -20,6 +20,7 @@ import pytest
 
 from schwsurf import QuadSpec, QuadratureError, SchwarzschildModel, make_plane, mu_integral
 from schwsurf import quadrature
+from schwsurf.geometry import _exp
 from schwsurf.quadrature import (
     GL_POINTS,
     KRONROD_POINTS,
@@ -121,7 +122,7 @@ def test_gauss_legendre_raises_at_panel_cap():
     composite error falls only like h^1.5, still above 1e-8 at the cap.
     The message counts the nodes of the last level."""
     with pytest.raises(QuadratureError) as err:
-        integrate(lambda x: np.abs(x - 1.0 / 3.0) ** 0.5, 0.0, 1.0)
+        integrate(lambda x: np.abs(np.asarray(x) - 1.0 / 3.0) ** 0.5, 0.0, 1.0)
     message = str(err.value)
     assert "Gauss-Kronrod" in message
     assert MAX_PANELS * KRONROD_POINTS == 266240
@@ -129,6 +130,14 @@ def test_gauss_legendre_raises_at_panel_cap():
     prev, cur = map(float, re.search(r"estimates (\S+) and (\S+)$", message).groups())
     exact = 2.0 / 3.0 * ((1.0 / 3.0) ** 1.5 + (2.0 / 3.0) ** 1.5)
     assert prev != cur and cur == pytest.approx(exact, rel=1e-6)
+
+
+@pytest.mark.parametrize("a, b", [(0.0, math.inf), (-math.inf, 0.0), (0.0, math.nan)])
+def test_interval_that_is_not_finite_raises_before_any_node(a, b):
+    f, sizes = counted(lambda x: [1.0] * len(x))
+    with pytest.raises(QuadratureError, match=r"interval \[.*\] is not finite"):
+        integrate(f, a, b)
+    assert sizes == []
 
 
 def test_gauss_legendre_stops_at_first_agreement():
@@ -150,7 +159,7 @@ def test_non_finite_estimate_raises_at_once(rule, sample):
     """An infinite integrand, or finite samples whose sum overflows, raises
     QuadratureError after at most two levels, without a RuntimeWarning
     (Tier-1 turns those into errors); refining cannot bring it back."""
-    f, sizes = counted(lambda x: np.full(np.shape(x), sample))
+    f, sizes = counted(lambda x: [sample] * len(x))
     with pytest.raises(QuadratureError, match="is not finite"):
         if rule == "periodic":
             integrate_periodic(f, TWO_PI)
@@ -163,12 +172,14 @@ def test_non_finite_estimate_raises_at_once(rule, sample):
 def test_integrand_that_overflows_raises_at_once(rule):
     """Samples that overflow while the integrand is evaluated (finite nodes,
     an exponential past the double range) are reported as a QuadratureError
-    on the first level, with no RuntimeWarning from the integrand."""
-    f, sizes = counted(lambda x: np.exp(1e3 + x))
+    on the first level, with no RuntimeWarning from the integrand: the
+    plain-float integrand of the Gauss-Kronrod rule saturates to inf."""
     with pytest.raises(QuadratureError, match="is not finite"):
         if rule == "periodic":
+            f, sizes = counted(lambda x: np.exp(1e3 + x))
             integrate_periodic(f, TWO_PI)
         else:
+            f, sizes = counted(lambda x: [_exp(1e3 + u) for u in x])
             integrate(f, 0.0, 10.0)
     assert len(sizes) == 1
 
@@ -181,14 +192,14 @@ def test_noise_component_ends_beside_its_bound():
     to the integral that bounds it, it ends at the bound's own level."""
 
     def noise(x):
-        return 1e-30 * np.sin(1e6 * x) ** 2
+        return 1e-30 * np.sin(1e6 * np.asarray(x)) ** 2
 
     with pytest.raises(QuadratureError):
         integrate(noise, 0.0, 1.0)
     with pytest.raises(QuadratureError):
         integrate_periodic(lambda s: noise(s / TWO_PI), TWO_PI)
 
-    pair, sizes = counted(lambda x: np.array([noise(x), 1.0 + x]))
+    pair, sizes = counted(lambda x: (noise(x), 1.0 + np.asarray(x)))
     got = integrate(pair, 0.0, 1.0)
     assert sizes == [KRONROD_POINTS]
     assert 0.0 <= got[0] <= 1e-30 and got[1] == pytest.approx(1.5, rel=1e-15)
@@ -212,6 +223,81 @@ def test_quad_spec_rejects_bad_tolerance(rel_tol):
 
 
 # --------------------------------------------------------- Gauss-Kronrod rule
+
+
+def kronrod_recurrence(n: int) -> list:
+    """Recurrence coefficients ``b_0 .. b_2n`` of the Jacobi matrix whose
+    Gauss rule is the ``(2n + 1)``-point Kronrod extension of the
+    ``n``-point Gauss-Legendre rule, by Laurie's algorithm (D. P. Laurie,
+    "Calculation of Gauss-Kronrod quadrature rules", Math. Comp. 66
+    (1997) 1133-1145; W. Gautschi's ``r_kronrod``).  The Legendre weight
+    is even, so every diagonal coefficient is zero and only the ``b``
+    terms of the recurrences remain.  ``b_0 = 2`` is the weight's mass.
+    """
+    b = [0.0] * (2 * n + 1)
+    b[0] = 2.0
+    for k in range(1, (3 * n + 1) // 2 + 1):
+        b[k] = k * k / (4.0 * k * k - 1.0)  # Legendre's
+    s = [0.0] * (n // 2 + 2)
+    t = [0.0] * (n // 2 + 2)
+    t[1] = b[n + 1]
+    for m in range(n - 1):
+        u = 0.0
+        for k in range((m + 1) // 2, -1, -1):
+            u += b[k + n + 1] * s[k] - b[m - k] * s[k + 1]
+            s[k + 1] = u
+        s, t = t, s
+    s[1:] = s[:-1]
+    for m in range(n - 1, 2 * n - 2):
+        u = 0.0
+        for k in range(m + 1 - n, (m - 1) // 2 + 1):
+            j = n - 1 - m + k
+            u += b[m - k] * s[j + 2] - b[k + n + 1] * s[j + 1]
+            s[j + 1] = u
+        if m % 2:
+            b[(m + 1) // 2 + n + 1] = s[j + 1] / s[j + 2]
+        s, t = t, s
+    return b
+
+
+def constructed_rule() -> tuple:
+    """The Kronrod rule on ``[-1, 1]`` formed from its recurrence: its
+    ascending nodes, its weights, and the weights of the embedded
+    Gauss-Legendre rule, whose nodes are ``nodes[1::2]``.
+
+    The nodes are the eigenvalues of the Kronrod Jacobi matrix (Golub &
+    Welsch, Math. Comp. 23 (1969) 221-230), made exactly symmetric.  Each
+    weight is the Christoffel number ``1 / sum_k p_k(x)^2`` of the
+    orthonormal polynomials of the matrix, over its first ``2n + 1`` rows
+    for the Kronrod rule and its first ``n`` (Legendre's own) for the
+    Gauss rule: the Golub-Welsch weight, without the eigenvectors.
+    """
+    b = kronrod_recurrence(GL_POINTS)
+    off = np.sqrt(b[1:])
+    x = np.linalg.eigvalsh(np.diag(off, 1) + np.diag(off, -1))
+    x = 0.5 * (x - x[::-1])
+    p_prev, p = np.zeros_like(x), np.full_like(x, 1.0 / math.sqrt(b[0]))
+    squares = [p * p]
+    for k in range(2 * GL_POINTS):
+        p_prev, p = p, (x * p - math.sqrt(b[k]) * p_prev) / off[k]
+        squares.append(p * p)
+    squares = np.array(squares)
+    return x, 1.0 / squares.sum(axis=0), 1.0 / squares[:GL_POINTS, 1::2].sum(axis=0)
+
+
+def tabulated_rule() -> tuple:
+    """The module's table as arrays: nodes, Kronrod weights, and the Gauss
+    weights of the odd nodes."""
+    gauss = np.asarray(quadrature.GAUSS_WEIGHTS)
+    return np.asarray(quadrature.KRONROD_NODES), np.asarray(quadrature.KRONROD_WEIGHTS), gauss[1::2]
+
+
+def test_table_is_the_constructed_rule():
+    """The tabulated rule is its construction to the bit, and the Gauss
+    weights of the Kronrod-only nodes are 0."""
+    for table, formed in zip(tabulated_rule(), constructed_rule()):
+        assert table.tolist() == formed.tolist()
+    assert quadrature.GAUSS_WEIGHTS[::2] == (0.0,) * (GL_POINTS + 1)
 
 
 def even_monomial_errors(nodes, weights, degree):
@@ -240,7 +326,7 @@ def legendre_zeros_and_weights():
 def test_kronrod_and_gauss_rules_reach_their_degrees():
     """K65 is exact through degree 3 * 32 + 1 = 97 and its embedded G32
     through 63; odd degrees vanish by the exact symmetry of the nodes."""
-    x, kronrod, gauss = quadrature._gauss_kronrod()
+    x, kronrod, gauss = tabulated_rule()
     assert np.array_equal(x, -x[::-1])
     assert even_monomial_errors(x, kronrod, 96) <= 1e-15
     assert even_monomial_errors(x[1::2], gauss, 62) <= 1e-15
@@ -254,7 +340,7 @@ def test_kronrod_and_gauss_rules_reach_their_degrees():
 def test_gauss_nodes_are_kronrod_nodes():
     """The Gauss sum weighs only the odd Kronrod nodes of each panel, and
     those are the zeros of P_32 with Gauss-Legendre weights."""
-    x, kronrod, gauss = quadrature._gauss_kronrod()
+    x, kronrod, gauss = tabulated_rule()
     assert len(x) == KRONROD_POINTS and len(gauss) == GL_POINTS
     zeros, weights = legendre_zeros_and_weights()
     # eigenvalues of the Jacobi matrix (norm below 1) are good to a few
@@ -262,15 +348,16 @@ def test_gauss_nodes_are_kronrod_nodes():
     assert np.max(np.abs(x[1::2] - zeros)) <= 2.0 * np.finfo(float).eps
     # the weights to a unit of rounding at 1 (numpy's leggauss: 4.1e-16)
     assert np.max(np.abs(gauss - weights)) <= np.finfo(float).eps
-    nodes, w = panel_nodes(-3.0, 5.0, 4)
+    nodes, (_, gauss_w) = panel_nodes(-3.0, 5.0, 4)
+    nodes = np.asarray(nodes)
     assert len(nodes) == 4 * KRONROD_POINTS
     odd = (np.arange(len(nodes)) % KRONROD_POINTS) % 2 == 1
-    assert np.array_equal(w[:, 1] != 0.0, odd)
+    assert np.array_equal(np.asarray(gauss_w) != 0.0, odd)
     assert np.all(np.diff(nodes) > 0.0) and -3.0 < nodes[0] and nodes[-1] < 5.0
 
 
 def test_rule_weights_are_positive_and_sum_to_two():
-    _, kronrod, gauss = quadrature._gauss_kronrod()
+    _, kronrod, gauss = tabulated_rule()
     assert np.all(kronrod > 0.0) and np.all(gauss > 0.0)
     assert math.fsum(kronrod) == pytest.approx(2.0, abs=4.5e-16)
     assert math.fsum(gauss) == pytest.approx(2.0, abs=4.5e-16)
@@ -279,7 +366,7 @@ def test_rule_weights_are_positive_and_sum_to_two():
 def test_kronrod_sum_beats_gauss_sum_on_runge():
     """On 1/(1 + 25 x^2), whose poles at +-i/5 slow both rules, the
     Kronrod sum is at least 1e4 times closer than the Gauss sum."""
-    x, kronrod, gauss = quadrature._gauss_kronrod()
+    x, kronrod, gauss = tabulated_rule()
     exact = 0.4 * math.atan(5.0)
     y = 1.0 / (1.0 + 25.0 * x * x)
     k_err = abs(float(np.dot(kronrod, y)) - exact)
@@ -287,35 +374,23 @@ def test_kronrod_sum_beats_gauss_sum_on_runge():
     assert g_err > 1e-7 and k_err <= 1e-4 * g_err
 
 
-_LAZY_RULE_PROBE = """
+_NO_NUMPY_PROBE = """
 import json, sys
-import numpy
-by_numpy = "numpy.polynomial" in sys.modules
 import schwsurf.cli
-from schwsurf import quadrature
-at_import = quadrature._gauss_kronrod.cache_info().currsize
 from schwsurf import SchwarzschildModel, make_plane, mu_integral
 m2 = SchwarzschildModel(2.0)
 mu = mu_integral(m2, make_plane(m2, 100.0), 20.0)
-print(json.dumps({"by_numpy": by_numpy, "at_import": at_import,
-                  "after_integral": quadrature._gauss_kronrod.cache_info().currsize,
-                  "polynomial": "numpy.polynomial" in sys.modules, "mu": mu.hex()}))
+print(json.dumps({"numpy": "numpy" in sys.modules, "mu": mu.hex()}))
 """
 
 
-def test_gauss_legendre_rule_formed_on_first_use(monkeypatch):
-    # importing the package forms no rule and the first integral forms it,
-    # without numpy.polynomial; the lazily formed rule is the eager rule to
-    # the bit
+def test_cone_integral_loads_no_numpy():
+    # the rule is a plain-float table: a cone integral in a fresh
+    # interpreter loads no numpy, and gives the value found here to the bit
     proc = subprocess.run(
-        [sys.executable, "-c", _LAZY_RULE_PROBE], capture_output=True, text=True, check=True
+        [sys.executable, "-c", _NO_NUMPY_PROBE], capture_output=True, text=True, check=True
     )
     probe = json.loads(proc.stdout)
-    assert probe["at_import"] == 0
-    assert probe["after_integral"] == 1
-    assert probe["polynomial"] == probe["by_numpy"]
-    eager = quadrature._gauss_kronrod.__wrapped__()
-    monkeypatch.setattr(quadrature, "_gauss_kronrod", lambda: eager)
-    monkeypatch.setattr(quadrature, "_unit_panels", functools.cache(quadrature._unit_panels.__wrapped__))
+    assert probe["numpy"] is False
     m2 = SchwarzschildModel(2.0)
     assert probe["mu"] == mu_integral(m2, make_plane(m2, 100.0), 20.0).hex()

@@ -75,6 +75,25 @@ def test_latitude_circle_validation():
             latitude_circle(bad)
 
 
+def test_rotation_check_is_numpy_allclose():
+    """rotate_curve accepts a matrix exactly when np.allclose(Q Q^T, I,
+    atol=1e-12) does: its default rtol=1e-5 on the diagonal, atol alone
+    off it.  Nested tuples and arrays are both accepted."""
+    for scale in (1.0 + 4e-6, 1.0 + 6e-6):
+        for shear in (0.0, 5e-13, 2e-12):
+            Q = np.diag([scale, 1.0, 1.0])
+            Q[0, 1] = shear
+            expected = np.allclose(Q @ Q.T, np.eye(3), atol=1e-12)
+            for rotation in (Q, tuple(map(tuple, Q.tolist()))):
+                if expected:
+                    rotate_curve(great_circle(), rotation)
+                else:
+                    with pytest.raises(DomainError):
+                        rotate_curve(great_circle(), rotation)
+    with pytest.raises(DomainError):
+        rotate_curve(great_circle(), np.eye(2))
+
+
 def test_rotate_curve_stays_on_sphere():
     Q = random_rotation(7)
     rotated = rotate_curve(latitude_circle(1.0), Q)
@@ -87,7 +106,7 @@ def test_rotate_curve_stays_on_sphere():
 def test_random_rotation_properties():
     seen = []
     for seed in (0, 1, 12345):
-        Q = random_rotation(seed)
+        Q = np.asarray(random_rotation(seed))
         assert np.allclose(Q @ Q.T, np.eye(3), atol=1e-13)
         assert np.linalg.det(Q) == pytest.approx(1.0, abs=1e-12)
         assert np.array_equal(Q, random_rotation(seed))  # deterministic
@@ -720,7 +739,7 @@ def test_monotonicity_report_shares_samples_per_radius(flat, surface):
     mus = [mu_integral(flat, surface, rho, spec) for rho in rhos]
     defects = [defect_integral(flat, surface, rho, spec) for rho in rhos]
     separate = calls[0]
-    assert rep.mu_values.tolist() == mus
+    assert list(rep.mu_values) == mus
     # m = 0: no boundary term, so each residual is the ratio step less the
     # defect step
     steps = np.diff(rep.ratios)
@@ -770,7 +789,7 @@ def test_monotonicity_report_flat_grid_from_zero(flat):
         rep = monotonicity_report(flat, plane, [0.0, 1.0, 2.0, 4.0])
     assert rep.ratios[0] == 0.0
     assert np.all(np.isfinite(rep.ratios)) and np.all(np.isfinite(rep.formula_residuals))
-    assert rep.ratios[1:] == pytest.approx(math.pi, rel=1e-12)  # flat plane: pi rho^2 / rho^2
+    assert np.asarray(rep.ratios[1:]) == pytest.approx(math.pi, rel=1e-12)  # flat plane: pi rho^2 / rho^2
 
 
 def test_monotonicity_report_validation(m2):
@@ -864,6 +883,35 @@ def test_cone_integral_times_its_period_must_be_finite(mass, rho):
     with pytest.raises(QuadratureError, match="times the period"):
         mu_integral(model, plane, rho)
     assert math.isfinite(mu_integral(model, plane, rho / 2.0))
+
+
+def test_cone_integrand_saturates_past_the_double_range(m2, monkeypatch):
+    """Nodes past log(DBL_MAX) in u = log(t/t0): the plain-float integrand
+    saturates exp to inf instead of raising OverflowError, and the rule
+    reports the infinite estimate."""
+    real = quadrature.panel_nodes
+
+    def shifted(a, b, n_panels):
+        nodes, weights = real(a, b, n_panels)
+        return [u + 710.0 for u in nodes], weights
+
+    monkeypatch.setattr(quadrature, "panel_nodes", shifted)
+    with pytest.raises(QuadratureError, match="is not finite"):
+        mu_integral(m2, make_plane(m2, t_max=100.0), 20.0)
+
+
+@pytest.mark.parametrize("report", ["monotonicity", "density"])
+def test_underflowing_areal_square_is_a_numerical_failure(report):
+    """At m = 1e-170 the areal radius squares to 0 (and the reference area
+    underflows): a QuadratureError, not a ZeroDivisionError or a nan
+    ratio."""
+    model = SchwarzschildModel(1e-170)
+    plane = make_plane(model, t_max=1e-167)
+    with pytest.raises(QuadratureError, match="underflows|squares to 0"):
+        if report == "monotonicity":
+            monotonicity_report(model, plane, [1e-171, 1e-170])
+        else:
+            density_at_infinity(model, plane, 1e-169)
 
 
 @pytest.mark.parametrize("rho", [-1.0, math.inf, math.nan])
