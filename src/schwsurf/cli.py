@@ -14,7 +14,10 @@ Before parsing, each flag that takes a value is joined to the token after
 it (``--c -1e6`` is read as ``--c=-1e6``), so that a value beginning with
 ``-`` is a value and not an option string.
 
-A subcommand loads only the modules it calls.  ``stability-radius``,
+A subcommand loads only the modules it calls.  This module imports only
+``errors`` and ``geometry`` at module level: every subcommand uses them,
+and ``geometry`` holds the tolerance defaults.  Each subcommand imports
+the solver modules it calls.  ``stability-radius``,
 ``morse-index``, ``riccati``, ``spectrum --method shooting``,
 ``monotonicity`` and ``boundary-bound`` need nothing beyond the standard
 library: the shooting solvers, the cone integrals and the surface
@@ -38,14 +41,14 @@ import sys
 from . import __version__
 from .errors import NUMERICAL_ERRORS, DomainError, PreconditionError
 from .geometry import (
+    DEFAULT_ODE_TOL,
+    DEFAULT_QUAD_TOL,
     DEFAULT_ROOT_TOL,
     SchwarzschildModel,
     areal_from_isotropic,
     isotropic_from_distance,
     static_potential,
 )
-from .mode_odes import DEFAULT_ODE_TOL, psi_c, singularity_radius
-from .quadrature import QuadSpec
 
 _MONO_GRID_SIZE = 40
 
@@ -53,7 +56,7 @@ _MONO_GRID_SIZE = 40
 _TOLERANCE_FLAGS = {
     "ode_tol": ("--ode-tol", DEFAULT_ODE_TOL, "Shooting integrator tolerance"),
     "root_tol": ("--root-tol", DEFAULT_ROOT_TOL, "Root-finding residual tolerance"),
-    "quad_tol": ("--quad-tol", QuadSpec.rel_tol, "Quadrature relative tolerance"),
+    "quad_tol": ("--quad-tol", DEFAULT_QUAD_TOL, "Quadrature relative tolerance"),
 }
 
 _PARSER = argparse.ArgumentParser(
@@ -360,6 +363,7 @@ def morse_index_cmd(config, model, radius, kmax):
 def monotonicity(config, model, surface_spec, rho_max):
     """Weighted-area ratio trace over a log-spaced grid of ball radii."""
     from . import surfaces
+    from .quadrature import QuadSpec
 
     m = model.mass
     if rho_max is None:
@@ -396,6 +400,7 @@ def monotonicity(config, model, surface_spec, rho_max):
 def boundary_bound(config, model, surface_spec, rho_max):
     """Boundary length against density at infinity, with the defect split."""
     from . import surfaces
+    from .quadrature import QuadSpec
 
     m = model.mass
     if rho_max is None:
@@ -431,6 +436,8 @@ def boundary_bound(config, model, surface_spec, rho_max):
 )
 def riccati(config, model, c_value, n_rows):
     """Comparison-solution trace and its blow-up radius."""
+    from .mode_odes import psi_c, singularity_radius
+
     m = model.mass
     if n_rows < 2:
         raise UsageError("need --n >= 2")

@@ -22,17 +22,16 @@ classical special-function values.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
+from ._record import Record
 from .errors import DomainError, SearchError
 from .geometry import SchwarzschildModel
 from .spectral import Spectrum, SpectrumEntry
 
 
-@dataclass(frozen=True)
-class DiscreteModeProblem:
+class DiscreteModeProblem(Record):
     """Symmetric tridiagonal generalized discretization of one mode.
 
     ``stiffness_diag``/``stiffness_off`` hold A with ``A u = lam B u``

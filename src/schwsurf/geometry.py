@@ -35,19 +35,21 @@ reference the horizon raise :class:`~schwsurf.errors.DomainError` on it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
+from ._record import Record
 from .errors import DomainError, SearchError
 
+# the library's default tolerances, also the CLI's flag defaults
 DEFAULT_ROOT_TOL = 1e-12
+DEFAULT_ODE_TOL = 1e-10
+DEFAULT_QUAD_TOL = 1e-8
 
 # -------------------------------------------------------------------------
 # model
 # -------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SchwarzschildModel:
+class SchwarzschildModel(Record):
     """Mass parameter plus derived horizon radii."""
 
     mass: float

@@ -33,17 +33,14 @@ from __future__ import annotations
 import functools
 import math
 import sys
-from dataclasses import dataclass
 
+from ._record import Record
 from .errors import DomainError, NoSingularityError, SingularityError
-from .geometry import DEFAULT_ROOT_TOL, SchwarzschildModel, _exp
+from .geometry import DEFAULT_ODE_TOL, DEFAULT_ROOT_TOL, SchwarzschildModel, _exp
 from .roots import brentq
 
-DEFAULT_ODE_TOL = 1e-10
 
-
-@dataclass(frozen=True)
-class ModeParams:
+class ModeParams(Record):
     """One Fourier mode of the plane's stability operator.
 
     ``lam`` is the spectral parameter in raw inverse-length-squared units;

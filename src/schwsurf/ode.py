@@ -49,9 +49,9 @@ import functools
 import itertools
 import math
 import sys
-from dataclasses import dataclass
 from typing import Callable
 
+from ._record import Record
 from .errors import DomainError, IntegrationError
 
 # Dormand-Prince 5(4) tableau
@@ -245,8 +245,7 @@ def _dense_output(k: tuple, h: float) -> tuple:
     )
 
 
-@dataclass(frozen=True)
-class Trajectory:
+class Trajectory(Record):
     """Accepted steps of one Prüfer integration, in plain lists.
 
     ``x`` holds the nodes, ``theta`` and ``log_rho`` the pair at each node.

@@ -30,13 +30,13 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from dataclasses import dataclass
 
+from ._record import Record
 from .errors import QuadratureError
+from .geometry import DEFAULT_QUAD_TOL
 
 
-@dataclass(frozen=True)
-class QuadSpec:
+class QuadSpec(Record):
     """Accuracy contract for the surface integrals.
 
     ``rel_tol`` (positive and finite) is the convergence target: between
@@ -48,7 +48,7 @@ class QuadSpec:
     raises :class:`QuadratureError`.
     """
 
-    rel_tol: float = 1e-8
+    rel_tol: float = DEFAULT_QUAD_TOL
 
     def __post_init__(self):
         if not (0.0 < self.rel_tol < math.inf):

@@ -26,8 +26,8 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 
+from ._record import Record
 from .errors import DomainError, PreconditionError, SearchError
 from .geometry import DEFAULT_ROOT_TOL, SchwarzschildModel
 from .mode_odes import (
@@ -44,15 +44,13 @@ _SPECTRUM_FLOOR = -0.125  # mass-squared units: lam_1 > -1/(8 m^2) for every k a
 _MAX_DOUBLINGS = 60
 
 
-@dataclass(frozen=True)
-class SpectrumEntry:
+class SpectrumEntry(Record):
     k: int
     n: int
     lam: float  # mass-squared units
 
 
-@dataclass(frozen=True)
-class Spectrum:
+class Spectrum(Record):
     """Sorted eigenvalues of one truncated mode problem."""
 
     model: SchwarzschildModel
@@ -67,8 +65,7 @@ class Spectrum:
         return np.asarray([e.lam for e in self.entries])
 
 
-@dataclass(frozen=True)
-class IndexReport:
+class IndexReport(Record):
     """Negative-count bookkeeping behind a Morse index value."""
 
     model: SchwarzschildModel

@@ -28,9 +28,9 @@ Conformal bookkeeping used throughout (``e^phi = (1 + m/2|x|)^2``):
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 from . import quadrature, roots
+from ._record import Record
 from .errors import DomainError, GeometryError, PreconditionError, QuadratureError
 from .geometry import SchwarzschildModel, _exp, areal_from_isotropic, isotropic_from_distance
 from .quadrature import QuadSpec
@@ -43,8 +43,7 @@ _TWO_PI = 2.0 * math.pi
 # -------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SphereCurve:
+class SphereCurve(Record):
     """Closed curve on the unit sphere, parametrized by arc length.
 
     ``alpha`` maps s to a 3-vector; ``alpha_d``/``alpha_dd`` are its first
@@ -167,8 +166,7 @@ def random_rotation(seed: int) -> tuple:
 # -------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ParamSurface:
+class ParamSurface(Record, hide=("curve",)):
     """Chart ``(t, s) -> R^3`` on ``[t0, t1] x [0, S)``, s-periodic.
 
     ``S = s_period`` must be the chart's true period: general charts are
@@ -188,7 +186,7 @@ class ParamSurface:
     free_boundary: bool
     chart_t: object
     chart_s: object
-    curve: SphereCurve | None = field(default=None, repr=False)
+    curve: SphereCurve | None = None
 
     @property
     def is_cone(self) -> bool:
@@ -585,8 +583,7 @@ def boundary_length(model: SchwarzschildModel, surface: ParamSurface, spec: Quad
 # -------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MonotonicityReport:
+class MonotonicityReport(Record):
     """Ratio trace of the weighted-area monotonicity identity.
 
     ``ratios[i] = mu(B_rhos[i]) / h(rhos[i])^2``, and 0 at ``rhos[i] = 0``;
@@ -605,8 +602,7 @@ class MonotonicityReport:
     formula_residuals: tuple
 
 
-@dataclass(frozen=True)
-class DensityReport:
+class DensityReport(Record):
     """Area-ratio tail and its extrapolation to infinite radius; ``rhos``
     and ``ratios`` are tuples of floats."""
 
@@ -617,8 +613,7 @@ class DensityReport:
     note: str
 
 
-@dataclass(frozen=True)
-class BoundaryBoundReport:
+class BoundaryBoundReport(Record):
     """Both sides of the boundary-length bound and the equality defect.
 
     ``lhs`` is the density at infinity, ``rhs`` the boundary-length side

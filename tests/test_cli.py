@@ -247,7 +247,7 @@ FOREIGN_FLAGS = [
 ]
 
 
-@pytest.mark.parametrize("name, flag", FOREIGN_FLAGS, ids=" ".join)
+@pytest.mark.parametrize("name, flag", [pytest.param(*case, id=" ".join(case)) for case in FOREIGN_FLAGS])
 def test_foreign_tolerance_flag_is_usage_error(name, flag):
     argv, _ = SUBCOMMANDS[name]
     result = run_cli(*argv, "--mass", "2", flag, "1e-3")
@@ -463,19 +463,29 @@ def test_spectrum_fd_runs_without_scipy(method):
 
 
 # the benchmark's eight children: argv, exit code, and the modules each must
-# not load; none loads click, and the shooting-only, scalar and cone-surface
-# subcommands load no numpy
-_NO_ARRAYS = ("click", "numpy", "scipy", "schwsurf.surfaces", "schwsurf.fd_oracle")
-_NO_SHOOTING = ("click", "scipy", "schwsurf.ode", "schwsurf.spectral", "schwsurf.fd_oracle")
+# not load; none loads click, scipy or dataclasses, the shooting-only, scalar
+# and cone-surface subcommands load no numpy and no inspect (numpy loads
+# inspect), and each loads only the solver modules it calls
+_NO_CHILD = ("click", "scipy", "dataclasses")
+_NO_ARRAYS = _NO_CHILD + ("numpy", "inspect", "schwsurf.surfaces", "schwsurf.fd_oracle")
+_NO_SHOOTING = _NO_CHILD + ("schwsurf.ode", "schwsurf.mode_odes", "schwsurf.spectral", "schwsurf.fd_oracle")
 _CHILD_MODULES = {
-    "geom": (["geom", "--mass", "2"], 0, _NO_SHOOTING + ("schwsurf.surfaces",)),
-    "stability-radius": (["stability-radius", "--mass", "2", "--output", "json"], 0, _NO_ARRAYS + ("schwsurf.ode",)),
-    "spectrum": (["spectrum", "--mass", "2", "--R", "40", "--count", "3", "--method", "both"], 0, ("click", "scipy", "schwsurf.surfaces")),
-    "morse-index": (["morse-index", "--mass", "2", "--R", "2000", "--kmax", "5"], 0, _NO_ARRAYS),
-    "monotonicity": (["monotonicity", "--mass", "2", "--surface", "plane:rotated:5"], 0, _NO_SHOOTING + ("numpy",)),
-    "boundary-bound": (["boundary-bound", "--mass", "2"], 0, _NO_SHOOTING + ("numpy",)),
-    "riccati": (["riccati", "--mass", "2", "--c", "0"], 0, _NO_ARRAYS + ("schwsurf.ode", "schwsurf.spectral")),
-    "usage-error": (["spectrum", "--mass", "2", "--R", "0.5"], 2, _NO_ARRAYS + ("schwsurf.ode",)),
+    "geom": (["geom", "--mass", "2"], 0, _NO_SHOOTING + ("schwsurf.surfaces", "schwsurf.roots", "schwsurf.quadrature")),
+    "stability-radius": (
+        ["stability-radius", "--mass", "2", "--output", "json"],
+        0,
+        _NO_ARRAYS + ("schwsurf.ode", "schwsurf.quadrature"),
+    ),
+    "spectrum": (["spectrum", "--mass", "2", "--R", "40", "--count", "3", "--method", "both"], 0, _NO_CHILD + ("schwsurf.surfaces",)),
+    "morse-index": (["morse-index", "--mass", "2", "--R", "2000", "--kmax", "5"], 0, _NO_ARRAYS + ("schwsurf.quadrature",)),
+    "monotonicity": (["monotonicity", "--mass", "2", "--surface", "plane:rotated:5"], 0, _NO_SHOOTING + ("numpy", "inspect")),
+    "boundary-bound": (["boundary-bound", "--mass", "2"], 0, _NO_SHOOTING + ("numpy", "inspect")),
+    "riccati": (
+        ["riccati", "--mass", "2", "--c", "0"],
+        0,
+        _NO_ARRAYS + ("schwsurf.ode", "schwsurf.spectral", "schwsurf.quadrature"),
+    ),
+    "usage-error": (["spectrum", "--mass", "2", "--R", "0.5"], 2, _NO_ARRAYS + ("schwsurf.ode", "schwsurf.quadrature")),
 }
 
 _MODULE_PROBE = """
@@ -524,6 +534,14 @@ def test_import_package_loads_no_numpy():
     code = "import sys, schwsurf; print(sorted(m for m in sys.modules if m.startswith(('numpy', 'schwsurf'))))"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     assert proc.stdout.strip() == "['schwsurf']"
+
+
+def test_import_cli_loads_only_what_every_subcommand_uses():
+    code = "import sys, schwsurf.cli; print(sorted(m for m in sys.modules if m.startswith('schwsurf')))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == str(
+        ["schwsurf", "schwsurf._record", "schwsurf.cli", "schwsurf.errors", "schwsurf.geometry"]
+    )
 
 
 def test_package_exports_resolve_to_their_modules():

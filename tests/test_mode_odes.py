@@ -6,7 +6,6 @@ defining equations rather than against each other.
 """
 
 import bisect
-import dataclasses
 import math
 import warnings
 
@@ -574,7 +573,9 @@ def test_phase_crossing_keeps_its_first_guess_when_the_radau_retake_fails():
     assert len(traj.stages[i]) == 8  # a Radau step
     x0, th0 = traj.x[i], traj.theta[i]
     guess = x0 + (traj.x[i + 1] - x0) * (math.pi - th0) / (traj.theta[i + 1] - th0)
-    broken = dataclasses.replace(traj, coefficients=lambda x: (math.nan,) * 3)
+    broken = ode.Trajectory(
+        lambda x: (math.nan,) * 3, traj.tol, traj.x, traj.theta, traj.log_rho, traj.stages, traj.rejected_steps
+    )
     assert broken.phase_crossing(math.pi) == guess
     assert traj.phase_crossing(math.pi) != guess
 
