@@ -247,7 +247,7 @@ FOREIGN_FLAGS = [
 ]
 
 
-@pytest.mark.parametrize("name, flag", [pytest.param(*case, id=" ".join(case)) for case in FOREIGN_FLAGS])
+@pytest.mark.parametrize("name, flag", FOREIGN_FLAGS, ids=" ".join)
 def test_foreign_tolerance_flag_is_usage_error(name, flag):
     argv, _ = SUBCOMMANDS[name]
     result = run_cli(*argv, "--mass", "2", flag, "1e-3")
