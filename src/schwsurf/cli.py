@@ -17,14 +17,13 @@ it (``--c -1e6`` is read as ``--c=-1e6``), so that a value beginning with
 A subcommand loads only the modules it calls.  This module imports only
 ``errors`` and ``geometry`` at module level: every subcommand uses them,
 and ``geometry`` holds the tolerance defaults.  Each subcommand imports
-the solver modules it calls.  ``stability-radius``,
-``morse-index``, ``riccati``, ``spectrum --method shooting``,
-``monotonicity`` and ``boundary-bound`` need nothing beyond the standard
-library: the shooting solvers, the cone integrals and the surface
-reports run on plain floats (``monotonicity`` builds its grid with
-:func:`_geomspace`).  ``geom`` loads numpy for its grid, which is
-``np.geomspace``'s to the bit, and ``spectrum --method fd|both`` for the
-FD oracle, whose eigensolver is numpy alone.  No subcommand loads scipy.
+the solver modules it calls.  Every subcommand but ``geom`` needs
+nothing beyond the standard library: the shooting solvers, the FD
+oracle's 1024- and 2048-cell solves of ``spectrum --method fd|both``, the
+cone integrals and the surface reports run on plain floats
+(``monotonicity`` builds its grid with :func:`_geomspace`).  Only
+``geom`` loads numpy, for its grid, which is ``np.geomspace``'s to the
+bit.  No subcommand loads scipy.
 
 Eigenvalues are reported in mass-squared units throughout; radius flags
 (``--R``, ``--rho-max``, ``--r-max``) are raw lengths in the same units

@@ -6,13 +6,33 @@ the mode equation is discretized in divergence form
     (r u')' - (k^2/r) u + (m/r^2)(1 + m/2r)^-2 u = -lam r (1 + m/2r)^4 u
 
 on a uniform grid over [m/2, R] with a flux-mirrored Neumann row at the
-horizon and Dirichlet elimination at R.  The symmetric tridiagonal
-generalized problem is solved in numpy alone: Sturm counts by odd-even
-reduction say which eigenvalue a bracket holds, and Newton steps on the
-determinant, computed in the same sweep, polish it (Wilkinson, *The
-Algebraic Eigenvalue Problem*, 1965, ch. 5; Barth, Martin & Wilkinson,
-*Numer. Math.* 9, 1967).  No scipy module is loaded.  Agreement with the
+horizon and Dirichlet elimination at R.  Sturm counts of the symmetric
+tridiagonal standard form say which eigenvalue a bracket holds, and
+Newton steps on the determinant, computed in the same sweep, polish it
+(Wilkinson, *The Algebraic Eigenvalue Problem*, 1965, ch. 5; Barth,
+Martin & Wilkinson, *Numer. Math.* 9, 1967), driven by one routine,
+:func:`_lowest`.  No scipy module is loaded.  Agreement with the
 shooting spectra is the anti-bug oracle for both sides.
+
+The solve takes one of two paths, chosen by :func:`richardson_lowest`
+from the cell count of its finer grid:
+
+- up to ``_PLAIN_CELLS = 2048`` cells, plain floats: rows formed one by
+  one (:func:`_plain_rows`), counted by the natural-order Sturm sequence
+  one shift at a time (:func:`_sturm`), so no numpy is imported;
+- above it, numpy: :func:`assemble`, and counts by odd-even reduction at
+  all shifts of a sweep at once (:func:`_sweep`).
+
+2048 is the finer grid of the command line's 1024-cell Richardson pair.
+Measured on a 2-CPU machine (Python 3.11, numpy 2.4; medians of 15,
+m = 2): a plain Richardson pair at ``n = 1024`` takes 5.8 ms against
+numpy's 4.0 (R = 40, three eigenvalues) and 3.9 against 3.0 ms (R = 200,
+one), while a fresh interpreter takes 0.18 s to import numpy against
+0.04 s to start, so ``spectrum --method both`` runs in 0.09 s instead of
+0.22 s.  At ``n = 2048`` the plain pair takes 11.2 ms against 5.5, and
+one plain slope sweep costs 0.40 ms at 4096 rows against numpy's 0.31:
+the plain sweep grows with the rows, numpy's hardly, so the cutoff should
+move only on a new measurement of both sides.
 
 With ``m = 0`` the same assembly covers the flat disc (``k = 0``) and
 annulus-degenerate Bessel problems used to validate the scheme against
@@ -22,8 +42,7 @@ classical special-function values.
 from __future__ import annotations
 
 import math
-
-import numpy as np
+import sys
 
 from ._record import Record
 from .errors import DomainError, SearchError
@@ -51,6 +70,8 @@ class DiscreteModeProblem(Record):
 
     def dense_matrices(self) -> tuple:
         """(A, B) as dense arrays, for small-n reference computations."""
+        import numpy as np
+
         A = (
             np.diag(self.stiffness_diag)
             + np.diag(self.stiffness_off, 1)
@@ -60,13 +81,27 @@ class DiscreteModeProblem(Record):
         return A, B
 
 
-def _potential(m: float, k: int, r: np.ndarray) -> np.ndarray:
-    # V(r) = -k^2/r + (m/r^2)(1 + m/2r)^-2; sign convention: A = -(flux + V)
-    return -(k * k) / r + (m / r**2) / (1.0 + 0.5 * m / r) ** 2
+def _coefficients(m: float, k: int, r) -> tuple:
+    """The potential ``V(r) = -k^2/r + (m/r^2)(1 + m/2r)^-2`` and the mass
+    density ``r (1 + m/2r)^4`` of the mode equation (sign convention:
+    ``A = -(flux + V)``), at ``r`` a float or an array: the plain rows and
+    :func:`assemble` share them."""
+    q = 1.0 + 0.5 * m / r
+    return -(k * k) / r + (m / (r * r)) / (q * q), r * q**4
 
 
-def _mass_density(m: float, r: np.ndarray) -> np.ndarray:
-    return r * (1.0 + 0.5 * m / r) ** 4
+def _check_grid(m: float, R: float, n: int) -> None:
+    if n < 16:
+        raise DomainError(f"grid size must be >= 16, got {n}")
+    if not (0.5 * m < R < math.inf):
+        raise DomainError(f"R must be finite and exceed m/2 = {0.5 * m}, got {R}")
+
+
+def _check_count(how_many: int, n: int) -> None:
+    if how_many < 1:
+        raise DomainError(f"how_many must be >= 1, got {how_many}")
+    if how_many >= n:
+        raise DomainError(f"how_many = {how_many} must be < matrix size {n}")
 
 
 def assemble(model: SchwarzschildModel, k: int, R: float, n: int = 1024) -> DiscreteModeProblem:
@@ -79,10 +114,8 @@ def assemble(model: SchwarzschildModel, k: int, R: float, n: int = 1024) -> Disc
     the left endpoint degenerates to ``r = 0`` for ``m = 0``).
     """
     m = model.mass
-    if n < 16:
-        raise DomainError(f"grid size must be >= 16, got {n}")
-    if not (0.5 * m < R < math.inf):
-        raise DomainError(f"R must be finite and exceed m/2 = {0.5 * m}, got {R}")
+    _check_grid(m, R, n)
+    import numpy as np
 
     r0 = 0.5 * m
     dx = (R - r0) / n
@@ -95,13 +128,14 @@ def assemble(model: SchwarzschildModel, k: int, R: float, n: int = 1024) -> Disc
 
     # interior rows j = 1..n-1 (node 0 is the half-cell row below, node n
     # is eliminated by the Dirichlet condition)
-    diag[1:] = (half[:-1] + half[1:]) / dx**2 - _potential(m, k, nodes[1:])
-    mass[1:] = _mass_density(m, nodes[1:])
+    potential, mass[1:] = _coefficients(m, k, nodes[1:])
+    diag[1:] = (half[:-1] + half[1:]) / dx**2 - potential
 
-    # horizon half cell
-    rq = np.array([r0 + 0.25 * dx])
-    diag[0] = half[0] / dx**2 - 0.5 * _potential(m, k, rq)[0]
-    mass[0] = 0.5 * _mass_density(m, rq)[0]
+    # horizon half cell, its midpoint as an array so that q**4 is numpy's
+    # power, as on the interior rows
+    potential, density = _coefficients(m, k, np.array([r0 + 0.25 * dx]))
+    diag[0] = half[0] / dx**2 - 0.5 * potential[0]
+    mass[0] = 0.5 * density[0]
 
     full_off = -half[:-1] / dx**2  # couples u_j, u_{j+1}, j = 0..n-2
 
@@ -120,6 +154,8 @@ def assemble(model: SchwarzschildModel, k: int, R: float, n: int = 1024) -> Disc
 def _standard_form(problem: DiscreteModeProblem) -> tuple:
     # diagonal congruence by 1/sqrt(B): preserves symmetry, tridiagonality,
     # and (Sylvester) the eigenvalue signs
+    import numpy as np
+
     b = problem.mass_weights
     s = 1.0 / np.sqrt(b)
     d = problem.stiffness_diag * s * s
@@ -127,19 +163,57 @@ def _standard_form(problem: DiscreteModeProblem) -> tuple:
     return d, e
 
 
-# cells of the smaller of the two coarse grids whose dense spectra give the
-# Newton starts; numpy's dense solver stays single-threaded at these sizes
+def _plain_rows(model: SchwarzschildModel, k: int, R: float, n: int) -> tuple:
+    """The standard form ``(d, e)`` of ``assemble(model, k, R, n)`` as
+    lists of floats: the same stencil, formed row by row in the order of
+    operations of :func:`assemble` and :func:`_standard_form`.  Only the
+    mass density's ``q**4`` rounds differently (numpy's vectorized power
+    against libm's ``pow``, up to 2 ulps apart), which leaves the entries
+    within a few ulps of theirs (below 8 eps relative)."""
+    m = model.mass
+    r0 = 0.5 * m
+    dx = (R - r0) / n
+    dx2 = dx**2
+    step = 0.5 * dx
+    sqrt = math.sqrt
+    # horizon half cell
+    potential, density = _coefficients(m, k, r0 + 0.25 * dx)
+    h = r0 + step  # r_{1/2}
+    s = 1.0 / sqrt(0.5 * density)
+    d = [(h / dx2 - 0.5 * potential) * s * s]
+    e = []
+    for j in range(1, n):
+        r = r0 + dx * j
+        h_next = r + step
+        potential, density = _coefficients(m, k, r)
+        s_next = 1.0 / sqrt(density)
+        d.append(((h + h_next) / dx2 - potential) * s_next * s_next)
+        e.append(-h / dx2 * s * s_next)
+        h, s = h_next, s_next
+    return d, e
+
+
+# problems of at most this many cells are solved in plain floats, larger ones
+# in numpy; richardson_lowest picks the path by its finer grid
+_PLAIN_CELLS = 2048
+# cells of the smaller of the two coarse grids whose spectra give the Newton
+# starts; numpy's dense solver stays single-threaded at these sizes
 _COARSE_CELLS = 32
+# the plain path solves its coarse grids with this multiple of eps ||T||_inf
+# in place of eps ||T||_inf: brackets of 2^30 eps (about 2.4e-7) times
+# ||T||_inf, far below the error of the extrapolation to the fine grid,
+# which is what a Newton start carries
+_COARSE_TOL = 2.0**28
 # the sweeps a solve may take before it gives up with SearchError; bisection
 # alone closes a Gershgorin bracket to 4 eps ||T|| in about 51
 _MAX_SWEEPS = 200
 
 
-def _sweep(d: np.ndarray, e: np.ndarray, shifts, slope: bool = False) -> tuple:
+def _sweep(d, e, shifts, slope: bool = False) -> tuple:
     """Inertia of ``T - x`` at each shift ``x`` (a float or an array), for
-    ``T`` with diagonal ``d`` and off-diagonal ``e``: the negative pivots of
-    an LDL factorization count the eigenvalues of ``T`` below ``x``
-    (Sylvester's law).
+    ``T`` with diagonal ``d`` and off-diagonal ``e`` (arrays): the negative
+    pivots of an LDL factorization count the eigenvalues of ``T`` below
+    ``x`` (Sylvester's law).
 
     The order is odd-even (cyclic) reduction: the odd nodes of a tridiagonal
     matrix couple only to even ones, so their pivots are their diagonal
@@ -154,6 +228,8 @@ def _sweep(d: np.ndarray, e: np.ndarray, shifts, slope: bool = False) -> tuple:
     ``d/dx log|det(T - x)| = sum(p'/p)`` over the pivots ``p``, carried
     through the elimination with the entries' derivatives (else ``None``).
     """
+    import numpy as np
+
     if np.shape(shifts) == (1,):  # one shift runs faster on 1-D arrays
         count, S = _sweep(d, e, shifts[0], slope)
         return np.reshape(count, 1), None if S is None else np.reshape(S, 1)
@@ -229,130 +305,252 @@ def _sweep(d: np.ndarray, e: np.ndarray, shifts, slope: bool = False) -> tuple:
     return count, S
 
 
-def _coarse_estimates(problem: DiscreteModeProblem, how_many: int):
-    """``n -> `` estimates of the standard-form spectrum on ``n`` cells.
-
-    The dense spectra of the same mode on ``c`` and ``2c`` cells,
-    extrapolated in ``h^2`` (``lam(n) = lam_inf + C/n^2``).
+def _sturm(d0: float, rows, x: float, slope: bool) -> tuple:
+    """The count of eigenvalues of ``T`` below ``x`` and, with ``slope``,
+    ``d/dx log|det(T - x)|`` (else ``None``), in plain floats: the
+    natural-order Sturm sequence that :func:`_sweep` falls back to, which
+    is stable at any shift.  ``T`` has diagonal ``d0, d_1, ...`` and
+    ``rows`` yields the pairs ``(d_j, e_{j-1}^2)``.  The pivots are
+    ``p_0 = d0 - x`` and ``p_j = d_j - x - e_{j-1}^2 / p_{j-1}``, a zero
+    pivot taken as ``1e-300``; the slope sums ``w_j = p_j'/p_j``, with
+    ``p_j' = -1 + (e_{j-1}^2 / p_{j-1}) w_{j-1}``.
     """
-    c = max(_COARSE_CELLS, 2 * how_many)
-    spectra = []
-    for cells in (c, 2 * c):
-        d, e = _standard_form(assemble(problem.model, problem.k, problem.R, cells))
-        dense = np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
-        spectra.append(np.linalg.eigvalsh(dense)[:c])
-    lam_c, lam_2c = spectra
-    slope = (lam_c - lam_2c) / (c**-2 - (2 * c) ** -2)
-    return lambda n: lam_2c + slope * (n**-2 - (2 * c) ** -2)
+    piv = (d0 - x) or 1e-300
+    count = 1 if piv < 0.0 else 0
+    if not slope:
+        for dj, ej2 in rows:
+            piv = (dj - x - ej2 / piv) or 1e-300
+            if piv < 0.0:
+                count += 1
+        return count, None
+    w = -1.0 / piv
+    S = w
+    for dj, ej2 in rows:
+        t = ej2 / piv
+        piv = (dj - x - t) or 1e-300
+        w = (t * w - 1.0) / piv
+        S += w
+        if piv < 0.0:
+            count += 1
+    return count, S
 
 
-def _lowest(d: np.ndarray, e: np.ndarray, start: np.ndarray, how_many: int) -> tuple:
-    """The ``how_many`` lowest eigenvalues of ``T``, each bracketed by
-    counts within a width of ``4 eps ||T||_inf``, and the number of shifts
-    ``x`` at which :func:`_sweep` factored ``T - x``.
+# A solver is the pair (sweep, bounds) of one standard form T:
+# sweep(shifts, slope) gives the lists of counts and of slopes (or None) at
+# the shifts, and bounds is the Gershgorin interval of T with eps ||T||_inf.
 
-    ``start`` estimates the lowest eigenvalues, at least ``how_many`` of
-    them; entries past ``how_many`` say where the eigenvalues above lie.
-    Every sweep narrows each eigenvalue's bracket: a shift with count
-    ``c`` is an upper bound for eigenvalues ``0..c-1`` and a lower bound
-    for the rest.  Inside its bracket each estimate takes Newton steps on
-    ``det(T - x)``, and bisects the bracket when a step leaves it or fails
-    to halve.  When the quadratic error predicted after a Newton step is
-    below ``eps ||T||_inf``, one count sweep at ``x -+ 1.5 eps ||T||_inf``
-    closes the bracket.
-    """
+
+def _plain_solver(d: list, e: list) -> tuple:
+    """The solver of ``T`` given as lists, swept one shift at a time by
+    :func:`_sturm`."""
+    # one pass forms the squares e_j^2 and the Gershgorin interval
+    # (comparisons, not min and max, keep it at a third of a sweep's cost);
+    # each sweep zips the squares with d afresh, which holds no row tuples
+    squares = []
+    lower = upper = d[0]
+    norm = left = 0.0
+    for dj, ej in zip(d, [*e, 0.0]):
+        right = -ej if ej < 0.0 else ej
+        off = left + right
+        if dj - off < lower:
+            lower = dj - off
+        if dj + off > upper:
+            upper = dj + off
+        row = (-dj if dj < 0.0 else dj) + off
+        if row > norm:
+            norm = row
+        squares.append(ej * ej)
+        left = right
+    d0, rest = d[0], d[1:]
+
+    def sweep(shifts, slope):
+        swept = [_sturm(d0, zip(rest, squares), x, slope) for x in shifts]
+        return [c for c, _ in swept], [s for _, s in swept] if slope else None
+
+    return sweep, (lower, upper, sys.float_info.epsilon * norm)
+
+
+def _numpy_solver(d, e) -> tuple:
+    """The solver of ``T`` given as arrays, swept at all shifts at once by
+    :func:`_sweep`."""
+    import numpy as np
+
+    def sweep(shifts, slope):
+        counts, S = _sweep(d, e, np.array(shifts), slope)
+        return counts.tolist(), None if S is None else S.tolist()
+
     off = np.zeros_like(d)
     off[:-1] += np.abs(e)
     off[1:] += np.abs(e)
-    tol = np.finfo(float).eps * float(np.max(np.abs(d) + off))
-    # Gershgorin: every eigenvalue lies in [min(d - off), max(d + off)]
-    lo = np.full(how_many, np.min(d - off))
-    hi = np.full(how_many, np.max(d + off))
-    x = np.clip(start[:how_many], lo, hi)
-    neighbours = start.copy()
-    last_step = np.full(how_many, np.inf)
+    norm = float(np.max(np.abs(d) + off))
+    lower, upper = float(np.min(d - off)), float(np.max(d + off))
+    return sweep, (lower, upper, sys.float_info.epsilon * norm)
 
-    def narrow(shifts, counts):
-        for shift, c in zip(shifts, counts):
-            hi[:c] = np.minimum(hi[:c], shift)
-            lo[c:] = np.maximum(lo[c:], shift)
 
-    todo = np.arange(how_many)
+def _narrow(lo: list, hi: list, shifts, counts) -> None:
+    # a shift with count c is an upper bound for eigenvalues 0..c-1 and a
+    # lower bound for the rest
+    for x, c in zip(shifts, counts):
+        for i in range(min(c, len(hi))):
+            hi[i] = min(hi[i], x)
+        for i in range(c, len(lo)):
+            lo[i] = max(lo[i], x)
+
+
+def _bisect_lowest(solver: tuple, how_many: int) -> list:
+    """The ``how_many`` lowest eigenvalues, each the midpoint of a count
+    bracket no wider than ``4 tol``, from the Gershgorin interval."""
+    sweep, (lower, upper, tol) = solver
+    lo, hi = [lower] * how_many, [upper] * how_many
+    for i in range(how_many):
+        while hi[i] - lo[i] > 4.0 * tol:
+            x = 0.5 * (lo[i] + hi[i])
+            _narrow(lo, hi, (x,), sweep((x,), False)[0])
+    return [0.5 * (a + b) for a, b in zip(lo, hi)]
+
+
+def _coarse_estimates(model: SchwarzschildModel, k: int, R: float, how_many: int, plain: bool):
+    """``n -> `` estimates of the lowest standard-form eigenvalues on ``n``
+    cells.
+
+    The spectra of the same mode on ``c`` and ``2c`` cells, extrapolated in
+    ``h^2`` (``lam(n) = lam_inf + C/n^2``).  The numpy path takes all ``c``
+    of each dense spectrum.  The plain path brackets the ``how_many + 1``
+    lowest to ``4 _COARSE_TOL eps ||T||_inf``, the last of them saying where
+    the eigenvalues above the wanted ones lie: by count bisection on ``c``
+    cells, and by Newton steps from those values on ``2c`` cells.
+    """
+    c = max(_COARSE_CELLS, 2 * how_many)
+    if plain:
+        loose = []
+        for cells in (c, 2 * c):
+            sweep, (lower, upper, tol) = _plain_solver(*_plain_rows(model, k, R, cells))
+            loose.append((sweep, (lower, upper, _COARSE_TOL * tol)))
+        lam_c = _bisect_lowest(loose[0], how_many + 1)
+        lam_2c, _ = _lowest(*loose[1], lam_c, how_many + 1)
+    else:
+        import numpy as np
+
+        lam_c, lam_2c = (
+            np.linalg.eigvalsh(np.diag(d) + np.diag(e, 1) + np.diag(e, -1))[:c].tolist()
+            for d, e in (_standard_form(assemble(model, k, R, cells)) for cells in (c, 2 * c))
+        )
+    scale = c**-2 - (2 * c) ** -2
+    slope = [(a - b) / scale for a, b in zip(lam_c, lam_2c)]
+    return lambda n: [b + s * (n**-2 - (2 * c) ** -2) for b, s in zip(lam_2c, slope)]
+
+
+def _lowest(sweep, bounds: tuple, start: list, how_many: int) -> tuple:
+    """The ``how_many`` lowest eigenvalues of ``T``, each bracketed by
+    counts within a width of ``4 tol``, and the number of shifts ``x`` at
+    which ``sweep`` factored ``T - x``; ``bounds`` is the Gershgorin
+    interval and ``tol``, which is ``eps ||T||_inf`` but for the plain
+    path's coarse grids.
+
+    ``start`` estimates the lowest eigenvalues, at least ``how_many`` of
+    them; entries past ``how_many`` say where the eigenvalues above lie.
+    Every sweep narrows each eigenvalue's bracket (see :func:`_narrow`),
+    starting from the Gershgorin interval.  Inside its bracket each
+    estimate takes Newton steps on ``det(T - x)``, and bisects the bracket
+    when a step leaves it or fails to halve.  When the quadratic error
+    predicted after a Newton step is below ``tol``, one count sweep at
+    ``x -+ 1.5 tol`` closes the bracket.
+    """
+    lower, upper, tol = bounds
+    lo, hi = [lower] * how_many, [upper] * how_many
+    x = [min(max(s, lower), upper) for s in start[:how_many]]
+    neighbours = list(start)
+    last_step = [math.inf] * how_many
+    todo = list(range(how_many))
     probes = 0
     for _ in range(_MAX_SWEEPS):
-        probes += todo.size
-        counts, slope = _sweep(d, e, x[todo], slope=True)
-        narrow(x[todo], counts)
-        # a zero or non-finite slope, or two estimates that meet, give a
-        # step or an error prediction that is not finite: that bisects
-        with np.errstate(divide="ignore", invalid="ignore"):
-            step = -1.0 / slope
-            new = x[todo] + step
-            newton = (lo[todo] < new) & (new < hi[todo]) & (np.abs(step) <= 0.5 * last_step[todo])
-            x[todo] = np.where(newton, new, 0.5 * (lo[todo] + hi[todo]))
-            last_step[todo] = np.where(newton, np.abs(step), np.inf)
-            # after a step s the Newton error is about s^2 sum_j 1/|x - lam_j|
-            # over the other eigenvalues j
-            neighbours[:how_many] = x
-            gaps = np.abs(x[todo, None] - neighbours[None, :])
-            gaps[np.arange(todo.size), todo] = np.inf
-            near = newton & (step * step * np.sum(1.0 / gaps, axis=1) <= tol)
-        check = todo[near]
-        if check.size:
-            shifts = np.concatenate([x[check] - 1.5 * tol, x[check] + 1.5 * tol])
-            probes += shifts.size
-            counts, _ = _sweep(d, e, shifts)
-            narrow(shifts, counts)
-        todo = todo[hi[todo] - lo[todo] > 4.0 * tol]
-        if todo.size == 0:
+        shifts = [x[i] for i in todo]
+        probes += len(shifts)
+        counts, slopes = sweep(shifts, True)
+        _narrow(lo, hi, shifts, counts)
+        newton = {}
+        for i, slope in zip(todo, slopes):
+            # a zero or non-finite slope gives a step that is not finite:
+            # that bisects
+            step = -1.0 / slope if slope else -math.inf
+            new = x[i] + step
+            if lo[i] < new < hi[i] and abs(step) <= 0.5 * last_step[i]:
+                x[i], last_step[i], newton[i] = new, abs(step), step
+            else:
+                x[i], last_step[i] = 0.5 * (lo[i] + hi[i]), math.inf
+        # after a step s the Newton error is about s^2 sum_j 1/|x - lam_j|
+        # over the other eigenvalues j; estimates that meet predict inf
+        neighbours[:how_many] = x
+        near = []
+        for i, step in newton.items():
+            gaps = [abs(x[i] - y) for j, y in enumerate(neighbours) if j != i]
+            error = step * step * sum(1.0 / g for g in gaps) if all(gaps) else math.inf
+            if error <= tol:
+                near.append(i)
+        if near:
+            shifts = [x[i] - 1.5 * tol for i in near] + [x[i] + 1.5 * tol for i in near]
+            probes += len(shifts)
+            _narrow(lo, hi, shifts, sweep(shifts, False)[0])
+        todo = [i for i in todo if hi[i] - lo[i] > 4.0 * tol]
+        if not todo:
             # a value outside its closed bracket is the bracket's midpoint
-            inside = (lo <= x) & (x <= hi)
-            return np.where(inside, x, 0.5 * (lo + hi)), probes
+            return [v if a <= v <= b else 0.5 * (a + b) for v, a, b in zip(x, lo, hi)], probes
     raise SearchError(
         f"FD eigenvalues not bracketed within {4.0 * tol:.3g} after {_MAX_SWEEPS} sweeps",
-        {"unbracketed": todo.tolist()},
+        {"unbracketed": todo},
     )
 
 
+def _unit(model: SchwarzschildModel) -> float:
+    # eigenvalues are reported in m^2 units, raw for the flat m = 0 problems
+    m = model.mass
+    return m * m if m > 0.0 else 1.0
+
+
+def _solve(solver: tuple, n: int, how_many: int, starts, half, unit: float) -> tuple:
+    """The ``how_many`` lowest eigenvalues of one grid's standard form, in
+    the units of :func:`lowest_eigenvalues`, and the shifts swept.
+
+    Newton starts from ``starts(n)``; ``half``, the mode's lowest
+    eigenvalues on ``n/2`` cells, moves them to those values plus the
+    extrapolated change from ``n/2`` to ``n`` cells.
+    """
+    start = starts(n)[:n]
+    if half is not None:
+        coarse = starts(n / 2)
+        for i in range(how_many):
+            start[i] = float(half[i]) / unit + (start[i] - coarse[i])
+    vals, probes = _lowest(*solver, start, how_many)
+    return [v * unit for v in vals], probes
+
+
 def lowest_eigenvalues(
-    problem: DiscreteModeProblem, how_many: int, half: np.ndarray | None = None
+    problem: DiscreteModeProblem, how_many: int, half=None, *, starts=None
 ) -> Spectrum:
     """Lowest eigenvalues of the congruence-transformed standard problem
-    ``T``, each within ``2 eps ||T||_inf``: Sturm counts bracket them and
-    Newton steps on ``det(T - lam)`` polish them (see :func:`_lowest`),
-    in numpy alone.
+    ``T``, each within ``2 eps ||T||_inf``: Sturm counts by odd-even
+    reduction bracket them and Newton steps on ``det(T - lam)`` polish them
+    (see :func:`_lowest`), in numpy.
 
     Newton starts from the dense spectra of the same mode on 32 and 64
-    cells, extrapolated in ``h^2`` to ``n``.  ``half``, this mode's lowest
-    eigenvalues on ``n/2`` cells (as :func:`richardson_lowest` has them),
-    moves the starts to those values plus the extrapolated change from
-    ``n/2`` to ``n`` cells.  Starts only set the cost: the counts decide
-    which eigenvalue each value is.  :attr:`Spectrum.probes` counts the
-    shifts ``x`` at which a sweep factored ``T - x``, the derivative
+    cells, extrapolated in ``h^2`` to ``n``; ``starts``, that extrapolation
+    as :func:`richardson_lowest` forms it once for both of its grids, saves
+    forming it again.  ``half``, this mode's lowest eigenvalues on ``n/2``
+    cells, moves the starts to those values plus the extrapolated change
+    from ``n/2`` to ``n`` cells.  Starts only set the cost: the counts
+    decide which eigenvalue each value is.  :attr:`Spectrum.probes` counts
+    the shifts ``x`` at which a sweep factored ``T - x``, the derivative
     sweeps' and the closing count sweeps' alike.
 
     Entries are in mass-squared units for ``m > 0`` and raw inverse-length-
     squared units for the flat ``m = 0`` oracle problems.
     """
-    if how_many < 1:
-        raise DomainError(f"how_many must be >= 1, got {how_many}")
-    if how_many >= problem.n:
-        raise DomainError(
-            f"how_many = {how_many} must be < matrix size {problem.n}"
-        )
-    m = problem.model.mass
-    unit = m * m if m > 0.0 else 1.0
-    estimate = _coarse_estimates(problem, how_many)
-    start = estimate(problem.n)[: problem.n]
-    if half is not None:
-        shift = start[:how_many] - estimate(problem.n / 2)[:how_many]
-        start[:how_many] = np.asarray(half) / unit + shift
-    d, e = _standard_form(problem)
-    vals, probes = _lowest(d, e, start, how_many)
-    entries = tuple(
-        SpectrumEntry(k=problem.k, n=i + 1, lam=float(v) * unit)
-        for i, v in enumerate(vals)
-    )
+    _check_count(how_many, problem.n)
+    if starts is None:
+        starts = _coarse_estimates(problem.model, problem.k, problem.R, how_many, plain=False)
+    solver = _numpy_solver(*_standard_form(problem))
+    vals, probes = _solve(solver, problem.n, how_many, starts, half, _unit(problem.model))
+    entries = tuple(SpectrumEntry(k=problem.k, n=i + 1, lam=v) for i, v in enumerate(vals))
     return Spectrum(
         model=problem.model,
         R=problem.R,
@@ -375,12 +573,27 @@ def negative_count_fd(problem: DiscreteModeProblem) -> int:
 
 def richardson_lowest(
     model: SchwarzschildModel, k: int, R: float, n: int = 1024, how_many: int = 1
-) -> np.ndarray:
-    """Grid-refined lowest eigenvalues: ``(4 lam(2n) - lam(n)) / 3``.
+) -> tuple:
+    """Grid-refined lowest eigenvalues ``(4 lam(2n) - lam(n)) / 3``, as a
+    tuple of floats in the units of :func:`lowest_eigenvalues`.
 
-    One Richardson step on the second-order scheme; same units as
-    :func:`lowest_eigenvalues`.
+    One Richardson step on the second-order scheme.  The coarse starts are
+    formed once for both grids.  A pair whose finer grid has at most
+    ``_PLAIN_CELLS`` cells is solved in plain floats (:func:`_plain_rows`,
+    :func:`_sturm`), and loads no numpy; a larger one through
+    :func:`assemble` and :func:`lowest_eigenvalues`.
     """
-    lam_n = lowest_eigenvalues(assemble(model, k, R, n), how_many).lambdas()
-    lam_2n = lowest_eigenvalues(assemble(model, k, R, 2 * n), how_many, half=lam_n).lambdas()
-    return (4.0 * lam_2n - lam_n) / 3.0
+    _check_grid(model.mass, R, n)
+    _check_count(how_many, n)
+    plain = 2 * n <= _PLAIN_CELLS
+    starts = _coarse_estimates(model, k, R, how_many, plain)
+    lams = None
+    for cells in (n, 2 * n):
+        if plain:
+            solver = _plain_solver(*_plain_rows(model, k, R, cells))
+            lam, _ = _solve(solver, cells, how_many, starts, lams, _unit(model))
+        else:
+            spectrum = lowest_eigenvalues(assemble(model, k, R, cells), how_many, lams, starts=starts)
+            lam = [e.lam for e in spectrum.entries]
+        lams, lam_n = lam, lams
+    return tuple((4.0 * b - a) / 3.0 for a, b in zip(lam_n, lams))

@@ -491,14 +491,15 @@ def ode_residual_grid(
     r = np.asarray(r_values, dtype=float)
     out = np.empty_like(r)
     for i, x in enumerate(r):
+        centre = func(x)
         f2 = (
             -func(x - 2 * step)
             + 16.0 * func(x - step)
-            - 30.0 * func(x)
+            - 30.0 * centre
             + 16.0 * func(x + step)
             - func(x + 2 * step)
         ) / (12.0 * step * step)
-        out[i] = f2 + q_func(x) * func(x)
+        out[i] = f2 + q_func(x) * centre
     return out
 
 

@@ -462,10 +462,10 @@ def test_spectrum_fd_runs_without_scipy(method):
     assert len(parse_csv(blocked.stdout)[1]) == 3
 
 
-# the benchmark's eight children: argv, exit code, and the modules each must
-# not load; none loads click, scipy or dataclasses, the shooting-only, scalar
-# and cone-surface subcommands load no numpy and no inspect (numpy loads
-# inspect), and each loads only the solver modules it calls
+# the benchmark's eight children, the FD-only spectrum and its usage error:
+# argv, exit code, and the modules each must not load; none loads click,
+# scipy or dataclasses, only geom loads numpy and with it inspect, and each
+# loads only the solver modules it calls
 _NO_CHILD = ("click", "scipy", "dataclasses")
 _NO_ARRAYS = _NO_CHILD + ("numpy", "inspect", "schwsurf.surfaces", "schwsurf.fd_oracle")
 _NO_SHOOTING = _NO_CHILD + ("schwsurf.ode", "schwsurf.mode_odes", "schwsurf.spectral", "schwsurf.fd_oracle")
@@ -476,7 +476,16 @@ _CHILD_MODULES = {
         0,
         _NO_ARRAYS + ("schwsurf.ode", "schwsurf.quadrature"),
     ),
-    "spectrum": (["spectrum", "--mass", "2", "--R", "40", "--count", "3", "--method", "both"], 0, _NO_CHILD + ("schwsurf.surfaces",)),
+    "spectrum": (
+        ["spectrum", "--mass", "2", "--R", "40", "--count", "3", "--method", "both"],
+        0,
+        _NO_CHILD + ("numpy", "inspect", "schwsurf.surfaces"),
+    ),
+    "spectrum-fd": (
+        ["spectrum", "--mass", "2", "--R", "40", "--count", "3", "--method", "fd"],
+        0,
+        _NO_CHILD + ("numpy", "inspect", "schwsurf.surfaces"),
+    ),
     "morse-index": (["morse-index", "--mass", "2", "--R", "2000", "--kmax", "5"], 0, _NO_ARRAYS + ("schwsurf.quadrature",)),
     "monotonicity": (["monotonicity", "--mass", "2", "--surface", "plane:rotated:5"], 0, _NO_SHOOTING + ("numpy", "inspect")),
     "boundary-bound": (["boundary-bound", "--mass", "2"], 0, _NO_SHOOTING + ("numpy", "inspect")),
@@ -486,6 +495,11 @@ _CHILD_MODULES = {
         _NO_ARRAYS + ("schwsurf.ode", "schwsurf.spectral", "schwsurf.quadrature"),
     ),
     "usage-error": (["spectrum", "--mass", "2", "--R", "0.5"], 2, _NO_ARRAYS + ("schwsurf.ode", "schwsurf.quadrature")),
+    "usage-error-fd": (
+        ["spectrum", "--mass", "2", "--R", "0.5", "--method", "fd"],
+        2,
+        _NO_CHILD + ("numpy", "inspect", "schwsurf.surfaces", "schwsurf.quadrature"),
+    ),
 }
 
 _MODULE_PROBE = """

@@ -5,6 +5,11 @@ they validate the assembly and solver with no reference to the shooting
 side; the cross-solver tests then validate both against each other.
 """
 
+import json
+import math
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -314,3 +319,159 @@ def test_starts_do_not_decide_which_eigenvalue(m2, starts):
     }
     got = lowest_eigenvalues(problem, 3, half=half[starts]).lambdas() / m2.mass**2
     assert np.max(np.abs(got - reference)) <= bound
+
+
+# ------------------------------------------- the plain-float path (<= 2048 cells)
+
+
+@settings(max_examples=40, deadline=None, database=None, derandomize=True)
+@given(
+    m=st.sampled_from([0.0, 0.7, 2.0]),
+    k=st.sampled_from([0, 1, 3]),
+    n=st.integers(16, 2048),
+    above=st.floats(1e-3, 999.5),
+)
+@example(m=2.0, k=0, n=2048, above=19.0)  # the command line's finer grid
+@example(m=0.0, k=0, n=1024, above=5.0)  # the flat disc of the Bessel tests
+def test_plain_rows_match_the_assembled_standard_form(m, k, n, above):
+    """The rows the plain path forms are ``assemble`` plus
+    ``_standard_form`` to within 8 eps relative: only the mass density's
+    ``q**4`` rounds differently (up to 2 ulps), and the standard form
+    carries that into ``d`` and ``e`` (4.7 eps at most over 2500 random
+    draws of these parameters)."""
+    model = SchwarzschildModel(m)
+    R = 0.5 * m + above * (m if m > 0.0 else 1.0)
+    d, e = _standard_form(assemble(model, k, R, n))
+    plain_d, plain_e = fd_oracle._plain_rows(model, k, R, n)
+    assert len(plain_d) == n and len(plain_e) == n - 1
+    for got, want in zip(plain_d + plain_e, d.tolist() + e.tolist()):
+        assert abs(got - want) <= 8.0 * sys.float_info.epsilon * abs(want)
+
+
+@settings(max_examples=25, deadline=None, database=None, derandomize=True)
+@given(
+    m=st.sampled_from([0.0, 0.7, 2.0]),
+    k=st.sampled_from([0, 1, 3]),
+    n=st.integers(16, 2048),
+    above=st.floats(1e-3, 999.5),
+    how_many=st.integers(1, 3),
+    fractions=st.lists(st.floats(0.01, 0.99), min_size=3, max_size=3),
+)
+@example(m=2.0, k=0, n=2048, above=19.0, how_many=3, fractions=[0.5, 0.5, 0.5])
+@example(m=0.0, k=1, n=16, above=1.0, how_many=3, fractions=[0.1, 0.9, 0.5])
+def test_plain_and_numpy_kernels_agree_on_the_same_rows(m, k, n, above, how_many, fractions):
+    """On one set of rows the plain Sturm sequence and numpy's odd-even
+    reduction count alike: at shifts between the lowest eigenvalues, and
+    at the diagonal entries ``d_0`` and ``d_1``, where the first pivot of
+    each kernel is exactly 0.  The one driver then gives, on either
+    kernel, values within 8 eps ||T||_inf of LAPACK's bisection, and each
+    value lies in a bracket of that width whose ends the other kernel
+    counts on either side of the same eigenvalue."""
+    model = SchwarzschildModel(m)
+    R = 0.5 * m + above * (m if m > 0.0 else 1.0)
+    problem = assemble(model, k, R, n)
+    d, e = _standard_form(problem)
+    plain = fd_oracle._plain_solver(d.tolist(), e.tolist())
+    dense = fd_oracle._numpy_solver(d, e)
+    reference, bound = stebz_lowest(problem, how_many + 1)
+    reference = reference.tolist()
+
+    shifts = [float(d[0]), float(d[1])]
+    shifts += [a + f * (b - a) for a, b, f in zip(reference, reference[1:], fractions)]
+    shifts.append(reference[0] - 1.0)
+    assert plain[0](shifts, False)[0] == dense[0](shifts, False)[0]
+    counts, slopes = plain[0](shifts, True)
+    dense_counts, dense_slopes = dense[0](shifts, True)
+    assert counts == dense_counts
+    # d/dx log|det(T - x)| away from the zero pivots of d_0 and d_1; its
+    # terms p'/p cancel, so the two elimination orders round apart: by up
+    # to 3e-7 relative at m = 0, R = 0.003 on 2000 cells (||T|| near 1e12)
+    assert slopes[2:] == pytest.approx(dense_slopes[2:], rel=1e-5)
+
+    starts = fd_oracle._coarse_estimates(model, k, R, how_many, plain=True)(n)
+    found = {}
+    for name, (sweep, bounds) in (("plain", plain), ("numpy", dense)):
+        vals, _ = fd_oracle._lowest(sweep, bounds, list(starts), how_many)
+        assert all(type(v) is float for v in vals)
+        assert max(abs(v - w) for v, w in zip(vals, reference)) <= bound
+        found[name] = vals
+    for name, other in (("plain", dense), ("numpy", plain)):
+        below = [v - bound for v in found[name]]
+        above_ = [v + bound for v in found[name]]
+        low, _ = other[0](below, False)
+        high, _ = other[0](above_, False)
+        for i, (lo_count, hi_count) in enumerate(zip(low, high)):
+            assert lo_count <= i < hi_count, (name, i, lo_count, hi_count)
+
+
+@pytest.mark.parametrize("n", [16, 30, 31, 1024, 2047])
+def test_kernels_count_through_exactly_zero_pivots(n):
+    """T with 1 on the diagonal and off it has eigenvalues
+    1 + 2 cos(j pi/(n + 1)); at x = 0 every third pivot of the Sturm
+    sequence is exactly 0 (1 - 1/1), and taken as 1e-300 it still counts
+    the eigenvalues below 0 (n = 2 mod 3 would put one at 0)."""
+    exact = sum(1 + 2 * math.cos(j * math.pi / (n + 1)) < 0.0 for j in range(1, n + 1))
+    ones = [1.0] * n
+    plain, _ = fd_oracle._plain_solver(ones, ones[1:])[0]([0.0, 0.5], False)
+    dense, _ = fd_oracle._numpy_solver(np.ones(n), np.ones(n - 1))[0]([0.0, 0.5], False)
+    assert plain[0] == dense[0] == exact
+    assert plain[1] == dense[1]
+
+
+def test_plain_path_raises_after_the_sweep_cap(m2, monkeypatch):
+    """As on the numpy path, a plain solve that cannot bracket its
+    eigenvalues within the sweep cap names the ones left open."""
+    starts = fd_oracle._coarse_estimates(m2, 0, 20.0, 3, plain=True)
+    solver = fd_oracle._plain_solver(*fd_oracle._plain_rows(m2, 0, 20.0, 256))
+    monkeypatch.setattr(fd_oracle, "_MAX_SWEEPS", 1)
+    with pytest.raises(SearchError, match="not bracketed") as info:
+        fd_oracle._solve(solver, 256, 3, starts, None, m2.mass**2)
+    assert info.value.diagnostics["unbracketed"]
+    with pytest.raises(SearchError, match="not bracketed"):
+        richardson_lowest(m2, 0, 20.0, n=256, how_many=3)
+
+
+_NO_NUMPY_PROBE = """
+import json, sys
+sys.modules["numpy"] = None  # any numpy import now raises ImportError
+from schwsurf import SchwarzschildModel
+from schwsurf.errors import DomainError
+from schwsurf.fd_oracle import richardson_lowest
+out = {"vals": richardson_lowest(SchwarzschildModel(2.0), 0, 40.0, 1024, 3)}
+out["flat"] = richardson_lowest(SchwarzschildModel(0.0), 0, 5.0, 1024, 1)
+out["errors"] = []
+for args in ((2.0, 0.5, 1024, 1), (2.0, 40.0, 8, 1), (2.0, 40.0, 8192, 8192), (2.0, 40.0, 8192, 0)):
+    try:
+        richardson_lowest(SchwarzschildModel(args[0]), 0, *args[1:])
+    except DomainError as exc:
+        out["errors"].append(str(exc))
+try:
+    richardson_lowest(SchwarzschildModel(2.0), 0, 40.0, 2048, 1)
+except ImportError:
+    out["numpy_path"] = "needs numpy"
+print(json.dumps(out))
+"""
+
+
+def test_plain_path_and_domain_errors_need_no_numpy(m2, flat):
+    """Up to 2048 cells the Richardson pair is solved, and at any size the
+    argument checks are made, with numpy unimportable; a 2048-cell pair
+    (its finer grid 4096) takes the numpy path.  The values are the ones
+    this process computes, and tuples of floats."""
+    proc = subprocess.run(
+        [sys.executable, "-c", _NO_NUMPY_PROBE], capture_output=True, text=True, check=True
+    )
+    probe = json.loads(proc.stdout)
+    vals = richardson_lowest(m2, 0, 40.0, n=1024, how_many=3)
+    assert type(vals) is tuple and all(type(v) is float for v in vals)
+    assert probe["vals"] == list(vals)
+    assert probe["flat"] == list(richardson_lowest(flat, 0, 5.0, n=1024))
+    assert probe["errors"] == [
+        "R must be finite and exceed m/2 = 1.0, got 0.5",
+        "grid size must be >= 16, got 8",
+        "how_many = 8192 must be < matrix size 8192",
+        "how_many must be >= 1, got 0",
+    ]
+    assert probe["numpy_path"] == "needs numpy"
+    wide = richardson_lowest(m2, 0, 40.0, n=2048, how_many=3)
+    assert type(wide) is tuple and all(type(v) is float for v in wide)
