@@ -41,6 +41,7 @@ classical special-function values.
 
 from __future__ import annotations
 
+import bisect
 import math
 import sys
 
@@ -389,12 +390,14 @@ def _numpy_solver(d, e) -> tuple:
 
 def _narrow(lo: list, hi: list, shifts, counts) -> None:
     # a shift with count c is an upper bound for eigenvalues 0..c-1 and a
-    # lower bound for the rest
+    # lower bound for the rest; both bounds rise with the index, so a shift
+    # moves one run of each, found by bisection
     for x, c in zip(shifts, counts):
-        for i in range(min(c, len(hi))):
-            hi[i] = min(hi[i], x)
-        for i in range(c, len(lo)):
-            lo[i] = max(lo[i], x)
+        c = min(c, len(hi))
+        j = bisect.bisect_right(hi, x, 0, c)
+        hi[j:c] = [x] * (c - j)
+        j = bisect.bisect_left(lo, x, c)
+        lo[c:j] = [x] * (j - c)
 
 
 def _bisect_lowest(solver: tuple, how_many: int) -> list:
