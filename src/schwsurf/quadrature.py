@@ -14,6 +14,10 @@ rule also checks the value it accepts against the coarser of the two
 levels shifted off its nodes: that grid aliases the same frequencies
 with a phase the unshifted grids do not share, and costs half the finer
 level.  Both doubling loops turn this into a verified relative tolerance.
+The periodic rule starts from one node.  On an integrand that does not
+depend on the variable, such as the slice integrals of a surface of
+revolution about the chart's axis, every level is exact, so levels 1
+and 2 and the one-node guard settle it on three samples.
 
 The Gauss-Kronrod rule runs on plain floats and loads no numpy: its
 integrand ``f(x)`` takes a list of nodes and returns a sequence of
@@ -126,8 +130,10 @@ def _unit_panels(n_panels: int) -> tuple:
 
 # periodic rule: nodes of the first level, and the alias guard's shift in
 # units of the node spacing (the golden-ratio fraction, far from every
-# rational with a small denominator)
-PERIODIC_START = 4
+# rational with a small denominator).  One node: a constant integrand
+# settles on three samples, and the levels nest, so a varying one visits
+# the same nodes as from any larger start.
+PERIODIC_START = 1
 ALIAS_SHIFT = 0.5 * (math.sqrt(5.0) - 1.0)
 
 
@@ -238,16 +244,20 @@ def integrate_periodic(f, period: float, spec: QuadSpec = QuadSpec()):
     callable, by the trapezoid rule, to ``spec.rel_tol``: a float, or a
     tuple of floats for an integrand of several components.
 
-    Each doubling adds the midpoints of the current grid.  Equispaced
-    levels ``n`` and ``2n`` agree exactly on every frequency that is a
-    multiple of ``2n``, so before the ``2n`` value is accepted the ``n``
-    grid shifted by ``ALIAS_SHIFT`` of its spacing must reproduce it too.
-    That grid aliases every multiple of ``n``, those of ``2n`` among them,
-    but a multiple ``j n`` arrives turned by the phase ``2 pi j
-    ALIAS_SHIFT``, which no integer ``j`` makes a full turn: a value that
-    fools both nested levels moves on it.  It is as thorough as the
-    shifted ``2n`` grid on everything that aliases on both levels, and
-    costs ``n`` samples instead of ``2n``.
+    The first level is the one node ``0``, and each doubling adds the
+    midpoints of the current grid.  Equispaced levels ``n`` and ``2n``
+    agree exactly on every frequency that is a multiple of ``2n``, so
+    before the ``2n`` value is accepted the ``n`` grid shifted by
+    ``ALIAS_SHIFT`` of its spacing must reproduce it too.  That grid
+    aliases every multiple of ``n``, those of ``2n`` among them, but a
+    multiple ``j n`` arrives turned by the phase ``2 pi j ALIAS_SHIFT``,
+    which no integer ``j`` makes a full turn: a value that fools both
+    nested levels moves on it.  It is as thorough as the shifted ``2n``
+    grid on everything that aliases on both levels, and costs ``n``
+    samples instead of ``2n``.  A constant integrand is accepted after
+    three samples (levels 1 and 2, then the one-node guard); a varying
+    one visits the nodes it would from any larger start, plus a guard of
+    a node or two where two low levels agree by accident.
 
     Raises :class:`QuadratureError` when the next level would pass
     ``MAX_PANELS * GL_POINTS`` nodes, or on the first estimate that is not

@@ -421,7 +421,10 @@ def _clipped_integral(model, surface, rho, spec, w, normal=False, store=None) ->
     run the periodic trapezoid rule :func:`quadrature.integrate_periodic`
     over ``s`` in ``[0, S)`` (so ``S`` must be the chart's true period),
     whose every node runs a Gauss-Kronrod :func:`quadrature.integrate`
-    over ``t`` up to the slice's clip level; a chart node inside the
+    over ``t`` up to the slice's clip level.  That rule starts from one
+    node, so a surface of revolution about the chart's axis, whose
+    slices all give the same integral, costs three slices: ``s = 0``,
+    ``S/2`` and the one-node alias guard.  A chart node inside the
     horizon ``|x| < m/2`` raises :class:`DomainError`.  With ``normal``
     both rules carry the integral without the radial-normal factor
     alongside, which bounds it: its scale is the floor that ends a defect
@@ -617,9 +620,14 @@ class BoundaryBoundReport(Record):
     """Both sides of the boundary-length bound and the equality defect.
 
     ``lhs`` is the density at infinity, ``rhs`` the boundary-length side
-    plus the defect integral; ``equality_defect = lhs - rhs`` vanishes
-    exactly on planes through the origin.  ``boundary_length`` is the
-    g-length of the boundary curve on the horizon.
+    plus the defect integral; ``equality_defect = lhs - rhs`` is the
+    residual of the proof's identity ``Theta = boundary_term + defect/pi``
+    cut off at ``rho_max``, which vanishes exactly on planes through the
+    origin.  ``boundary_length`` is the g-length of the boundary curve on
+    the horizon, and ``boundary_term`` that length over ``4 pi m``.
+    ``bound_satisfied`` tests the bound itself, ``|boundary| <= 4 pi m
+    Theta``, that is ``boundary_term <= lhs`` within the report's
+    tolerance, not the identity.
     """
 
     lhs: float
@@ -765,9 +773,13 @@ def boundary_bound_check(
     For minimal free-boundary surfaces the density splits exactly into
     the boundary term plus the (nonnegative) defect integral, so the
     report's ``equality_defect`` is a discretization residual for planes
-    and positive for genuinely tilted surfaces.  The tail of the defect
-    integral beyond ``rho_max`` is bounded through the monotonicity
-    identity itself and carried separately.
+    and, for genuinely tilted surfaces, the defect beyond ``rho_max``
+    plus the signed error of the extrapolated density.  The tail of the
+    defect integral beyond ``rho_max`` is bounded through the
+    monotonicity identity itself and carried separately.
+    ``bound_satisfied`` compares the boundary term with the
+    density alone, so a defect that has not all arrived by ``rho_max``
+    moves the identity's residual but not the bound.
     """
     model.require_horizon("boundary_bound_check")
     m = model.mass
@@ -794,5 +806,5 @@ def boundary_bound_check(
         boundary_term=bterm,
         defect_value=defect,
         defect_tail_bound=tail,
-        bound_satisfied=lhs >= rhs - tol,
+        bound_satisfied=bterm <= lhs + tol,
     )

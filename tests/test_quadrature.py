@@ -2,7 +2,7 @@
 
 The Kronrod rule's table against its construction, the rule and its
 embedded Gauss rule against their degrees and the Legendre zeros,
-exactness on trig polynomials, the alias guard on
+exactness on trig polynomials, fixed and random, the alias guard on
 k-fold integrands that fool the plain nested test, the floor for a
 component that is rounding noise beside its bound, and the error raised
 at the node budget.
@@ -17,6 +17,8 @@ import sys
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from schwsurf import QuadSpec, QuadratureError, SchwarzschildModel, make_plane, mu_integral
 from schwsurf import quadrature
@@ -55,10 +57,18 @@ def trapezoid(f, period, n):
 
 @pytest.mark.parametrize("period", [TWO_PI, 1.7])
 def test_periodic_rule_exact_on_low_trig_polynomials(period):
-    """Degree below the start: every level is exact, so the first
-    comparison (and its guard) accepts at rounding."""
-    assert PERIODIC_START == 4
+    """Every level is exact on a constant, the slice integral of a surface
+    of revolution: levels 1 and 2 agree and the one-node guard accepts.
+    A degree-3 polynomial is exact from level 4 on, and at level 2 too,
+    where its odd harmonics cancel and sin 2x vanishes; the guard, level
+    2 shifted, refuses that, and level 4 shifted accepts level 8."""
+    assert PERIODIC_START == 1
     nu = TWO_PI / period
+
+    const, sizes = counted(lambda s: np.full(len(s), 2.0))
+    assert integrate_periodic(const, period) == pytest.approx(2.0 * period, rel=1e-15)
+    # level 1, its midpoint (level 2), and the guard: level 1 shifted
+    assert sizes == [1, 1, 1]
 
     def f(s):
         x = nu * s
@@ -66,11 +76,12 @@ def test_periodic_rule_exact_on_low_trig_polynomials(period):
 
     f, sizes = counted(f)
     assert integrate_periodic(f, period) == pytest.approx(2.0 * period, rel=1e-15)
-    # level 4, its midpoints (level 8), and the guard: level 4 shifted
-    assert sizes == [4, 4, 4]
+    # levels 1 and 2 differ; level 4 meets level 2 but not its guard;
+    # level 8 meets level 4 and so does level 4 shifted
+    assert sizes == [1, 1, 2, 2, 4, 4]
 
 
-@pytest.mark.parametrize("k", [2 * PERIODIC_START, 4 * PERIODIC_START])
+@pytest.mark.parametrize("k", [2, 4, 8, 16])
 def test_alias_guard_catches_k_fold_integrands(k):
     """1 + cos^2(k s) integrates to 3 pi.  Its frequency 2k is a multiple
     of the first nested levels, which therefore agree on 4 pi exactly; the
@@ -83,6 +94,31 @@ def test_alias_guard_catches_k_fold_integrands(k):
     assert fooled[0] == pytest.approx(4.0 * math.pi, rel=1e-14)
     assert fooled[1] == pytest.approx(fooled[0], rel=1e-14)
     assert integrate_periodic(f, TWO_PI) == pytest.approx(3.0 * math.pi, rel=1e-14)
+
+
+@settings(max_examples=40, deadline=None, database=None, derandomize=True)
+@given(
+    fold=st.sampled_from([1, 2, 3, 4, 5, 8]),
+    mean=st.floats(0.5, 3.0),
+    period=st.floats(0.5, 10.0),
+    modes=st.lists(st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)), min_size=1, max_size=6),
+)
+def test_periodic_rule_meets_its_tolerance_on_trig_polynomials(fold, mean, period, modes):
+    """A trig polynomial integrates to its mean times the period, also
+    when every mode is a multiple of a fold k, so that low levels alias
+    its harmonics onto the mean and agree on a wrong value."""
+    nu = TWO_PI / period
+
+    def f(s):
+        x = fold * nu * s
+        total = np.full(len(s), mean)
+        for j, (a, b) in enumerate(modes, start=1):
+            total = total + a * np.cos(j * x) + b * np.sin(j * x)
+        return total
+
+    spec = QuadSpec()
+    got = integrate_periodic(f, period, spec)
+    assert abs(got - mean * period) <= 10.0 * spec.rel_tol * mean * period
 
 
 def test_periodic_rule_reuses_every_node():
