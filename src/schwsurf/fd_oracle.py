@@ -14,8 +14,10 @@ Martin & Wilkinson, *Numer. Math.* 9, 1967), driven by one routine,
 :func:`_lowest`.  No scipy module is loaded.  Agreement with the
 shooting spectra is the anti-bug oracle for both sides.
 
-The solve takes one of two paths, chosen by :func:`richardson_lowest`
-from the cell count of its finer grid:
+Both paths of a solve start Newton from one plain-float solve of the
+same mode on 32 and 64 cells (:func:`_coarse_estimates`); which kernel
+solves the fine grids :func:`richardson_lowest` chooses from the cell
+count of its finer grid:
 
 - up to ``_PLAIN_CELLS = 2048`` cells, plain floats: rows formed one by
   one (:func:`_plain_rows`), counted by the natural-order Sturm sequence
@@ -197,13 +199,13 @@ def _plain_rows(model: SchwarzschildModel, k: int, R: float, n: int) -> tuple:
 # problems of at most this many cells are solved in plain floats, larger ones
 # in numpy; richardson_lowest picks the path by its finer grid
 _PLAIN_CELLS = 2048
-# cells of the smaller of the two coarse grids whose spectra give the Newton
-# starts; numpy's dense solver stays single-threaded at these sizes
+# cells of the smaller of the two coarse grids whose eigenvalues give the
+# Newton starts
 _COARSE_CELLS = 32
-# the plain path solves its coarse grids with this multiple of eps ||T||_inf
-# in place of eps ||T||_inf: brackets of 2^30 eps (about 2.4e-7) times
-# ||T||_inf, far below the error of the extrapolation to the fine grid,
-# which is what a Newton start carries
+# the coarse grids are solved with this multiple of eps ||T||_inf in place
+# of eps ||T||_inf: brackets of 2^30 eps (about 2.4e-7) times ||T||_inf, far
+# below the error of the extrapolation to the fine grid, which is what a
+# Newton start carries
 _COARSE_TOL = 2.0**28
 # the sweeps a solve may take before it gives up with SearchError; bisection
 # alone closes a Gershgorin bracket to 4 eps ||T|| in about 51
@@ -412,32 +414,24 @@ def _bisect_lowest(solver: tuple, how_many: int) -> list:
     return [0.5 * (a + b) for a, b in zip(lo, hi)]
 
 
-def _coarse_estimates(model: SchwarzschildModel, k: int, R: float, how_many: int, plain: bool):
-    """``n -> `` estimates of the lowest standard-form eigenvalues on ``n``
-    cells.
+def _coarse_estimates(model: SchwarzschildModel, k: int, R: float, how_many: int):
+    """``n -> `` estimates of the ``how_many + 1`` lowest standard-form
+    eigenvalues on ``n`` cells, the last of them saying where the
+    eigenvalues above the wanted ones lie.
 
-    The spectra of the same mode on ``c`` and ``2c`` cells, extrapolated in
-    ``h^2`` (``lam(n) = lam_inf + C/n^2``).  The numpy path takes all ``c``
-    of each dense spectrum.  The plain path brackets the ``how_many + 1``
-    lowest to ``4 _COARSE_TOL eps ||T||_inf``, the last of them saying where
-    the eigenvalues above the wanted ones lie: by count bisection on ``c``
-    cells, and by Newton steps from those values on ``2c`` cells.
+    The eigenvalues of the same mode on ``c`` and ``2c`` cells,
+    extrapolated in ``h^2`` (``lam(n) = lam_inf + C/n^2``), each bracketed
+    to ``4 _COARSE_TOL eps ||T||_inf`` in plain floats: by count bisection
+    on ``c`` cells, and by Newton steps from those values on ``2c`` cells.
+    Both kernels of the fine grids start from them.
     """
     c = max(_COARSE_CELLS, 2 * how_many)
-    if plain:
-        loose = []
-        for cells in (c, 2 * c):
-            sweep, (lower, upper, tol) = _plain_solver(*_plain_rows(model, k, R, cells))
-            loose.append((sweep, (lower, upper, _COARSE_TOL * tol)))
-        lam_c = _bisect_lowest(loose[0], how_many + 1)
-        lam_2c, _ = _lowest(*loose[1], lam_c, how_many + 1)
-    else:
-        import numpy as np
-
-        lam_c, lam_2c = (
-            np.linalg.eigvalsh(np.diag(d) + np.diag(e, 1) + np.diag(e, -1))[:c].tolist()
-            for d, e in (_standard_form(assemble(model, k, R, cells)) for cells in (c, 2 * c))
-        )
+    loose = []
+    for cells in (c, 2 * c):
+        sweep, (lower, upper, tol) = _plain_solver(*_plain_rows(model, k, R, cells))
+        loose.append((sweep, (lower, upper, _COARSE_TOL * tol)))
+    lam_c = _bisect_lowest(loose[0], how_many + 1)
+    lam_2c, _ = _lowest(*loose[1], lam_c, how_many + 1)
     scale = c**-2 - (2 * c) ** -2
     slope = [(a - b) / scale for a, b in zip(lam_c, lam_2c)]
     return lambda n: [b + s * (n**-2 - (2 * c) ** -2) for b, s in zip(lam_2c, slope)]
@@ -447,8 +441,8 @@ def _lowest(sweep, bounds: tuple, start: list, how_many: int) -> tuple:
     """The ``how_many`` lowest eigenvalues of ``T``, each bracketed by
     counts within a width of ``4 tol``, and the number of shifts ``x`` at
     which ``sweep`` factored ``T - x``; ``bounds`` is the Gershgorin
-    interval and ``tol``, which is ``eps ||T||_inf`` but for the plain
-    path's coarse grids.
+    interval and ``tol``, which is ``eps ||T||_inf`` but for the coarse
+    grids of :func:`_coarse_estimates`.
 
     ``start`` estimates the lowest eigenvalues, at least ``how_many`` of
     them; entries past ``how_many`` say where the eigenvalues above lie.
@@ -518,7 +512,7 @@ def _solve(solver: tuple, n: int, how_many: int, starts, half, unit: float) -> t
     eigenvalues on ``n/2`` cells, moves them to those values plus the
     extrapolated change from ``n/2`` to ``n`` cells.
     """
-    start = starts(n)[:n]
+    start = starts(n)
     if half is not None:
         coarse = starts(n / 2)
         for i in range(how_many):
@@ -535,9 +529,10 @@ def lowest_eigenvalues(
     reduction bracket them and Newton steps on ``det(T - lam)`` polish them
     (see :func:`_lowest`), in numpy.
 
-    Newton starts from the dense spectra of the same mode on 32 and 64
-    cells, extrapolated in ``h^2`` to ``n``; ``starts``, that extrapolation
-    as :func:`richardson_lowest` forms it once for both of its grids, saves
+    Newton starts from the lowest eigenvalues of the same mode on 32 and
+    64 cells, found in plain floats and extrapolated in ``h^2`` to ``n``
+    (:func:`_coarse_estimates`); ``starts``, that extrapolation as
+    :func:`richardson_lowest` forms it once for both of its grids, saves
     forming it again.  ``half``, this mode's lowest eigenvalues on ``n/2``
     cells, moves the starts to those values plus the extrapolated change
     from ``n/2`` to ``n`` cells.  Starts only set the cost: the counts
@@ -550,7 +545,7 @@ def lowest_eigenvalues(
     """
     _check_count(how_many, problem.n)
     if starts is None:
-        starts = _coarse_estimates(problem.model, problem.k, problem.R, how_many, plain=False)
+        starts = _coarse_estimates(problem.model, problem.k, problem.R, how_many)
     solver = _numpy_solver(*_standard_form(problem))
     vals, probes = _solve(solver, problem.n, how_many, starts, half, _unit(problem.model))
     entries = tuple(SpectrumEntry(k=problem.k, n=i + 1, lam=v) for i, v in enumerate(vals))
@@ -589,7 +584,7 @@ def richardson_lowest(
     _check_grid(model.mass, R, n)
     _check_count(how_many, n)
     plain = 2 * n <= _PLAIN_CELLS
-    starts = _coarse_estimates(model, k, R, how_many, plain)
+    starts = _coarse_estimates(model, k, R, how_many)
     lams = None
     for cells in (n, 2 * n):
         if plain:

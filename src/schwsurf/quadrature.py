@@ -19,14 +19,11 @@ depend on the variable, such as the slice integrals of a surface of
 revolution about the chart's axis, every level is exact, so levels 1
 and 2 and the one-node guard settle it on three samples.
 
-The Gauss-Kronrod rule runs on plain floats and loads no numpy: its
-integrand ``f(x)`` takes a list of nodes and returns a sequence of
-samples, one per node, or a tuple of such sequences, one per component.
-A single sequence integrates to a float, a tuple to a tuple of floats
-whose components are tested together (see :func:`_settled`).  The
-periodic rule, used by general charts only, runs on numpy: its integrand
-takes an array of nodes and returns an array whose last axis runs over
-them, and numpy is imported by that rule, not with the module.
+Both rules run on plain floats and load no numpy.  An integrand ``f(x)``
+takes a list of nodes and returns a sequence of samples, one per node,
+or a tuple of such sequences, one per component.  A single sequence
+integrates to a float, a tuple to a tuple of floats whose components
+are tested together (see :func:`_settled`).
 """
 
 from __future__ import annotations
@@ -183,11 +180,6 @@ def _estimate(v, rule: str, where):
     return v
 
 
-# samples, and sums of finite samples, may overflow; _estimate reports
-# that, so numpy need not warn about it too
-_QUIET = {"over": "ignore", "invalid": "ignore"}
-
-
 def _no_convergence(rule: str, nodes: int, prev, cur, rel_tol: float, where: str):
     return QuadratureError(
         f"{rule}: no convergence to rel_tol={rel_tol} on {where} after "
@@ -197,6 +189,13 @@ def _no_convergence(rule: str, nodes: int, prev, cur, rel_tol: float, where: str
 
 def _dot(weights, samples) -> float:
     return sum(map(operator.mul, weights, samples))
+
+
+def _each(fn, y, *rest):
+    """``fn`` of an integrand's samples ``y``, one sequence, or of each
+    sequence of a tuple ``y`` with the matching entries of the tuples
+    ``rest``, as a tuple: one value per component."""
+    return tuple(map(fn, y, *rest)) if isinstance(y, tuple) else fn(y, *rest)
 
 
 def integrate(f, a: float, b: float, spec: QuadSpec = QuadSpec()):
@@ -226,12 +225,8 @@ def integrate(f, a: float, b: float, spec: QuadSpec = QuadSpec()):
     while True:
         x, (kronrod_w, gauss_w) = panel_nodes(a, b, n)
         y = f(x)
-        if isinstance(y, tuple):
-            kronrod = _estimate([d * _dot(kronrod_w, c) for c in y], "Gauss-Kronrod", where)
-            gauss = _estimate([d * _dot(gauss_w, c) for c in y], "Gauss-Kronrod", where)
-        else:
-            kronrod = _estimate(d * _dot(kronrod_w, y), "Gauss-Kronrod", where)
-            gauss = _estimate(d * _dot(gauss_w, y), "Gauss-Kronrod", where)
+        kronrod = _estimate(_each(lambda c: d * _dot(kronrod_w, c), y), "Gauss-Kronrod", where)
+        gauss = _estimate(_each(lambda c: d * _dot(gauss_w, c), y), "Gauss-Kronrod", where)
         if _settled(kronrod, gauss, spec.rel_tol):
             return kronrod
         if 2 * n > MAX_PANELS:
@@ -240,9 +235,10 @@ def integrate(f, a: float, b: float, spec: QuadSpec = QuadSpec()):
 
 
 def integrate_periodic(f, period: float, spec: QuadSpec = QuadSpec()):
-    """Integral over ``[0, period)`` of a vectorized ``period``-periodic
-    callable, by the trapezoid rule, to ``spec.rel_tol``: a float, or a
-    tuple of floats for an integrand of several components.
+    """Integral over ``[0, period)`` of a ``period``-periodic ``f``, called
+    on a list of nodes (see the module docstring), by the trapezoid rule,
+    to ``spec.rel_tol``: a float, or a tuple of floats for an integrand of
+    several components.
 
     The first level is the one node ``0``, and each doubling adds the
     midpoints of the current grid.  Equispaced levels ``n`` and ``2n``
@@ -261,32 +257,31 @@ def integrate_periodic(f, period: float, spec: QuadSpec = QuadSpec()):
 
     Raises :class:`QuadratureError` when the next level would pass
     ``MAX_PANELS * GL_POINTS`` nodes, or on the first estimate that is not
-    finite.  ``f`` runs with numpy's overflow and invalid-value warnings
-    off: a sample that overflows is reported once, by that error.
+    finite.  Samples may be ``inf`` or ``nan``: that error reports them.
     """
-    import numpy as np
 
     def where() -> str:
         return f"[0, {period})"
 
+    def level(step, offset, n):
+        # the sum of the samples at the n nodes step * (i + offset)
+        return _each(sum, f([step * (i + offset) for i in range(n)]))
+
     def value(step, total):
-        return _estimate((step * total).tolist(), "periodic trapezoid", where)
+        return _estimate(_each(lambda t: step * t, total), "periodic trapezoid", where)
 
     n = PERIODIC_START
     h = period / n
-    with np.errstate(**_QUIET):
-        total = np.sum(f(h * np.arange(n)), axis=-1)
-        prev = value(h, total)
+    total = level(h, 0, n)
+    prev = value(h, total)
     while True:
         coarse = h
         n *= 2
         h = period / n
-        with np.errstate(**_QUIET):
-            total = total + np.sum(f(coarse * (np.arange(n // 2) + 0.5)), axis=-1)
-            cur = value(h, total)
+        total = _each(operator.add, total, level(coarse, 0.5, n // 2))
+        cur = value(h, total)
         if _settled(cur, prev, spec.rel_tol):
-            with np.errstate(**_QUIET):
-                shifted = value(coarse, np.sum(f(coarse * (np.arange(n // 2) + ALIAS_SHIFT)), axis=-1))
+            shifted = value(coarse, level(coarse, ALIAS_SHIFT, n // 2))
             if _settled(shifted, cur, spec.rel_tol):
                 return cur
         if 2 * n > MAX_PANELS * GL_POINTS:

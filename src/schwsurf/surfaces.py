@@ -199,11 +199,13 @@ class ParamSurface(Record, hide=("curve",)):
 
         t0, t1 = self.t_range
         half = 0.5 * model.mass
-        ss = np.linspace(0.0, self.s_period, n_samples, endpoint=False)
-        r = np.linalg.norm(_chart_samples(self.chart, np.linspace(t0, t1, 9)[:, None], ss), axis=1)
+        ts = np.linspace(t0, t1, 9).tolist()
+        ss = np.linspace(0.0, self.s_period, n_samples, endpoint=False).tolist()
+        # one row per s node, its t levels from t0 on
+        r = np.array([np.linalg.norm(_chart_samples(self.chart, ts, s), axis=1) for s in ss])
         out = {"exterior": max(0.0, float(np.max(half - r))), "horizon_edge": 0.0}
         if self.free_boundary and half > 0.0:
-            out["horizon_edge"] = float(np.max(np.abs(r[:n_samples] - half) / half))
+            out["horizon_edge"] = float(np.max(np.abs(r[:, 0] - half) / half))
         return out
 
 
@@ -335,21 +337,15 @@ def cone_mean_curvature(model: SchwarzschildModel, curve: SphereCurve, t: float,
     return triple / (t * conf)
 
 
-def _chart_samples(fn, t, s):
-    """``fn`` called once per node of the broadcast ``(t, s)`` with scalar
-    arguments, its 3-vectors stacked into an ``(n, 3)`` array, row-major
-    in the broadcast shape.  A scalar ``s`` (one slice of a general chart)
-    is passed as given, with no broadcast.  The one place where a chart or
-    its partials are evaluated at nodes (the Brent search of a slice's
-    clip level aside)."""
+def _chart_samples(fn, ts, s):
+    """``fn(t, s)`` at each ``t`` of the sequence ``ts`` on the one slice
+    ``s``, its 3-vectors stacked into a ``(len(ts), 3)`` array.  The one
+    place where a chart or its partials are evaluated at array nodes (the
+    Brent search of a slice's clip level and the horizon edge of
+    :func:`boundary_length` read the chart one node at a time)."""
     import numpy as np
 
-    if np.ndim(s) == 0:
-        pts = [fn(a, s) for a in np.ravel(t).tolist()]
-    else:
-        t, s = np.broadcast_arrays(t, s)
-        pts = [fn(a, b) for a, b in zip(t.ravel().tolist(), s.ravel().tolist())]
-    return np.array(pts, dtype=float).reshape(-1, 3)
+    return np.array([fn(t, s) for t in ts], dtype=float).reshape(-1, 3)
 
 
 def _radial_normal_sq(x, x_t, x_s):
@@ -376,7 +372,7 @@ def radial_normal_component(model: SchwarzschildModel, surface: ParamSurface, t:
     between the flat radial direction and the flat surface normal.
     """
     fns = (surface.chart, surface.chart_t, surface.chart_s)
-    return float(_radial_normal_sq(*(_chart_samples(f, t, s) for f in fns))[0])
+    return float(_radial_normal_sq(*(_chart_samples(f, [t], s) for f in fns))[0])
 
 
 # -------------------------------------------------------------------------
@@ -401,10 +397,13 @@ def _kept(store, key, make):
     return store[key]
 
 
-def _clipped_integral(model, surface, rho, spec, w, normal=False, store=None) -> float:
-    """Integral over the part of the surface within ``B_rho`` of the radial
-    factor ``w(m, |x|)`` (conformal factor included) times the flat area
-    element, times the squared radial-normal part when ``normal``.
+def _clipped_integral(model, surface, t_iso, spec, w, normal=False, store=None) -> float:
+    """Integral over the part of the surface within the clip level ``|x| <=
+    t_iso`` (the ball ``B_rho`` of ``t_iso = clip_radius(rho)``) of the
+    radial factor ``w(m, |x|)`` (conformal factor included) times the flat
+    area element, times the squared radial-normal part when ``normal``.
+    A clip level at or below the horizon ``m/2`` clips nothing but the
+    horizon itself, and gives 0.
 
     Cones integrate ``w(m, t) t^2`` over ``u = log(t/t0)``, with ``t = t0
     e^u`` on ``[0, log(t_top/t0)]`` (their flat element is ``t dt ds`` and
@@ -424,28 +423,27 @@ def _clipped_integral(model, surface, rho, spec, w, normal=False, store=None) ->
     over ``t`` up to the slice's clip level.  That rule starts from one
     node, so a surface of revolution about the chart's axis, whose
     slices all give the same integral, costs three slices: ``s = 0``,
-    ``S/2`` and the one-node alias guard.  A chart node inside the
+    ``S/2`` and the one-node alias guard.  The chart samples are formed
+    in numpy with its overflow and invalid-value warnings off: a sample
+    that overflows reaches the rules as ``inf`` or ``nan``, and their
+    :class:`QuadratureError` reports it once.  A chart node inside the
     horizon ``|x| < m/2`` raises :class:`DomainError`.  With ``normal``
     both rules carry the integral without the radial-normal factor
     alongside, which bounds it: its scale is the floor that ends a defect
     that is rounding noise (a cone written as a general chart).
 
-    ``store``, a dict, keeps the radius's clip level ``clip_radius(rho)``
-    under ``"clip"``, each slice's clip level and the chart samples of
-    each inner level, keyed by ``s`` and the node count, so that the
-    integrals of one radius that share it invert the distance once and
-    evaluate each chart node once.
-    Each integral still runs its own rules to its own tests; where their
-    levels coincide they visit the same ``s`` and ``t`` nodes bit for
-    bit.  Without a store nothing is kept.
+    ``store``, a dict, keeps each slice's clip level, keyed by ``s``, and
+    the chart samples of each inner level, keyed by ``s`` and the node
+    count, so that the integrals of one clip level that share it evaluate
+    each chart node once.  Each integral still runs its own rules to its
+    own tests; where their levels coincide they visit the same ``s`` and
+    ``t`` nodes bit for bit.  Without a store nothing is kept.
     """
-    # the radial field is tangent to cones; a rho out of domain goes on
-    # to clip_radius, which rejects it
-    if rho == 0.0 or (normal and surface.is_cone and 0.0 < rho < math.inf):
-        return 0.0
-    t_iso = _kept(store, "clip", lambda: clip_radius(model, rho))
-    t0, t1 = surface.t_range
     m = model.mass
+    # the radial field is tangent to cones
+    if t_iso <= 0.5 * m or (normal and surface.is_cone):
+        return 0.0
+    t0, t1 = surface.t_range
     if surface.is_cone:
         top = min(t_iso, t1)
         if t0 == 0.0:
@@ -499,20 +497,22 @@ def _clipped_integral(model, surface, rho, spec, w, normal=False, store=None) ->
 
     def slice_integral(s: float):
         def integrand(t):
-            x, x_t, x_s, r, el = _kept(store, (s, len(t)), lambda: samples(t, s))
-            weight = w(m, r)
-            if normal:
-                return (weight * (_radial_normal_sq(x, x_t, x_s) * el)).tolist(), (weight * el).tolist()
-            return (weight * el).tolist()
+            with np.errstate(over="ignore", invalid="ignore"):
+                x, x_t, x_s, r, el = _kept(store, (s, len(t)), lambda: samples(t, s))
+                weight = w(m, r)
+                if normal:
+                    return (weight * (_radial_normal_sq(x, x_t, x_s) * el)).tolist(), (weight * el).tolist()
+                return (weight * el).tolist()
 
         top = _kept(store, s, lambda: slice_limit(s))
         return quadrature.integrate(integrand, t0, top, spec) if top > t0 else empty
 
-    def slices(s):
-        return np.array([slice_integral(x) for x in s.tolist()]).T
+    def slices(ss):
+        values = [slice_integral(s) for s in ss]
+        return tuple(zip(*values)) if normal else values
 
     total = quadrature.integrate_periodic(slices, surface.s_period, spec)
-    return float(total[0]) if normal else total
+    return total[0] if normal else total
 
 
 # the weights take a float (a cone node) or an array (general-chart
@@ -541,12 +541,12 @@ def _defect_weight(m, r):
 
 def mu_integral(model: SchwarzschildModel, surface: ParamSurface, rho: float, spec: QuadSpec = QuadSpec()) -> float:
     """f-weighted g-area of the part of the surface within ``B_rho``."""
-    return _clipped_integral(model, surface, rho, spec, _mu_weight)
+    return _clipped_integral(model, surface, clip_radius(model, rho), spec, _mu_weight)
 
 
 def area_integral(model: SchwarzschildModel, surface: ParamSurface, rho: float, spec: QuadSpec = QuadSpec()) -> float:
     """Unweighted g-area of the part of the surface within ``B_rho``."""
-    return _clipped_integral(model, surface, rho, spec, _area_weight)
+    return _clipped_integral(model, surface, clip_radius(model, rho), spec, _area_weight)
 
 
 def defect_integral(model: SchwarzschildModel, surface: ParamSurface, rho: float, spec: QuadSpec = QuadSpec()) -> float:
@@ -556,13 +556,14 @@ def defect_integral(model: SchwarzschildModel, surface: ParamSurface, rho: float
     is the middle term of the monotonicity identity and the defect in the
     boundary-length bound.
     """
-    return _clipped_integral(model, surface, rho, spec, _defect_weight, normal=True)
+    return _clipped_integral(model, surface, clip_radius(model, rho), spec, _defect_weight, normal=True)
 
 
 def boundary_length(model: SchwarzschildModel, surface: ParamSurface, spec: QuadSpec = QuadSpec()) -> float:
     """g-length of the horizon edge ``t = t0`` of a free-boundary surface:
     ``4 t0 S`` on a cone, the periodic rule to ``spec.rel_tol`` on a
-    general chart."""
+    general chart, which reads the edge one node at a time in plain
+    floats."""
     model.require_horizon("boundary_length")
     if not surface.free_boundary:
         raise PreconditionError("surface does not carry the free-boundary flag")
@@ -570,13 +571,18 @@ def boundary_length(model: SchwarzschildModel, surface: ParamSurface, spec: Quad
     if surface.is_cone:
         # edge speed is t0, conformal factor 4 on the horizon
         return 4.0 * t0 * surface.s_period
+    half = 0.5 * model.mass
+    chart, chart_s = surface.chart, surface.chart_s
 
-    import numpy as np
-
-    def speed(s):
-        x = _chart_samples(surface.chart, t0, s)
-        conf = (1.0 + 0.5 * model.mass / np.linalg.norm(x, axis=1)) ** 2
-        return conf * np.linalg.norm(_chart_samples(surface.chart_s, t0, s), axis=1)
+    def speed(ss):
+        # the conformal factor at an edge node |x| = 0 is infinite, and so
+        # is its speed: the rule's error reports it
+        out = []
+        for s in ss:
+            r = math.hypot(*chart(t0, s))
+            p = 1.0 + half / r if r else math.inf
+            out.append(p * p * math.hypot(*chart_s(t0, s)))
+        return out
 
     return quadrature.integrate_periodic(speed, surface.s_period, spec)
 
@@ -669,10 +675,10 @@ def monotonicity_report(
     """Ratio trace over an increasing grid of horizon distances.
 
     Each radius's distance is inverted once: its clip level gives ``h``
-    and seeds the store that mu and the defect share (see
-    :func:`_clipped_integral`).  On a general chart the store also keeps
-    the chart samples, dropped once both are formed: each chart node is
-    evaluated once per radius.
+    and is the one mu and the defect are clipped at (see
+    :func:`_clipped_integral`).  On a general chart the two share a store
+    of slice clip levels and chart samples, dropped once both are formed:
+    each chart node is evaluated once per radius.
     """
     rhos = tuple(map(float, rho_grid))
     if len(rhos) < 2 or any(b <= a for a, b in zip(rhos, rhos[1:])) or rhos[0] < 0.0:
@@ -681,10 +687,10 @@ def monotonicity_report(
 
     mus, defects, squares = [], [], []
     for r in rhos:
-        store = {"clip": clip_radius(model, r)}
-        squares.append(_areal_square(model, r, store["clip"]))
-        mus.append(_clipped_integral(model, surface, r, spec, _mu_weight, store=store))
-        defects.append(_clipped_integral(model, surface, r, spec, _defect_weight, normal=True, store=store))
+        t, store = clip_radius(model, r), {}
+        squares.append(_areal_square(model, r, t))
+        mus.append(_clipped_integral(model, surface, t, spec, _mu_weight, store=store))
+        defects.append(_clipped_integral(model, surface, t, spec, _defect_weight, normal=True, store=store))
     ratios = [mu / h2 if r > 0.0 else 0.0 for r, mu, h2 in zip(rhos, mus, squares)]
 
     if m > 0.0 and surface.free_boundary:
@@ -731,7 +737,7 @@ def density_at_infinity(
     Samples the ratio at six radii, halving down from ``rho_max``, then
     extrapolates linearly in ``1/h(rho)``.  A tail whose increments grow
     is flagged as not converged ("no finite density detected").  Each
-    radius's clip level gives ``h`` and seeds both area integrals' store.
+    radius's clip level gives ``h`` and clips both area integrals.
     """
     m = model.mass
     if not (rho_max > max(m, surface.t_range[0])):
@@ -744,10 +750,10 @@ def density_at_infinity(
 
     ratios = []
     for r, t in zip(rhos, clips):
-        denom = _clipped_integral(model, ref, r, spec, _area_weight, store={"clip": t})
+        denom = _clipped_integral(model, ref, t, spec, _area_weight)
         if denom == 0.0:
             raise QuadratureError(f"area {denom!r} of the reference plane within rho = {r!r} underflows")
-        ratios.append(_clipped_integral(model, surface, r, spec, _area_weight, store={"clip": t}) / denom)
+        ratios.append(_clipped_integral(model, surface, t, spec, _area_weight) / denom)
 
     # two-point linear extrapolation to 1/h -> 0
     x0, x1 = (1.0 / areal_from_isotropic(model, t) for t in clips[-2:])
@@ -786,13 +792,13 @@ def boundary_bound_check(
     dens = density_at_infinity(model, surface, rho_max, spec)
     blen = boundary_length(model, surface, spec)
     bterm = blen / (4.0 * math.pi * m)
-    store = {"clip": clip_radius(model, rho_max)}
-    defect = _clipped_integral(model, surface, rho_max, spec, _defect_weight, normal=True, store=store) / math.pi
+    t_max, store = clip_radius(model, rho_max), {}
+    defect = _clipped_integral(model, surface, t_max, spec, _defect_weight, normal=True, store=store) / math.pi
 
     # tail bound: pi Theta - ratio(rho_max) - m |boundary| / h(rho_max)^2,
     # clipped at zero against extrapolation noise
-    h2_max = _areal_square(model, rho_max, store["clip"])
-    ratio_max = _clipped_integral(model, surface, rho_max, spec, _mu_weight, store=store) / h2_max
+    h2_max = _areal_square(model, rho_max, t_max)
+    ratio_max = _clipped_integral(model, surface, t_max, spec, _mu_weight, store=store) / h2_max
     tail = max(0.0, (math.pi * dens.theta - ratio_max) / math.pi - m * blen / (math.pi * h2_max))
 
     lhs = dens.theta

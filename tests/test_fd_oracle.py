@@ -388,7 +388,7 @@ def test_plain_and_numpy_kernels_agree_on_the_same_rows(m, k, n, above, how_many
     # to 3e-7 relative at m = 0, R = 0.003 on 2000 cells (||T|| near 1e12)
     assert slopes[2:] == pytest.approx(dense_slopes[2:], rel=1e-5)
 
-    starts = fd_oracle._coarse_estimates(model, k, R, how_many, plain=True)(n)
+    starts = fd_oracle._coarse_estimates(model, k, R, how_many)(n)
     found = {}
     for name, (sweep, bounds) in (("plain", plain), ("numpy", dense)):
         vals, _ = fd_oracle._lowest(sweep, bounds, list(starts), how_many)
@@ -421,7 +421,7 @@ def test_kernels_count_through_exactly_zero_pivots(n):
 def test_plain_path_raises_after_the_sweep_cap(m2, monkeypatch):
     """As on the numpy path, a plain solve that cannot bracket its
     eigenvalues within the sweep cap names the ones left open."""
-    starts = fd_oracle._coarse_estimates(m2, 0, 20.0, 3, plain=True)
+    starts = fd_oracle._coarse_estimates(m2, 0, 20.0, 3)
     solver = fd_oracle._plain_solver(*fd_oracle._plain_rows(m2, 0, 20.0, 256))
     monkeypatch.setattr(fd_oracle, "_MAX_SWEEPS", 1)
     with pytest.raises(SearchError, match="not bracketed") as info:

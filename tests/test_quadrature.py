@@ -71,7 +71,7 @@ def test_periodic_rule_exact_on_low_trig_polynomials(period):
     assert sizes == [1, 1, 1]
 
     def f(s):
-        x = nu * s
+        x = nu * np.asarray(s)
         return 2.0 + np.cos(x) - 0.5 * np.sin(2.0 * x) + 0.25 * np.cos(3.0 * x + 0.4)
 
     f, sizes = counted(f)
@@ -88,7 +88,8 @@ def test_alias_guard_catches_k_fold_integrands(k):
     shifted grid sees through that."""
 
     def f(s):
-        return 1.0 + np.cos(k * s) ** 2
+        # on the rule's node list, k * s would repeat the list k times
+        return 1.0 + np.cos(k * np.asarray(s)) ** 2
 
     fooled = [trapezoid(f, TWO_PI, n) for n in (PERIODIC_START, 2 * PERIODIC_START)]
     assert fooled[0] == pytest.approx(4.0 * math.pi, rel=1e-14)
@@ -110,7 +111,7 @@ def test_periodic_rule_meets_its_tolerance_on_trig_polynomials(fold, mean, perio
     nu = TWO_PI / period
 
     def f(s):
-        x = fold * nu * s
+        x = fold * nu * np.asarray(s)
         total = np.full(len(s), mean)
         for j, (a, b) in enumerate(modes, start=1):
             total = total + a * np.cos(j * x) + b * np.sin(j * x)
@@ -209,13 +210,12 @@ def test_integrand_that_overflows_raises_at_once(rule):
     """Samples that overflow while the integrand is evaluated (finite nodes,
     an exponential past the double range) are reported as a QuadratureError
     on the first level, with no RuntimeWarning from the integrand: the
-    plain-float integrand of the Gauss-Kronrod rule saturates to inf."""
+    plain-float integrands of both rules saturate to inf."""
+    f, sizes = counted(lambda x: [_exp(1e3 + u) for u in x])
     with pytest.raises(QuadratureError, match="is not finite"):
         if rule == "periodic":
-            f, sizes = counted(lambda x: np.exp(1e3 + x))
             integrate_periodic(f, TWO_PI)
         else:
-            f, sizes = counted(lambda x: [_exp(1e3 + u) for u in x])
             integrate(f, 0.0, 10.0)
     assert len(sizes) == 1
 
@@ -233,21 +233,21 @@ def test_noise_component_ends_beside_its_bound():
     with pytest.raises(QuadratureError):
         integrate(noise, 0.0, 1.0)
     with pytest.raises(QuadratureError):
-        integrate_periodic(lambda s: noise(s / TWO_PI), TWO_PI)
+        integrate_periodic(lambda s: noise(np.asarray(s) / TWO_PI), TWO_PI)
 
     pair, sizes = counted(lambda x: (noise(x), 1.0 + np.asarray(x)))
     got = integrate(pair, 0.0, 1.0)
     assert sizes == [KRONROD_POINTS]
     assert 0.0 <= got[0] <= 1e-30 and got[1] == pytest.approx(1.5, rel=1e-15)
 
-    got = integrate_periodic(lambda s: np.array([noise(s / TWO_PI), 2.0 + np.cos(s)]), TWO_PI)
+    got = integrate_periodic(lambda s: (noise(np.asarray(s) / TWO_PI), 2.0 + np.cos(s)), TWO_PI)
     assert 0.0 <= got[0] <= 1e-29 and got[1] == pytest.approx(4.0 * math.pi, rel=1e-15)
 
 
 def test_component_above_floor_keeps_relative_test():
     """A small but genuine component is still resolved to rel_tol of itself."""
     got = integrate_periodic(
-        lambda s: np.array([1e-6 * np.exp(np.cos(5.0 * s)), np.ones_like(s)]), TWO_PI
+        lambda s: (1e-6 * np.exp(np.cos(5.0 * np.asarray(s))), np.ones(len(s))), TWO_PI
     )
     assert got[0] == pytest.approx(1e-6 * 7.954926521012845, rel=1e-12)
 
@@ -430,3 +430,37 @@ def test_cone_integral_loads_no_numpy():
     assert probe["numpy"] is False
     m2 = SchwarzschildModel(2.0)
     assert probe["mu"] == mu_integral(m2, make_plane(m2, 100.0), 20.0).hex()
+
+
+_PERIODIC_PROBE = """
+import json, math, sys
+sys.modules["numpy"] = None  # any numpy import now raises ImportError
+from schwsurf.errors import QuadratureError
+from schwsurf.geometry import _exp
+from schwsurf.quadrature import integrate_periodic
+sizes = []
+def const(s):
+    sizes.append(len(s))
+    return [2.0] * len(s)
+out = {"const": integrate_periodic(const, 1.7), "sizes": sizes}
+out["pair"] = integrate_periodic(lambda s: ([math.cos(x) ** 2 for x in s], [1.0] * len(s)), 2 * math.pi)
+try:
+    integrate_periodic(lambda s: [_exp(1e3 + x) for x in s], 2 * math.pi)
+except QuadratureError as err:
+    out["overflow"] = str(err)
+print(json.dumps(out))
+"""
+
+
+def test_periodic_rule_runs_without_numpy():
+    """With numpy unimportable the periodic rule integrates a constant on
+    three samples, a two-component integrand to a pair, and reports an
+    overflowing one as a QuadratureError."""
+    proc = subprocess.run(
+        [sys.executable, "-c", _PERIODIC_PROBE], capture_output=True, text=True, check=True
+    )
+    probe = json.loads(proc.stdout)
+    assert probe["const"] == pytest.approx(3.4, rel=1e-15)
+    assert probe["sizes"] == [1, 1, 1]
+    assert probe["pair"] == pytest.approx([math.pi, TWO_PI], rel=1e-14)
+    assert "is not finite" in probe["overflow"]

@@ -717,6 +717,24 @@ def test_every_clipped_integral_rejects_chart_inside_horizon(m2, integral):
         integral(m2, disc, 3.0)
 
 
+@pytest.mark.parametrize(
+    "integral, error",
+    [(mu_integral, QuadratureError), (area_integral, QuadratureError), (defect_integral, GeometryError)],
+)
+def test_general_chart_samples_that_overflow_raise_without_warning(flat, integral, error):
+    """The plane chart scaled by 1e200: its area element overflows to inf
+    in numpy, which must not warn.  mu and area report the infinite
+    estimate; the defect's normal overflows first, and its tangent-plane
+    test reads that as a degenerate plane."""
+    huge = make_general(
+        lambda t, s: 1e200 * t * np.array([math.cos(s), math.sin(s), 0.0]), (1.0, 2.0), TWO_PI
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error, match="is not finite" if error is QuadratureError else "degenerate"):
+            integral(flat, huge, 1e300)
+
+
 def test_flat_graph_monotonicity_identity(flat):
     """m = 0 graph z = c: ratio pi (1 - c^2/rho^2), defect makes up the gap."""
     c = 1.0
