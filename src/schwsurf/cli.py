@@ -50,6 +50,11 @@ from .geometry import (
 )
 
 _MONO_GRID_SIZE = 40
+# caps on the size flags, each in its --help: a larger value is a usage
+# error, found before anything of that size is built
+_MAX_ROWS = 100_000  # --n of geom and riccati
+_MAX_COUNT = 1000  # --count of spectrum
+_MAX_KMAX = 1000  # --kmax of morse-index
 
 # the tolerance flags by name: flag, default (the library constant), help
 _TOLERANCE_FLAGS = {
@@ -83,6 +88,11 @@ def _fmt(x) -> str:
     if isinstance(x, str):
         return x
     return format(float(x), ".17g")
+
+
+def _at_most(flag: str, value: int, cap: int) -> None:
+    if value > cap:
+        raise UsageError(f"{flag} must be <= {cap}, got {value}")
 
 
 def _linspace(start: float, stop: float, n: int) -> list:
@@ -255,7 +265,7 @@ _SURFACE_HELP = "plane | plane:rotated:<seed> | cone:<theta0> (default: %(defaul
     "geom",
     "root_tol",
     option("--r-max", type=float, default=1e4, help="Largest horizon distance in the grid (default: %(default)s)."),
-    option("--n", dest="n_rows", type=int, default=65, help="Number of grid rows (default: %(default)s)."),
+    option("--n", dest="n_rows", type=int, default=65, help=f"Number of grid rows, at most {_MAX_ROWS} (default: %(default)s)."),
 )
 def geom(config, model, r_max, n_rows):
     """Coordinate table: isotropic radius, areal radius, distance, potential."""
@@ -263,8 +273,13 @@ def geom(config, model, r_max, n_rows):
 
     if not (0.0 < r_max < math.inf) or n_rows < 2:
         raise UsageError("need a finite --r-max > 0 and --n >= 2")
+    _at_most("--n", n_rows, _MAX_ROWS)
     m = model.mass
     lo = 0.01 * m if m > 0.0 else r_max * 1e-4
+    if lo == 0.0:
+        raise UsageError(
+            f"the first row after the horizon, {'0.01 m' if m > 0.0 else '1e-4 --r-max'}, underflows to 0"
+        )
     if not r_max > lo:
         raise UsageError(f"--r-max must be > 0.01 m = {lo}, the first row after the horizon, got {r_max}")
     grid = np.concatenate([[0.0], np.geomspace(lo, r_max, n_rows - 1)])
@@ -296,13 +311,14 @@ def stability_radius_cmd(config, model):
     "ode_tol",
     option("--k", type=int, default=0, help="Fourier mode number (default: %(default)s)."),
     option("--R", dest="radius", type=float, required=True, help="Truncation radius (isotropic)."),
-    option("--count", type=int, default=1, help="How many eigenvalues (default: %(default)s)."),
+    option("--count", type=int, default=1, help=f"How many eigenvalues, at most {_MAX_COUNT} (default: %(default)s)."),
     option("--method", choices=("shooting", "fd", "both"), default="shooting", help="Solver route (default: %(default)s)."),
 )
 def spectrum(config, model, k, radius, count, method):
     """Lowest eigenvalues of one truncated mode, in mass-squared units."""
     from . import spectral
 
+    _at_most("--count", count, _MAX_COUNT)
     scalars = {"R": radius, "method": method}
     if method in ("shooting", "both"):
         shoot = spectral.eigenvalues_shooting(
@@ -336,12 +352,13 @@ def spectrum(config, model, k, radius, count, method):
     "morse-index",
     "ode_tol",
     option("--R", dest="radius", type=float, required=True, help="Truncation radius (isotropic)."),
-    option("--kmax", type=int, default=5, help="Largest Fourier mode swept (default: %(default)s)."),
+    option("--kmax", type=int, default=5, help=f"Largest Fourier mode swept, at most {_MAX_KMAX} (default: %(default)s)."),
 )
 def morse_index_cmd(config, model, radius, kmax):
     """Morse index of the truncated plane: per-mode counts and the sum."""
     from . import spectral
 
+    _at_most("--kmax", kmax, _MAX_KMAX)
     rep = spectral.morse_index(model, R=radius, kmax=kmax, ode_tol=config["ode_tol"])
     rows = [(k, c) for k, c in rep.per_mode_negative_counts.items()]
     _emit(
@@ -431,7 +448,7 @@ def boundary_bound(config, model, surface_spec, rho_max):
     "riccati",
     "root_tol",
     option("--c", dest="c_value", type=float, required=True, help="Integration constant of the comparison solution."),
-    option("--n", dest="n_rows", type=int, default=65, help="Trace rows (default: %(default)s)."),
+    option("--n", dest="n_rows", type=int, default=65, help=f"Trace rows, at most {_MAX_ROWS} (default: %(default)s)."),
 )
 def riccati(config, model, c_value, n_rows):
     """Comparison-solution trace and its blow-up radius."""
@@ -440,6 +457,7 @@ def riccati(config, model, c_value, n_rows):
     m = model.mass
     if n_rows < 2:
         raise UsageError("need --n >= 2")
+    _at_most("--n", n_rows, _MAX_ROWS)
     R_c = singularity_radius(model, c_value, tol=config["root_tol"])
     if 0.98 * R_c < 0.5 * m:
         raise UsageError(

@@ -25,6 +25,9 @@ count of its finer grid:
 - above it, numpy: :func:`assemble`, and counts by odd-even reduction at
   all shifts of a sweep at once (:func:`_sweep`).
 
+Both kernels solve one matrix: the plain rows are the floats of
+:func:`assemble`'s standard form, bit for bit.
+
 2048 is the finer grid of the command line's 1024-cell Richardson pair.
 Measured on a 2-CPU machine (Python 3.11, numpy 2.4; medians of 15,
 m = 2): a plain Richardson pair at ``n = 1024`` takes 5.8 ms against
@@ -88,9 +91,12 @@ def _coefficients(m: float, k: int, r) -> tuple:
     """The potential ``V(r) = -k^2/r + (m/r^2)(1 + m/2r)^-2`` and the mass
     density ``r (1 + m/2r)^4`` of the mode equation (sign convention:
     ``A = -(flux + V)``), at ``r`` a float or an array: the plain rows and
-    :func:`assemble` share them."""
+    :func:`assemble` share them.  The fourth power is two squarings, which
+    round alike on floats and arrays (``**`` calls libm's ``pow`` on one
+    and numpy's vectorized power on the other, up to 2 ulps apart)."""
     q = 1.0 + 0.5 * m / r
-    return -(k * k) / r + (m / (r * r)) / (q * q), r * q**4
+    q = q * q
+    return -(k * k) / r + (m / (r * r)) / q, r * (q * q)
 
 
 def _check_grid(m: float, R: float, n: int) -> None:
@@ -134,11 +140,10 @@ def assemble(model: SchwarzschildModel, k: int, R: float, n: int = 1024) -> Disc
     potential, mass[1:] = _coefficients(m, k, nodes[1:])
     diag[1:] = (half[:-1] + half[1:]) / dx**2 - potential
 
-    # horizon half cell, its midpoint as an array so that q**4 is numpy's
-    # power, as on the interior rows
-    potential, density = _coefficients(m, k, np.array([r0 + 0.25 * dx]))
-    diag[0] = half[0] / dx**2 - 0.5 * potential[0]
-    mass[0] = 0.5 * density[0]
+    # horizon half cell, its coefficients at the midpoint
+    potential, density = _coefficients(m, k, r0 + 0.25 * dx)
+    diag[0] = half[0] / dx**2 - 0.5 * potential
+    mass[0] = 0.5 * density
 
     full_off = -half[:-1] / dx**2  # couples u_j, u_{j+1}, j = 0..n-2
 
@@ -168,11 +173,9 @@ def _standard_form(problem: DiscreteModeProblem) -> tuple:
 
 def _plain_rows(model: SchwarzschildModel, k: int, R: float, n: int) -> tuple:
     """The standard form ``(d, e)`` of ``assemble(model, k, R, n)`` as
-    lists of floats: the same stencil, formed row by row in the order of
-    operations of :func:`assemble` and :func:`_standard_form`.  Only the
-    mass density's ``q**4`` rounds differently (numpy's vectorized power
-    against libm's ``pow``, up to 2 ulps apart), which leaves the entries
-    within a few ulps of theirs (below 8 eps relative)."""
+    lists of floats, equal to it entry for entry: the same stencil, formed
+    row by row in the order of operations of :func:`assemble` and
+    :func:`_standard_form`."""
     m = model.mass
     r0 = 0.5 * m
     dx = (R - r0) / n
@@ -504,51 +507,31 @@ def _unit(model: SchwarzschildModel) -> float:
     return m * m if m > 0.0 else 1.0
 
 
-def _solve(solver: tuple, n: int, how_many: int, starts, half, unit: float) -> tuple:
-    """The ``how_many`` lowest eigenvalues of one grid's standard form, in
-    the units of :func:`lowest_eigenvalues`, and the shifts swept.
-
-    Newton starts from ``starts(n)``; ``half``, the mode's lowest
-    eigenvalues on ``n/2`` cells, moves them to those values plus the
-    extrapolated change from ``n/2`` to ``n`` cells.
-    """
-    start = starts(n)
-    if half is not None:
-        coarse = starts(n / 2)
-        for i in range(how_many):
-            start[i] = float(half[i]) / unit + (start[i] - coarse[i])
-    vals, probes = _lowest(*solver, start, how_many)
-    return [v * unit for v in vals], probes
-
-
-def lowest_eigenvalues(
-    problem: DiscreteModeProblem, how_many: int, half=None, *, starts=None
-) -> Spectrum:
+def lowest_eigenvalues(problem: DiscreteModeProblem, how_many: int, start=None) -> Spectrum:
     """Lowest eigenvalues of the congruence-transformed standard problem
     ``T``, each within ``2 eps ||T||_inf``: Sturm counts by odd-even
     reduction bracket them and Newton steps on ``det(T - lam)`` polish them
     (see :func:`_lowest`), in numpy.
 
-    Newton starts from the lowest eigenvalues of the same mode on 32 and
-    64 cells, found in plain floats and extrapolated in ``h^2`` to ``n``
-    (:func:`_coarse_estimates`); ``starts``, that extrapolation as
-    :func:`richardson_lowest` forms it once for both of its grids, saves
-    forming it again.  ``half``, this mode's lowest eigenvalues on ``n/2``
-    cells, moves the starts to those values plus the extrapolated change
-    from ``n/2`` to ``n`` cells.  Starts only set the cost: the counts
-    decide which eigenvalue each value is.  :attr:`Spectrum.probes` counts
-    the shifts ``x`` at which a sweep factored ``T - x``, the derivative
-    sweeps' and the closing count sweeps' alike.
+    Newton starts from ``start``, estimates of the lowest eigenvalues of
+    ``T`` in its raw units (at least ``how_many`` of them; one more says
+    where the eigenvalues above lie).  By default they are the lowest
+    eigenvalues of the same mode on 32 and 64 cells, found in plain floats
+    and extrapolated in ``h^2`` to ``n`` (:func:`_coarse_estimates`).
+    Starts only set the cost: the counts decide which eigenvalue each value
+    is.  :attr:`Spectrum.probes` counts the shifts ``x`` at which a sweep
+    factored ``T - x``, the derivative sweeps' and the closing count
+    sweeps' alike.
 
     Entries are in mass-squared units for ``m > 0`` and raw inverse-length-
     squared units for the flat ``m = 0`` oracle problems.
     """
     _check_count(how_many, problem.n)
-    if starts is None:
-        starts = _coarse_estimates(problem.model, problem.k, problem.R, how_many)
-    solver = _numpy_solver(*_standard_form(problem))
-    vals, probes = _solve(solver, problem.n, how_many, starts, half, _unit(problem.model))
-    entries = tuple(SpectrumEntry(k=problem.k, n=i + 1, lam=v) for i, v in enumerate(vals))
+    if start is None:
+        start = _coarse_estimates(problem.model, problem.k, problem.R, how_many)(problem.n)
+    unit = _unit(problem.model)
+    vals, probes = _lowest(*_numpy_solver(*_standard_form(problem)), start, how_many)
+    entries = tuple(SpectrumEntry(k=problem.k, n=i + 1, lam=v * unit) for i, v in enumerate(vals))
     return Spectrum(
         model=problem.model,
         R=problem.R,
@@ -576,22 +559,28 @@ def richardson_lowest(
     tuple of floats in the units of :func:`lowest_eigenvalues`.
 
     One Richardson step on the second-order scheme.  The coarse starts are
-    formed once for both grids.  A pair whose finer grid has at most
-    ``_PLAIN_CELLS`` cells is solved in plain floats (:func:`_plain_rows`,
-    :func:`_sturm`), and loads no numpy; a larger one through
-    :func:`assemble` and :func:`lowest_eigenvalues`.
+    formed once for both grids; the finer grid starts from the coarser
+    grid's eigenvalues plus the change from ``n`` to ``2n`` cells that they
+    extrapolate.  A pair whose finer grid has at most ``_PLAIN_CELLS``
+    cells is solved in plain floats (:func:`_plain_rows`, :func:`_sturm`),
+    and loads no numpy; a larger one through :func:`assemble` and
+    :func:`lowest_eigenvalues`.
     """
     _check_grid(model.mass, R, n)
     _check_count(how_many, n)
-    plain = 2 * n <= _PLAIN_CELLS
     starts = _coarse_estimates(model, k, R, how_many)
-    lams = None
-    for cells in (n, 2 * n):
-        if plain:
-            solver = _plain_solver(*_plain_rows(model, k, R, cells))
-            lam, _ = _solve(solver, cells, how_many, starts, lams, _unit(model))
-        else:
-            spectrum = lowest_eigenvalues(assemble(model, k, R, cells), how_many, lams, starts=starts)
-            lam = [e.lam for e in spectrum.entries]
-        lams, lam_n = lam, lams
-    return tuple((4.0 * b - a) / 3.0 for a, b in zip(lam_n, lams))
+    unit = _unit(model)
+
+    def solve(cells: int, start: list) -> list:
+        if 2 * n <= _PLAIN_CELLS:
+            vals, _ = _lowest(*_plain_solver(*_plain_rows(model, k, R, cells)), start, how_many)
+            return [v * unit for v in vals]
+        spectrum = lowest_eigenvalues(assemble(model, k, R, cells), how_many, start)
+        return [e.lam for e in spectrum.entries]
+
+    start = starts(n)
+    lam_n = solve(n, start)
+    fine = starts(2 * n)
+    fine[:how_many] = [lam / unit + (a - b) for lam, a, b in zip(lam_n, fine, start)]
+    lam_2n = solve(2 * n, fine)
+    return tuple((4.0 * b - a) / 3.0 for a, b in zip(lam_n, lam_2n))

@@ -39,7 +39,11 @@ from .mode_odes import (
 )
 from .roots import brentq
 
-DEFAULT_LAMBDA_TOL = 1e-9  # mass-squared units; keep >= 10x the ODE tol
+# the final width of each eigenvalue's Brent bracket, in mass-squared units;
+# nothing ties it to the ODE tol: at m = 2, R = 2000, ode_tol = 1e-6 it gives
+# lam_2 = 7.39428336e-06 (7.39428186e-06 at the default ode_tol), where a
+# width of 1e-5, ten times that ode_tol, gives 9.88e-06
+DEFAULT_LAMBDA_TOL = 1e-9
 _SPECTRUM_FLOOR = -0.125  # mass-squared units: lam_1 > -1/(8 m^2) for every k and R
 _MAX_DOUBLINGS = 60
 

@@ -350,12 +350,13 @@ def _chart_samples(fn, ts, s):
 
 def _radial_normal_sq(x, x_t, x_s):
     """Squared cosine between ``x`` and the normal ``x_t x x_s``, row by row
-    of the ``(n, 3)`` arrays, clamped to [0, 1]."""
+    of the ``(n, 3)`` arrays, clamped to [0, 1].  A normal that overflows
+    is not read as degenerate: its rows come out NaN."""
     import numpy as np
 
     nrm = np.cross(x_t, x_s)
     n2 = np.sum(nrm * nrm, axis=1)
-    bad = n2 <= 1e-24 * np.sum(x_t * x_t, axis=1) * np.sum(x_s * x_s, axis=1)
+    bad = np.isfinite(n2) & (n2 <= 1e-24 * np.sum(x_t * x_t, axis=1) * np.sum(x_s * x_s, axis=1))
     if np.any(bad):
         raise GeometryError(f"degenerate tangent plane at chart point {x[np.argmax(bad)]}")
     r = np.linalg.norm(x, axis=1)
@@ -371,8 +372,14 @@ def radial_normal_component(model: SchwarzschildModel, surface: ParamSurface, t:
     Conformal metrics preserve angles, so this equals the squared cosine
     between the flat radial direction and the flat surface normal.
     """
+    import numpy as np
+
     fns = (surface.chart, surface.chart_t, surface.chart_s)
-    return float(_radial_normal_sq(*(_chart_samples(f, [t], s) for f in fns))[0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = float(_radial_normal_sq(*(_chart_samples(f, [t], s) for f in fns))[0])
+    if not math.isfinite(value):
+        raise GeometryError(f"radial normal component is not finite at chart point (t, s) = ({t}, {s})")
+    return value
 
 
 # -------------------------------------------------------------------------

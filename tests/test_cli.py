@@ -103,6 +103,50 @@ def test_geom_validation():
     assert "--r-max" in result.stderr
 
 
+@pytest.mark.parametrize("argv", ["geom --mass 5e-324", "geom --mass 0 --r-max 5e-324"])
+def test_geom_first_row_that_underflows_is_usage_error(argv):
+    """0.01 m (or 1e-4 --r-max at m = 0) rounds to 0, where the geometric
+    grid cannot start."""
+    result = run_cli(*argv.split())
+    assert result.exit_code == 2 and result.stdout == ""
+    assert result.stderr.splitlines()[-1].endswith("underflows to 0")
+
+
+@pytest.mark.parametrize(
+    "command, flag, value, cap",
+    [
+        ("geom --mass 2", "--n", 2**31, 100_000),
+        ("riccati --mass 2 --c 0", "--n", 2**31, 100_000),
+        ("spectrum --mass 2 --R 40 --method both", "--count", 1001, 1000),
+        ("morse-index --mass 2 --R 40", "--kmax", 2**31, 1000),
+    ],
+)
+def test_size_flags_above_their_caps_are_usage_errors(command, flag, value, cap, monkeypatch):
+    """A size flag above the cap its ``--help`` states exits 2 before
+    anything of that size is built: the routines that would build it
+    refuse to run."""
+    import numpy as np
+
+    from schwsurf import cli, fd_oracle, spectral
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("called with a size above its cap")
+
+    for owner, name in (
+        (np, "geomspace"),
+        (cli, "_linspace"),
+        (spectral, "eigenvalues_shooting"),
+        (spectral, "morse_index"),
+        (fd_oracle, "richardson_lowest"),
+    ):
+        monkeypatch.setattr(owner, name, refuse)
+    result = run_cli(*command.split(), flag, str(value))
+    assert result.exit_code == 2 and result.stdout == ""
+    assert result.stderr.splitlines()[-1].endswith(f"error: {flag} must be <= {cap}, got {value}")
+    # argparse wraps the help to the terminal's width
+    assert f"at most {cap}" in " ".join(run_cli(command.split()[0], "--help").stdout.split())
+
+
 # -------------------------------------------------------------- stability
 
 

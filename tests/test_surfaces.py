@@ -719,20 +719,22 @@ def test_every_clipped_integral_rejects_chart_inside_horizon(m2, integral):
 
 @pytest.mark.parametrize(
     "integral, error",
-    [(mu_integral, QuadratureError), (area_integral, QuadratureError), (defect_integral, GeometryError)],
+    [(mu_integral, QuadratureError), (area_integral, QuadratureError), (defect_integral, QuadratureError)],
 )
 def test_general_chart_samples_that_overflow_raise_without_warning(flat, integral, error):
-    """The plane chart scaled by 1e200: its area element overflows to inf
-    in numpy, which must not warn.  mu and area report the infinite
-    estimate; the defect's normal overflows first, and its tangent-plane
-    test reads that as a degenerate plane."""
+    """The plane chart scaled by 1e200: its area element and normal
+    overflow to inf in numpy, which must not warn.  Each integral reports
+    the estimate that is not finite; the defect's tangent-plane test does
+    not read the overflowed normal as a degenerate plane."""
     huge = make_general(
         lambda t, s: 1e200 * t * np.array([math.cos(s), math.sin(s), 0.0]), (1.0, 2.0), TWO_PI
     )
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(error, match="is not finite" if error is QuadratureError else "degenerate"):
+        with pytest.raises(error, match="is not finite"):
             integral(flat, huge, 1e300)
+        with pytest.raises(GeometryError, match="not finite"):
+            radial_normal_component(flat, huge, 1.5, 0.5)
 
 
 def test_flat_graph_monotonicity_identity(flat):
