@@ -282,7 +282,8 @@ def geom(config, model, r_max, n_rows):
         )
     if not r_max > lo:
         raise UsageError(f"--r-max must be > 0.01 m = {lo}, the first row after the horizon, got {r_max}")
-    grid = np.concatenate([[0.0], np.geomspace(lo, r_max, n_rows - 1)])
+    # plain floats: numpy scalars would warn where a quotient overflows
+    grid = [0.0, *np.geomspace(lo, r_max, n_rows - 1).tolist()]
     rows = []
     for r in grid:
         rho = isotropic_from_distance(model, r, tol=config["root_tol"])

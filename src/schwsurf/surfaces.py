@@ -350,15 +350,23 @@ def _chart_samples(fn, ts, s):
 
 def _radial_normal_sq(x, x_t, x_s):
     """Squared cosine between ``x`` and the normal ``x_t x x_s``, row by row
-    of the ``(n, 3)`` arrays, clamped to [0, 1].  A normal that overflows
-    is not read as degenerate: its rows come out NaN."""
+    of the ``(n, 3)`` arrays, clamped to [0, 1].  A row the degeneracy test
+    does not clear, degenerate or with a square out of the double range,
+    is tested again on ``x_t`` and ``x_s`` divided by their largest
+    components; a normal that overflows is not read as degenerate: its
+    rows come out NaN."""
     import numpy as np
 
     nrm = np.cross(x_t, x_s)
     n2 = np.sum(nrm * nrm, axis=1)
-    bad = np.isfinite(n2) & (n2 <= 1e-24 * np.sum(x_t * x_t, axis=1) * np.sum(x_s * x_s, axis=1))
-    if np.any(bad):
-        raise GeometryError(f"degenerate tangent plane at chart point {x[np.argmax(bad)]}")
+    recheck = ~(n2 > 1e-24 * np.sum(x_t * x_t, axis=1) * np.sum(x_s * x_s, axis=1))
+    if np.any(recheck):
+        a, b = x_t[recheck], x_s[recheck]
+        big_a, big_b = (np.max(np.abs(v), axis=1, keepdims=True) for v in (a, b))
+        a, b = a / np.where(big_a > 0.0, big_a, 1.0), b / np.where(big_b > 0.0, big_b, 1.0)
+        bad = np.sum(np.cross(a, b) ** 2, axis=1) <= 1e-24 * np.sum(a * a, axis=1) * np.sum(b * b, axis=1)
+        if np.any(bad):
+            raise GeometryError(f"degenerate tangent plane at chart point {x[recheck][np.argmax(bad)]}")
     r = np.linalg.norm(x, axis=1)
     if np.any(r == 0.0):
         raise GeometryError("radial direction undefined at the origin")

@@ -112,6 +112,19 @@ def test_geom_first_row_that_underflows_is_usage_error(argv):
     assert result.stderr.splitlines()[-1].endswith("underflows to 0")
 
 
+def test_geom_at_a_subnormal_mass_runs_without_warning():
+    """At m = 1e-320 the first rows are subnormal, and d / (m/2) in the
+    distance overflows to inf: on the plain floats the rows are handed as,
+    that saturates quietly (a numpy scalar warned, which this suite's
+    filterwarnings turns into an error)."""
+    result = run_cli("geom", "--mass", "1e-320", "--n", "5")
+    assert result.exit_code == 0 and result.stderr == ""
+    header, rows = parse_csv(result.stdout)
+    assert header == ["rho_iso", "s", "r", "h", "f"] and len(rows) == 5
+    assert rows[0][2:] == ["0", rows[0][1], "0"]  # the horizon row
+    assert rows[-1] == ["10000", "10000", "10000", "10000", "1"]  # flat far out
+
+
 @pytest.mark.parametrize(
     "command, flag, value, cap",
     [

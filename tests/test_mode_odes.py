@@ -28,7 +28,7 @@ from schwsurf import (
 )
 from conftest import R_STAR_M2
 from schwsurf.errors import DomainError, IntegrationError, NoSingularityError, SingularityError
-from schwsurf import mode_odes, ode
+from schwsurf import _steps, mode_odes, ode
 from schwsurf.mode_odes import (
     _prufer_closure,
     miss_distance,
@@ -143,26 +143,58 @@ def test_scalar_reads_match_array_reads(scalar_shot):
         assert sol.gamma(x) == pytest.approx(ga, rel=1e-13, abs=0.0)
 
 
+def _in_stage_order(weights, stages):
+    """``sum_j weights[j] stages[..., j]`` over the last axis, one stage at
+    a time: the order, and so the rounding, of the package's sums."""
+    acc = weights[0] * stages[..., 0]
+    for j in range(1, len(weights)):
+        acc = acc + weights[j] * stages[..., j]
+    return acc
+
+
 def test_lazy_dense_coefficients_match_the_array_path(scalar_shot):
     """Each step's dense-output coefficients, formed on first scalar read,
-    equal to the bit those the array reader builds for all steps at once:
-    the DP45 extension from a 14-float record of seven stages, the Radau
-    collocation cubic from an 8-float record of three increments."""
+    equal to the bit those the array reader builds for all steps at once,
+    and those rebuilt here from scipy's copy of Hairer's DOP853 tableau:
+    the seventh-order extension from an 18-float record of stages 1 and 6
+    to 13 and three extra stages, the Radau collocation cubic from an
+    8-float record of three increments."""
+    from scipy.integrate._ivp import dop853_coefficients as dop853
+
     traj = scalar_shot[0]._traj
     size = np.array([len(k) for k in traj.stages])
-    dp, ra = size == 14, size == 8
+    dp, ra = size == 18, size == 8
     assert np.all(dp | ra)
-    assert (dp.sum(), ra.sum()) == (traj.dp45_steps, traj.radau_steps)
+    assert (dp.sum(), ra.sum()) == (traj.dop853_steps, traj.radau_steps)
     if scalar_shot[0].params.k == 2:  # the stiff shot takes both kinds of step
-        assert traj.dp45_steps > 0 and traj.radau_steps > 0
-    dense = np.zeros((len(size), 2, 4))
+        assert traj.dop853_steps > 0 and traj.radau_steps > 0
+    x, theta, log_rho = (np.asarray(v) for v in (traj.x, traj.theta, traj.log_rho))
+    h = np.diff(x)
+    d = np.stack((np.diff(theta), np.diff(log_rho)), axis=1)  # (n, 2)
+    dense = np.zeros((len(size), 2, 7))
+    dense[:, :, 0] = d
     if dp.any():
-        stages = np.asarray([k for k in traj.stages if len(k) == 14]).reshape(-1, 7, 2)
-        dense[dp] = np.einsum("nsc,sp->ncp", stages, np.asarray(ode._DENSE_P))
+        # (step, component, stage - 1), stages 2 to 5 left at zero
+        k = np.zeros((dp.sum(), 2, 16))
+        record = np.asarray([r for r in traj.stages if len(r) == 18]).reshape(-1, 9, 2)
+        k[:, :, [0, *range(5, 13)]] = record.transpose(0, 2, 1)
+        hd, x0, th0 = h[dp], x[:-1][dp], theta[:-1][dp]
+        for row in (13, 14, 15):  # the extra stages 14 to 16
+            cols = np.flatnonzero(dop853.A[row])
+            arg = th0 + hd * _in_stage_order(dop853.A[row, cols], k[:, 0, cols])
+            at = zip(x0 + dop853.C[row] * hd, arg)
+            k[:, :, row] = [_steps._rhs(traj.coefficients(xi), ai) for xi, ai in at]
+        f1 = hd[:, None] * k[:, :, 0] - d[dp]
+        dense[dp, :, 1] = f1
+        dense[dp, :, 2] = d[dp] - hd[:, None] * k[:, :, 12] - f1
+        for p in range(4):
+            cols = np.flatnonzero(dop853.D[p])
+            dense[dp, :, 3 + p] = hd[:, None] * _in_stage_order(dop853.D[p, cols], k[:, :, cols])
     if ra.any():
-        z = np.asarray([k[:6] for k in traj.stages if len(k) == 8]).reshape(-1, 3, 2)
-        h = np.diff(traj.x)[ra]
-        dense[ra, :, :3] = np.einsum("nsc,sp->ncp", z, np.asarray(ode._RADAU_P)) / h[:, None, None]
+        z = np.asarray([r[:6] for r in traj.stages if len(r) == 8]).reshape(-1, 3, 2).transpose(0, 2, 1)
+        p = np.asarray(_steps._RADAU_P)
+        dense[ra, :, 1] = _in_stage_order(p[:, 0], z) - d[ra]
+        dense[ra, :, 2] = -_in_stage_order(p[:, 2], z)
     assert traj._arrays[2].tobytes() == dense.tobytes()
     assert np.asarray([traj.dense(i) for i in range(len(traj.stages))]).tobytes() == dense.tobytes()
 
@@ -201,7 +233,7 @@ def test_scalar_reads_reject_points_off_the_shot(scalar_shot):
 
 
 def test_shot_reaches_far_radii_in_few_steps(m2):
-    """No step budget ties R: the radial shot to 1e7 m takes a few hundred steps."""
+    """No step budget ties R: the radial shot to 1e7 m takes a few dozen steps."""
     sol = integrate_v(ModeParams(m2, 0, 0.0, 2e7), tol=1e-10)
     assert len(sol.nodes_r) < 1000
     assert sol.nodes_r[-1] == 2e7
@@ -261,6 +293,23 @@ def test_k1_shot_matches_closed_form_v1(mass):
     for r in np.linspace(0.5 * mass, 50.0 * mass, 400).tolist():
         ref = closed_form_v1(model, r) / scale
         assert abs(sol.v(r) - ref) <= 1e-9 * ref
+
+
+@pytest.mark.parametrize("tol", [1e-6, 1e-8, 1e-10])
+def test_lambda_zero_shots_track_the_closed_forms_within_a_multiple_of_tol(m2, tol):
+    """At lam = 0 the k = 0 shot is v0 and the k = 1 shot v1 / v1(m/2).  Out
+    to 50 m, read at 1000 radii, the first stays within 20 tol of v0
+    relative to its largest value and the second within 20 tol relative
+    to v1 at each radius (at most 0.9 and 6.1 tol reached)."""
+    grid = np.linspace(1.0, 100.0, 1000).tolist()
+    sol = integrate_v(ModeParams(m2, 0, 0.0, 100.0), tol=tol)
+    ref = [closed_form_v0(m2, r) for r in grid]
+    assert max(abs(sol.v(r) - v) for r, v in zip(grid, ref)) <= 20.0 * tol * max(map(abs, ref))
+    sol = integrate_v(ModeParams(m2, 1, 0.0, 100.0), tol=tol)
+    scale = closed_form_v1(m2, 1.0)
+    for r in grid:
+        ref = closed_form_v1(m2, r) / scale
+        assert abs(sol.v(r) - ref) <= 20.0 * tol * ref
 
 
 def test_closed_form_v1_validation(m2, flat):
@@ -364,7 +413,7 @@ def _reference_shot(sol):
 def test_stiff_shots_match_an_independent_reference(m2, k, lam_units):
     """The envelope check's shots (R = 2000, tol 1e-6) take Radau steps on
     their stiff stretch; log|v| at the check's 160 radii stays within 1e-5
-    of DOP853 at 1e-12 (2.5e-6 reached over all nine (k, lam) shots)."""
+    of DOP853 at 1e-12 (1.3e-6 reached over all nine (k, lam) shots)."""
     sol = integrate_v(ModeParams(m2, k, lam_units / 4.0, 2000.0), tol=1e-6)
     assert sol._traj.radau_steps > 0
     ref = _reference_shot(sol)
@@ -377,18 +426,32 @@ def test_stiff_shots_match_an_independent_reference(m2, k, lam_units):
 
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_stiffest_envelope_shot_takes_few_steps(m2, k):
-    """At lam = -10/m^2 DP45 alone is held to 1952 steps by stability; with
-    Radau steps on the stiff stretch the shot takes about 220."""
+    """At lam = -10/m^2 DOP853 alone, held to 2 h (log rho)' <= 3, takes
+    about 2360 steps; with Radau steps on the stiff stretch the shot takes
+    about 210."""
     traj = integrate_v(ModeParams(m2, k, -10.0 / 4.0, 2000.0), tol=1e-6)._traj
-    assert traj.dp45_steps + traj.radau_steps <= 400
-    assert traj.radau_steps > traj.dp45_steps
+    assert traj.dop853_steps + traj.radau_steps <= 400
+    assert traj.radau_steps > traj.dop853_steps
+
+
+def test_shot_held_at_the_explicit_limit_retakes_few_steps():
+    """The inward shot of k = 1 at lam = -10.25/m^2 from R = 51.4 m (m = 2,
+    tol 1e-10) is held at 2 h (log rho)' = 3 over most of its length and
+    never strict enough for Radau.  Its proposed steps are cut to end
+    inside the limit, so few are taken again (3 reached; 643 retakes
+    against 126 accepted steps when each retake aimed at the limit
+    itself)."""
+    coefficients = _prufer_closure(2.0, 1, -10.25 / 4.0)
+    traj = ode.integrate_prufer(coefficients, math.log(102.87), math.log(10.14), 0.5 * math.pi, 0.0, 1e-10)
+    assert traj.radau_steps == 0 and len(traj.stages) > 100
+    assert traj.rejected_steps <= 10
 
 
 def test_zero_after_the_unstable_stretch(m2):
     """Just above lam_1(inf) = -0.019995/m^2 the radial shot's one zero lies
     where P < 0, past a stretch near the unstable phase 3 pi/4 and before
     the stiff approach to 5 pi/4, where the shot switches to Radau steps.
-    The zero matches the reference (1.1e-5 relative reached: the unstable
+    The zero matches the reference (3.2e-6 relative reached: the unstable
     stretch amplifies the phase error), and the fresh step that locates it
     lands on pi to within its local error."""
     from scipy.optimize import brentq
@@ -413,7 +476,7 @@ def test_phase_crossing_inside_a_radau_step():
     across pi does: theta' = (beta/2) cos(2 theta - phi(x)) with beta = 1e3
     and the fixed point pi - 1/2 + sin x.  The crossing is then found by a
     fresh Radau step, which lands on pi to within its local error (1.4e-8
-    reached; a Dormand-Prince step there misses by 0.1)."""
+    reached; a DOP853 step there misses by 6e2)."""
     beta = 1e3
 
     def coefficients(x):
@@ -473,13 +536,29 @@ def test_miss_distance_reports_an_inward_underflow_at_the_radius(m2, monkeypatch
     assert info.value.last_r == pytest.approx(R, rel=1e-14)
 
 
+def test_end_node_reads_form_no_dense_coefficients(m2, monkeypatch):
+    """A read at a trajectory's last node returns its stored end state: a
+    miss-distance probe (the horizon half's phase at r_c) and a zero count
+    (the phase at R) form no step's dense coefficients."""
+    from schwsurf.spectral import negative_count
+
+    formed = []
+    for name in ("_dop853_dense", "_radau_dense"):
+        monkeypatch.setattr(ode, name, lambda *args, name=name: formed.append(name))
+    miss_distance(ModeParams(m2, 0, 0.01, 40.0), 8.0)
+    negative_count(m2, 0, 40.0)
+    sol = integrate_v(ModeParams(m2, 0, 0.0, 40.0))
+    assert sol.phase(40.0) == sol._traj.theta[-1]
+    assert sol._traj.eval_scalar(sol._traj.x[-1]) == (sol._traj.theta[-1], sol._traj.log_rho[-1])
+    assert formed == []
+
+
 def test_default_tolerance_shots_take_no_radau_step(m2, monkeypatch):
     """At the default ode_tol no eigenvalue, Morse or profile shot is stiff
-    enough to switch, so they take the same DP45 steps as before Radau
-    steps existed: every shot of a three-eigenvalue search (both halves of
-    each miss-distance probe), of a Morse sweep at 2000 m, and of the
-    mode-profile checks (spectra and eigenfunctions at 16-24 m, the v0
-    shot)."""
+    enough to switch, so they take DOP853 steps only: every shot of a
+    three-eigenvalue search (both halves of each miss-distance probe), of
+    a Morse sweep at 2000 m, and of the mode-profile checks (spectra and
+    eigenfunctions at 16-24 m, the v0 shot)."""
     from schwsurf import eigenfunction, eigenvalues_shooting, morse_index
 
     shots = []
@@ -501,22 +580,22 @@ def test_default_tolerance_shots_take_no_radau_step(m2, monkeypatch):
     assert len(shots) > 100
     for traj in shots:
         assert traj.radau_steps == 0
-        assert traj.dp45_steps == len(traj.stages) and traj.rejected_steps >= 0
-        assert [type(n) for n in (traj.dp45_steps, traj.radau_steps, traj.rejected_steps)] == [int] * 3
+        assert traj.dop853_steps == len(traj.stages) and traj.rejected_steps >= 0
+        assert [type(n) for n in (traj.dop853_steps, traj.radau_steps, traj.rejected_steps)] == [int] * 3
 
 
 @pytest.mark.parametrize(
     "k, lam, R, tol, radau",
     [(0, 0.05, 40.0, 1e-10, False), (1, -0.005, 2000.0, 1e-6, True)],
-    ids=["dp45", "radau"],
+    ids=["dop853", "radau"],
 )
 def test_backward_shot_is_the_reflected_forward_shot(k, lam, R, tol, radau):
     """Negation rounds exactly, so the inward half shot down from log R on
     the mode's own coefficients is, bit for bit, the shot up in y = -log r
     on (-A, -B, -D) taken at -y: negated nodes, the same phase and
     log-amplitude, the same step counts, and records whose slopes are
-    negated (every entry of a DP45 record; the closing right-hand side of
-    a Radau record, whose increments stay)."""
+    negated (every entry of a DOP853 record; the closing right-hand side
+    of a Radau record, whose increments stay)."""
     coefficients = _prufer_closure(2.0, k, lam)
 
     def reflected(y):
@@ -532,7 +611,7 @@ def test_backward_shot_is_the_reflected_forward_shot(k, lam, R, tol, radau):
     assert (back.rejected_steps, back.radau_steps) == (fwd.rejected_steps, fwd.radau_steps)
     assert len(back.stages) == len(fwd.stages)
     for kb, kf in zip(back.stages, fwd.stages):
-        kept = 0 if len(kf) == 14 else 6
+        kept = 0 if len(kf) == 18 else 6
         assert [v.hex() for v in kb] == [v.hex() for v in kf[:kept]] + [(-v).hex() for v in kf[kept:]]
 
 

@@ -222,4 +222,4 @@ def test_trajectory_cached_property():
     traj = Trajectory(None, 1e-8, [0.0, 1.0], [0.0, 0.5], [0.0, 0.0], [(0.0,) * 8], 0)
     first = traj._dense
     assert first == [None] and traj._dense is first and traj.__dict__["_dense"] is first
-    assert traj.radau_steps == 1 and traj.dp45_steps == 0
+    assert traj.radau_steps == 1 and traj.dop853_steps == 0

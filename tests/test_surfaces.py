@@ -393,6 +393,22 @@ def test_radial_normal_degenerate_chart_raises(flat):
         defect_integral(flat, line, 1.0)  # the same check, through the weight
 
 
+def test_radial_normal_of_a_regular_chart_whose_partials_square_to_overflow(flat):
+    """The tube (1e160 t, 1e-100 cos s, 1e-100 sin s) is regular: its
+    normal has |x_t x x_s|^2 = 1e120, though |x_t|^2 = 1e320 overflows.
+    The degeneracy test reads each partial scaled by its largest
+    component.  The radial direction lies in the tangent plane to within
+    a cosine of 7e-261, whose square underflows to 0."""
+    tube = make_general(
+        chart=lambda t, s: np.array([1e160 * t, 1e-100 * math.cos(s), 1e-100 * math.sin(s)]),
+        t_range=(1.0, 2.0),
+        s_period=TWO_PI,
+        chart_t=lambda t, s: np.array([1e160, 0.0, 0.0]),
+        chart_s=lambda t, s: np.array([0.0, -1e-100 * math.sin(s), 1e-100 * math.cos(s)]),
+    )
+    assert radial_normal_component(flat, tube, 1.5, 0.5) == 0.0
+
+
 def test_radial_normal_undefined_at_the_origin(flat):
     """The plane z = 0 charted by (t, sin s) passes the origin at t = s = 0,
     where its tangent plane is regular but the radial direction is not."""
