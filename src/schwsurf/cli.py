@@ -388,6 +388,8 @@ def monotonicity(config, model, surface_spec, rho_max):
     spec = QuadSpec(rel_tol=config["quad_tol"])
     surface = _surface(model, surface_spec, rho_max, "the monotonicity identity is not expected to hold")
     lo = 0.1 * m if m > 0.0 else rho_max * 1e-3
+    if lo == 0.0:
+        raise UsageError(f"the grid start, {'0.1 m' if m > 0.0 else '1e-3 --rho-max'}, underflows to 0")
     if not rho_max > lo:
         raise UsageError(f"--rho-max must be > 0.1 m = {lo}, where the grid starts, got {rho_max}")
     rep = surfaces.monotonicity_report(model, surface, _geomspace(lo, rho_max, _MONO_GRID_SIZE), spec)

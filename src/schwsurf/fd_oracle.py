@@ -6,9 +6,11 @@ the mode equation is discretized in divergence form
     (r u')' - (k^2/r) u + (m/r^2)(1 + m/2r)^-2 u = -lam r (1 + m/2r)^4 u
 
 on a uniform grid over [m/2, R] with a flux-mirrored Neumann row at the
-horizon and Dirichlet elimination at R.  Sturm counts of the symmetric
-tridiagonal standard form say which eigenvalue a bracket holds, and
-Newton steps on the determinant, computed in the same sweep, polish it
+horizon and Dirichlet elimination at R, formed in units of ``m`` (the
+``m = 1`` problem on ``r/m``, whose eigenvalues are ``lam m^2``) and raw
+at ``m = 0``.  Sturm counts of the symmetric tridiagonal standard form
+say which eigenvalue a bracket holds, and Newton steps on the
+determinant, computed in the same sweep, polish it
 (Wilkinson, *The Algebraic Eigenvalue Problem*, 1965, ch. 5; Barth,
 Martin & Wilkinson, *Numer. Math.* 9, 1967), driven by one routine,
 :func:`_lowest`.  No scipy module is loaded.  Agreement with the
@@ -59,10 +61,11 @@ from .spectral import Spectrum, SpectrumEntry
 class DiscreteModeProblem(Record):
     """Symmetric tridiagonal generalized discretization of one mode.
 
-    ``stiffness_diag``/``stiffness_off`` hold A with ``A u = lam B u``
-    (raw units), ``mass_weights`` the positive diagonal of B.  Unknowns
-    are the nodes ``grid[:-1]``; the Dirichlet node ``grid[-1] = R`` is
-    eliminated.
+    ``stiffness_diag``/``stiffness_off`` hold A with ``A u = lam B u``,
+    ``mass_weights`` the positive diagonal of B.  Unknowns are the nodes
+    ``grid[:-1]``; the Dirichlet node ``grid[-1] = R`` is eliminated.
+    ``grid``, A and B are in units of ``m`` (``lam`` in mass-squared
+    units), raw at ``m = 0``; ``model`` and ``R`` are raw.
     """
 
     model: SchwarzschildModel
@@ -99,11 +102,15 @@ def _coefficients(m: float, k: int, r) -> tuple:
     return -(k * k) / r + (m / (r * r)) / q, r * (q * q)
 
 
-def _check_grid(m: float, R: float, n: int) -> None:
+def _in_units_of_m(model: SchwarzschildModel, R: float, n: int) -> tuple:
+    """``(m, R)`` in units of ``m``, checked: the ``m = 1`` problem on
+    ``R/m``, whose eigenvalues are ``lam m^2``, or the flat one raw."""
     if n < 16:
         raise DomainError(f"grid size must be >= 16, got {n}")
-    if not (0.5 * m < R < math.inf):
-        raise DomainError(f"R must be finite and exceed m/2 = {0.5 * m}, got {R}")
+    m, X = (1.0, R / model.mass) if model.mass > 0.0 else (0.0, R)
+    if not (0.5 * m < X < math.inf):
+        raise DomainError(f"R must exceed m/2 = {0.5 * model.mass}, with R/m finite, got {R}")
+    return m, X
 
 
 def _check_count(how_many: int, n: int) -> None:
@@ -122,12 +129,11 @@ def assemble(model: SchwarzschildModel, k: int, R: float, n: int = 1024) -> Disc
     half-cell midpoint (which keeps the mass weight positive even when
     the left endpoint degenerates to ``r = 0`` for ``m = 0``).
     """
-    m = model.mass
-    _check_grid(m, R, n)
+    m, X = _in_units_of_m(model, R, n)
     import numpy as np
 
     r0 = 0.5 * m
-    dx = (R - r0) / n
+    dx = (X - r0) / n
     grid = r0 + dx * np.arange(n + 1)
     nodes = grid[:-1]  # unknowns
     half = grid[:-1] + 0.5 * dx  # r_{j+1/2}, j = 0..n-1
@@ -176,9 +182,9 @@ def _plain_rows(model: SchwarzschildModel, k: int, R: float, n: int) -> tuple:
     lists of floats, equal to it entry for entry: the same stencil, formed
     row by row in the order of operations of :func:`assemble` and
     :func:`_standard_form`."""
-    m = model.mass
+    m, X = _in_units_of_m(model, R, n)
     r0 = 0.5 * m
-    dx = (R - r0) / n
+    dx = (X - r0) / n
     dx2 = dx**2
     step = 0.5 * dx
     sqrt = math.sqrt
@@ -501,12 +507,6 @@ def _lowest(sweep, bounds: tuple, start: list, how_many: int) -> tuple:
     )
 
 
-def _unit(model: SchwarzschildModel) -> float:
-    # eigenvalues are reported in m^2 units, raw for the flat m = 0 problems
-    m = model.mass
-    return m * m if m > 0.0 else 1.0
-
-
 def lowest_eigenvalues(problem: DiscreteModeProblem, how_many: int, start=None) -> Spectrum:
     """Lowest eigenvalues of the congruence-transformed standard problem
     ``T``, each within ``2 eps ||T||_inf``: Sturm counts by odd-even
@@ -514,8 +514,8 @@ def lowest_eigenvalues(problem: DiscreteModeProblem, how_many: int, start=None) 
     (see :func:`_lowest`), in numpy.
 
     Newton starts from ``start``, estimates of the lowest eigenvalues of
-    ``T`` in its raw units (at least ``how_many`` of them; one more says
-    where the eigenvalues above lie).  By default they are the lowest
+    ``T`` (at least ``how_many`` of them; one more says where the
+    eigenvalues above lie).  By default they are the lowest
     eigenvalues of the same mode on 32 and 64 cells, found in plain floats
     and extrapolated in ``h^2`` to ``n`` (:func:`_coarse_estimates`).
     Starts only set the cost: the counts decide which eigenvalue each value
@@ -529,9 +529,8 @@ def lowest_eigenvalues(problem: DiscreteModeProblem, how_many: int, start=None) 
     _check_count(how_many, problem.n)
     if start is None:
         start = _coarse_estimates(problem.model, problem.k, problem.R, how_many)(problem.n)
-    unit = _unit(problem.model)
     vals, probes = _lowest(*_numpy_solver(*_standard_form(problem)), start, how_many)
-    entries = tuple(SpectrumEntry(k=problem.k, n=i + 1, lam=v * unit) for i, v in enumerate(vals))
+    entries = tuple(SpectrumEntry(k=problem.k, n=i + 1, lam=v) for i, v in enumerate(vals))
     return Spectrum(
         model=problem.model,
         R=problem.R,
@@ -566,21 +565,18 @@ def richardson_lowest(
     and loads no numpy; a larger one through :func:`assemble` and
     :func:`lowest_eigenvalues`.
     """
-    _check_grid(model.mass, R, n)
+    _in_units_of_m(model, R, n)
     _check_count(how_many, n)
     starts = _coarse_estimates(model, k, R, how_many)
-    unit = _unit(model)
 
     def solve(cells: int, start: list) -> list:
         if 2 * n <= _PLAIN_CELLS:
-            vals, _ = _lowest(*_plain_solver(*_plain_rows(model, k, R, cells)), start, how_many)
-            return [v * unit for v in vals]
-        spectrum = lowest_eigenvalues(assemble(model, k, R, cells), how_many, start)
-        return [e.lam for e in spectrum.entries]
+            return _lowest(*_plain_solver(*_plain_rows(model, k, R, cells)), start, how_many)[0]
+        return lowest_eigenvalues(assemble(model, k, R, cells), how_many, start).lambdas().tolist()
 
     start = starts(n)
     lam_n = solve(n, start)
     fine = starts(2 * n)
-    fine[:how_many] = [lam / unit + (a - b) for lam, a, b in zip(lam_n, fine, start)]
+    fine[:how_many] = [lam + (a - b) for lam, a, b in zip(lam_n, fine, start)]
     lam_2n = solve(2 * n, fine)
     return tuple((4.0 * b - a) / 3.0 for a, b in zip(lam_n, lam_2n))

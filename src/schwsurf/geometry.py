@@ -57,6 +57,8 @@ class SchwarzschildModel(Record):
     def __post_init__(self):
         if not math.isfinite(self.mass) or self.mass < 0.0:
             raise DomainError(f"mass must be finite and >= 0, got {self.mass}")
+        if self.mass > 0.0 and self.horizon_rho == 0.0:
+            raise DomainError(f"mass {self.mass} is positive, but its horizon radius m/2 underflows to 0")
 
     @property
     def horizon_rho(self) -> float:

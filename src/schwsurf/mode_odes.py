@@ -420,7 +420,9 @@ def psi_c(model: SchwarzschildModel, c: float, r: float) -> float:
     the single blow-up radius of the denominator; at ``c = cbar`` it equals
     ``1/m`` on the horizon.  Evaluation within the blow-up's numerical halo
     (denominator below ``1e-9`` of the numerator scale) raises
-    :class:`SingularityError` carrying the located radius.
+    :class:`SingularityError` carrying the located radius, and a point
+    where both underflow to 0 (near the horizon at ``m = 1e-300``) one
+    without it.
 
     ``c`` is unit-dependent through the bare ``log r``; see :func:`cbar`.
     """
@@ -429,6 +431,8 @@ def psi_c(model: SchwarzschildModel, c: float, r: float) -> float:
     if r < 0.5 * m:
         raise DomainError(f"r must be >= m/2 = {0.5 * m}, got {r}")
     num, den = _psi_c_parts(m, c, r)
+    if num == den == 0.0:
+        raise SingularityError(f"psi_c is 0/0 at r = {r}: its numerator and denominator underflow")
     if abs(den) < 1e-9 * abs(num):
         raise SingularityError(
             f"psi_c evaluated at its blow-up near r = {r}",

@@ -18,8 +18,8 @@ and the ``n``-th eigenvalue is the root of the miss-distance
 exponentially narrow window in ``lam``, where a root search can only
 bisect; ``D`` stays smooth there.
 
-Eigenvalues are reported in mass-squared units (``lam_report = lam_raw m^2``)
-so that results are invariant under rescaling the mass.
+The mode problems depend on ``R/m`` and ``lam m^2`` alone: each shot is of
+the ``m = 1`` mode on ``R/m`` (:func:`_shoot`), in mass-squared units.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ import math
 import sys
 
 from ._record import Record
-from .errors import DomainError, PreconditionError, SearchError
+from .errors import DomainError, IntegrationError, PreconditionError, SearchError
 from .geometry import DEFAULT_ROOT_TOL, SchwarzschildModel
 from .mode_odes import (
     DEFAULT_ODE_TOL,
@@ -46,6 +46,7 @@ from .roots import brentq
 DEFAULT_LAMBDA_TOL = 1e-9
 _SPECTRUM_FLOOR = -0.125  # mass-squared units: lam_1 > -1/(8 m^2) for every k and R
 _MAX_DOUBLINGS = 60
+_UNIT_MASS = SchwarzschildModel(1.0)
 
 
 class SpectrumEntry(Record):
@@ -91,6 +92,19 @@ def interior_zero_count(solution: RadialSolution, R: float, tol: float) -> int:
     return max(0, math.ceil((theta - 10.0 * tol) / math.pi) - 1)
 
 
+def _shoot(solve, model: SchwarzschildModel, k: int, lam: float, R: float, *args):
+    """``solve(params, *args)`` on the ``m = 1`` mode ``k`` on ``R/m``, ``lam``
+    in mass-squared units; ``R`` and a failed shot's radius are raw."""
+    model.require_horizon("ModeParams")
+    m = model.mass
+    if not (0.5 < R / m < math.inf):
+        raise DomainError(f"R must exceed m/2 = {0.5 * m}, with R/m finite, got {R}")
+    try:
+        return solve(ModeParams(_UNIT_MASS, k, lam, R / m), *args)
+    except IntegrationError as exc:
+        raise IntegrationError(f"step size underflow at r = {exc.last_r * m}", last_r=exc.last_r * m) from exc
+
+
 def negative_count(
     model: SchwarzschildModel,
     k: int,
@@ -101,8 +115,8 @@ def negative_count(
 
     Equals the number of interior zeros of the ``lam = 0`` shot.
     """
-    sol = integrate_v(ModeParams(model, k, 0.0, R), tol=ode_tol)
-    return interior_zero_count(sol, R, ode_tol)
+    sol = _shoot(integrate_v, model, k, 0.0, R, ode_tol)
+    return interior_zero_count(sol, sol.r_max, ode_tol)
 
 
 def eigenvalues_shooting(
@@ -149,16 +163,15 @@ def eigenvalues_shooting(
     if not (tol > 0.0):
         raise DomainError(f"tol must be > 0, got {tol}")
 
-    m2 = m * m
-    tol_raw = tol / m2
-    r_c = min(4.0 * m, math.sqrt(0.5 * m * R))
-    step = (math.pi / (R - 0.5 * m)) ** 2
+    X = R / m
+    r_c = min(4.0, math.sqrt(0.5 * X))
+    step = (math.pi / (X - 0.5)) ** 2
     cache: dict = {}
 
-    def miss(lam_raw: float) -> float:
-        if lam_raw not in cache:
-            cache[lam_raw] = miss_distance(ModeParams(model, k, lam_raw, R), r_c, tol=ode_tol)
-        return cache[lam_raw]
+    def miss(lam: float) -> float:
+        if lam not in cache:
+            cache[lam] = _shoot(miss_distance, model, k, lam, R, r_c, ode_tol)
+        return cache[lam]
 
     def bracket(n: int) -> tuple:
         target = n * math.pi
@@ -171,19 +184,19 @@ def eigenvalues_shooting(
         if max(cache.values()) <= target:
             raise SearchError(
                 "upper bracket expansion failed",
-                diagnostics={"k": k, "n": n, "lam": lam * m2, "miss": max(cache.values())},
+                diagnostics={"k": k, "n": n, "lam": lam, "miss": max(cache.values())},
             )
         below = [x for x, d in cache.items() if d <= target]
         if not below:
             lowest = min(cache)
             raise SearchError(
                 "no probe below the eigenvalue",
-                diagnostics={"k": k, "n": n, "lam": lowest * m2, "miss": cache[lowest]},
+                diagnostics={"k": k, "n": n, "lam": lowest, "miss": cache[lowest]},
             )
         return max(below), min(x for x, d in cache.items() if d > target)
 
     if miss(0.0) > math.pi:
-        miss(_SPECTRUM_FLOOR / m2)
+        miss(_SPECTRUM_FLOOR)
     entries = []
     for n in range(1, how_many + 1):
         lam_lo, lam_hi = bracket(n)
@@ -191,10 +204,10 @@ def eigenvalues_shooting(
             lambda lam: miss(lam) - n * math.pi,
             lam_lo,
             lam_hi,
-            xtol=tol_raw,
+            xtol=tol,
             rtol=8.0 * sys.float_info.epsilon,
         )
-        entries.append(SpectrumEntry(k=k, n=n, lam=lam_n * m2))
+        entries.append(SpectrumEntry(k=k, n=n, lam=lam_n))
 
     return Spectrum(
         model=model,
@@ -222,15 +235,13 @@ def eigenfunction(
     """
     import numpy as np
 
-    model.require_horizon("eigenfunction")
     m = model.mass
-    lam_raw = lam / (m * m)
-    sol = integrate_v(ModeParams(model, k, lam_raw, R), tol=ode_tol)
+    sol = _shoot(integrate_v, model, k, lam, R, ode_tol)
     r = np.linspace(0.5 * m, R, n_samples)
-    v, vp = sol.values(r)
+    v, vp = sol.values(r / m)
     sq = np.sqrt(r)
     u = v / sq
-    up = vp / sq - 0.5 * v / (r * sq)
+    up = vp / m / sq - 0.5 * v / (r * sq)
     w = (1.0 + 0.5 * m / r) ** 4 * r
     norm2 = _panel_integral_hermite(r, u * u * w, _slope_operator(r))
     u /= math.sqrt(norm2)
@@ -391,32 +402,32 @@ def morse_index(
 
 
 def stability_residual(model: SchwarzschildModel, R: float) -> float:
-    """Residual ``G(R) = (1/2) log(2R/m) - (2R + m)/(2R - m)`` of the
-    equation whose root on ``(m/2, infinity)`` is :func:`stability_radius`."""
-    m = model.mass
-    return 0.5 * math.log(2.0 * R / m) - (2.0 * R + m) / (2.0 * R - m)
+    """Residual ``G(R/m)``, ``G(X) = (1/2) log 2X - (2X + 1)/(2X - 1)``, of
+    the equation whose root on ``(m/2, infinity)`` is :func:`stability_radius`."""
+    X = R / model.mass
+    return 0.5 * math.log(2.0 * X) - (2.0 * X + 1.0) / (2.0 * X - 1.0)
 
 
 def stability_radius(model: SchwarzschildModel, tol: float = DEFAULT_ROOT_TOL) -> float:
     """Largest truncation radius with a nonnegative radial mode.
 
-    Root of :func:`stability_residual` on ``(m/2, infinity)``, bracketed in
-    ``[2m, 100m]``; the returned root has residual at most ``tol`` in the
-    defining equation.  Numerically ``5.508 m``; the explicit radial
-    solution :func:`closed_form_v0` vanishes there.
+    ``m X``, with ``X`` the root of ``G`` (:func:`stability_residual`) in
+    ``[2, 100]``; a root whose residual exceeds ``tol`` (as where ``m X``
+    overflows) raises :class:`SearchError`.  Numerically ``5.508 m``; the
+    explicit radial solution :func:`closed_form_v0` vanishes there.
     """
     model.require_horizon("stability_radius")
-    m = model.mass
     if not (tol > 0.0):
         raise DomainError(f"tol must be > 0, got {tol}")
 
-    root = brentq(
-        lambda R: stability_residual(model, R), 2.0 * m, 100.0 * m, xtol=1e-15 * m, rtol=8.0 * sys.float_info.epsilon
+    X = brentq(
+        lambda X: stability_residual(_UNIT_MASS, X), 2.0, 100.0, xtol=1e-15, rtol=8.0 * sys.float_info.epsilon
     )
+    root = model.mass * X
     residual = stability_residual(model, root)
-    if abs(residual) > tol:
+    if not abs(residual) <= tol:
         raise SearchError(
-            "stability radius residual above tolerance",
+            f"stability radius residual above tolerance: R* = {root}, residual {residual}",
             diagnostics={"root": root, "residual": residual, "tol": tol},
         )
     return float(root)

@@ -36,8 +36,9 @@ def exact_radii(m, r):
 
 def stebz_lowest(problem, how_many):
     """LAPACK's bisection (``stebz``) on the standard form of an FD
-    problem, in its raw units, with the bound the FD solver is held to:
-    8 eps ||T||_inf, the infinity norm taken of the standard form ``T``."""
+    problem, in its units (mass-squared, raw at m = 0), with the bound the
+    FD solver is held to: 8 eps ||T||_inf, the infinity norm taken of the
+    standard form ``T``."""
     import numpy as np
     from scipy.linalg import eigvalsh_tridiagonal
 

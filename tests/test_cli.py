@@ -172,7 +172,110 @@ def test_stability_radius_fields():
     assert abs(doc["residual"]) <= 1e-12
 
 
+@pytest.mark.parametrize(
+    "mass, R_star",
+    [("1e307", 5.508e307), ("1e-320", None), ("1.7e308", None)],
+)
+def test_stability_radius_at_extreme_masses(mass, R_star):
+    """R* is m X for the root X of the m = 1 equation: exact at m = 1e307,
+    a numerical failure where m X overflows (1.7e308) or keeps too few
+    digits to meet --root-tol (1e-320, a subnormal)."""
+    result = run_cli("stability-radius", "--mass", mass)
+    if R_star is None:
+        assert result.exit_code == 3 and result.stdout == ""
+        assert result.stderr.startswith("numerical failure: ") and result.stderr.count("\n") == 1
+    else:
+        assert result.exit_code == 0
+        assert float(parse_csv(result.stdout)[1][0][1]) == pytest.approx(R_star, rel=1e-4)
+
+
 # --------------------------------------------------------------- spectrum
+
+
+_EXTREME_MASSES = ("1e-300", "1e-154", "1e-100", "1e100", "1e154", "1e200", "1e300")
+
+
+@pytest.mark.parametrize("ratio", ["10", "1000"])
+@pytest.mark.parametrize(
+    "argv",
+    ["spectrum --count 2", "spectrum --count 2 --method fd", "spectrum --count 2 --method both", "morse-index"],
+)
+def test_mode_commands_at_extreme_masses_print_the_unit_mass_numbers(argv, ratio):
+    """Both routes solve the m = 1 problem on R/m, in mass-squared units:
+    from m = 1e-300 to 1e300 each run exits 0 and prints the numbers of
+    m = 1 at R = R/m within 1e-12 relative, and R itself raw.  (Tiny
+    masses ended in a ZeroDivisionError, huge ones in an OverflowError or
+    a step size underflow, and FD printed wrong values past |log10 m| of
+    about 80.)"""
+    unit = run_cli(*argv.split(), "--R", ratio)
+    header, want = parse_csv(unit.stdout)
+    column = header.index("R")
+    for mass in _EXTREME_MASSES:
+        R = float(ratio) * float(mass)
+        result = run_cli(*argv.split(), "--mass", mass, "--R", repr(R))
+        assert result.exit_code == 0 and result.stderr == "", (mass, result.stderr)
+        got_header, got = parse_csv(result.stdout)
+        assert got_header == header and len(got) == len(want)
+        for row, ref in zip(got, want):
+            assert float(row[column]) == R
+            for i, (x, y) in enumerate(zip(row, ref)):
+                if header[i] == "method":
+                    assert x == y
+                elif i != column:
+                    assert float(x) == pytest.approx(float(y), rel=1e-12, abs=0.0), mass
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "morse-index --mass 1e-154 --R 1.55e-6",
+        "morse-index --mass 1e-300 --R 4.1e5 --kmax 1",
+        "spectrum --mass 1e-300 --R 87352 --k 2 --method both",
+        "spectrum --mass 1e-300 --R 1e-298 --method fd",
+    ],
+)
+def test_mode_commands_at_tiny_masses_keep_the_exit_code_contract(argv):
+    """Argv on which a random CLI fuzz ended in a ZeroDivisionError: each
+    now succeeds, or fails as a numerical failure on one stderr line that
+    names a raw radius (R/m of 4.1e305 and 8.7e304 outruns the m = 1
+    shot)."""
+    result = run_cli(*argv.split())
+    assert result.exit_code in (0, 3), result.stderr
+    if result.exit_code == 3:
+        assert result.stderr.startswith("numerical failure: step size underflow at r = ")
+        assert result.stderr.count("\n") == 1
+        r = float(result.stderr.split("r = ")[1])
+        assert 0.5e-300 <= r <= float(argv.split("--R ")[1].split()[0])
+    else:
+        assert "nan" not in result.stdout and "inf" not in result.stdout
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "monotonicity --mass 5e-324 --surface cone:87.3",
+        "boundary-bound --mass 5e-324",
+        "riccati --mass 5e-324 --c 0",
+        "monotonicity --mass 1e-323",
+        "monotonicity --mass 0 --rho-max 5e-324",
+    ],
+)
+def test_surface_commands_at_subnormal_masses_are_usage_errors(argv):
+    """A positive mass whose half underflows has no horizon radius, and a
+    monotonicity grid cannot start at 0.1 m (or 1e-3 --rho-max) where that
+    underflows: exit 2, as for geom's first row, not a traceback."""
+    result = run_cli(*argv.split())
+    assert result.exit_code == 2 and result.stdout == ""
+    assert result.stderr.splitlines()[-1].endswith("underflows to 0")
+
+
+@pytest.mark.parametrize("mass", ["1e-300", "1e-320"])
+def test_riccati_trace_whose_parts_underflow_is_a_numerical_failure(mass):
+    """Near the horizon at m = 1e-300 both parts of psi_c underflow to 0:
+    exit 3 on one line, not a ZeroDivisionError."""
+    result = run_cli("riccati", "--mass", mass, "--c", "0")
+    assert result.exit_code == 3 and result.stdout == ""
+    assert result.stderr.startswith("numerical failure: ") and result.stderr.count("\n") == 1
 
 
 def test_spectrum_both_methods_agree():
@@ -493,8 +596,7 @@ def test_import_loads_no_scipy():
     probe = json.loads(proc.stdout)
     assert probe["loaded"] == []
     direct, bound = stebz_lowest(schwsurf.assemble(schwsurf.SchwarzschildModel(2.0), 0, 40.0, 256), 3)
-    got = [v / 4.0 for v in probe["vals"]]  # from mass-squared units at m = 2
-    assert max(abs(g - w) for g, w in zip(got, direct)) <= bound
+    assert max(abs(g - w) for g, w in zip(probe["vals"], direct)) <= bound
 
 
 _NO_SCIPY_PROBE = """

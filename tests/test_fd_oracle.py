@@ -38,16 +38,18 @@ from conftest import stebz_lowest
 # ------------------------------------------------------------ closed forms
 
 
-def test_k1_stencil_is_second_order_on_closed_form_v1(m2):
+def test_k1_stencil_is_second_order_on_closed_form_v1(m1, m2):
     """The interior rows of the k = 1 matrix applied to the lam = 0 mode
     u1 = v1 / sqrt(r) leave a residual that falls about 4x per halving of
     the cell, from 4.2e-3 at n = 256 (R = 20, m = 2).  The horizon row
-    (first order) and the last row (u1(R) is not 0) are left out."""
+    (first order) and the last row (u1(R) is not 0) are left out.  The
+    grid and the matrix are those of the m = 1 mode on r/m, so u1 is the
+    m = 1 one."""
     residuals = []
     for n in (256, 512, 1024):
         problem = assemble(m2, 1, 20.0, n)
         r = problem.grid[:-1]
-        u = np.array([closed_form_v1(m2, x) for x in r.tolist()]) / np.sqrt(r)
+        u = np.array([closed_form_v1(m1, x) for x in r.tolist()]) / np.sqrt(r)
         rows = problem.stiffness_diag * u
         rows[:-1] += problem.stiffness_off * u[1:]
         rows[1:] += problem.stiffness_off * u[:-1]
@@ -94,13 +96,14 @@ def test_assembled_pencil_is_symmetric_definite(m2):
     assert np.array_equal(A, A.T)
     assert np.all(prob.mass_weights > 0.0)
     assert np.all(prob.stiffness_off < 0.0)
-    assert prob.grid[0] == 1.0 and prob.grid[-1] == 20.0
+    # the grid is in units of m
+    assert m2.mass * prob.grid[0] == 1.0 and m2.mass * prob.grid[-1] == 20.0
 
 
 def test_dense_reference_matches_tridiagonal_path(m2):
     prob = assemble(m2, 0, 8.0, 64)
     A, B = prob.dense_matrices()
-    dense = np.sort(eigh(A, B, eigvals_only=True))[:4] * m2.mass**2
+    dense = np.sort(eigh(A, B, eigvals_only=True))[:4]
     fast = lowest_eigenvalues(prob, 4).lambdas()
     assert fast == pytest.approx(dense, rel=1e-10)
 
@@ -262,7 +265,7 @@ def test_lowest_eigenvalues_match_dense_solver(m, k, n, how_many, above):
     d, e = _standard_form(problem)
     T = np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
     dense = np.linalg.eigvalsh(T)[:how_many]
-    got = lowest_eigenvalues(problem, how_many).lambdas() / (scale * scale)
+    got = lowest_eigenvalues(problem, how_many).lambdas()
     bound = 8.0 * np.finfo(float).eps * np.max(np.sum(np.abs(T), axis=1))
     assert np.max(np.abs(got - dense)) <= bound
 
@@ -276,14 +279,14 @@ def test_lowest_eigenvalues_match_stebz(m2, R, n):
     R = stability_radius(m2) if R == "R*" else R
     problem = assemble(m2, 0, R, n)
     reference, bound = stebz_lowest(problem, 3)
-    got = lowest_eigenvalues(problem, 3).lambdas() / m2.mass**2
+    got = lowest_eigenvalues(problem, 3).lambdas()
     assert np.max(np.abs(got - reference)) <= bound
     # the warm start from the half grid (its eigenvalues plus the change
     # the coarse starts extrapolate) reaches the same values
     starts = fd_oracle._coarse_estimates(m2, 0, R, 3)
-    half = lowest_eigenvalues(assemble(m2, 0, R, n // 2), 3).lambdas() / m2.mass**2
+    half = lowest_eigenvalues(assemble(m2, 0, R, n // 2), 3).lambdas()
     start = [v + (a - b) for v, a, b in zip(half.tolist(), starts(n), starts(n // 2))]
-    warm = lowest_eigenvalues(problem, 3, start).lambdas() / m2.mass**2
+    warm = lowest_eigenvalues(problem, 3, start).lambdas()
     assert np.max(np.abs(warm - reference)) <= bound
 
 
@@ -319,7 +322,7 @@ def test_starts_do_not_decide_which_eigenvalue(m2, starts):
         "all at the second": [float(reference[1])] * 3,
         "far off": [-10.0, 0.0, 10.0],
     }
-    got = lowest_eigenvalues(problem, 3, start[starts]).lambdas() / m2.mass**2
+    got = lowest_eigenvalues(problem, 3, start[starts]).lambdas()
     assert np.max(np.abs(got - reference)) <= bound
 
 
@@ -464,7 +467,7 @@ def test_plain_path_and_domain_errors_need_no_numpy(m2, flat):
     assert probe["vals"] == list(vals)
     assert probe["flat"] == list(richardson_lowest(flat, 0, 5.0, n=1024))
     assert probe["errors"] == [
-        "R must be finite and exceed m/2 = 1.0, got 0.5",
+        "R must exceed m/2 = 1.0, with R/m finite, got 0.5",
         "grid size must be >= 16, got 8",
         "how_many = 8192 must be < matrix size 8192",
         "how_many must be >= 1, got 0",

@@ -45,6 +45,13 @@ def test_model_rejects_bad_mass():
         SchwarzschildModel(float("nan"))
 
 
+def test_model_rejects_a_mass_whose_horizon_radius_underflows():
+    """5e-324 is positive, but m/2 rounds to 0: no horizon to refer to."""
+    with pytest.raises(DomainError, match="underflows to 0$"):
+        SchwarzschildModel(5e-324)
+    assert SchwarzschildModel(1e-323).horizon_rho == 5e-324
+
+
 def test_flat_model_rejects_horizon_operations(flat):
     with pytest.raises(DomainError):
         flat.require_horizon("test")

@@ -22,7 +22,7 @@ from schwsurf import (
 )
 from conftest import R_STAR_M2
 from schwsurf import spectral
-from schwsurf.errors import DomainError, PreconditionError, SearchError
+from schwsurf.errors import DomainError, IntegrationError, PreconditionError, SearchError
 from schwsurf.mode_odes import miss_distance
 from schwsurf.roots import brentq
 from schwsurf.spectral import interior_zero_count
@@ -468,6 +468,44 @@ def test_spectra_are_scale_covariant_by_both_routes(mass, ratio, k, log2_mu):
     fd = richardson_lowest(model, k, R, n=256, how_many=2)
     fd_mu = richardson_lowest(scaled, k, mu * R, n=256, how_many=2)
     assert fd_mu == pytest.approx(fd, rel=1e-9, abs=1e-10)
+
+
+def _spectral_numbers(m):
+    """Every spectral number at mass ``m``, radii given as multiples of m:
+    shooting eigenvalues and probe counts, negative counts, FD Richardson
+    values, the Morse sweep and R*/m."""
+    model = SchwarzschildModel(m)
+    out = []
+    for k, ratio in ((0, 10.0), (1, 40.0), (0, 1000.0)):
+        spec = eigenvalues_shooting(model, k, ratio * m, 2)
+        out.append((spec.lambdas().tolist(), spec.probes))
+        out.append(negative_count(model, k, ratio * m))
+        out.append(richardson_lowest(model, k, ratio * m, n=256, how_many=2))
+    report = morse_index(model, R=2000.0 * m, kmax=2)
+    out.append((report.per_mode_negative_counts, report.morse_index))
+    out.append(stability_radius(model) / m)
+    return out
+
+
+@pytest.mark.parametrize("j", [-1000, -1, 1, 1000])
+def test_spectra_at_powers_of_two_are_those_at_unit_mass(j):
+    """Every mode problem is solved as the m = 1 one on R/m, and R/m and
+    m X are exact at m = 2^j: each number equals its m = 1 value with ==,
+    from 2^-1000 (where m^2 underflows to 0) to 2^1000 (where it
+    overflows)."""
+    assert _spectral_numbers(2.0**j) == _spectral_numbers(1.0)
+
+
+def test_a_failed_shot_names_its_raw_radius():
+    """At m = 1e-300 the shot to R = 4.1e5 is the m = 1 shot to 4.1e305,
+    which fails past r/m = 1.3e154, where (r + 1/2)^2 overflows; the error
+    names the raw radius m r."""
+    with pytest.raises(IntegrationError) as unit:
+        negative_count(SchwarzschildModel(1.0), 0, 4.1e305)
+    with pytest.raises(IntegrationError) as info:
+        negative_count(SchwarzschildModel(1e-300), 0, 4.1e5)
+    assert info.value.last_r == 1e-300 * unit.value.last_r
+    assert str(info.value) == f"step size underflow at r = {info.value.last_r}"
 
 
 # ----------------------------------------------------------------- Morse index
