@@ -1,10 +1,14 @@
 """Nested 1-D quadrature: Gauss-Kronrod panels and the periodic trapezoid rule.
 
 The surface integrands here are smooth on their (clipped) domains.  Over
-an interval, the 65-point Kronrod extension of the 32-point
+an interval, the 33-point Kronrod extension of the 16-point
 Gauss-Legendre rule on 2^j uniform panels converges extremely fast, and
 each level's one set of samples gives both sums, whose difference bounds
 the error of the Gauss sum (Piessens et al., *QUADPACK*, Springer 1983).
+Sixteen Gauss points suffice: one panel settles every cone integral in
+``log(t/t0)`` from next to the horizon out to a million masses, where
+the 65-point rule that extends the 32-point one samples twice the nodes
+for nothing.
 Over a full period of a smooth periodic function, the equispaced
 trapezoid rule converges geometrically and nests on doubling, so no node
 is evaluated twice (Trefethen & Weideman, "The exponentially convergent
@@ -42,11 +46,12 @@ class QuadSpec(Record):
 
     ``rel_tol`` (positive and finite) is the convergence target: between
     a level's Kronrod and Gauss sums, and between periodic doublings.
-    Every panel carries the ``KRONROD_POINTS``-point Kronrod extension of
-    the ``GL_POINTS``-point Gauss-Legendre rule; past ``MAX_PANELS``
-    panels (``MAX_PANELS * KRONROD_POINTS`` nodes at the last level), or
-    the periodic rule's node budget ``MAX_PANELS * GL_POINTS``, a rule
-    raises :class:`QuadratureError`.
+    Every panel carries the ``KRONROD_POINTS``-point (33) Kronrod
+    extension of the ``GL_POINTS``-point (16) Gauss-Legendre rule; past
+    ``MAX_PANELS`` (8192) panels (``MAX_PANELS * KRONROD_POINTS`` = 270 336
+    nodes at the last level), or the periodic rule's node budget
+    ``MAX_PANELS * GL_POINTS`` = 131 072, a rule raises
+    :class:`QuadratureError`.
     """
 
     rel_tol: float = DEFAULT_QUAD_TOL
@@ -57,52 +62,44 @@ class QuadSpec(Record):
 
 
 # Gauss-Legendre order per panel, the Kronrod rule that extends it, and
-# the refinement cap in panels
-GL_POINTS = 32
+# the refinement cap in panels.  GL_POINTS must be even: the Kronrod
+# nodes then alternate Kronrod-only, Gauss, ..., Kronrod-only from either
+# end, so the centre node 0 is Kronrod-only and the Gauss nodes are the
+# odd ones, as _HALF_EMBEDDED places them.  An odd GL_POINTS would put a
+# Gauss node at 0 and shift every Gauss weight onto a Kronrod-only node.
+GL_POINTS = 16
 KRONROD_POINTS = 2 * GL_POINTS + 1
-MAX_PANELS = 4096
+MAX_PANELS = 8192
 
 # The Kronrod rule on [-1, 1] from its center outward: the nodes 0 = x_0
-# < x_1 < ... < x_32 and their Kronrod weights, and the Gauss-Legendre
-# weights of x_1, x_3, ..., x_31, the positive zeros of P_32.  The rule
+# < x_1 < ... < x_16 and their Kronrod weights, and the Gauss-Legendre
+# weights of x_1, x_3, ..., x_15, the positive zeros of P_16.  The rule
 # is even, so these halves give it whole.  They are the eigenvalues of
 # the Kronrod Jacobi matrix of Laurie's algorithm (Math. Comp. 66 (1997)
 # 1133-1145) and their Christoffel numbers (Golub & Welsch, Math. Comp.
-# 23 (1969) 221-230), rounded to doubles; tests/test_quadrature.py forms
-# them again and checks this table against them.
+# 23 (1969) 221-230), formed at 40 digits and rounded to doubles;
+# tests/test_quadrature.py forms them again and checks this table
+# against them.
 _HALF_NODES = (
-    0.0, 0.04830766568773832, 0.09650269687689439, 0.14447196158279654,
-    0.1921036089831423, 0.23928736225213712, 0.2859124585894596,
-    0.331868602282128, 0.37704942115412093, 0.4213512761306356,
-    0.46466930848199206, 0.506899908932229, 0.5479463141991525,
-    0.5877157572407623, 0.6261129377018241, 0.6630442669302153,
-    0.6984265577952102, 0.7321821187402895, 0.7642282519978039,
-    0.7944837959679423, 0.8228829501360512, 0.8493676137325696,
-    0.8738697689453103, 0.8963211557660522, 0.916677266651365,
-    0.9349060759377399, 0.9509546848486613, 0.9647622555875065,
-    0.976310283614664, 0.9856115115452684, 0.9926280352629719,
-    0.9972638618494816, 0.9995459021243644,
+    0.0, 0.09501250983763744, 0.18916857901808373, 0.2816035507792589,
+    0.37148378087841627, 0.45801677765722737, 0.5404076763521397,
+    0.6178762444026438, 0.6897411066817623, 0.755404408355003,
+    0.8142402870624444, 0.8656312023878318, 0.9091576670123429,
+    0.9445750230732326, 0.9715059509693926, 0.9894009349916499,
+    0.9982392741454446,
 )
 _HALF_KRONROD = (
-    0.04832638398656784, 0.04827019307577742, 0.048100969185457795,
-    0.047818908736988484, 0.04742606187388236, 0.04692296828170363,
-    0.04630875673802569, 0.04558582656454703, 0.04475863874976702,
-    0.04382754403013977, 0.04279111559644676, 0.04165401998564309,
-    0.04042349237037309, 0.0390994201333066, 0.03767913064561337,
-    0.0361697694756423, 0.03458212274473303, 0.03291507764390364,
-    0.031163325561973727, 0.029336956689620684, 0.02745209842221041,
-    0.02550569548089466, 0.02348665967216333, 0.02140891318482193,
-    0.019298771430326694, 0.017149805209784215, 0.014936103606085993,
-    0.01267605480665439, 0.010423987398806721, 0.008172504038531673,
-    0.005841737079166716, 0.0034268187757723885, 0.0012233608179515014,
+    0.0951542160804983, 0.09472840124723005, 0.09343867406092123,
+    0.09129203282819166, 0.08833750257911273, 0.08459580379259064,
+    0.08005394126371929, 0.07476982388559955, 0.06886299519153125,
+    0.062358806011834855, 0.055205633095422174, 0.047506215976407015,
+    0.039512951202421966, 0.031260543647380526, 0.022498859440049444,
+    0.013257930688091158, 0.004742777049247318,
 )
 _HALF_GAUSS = (
-    0.09654008851472785, 0.09563872007927486, 0.09384439908080457,
-    0.09117387869576384, 0.08765209300440381, 0.08331192422694683,
-    0.07819389578707028, 0.0723457941088485, 0.06582222277636192,
-    0.05868409347853561, 0.050998059262376244, 0.04283589802222662,
-    0.03427386291302129, 0.025392065309261944, 0.016274394730905656,
-    0.007018610009470023,
+    0.1894506104550685, 0.18260341504492358, 0.16915651939500254,
+    0.14959598881657674, 0.12462897125553388, 0.09515851168249279,
+    0.062253523938647894, 0.027152459411754096,
 )
 
 # the whole rule, by ascending node: nodes, Kronrod weights, and the

@@ -423,7 +423,9 @@ def _clipped_integral(model, surface, t_iso, spec, w, normal=False, store=None) 
     Cones integrate ``w(m, t) t^2`` over ``u = log(t/t0)``, with ``t = t0
     e^u`` on ``[0, log(t_top/t0)]`` (their flat element is ``t dt ds`` and
     the radial field is tangent to them).  The integrand is entire, and
-    one Gauss-Kronrod panel settles it out to a million masses.  The
+    one 33-point Gauss-Kronrod panel settles it from next to the horizon
+    out to a million masses (from a hundredth of a mass on, to about
+    1e-14 of the exact value).  The
     variable is relative to ``t0`` so that scaling ``m`` and ``rho``
     together leaves the nodes where they are; the upper limit is formed
     by ``log1p``, so that a clip level next to the horizon keeps its

@@ -242,6 +242,40 @@ def test_cone_integrals_match_exact_antiderivatives(mass):
                     assert abs(got - ref) <= rel * ref, (integral.__name__, rho)
 
 
+def cone_primitives(mass):
+    """The 40-digit primitives of the mu and area densities of a cone at
+    ``mass``, those of the test above, as a function of ``t``."""
+    a = mpmath.mpf(mass) / 2
+
+    def primitives(t):
+        t = mpmath.mpf(t)
+        mu = t * t / 2 + 2 * a * t + 2 * a**3 / t + a**4 / (2 * t * t)
+        area = t * t / 2 + 4 * a * t + 6 * a * a * mpmath.log(t) - 4 * a**3 / t - a**4 / (2 * t * t)
+        return mu, area
+
+    return primitives
+
+
+@pytest.mark.parametrize("mass", [0.7, 2.0])
+def test_first_level_cone_integrals_reach_rounding_level(mass):
+    """The one panel a cone integral is accepted on is good to 1e-13, far
+    inside rel_tol, from a hundredth of a mass to a million masses: a rule
+    that only just met its tolerance on the first level would fail here.
+    (Next to the horizon, at a millionth of a mass, rounding in 1 - m/2t
+    sets the error, about 2e-10; the test above covers those radii.)"""
+    model = SchwarzschildModel(mass)
+    with mpmath.workdps(40):
+        primitives = cone_primitives(mass)
+        base = primitives(mpmath.mpf(mass) / 2)
+        for cone, period in far_cones(model, 1e6 * mass):
+            for rho in mass * np.geomspace(1e-2, 1e6, 25):
+                top = primitives(clip_radius(model, rho))
+                for integral, lo, hi in zip((mu_integral, area_integral), base, top):
+                    ref = period * (hi - lo)
+                    got = integral(model, cone, rho)
+                    assert abs(got - ref) <= 1e-13 * ref, (integral.__name__, rho)
+
+
 @settings(max_examples=20, deadline=None, database=None, derandomize=True)
 @given(
     mass=st.floats(0.1, 10.0),
