@@ -30,6 +30,10 @@ the areal radius at horizon distance ``r``, with ``h(0) = 2m`` and
 ``mass = 0`` is admitted as a degenerate flat model for testing: every
 radial map is the identity there and ``f = 1``; operations that
 reference the horizon raise :class:`~schwsurf.errors.DomainError` on it.
+
+The model stores its mass, and every radial map its radius, as a Python
+float: a numpy scalar is coerced once, at entry, so the closed forms and
+the Newton loop of ``d(r)`` compute on plain floats.
 """
 
 from __future__ import annotations
@@ -59,6 +63,9 @@ class SchwarzschildModel(Record):
             raise DomainError(f"mass must be finite and >= 0, got {self.mass}")
         if self.mass > 0.0 and self.horizon_rho == 0.0:
             raise DomainError(f"mass {self.mass} is positive, but its horizon radius m/2 underflows to 0")
+        # a numpy scalar would make every radial map and shot on this model
+        # a numpy scalar operation
+        object.__setattr__(self, "mass", float(self.mass))
 
     @property
     def horizon_rho(self) -> float:
@@ -71,7 +78,7 @@ class SchwarzschildModel(Record):
         return 2.0 * self.mass
 
     def require_horizon(self, what: str) -> None:
-        if _flat(self, "mass", self.mass, 0.0):
+        if self.mass == 0.0:
             raise DomainError(f"{what} references the horizon; mass must be > 0")
 
 
@@ -84,13 +91,14 @@ def _exp(x: float) -> float:
         return math.inf
 
 
-def _flat(model: SchwarzschildModel, name: str, x: float, horizon: float) -> bool:
-    """Reject ``x`` below its horizon value ``horizon * m`` (and NaN);
-    True on the flat model, where every radial map is the identity."""
+def _radius(model: SchwarzschildModel, name: str, x: float, horizon: float) -> float:
+    """``x`` as a float, rejected below its horizon value ``horizon * m``
+    (and NaN)."""
+    x = float(x)
     bound = horizon * model.mass
     if not (x >= bound):
         raise DomainError(f"{name} must be >= {bound}, got {x}")
-    return model.mass == 0.0
+    return x
 
 
 # -------------------------------------------------------------------------
@@ -163,7 +171,8 @@ def conformal_exponent(model: SchwarzschildModel, rho: float) -> float:
     This is the factor on the metric tensor: lengths scale by its square
     root ``(1 + m/2 rho)^2`` and areas by the factor itself.
     """
-    if _flat(model, "rho", rho, 0.5):
+    rho = _radius(model, "rho", rho, 0.5)
+    if model.mass == 0.0:
         return 1.0
     a = 1.0 + 0.5 * model.mass / rho
     return a * a * a * a
@@ -171,28 +180,32 @@ def conformal_exponent(model: SchwarzschildModel, rho: float) -> float:
 
 def areal_from_isotropic(model: SchwarzschildModel, rho: float) -> float:
     """Areal radius ``s = rho (1 + m/2 rho)^2``; increasing on [m/2, oo)."""
-    if _flat(model, "rho", rho, 0.5):
+    rho = _radius(model, "rho", rho, 0.5)
+    if model.mass == 0.0:
         return rho
     return _areal(model.mass, rho - 0.5 * model.mass)
 
 
 def isotropic_from_areal(model: SchwarzschildModel, s: float) -> float:
     """Exterior inverse of :func:`areal_from_isotropic`: ``rho = m/2 + d(s)``."""
-    if _flat(model, "s", s, 2.0):
+    s = _radius(model, "s", s, 2.0)
+    if model.mass == 0.0:
         return s
     return 0.5 * model.mass + _excess_from_areal(model.mass, s)
 
 
 def distance_from_areal(model: SchwarzschildModel, s: float) -> float:
     """Riemannian distance from the horizon to the sphere of areal radius s."""
-    if _flat(model, "s", s, 2.0):
+    s = _radius(model, "s", s, 2.0)
+    if model.mass == 0.0:
         return s
     return _distance(model.mass, _excess_from_areal(model.mass, s))
 
 
 def distance_from_isotropic(model: SchwarzschildModel, rho: float) -> float:
     """Horizon distance of the sphere with isotropic radius ``rho``."""
-    if _flat(model, "rho", rho, 0.5):
+    rho = _radius(model, "rho", rho, 0.5)
+    if model.mass == 0.0:
         return rho
     return _distance(model.mass, rho - 0.5 * model.mass)
 
@@ -214,7 +227,8 @@ def isotropic_from_distance(model: SchwarzschildModel, r: float, tol: float = DE
     :class:`SearchError` with ``r`` and the residual.  ``r = inf`` gives
     ``inf``.
     """
-    if _flat(model, "r", r, 0.0):
+    r = _radius(model, "r", r, 0.0)
+    if model.mass == 0.0:
         return r
     return 0.5 * model.mass + _excess_from_distance(model.mass, r, tol)
 
@@ -222,7 +236,8 @@ def isotropic_from_distance(model: SchwarzschildModel, r: float, tol: float = DE
 def areal_from_distance(model: SchwarzschildModel, r: float, tol: float = DEFAULT_ROOT_TOL) -> float:
     """Areal radius ``h(r)`` at horizon distance ``r``, through the inverse
     ``d(r)`` of :func:`isotropic_from_distance` and under its contract."""
-    if _flat(model, "r", r, 0.0):
+    r = _radius(model, "r", r, 0.0)
+    if model.mass == 0.0:
         return r
     return _areal(model.mass, _excess_from_distance(model.mass, r, tol))
 
@@ -239,7 +254,8 @@ def static_potential(model: SchwarzschildModel, r: float, tol: float = DEFAULT_R
     ``f = 1 - m/r + o(1/r)``.  Formed as ``d/(m + d)`` from the inverse
     ``d(r)`` of :func:`isotropic_from_distance`, under its contract.
     """
-    if _flat(model, "r", r, 0.0):
+    r = _radius(model, "r", r, 0.0)
+    if model.mass == 0.0:
         return 1.0
     return _potential(model.mass, _excess_from_distance(model.mass, r, tol))
 
@@ -251,7 +267,8 @@ def static_potential_from_isotropic(model: SchwarzschildModel, rho: float) -> fl
     ``sqrt(1 - 2m/s(rho))`` on ``rho >= m/2`` and needs no inversion and
     no square root of a small difference.
     """
-    if _flat(model, "rho", rho, 0.5):
+    rho = _radius(model, "rho", rho, 0.5)
+    if model.mass == 0.0:
         return 1.0
     return _potential(model.mass, rho - 0.5 * model.mass)
 
@@ -263,6 +280,7 @@ def asymptotic_defect(model: SchwarzschildModel, r: float) -> float:
     little-o remainder instead of assuming a coefficient for it.
     """
     model.require_horizon("asymptotic_defect")
+    r = float(r)
     if r <= 0.0:
         raise DomainError(f"r must be > 0, got {r}")
     return r * abs(static_potential(model, r) - (1.0 - model.mass / r))

@@ -26,6 +26,12 @@ The module also carries the closed forms this problem admits: the explicit
 lower barriers ``psi_k`` for the logarithmic derivative of nonradial
 modes, and the one-parameter Riccati family ``psi_c`` whose blow-up radius
 encodes where radial stability ends.
+
+The scalar entry points (``v_coefficient``, the closed forms, ``psi_c``
+and the two residual grids' stencils) compute on Python floats: each
+coerces its real arguments with ``float`` once, at entry, so a numpy
+scalar (an entry of a ``linspace`` grid) turns no step of the arithmetic
+into a numpy scalar operation and gives the value of the float it holds.
 """
 
 from __future__ import annotations
@@ -69,6 +75,7 @@ class ModeParams(Record):
 def v_coefficient(params: ModeParams, r: float) -> float:
     """Coefficient ``Q(r)`` of the normal form ``v'' + Q v = 0``."""
     m = params.model.mass
+    r = float(r)
     if r < 0.5 * m or r <= 0.0:
         raise DomainError(f"r must be >= m/2 and > 0, got {r}")
     return _q_closure(params.model.mass, params.k, params.lam)(r)
@@ -102,7 +109,8 @@ def _prufer_closure(m: float, k: int, lam: float):
         r = exp(x)
         s = r + hm
         g = m * r / (s * s)
-        w = lam * (s * s / r) ** 2
+        # lam = 0 keeps w = 0 where s * s overflows (0 * inf = nan)
+        w = lam * (s * s / r) ** 2 if lam else 0.0
         p = g + w - k2
         s2 = sqrt(p * p + 1.0)
         sc = sqrt(s2)
@@ -305,6 +313,7 @@ def closed_form_v0(model: SchwarzschildModel, r: float) -> float:
     """
     model.require_horizon("closed_form_v0")
     m = model.mass
+    r = float(r)
     if r < 0.5 * m:
         raise DomainError(f"r must be >= m/2 = {0.5 * m}, got {r}")
     x = 2.0 * r / m
@@ -323,6 +332,7 @@ def closed_form_v1(model: SchwarzschildModel, r: float) -> float:
     """
     model.require_horizon("closed_form_v1")
     m = model.mass
+    r = float(r)
     if r < 0.5 * m:
         raise DomainError(f"r must be >= m/2 = {0.5 * m}, got {r}")
     a = 1.0 + 0.5 * m / r
@@ -344,6 +354,7 @@ def barrier_psi_k(model: SchwarzschildModel, k: int, r: float) -> float:
     if k == 0:
         raise DomainError("barrier is defined for k != 0 only")
     m = model.mass
+    r = float(r)
     if r < 0.5 * m:
         raise DomainError(f"r must be >= m/2 = {0.5 * m}, got {r}")
     b = math.sqrt(4.0 * k * k - 2.0)
@@ -371,6 +382,7 @@ def log_barrier_envelope(model: SchwarzschildModel, k: int, r: float) -> float:
     if k == 0:
         raise DomainError("barrier envelope is defined for k != 0 only")
     m = model.mass
+    r = float(r)
     if r < 0.5 * m:
         raise DomainError(f"r must be >= m/2 = {0.5 * m}, got {r}")
     b = math.sqrt(4.0 * k * k - 2.0)
@@ -428,6 +440,7 @@ def psi_c(model: SchwarzschildModel, c: float, r: float) -> float:
     """
     model.require_horizon("psi_c")
     m = model.mass
+    c, r = float(c), float(r)
     if r < 0.5 * m:
         raise DomainError(f"r must be >= m/2 = {0.5 * m}, got {r}")
     num, den = _psi_c_parts(m, c, r)
@@ -456,6 +469,7 @@ def singularity_radius(model: SchwarzschildModel, c: float, tol: float = DEFAULT
         raise DomainError(f"tol must be > 0, got {tol}")
     if not math.isfinite(c):
         raise DomainError(f"c must be finite, got {c}")
+    c = float(c)
 
     def F(R: float) -> float:
         return (2.0 * R - m) * (4.0 * math.log(R) + 8.0 + c) - 8.0 * (2.0 * R + m)
@@ -494,7 +508,8 @@ def ode_residual_grid(
 
     r = np.asarray(r_values, dtype=float)
     out = np.empty_like(r)
-    for i, x in enumerate(r):
+    step = float(step)
+    for i, x in enumerate(r.tolist()):
         centre = func(x)
         f2 = (
             -func(x - 2 * step)
@@ -515,7 +530,8 @@ def riccati_residual_grid(
 
     r = np.asarray(r_values, dtype=float)
     out = np.empty_like(r)
-    for i, x in enumerate(r):
+    step = float(step)
+    for i, x in enumerate(r.tolist()):
         d1 = (
             func(x - 2 * step)
             - 8.0 * func(x - step)

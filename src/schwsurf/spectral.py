@@ -146,7 +146,8 @@ def eigenvalues_shooting(
     potential ``(m/r^3)(1 + m/2r)^-2`` to the weight ``(1 + m/2r)^4``,
     reached on the horizon).  Above the highest probe, brackets grow by
     doubling a step of ``(pi/(R - m/2))^2``, the lowest Dirichlet
-    eigenvalue of ``-u''`` on ``[m/2, R]``.  Each bracket is polished by
+    eigenvalue of ``-u''`` on ``[m/2, R]``, or the smallest normal double
+    where that underflows.  Each bracket is polished by
     Brent's method; ``tol`` bounds its final width in mass-squared units.
     :attr:`Spectrum.probes` counts the values of ``lam`` shot.
 
@@ -165,7 +166,8 @@ def eigenvalues_shooting(
 
     X = R / m
     r_c = min(4.0, math.sqrt(0.5 * X))
-    step = (math.pi / (X - 0.5)) ** 2
+    # past R/m of about 2e154 the step underflows, and doubling 0 stays at 0
+    step = max((math.pi / (X - 0.5)) ** 2, sys.float_info.min)
     cache: dict = {}
 
     def miss(lam: float) -> float:

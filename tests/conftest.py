@@ -50,6 +50,18 @@ def stebz_lowest(problem, how_many):
     return vals, 8.0 * np.finfo(float).eps * float(np.max(rows))
 
 
+def float_path_outcome(f, *args):
+    """``f(*args)``, or the type and message of the domain or singularity
+    error it raises: the float and numpy-scalar calls of a scalar entry
+    point are compared through it, by type and ``repr``."""
+    from schwsurf.errors import DomainError, SingularityError
+
+    try:
+        return f(*args)
+    except (DomainError, SingularityError) as exc:
+        return type(exc), str(exc)
+
+
 class CliResult(NamedTuple):
     exit_code: int
     stdout: str

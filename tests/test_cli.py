@@ -250,6 +250,18 @@ def test_mode_commands_at_tiny_masses_keep_the_exit_code_contract(argv):
         assert "nan" not in result.stdout and "inf" not in result.stdout
 
 
+@pytest.mark.parametrize("argv", ["morse-index --mass 1e-300 --R 4.1e5 --kmax 1", "morse-index --R 4.1e305 --kmax 1"])
+def test_lambda_zero_sweeps_run_to_the_end_of_the_double_range(argv):
+    """At lam = 0 the Prufer coefficients keep w = 0 where (r + m/2)^2
+    overflows, so a Morse sweep at R/m = 4.1e305 finds index 1."""
+    result = run_cli(*argv.split(), "--output", "json")
+    assert result.exit_code == 0, result.stderr
+    assert "nan" not in result.stdout and "inf" not in result.stdout
+    doc = json.loads(result.stdout)
+    assert doc["morse_index"] == 1
+    assert {row["k"]: row["negative_count"] for row in doc["per_mode"]} == {-1: 0, 0: 1, 1: 0}
+
+
 @pytest.mark.parametrize(
     "argv",
     [

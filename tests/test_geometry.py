@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import exact_radii
+from conftest import exact_radii, float_path_outcome
 from schwsurf import (
     SchwarzschildModel,
     areal_from_distance,
@@ -298,3 +298,43 @@ def test_radial_maps_are_scale_covariant_and_increasing(log_m, log_ratio, log2_m
     assert rho < clip_radius(model, 2.0 * r)
     f, f_2r = static_potential(model, r), static_potential(model, 2.0 * r)
     assert f < f_2r if r < 1e12 * m else f <= f_2r
+
+
+# a radial map, the horizon multiple of m where its radius starts
+RADIAL_MAPS = (
+    (conformal_exponent, 0.5),
+    (areal_from_isotropic, 0.5),
+    (distance_from_isotropic, 0.5),
+    (static_potential_from_isotropic, 0.5),
+    (isotropic_from_areal, 2.0),
+    (distance_from_areal, 2.0),
+    (isotropic_from_distance, 0.0),
+    (areal_from_distance, 0.0),
+    (static_potential, 0.0),
+    (asymptotic_defect, 0.0),
+)
+
+
+def test_model_stores_its_mass_as_a_float():
+    """As ``ModeParams`` does for ``lam``: a numpy or integer mass is stored
+    as the float it holds (so ``repr`` reads ``mass=2.0``), and the horizon
+    test reads it without a second validation."""
+    model = SchwarzschildModel(np.float64(2.0))
+    assert type(model.mass) is float and model == SchwarzschildModel(2.0)
+    assert repr(SchwarzschildModel(2)) == "SchwarzschildModel(mass=2.0)"
+    assert type(SchwarzschildModel(np.float64(0.0)).mass) is float
+    with pytest.raises(DomainError, match="mass must be finite"):
+        SchwarzschildModel(np.float64(-1.0))
+
+
+@settings(max_examples=20, deadline=None, database=None, derandomize=True)
+@given(m=st.sampled_from([0.0, 2.0]) | st.floats(1e-3, 1e3), stretch=st.floats(0.0, 1e6))
+def test_radial_maps_compute_on_floats(m, stretch):
+    """A numpy scalar mass and radius give a Python float with the bits of
+    the float inputs' value (and a rejected radius the same error)."""
+    model, np_model = SchwarzschildModel(m), SchwarzschildModel(np.float64(m))
+    for f, horizon in RADIAL_MAPS:
+        for x in (horizon * m + stretch * max(m, 1.0), -1.0):
+            want, got = float_path_outcome(f, model, x), float_path_outcome(f, np_model, np.float64(x))
+            assert type(got) is type(want) and repr(got) == repr(want), (f.__name__, x)
+            assert type(want) is float or want[0] is DomainError

@@ -11,6 +11,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from schwsurf import (
     ModeParams,
@@ -26,7 +28,7 @@ from schwsurf import (
     singularity_radius,
     stability_radius,
 )
-from conftest import R_STAR_M2
+from conftest import R_STAR_M2, float_path_outcome
 from schwsurf.errors import DomainError, IntegrationError, NoSingularityError, SingularityError
 from schwsurf import _steps, mode_odes, ode
 from schwsurf.mode_odes import (
@@ -745,3 +747,61 @@ def test_psi_c_scale_dependence_of_c():
             3.0 * singularity_radius(a, c), rel=1e-12
         )
     assert cbar(b) - cbar(a) == pytest.approx(shift, rel=1e-14)
+
+
+# ------------------------------------------------------------ float paths
+
+
+def _as_numpy(args):
+    return [np.float64(a) if type(a) is float else a for a in args]
+
+
+@settings(max_examples=20, deadline=None, database=None, derandomize=True)
+@given(
+    m=st.floats(0.1, 10.0),
+    stretch=st.floats(0.0, 1e3),
+    k=st.integers(1, 3),
+    lam=st.floats(-10.0, 10.0),
+    c=st.floats(-20.0, 20.0),
+)
+def test_closed_forms_compute_on_floats(m, stretch, k, lam, c):
+    """Numpy scalar arguments give a Python float with the bits of the
+    float arguments' value (and a rejected point the same error)."""
+    model = SchwarzschildModel(m)
+    for r in (0.5 * m * (1.0 + stretch), 0.25 * m):
+        for f, *args in (
+            (v_coefficient, ModeParams(model, k, lam, m * (1.0 + stretch)), r),
+            (closed_form_v0, model, r),
+            (closed_form_v1, model, r),
+            (barrier_psi_k, model, k, r),
+            (log_barrier_envelope, model, k, r),
+            (barrier_envelope, model, k, r),
+            (psi_c, model, c, r),
+        ):
+            want, got = float_path_outcome(f, *args), float_path_outcome(f, *_as_numpy(args))
+            assert type(got) is type(want) and repr(got) == repr(want), (f.__name__, args)
+            assert type(want) is float or want[0] in (DomainError, SingularityError)
+
+
+def test_residual_grids_call_their_functions_with_floats():
+    """The stencils run on the grid's Python floats, numpy grid and step
+    or not: a probe that refuses anything else sees only floats."""
+    def probe(x):
+        assert type(x) is float
+        return x * x
+
+    r = np.linspace(1.0, 2.0, 7)
+    for grid, ref in ((ode_residual_grid, 2.0 + r**4), (riccati_residual_grid, 2.0 * r + r**4 - r * r)):
+        out = grid(probe, probe, r, np.float64(1e-3))
+        assert out.dtype == float and np.allclose(out, ref, rtol=1e-8, atol=1e-8)
+
+
+def test_numpy_mass_shoots_the_float_mass_shot():
+    """A numpy mass is stored as a float, so its shot is the float-mass
+    shot to the bit: nodes, pair and stages."""
+    shots = [
+        integrate_v(ModeParams(SchwarzschildModel(mass), 1, -0.05, 40.0))._traj
+        for mass in (np.float64(2.0), 2.0)
+    ]
+    fields = [(t.x, t.theta, t.log_rho, t.stages, t.rejected_steps) for t in shots]
+    assert repr(fields[0]) == repr(fields[1])

@@ -497,13 +497,14 @@ def test_spectra_at_powers_of_two_are_those_at_unit_mass(j):
 
 
 def test_a_failed_shot_names_its_raw_radius():
-    """At m = 1e-300 the shot to R = 4.1e5 is the m = 1 shot to 4.1e305,
-    which fails past r/m = 1.3e154, where (r + 1/2)^2 overflows; the error
+    """At m = 1e-300 the k = 2 spectrum to R = 87352 is the m = 1 spectrum
+    to 8.7e304, whose first probe above lam = 0 fails at R, where
+    (r + 1/2)^2 overflows and lam (r + 1/2)^4 / r^2 with it; the error
     names the raw radius m r."""
     with pytest.raises(IntegrationError) as unit:
-        negative_count(SchwarzschildModel(1.0), 0, 4.1e305)
+        eigenvalues_shooting(SchwarzschildModel(1.0), 2, 8.7352e304, 1)
     with pytest.raises(IntegrationError) as info:
-        negative_count(SchwarzschildModel(1e-300), 0, 4.1e5)
+        eigenvalues_shooting(SchwarzschildModel(1e-300), 2, 87352.0, 1)
     assert info.value.last_r == 1e-300 * unit.value.last_r
     assert str(info.value) == f"step size underflow at r = {info.value.last_r}"
 
