@@ -189,6 +189,14 @@ _DENSE_D = (
         -149.72683625798564,
     ),
 )
+# the rows of _DENSE_D by Hairer's names, ``_Dpl`` the weight of stage
+# ``l`` in coefficient ``p``
+(
+    (_D41, _D46, _D47, _D48, _D49, _D410, _D411, _D412, _D413, _D414, _D415, _D416),
+    (_D51, _D56, _D57, _D58, _D59, _D510, _D511, _D512, _D513, _D514, _D515, _D516),
+    (_D61, _D66, _D67, _D68, _D69, _D610, _D611, _D612, _D613, _D614, _D615, _D616),
+    (_D71, _D76, _D77, _D78, _D79, _D710, _D711, _D712, _D713, _D714, _D715, _D716),
+) = _DENSE_D
 
 # Radau IIA of order 5 (Hairer & Wanner, *Solving ODEs II*, Springer 1996,
 # sec. IV.8), with the constants of scipy's ``Radau``: the abscissae, the
@@ -228,6 +236,13 @@ def _rhs(c: tuple, th: float, cos=math.cos, sin=math.sin) -> tuple:
     return 0.5 * (a + b * c2 + d * s2), 0.5 * (b * s2 - d * c2)
 
 
+def _rhs_theta(c: tuple, th: float, cos=math.cos, sin=math.sin) -> float:
+    """``theta'`` alone, for the stages whose ``log rho`` slope no sum
+    reads: the first half of :func:`_rhs`, the same expression."""
+    a, b, d = c
+    return 0.5 * (a + b * cos(2.0 * th) + d * sin(2.0 * th))
+
+
 def _step(coefficients, x, h, th, k1t, k1l) -> tuple:
     """One DOP853 step from ``x`` to ``x + h``: the eighth-order ``theta``
     and increment of ``log rho``, the error estimate (not yet divided by
@@ -239,12 +254,12 @@ def _step(coefficients, x, h, th, k1t, k1l) -> tuple:
     errors scaled down where the third-order one is larger.  The record
     is ``(k1 theta, k1 log rho, k6 theta, ..., k12 log rho, k13 theta, k13
     log rho)``, 18 floats: stages 2 to 5 enter neither the solution, the
-    error nor the dense output, so it leaves them out, and their ``log
-    rho`` slopes are not used."""
-    k2t = _rhs(coefficients(x + _C2 * h), th + h * _A21 * k1t)[0]
-    k3t = _rhs(coefficients(x + _C3 * h), th + h * (_A31 * k1t + _A32 * k2t))[0]
-    k4t = _rhs(coefficients(x + _C4 * h), th + h * (_A41 * k1t + _A43 * k3t))[0]
-    k5t = _rhs(coefficients(x + _C5 * h), th + h * (_A51 * k1t + _A53 * k3t + _A54 * k4t))[0]
+    error nor the dense output, so it leaves them out, and they are
+    taken by :func:`_rhs_theta`, without their ``log rho`` slopes."""
+    k2t = _rhs_theta(coefficients(x + _C2 * h), th + h * _A21 * k1t)
+    k3t = _rhs_theta(coefficients(x + _C3 * h), th + h * (_A31 * k1t + _A32 * k2t))
+    k4t = _rhs_theta(coefficients(x + _C4 * h), th + h * (_A41 * k1t + _A43 * k3t))
+    k5t = _rhs_theta(coefficients(x + _C5 * h), th + h * (_A51 * k1t + _A53 * k3t + _A54 * k4t))
     k6t, k6l = _rhs(coefficients(x + _C6 * h), th + h * (_A61 * k1t + _A64 * k4t + _A65 * k5t))
     k7t, k7l = _rhs(coefficients(x + _C7 * h), th + h * (_A71 * k1t + _A74 * k4t + _A75 * k5t + _A76 * k6t))
     k8t, k8l = _rhs(
@@ -328,9 +343,9 @@ def _radau_step(coefficients, x, h, th, tol) -> tuple:
     norm_old = rate = None
     converged = False
     for it in range(_NEWTON_MAXITER):
-        f1 = _rhs(cs[0], th + z1)[0]
-        f2 = _rhs(cs[1], th + z2)[0]
-        f3 = _rhs(cs[2], th + z3)[0]
+        f1 = _rhs_theta(cs[0], th + z1)
+        f2 = _rhs_theta(cs[1], th + z2)
+        f3 = _rhs_theta(cs[2], th + z3)
         if not math.isfinite(f1 + f2 + f3):
             break
         dw0 = (h * (r1 * f1 + r2 * f2 + r3 * f3) - _MU_REAL * w0) / den_r
@@ -367,21 +382,13 @@ def _radau_step(coefficients, x, h, th, tol) -> tuple:
     return th + z3, y3, err_t, err_l, (z1, y1, z2, y2, z3, y3, f3, g3)
 
 
-def _dot(weights: tuple, stages: tuple) -> float:
-    """``sum_j weights[j] stages[j]``, summed in stage order."""
-    acc = weights[0] * stages[0]
-    for w, k in zip(weights[1:], stages[1:]):
-        acc += w * k
-    return acc
-
-
 def _dop853_dense(coefficients, x: float, h: float, th: float, d_th: float, d_lr: float, k: tuple) -> tuple:
     """The two 7-tuples of ``Trajectory.dense`` for the DOP853 step of
     length ``h`` from ``(x, th)`` with record ``k``, whose ends differ by
     ``d_th`` and ``d_lr``: the three extra stages, then Hairer's
     coefficients ``d``, ``h k1 - d``, ``d - h k13`` minus the second, and
-    ``h`` times the stages weighted by each row of ``_DENSE_D``, each sum
-    in stage order."""
+    ``h`` times the stages weighted by each row of ``_DENSE_D``, formed by
+    :func:`_dense_row` for each component."""
     k1t, k1l, k6t, k6l, k7t, k7l, k8t, k8l, k9t, k9l, k10t, k10l, k11t, k11l, k12t, k12l, k13t, k13l = k
     k14t, k14l = _rhs(
         coefficients(x + _C14 * h),
@@ -410,14 +417,42 @@ def _dop853_dense(coefficients, x: float, h: float, th: float, d_th: float, d_lr
             + _A1615 * k15t
         ),
     )
-    out = []
-    for d, ks in (
-        (d_th, (k1t, k6t, k7t, k8t, k9t, k10t, k11t, k12t, k13t, k14t, k15t, k16t)),
-        (d_lr, (k1l, k6l, k7l, k8l, k9l, k10l, k11l, k12l, k13l, k14l, k15l, k16l)),
-    ):
-        f1 = h * ks[0] - d
-        out.append((d, f1, d - h * ks[8] - f1, *(h * _dot(row, ks) for row in _DENSE_D)))
-    return tuple(out)
+    return (
+        _dense_row(h, d_th, k1t, k6t, k7t, k8t, k9t, k10t, k11t, k12t, k13t, k14t, k15t, k16t),
+        _dense_row(h, d_lr, k1l, k6l, k7l, k8l, k9l, k10l, k11l, k12l, k13l, k14l, k15l, k16l),
+    )
+
+
+def _dense_row(h, d, k1, k6, k7, k8, k9, k10, k11, k12, k13, k14, k15, k16) -> tuple:
+    """One component's seven coefficients: ``d``, ``f1 = h k1 - d``,
+    ``d - h k13 - f1`` and ``h`` times the rows of ``_DENSE_D`` applied to
+    the stages, each sum written out in stage order."""
+    f1 = h * k1 - d
+    return (
+        d,
+        f1,
+        d - h * k13 - f1,
+        h
+        * (
+            _D41 * k1 + _D46 * k6 + _D47 * k7 + _D48 * k8 + _D49 * k9 + _D410 * k10
+            + _D411 * k11 + _D412 * k12 + _D413 * k13 + _D414 * k14 + _D415 * k15 + _D416 * k16
+        ),
+        h
+        * (
+            _D51 * k1 + _D56 * k6 + _D57 * k7 + _D58 * k8 + _D59 * k9 + _D510 * k10
+            + _D511 * k11 + _D512 * k12 + _D513 * k13 + _D514 * k14 + _D515 * k15 + _D516 * k16
+        ),
+        h
+        * (
+            _D61 * k1 + _D66 * k6 + _D67 * k7 + _D68 * k8 + _D69 * k9 + _D610 * k10
+            + _D611 * k11 + _D612 * k12 + _D613 * k13 + _D614 * k14 + _D615 * k15 + _D616 * k16
+        ),
+        h
+        * (
+            _D71 * k1 + _D76 * k6 + _D77 * k7 + _D78 * k8 + _D79 * k9 + _D710 * k10
+            + _D711 * k11 + _D712 * k12 + _D713 * k13 + _D714 * k14 + _D715 * k15 + _D716 * k16
+        ),
+    )
 
 
 def _radau_dense(k: tuple, d_th: float, d_lr: float) -> tuple:

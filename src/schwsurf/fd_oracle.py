@@ -93,10 +93,11 @@ class DiscreteModeProblem(Record):
 def _coefficients(m: float, k: int, r) -> tuple:
     """The potential ``V(r) = -k^2/r + (m/r^2)(1 + m/2r)^-2`` and the mass
     density ``r (1 + m/2r)^4`` of the mode equation (sign convention:
-    ``A = -(flux + V)``), at ``r`` a float or an array: the plain rows and
-    :func:`assemble` share them.  The fourth power is two squarings, which
-    round alike on floats and arrays (``**`` calls libm's ``pow`` on one
-    and numpy's vectorized power on the other, up to 2 ulps apart)."""
+    ``A = -(flux + V)``), at a float ``r``: the plain rows call it, and
+    :func:`assemble` forms the same operations, in the same order, in place
+    on its arrays.  The fourth power is two squarings, which round alike on
+    floats and arrays (``**`` calls libm's ``pow`` on one and numpy's
+    vectorized power on the other, up to 2 ulps apart)."""
     q = 1.0 + 0.5 * m / r
     q = q * q
     return -(k * k) / r + (m / (r * r)) / q, r * (q * q)
@@ -134,24 +135,53 @@ def assemble(model: SchwarzschildModel, k: int, R: float, n: int = 1024) -> Disc
 
     r0 = 0.5 * m
     dx = (X - r0) / n
-    grid = r0 + dx * np.arange(n + 1)
-    nodes = grid[:-1]  # unknowns
-    half = grid[:-1] + 0.5 * dx  # r_{j+1/2}, j = 0..n-1
-
+    dx2 = dx**2
+    step = 0.5 * dx
+    # each array is formed in place in its own output, by the operations of
+    # _coefficients and the stencil in their order: a fresh temporary per
+    # operation cost 18 arrays of n floats per call
+    grid = np.arange(n + 1, dtype=float)
+    np.multiply(grid, dx, out=grid)
+    np.add(grid, r0, out=grid)
+    r = grid[1:-1]  # the interior nodes j = 1..n-1
     diag = np.empty(n)
     mass = np.empty(n)
+    off = np.empty(n - 1)
+    work = np.empty(n - 1)
 
     # interior rows j = 1..n-1 (node 0 is the half-cell row below, node n
-    # is eliminated by the Dirichlet condition)
-    potential, mass[1:] = _coefficients(m, k, nodes[1:])
-    diag[1:] = (half[:-1] + half[1:]) / dx**2 - potential
+    # is eliminated by the Dirichlet condition): the flux through the cell
+    # faces r_{j -+ 1/2} over dx^2, minus the potential
+    flux = diag[1:]
+    np.add(grid[:-2], step, out=flux)
+    np.add(flux, np.add(r, step, out=work), out=flux)
+    np.divide(flux, dx2, out=flux)
+    # _coefficients at r: q = (1 + m/2r)^2 in work, the mass density
+    # r q^2, and the potential -k^2/r + (m/r^2)/q, its second term in off
+    q = work
+    np.divide(0.5 * m, r, out=q)
+    np.add(q, 1.0, out=q)
+    np.multiply(q, q, out=q)
+    np.multiply(r, r, out=off)
+    np.divide(m, off, out=off)
+    np.divide(off, q, out=off)
+    density = mass[1:]
+    np.multiply(q, q, out=density)
+    np.multiply(density, r, out=density)
+    potential = work
+    np.divide(-(k * k), r, out=potential)
+    np.add(potential, off, out=potential)
+    np.subtract(flux, potential, out=flux)
 
     # horizon half cell, its coefficients at the midpoint
     potential, density = _coefficients(m, k, r0 + 0.25 * dx)
-    diag[0] = half[0] / dx**2 - 0.5 * potential
+    diag[0] = (r0 + step) / dx2 - 0.5 * potential
     mass[0] = 0.5 * density
 
-    full_off = -half[:-1] / dx**2  # couples u_j, u_{j+1}, j = 0..n-2
+    # couples u_j, u_{j+1}, j = 0..n-2: -r_{j+1/2} / dx^2
+    np.add(grid[:-2], step, out=off)
+    np.negative(off, out=off)
+    np.divide(off, dx2, out=off)
 
     return DiscreteModeProblem(
         model=model,
@@ -160,7 +190,7 @@ def assemble(model: SchwarzschildModel, k: int, R: float, n: int = 1024) -> Disc
         n=n,
         grid=grid,
         stiffness_diag=diag,
-        stiffness_off=full_off,
+        stiffness_off=off,
         mass_weights=mass,
     )
 

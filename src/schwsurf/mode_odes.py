@@ -76,7 +76,7 @@ def v_coefficient(params: ModeParams, r: float) -> float:
     """Coefficient ``Q(r)`` of the normal form ``v'' + Q v = 0``."""
     m = params.model.mass
     r = float(r)
-    if r < 0.5 * m or r <= 0.0:
+    if not (r >= 0.5 * m and r > 0.0):
         raise DomainError(f"r must be >= m/2 and > 0, got {r}")
     return _q_closure(params.model.mass, params.k, params.lam)(r)
 
@@ -314,8 +314,8 @@ def closed_form_v0(model: SchwarzschildModel, r: float) -> float:
     model.require_horizon("closed_form_v0")
     m = model.mass
     r = float(r)
-    if r < 0.5 * m:
-        raise DomainError(f"r must be >= m/2 = {0.5 * m}, got {r}")
+    if not (0.5 * m <= r < math.inf):
+        raise DomainError(f"r must be finite and >= m/2 = {0.5 * m}, got {r}")
     x = 2.0 * r / m
     return math.sqrt(x) * (1.0 - (2.0 * r - m) / (2.0 * r + m) * 0.5 * math.log(x))
 
@@ -333,7 +333,7 @@ def closed_form_v1(model: SchwarzschildModel, r: float) -> float:
     model.require_horizon("closed_form_v1")
     m = model.mass
     r = float(r)
-    if r < 0.5 * m:
+    if not (r >= 0.5 * m):
         raise DomainError(f"r must be >= m/2 = {0.5 * m}, got {r}")
     a = 1.0 + 0.5 * m / r
     return r * math.sqrt(r) * a * a
@@ -355,7 +355,7 @@ def barrier_psi_k(model: SchwarzschildModel, k: int, r: float) -> float:
         raise DomainError("barrier is defined for k != 0 only")
     m = model.mass
     r = float(r)
-    if r < 0.5 * m:
+    if not (r >= 0.5 * m):
         raise DomainError(f"r must be >= m/2 = {0.5 * m}, got {r}")
     b = math.sqrt(4.0 * k * k - 2.0)
     t = b * math.log(2.0 * r / m)
@@ -383,7 +383,7 @@ def log_barrier_envelope(model: SchwarzschildModel, k: int, r: float) -> float:
         raise DomainError("barrier envelope is defined for k != 0 only")
     m = model.mass
     r = float(r)
-    if r < 0.5 * m:
+    if not (r >= 0.5 * m):
         raise DomainError(f"r must be >= m/2 = {0.5 * m}, got {r}")
     b = math.sqrt(4.0 * k * k - 2.0)
     lx = math.log(2.0 * r / m)
@@ -441,8 +441,10 @@ def psi_c(model: SchwarzschildModel, c: float, r: float) -> float:
     model.require_horizon("psi_c")
     m = model.mass
     c, r = float(c), float(r)
-    if r < 0.5 * m:
-        raise DomainError(f"r must be >= m/2 = {0.5 * m}, got {r}")
+    if not math.isfinite(c):
+        raise DomainError(f"c must be finite, got {c}")
+    if not (0.5 * m <= r < math.inf):
+        raise DomainError(f"r must be finite and >= m/2 = {0.5 * m}, got {r}")
     num, den = _psi_c_parts(m, c, r)
     if num == den == 0.0:
         raise SingularityError(f"psi_c is 0/0 at r = {r}: its numerator and denominator underflow")

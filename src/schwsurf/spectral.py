@@ -319,7 +319,8 @@ def rayleigh_quotient(
         / [integral u^2 (1 + m/2r)^4 r dr]
 
     ``u`` must be sampled over the full interval and vanish at ``R``
-    (within ``1e-6`` of its sup); its sign gives the sign of the quadratic
+    (within ``1e-6`` of its sup), and ``u`` and ``u_prime``, if given,
+    must be finite samples at ``r``; its sign gives the sign of the quadratic
     form, and on an eigenfunction it reproduces the eigenvalue (returned
     in mass-squared units).
     """
@@ -331,7 +332,15 @@ def rayleigh_quotient(
     u = np.asarray(u, dtype=float)
     if r.ndim != 1 or r.shape != u.shape or len(r) < 5:
         raise PreconditionError("need matching 1-d samples, at least 5 points")
-    if np.any(np.diff(r) <= 0.0):
+    if u_prime is not None:
+        u_prime = np.asarray(u_prime, dtype=float)
+        if u_prime.shape != r.shape:
+            raise PreconditionError(f"u_prime has shape {u_prime.shape}, the samples {r.shape}")
+        if not np.all(np.isfinite(u_prime)):
+            raise PreconditionError("u_prime must be finite")
+    if not np.all(np.isfinite(u)):
+        raise PreconditionError("u must be finite")
+    if not np.all(np.diff(r) > 0.0):
         raise PreconditionError("sample grid must be strictly increasing")
     if abs(r[0] - 0.5 * m) > 1e-9 * max(1.0, m) or abs(r[-1] - R) > 1e-9 * max(1.0, R):
         raise PreconditionError(f"samples must span [m/2, R] = [{0.5 * m}, {R}]")
@@ -345,8 +354,6 @@ def rayleigh_quotient(
     slope = _slope_operator(r)
     if u_prime is None:
         u_prime = slope(u)
-    else:
-        u_prime = np.asarray(u_prime, dtype=float)
 
     pot = (m / r**3) / (1.0 + 0.5 * m / r) ** 2
     weight = (1.0 + 0.5 * m / r) ** 4

@@ -3,7 +3,10 @@
 The potential and the mass density of the plane's Jacobi operator are
 typed out by hand in four places: ``fd_oracle._coefficients``,
 ``mode_odes._q_closure``, the Prüfer closure's ``P`` and ``P_x``, and
-``spectral.rayleigh_quotient``.  The cross-checks between the routes
+``spectral.rayleigh_quotient``.  (``fd_oracle.assemble`` writes the
+operations of ``_coefficients`` out in place on its arrays; the FD tests
+hold it to the plain rows, which call ``_coefficients``, bit for bit.)
+The cross-checks between the routes
 compare these with each other, so a typo shared by all of them would pass
 every one.  Here sympy derives both from ``g = u^4 delta``,
 ``u = 1 + m/2|x|``, and each typed form is checked against them.

@@ -100,6 +100,48 @@ def test_assembled_pencil_is_symmetric_definite(m2):
     assert m2.mass * prob.grid[0] == 1.0 and m2.mass * prob.grid[-1] == 20.0
 
 
+def _assembled_by_expressions(model, k, R, n) -> tuple:
+    """``assemble``'s four arrays from whole-array expressions, a temporary
+    per operation, in the order of operations of ``_coefficients`` and the
+    stencil."""
+    m, X = (1.0, R / model.mass) if model.mass > 0.0 else (0.0, R)
+    r0 = 0.5 * m
+    dx = (X - r0) / n
+    grid = r0 + dx * np.arange(n + 1)
+    half = grid[:-1] + 0.5 * dx
+    r = grid[1:-1]
+    q = 1.0 + 0.5 * m / r
+    q = q * q
+    potential = -(k * k) / r + (m / (r * r)) / q
+    diag = np.r_[0.0, (half[:-1] + half[1:]) / dx**2 - potential]
+    mass = np.r_[0.0, r * (q * q)]
+    r = r0 + 0.25 * dx
+    q = 1.0 + 0.5 * m / r
+    q = q * q
+    diag[0] = half[0] / dx**2 - 0.5 * (-(k * k) / r + (m / (r * r)) / q)
+    mass[0] = 0.5 * (r * (q * q))
+    return grid, diag, -half[:-1] / dx**2, mass
+
+
+@pytest.mark.parametrize("n", [16, 33, 1024, 65536])
+@pytest.mark.parametrize("k", [0, 1, 3])
+@pytest.mark.parametrize("m", [0.0, 0.7, 2.0])
+def test_assemble_in_place_is_the_expressions_bit_for_bit(m, k, n):
+    """``assemble`` forms each array in its own output, and the floats
+    are those of the expressions, byte for byte (so in ``repr`` too, at a
+    hundredth of the cost on 65536 cells); no two arrays share memory."""
+    model = SchwarzschildModel(m)
+    R = 0.5 * m + 19.0 * (m if m > 0.0 else 1.0)
+    prob = assemble(model, k, R, n)
+    arrays = (prob.grid, prob.stiffness_diag, prob.stiffness_off, prob.mass_weights)
+    assert [a.shape for a in arrays] == [(n + 1,), (n,), (n - 1,), (n,)]
+    for got, want in zip(arrays, _assembled_by_expressions(model, k, R, n)):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    for i, a in enumerate(arrays):
+        for b in arrays[i + 1 :]:
+            assert not np.shares_memory(a, b)
+
+
 def test_dense_reference_matches_tridiagonal_path(m2):
     prob = assemble(m2, 0, 8.0, 64)
     A, B = prob.dense_matrices()

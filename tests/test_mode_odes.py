@@ -201,6 +201,60 @@ def test_lazy_dense_coefficients_match_the_array_path(scalar_shot):
     assert np.asarray([traj.dense(i) for i in range(len(traj.stages))]).tobytes() == dense.tobytes()
 
 
+def _dop853_dense_reference(traj, i: int) -> tuple:
+    """Step ``i``'s dense coefficients in plain floats, each sum running
+    over the stages in order: the extra stages 14 to 16 from scipy's copy of
+    Hairer's tableau, the coefficients 4 to 7 from ``_steps._DENSE_D``."""
+    from scipy.integrate._ivp import dop853_coefficients as dop853
+
+    x0, h, th0 = traj.x[i], traj.x[i + 1] - traj.x[i], traj.theta[i]
+    record = traj.stages[i]
+    # stage (0-based) -> (theta', log rho'), the record's stages 1, 6 to 13
+    stage = dict(zip([0, *range(5, 13)], zip(record[0::2], record[1::2])))
+    for row in (13, 14, 15):
+        cols = np.flatnonzero(dop853.A[row]).tolist()
+        arg = th0 + h * float(_in_stage_order(dop853.A[row, cols], np.array([stage[c][0] for c in cols])))
+        stage[row] = _steps._rhs(traj.coefficients(x0 + float(dop853.C[row]) * h), arg)
+    order = [0, *range(5, 16)]
+    out = []
+    for part, d in enumerate((traj.theta[i + 1] - th0, traj.log_rho[i + 1] - traj.log_rho[i])):
+        ks = [stage[j][part] for j in order]
+        f1 = h * ks[0] - d
+        sums = (float(_in_stage_order(np.array(row), np.array(ks))) for row in _steps._DENSE_D)
+        out.append((d, f1, d - h * ks[8] - f1, *(h * x for x in sums)))
+    return tuple(out)
+
+
+@pytest.mark.parametrize("tol", [1e-10, 1e-6])
+@pytest.mark.parametrize("k, lam", [(0, -0.2), (0, 0.0), (1, -0.1), (2, -2.5)])
+def test_dop853_dense_output_is_its_sums_in_stage_order(m2, k, lam, tol):
+    """The written-out continuous extension equals, in ``repr``, the
+    coefficients summed term by term in stage order from ``_DENSE_D``, on
+    every DOP853 step of the shot."""
+    traj = integrate_v(ModeParams(m2, k, lam, 400.0), tol=tol)._traj
+    steps = [i for i, rec in enumerate(traj.stages) if len(rec) == 18]
+    assert len(steps) >= 5
+    for i in steps:
+        assert repr(traj.dense(i)) == repr(_dop853_dense_reference(traj, i))
+
+
+_THETA = st.one_of(
+    st.floats(-1e4, 1e4),
+    st.integers(-64, 64).map(lambda j: j * math.pi / 4.0),
+)
+_COEFFICIENT = st.one_of(st.floats(-1e3, 1e3), st.floats(allow_nan=False, allow_infinity=False))
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(a=_COEFFICIENT, b=_COEFFICIENT, d=_COEFFICIENT, th=_THETA)
+def test_theta_only_slope_is_the_first_half_of_the_pair(a, b, d, th):
+    """Stages 2 to 5 and the Newton iterations take ``theta'`` alone; it
+    is the first entry of ``_rhs`` to the bit, at phases on multiples of
+    pi/4 (where cos 2 theta or sin 2 theta is zero or +-1) and at
+    coefficients up to the largest doubles."""
+    assert repr(_steps._rhs_theta((a, b, d), th)) == repr(_steps._rhs((a, b, d), th)[0])
+
+
 def test_scalar_v_overflows_to_inf_like_array_reads(scalar_shot):
     """Where v leaves the double range, v and v' read +-inf, not OverflowError."""
     sol, radii = scalar_shot
@@ -283,6 +337,49 @@ def test_closed_form_v0_values(m2):
     assert closed_form_v0(m2, 1.0) == 1.0  # log sqrt(1) = 0
     assert closed_form_v0(m2, 50.0) < 0.0
     assert abs(closed_form_v0(m2, R_STAR_M2)) < 1e-13
+
+
+@pytest.mark.parametrize(
+    "form, at_infinity",
+    [
+        (lambda model, r: closed_form_v0(model, r), None),
+        (lambda model, r: closed_form_v1(model, r), math.inf),
+        (lambda model, r: barrier_psi_k(model, 2, r), 0.0),
+        (lambda model, r: log_barrier_envelope(model, 2, r), math.inf),
+        (lambda model, r: barrier_envelope(model, 2, r), math.inf),
+        (lambda model, r: psi_c(model, 3.0, r), None),
+        (lambda model, r: v_coefficient(ModeParams(model, 1, -0.01, 10.0), r), -0.01),
+    ],
+    ids=[
+        "closed_form_v0",
+        "closed_form_v1",
+        "barrier_psi_k",
+        "log_barrier_envelope",
+        "barrier_envelope",
+        "psi_c",
+        "v_coefficient",
+    ],
+)
+def test_closed_forms_reject_a_nan_radius(m2, form, at_infinity):
+    """A NaN radius passed ``r < m/2`` and came back as a NaN value; it is a
+    DomainError, as in ``geometry.areal_from_distance``.  At ``r = inf`` a
+    form with a limit returns it, and one without (``v0`` is ``inf * (1 -
+    inf/inf ...)``, ``psi_c``'s denominator ``inf - inf``) raises."""
+    assert math.isfinite(form(m2, 3.0))
+    with pytest.raises(DomainError, match="r must be"):
+        form(m2, math.nan)
+    if at_infinity is None:
+        with pytest.raises(DomainError, match="r must be finite"):
+            form(m2, math.inf)
+    else:
+        assert form(m2, math.inf) == at_infinity
+
+
+@pytest.mark.parametrize("c", [math.nan, math.inf, -math.inf])
+def test_psi_c_rejects_a_parameter_that_is_not_finite(m2, c):
+    """As :func:`singularity_radius` does; a NaN ``c`` gave a NaN value."""
+    with pytest.raises(DomainError, match="c must be finite"):
+        psi_c(m2, c, 3.0)
 
 
 @pytest.mark.parametrize("mass", [0.7, 2.0])

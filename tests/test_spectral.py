@@ -366,6 +366,38 @@ def test_rayleigh_validation(m2):
         rayleigh_quotient(m2, 3.0, r, np.zeros_like(r))
 
 
+@pytest.mark.parametrize("where", [0, 40, 100])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_rayleigh_rejects_samples_that_are_not_finite(m2, where, bad):
+    """A NaN passes every comparison of the other preconditions, so the
+    quotient would come back NaN; an infinity would give inf/inf."""
+    r = np.linspace(1.0, 3.0, 101)
+    u = 1.0 - (r - 1.0) / 2.0
+    up = np.full_like(r, -0.5)
+    assert math.isfinite(rayleigh_quotient(m2, 3.0, r, u, up))
+    u_bad, up_bad = u.copy(), up.copy()
+    u_bad[where] = bad
+    up_bad[where] = bad
+    with pytest.raises(PreconditionError, match="u must be finite"):
+        rayleigh_quotient(m2, 3.0, r, u_bad)
+    with pytest.raises(PreconditionError, match="u_prime must be finite"):
+        rayleigh_quotient(m2, 3.0, r, u, up_bad)
+    r_bad = r.copy()
+    r_bad[where] = bad
+    with pytest.raises(PreconditionError, match="strictly increasing|must span"):
+        rayleigh_quotient(m2, 3.0, r_bad, u)
+
+
+@pytest.mark.parametrize("shape", [(100,), (102,), (101, 1), (1, 101)])
+def test_rayleigh_rejects_u_prime_of_another_shape(m2, shape):
+    """Another length failed in numpy's broadcast and a column in einsum,
+    with their own errors."""
+    r = np.linspace(1.0, 3.0, 101)
+    u = 1.0 - (r - 1.0) / 2.0
+    with pytest.raises(PreconditionError, match="u_prime has shape"):
+        rayleigh_quotient(m2, 3.0, r, u, np.full(shape, -0.5))
+
+
 def test_derivative_samples_match_per_sample_quartic_fits():
     """The closed-form stencil weights against one np.polyfit per sample as
     the reference, on an uneven grid; exact on a quartic."""
