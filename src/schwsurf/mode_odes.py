@@ -314,10 +314,17 @@ def closed_form_v0(model: SchwarzschildModel, r: float) -> float:
     model.require_horizon("closed_form_v0")
     m = model.mass
     r = float(r)
+    x = 2.0 * r / m
+    # r < inf is implied by x < inf: the domain test and the overflow test
+    # of 2r/m share the ordinary path's two comparisons
+    if 0.5 * m <= r and x < math.inf:
+        return math.sqrt(x) * (1.0 - (2.0 * r - m) / (2.0 * r + m) * 0.5 * math.log(x))
     if not (0.5 * m <= r < math.inf):
         raise DomainError(f"r must be finite and >= m/2 = {0.5 * m}, got {r}")
-    x = 2.0 * r / m
-    return math.sqrt(x) * (1.0 - (2.0 * r - m) / (2.0 * r + m) * 0.5 * math.log(x))
+    # 2r/m overflows: its root and log from the factors, the ratio in m/2r
+    q = 0.5 * m / r
+    log_x = math.log(2.0) + math.log(r) - math.log(m)
+    return math.sqrt(2.0) * math.sqrt(r) / math.sqrt(m) * (1.0 - (1.0 - q) / (1.0 + q) * 0.5 * log_x)
 
 
 def closed_form_v1(model: SchwarzschildModel, r: float) -> float:
@@ -393,8 +400,9 @@ def log_barrier_envelope(model: SchwarzschildModel, k: int, r: float) -> float:
 
 
 def barrier_envelope(model: SchwarzschildModel, k: int, r: float) -> float:
-    """``exp(integral of psi_k)``: pointwise lower bound for those shots."""
-    return math.exp(log_barrier_envelope(model, k, r))
+    """``exp(integral of psi_k)``: pointwise lower bound for those shots;
+    ``inf`` past the double range (r beyond about 1.4e130 at k = 2)."""
+    return _exp(log_barrier_envelope(model, k, r))
 
 
 # -------------------------------------------------------------------------
@@ -434,7 +442,8 @@ def psi_c(model: SchwarzschildModel, c: float, r: float) -> float:
     (denominator below ``1e-9`` of the numerator scale) raises
     :class:`SingularityError` carrying the located radius, and a point
     where both underflow to 0 (near the horizon at ``m = 1e-300``) one
-    without it.
+    without it.  Past ``r = 1e100``, where ``r^3`` overflows, the quotient
+    is formed divided through by powers of ``r`` (:func:`_psi_c_far`).
 
     ``c`` is unit-dependent through the bare ``log r``; see :func:`cbar`.
     """
@@ -443,8 +452,10 @@ def psi_c(model: SchwarzschildModel, c: float, r: float) -> float:
     c, r = float(c), float(r)
     if not math.isfinite(c):
         raise DomainError(f"c must be finite, got {c}")
-    if not (0.5 * m <= r < math.inf):
-        raise DomainError(f"r must be finite and >= m/2 = {0.5 * m}, got {r}")
+    if not (0.5 * m <= r <= 1e100):
+        if not (0.5 * m <= r < math.inf):
+            raise DomainError(f"r must be finite and >= m/2 = {0.5 * m}, got {r}")
+        return _psi_c_far(model, c, r)
     num, den = _psi_c_parts(m, c, r)
     if num == den == 0.0:
         raise SingularityError(f"psi_c is 0/0 at r = {r}: its numerator and denominator underflow")
@@ -454,6 +465,23 @@ def psi_c(model: SchwarzschildModel, c: float, r: float) -> float:
             r_singularity=singularity_radius(model, c),
         )
     return 0.5 / r + num / den
+
+
+def _psi_c_far(model: SchwarzschildModel, c: float, r: float) -> float:
+    """:func:`psi_c` past ``r = 1e100``, where ``r^3`` in its denominator
+    overflows: the numerator divided through by ``r^2`` and the
+    denominator by ``r^3``, in ``q = m/r``, with the same blow-up test."""
+    q = model.mass / r
+    A = 4.0 * math.log(r) + c + 8.0
+    num = 4.0 * q * A + 16.0 - 4.0 * q * q
+    den = (4.0 - q * q) * A - 8.0 * (2.0 + q) ** 2
+    # |den r^3| < 1e-9 |num r^2|; an overflowing den * r is not a blow-up
+    if abs(den) * r < 1e-9 * abs(num):
+        raise SingularityError(
+            f"psi_c evaluated at its blow-up near r = {r}",
+            r_singularity=singularity_radius(model, c),
+        )
+    return (0.5 + num / den) / r
 
 
 def singularity_radius(model: SchwarzschildModel, c: float, tol: float = DEFAULT_ROOT_TOL) -> float:

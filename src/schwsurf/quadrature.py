@@ -5,10 +5,12 @@ an interval, the 33-point Kronrod extension of the 16-point
 Gauss-Legendre rule on 2^j uniform panels converges extremely fast, and
 each level's one set of samples gives both sums, whose difference bounds
 the error of the Gauss sum (Piessens et al., *QUADPACK*, Springer 1983).
-Sixteen Gauss points suffice: one panel settles every cone integral in
-``log(t/t0)`` from next to the horizon out to a million masses, where
-the 65-point rule that extends the 32-point one samples twice the nodes
-for nothing.
+Sixteen Gauss points suffice for the ``t`` slices of general charts
+(cones, whose integrals are closed forms, never come here): a smooth
+slice, as of a cone or a graph written as a chart, settles on one panel,
+where the 65-point rule that extends the 32-point one samples twice the
+nodes for nothing; a piecewise-smooth one, as of a dense-output
+catenoid, takes a few panels more.
 Over a full period of a smooth periodic function, the equispaced
 trapezoid rule converges geometrically and nests on doubling, so no node
 is evaluated twice (Trefethen & Weideman, "The exponentially convergent

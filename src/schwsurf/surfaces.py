@@ -7,10 +7,8 @@ over unit-sphere curves are the workhorses: their flat induced metric is
 ``dt^2 + t^2 ds^2`` when ``alpha`` is parametrized by arc length, every
 ball-clipping level is a ``t`` level, and the unit radial field is
 tangent to them, which collapses the defect integral to zero and makes
-the monotonicity bookkeeping exact up to quadrature.  A clipped integral
-over a cone is one 1-D integral of ``w(m, t) t dt``, taken in
-``u = log(t/t0)``: the radial factors' one pole, ``t = 0``, moves to
-``u = -inf``, and the integrand ``w(m, t) t^2`` is entire.
+the monotonicity bookkeeping exact up to rounding: a clipped integral
+over a cone is elementary (see :func:`_clipped_integral`).
 
 Cones, their integrals and the reports built on them (monotonicity,
 density, the boundary bound) run on plain floats, and rotations are
@@ -32,10 +30,11 @@ import math
 from . import quadrature, roots
 from ._record import Record
 from .errors import DomainError, GeometryError, PreconditionError, QuadratureError
-from .geometry import SchwarzschildModel, _exp, areal_from_isotropic, isotropic_from_distance
+from .geometry import SchwarzschildModel, areal_from_isotropic, isotropic_from_distance
 from .quadrature import QuadSpec
 
 _TWO_PI = 2.0 * math.pi
+_TINY = 2.2250738585072014e-308  # the smallest normal double
 
 
 # -------------------------------------------------------------------------
@@ -172,12 +171,10 @@ class ParamSurface(Record, hide=("curve",)):
     ``S = s_period`` must be the chart's true period: general charts are
     integrated over ``s`` by the periodic trapezoid rule, which assumes a
     smooth periodic integrand.  Cones (planes through the origin among
-    them) carry their ``curve``, so integrals can use the 1-D fast path;
-    general charts carry none.
-    ``chart_t``/``chart_s`` are the partial derivatives, always present:
-    analytic on cones, given or finite-difference fallbacks on general
-    charts (:func:`make_general`).  Nodes are evaluated through
-    :func:`_chart_samples`.
+    them) carry their ``curve``, and their integrals are closed forms;
+    general charts carry none.  ``chart_t``/``chart_s`` are the partial
+    derivatives: analytic on cones, given or finite differences on general
+    charts (:func:`make_general`), read through :func:`_chart_samples`.
     """
 
     chart: object
@@ -420,24 +417,18 @@ def _clipped_integral(model, surface, t_iso, spec, w, normal=False, store=None) 
     A clip level at or below the horizon ``m/2`` clips nothing but the
     horizon itself, and gives 0.
 
-    Cones integrate ``w(m, t) t^2`` over ``u = log(t/t0)``, with ``t = t0
-    e^u`` on ``[0, log(t_top/t0)]`` (their flat element is ``t dt ds`` and
-    the radial field is tangent to them).  The integrand is entire, and
-    one 33-point Gauss-Kronrod panel settles it from next to the horizon
-    out to a million masses (from a hundredth of a mass on, to about
-    1e-14 of the exact value).  The
-    variable is relative to ``t0`` so that scaling ``m`` and ``rho``
-    together leaves the nodes where they are; the upper limit is formed
-    by ``log1p``, so that a clip level next to the horizon keeps its
-    digits.  Where ``t^2`` overflows (``t`` past about ``1.3e154``) the
-    :class:`QuadratureError` names the interval in ``u``, and where the
-    integral times the period ``S`` does, its two factors.  Only the flat
-    model's cones start at ``t0 = 0``; there every weight is 1 and ``w t``
-    is integrated over ``t``, exactly on the first level.  General charts
-    run the periodic trapezoid rule :func:`quadrature.integrate_periodic`
-    over ``s`` in ``[0, S)`` (so ``S`` must be the chart's true period),
-    whose every node runs a Gauss-Kronrod :func:`quadrature.integrate`
-    over ``t`` up to the slice's clip level.  That rule starts from one
+    A cone's integral is its period ``S`` times that of ``w(m, t) t dt``
+    from ``t0`` to ``t_top``, elementary in ``u = log(t/t0)``: each weight
+    carries its primitive ``w.cone`` (see the weights), and no quadrature
+    runs.  ``u`` is formed by ``log1p``, so that a clip level next to the
+    horizon keeps its digits.  Where the integral is not finite (``t_top``
+    past about ``1.3e154``, or ``u`` infinite) the :class:`QuadratureError`
+    names the interval in ``u``, and where it times ``S`` is not, its two
+    factors.  General charts run the periodic trapezoid rule
+    :func:`quadrature.integrate_periodic` over ``s`` in ``[0, S)`` (so
+    ``S`` must be the chart's true period), whose every node runs a
+    Gauss-Kronrod :func:`quadrature.integrate` over ``t`` up to the
+    slice's clip level.  That rule starts from one
     node, so a surface of revolution about the chart's axis, whose
     slices all give the same integral, costs three slices: ``s = 0``,
     ``S/2`` and the one-node alias guard.  The chart samples are formed
@@ -463,18 +454,16 @@ def _clipped_integral(model, surface, t_iso, spec, w, normal=False, store=None) 
     t0, t1 = surface.t_range
     if surface.is_cone:
         top = min(t_iso, t1)
-        if t0 == 0.0:
-            # flat model: every weight is 1 and w t is a polynomial
-            value = quadrature.integrate(lambda ts: [w(m, t) * t for t in ts], t0, top, spec)
-        else:
-            def integrand(us):
-                try:
-                    ts = [t0 * math.exp(u) for u in us]
-                except OverflowError:
-                    ts = [t0 * _exp(u) for u in us]
-                return [w(m, t) * t * t for t in ts]
-
-            value = quadrature.integrate(integrand, 0.0, math.log1p((top - t0) / t0), spec)
+        # the flat model's cones start at t0 = 0, where the term in u vanishes
+        u = math.log1p((top - t0) / t0) if t0 > 0.0 else 0.0
+        e = math.frexp(top)[1]  # lengths in units of 2^e > top
+        try:
+            value = math.ldexp(w.cone(math.ldexp(t0, -e), math.ldexp(top, -e), u), 2 * e)
+        except OverflowError:
+            value = math.inf
+        if not (math.isfinite(value) and u < math.inf):
+            where = f"[0.0, {u!r}] in log(t/t0)" if t0 > 0.0 else f"[0.0, {top!r}] in t"
+            raise QuadratureError(f"cone integral over {where} is not finite")
         total = surface.s_period * value
         if not math.isfinite(total):
             raise QuadratureError(f"cone integral {value!r} times the period {surface.s_period!r} is not finite")
@@ -532,9 +521,10 @@ def _clipped_integral(model, surface, t_iso, spec, w, normal=False, store=None) 
     return total[0] if normal else total
 
 
-# the weights take a float (a cone node) or an array (general-chart
-# nodes); the cone weights multiply out their powers, which on a float
-# cost as much as the rest of the weight
+# the weights take an array: the nodes of a general chart.  A cone from
+# t0 = m/2 integrates them through their primitives ``cone(t0, t, u)``,
+# the integral of w t dt from t0 to t, u = log(t/t0), written in t - t0
+# and q = t0/t = e^-u, where every term is positive
 
 
 def _mu_weight(m, r):
@@ -543,10 +533,23 @@ def _mu_weight(m, r):
     return (1.0 - q) * (p * p * p)  # f times conformal area factor
 
 
+def _mu_cone(t0, t, u):
+    q, d = t0 / t, t - t0  # 2 (t0 sinh u)^2 + 8 (t0 sinh u/2)^2
+    return d * d * (0.5 * (1.0 + q) ** 2 + 2.0 * q)
+
+
 def _area_weight(m, r):
     p = 1.0 + 0.5 * m / r
     p2 = p * p
     return p2 * p2
+
+
+def _area_cone(t0, t, u):
+    q = t0 / t  # t0^2 (6u + 8 sinh u + 2 sinh u cosh u)
+    return (t - t0) * t * (1.0 + q) * (0.5 * (1.0 + q * q) + 4.0 * q) + 6.0 * t0 * t0 * u
+
+
+_mu_weight.cone, _area_weight.cone = _mu_cone, _area_cone
 
 
 def _defect_weight(m, r):
@@ -705,15 +708,14 @@ def monotonicity_report(
     mus, defects, squares = [], [], []
     for r in rhos:
         t, store = clip_radius(model, r), {}
-        squares.append(_areal_square(model, r, t))
-        mus.append(_clipped_integral(model, surface, t, spec, _mu_weight, store=store))
-        defects.append(_clipped_integral(model, surface, t, spec, _defect_weight, normal=True, store=store))
+        h = areal_from_isotropic(model, t)
+        squares.append(_normal("h^2", r, h * h, nonzero=r > 0.0 or m > 0.0))
+        mus.append(_normal("mu", r, _clipped_integral(model, surface, t, spec, _mu_weight, store=store)))
+        defects.append(_normal("defect", r, _clipped_integral(model, surface, t, spec, _defect_weight, True, store)))
     ratios = [mu / h2 if r > 0.0 else 0.0 for r, mu, h2 in zip(rhos, mus, squares)]
 
-    if m > 0.0 and surface.free_boundary:
-        blen = boundary_length(model, surface, spec)
-    else:
-        blen = 0.0
+    blen = boundary_length(model, surface, spec) if m > 0.0 and surface.free_boundary else 0.0
+    blen = _normal("boundary length", 0.0, blen)
 
     # m |boundary| (1/h(sigma)^2 - 1/h(rho)^2); h = 0 at rho = 0 on the flat model
     edges = [m * -(1.0 / b - 1.0 / a) * blen if m > 0.0 else 0.0 for a, b in zip(squares, squares[1:])]
@@ -732,15 +734,12 @@ def monotonicity_report(
     )
 
 
-def _areal_square(model: SchwarzschildModel, rho: float, clip: float) -> float:
-    """``h^2`` at horizon distance ``rho > 0`` from its clip level, or
-    :class:`QuadratureError` where it underflows to 0 (a mass near the
-    bottom of the double range): no ratio over it can be formed.  0 at
-    ``rho = 0`` on the flat model."""
-    h = areal_from_isotropic(model, clip)
-    if h * h == 0.0 and rho > 0.0:
-        raise QuadratureError(f"areal radius {h!r} at rho = {rho!r} squares to 0: no ratio over h^2 is formed")
-    return h * h
+def _normal(what: str, rho: float, value: float, nonzero: bool = False) -> float:
+    """The report's ``what`` at ``rho``, or :class:`QuadratureError` where it
+    is below the normal doubles (0 included where ``nonzero``)."""
+    if abs(value) < _TINY and (value or nonzero):
+        raise QuadratureError(f"{what} {value!r} at rho = {rho!r} underflows the normal double range")
+    return value
 
 
 def density_at_infinity(
@@ -767,10 +766,8 @@ def density_at_infinity(
 
     ratios = []
     for r, t in zip(rhos, clips):
-        denom = _clipped_integral(model, ref, t, spec, _area_weight)
-        if denom == 0.0:
-            raise QuadratureError(f"area {denom!r} of the reference plane within rho = {r!r} underflows")
-        ratios.append(_clipped_integral(model, surface, t, spec, _area_weight) / denom)
+        denom = _normal("reference plane area", r, _clipped_integral(model, ref, t, spec, _area_weight), nonzero=True)
+        ratios.append(_normal("area", r, _clipped_integral(model, surface, t, spec, _area_weight)) / denom)
 
     # two-point linear extrapolation to 1/h -> 0
     x0, x1 = (1.0 / areal_from_isotropic(model, t) for t in clips[-2:])
@@ -807,15 +804,17 @@ def boundary_bound_check(
     model.require_horizon("boundary_bound_check")
     m = model.mass
     dens = density_at_infinity(model, surface, rho_max, spec)
-    blen = boundary_length(model, surface, spec)
+    blen = _normal("boundary length", 0.0, boundary_length(model, surface, spec))
     bterm = blen / (4.0 * math.pi * m)
     t_max, store = clip_radius(model, rho_max), {}
-    defect = _clipped_integral(model, surface, t_max, spec, _defect_weight, normal=True, store=store) / math.pi
+    defect = _clipped_integral(model, surface, t_max, spec, _defect_weight, True, store)
+    defect = _normal("defect", rho_max, defect) / math.pi
 
     # tail bound: pi Theta - ratio(rho_max) - m |boundary| / h(rho_max)^2,
     # clipped at zero against extrapolation noise
-    h2_max = _areal_square(model, rho_max, t_max)
-    ratio_max = _clipped_integral(model, surface, t_max, spec, _mu_weight, store=store) / h2_max
+    h_max = areal_from_isotropic(model, t_max)
+    h2_max = _normal("h^2", rho_max, h_max * h_max, nonzero=True)
+    ratio_max = _normal("mu", rho_max, _clipped_integral(model, surface, t_max, spec, _mu_weight, store=store)) / h2_max
     tail = max(0.0, (math.pi * dens.theta - ratio_max) / math.pi - m * blen / (math.pi * h2_max))
 
     lhs = dens.theta

@@ -574,6 +574,54 @@ def test_underflowing_mass_is_a_numerical_failure(name):
     assert result.stderr.startswith("numerical failure: ") and result.stderr.count("\n") == 1
 
 
+@pytest.mark.parametrize("name", ["monotonicity", "boundary-bound"])
+def test_subnormal_ratio_parts_are_a_numerical_failure(name):
+    """At m = 1e-160 h^2 (about 4e-320) and mu are subnormal: monotonicity
+    printed a first ratio 2.5 % off and nan residuals, boundary-bound a
+    tail of 2.4e-8, both at exit 0.  Now exit 3 with one stderr line."""
+    result = run_cli(name, "--mass", "1e-160")
+    assert result.exit_code == 3
+    assert result.stdout == ""
+    assert result.stderr.startswith("numerical failure: ") and result.stderr.count("\n") == 1
+    assert "underflows" in result.stderr
+
+
+# scale-free columns, compared relatively or absolutely
+_SCALE_FREE = {
+    "monotonicity": {"ratio": "rel", "pair_residual": "abs", "max_backstep": "abs", "monotone": "same"},
+    "boundary-bound": {
+        "lhs": "rel",
+        "rhs": "rel",
+        "boundary_term": "rel",
+        "equality_defect": "abs",
+        "defect_integral": "abs",
+        "defect_tail_bound": "abs",
+        "bound_satisfied": "same",
+    },
+}
+
+
+@pytest.mark.parametrize("name", ["monotonicity", "boundary-bound"])
+def test_surface_reports_at_a_tiny_normal_mass_print_the_unit_mass_numbers(name):
+    """At m = 1e-150 every value a report forms a ratio from is a normal
+    double: exit 0, and the scale-free columns equal those at m = 1
+    within 1e-12."""
+    header, want = parse_csv(run_cli(name, "--mass", "1").stdout)
+    result = run_cli(name, "--mass", "1e-150")
+    assert result.exit_code == 0 and result.stderr == ""
+    got_header, got = parse_csv(result.stdout)
+    assert got_header == header and len(got) == len(want)
+    for row, ref in zip(got, want):
+        for column, kind in _SCALE_FREE[name].items():
+            i = header.index(column)
+            if kind == "same" or ref[i] == "":
+                assert row[i] == ref[i], column
+            elif kind == "rel":
+                assert float(row[i]) == pytest.approx(float(ref[i]), rel=1e-12, abs=0.0), column
+            else:
+                assert abs(float(row[i]) - float(ref[i])) <= 1e-12, column
+
+
 @pytest.mark.parametrize("warnings", [[], ["-W", "error::RuntimeWarning"]], ids=["default", "warnings-as-errors"])
 def test_infinite_cone_limit_is_a_numerical_failure(warnings):
     """At m = 1e-10 a clip level near 1e300 is about 1e310 horizon radii
@@ -585,7 +633,7 @@ def test_infinite_cone_limit_is_a_numerical_failure(warnings):
     )
     assert proc.returncode == 3
     assert proc.stdout == ""
-    assert proc.stderr == "numerical failure: Gauss-Kronrod: interval [0.0, inf] is not finite\n"
+    assert proc.stderr == "numerical failure: cone integral over [0.0, inf] in log(t/t0) is not finite\n"
 
 
 _IMPORT_PROBE = """

@@ -10,6 +10,8 @@ The cross-checks between the routes
 compare these with each other, so a typo shared by all of them would pass
 every one.  Here sympy derives both from ``g = u^4 delta``,
 ``u = 1 + m/2|x|``, and each typed form is checked against them.
+The closed-form cone integrals of ``surfaces`` are checked the same way:
+sympy integrates their densities in ``log(t/t0)``.
 """
 
 import math
@@ -19,7 +21,7 @@ import numpy as np
 import pytest
 import sympy as sp
 
-from schwsurf import SchwarzschildModel, fd_oracle, mode_odes, spectral
+from schwsurf import SchwarzschildModel, fd_oracle, mode_odes, spectral, surfaces
 
 M, R_ = sp.symbols("m r", positive=True)
 
@@ -151,3 +153,30 @@ def test_rayleigh_quotient_weights_are_the_derived_ones(plane):
             num = mpmath.quad(lambda x: x * (R - 1 - 2 * x) ** 2 - potential(m, x) * U(x) ** 2, [0.5 * m, R])
             den = mpmath.quad(lambda x: density(m, x) * U(x) ** 2, [0.5 * m, R])
         assert got == pytest.approx(float(num / den) * m * m, rel=1e-9)
+
+
+def test_cone_primitives_are_the_integrated_surface_weights():
+    """On a cone from the horizon ``t0 = m/2``, with ``t = t0 e^u`` and
+    ``q = m/2t``, sympy integrates the mu density ``f (1+q)^4 t^2``, ``f =
+    (1-q)/(1+q)``, and the area density ``(1+q)^4 t^2`` over ``u`` from 0
+    to ``U``; each weight's ``cone`` primitive matches its integral to
+    1e-14 at sampled ``(m, U)``, and the weights are those densities over
+    ``t^2`` (``(1 - q)(1 + q)^3`` and ``(1 + q)^4``)."""
+    u, U = sp.symbols("u U", positive=True)
+    t = M / 2 * sp.exp(u)
+    q = M / (2 * t)
+    f = (1 - q) / (1 + q)
+    weights = {surfaces._mu_weight: f * (1 + q) ** 4, surfaces._area_weight: (1 + q) ** 4}
+    with mpmath.workdps(40):
+        for weight, density in weights.items():
+            primitive = sp.lambdify((M, U), sp.integrate(sp.expand(density * t**2), (u, 0, U)), "mpmath")
+            pointwise = sp.lambdify((M, R_), density.subs(u, sp.log(2 * R_ / M)), "mpmath")
+            for m in (0.7, 2.0, 1e-100, 1e50):
+                t0 = 0.5 * m
+                for top in (t0 * (1.0 + 1e-9), t0 * 1.3, 3.0 * m, 1e6 * m, 1e100 * m):
+                    U_ = mpmath.log(mpmath.mpf(top) / t0)
+                    got = weight.cone(t0, top, float(U_))
+                    assert abs(got - primitive(m, U_)) <= 1e-14 * primitive(m, U_), (weight.__name__, m, top)
+                    # 1 - q cancels next to the horizon: the error is measured
+                    # against the conformal factor (1 + q)^4
+                    assert abs(weight(m, top) - pointwise(m, top)) <= 1e-15 * (1.0 + t0 / top) ** 4

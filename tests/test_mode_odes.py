@@ -7,8 +7,10 @@ defining equations rather than against each other.
 
 import bisect
 import math
+import sys
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -795,6 +797,72 @@ def test_psi_c_blow_up_raises_with_location(m2):
     with pytest.raises(SingularityError) as info:
         psi_c(m2, -8.0, R_c)
     assert info.value.r_singularity == pytest.approx(R_STAR_M2, rel=1e-10)
+
+
+_FAR_RADII = (1.0000000000000002e100, 1e101, 1e102, 1e103, 7e153, 1e200, 1e300, 1e307, 9e307, sys.float_info.max)
+
+
+def _psi_c_exact(m, c, r):
+    m, c, r = (mpmath.mpf(x) for x in (m, c, r))
+    A = 4 * mpmath.log(r) + c + 8
+    num = 4 * r * m * A + 16 * r * r - 4 * m * m
+    return 1 / (2 * r) + num / (r * (4 * r * r - m * m) * A - 8 * r * (2 * r + m) ** 2)
+
+
+@pytest.mark.parametrize("c", [3.0, 0.0, -500.0, 1e6])
+def test_psi_c_past_1e100_matches_mpmath(m2, c):
+    """Past r = 1e100, where r^3 in the denominator overflows (at c = 3
+    psi_c read exactly 0.5/r at 1e102, NaN from 1e103 and raised a bare
+    OverflowError at 7e153), numerator and denominator are divided
+    through by powers of r: within 1e-13 of 50 digits up to the largest
+    double.  Up to 1e100 the value is the plain quotient, bit for bit."""
+    with mpmath.workdps(50):
+        for r in _FAR_RADII:
+            ref = _psi_c_exact(2.0, c, r)
+            assert abs(psi_c(m2, c, r) - ref) <= 1e-13 * abs(ref), r
+    for r in (1.0, 7.0, 1e30, 1e99, 1e100):
+        num, den = mode_odes._psi_c_parts(2.0, c, r)
+        assert repr(psi_c(m2, c, r)) == repr(0.5 / r + num / den)
+
+
+def test_psi_c_blow_up_past_1e100_raises_with_location():
+    """The blow-up test holds on the far form: at m = 1e60 the blow-up of
+    c = -1105.24... lies at about 1e120."""
+    model = SchwarzschildModel(1e60)
+    R = 1e120
+    c = 8.0 * (2.0 * R + 1e60) / (2.0 * R - 1e60) - 4.0 * math.log(R) - 8.0
+    R_c = singularity_radius(model, c)
+    with pytest.raises(SingularityError) as info:
+        psi_c(model, c, R_c)
+    assert info.value.r_singularity == pytest.approx(R, rel=1e-12)
+    assert psi_c(model, c, 1.01 * R_c) > 0.0 > psi_c(model, c, 0.99 * R_c)
+
+
+@pytest.mark.parametrize("m", [2.0, 0.7, 1e-10])
+def test_closed_forms_at_the_top_of_the_double_range(m):
+    """closed_form_v0 returned NaN from r of about 9e307, where 2r
+    overflows; barrier_envelope raised a bare OverflowError past its
+    log's 709.78 (r of about 1.4e130 at k = 2, m = 2) and now saturates
+    to inf, as at r = inf.  Against 50-digit values."""
+    model = SchwarzschildModel(m)
+    with mpmath.workdps(50):
+        for r in (1e200, 1e307, 9e307, 1.7e308):
+            M, R = mpmath.mpf(m), mpmath.mpf(r)
+            x = 2 * R / M
+            ref = mpmath.sqrt(x) * (1 - (2 * R - M) / (2 * R + M) * mpmath.log(x) / 2)
+            assert abs(closed_form_v0(model, r) - ref) <= 1e-14 * abs(ref), r
+            for k in (1, 2):
+                b = mpmath.sqrt(4 * k * k - 2)
+                env = mpmath.exp((1 + b) / 2 * mpmath.log(x) - mpmath.log(2) + mpmath.log(1 + x**-b))
+                got = barrier_envelope(model, k, r)
+                if env > sys.float_info.max:
+                    assert got == math.inf, (k, r)
+                else:
+                    assert abs(got - env) <= 1e-12 * env, (k, r)
+    for r in (0.5 * m, 3.0 * m, 1e100, 1e297):  # 2r/m finite: the plain form, bit for bit
+        x = 2.0 * r / m
+        plain = math.sqrt(x) * (1.0 - (2.0 * r - m) / (2.0 * r + m) * 0.5 * math.log(x))
+        assert repr(closed_form_v0(model, r)) == repr(plain)
 
 
 def test_riccati_reconstruction_from_shot(m2):

@@ -189,26 +189,26 @@ def far_cones(model, rho_max):
     ]
 
 
-@pytest.mark.parametrize("mass", [0.7, 2.0])
-def test_cone_integrals_settle_on_their_first_level(mass, monkeypatch):
-    """In log(t/t0) the cone integrands are entire, so from next to the
-    horizon out to a million masses every mu and area integral is accepted
-    on its first level: one panel, one panel_nodes call."""
+@pytest.mark.parametrize("mass", [0.0, 0.7, 2.0])
+def test_cone_integrals_run_no_quadrature(mass, monkeypatch):
+    """A cone's mu and area are elementary in log(t/t0): from next to the
+    horizon out to 1e100 masses, and through the reports built on them,
+    no quadrature rule is called."""
     model = SchwarzschildModel(mass)
-    levels = []
-    real = quadrature.panel_nodes
 
-    def counted(a, b, n_panels):
-        levels.append(n_panels)
-        return real(a, b, n_panels)
+    def forbidden(*args):
+        raise AssertionError("a cone integral called a quadrature rule")
 
-    monkeypatch.setattr(quadrature, "panel_nodes", counted)
-    for cone, _ in far_cones(model, 1e6 * mass):
-        for rho in mass * np.geomspace(1e-3, 1e6, 19):
-            for integral in (mu_integral, area_integral):
-                levels.clear()
-                integral(model, cone, rho)
-                assert levels == [1], (integral.__name__, rho)
+    for name in ("integrate", "integrate_periodic", "panel_nodes"):
+        monkeypatch.setattr(quadrature, name, forbidden)
+    scale = mass or 1.0
+    for cone, _ in far_cones(model, 1e100 * scale):
+        for rho in scale * np.geomspace(1e-9, 1e100, 28):
+            assert mu_integral(model, cone, rho) > 0.0
+            assert area_integral(model, cone, rho) > 0.0
+        monotonicity_report(model, cone, scale * np.geomspace(0.1, 1e3, 5))
+        if mass > 0.0:
+            boundary_bound_check(model, cone, 500.0 * mass)
 
 
 @pytest.mark.parametrize("mass", [0.7, 2.0])
@@ -274,6 +274,26 @@ def test_first_level_cone_integrals_reach_rounding_level(mass):
                     ref = period * (hi - lo)
                     got = integral(model, cone, rho)
                     assert abs(got - ref) <= 1e-13 * ref, (integral.__name__, rho)
+
+
+@pytest.mark.parametrize("mass", [0.7, 2.0])
+def test_cone_integrals_reach_rounding_level_out_to_1e100_masses(mass):
+    """The closed forms in log(t/t0) against the 40-digit primitives above
+    within 1e-14, from a billionth of a mass next to the horizon out to
+    1e10, 1e20 and 1e100 masses, where a Gauss-Kronrod panel needed more
+    levels."""
+    model = SchwarzschildModel(mass)
+    rhos = [*(mass * np.geomspace(1e-9, 1e6, 31)), 1e10 * mass, 1e20 * mass, 1e100 * mass]
+    with mpmath.workdps(40):
+        primitives = cone_primitives(mass)
+        base = primitives(mpmath.mpf(mass) / 2)
+        for cone, period in far_cones(model, 1e100 * mass):
+            for rho in rhos:
+                top = primitives(clip_radius(model, rho))
+                for integral, lo, hi in zip((mu_integral, area_integral), base, top):
+                    ref = period * (hi - lo)
+                    got = integral(model, cone, rho)
+                    assert abs(got - ref) <= 1e-14 * ref, (integral.__name__, rho)
 
 
 @settings(max_examples=20, deadline=None, database=None, derandomize=True)
@@ -1080,19 +1100,34 @@ def test_cone_integral_times_its_period_must_be_finite(mass, rho):
     assert math.isfinite(mu_integral(model, plane, rho / 2.0))
 
 
-def test_cone_integrand_saturates_past_the_double_range(m2, monkeypatch):
-    """Nodes past log(DBL_MAX) in u = log(t/t0): the plain-float integrand
-    saturates exp to inf instead of raising OverflowError, and the rule
-    reports the infinite estimate."""
-    real = quadrature.panel_nodes
+@pytest.mark.parametrize("rho", [2e154, 1e200, 1e300])
+@pytest.mark.parametrize("integral", [mu_integral, area_integral])
+def test_overflowing_cone_integral_names_its_interval(m2, integral, rho):
+    """Past a clip radius of about 1e154 a cone integral overflows the
+    doubles: a QuadratureError that names its interval in log(t/t0), with
+    no OverflowError on the way and no RuntimeWarning."""
+    plane = make_plane(m2, t_max=2.0 * clip_radius(m2, rho))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        message = r"^cone integral over \[0\.0, \d+\.\d+\] in log\(t/t0\) is not finite$"
+        with pytest.raises(QuadratureError, match=message):
+            integral(m2, plane, rho)
 
-    def shifted(a, b, n_panels):
-        nodes, weights = real(a, b, n_panels)
-        return [u + 710.0 for u in nodes], weights
 
-    monkeypatch.setattr(quadrature, "panel_nodes", shifted)
-    with pytest.raises(QuadratureError, match="is not finite"):
-        mu_integral(m2, make_plane(m2, t_max=100.0), 20.0)
+def test_cone_integral_whose_clip_radius_squares_past_the_doubles(m2):
+    """A narrow latitude cone (period 0.63) at a clip radius of 1.5e154 and
+    1.8e154, whose square overflows though mu and the area do not: the
+    primitives take their lengths in units of a power of 2, so both are
+    finite and within 1e-14 of 40-digit primitives."""
+    with mpmath.workdps(40):
+        primitives = cone_primitives(2.0)
+        base = primitives(1)
+        for rho in (1.5e154, 1.8e154):
+            cone = make_cone(m2, latitude_circle(0.1), 2.0 * clip_radius(m2, rho))
+            top = primitives(clip_radius(m2, rho))
+            for integral, lo, hi in zip((mu_integral, area_integral), base, top):
+                ref = TWO_PI * mpmath.sin(0.1) * (hi - lo)
+                assert abs(integral(m2, cone, rho) - ref) <= 1e-14 * ref, (integral.__name__, rho)
 
 
 @pytest.mark.parametrize("report", ["monotonicity", "density"])
@@ -1107,6 +1142,28 @@ def test_underflowing_areal_square_is_a_numerical_failure(report):
             monotonicity_report(model, plane, [1e-171, 1e-170])
         else:
             density_at_infinity(model, plane, 1e-169)
+
+
+@pytest.mark.parametrize("report", ["monotonicity", "density"])
+def test_subnormal_ratio_parts_are_a_numerical_failure(report):
+    """At m = 1e-160 h^2 and the areas are nonzero but subnormal: a ratio
+    over them kept a few bits (a first ratio 2.5 % off, nan residuals),
+    so the reports raise QuadratureError.  At m = 1e-150 they give the
+    numbers of m = 1 within 1e-12."""
+
+    def scale_free(mass):
+        model = SchwarzschildModel(mass)
+        plane = make_plane(model, t_max=2e3 * mass)
+        if report == "monotonicity":
+            rep = monotonicity_report(model, plane, [0.1 * mass, mass, 100.0 * mass])
+            return rep.ratios + rep.formula_residuals
+        rep = density_at_infinity(model, plane, 500.0 * mass)
+        return (rep.theta, *rep.ratios)
+
+    with pytest.raises(QuadratureError, match="underflows"):
+        scale_free(1e-160)
+    for got, want in zip(scale_free(1e-150), scale_free(1.0)):
+        assert abs(got - want) <= 1e-12 * max(abs(want), 1.0)
 
 
 @pytest.mark.parametrize("rho", [-1.0, math.inf, math.nan])
