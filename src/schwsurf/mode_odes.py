@@ -108,9 +108,10 @@ def _prufer_closure(m: float, k: int, lam: float):
     def coefficients(x: float) -> tuple:
         r = exp(x)
         s = r + hm
-        g = m * r / (s * s)
-        # lam = 0 keeps w = 0 where s * s overflows (0 * inf = nan)
-        w = lam * (s * s / r) ** 2 if lam else 0.0
+        # t = s^2/r, finite to the end of the double range
+        t = s * (s / r)
+        g = m / t
+        w = lam * t * t
         p = g + w - k2
         s2 = sqrt(p * p + 1.0)
         sc = sqrt(s2)
@@ -306,25 +307,21 @@ def miss_distance(params: ModeParams, r_c: float, tol: float = DEFAULT_ODE_TOL) 
 def closed_form_v0(model: SchwarzschildModel, r: float) -> float:
     """Explicit ``k = 0``, ``lam = 0`` solution of the normal form.
 
-        v0(r) = sqrt(2r/m) [1 - ((2r - m)/(2r + m)) log sqrt(2r/m)]
+        v0(r) = s [1 - ((1 - q)/(1 + q)) log s],  s = sqrt(2r/m),  q = m/2r
 
     Satisfies the horizon data ``v0(m/2) = 1``, ``v0'(m/2) = 1/m`` and has
-    exactly one zero, at the radius where radial stability is lost.
+    exactly one zero, at the radius where radial stability is lost.  ``s``
+    is formed as ``sqrt(r)/sqrt(m/2)``, exactly 1 on the horizon, so no
+    factor overflows before the value does.
     """
     model.require_horizon("closed_form_v0")
     m = model.mass
     r = float(r)
-    x = 2.0 * r / m
-    # r < inf is implied by x < inf: the domain test and the overflow test
-    # of 2r/m share the ordinary path's two comparisons
-    if 0.5 * m <= r and x < math.inf:
-        return math.sqrt(x) * (1.0 - (2.0 * r - m) / (2.0 * r + m) * 0.5 * math.log(x))
     if not (0.5 * m <= r < math.inf):
         raise DomainError(f"r must be finite and >= m/2 = {0.5 * m}, got {r}")
-    # 2r/m overflows: its root and log from the factors, the ratio in m/2r
+    s = math.sqrt(r) / math.sqrt(0.5 * m)
     q = 0.5 * m / r
-    log_x = math.log(2.0) + math.log(r) - math.log(m)
-    return math.sqrt(2.0) * math.sqrt(r) / math.sqrt(m) * (1.0 - (1.0 - q) / (1.0 + q) * 0.5 * log_x)
+    return s * (1.0 - (1.0 - q) / (1.0 + q) * math.log(s))
 
 
 def closed_form_v1(model: SchwarzschildModel, r: float) -> float:
@@ -346,33 +343,32 @@ def closed_form_v1(model: SchwarzschildModel, r: float) -> float:
     return r * math.sqrt(r) * a * a
 
 
+def _barrier_args(model: SchwarzschildModel, k: int, r: float, name: str) -> tuple:
+    """``(b, log(2r/m), r)`` for the barrier of mode ``k`` at ``r``, with
+    ``b = sqrt(4 k^2 - 2)``; ``k`` must be a nonzero integer."""
+    model.require_horizon(name)
+    if not (k % 1 == 0 and k != 0):
+        raise DomainError(f"{name} is defined for integer k != 0 only, got k = {k}")
+    m = model.mass
+    r = float(r)
+    if not (r >= 0.5 * m):
+        raise DomainError(f"r must be >= m/2 = {0.5 * m}, got {r}")
+    return math.sqrt(4.0 * k * k - 2.0), math.log(r / (0.5 * m)), r
+
+
 def barrier_psi_k(model: SchwarzschildModel, k: int, r: float) -> float:
     """Riccati lower barrier for the nonradial modes ``k != 0``.
 
-    With ``b = sqrt(4 k^2 - 2)``,
+    With ``b = sqrt(4 k^2 - 2)`` and ``t = b log(2r/m)``,
 
-        psi(r) = (1/2r) [1 - b (2/(1 + (2r/m)^b) - 1)]
+        psi(r) = (1 + b tanh(t/2)) / (2r)
 
     solves ``psi' + psi^2 = (k^2 - 3/4)/r^2`` with ``psi(m/2) = 1/m`` and
     decays like ``(1 + b)/(2r)``.  Any shot ``v`` of a mode with ``k != 0``
     and ``lam <= 0`` has ``v'/v >= psi``, hence no zeros.
     """
-    model.require_horizon("barrier_psi_k")
-    if k == 0:
-        raise DomainError("barrier is defined for k != 0 only")
-    m = model.mass
-    r = float(r)
-    if not (r >= 0.5 * m):
-        raise DomainError(f"r must be >= m/2 = {0.5 * m}, got {r}")
-    b = math.sqrt(4.0 * k * k - 2.0)
-    t = b * math.log(2.0 * r / m)
-    # 2/(1+x) - 1 with x = (2r/m)^b, evaluated overflow-free
-    if t > 700.0:
-        bracket = -1.0
-    else:
-        x = math.exp(t)
-        bracket = 2.0 / (1.0 + x) - 1.0
-    return (1.0 - b * bracket) / (2.0 * r)
+    b, lx, r = _barrier_args(model, k, r, "barrier_psi_k")
+    return (1.0 + b * math.tanh(0.5 * b * lx)) / (2.0 * r)
 
 
 def log_barrier_envelope(model: SchwarzschildModel, k: int, r: float) -> float:
@@ -385,18 +381,8 @@ def log_barrier_envelope(model: SchwarzschildModel, k: int, r: float) -> float:
     normalized to vanish at the horizon.  A shot with ``k != 0`` and
     ``lam <= 0`` satisfies ``log v >= `` this envelope.
     """
-    model.require_horizon("log_barrier_envelope")
-    if k == 0:
-        raise DomainError("barrier envelope is defined for k != 0 only")
-    m = model.mass
-    r = float(r)
-    if not (r >= 0.5 * m):
-        raise DomainError(f"r must be >= m/2 = {0.5 * m}, got {r}")
-    b = math.sqrt(4.0 * k * k - 2.0)
-    lx = math.log(2.0 * r / m)
-    t = b * lx
-    tail = math.log1p(math.exp(-t)) if t < 700.0 else 0.0
-    return 0.5 * (1.0 + b) * lx - math.log(2.0) + tail
+    b, lx, _ = _barrier_args(model, k, r, "log_barrier_envelope")
+    return 0.5 * (1.0 + b) * lx - math.log(2.0) + math.log1p(math.exp(-b * lx))
 
 
 def barrier_envelope(model: SchwarzschildModel, k: int, r: float) -> float:
@@ -422,28 +408,23 @@ def cbar(model: SchwarzschildModel) -> float:
     return -8.0 - 4.0 * math.log(0.5 * model.mass)
 
 
-def _psi_c_parts(m: float, c: float, r: float) -> tuple:
-    A = 4.0 * math.log(r) + c + 8.0
-    num = 4.0 * r * m * A + 16.0 * r * r - 4.0 * m * m
-    den = r * (4.0 * r * r - m * m) * A - 8.0 * r * (2.0 * r + m) ** 2
-    return num, den
-
-
 def psi_c(model: SchwarzschildModel, c: float, r: float) -> float:
     """Member of the explicit Riccati family for the radial (``k = 0``) mode.
 
-        psi_c(r) = 1/(2r) + [4 r m A + 16 r^2 - 4 m^2]
-                            / [r (4 r^2 - m^2) A - 8 r (2r + m)^2],
-        A = 4 log r + c + 8.
+    With ``q = m/r``, ``A = 4 log r + c + 8`` and ``G = (2 - q) A - 8 (2 + q)``,
+
+        psi_c(r) = (1/2 + num/den) / r,  num = 4 q A + 16 - 4 q^2,
+                                         den = (2 + q) G.
 
     Solves ``psi' + psi^2 = -1/(4 r^2) - (m/r^3)(1 + m/2r)^-2`` away from
-    the single blow-up radius of the denominator; at ``c = cbar`` it equals
-    ``1/m`` on the horizon.  Evaluation within the blow-up's numerical halo
-    (denominator below ``1e-9`` of the numerator scale) raises
-    :class:`SingularityError` carrying the located radius, and a point
-    where both underflow to 0 (near the horizon at ``m = 1e-300``) one
-    without it.  Past ``r = 1e100``, where ``r^3`` overflows, the quotient
-    is formed divided through by powers of ``r`` (:func:`_psi_c_far`).
+    the single blow-up radius, the root of ``G`` (:func:`singularity_radius`);
+    at ``c = cbar`` it equals ``1/m`` on the horizon.  Every term is of
+    order one in ``A``, so the form holds from the horizon to the end of
+    the double range at every mass.  Evaluation within the blow-up's
+    numerical halo, ``|den| <= 1e-9 |num|`` (that is, ``|psi r - 1/2|``
+    of 1e9 or more), raises :class:`SingularityError` carrying the located
+    radius; a value past the double range (near the horizon at ``m =
+    1e-320``) raises it without one.
 
     ``c`` is unit-dependent through the bare ``log r``; see :func:`cbar`.
     """
@@ -452,45 +433,38 @@ def psi_c(model: SchwarzschildModel, c: float, r: float) -> float:
     c, r = float(c), float(r)
     if not math.isfinite(c):
         raise DomainError(f"c must be finite, got {c}")
-    if not (0.5 * m <= r <= 1e100):
-        if not (0.5 * m <= r < math.inf):
-            raise DomainError(f"r must be finite and >= m/2 = {0.5 * m}, got {r}")
-        return _psi_c_far(model, c, r)
-    num, den = _psi_c_parts(m, c, r)
-    if num == den == 0.0:
-        raise SingularityError(f"psi_c is 0/0 at r = {r}: its numerator and denominator underflow")
-    if abs(den) < 1e-9 * abs(num):
-        raise SingularityError(
-            f"psi_c evaluated at its blow-up near r = {r}",
-            r_singularity=singularity_radius(model, c),
-        )
-    return 0.5 / r + num / den
-
-
-def _psi_c_far(model: SchwarzschildModel, c: float, r: float) -> float:
-    """:func:`psi_c` past ``r = 1e100``, where ``r^3`` in its denominator
-    overflows: the numerator divided through by ``r^2`` and the
-    denominator by ``r^3``, in ``q = m/r``, with the same blow-up test."""
-    q = model.mass / r
+    if not (0.5 * m <= r < math.inf):
+        raise DomainError(f"r must be finite and >= m/2 = {0.5 * m}, got {r}")
+    q = m / r
     A = 4.0 * math.log(r) + c + 8.0
     num = 4.0 * q * A + 16.0 - 4.0 * q * q
-    den = (4.0 - q * q) * A - 8.0 * (2.0 + q) ** 2
-    # |den r^3| < 1e-9 |num r^2|; an overflowing den * r is not a blow-up
-    if abs(den) * r < 1e-9 * abs(num):
+    den = (2.0 + q) * ((2.0 - q) * A - 8.0 * (2.0 + q))
+    if abs(den) <= 1e-9 * abs(num):
         raise SingularityError(
             f"psi_c evaluated at its blow-up near r = {r}",
             r_singularity=singularity_radius(model, c),
         )
-    return (0.5 + num / den) / r
+    psi = (0.5 + num / den) / r
+    if not abs(psi) < math.inf:
+        raise SingularityError(f"psi_c at r = {r} lies past the double range")
+    return psi
 
 
 def singularity_radius(model: SchwarzschildModel, c: float, tol: float = DEFAULT_ROOT_TOL) -> float:
     """Blow-up radius ``R_c > m/2`` of ``psi_c``.
 
-    Root of ``(2R - m)(4 log R + 8 + c) = 8 (2R + m)``, located by
-    bracketed root finding; strictly decreasing in ``c``.  Equivalently
-    ``c = 8 (2R + m)/(2R - m) - 4 log R - 8``, which is the exact inverse.
-    The residual of the returned root satisfies
+    Root of ``F(R) = (2R - m)(4 log R + 8 + c) - 8 (2R + m)``, strictly
+    decreasing in ``c``; equivalently ``c = 8 (2R + m)/(2R - m) - 4 log R
+    - 8``, which is the exact inverse.  Brent's method finds the root of
+    ``G = F/R = (2 - q) A - 8 (2 + q)`` (``q = m/R``, ``A = 4 log R + c + 8``)
+    between ``max(m/2, e^{-(1 + c)/4})``, where ``q = 2`` or ``A = 7`` give
+    ``G <= -2``, and ``max(m, e^{(17 - c)/4})``, where ``A >= 25`` and
+    ``q <= 1`` give ``G >= 1``: ends at most a factor 180 apart, at every
+    mass and ``c``.  Both ends are cut to the largest double, and a top
+    where ``G`` is not positive raises :class:`NoSingularityError`.  ``A``
+    is formed as its value at the lower end plus ``4 log(R/lo)``, so the
+    terms that cancel are summed once and ``G`` is smooth in ``R``.  The
+    residual of the returned root satisfies
     ``|F(R_c)| <= tol * 8 (2 R_c + m)``.
     """
     model.require_horizon("singularity_radius")
@@ -501,29 +475,23 @@ def singularity_radius(model: SchwarzschildModel, c: float, tol: float = DEFAULT
         raise DomainError(f"c must be finite, got {c}")
     c = float(c)
 
-    def F(R: float) -> float:
-        return (2.0 * R - m) * (4.0 * math.log(R) + 8.0 + c) - 8.0 * (2.0 * R + m)
+    top = sys.float_info.max
+    lo = min(max(0.5 * m, _exp(-0.25 * (1.0 + c))), top)
+    hi = min(max(m, _exp(0.25 * (17.0 - c))), top)
+    A_lo = 4.0 * math.log(lo) + c + 8.0
 
-    lo = 0.5 * m
-    hi = max(2.0 * m, 1.0)
-    f_hi = F(hi)
-    n_double = 0
-    while f_hi <= 0.0:
-        hi *= 2.0
-        n_double += 1
-        if n_double > 200:
-            raise NoSingularityError(
-                f"no sign change for the blow-up of psi_c up to R = {hi}"
-            )
-        f_hi = F(hi)
-    # F(m/2) = -16 m < 0, so the bracket is valid
-    root = brentq(F, lo, hi, xtol=1e-15 * max(1.0, hi), rtol=8.0 * sys.float_info.epsilon)
-    scale = 8.0 * (2.0 * root + m)
-    if abs(F(root)) > tol * scale:
-        raise NoSingularityError(
-            f"blow-up radius residual {F(root)} exceeds tol * {scale}"
-        )
-    return float(root)
+    def G(R: float) -> float:
+        q = m / R
+        return (2.0 - q) * (A_lo + 4.0 * math.log1p((R - lo) / lo)) - 8.0 * (2.0 + q)
+
+    g_hi = G(hi)
+    if not g_hi > 0.0:
+        raise NoSingularityError(f"psi_c has no blow-up radius below R = {hi}: G(R) = {g_hi}")
+    root = brentq(G, lo, hi, xtol=2.0 * math.ulp(lo))
+    g = G(root)
+    if abs(g) > tol * 8.0 * (2.0 + m / root):
+        raise NoSingularityError(f"blow-up radius residual {g * root} exceeds tol * {8.0 * (2.0 * root + m)}")
+    return root
 
 
 def ode_residual_grid(

@@ -6,12 +6,19 @@ the mapping in the entry point is what is actually exercised.
 """
 
 import json
+import math
 import subprocess
 import sys
+import warnings
 
+import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import schwsurf
+from schwsurf import SchwarzschildModel
+from schwsurf.mode_odes import singularity_radius
 from conftest import R_STAR_M2, exact_radii, run_cli, stebz_lowest
 
 F_AT_R1E4_M2 = 0.99979965105436941
@@ -283,11 +290,26 @@ def test_surface_commands_at_subnormal_masses_are_usage_errors(argv):
 
 @pytest.mark.parametrize("mass", ["1e-300", "1e-320"])
 def test_riccati_trace_whose_parts_underflow_is_a_numerical_failure(mass):
-    """Near the horizon at m = 1e-300 both parts of psi_c underflow to 0:
-    exit 3 on one line, not a ZeroDivisionError."""
-    result = run_cli("riccati", "--mass", mass, "--c", "0")
-    assert result.exit_code == 3 and result.stdout == ""
-    assert result.stderr.startswith("numerical failure: ") and result.stderr.count("\n") == 1
+    """Near the horizon at m = 1e-300 both parts of the plain quotient
+    underflowed to 0 (exit 3); in q = m/r they are of order one, and the
+    horizon row is within 1e-12 of 50 digits.  At m = 1e-320, psi at the
+    horizon (about 1e323) is past the double range: exit 3 on one line,
+    not a ZeroDivisionError."""
+    result = run_cli("riccati", "--mass", mass, "--c", "0", "--output", "json")
+    if mass == "1e-320":
+        assert result.exit_code == 3 and result.stdout == ""
+        assert result.stderr.startswith("numerical failure: ") and result.stderr.count("\n") == 1
+        return
+    assert result.exit_code == 0, result.stderr
+    row = json.loads(result.stdout)["trace"][0]
+    assert row["r"] == 5e-301
+    with mpmath.workdps(50):
+        m, r = mpmath.mpf(1e-300), mpmath.mpf(row["r"])
+        A = 4 * mpmath.log(r) + 8
+        ref = 1 / (2 * r) + (4 * r * m * A + 16 * r * r - 4 * m * m) / (
+            r * (4 * r * r - m * m) * A - 8 * r * (2 * r + m) ** 2
+        )
+        assert abs(row["psi"] - ref) <= 1e-12 * abs(ref)
 
 
 def test_spectrum_both_methods_agree():
@@ -490,6 +512,82 @@ def test_riccati_needs_two_rows():
     assert "need --n >= 2" in result.stderr
 
 
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        ("riccati --mass 1e-9 --c 0", 0),
+        ("riccati --mass 1.24e-160 --c 1.39374 --n 38", 0),
+        ("riccati --mass 2 --c -1105.24", 0),
+        ("riccati --mass 3.67e-98 --c 5487.79", 2),
+    ],
+)
+def test_riccati_exit_codes_at_every_scale(argv, code):
+    """The plain quotient's blow-up test compared parts of order m^3 with
+    parts of order m^2: at m = 1e-9, c = 0 it reported a blow-up near the
+    horizon where the blow-up lies near r = 1 (exit 3), and at m = 1.24e-160
+    its parts underflowed to a ZeroDivisionError (exit 1).  A blow-up near
+    1e120 lay past the bracket's 200 doublings (exit 3), and at m =
+    3.67e-98 the stopping width 1e-15 swamped a root of order 1e-98, whose
+    residual test failed (exit 3): R_c lies below m/1.96, a usage error."""
+    result = run_cli(*argv.split())
+    assert result.exit_code == code, result.stderr
+    if code == 0:
+        assert result.stderr == "" and "nan" not in result.stdout and "inf" not in result.stdout
+    else:
+        assert result.stdout == "" and "R_c" in result.stderr
+
+
+def _riccati(m, c):
+    """``riccati --mass m --c c --output json`` in process: the exit code,
+    the parsed document of an exit-0 run (else None) and stderr."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        result = run_cli("riccati", "--mass", repr(m), "--c", repr(c), "--output", "json")
+    assert result.exit_code in (0, 2, 3) and "Traceback" not in result.stderr, result
+    if result.exit_code != 0:
+        return result.exit_code, None, result.stderr
+    assert "nan" not in result.stdout and "inf" not in result.stdout
+    return 0, json.loads(result.stdout), result.stderr
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(
+    log_m=st.floats(math.log(1e-320), math.log(1e300)),
+    c=st.floats(-3000.0, 3000.0),
+)
+def test_riccati_exit_codes_and_scale_covariance(log_m, c):
+    """``(m, c)`` is the ``m = 1`` problem at ``c + 4 log m`` on lengths in
+    units of m: the same exit code (0, 2 or 3, with no traceback, no
+    RuntimeWarning and no nan or inf printed), ``R_c/m`` within 1e-12 and
+    ``m psi`` within 1e-9 at the rows up to 0.97 R_c.
+
+    The exceptions are exit-3 runs whose numbers, in their own unit, leave
+    the range of doubles where the other unit's do not: a blow-up radius
+    or a trace value past the largest double, or a blow-up radius below
+    the normal range, whose few bits cannot meet the residual test."""
+    m = math.exp(log_m)
+    c1 = c + 4.0 * math.log(m)
+    code, doc, err = _riccati(m, c)
+    code1, doc1, err1 = _riccati(1.0, c1)
+    if code != code1:
+        if code == 3 and "residual" in err:
+            assert m * singularity_radius(SchwarzschildModel(1.0), c1) < sys.float_info.min
+            return
+        assert {code, code1} == {0, 3}
+        # the exit-0 run's numbers carried to the other unit
+        ok, log_scale = (doc1, log_m) if code == 3 else (doc, -log_m)
+        logs = [math.log(ok["R_c"]) + log_scale]
+        logs += [math.log(abs(row["psi"])) - log_scale for row in ok["trace"] if row["psi"] != 0.0]
+        assert max(logs) > math.log(sys.float_info.max) - 1e-9, (err, err1)
+        return
+    if code == 0:
+        R_c, R_1 = doc["R_c"], doc1["R_c"]
+        assert abs(R_c / m - R_1) <= 1e-12 * R_1
+        for row, row1 in zip(doc["trace"], doc1["trace"]):
+            if row["r"] <= 0.97 * R_c:
+                assert abs(m * row["psi"] - row1["psi"]) <= 1e-9 * max(1.0, abs(row1["psi"]))
+
+
 # ------------------------------------------------------------------- misc
 
 
@@ -547,7 +645,7 @@ def test_exit_code_usage_error():
 
 
 def test_exit_code_numerical_failure():
-    # a blow-up radius beyond any bracket the expansion will ever reach
+    # a blow-up radius far past the double range
     proc = run_proc("riccati", "--mass", "2", "--c", "-1e6")
     assert proc.returncode == 3
     assert "numerical failure" in proc.stderr

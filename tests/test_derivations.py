@@ -11,7 +11,9 @@ compare these with each other, so a typo shared by all of them would pass
 every one.  Here sympy derives both from ``g = u^4 delta``,
 ``u = 1 + m/2|x|``, and each typed form is checked against them.
 The closed-form cone integrals of ``surfaces`` are checked the same way:
-sympy integrates their densities in ``log(t/t0)``.
+sympy integrates their densities in ``log(t/t0)``.  The radial Riccati
+family ``psi_c`` and the nonradial barriers are checked against the
+equations they solve, the first against the derived potential.
 """
 
 import math
@@ -180,3 +182,65 @@ def test_cone_primitives_are_the_integrated_surface_weights():
                     # 1 - q cancels next to the horizon: the error is measured
                     # against the conformal factor (1 + q)^4
                     assert abs(weight(m, top) - pointwise(m, top)) <= 1e-15 * (1.0 + t0 / top) ** 4
+
+
+def test_psi_c_q_form_solves_the_radial_riccati_equation(plane):
+    """``mode_odes.psi_c`` in ``q = m/r``: ``psi = (1/2 + num/den)/r`` with
+    ``A = 4 log r + c + 8``, ``G = (2 - q) A - 8 (2 + q)``, ``den = (2 + q) G``
+    and ``num = 4 q A + 16 - 4 q^2`` solves ``psi' + psi^2 = -Q``, the
+    radial ``lam = 0`` coefficient from the derived potential, for a
+    symbolic ``c``.  ``den r^3 = (2 + q) r^2 F`` with ``F`` the function
+    whose root :func:`singularity_radius` finds, so the pole of ``psi_c``
+    is that root.  The typed form matches the symbolic one at sampled
+    ``(m, c, r)`` to 1e-13."""
+    potential, _ = plane
+    c, L = sp.symbols("c L", real=True)  # L stands for log r
+    q = M / R_
+    A = 4 * L + c + 8
+    G = (2 - q) * A - 8 * (2 + q)
+    num, den = 4 * q * A + 16 - 4 * q**2, (2 + q) * G
+    psi = (sp.Rational(1, 2) + num / den) / R_
+    d_psi = sp.diff(psi, R_) + sp.diff(psi, L) / R_  # dL/dr = 1/r
+    Q = 1 / (4 * R_**2) + potential / R_
+    assert sp.cancel(sp.together(d_psi + psi**2 + Q)) == 0
+    F = (2 * R_ - M) * (4 * L + 8 + c) - 8 * (2 * R_ + M)
+    assert sp.expand(den * R_**3 - (2 + q) * R_**2 * F) == 0
+    psi_of = sp.lambdify((M, c, R_), psi.subs(L, sp.log(R_)), "mpmath")
+    with mpmath.workdps(30):
+        for m in (0.7, 2.0, 1e-9, 1e100):
+            model = SchwarzschildModel(m)
+            for c_ in (-20.0, -8.0, 0.0, 7.0):
+                R_c = mode_odes.singularity_radius(model, c_)
+                # 0.9 R_c lies inside the horizon where R_c is near m/2
+                for r in [x for x in (0.5 * m, 0.6 * m, 3.0 * m, 0.9 * R_c, 1.1 * R_c, 1e6 * m) if x >= 0.5 * m]:
+                    ref = psi_of(m, c_, r)
+                    assert abs(mode_odes.psi_c(model, c_, r) - ref) <= 1e-13 * abs(ref), (m, c_, r)
+
+
+def test_tanh_barrier_and_its_primitive(plane):
+    """``mode_odes.barrier_psi_k``, ``psi = (1 + b tanh(t/2))/(2r)`` with
+    ``t = b log(2r/m)`` and ``b^2 = 4 k^2 - 2``, solves ``psi' + psi^2 =
+    (k^2 - 3/4)/r^2`` with ``psi(m/2) = 1/m``; ``log_barrier_envelope``,
+    ``((1 + b)/2) log(2r/m) - log 2 + log(1 + e^-t)``, is its primitive
+    vanishing at ``m/2``.  The typed forms match the symbolic ones at
+    sampled ``(m, k, r)`` to 4e-15."""
+    b, k = sp.symbols("b k", positive=True)
+    t = b * sp.log(2 * R_ / M)
+    psi = (1 + b * sp.tanh(t / 2)) / (2 * R_)
+    lhs = (sp.diff(psi, R_) + psi**2 - (k**2 - sp.Rational(3, 4)) / R_**2).subs(k**2, (b**2 + 2) / 4)
+    assert sp.simplify(lhs.rewrite(sp.exp)) == 0
+    assert psi.subs(R_, M / 2) == 1 / M
+    envelope = (1 + b) / 2 * sp.log(2 * R_ / M) - sp.log(2) + sp.log(1 + sp.exp(-t))
+    assert sp.simplify((sp.diff(envelope, R_) - psi).rewrite(sp.exp)) == 0
+    assert sp.simplify(envelope.subs(R_, M / 2)) == 0
+    psi_of, env_of = (sp.lambdify((M, b, R_), e, "mpmath") for e in (psi, envelope))
+    with mpmath.workdps(30):
+        for m in (0.7, 2.0, 1e-9, 1e100):
+            model = SchwarzschildModel(m)
+            for k_ in (1, 2, -3):
+                b_ = mpmath.sqrt(4 * k_ * k_ - 2)
+                for r in (0.5 * m, 0.51 * m, 3.0 * m, 1e6 * m):
+                    want_psi, want_env = psi_of(m, b_, r), env_of(m, b_, r)
+                    assert abs(mode_odes.barrier_psi_k(model, k_, r) - want_psi) <= 4e-15 * want_psi
+                    got_env = mode_odes.log_barrier_envelope(model, k_, r)
+                    assert abs(got_env - want_env) <= 4e-15 * max(1, abs(want_env))

@@ -449,6 +449,15 @@ def test_barrier_rejects_k_zero(m2):
         log_barrier_envelope(m2, 0, 2.0)
 
 
+@pytest.mark.parametrize("k", [0.5, 2.5, -1.5, math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("barrier", [barrier_psi_k, log_barrier_envelope, barrier_envelope])
+def test_barrier_rejects_k_that_is_not_an_integer(m2, barrier, k):
+    """As ``ModeParams`` does: a fractional k raised a bare ValueError
+    (math domain error) at k = 0.5, and k = nan returned nan."""
+    with pytest.raises(DomainError, match="integer k != 0"):
+        barrier(m2, k, 3.0)
+
+
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_barrier_solves_riccati_identity(m2, k):
     grid = np.linspace(1.05, 50.0, 250)
@@ -811,22 +820,18 @@ def _psi_c_exact(m, c, r):
 
 @pytest.mark.parametrize("c", [3.0, 0.0, -500.0, 1e6])
 def test_psi_c_past_1e100_matches_mpmath(m2, c):
-    """Past r = 1e100, where r^3 in the denominator overflows (at c = 3
-    psi_c read exactly 0.5/r at 1e102, NaN from 1e103 and raised a bare
-    OverflowError at 7e153), numerator and denominator are divided
-    through by powers of r: within 1e-13 of 50 digits up to the largest
-    double.  Up to 1e100 the value is the plain quotient, bit for bit."""
+    """Past r = 1e100, where r^3 in the plain quotient's denominator
+    overflows (at c = 3 psi_c read exactly 0.5/r at 1e102, NaN from 1e103
+    and raised a bare OverflowError at 7e153), and at the horizon and the
+    radii below: within 1e-13 of 50 digits up to the largest double."""
     with mpmath.workdps(50):
-        for r in _FAR_RADII:
+        for r in (1.0, 7.0, 1e30, 1e99, 1e100) + _FAR_RADII:
             ref = _psi_c_exact(2.0, c, r)
             assert abs(psi_c(m2, c, r) - ref) <= 1e-13 * abs(ref), r
-    for r in (1.0, 7.0, 1e30, 1e99, 1e100):
-        num, den = mode_odes._psi_c_parts(2.0, c, r)
-        assert repr(psi_c(m2, c, r)) == repr(0.5 / r + num / den)
 
 
 def test_psi_c_blow_up_past_1e100_raises_with_location():
-    """The blow-up test holds on the far form: at m = 1e60 the blow-up of
+    """The blow-up test holds far out: at m = 1e60 the blow-up of
     c = -1105.24... lies at about 1e120."""
     model = SchwarzschildModel(1e60)
     R = 1e120
@@ -843,10 +848,11 @@ def test_closed_forms_at_the_top_of_the_double_range(m):
     """closed_form_v0 returned NaN from r of about 9e307, where 2r
     overflows; barrier_envelope raised a bare OverflowError past its
     log's 709.78 (r of about 1.4e130 at k = 2, m = 2) and now saturates
-    to inf, as at r = inf.  Against 50-digit values."""
+    to inf, as at r = inf.  Against 50-digit values, from the horizon
+    on; v0 is exactly 1 there."""
     model = SchwarzschildModel(m)
     with mpmath.workdps(50):
-        for r in (1e200, 1e307, 9e307, 1.7e308):
+        for r in (0.5 * m, 3.0 * m, 1e100, 1e200, 1e297, 1e307, 9e307, 1.7e308):
             M, R = mpmath.mpf(m), mpmath.mpf(r)
             x = 2 * R / M
             ref = mpmath.sqrt(x) * (1 - (2 * R - M) / (2 * R + M) * mpmath.log(x) / 2)
@@ -859,10 +865,7 @@ def test_closed_forms_at_the_top_of_the_double_range(m):
                     assert got == math.inf, (k, r)
                 else:
                     assert abs(got - env) <= 1e-12 * env, (k, r)
-    for r in (0.5 * m, 3.0 * m, 1e100, 1e297):  # 2r/m finite: the plain form, bit for bit
-        x = 2.0 * r / m
-        plain = math.sqrt(x) * (1.0 - (2.0 * r - m) / (2.0 * r + m) * 0.5 * math.log(x))
-        assert repr(closed_form_v0(model, r)) == repr(plain)
+    assert closed_form_v0(model, 0.5 * m) == 1.0
 
 
 def test_riccati_reconstruction_from_shot(m2):
@@ -897,9 +900,47 @@ def test_singularity_radius_residual_contract(m2):
 
 
 def test_singularity_radius_unreachable_raises(m2):
-    # c so negative the bracket expansion gives up long before a root
+    # c so negative that the blow-up lies far past the double range
     with pytest.raises(NoSingularityError):
         singularity_radius(m2, -1e6)
+
+
+def _blow_up_radius_exact(m, c):
+    """The root of ``F(R) = (2R - m)(4 log R + 8 + c) - 8 (2R + m)`` above
+    ``m/2``, to 50 digits: 200 bisections in ``log R`` of the bracket where
+    ``F/R`` goes from -32 to at least 1."""
+    with mpmath.workdps(50):
+        m, c = mpmath.mpf(m), mpmath.mpf(c)
+        F = lambda R: (2 * R - m) * (4 * mpmath.log(R) + 8 + c) - 8 * (2 * R + m)
+        lo, hi = mpmath.log(m / 2), max(mpmath.log(m), (17 - c) / 4)
+        for _ in range(200):
+            mid = (lo + hi) / 2
+            lo, hi = (lo, mid) if F(mpmath.exp(mid)) > 0 else (mid, hi)
+        return mpmath.exp(lo)
+
+
+@pytest.mark.parametrize("m", [2.0, 0.7, 1e-9, 1e100, 1e-100])
+def test_singularity_radius_within_8_ulps_at_every_scale(m):
+    """Brent's stopping width is a multiple of ulp(m/2), where 1e-15
+    max(1, top) swamped roots far below 1 (``--mass 3.67e-98 --c 5487.79``
+    failed the residual test).  At these c, ``4 log R + c + 8`` loses no
+    more than a few ulps to cancellation; where ``|c|`` is in the
+    thousands the root is as sensitive to the last bit of ``c``."""
+    model = SchwarzschildModel(m)
+    for c in (-50.0, -9.0, -8.0, 0.0, 5.0, 30.0):
+        ref = _blow_up_radius_exact(m, c)
+        got = singularity_radius(model, c)
+        assert abs(got - ref) <= 8 * math.ulp(float(ref)), (c, got, ref)
+
+
+def test_singularity_radius_near_1e120():
+    """The doubling from max(2m, 1) stopped after 200 steps, about 1.3e61
+    at m = 2, and raised NoSingularityError for a blow-up near 1e120; the
+    bracket's top now lies past every root in the double range."""
+    ref = _blow_up_radius_exact(2.0, -1105.24)
+    assert 1e119 < ref < 1e121
+    got = singularity_radius(SchwarzschildModel(2.0), -1105.24)
+    assert abs(got - ref) <= 1e-12 * ref
 
 
 def test_psi_c_scale_dependence_of_c():
