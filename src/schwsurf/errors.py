@@ -33,7 +33,9 @@ class SingularityError(ArithmeticError):
 
 
 class NoSingularityError(RuntimeError):
-    """Bracket expansion found no sign change for a blow-up radius."""
+    """``singularity_radius`` found no blow-up radius: its ``G`` is not
+    positive at the top of the closed-form bracket, or the root misses the
+    residual test."""
 
 
 class SearchError(RuntimeError):

@@ -345,7 +345,9 @@ def closed_form_v1(model: SchwarzschildModel, r: float) -> float:
 
 def _barrier_args(model: SchwarzschildModel, k: int, r: float, name: str) -> tuple:
     """``(b, log(2r/m), r)`` for the barrier of mode ``k`` at ``r``, with
-    ``b = sqrt(4 k^2 - 2)``; ``k`` must be a nonzero integer."""
+    ``b = sqrt(4 k^2 - 2)``; ``k`` must be a nonzero integer.  The log is
+    ``2 log(sqrt(r)/sqrt(m/2))``, as ``closed_form_v0`` forms ``s``, so it
+    stays finite where ``2r/m`` overflows."""
     model.require_horizon(name)
     if not (k % 1 == 0 and k != 0):
         raise DomainError(f"{name} is defined for integer k != 0 only, got k = {k}")
@@ -353,7 +355,7 @@ def _barrier_args(model: SchwarzschildModel, k: int, r: float, name: str) -> tup
     r = float(r)
     if not (r >= 0.5 * m):
         raise DomainError(f"r must be >= m/2 = {0.5 * m}, got {r}")
-    return math.sqrt(4.0 * k * k - 2.0), math.log(r / (0.5 * m)), r
+    return math.sqrt(4.0 * k * k - 2.0), 2.0 * math.log(math.sqrt(r) / math.sqrt(0.5 * m)), r
 
 
 def barrier_psi_k(model: SchwarzschildModel, k: int, r: float) -> float:

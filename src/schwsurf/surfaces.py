@@ -10,11 +10,12 @@ tangent to them, which collapses the defect integral to zero and makes
 the monotonicity bookkeeping exact up to rounding: a clipped integral
 over a cone is elementary (see :func:`_clipped_integral`).
 
-Cones, their integrals and the reports built on them (monotonicity,
-density, the boundary bound) run on plain floats, and rotations are
-nested tuples; numpy is imported by the functions that take or return
-arrays: the curves' values, general charts and their samples, and the
-invariant checks.  So a cone report loads no numpy.
+Every integral and report runs on plain floats: a general chart's value
+and partials at a node are read as three floats each, and rotations are
+nested tuples.  numpy is imported only where a curve's value is formed
+(:func:`_vector`, for charts that compute with it) and by
+``SphereCurve.check``, so neither a cone report nor a general chart
+whose values are tuples loads it.
 
 Conformal bookkeeping used throughout (``e^phi = (1 + m/2|x|)^2``):
 
@@ -105,6 +106,17 @@ def latitude_circle(theta0: float) -> SphereCurve:
     )
 
 
+def _floats(v) -> tuple:
+    """A 3-vector, any sequence of three numbers, as three floats."""
+    return float(v[0]), float(v[1]), float(v[2])
+
+
+def _cross(a: tuple, b: tuple) -> tuple:
+    """The cross product of two float triples, and its length."""
+    n = (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0])
+    return n, math.hypot(*n)
+
+
 def _orthogonal(Q: tuple) -> bool:
     """Is the 3x3 ``Q`` orthogonal: ``Q Q^T`` within ``1e-12 + 1e-5 |I|``
     of the identity, entry by entry, as ``numpy.allclose(Q @ Q.T, I,
@@ -118,17 +130,24 @@ def _orthogonal(Q: tuple) -> bool:
     return True
 
 
+def _rotation(rotation) -> tuple:
+    """A rotation, nested sequences or an array, as a nested tuple of
+    floats, checked to be a 3x3 orthogonal matrix."""
+    Q = tuple(tuple(map(float, row)) for row in rotation)
+    if [len(row) for row in Q] != [3, 3, 3] or not _orthogonal(Q):
+        raise DomainError("rotation must be a 3x3 orthogonal matrix")
+    return Q
+
+
 def _turned(Q: tuple, v):
-    x, y, z = v
+    x, y, z = _floats(v)
     return _vector(*(q[0] * x + q[1] * y + q[2] * z for q in Q))
 
 
 def rotate_curve(curve: SphereCurve, rotation) -> SphereCurve:
     """Curve composed with a fixed rotation: a 3x3 orthogonal matrix, as
     nested sequences or an array."""
-    Q = tuple(tuple(map(float, row)) for row in rotation)
-    if [len(row) for row in Q] != [3, 3, 3] or not _orthogonal(Q):
-        raise DomainError("rotation must be a 3x3 orthogonal matrix")
+    Q = _rotation(rotation)
     return SphereCurve(
         alpha=lambda s: _turned(Q, curve.alpha(s)),
         alpha_d=lambda s: _turned(Q, curve.alpha_d(s)),
@@ -174,7 +193,7 @@ class ParamSurface(Record, hide=("curve",)):
     them) carry their ``curve``, and their integrals are closed forms;
     general charts carry none.  ``chart_t``/``chart_s`` are the partial
     derivatives: analytic on cones, given or finite differences on general
-    charts (:func:`make_general`), read through :func:`_chart_samples`.
+    charts (:func:`make_general`), read one node at a time as three floats.
     """
 
     chart: object
@@ -192,17 +211,16 @@ class ParamSurface(Record, hide=("curve",)):
     def check(self, model: SchwarzschildModel, n_samples: int = 64) -> dict:
         """Max invariant deviations on 9 ``t`` levels by ``n_samples`` ``s``
         nodes: exterior containment, horizon edge (on the ``t0`` level)."""
-        import numpy as np
-
         t0, t1 = self.t_range
         half = 0.5 * model.mass
-        ts = np.linspace(t0, t1, 9).tolist()
-        ss = np.linspace(0.0, self.s_period, n_samples, endpoint=False).tolist()
-        # one row per s node, its t levels from t0 on
-        r = np.array([np.linalg.norm(_chart_samples(self.chart, ts, s), axis=1) for s in ss])
-        out = {"exterior": max(0.0, float(np.max(half - r))), "horizon_edge": 0.0}
+        # the nodes of numpy.linspace, bit for bit
+        ts = [t0 + i * ((t1 - t0) / 8) for i in range(8)] + [t1]
+        ss = [i * (self.s_period / n_samples) for i in range(n_samples)]
+        # one row per s node, |x| on its t levels from t0 on
+        r = [[math.hypot(*_floats(self.chart(t, s))) for t in ts] for s in ss]
+        out = {"exterior": max(0.0, max(half - x for row in r for x in row)), "horizon_edge": 0.0}
         if self.free_boundary and half > 0.0:
-            out["horizon_edge"] = float(np.max(np.abs(r[:, 0] - half) / half))
+            out["horizon_edge"] = max(abs(row[0] - half) / half for row in r)
         return out
 
 
@@ -246,20 +264,17 @@ def make_general(
     """User-supplied chart; missing partials by central differences.
 
     Each of ``chart``, ``chart_t`` and ``chart_s`` is called once per
-    node with scalar ``(t, s)`` (see :func:`_chart_samples`) and returns
-    a 3-vector: any sequence of three numbers (an array, a tuple, a
-    list).  The chart is stored as given; only the finite-difference
-    fallbacks convert its values to arrays.  A missing ``chart_t`` or
-    ``chart_s`` is one 4th-order central difference of the chart along
-    ``t`` or ``s``, with a step of ``1e-5`` times the ``t`` range or the
-    period, so the chart must be evaluable two steps outside the ``t``
-    range.  ``s_period`` must be the
-    chart's true period in ``s`` (not a multiple or a fraction of it):
-    the outer trapezoid rule converges only on a smooth periodic
-    integrand.
+    node with scalar ``(t, s)`` and returns a 3-vector: any sequence of
+    three numbers (an array, a tuple, a list), which the integrals read
+    as three floats.  The chart is stored as given.  A missing
+    ``chart_t`` or ``chart_s`` is one 4th-order central difference of
+    the chart along ``t`` or ``s``, component by component in floats,
+    with a step of ``1e-5`` times the ``t`` range or the period, so the
+    chart must be evaluable two steps outside the ``t`` range.
+    ``s_period`` must be the chart's true period in ``s`` (not a
+    multiple or a fraction of it): the outer trapezoid rule converges
+    only on a smooth periodic integrand.
     """
-    import numpy as np
-
     t0, t1 = t_range
     if not (-math.inf < t0 < t1 < math.inf):
         raise DomainError(f"t range {t_range} is empty or not finite")
@@ -269,16 +284,17 @@ def make_general(
     hs = 1e-5 * s_period
 
     def difference(f, u, h):
-        # 4th-order central difference of f at u with step h
-        return (f(u - 2 * h) - 8.0 * f(u - h) + 8.0 * f(u + h) - f(u + 2 * h)) / (12.0 * h)
+        # 4th-order central difference of f at u with step h, componentwise
+        ends = zip(*(_floats(f(v)) for v in (u - 2 * h, u - h, u + h, u + 2 * h)))
+        return tuple((a - 8.0 * b + 8.0 * c - d) / (12.0 * h) for a, b, c, d in ends)
 
     if chart_t is None:
         def chart_t(t, s):
-            return difference(lambda u: np.asarray(chart(u, s), dtype=float), t, ht)
+            return difference(lambda u: chart(u, s), t, ht)
 
     if chart_s is None:
         def chart_s(t, s):
-            return difference(lambda u: np.asarray(chart(t, u), dtype=float), s, hs)
+            return difference(lambda u: chart(t, u), s, hs)
 
     return ParamSurface(
         chart=chart,
@@ -291,21 +307,19 @@ def make_general(
 
 
 def rotate_surface(surface: ParamSurface, rotation) -> ParamSurface:
-    """Surface composed with a fixed rotation; cones stay cones."""
+    """Surface composed with a fixed rotation, checked as by
+    :func:`rotate_curve`; cones stay cones."""
     if surface.curve is not None:
-        curve = rotate_curve(surface.curve, rotation)
-        return _cone(curve, surface.t_range)
-    import numpy as np
-
-    Q = np.asarray(rotation, dtype=float)
+        return _cone(rotate_curve(surface.curve, rotation), surface.t_range)
+    Q = _rotation(rotation)
     old_chart, old_t, old_s = surface.chart, surface.chart_t, surface.chart_s
     return ParamSurface(
-        chart=lambda t, s: Q @ old_chart(t, s),
+        chart=lambda t, s: _turned(Q, old_chart(t, s)),
         t_range=surface.t_range,
         s_period=surface.s_period,
         free_boundary=surface.free_boundary,
-        chart_t=lambda t, s: Q @ old_t(t, s),
-        chart_s=lambda t, s: Q @ old_s(t, s),
+        chart_t=lambda t, s: _turned(Q, old_t(t, s)),
+        chart_s=lambda t, s: _turned(Q, old_s(t, s)),
     )
 
 
@@ -324,51 +338,28 @@ def cone_mean_curvature(model: SchwarzschildModel, curve: SphereCurve, t: float,
     """
     if not (t >= 0.5 * model.mass) or t <= 0.0:
         raise DomainError(f"t = {t} is inside the horizon or nonpositive")
-    import numpy as np
-
-    a = np.asarray(curve.alpha(s), dtype=float)
-    ad = np.asarray(curve.alpha_d(s), dtype=float)
-    add = np.asarray(curve.alpha_dd(s), dtype=float)
-    triple = float(np.dot(np.cross(a, add), ad))
+    n, _ = _cross(_floats(curve.alpha(s)), _floats(curve.alpha_dd(s)))
+    ad = _floats(curve.alpha_d(s))
+    triple = n[0] * ad[0] + n[1] * ad[1] + n[2] * ad[2]
     conf = (1.0 + 0.5 * model.mass / t) ** 2
     return triple / (t * conf)
 
 
-def _chart_samples(fn, ts, s):
-    """``fn(t, s)`` at each ``t`` of the sequence ``ts`` on the one slice
-    ``s``, its 3-vectors stacked into a ``(len(ts), 3)`` array.  The one
-    place where a chart or its partials are evaluated at array nodes (the
-    Brent search of a slice's clip level and the horizon edge of
-    :func:`boundary_length` read the chart one node at a time)."""
-    import numpy as np
-
-    return np.array([fn(t, s) for t in ts], dtype=float).reshape(-1, 3)
-
-
 def _radial_normal_sq(x, x_t, x_s):
-    """Squared cosine between ``x`` and the normal ``x_t x x_s``, row by row
-    of the ``(n, 3)`` arrays, clamped to [0, 1].  A row the degeneracy test
-    does not clear, degenerate or with a square out of the double range,
-    is tested again on ``x_t`` and ``x_s`` divided by their largest
-    components; a normal that overflows is not read as degenerate: its
-    rows come out NaN."""
-    import numpy as np
-
-    nrm = np.cross(x_t, x_s)
-    n2 = np.sum(nrm * nrm, axis=1)
-    recheck = ~(n2 > 1e-24 * np.sum(x_t * x_t, axis=1) * np.sum(x_s * x_s, axis=1))
-    if np.any(recheck):
-        a, b = x_t[recheck], x_s[recheck]
-        big_a, big_b = (np.max(np.abs(v), axis=1, keepdims=True) for v in (a, b))
-        a, b = a / np.where(big_a > 0.0, big_a, 1.0), b / np.where(big_b > 0.0, big_b, 1.0)
-        bad = np.sum(np.cross(a, b) ** 2, axis=1) <= 1e-24 * np.sum(a * a, axis=1) * np.sum(b * b, axis=1)
-        if np.any(bad):
-            raise GeometryError(f"degenerate tangent plane at chart point {x[recheck][np.argmax(bad)]}")
-    r = np.linalg.norm(x, axis=1)
-    if np.any(r == 0.0):
+    """Squared cosine between ``x`` and the normal ``x_t x x_s``, float
+    triples at one node, at most 1.  The tangent plane is degenerate where
+    a partial vanishes or ``|x_t x x_s| <= 1e-12 |x_t| |x_s|``; every
+    length is a hypot, so no square leaves the double range, and a normal
+    that overflows or a NaN passes the test and comes out NaN."""
+    a, b = math.hypot(*x_t), math.hypot(*x_s)
+    n, length = _cross(x_t, x_s)
+    if a == 0.0 or b == 0.0 or length / a <= 1e-12 * b:
+        raise GeometryError(f"degenerate tangent plane at chart point {x}")
+    r = math.hypot(*x)
+    if r == 0.0:
         raise GeometryError("radial direction undefined at the origin")
-    cosine = np.sum(x * nrm, axis=1) / (r * np.sqrt(n2))
-    return np.clip(cosine * cosine, 0.0, 1.0)
+    cosine = (x[0] / r) * (n[0] / length) + (x[1] / r) * (n[1] / length) + (x[2] / r) * (n[2] / length)
+    return min(cosine * cosine, 1.0)
 
 
 def radial_normal_component(model: SchwarzschildModel, surface: ParamSurface, t: float, s: float) -> float:
@@ -377,11 +368,8 @@ def radial_normal_component(model: SchwarzschildModel, surface: ParamSurface, t:
     Conformal metrics preserve angles, so this equals the squared cosine
     between the flat radial direction and the flat surface normal.
     """
-    import numpy as np
-
     fns = (surface.chart, surface.chart_t, surface.chart_s)
-    with np.errstate(over="ignore", invalid="ignore"):
-        value = float(_radial_normal_sq(*(_chart_samples(f, [t], s) for f in fns))[0])
+    value = _radial_normal_sq(*(_floats(f(t, s)) for f in fns))
     if not math.isfinite(value):
         raise GeometryError(f"radial normal component is not finite at chart point (t, s) = ({t}, {s})")
     return value
@@ -431,19 +419,20 @@ def _clipped_integral(model, surface, t_iso, spec, w, normal=False, store=None) 
     slice's clip level.  That rule starts from one
     node, so a surface of revolution about the chart's axis, whose
     slices all give the same integral, costs three slices: ``s = 0``,
-    ``S/2`` and the one-node alias guard.  The chart samples are formed
-    in numpy with its overflow and invalid-value warnings off: a sample
-    that overflows reaches the rules as ``inf`` or ``nan``, and their
-    :class:`QuadratureError` reports it once.  A chart node inside the
-    horizon ``|x| < m/2`` raises :class:`DomainError`.  With ``normal``
-    both rules carry the integral without the radial-normal factor
-    alongside, which bounds it: its scale is the floor that ends a defect
-    that is rounding noise (a cone written as a general chart).
+    ``S/2`` and the one-node alias guard.  Each chart node is one row of
+    plain floats: the chart and its partials, ``|x|`` and the flat area
+    element ``|x_t x x_s|``.  A sample that overflows reaches the rules as
+    ``inf`` or ``nan``, and their :class:`QuadratureError` reports it
+    once.  A chart node inside the horizon ``|x| < m/2`` raises
+    :class:`DomainError`.  With ``normal`` both rules carry the integral
+    without the radial-normal factor alongside, which bounds it: its
+    scale is the floor that ends a defect that is rounding noise (a cone
+    written as a general chart).
 
     ``store``, a dict, keeps each slice's clip level, keyed by ``s``, and
-    the chart samples of each inner level, keyed by ``s`` and the node
-    count, so that the integrals of one clip level that share it evaluate
-    each chart node once.  Each integral still runs its own rules to its
+    the rows of each inner level, keyed by ``s`` and the node count, so
+    that the integrals of one clip level that share it evaluate each
+    chart node once.  Each integral still runs its own rules to its
     own tests; where their levels coincide they visit the same ``s`` and
     ``t`` nodes bit for bit.  Without a store nothing is kept.
     """
@@ -469,12 +458,10 @@ def _clipped_integral(model, surface, t_iso, spec, w, normal=False, store=None) 
             raise QuadratureError(f"cone integral {value!r} times the period {surface.s_period!r} is not finite")
         return total
 
-    import numpy as np
-
     chart, chart_t, chart_s = surface.chart, surface.chart_t, surface.chart_s
     horizon = 0.5 * m
     # a few ulps of the t range: every Brent search ends well within maxiter
-    xtol = 4.0 * np.finfo(float).eps * max(abs(t0), abs(t1))
+    xtol = 4.0 * math.ulp(1.0) * max(abs(t0), abs(t1))
 
     def slice_limit(s: float) -> float:
         # largest t with |chart| <= clip level (monotone radial profile
@@ -490,25 +477,29 @@ def _clipped_integral(model, surface, t_iso, spec, w, normal=False, store=None) 
             return t1
         return roots.brentq(excess, t0, t1, xtol=xtol, f_a=e0, f_b=e1)
 
-    def samples(t, s):
-        # the chart and its partials at the nodes t of slice s, |x| and
-        # the flat area element
-        x, x_t, x_s = (_chart_samples(f, t, s) for f in (chart, chart_t, chart_s))
-        r = np.linalg.norm(x, axis=1)
-        if np.any(r < horizon):
-            raise DomainError(f"chart reaches |x| = {r.min()} inside the horizon |x| = {horizon}")
-        return x, x_t, x_s, r, np.linalg.norm(np.cross(x_t, x_s), axis=1)
+    def samples(ts, s):
+        # one row (x, x_t, x_s, |x|, flat area element) per node t of slice s
+        rows = []
+        for t in ts:
+            x, x_t, x_s = _floats(chart(t, s)), _floats(chart_t(t, s)), _floats(chart_s(t, s))
+            r = math.hypot(*x)
+            if r < horizon:
+                raise DomainError(f"chart reaches |x| = {r} inside the horizon |x| = {horizon}")
+            rows.append((x, x_t, x_s, r, _cross(x_t, x_s)[1]))
+        return rows
 
     empty = (0.0, 0.0) if normal else 0.0
 
     def slice_integral(s: float):
-        def integrand(t):
-            with np.errstate(over="ignore", invalid="ignore"):
-                x, x_t, x_s, r, el = _kept(store, (s, len(t)), lambda: samples(t, s))
-                weight = w(m, r)
-                if normal:
-                    return (weight * (_radial_normal_sq(x, x_t, x_s) * el)).tolist(), (weight * el).tolist()
-                return (weight * el).tolist()
+        def integrand(ts):
+            rows = _kept(store, (s, len(ts)), lambda: samples(ts, s))
+            # the flat model's weights are 0/0 at the origin: NaN, which
+            # the rules report
+            weights = [w(m, r) if r else math.nan for _, _, _, r, _ in rows]
+            areas = [wt * row[4] for wt, row in zip(weights, rows)]
+            if normal:
+                return [wt * (_radial_normal_sq(x, a, b) * el) for wt, (x, a, b, _, el) in zip(weights, rows)], areas
+            return areas
 
         top = _kept(store, s, lambda: slice_limit(s))
         return quadrature.integrate(integrand, t0, top, spec) if top > t0 else empty
@@ -521,7 +512,7 @@ def _clipped_integral(model, surface, t_iso, spec, w, normal=False, store=None) 
     return total[0] if normal else total
 
 
-# the weights take an array: the nodes of a general chart.  A cone from
+# the weights take a float: a node of a general chart.  A cone from
 # t0 = m/2 integrates them through their primitives ``cone(t0, t, u)``,
 # the integral of w t dt from t0 to t, u = log(t/t0), written in t - t0
 # and q = t0/t = e^-u, where every term is positive

@@ -442,6 +442,38 @@ def test_barrier_far_field_limit(m2):
         assert val == pytest.approx(1.0 + b, rel=1e-9)
 
 
+def _log_envelope_50_digits(m, k, r):
+    with mpmath.workdps(50):
+        b = mpmath.sqrt(4 * k * k - 2)
+        lx = mpmath.log(2 * mpmath.mpf(r) / mpmath.mpf(m))
+        return (1 + b) / 2 * lx - mpmath.log(2) + mpmath.log1p(mpmath.exp(-b * lx))
+
+
+def test_log_barrier_envelope_stays_finite_where_2r_over_m_overflows():
+    """At m = 1e-10, r = 1e300 the ratio 2r/m overflows, but its log is
+    formed from sqrt(r)/sqrt(m/2): the envelope's log is 1693.25 to the
+    last digit, and only the envelope itself is past the double range."""
+    model = SchwarzschildModel(1e-10)
+    want = _log_envelope_50_digits(1e-10, 2, 1e300)
+    assert float(want) == pytest.approx(1693.2509763488227, rel=1e-15)
+    got = log_barrier_envelope(model, 2, 1e300)
+    assert abs(got - want) <= 2e-15 * want
+    assert barrier_envelope(model, 2, 1e300) == math.inf
+
+
+def test_log_barrier_envelope_matches_50_digits_on_a_random_sample():
+    """Masses log-uniform over 1e-5 to 1e5, radii uniform up to 1e6 times
+    m/2, k of either sign up to 7: within 2e-15 of the 50-digit value."""
+    rng = np.random.default_rng(95)
+    for _ in range(300):
+        m = float(10.0 ** rng.uniform(-5.0, 5.0))
+        k = int(rng.choice([1, -1, 2, 3, -4, 7]))
+        r = 0.5 * m * float(rng.uniform(1.0, 1e6))
+        want = _log_envelope_50_digits(m, k, r)
+        got = log_barrier_envelope(SchwarzschildModel(m), k, r)
+        assert abs(got - want) <= 2e-15 * abs(want), (m, k, r)
+
+
 def test_barrier_rejects_k_zero(m2):
     with pytest.raises(DomainError):
         barrier_psi_k(m2, 0, 2.0)

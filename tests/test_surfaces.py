@@ -6,7 +6,10 @@ forms, the cone path and frozen values; everything else rides the 1-D
 cone fast path whose densities have elementary antiderivatives.
 """
 
+import json
 import math
+import subprocess
+import sys
 import warnings
 
 import mpmath
@@ -793,7 +796,7 @@ def test_every_clipped_integral_rejects_chart_inside_horizon(m2, integral):
 )
 def test_general_chart_samples_that_overflow_raise_without_warning(flat, integral, error):
     """The plane chart scaled by 1e200: its area element and normal
-    overflow to inf in numpy, which must not warn.  Each integral reports
+    overflow to inf, which must not warn.  Each integral reports
     the estimate that is not finite; the defect's tangent-plane test does
     not read the overflowed normal as a degenerate plane."""
     huge = make_general(
@@ -805,6 +808,111 @@ def test_general_chart_samples_that_overflow_raise_without_warning(flat, integra
             integral(flat, huge, 1e300)
         with pytest.raises(GeometryError, match="not finite"):
             radial_normal_component(flat, huge, 1.5, 0.5)
+
+
+def test_chart_nan_and_zero_partial_keep_their_error_classes(flat):
+    """A chart that is NaN on part of each slice (1.2 < t < 1.4) reaches
+    the rules as NaN: mu and the defect report an estimate that is not
+    finite, and the radial normal component there is not finite either.
+    A partial that vanishes gives a zero area element, so mu = 0, and a
+    degenerate tangent plane for the defect, named by its chart point."""
+
+    def chart(t, s):
+        if 1.2 < t < 1.4:
+            return (math.nan, math.nan, math.nan)
+        return (t * math.cos(s), t * math.sin(s), 1.0)
+
+    def chart_t(t, s):
+        return (math.cos(s), math.sin(s), 0.0)
+
+    def chart_s(t, s):
+        return (-t * math.sin(s), t * math.cos(s), 0.0)
+
+    holed = make_general(chart, (1.0, 3.0), TWO_PI, chart_t=chart_t, chart_s=chart_s)
+    for integral in (mu_integral, defect_integral):
+        with pytest.raises(QuadratureError, match="is not finite"):
+            integral(flat, holed, 5.0)
+    with pytest.raises(GeometryError, match="not finite"):
+        radial_normal_component(flat, holed, 1.3, 0.5)
+    flat_s = make_general(chart, (1.5, 3.0), TWO_PI, chart_t=chart_t, chart_s=lambda t, s: (0.0, 0.0, 0.0))
+    assert mu_integral(flat, flat_s, 5.0) == 0.0
+    with pytest.raises(GeometryError, match=r"degenerate tangent plane at chart point \("):
+        defect_integral(flat, flat_s, 5.0)
+
+
+_TUPLE_CHART_PROBE = """
+import json, math, sys
+from schwsurf import (SchwarzschildModel, QuadSpec, area_integral, boundary_length, defect_integral,
+                      make_general, monotonicity_report, mu_integral, radial_normal_component)
+
+def sheared_cone(t, s):
+    # t alpha(s) + (t - 1) c over the colatitude-pi/3 circle: its t = 1
+    # edge lies on the horizon |x| = 1 of m = 2
+    u = s / RHO
+    return (t * RHO * math.cos(u) + 0.1 * (t - 1.0), t * RHO * math.sin(u), t * Z + 0.2 * (t - 1.0))
+
+def sheared_cone_t(t, s):
+    u = s / RHO
+    return (RHO * math.cos(u) + 0.1, RHO * math.sin(u), Z + 0.2)
+
+def sheared_cone_s(t, s):
+    u = s / RHO
+    return (-t * math.sin(u), t * math.cos(u), 0.0)
+
+def tilted(t, s):
+    return (t * math.cos(s), t * math.sin(s), 1.0 + t * (0.3 * math.cos(s) + 0.2 * math.sin(s)))
+
+def tilted_t(t, s):
+    return (math.cos(s), math.sin(s), 0.3 * math.cos(s) + 0.2 * math.sin(s))
+
+def tilted_s(t, s):
+    return (-t * math.sin(s), t * math.cos(s), t * (0.2 * math.cos(s) - 0.3 * math.sin(s)))
+
+RHO, Z = math.sin(math.pi / 3), math.cos(math.pi / 3)
+spec = QuadSpec(rel_tol=1e-7)
+out = {}
+cases = [
+    ("m0", 0.0, (tilted, tilted_t, tilted_s), (0.0, 10.0), 2.0 * math.pi, False, [1.5, 2.0, 3.0]),
+    ("m2", 2.0, (sheared_cone, sheared_cone_t, sheared_cone_s), (1.0, 12.0), 2.0 * math.pi * RHO, True,
+     [1.0, 3.0, 6.0]),
+]
+for name, mass, (chart, chart_t, chart_s), t_range, period, free, rhos in cases:
+    model = SchwarzschildModel(mass)
+    for partials in ("given", "fd"):
+        extra = dict(chart_t=chart_t, chart_s=chart_s) if partials == "given" else {}
+        surface = make_general(chart, t_range, period, free, **extra)
+        values = [f(model, surface, rhos[1], spec) for f in (mu_integral, area_integral, defect_integral)]
+        values.append(radial_normal_component(model, surface, 2.5, 0.7))
+        values += list(surface.check(model, 16).values())
+        if free:
+            values.append(boundary_length(model, surface, spec))
+        rep = monotonicity_report(model, surface, rhos, spec)
+        values += [*rep.mu_values, *rep.formula_residuals]
+        out[name + " " + partials] = [v.hex() for v in values]
+out["numpy"] = "numpy" in sys.modules
+print(json.dumps(out))
+"""
+
+
+def test_a_general_chart_of_tuples_needs_no_numpy():
+    """A general chart whose values and partials are tuples, at m = 0 and
+    at m = 2 with its edge on the horizon, with its partials and with the
+    finite-difference fallbacks, runs through the integrals, the radial
+    normal component, the invariant check, the boundary length and the
+    monotonicity report without loading numpy.  The values are those of
+    this process bit for bit, and the fallbacks meet the given partials."""
+    proc = subprocess.run([sys.executable, "-c", _TUPLE_CHART_PROBE], capture_output=True, text=True, check=True)
+    probe = json.loads(proc.stdout)
+    assert probe.pop("numpy") is False
+    here = {}
+    exec(_TUPLE_CHART_PROBE.replace("print(json.dumps(out))", ""), here)
+    assert here["out"].pop("numpy") is True
+    assert probe == here["out"]
+    for name in ("m0", "m2"):
+        given, fd = ([float.fromhex(v) for v in probe[f"{name} {kind}"]] for kind in ("given", "fd"))
+        assert all(math.isfinite(v) for v in given)
+        scale = max(map(abs, given))
+        assert fd == pytest.approx(given, rel=1e-6, abs=1e-9 * scale)
 
 
 def test_flat_graph_monotonicity_identity(flat):
@@ -1223,6 +1331,20 @@ def test_rotate_surface_cone_keeps_fast_path(m2):
     assert rotated.is_cone
     for rho in (2.0, 20.0):
         assert mu_integral(m2, rotated, rho) == mu_integral(m2, cone, rho)
+
+
+@pytest.mark.parametrize(
+    "rotation",
+    [((2.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)), ((1.0, 0.0), (0.0, 1.0))],
+    ids=["scaled", "2x2"],
+)
+def test_rotate_surface_checks_the_matrix_of_every_chart(m2, flat, rotation):
+    """A general chart's rotation is checked as a cone's: a matrix that is
+    not orthogonal (it would scale the flat mu at rho = 2 from 8.64 to
+    7.85) or not 3x3 is a DomainError."""
+    for model, surface in ((flat, flat_graph(1.0, 5.0)), (m2, make_plane(m2, t_max=10.0))):
+        with pytest.raises(DomainError, match="rotation must be a 3x3 orthogonal matrix"):
+            rotate_surface(surface, rotation)
 
 
 def test_rotate_surface_general_chart(flat):
