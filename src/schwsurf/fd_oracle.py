@@ -12,9 +12,9 @@ at ``m = 0``.  Sturm counts of the symmetric tridiagonal standard form
 say which eigenvalue a bracket holds, and Newton steps on the
 determinant, computed in the same sweep, polish it
 (Wilkinson, *The Algebraic Eigenvalue Problem*, 1965, ch. 5; Barth,
-Martin & Wilkinson, *Numer. Math.* 9, 1967), driven by one routine,
-:func:`_lowest`.  No scipy module is loaded.  Agreement with the
-shooting spectra is the anti-bug oracle for both sides.
+Martin & Wilkinson, *Numer. Math.* 9, 1967), driven on every grid by
+one routine, :func:`_lowest`.  No scipy module is loaded.  Agreement
+with the shooting spectra is the anti-bug oracle for both sides.
 
 Both paths of a solve start Newton from one plain-float solve of the
 same mode on 32 and 64 cells (:func:`_coarse_estimates`); which kernel
@@ -24,8 +24,8 @@ count of its finer grid:
 - up to ``_PLAIN_CELLS = 2048`` cells, plain floats: rows formed one by
   one (:func:`_plain_rows`), counted by the natural-order Sturm sequence
   one shift at a time (:func:`_sturm`), so no numpy is imported;
-- above it, numpy: :func:`assemble`, and counts by odd-even reduction at
-  all shifts of a sweep at once (:func:`_sweep`).
+- above it, numpy: :func:`assemble`, and counts by odd-even reduction,
+  also one shift at a time (:func:`_sweep`).
 
 Both kernels solve one matrix: the plain rows are the floats of
 :func:`assemble`'s standard form, bit for bit.
@@ -251,11 +251,11 @@ _COARSE_TOL = 2.0**28
 _MAX_SWEEPS = 200
 
 
-def _sweep(d, e, shifts, slope: bool = False) -> tuple:
-    """Inertia of ``T - x`` at each shift ``x`` (a float or an array), for
-    ``T`` with diagonal ``d`` and off-diagonal ``e`` (arrays): the negative
-    pivots of an LDL factorization count the eigenvalues of ``T`` below
-    ``x`` (Sylvester's law).
+def _sweep(d, e, x: float, slope: bool = False) -> tuple:
+    """Inertia of ``T - x`` at one shift ``x``, for ``T`` with diagonal
+    ``d`` and off-diagonal ``e`` (arrays): the negative pivots of an LDL
+    factorization count the eigenvalues of ``T`` below ``x`` (Sylvester's
+    law).
 
     The order is odd-even (cyclic) reduction: the odd nodes of a tridiagonal
     matrix couple only to even ones, so their pivots are their diagonal
@@ -263,88 +263,88 @@ def _sweep(d, e, shifts, slope: bool = False) -> tuple:
     complement on the even nodes, reduced again until one node is left.
     A level whose multipliers ``e/pivot`` exceed 1 in size would let the
     entries grow until rounding swamps the count; from there on the nodes
-    are eliminated one by one in natural order (the Sturm sequence, whose
-    count is stable at any shift), with a zero pivot taken as ``1e-300``.
+    left are eliminated one by one in natural order, in plain floats (the
+    Sturm sequence of :func:`_sturm`, whose count is stable at any shift),
+    with a zero pivot taken as ``1e-300``.
 
-    Returns the counts and, with ``slope``, the derivatives
-    ``d/dx log|det(T - x)| = sum(p'/p)`` over the pivots ``p``, carried
-    through the elimination with the entries' derivatives (else ``None``).
+    Returns the count (an ``int``) and, with ``slope``, the derivative
+    ``d/dx log|det(T - x)| = sum(p'/p)`` over the pivots ``p`` (a
+    ``float``), carried through the elimination with the entries'
+    derivatives (else ``None``).
     """
     import numpy as np
 
-    if np.shape(shifts) == (1,):  # one shift runs faster on 1-D arrays
-        count, S = _sweep(d, e, shifts[0], slope)
-        return np.reshape(count, 1), None if S is None else np.reshape(S, 1)
-    shift = np.asarray(shifts)[..., None]
-    lead = shift.shape[:-1]
     # each eliminated pivot's sign (and p'/p), in elimination order, and the
     # multipliers of the level at hand
-    negative = np.empty(lead + d.shape, dtype=bool)
-    ratio = np.empty(lead + d.shape) if slope else None
-    mult = np.empty(lead + d.shape)
+    negative = np.empty(d.shape, dtype=bool)
+    ratio = np.empty(d.shape) if slope else None
+    mult = np.empty(d.shape)
     done = 0
     Dp = Ep = None  # d/dx of D and E; -1 and 0 before the first reduction
     # a pivot near 0 may overflow a multiplier; the check below then hands
     # the level to the Sturm sequence
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        D, E = d - shift, e  # T - x, reduced level by level
-        while D.shape[-1] > 1:
-            piv = D[..., 1::2]
-            left = E[..., 0::2]  # node 2i to the pivot 2i + 1
-            right = E[..., 1::2]  # the pivot 2i + 1 to node 2i + 2
-            p, r = piv.shape[-1], right.shape[-1]
-            a = np.divide(left, piv, out=mult[..., :p])
-            b = np.divide(right, piv[..., :r], out=mult[..., p : p + r])
-            level = mult[..., : p + r]
+        D, E = d - x, e  # T - x, reduced level by level
+        while len(D) > 1:
+            piv = D[1::2]
+            left = E[0::2]  # node 2i to the pivot 2i + 1
+            right = E[1::2]  # the pivot 2i + 1 to node 2i + 2
+            p, r = len(piv), len(right)
+            a = np.divide(left, piv, out=mult[:p])
+            b = np.divide(right, piv[:r], out=mult[p : p + r])
+            level = mult[: p + r]
             if not (level.max() <= 1.0 and level.min() >= -1.0):
                 break
-            np.less(piv, 0.0, out=negative[..., done : done + p])
-            reduced = D[..., 0::2].copy()
-            reduced[..., :p] -= left * a
-            reduced[..., 1:] -= right * b
+            np.less(piv, 0.0, out=negative[done : done + p])
+            reduced = D[0::2].copy()
+            reduced[:p] -= left * a
+            reduced[1:] -= right * b
             if slope:
                 if Dp is None:
                     inv = 1.0 / piv
-                    np.negative(inv, out=ratio[..., done : done + p])
+                    np.negative(inv, out=ratio[done : done + p])
                     Dp = np.full(reduced.shape, -1.0)
-                    Dp[..., :p] -= a * a
-                    Dp[..., 1:] -= b * b
-                    Ep = (a * inv)[..., :r] * right
+                    Dp[:p] -= a * a
+                    Dp[1:] -= b * b
+                    Ep = (a * inv)[:r] * right
                 else:
-                    pp = Dp[..., 1::2]
-                    np.divide(pp, piv, out=ratio[..., done : done + p])
-                    lp, rp = Ep[..., 0::2], Ep[..., 1::2]
+                    pp = Dp[1::2]
+                    np.divide(pp, piv, out=ratio[done : done + p])
+                    lp, rp = Ep[0::2], Ep[1::2]
                     a_pp = a * pp
-                    red_p = Dp[..., 0::2].copy()
-                    red_p[..., :p] -= a * (lp + lp - a_pp)
-                    red_p[..., 1:] -= b * (rp + rp - b * pp[..., :r])
-                    Ep = ((lp - a_pp) / piv)[..., :r] * right + a[..., :r] * rp
+                    red_p = Dp[0::2].copy()
+                    red_p[:p] -= a * (lp + lp - a_pp)
+                    red_p[1:] -= b * (rp + rp - b * pp[:r])
+                    Ep = ((lp - a_pp) / piv)[:r] * right + a[:r] * rp
                     Dp = red_p
             # the Schur complement's off-diagonal is -a * right; dropping the
             # sign flips every off-diagonal of the level, which leaves the
             # pivots (and so counts and determinants) unchanged
-            E = a[..., :r] * right
+            E = a[:r] * right
             D = reduced
             done += p
-        count = np.add.reduce(negative[..., :done], axis=-1)
-        S = np.add.reduce(ratio[..., :done], axis=-1) if slope else None
-        if slope and Dp is None:
-            Dp, Ep = np.full(D.shape, -1.0), np.zeros(np.shape(E))
-        piv = D[..., 0]
-        pp = Dp[..., 0] if slope else None
-        for j in range(1, D.shape[-1]):
-            piv = np.where(piv == 0.0, 1e-300, piv)
-            count += piv < 0.0
-            a = E[..., j - 1] / piv
-            if slope:
-                S += pp / piv
-                pp = Dp[..., j] - a * (2.0 * Ep[..., j - 1] - a * pp)
-            piv = D[..., j] - E[..., j - 1] * a
-        piv = np.where(piv == 0.0, 1e-300, piv)
-        count += piv < 0.0
-        if slope:
-            S += pp / piv
-    return count, S
+    count = int(np.count_nonzero(negative[:done]))
+    D, E = D.tolist(), E.tolist()
+    piv = D[0] or 1e-300
+    if piv < 0.0:
+        count += 1
+    if not slope:
+        for dj, ej in zip(D[1:], E):
+            piv = (dj - ej * (ej / piv)) or 1e-300
+            if piv < 0.0:
+                count += 1
+        return count, None
+    S = float(ratio[:done].sum())
+    Dp, Ep = (Dp.tolist(), Ep.tolist()) if Dp is not None else ([-1.0] * len(D), [0.0] * len(E))
+    pp = Dp[0]
+    for dj, ej, dpj, epj in zip(D[1:], E, Dp[1:], Ep):
+        a = ej / piv
+        S += pp / piv
+        pp = dpj - a * (2.0 * epj - a * pp)
+        piv = (dj - ej * a) or 1e-300
+        if piv < 0.0:
+            count += 1
+    return count, S + pp / piv
 
 
 def _sturm(d0: float, rows, x: float, slope: bool) -> tuple:
@@ -413,13 +413,13 @@ def _plain_solver(d: list, e: list) -> tuple:
 
 
 def _numpy_solver(d, e) -> tuple:
-    """The solver of ``T`` given as arrays, swept at all shifts at once by
+    """The solver of ``T`` given as arrays, swept one shift at a time by
     :func:`_sweep`."""
     import numpy as np
 
     def sweep(shifts, slope):
-        counts, S = _sweep(d, e, np.array(shifts), slope)
-        return counts.tolist(), None if S is None else S.tolist()
+        swept = [_sweep(d, e, x, slope) for x in shifts]
+        return [c for c, _ in swept], [s for _, s in swept] if slope else None
 
     off = np.zeros_like(d)
     off[:-1] += np.abs(e)
@@ -441,18 +441,6 @@ def _narrow(lo: list, hi: list, shifts, counts) -> None:
         lo[c:j] = [x] * (j - c)
 
 
-def _bisect_lowest(solver: tuple, how_many: int) -> list:
-    """The ``how_many`` lowest eigenvalues, each the midpoint of a count
-    bracket no wider than ``4 tol``, from the Gershgorin interval."""
-    sweep, (lower, upper, tol) = solver
-    lo, hi = [lower] * how_many, [upper] * how_many
-    for i in range(how_many):
-        while hi[i] - lo[i] > 4.0 * tol:
-            x = 0.5 * (lo[i] + hi[i])
-            _narrow(lo, hi, (x,), sweep((x,), False)[0])
-    return [0.5 * (a + b) for a, b in zip(lo, hi)]
-
-
 def _coarse_estimates(model: SchwarzschildModel, k: int, R: float, how_many: int):
     """``n -> `` estimates of the ``how_many + 1`` lowest standard-form
     eigenvalues on ``n`` cells, the last of them saying where the
@@ -460,17 +448,17 @@ def _coarse_estimates(model: SchwarzschildModel, k: int, R: float, how_many: int
 
     The eigenvalues of the same mode on ``c`` and ``2c`` cells,
     extrapolated in ``h^2`` (``lam(n) = lam_inf + C/n^2``), each bracketed
-    to ``4 _COARSE_TOL eps ||T||_inf`` in plain floats: by count bisection
-    on ``c`` cells, and by Newton steps from those values on ``2c`` cells.
-    Both kernels of the fine grids start from them.
+    to ``4 _COARSE_TOL eps ||T||_inf`` in plain floats by :func:`_lowest`:
+    from the Gershgorin lower bound on ``c`` cells, and from those values
+    on ``2c`` cells.  Both kernels of the fine grids start from them.
     """
     c = max(_COARSE_CELLS, 2 * how_many)
-    loose = []
+    lam = []
     for cells in (c, 2 * c):
         sweep, (lower, upper, tol) = _plain_solver(*_plain_rows(model, k, R, cells))
-        loose.append((sweep, (lower, upper, _COARSE_TOL * tol)))
-    lam_c = _bisect_lowest(loose[0], how_many + 1)
-    lam_2c, _ = _lowest(*loose[1], lam_c, how_many + 1)
+        start = lam[-1] if lam else [lower] * (how_many + 1)
+        lam.append(_lowest(sweep, (lower, upper, _COARSE_TOL * tol), start, how_many + 1)[0])
+    lam_c, lam_2c = lam
     scale = c**-2 - (2 * c) ** -2
     slope = [(a - b) / scale for a, b in zip(lam_c, lam_2c)]
     return lambda n: [b + s * (n**-2 - (2 * c) ** -2) for b, s in zip(lam_2c, slope)]
@@ -577,8 +565,7 @@ def negative_count_fd(problem: DiscreteModeProblem) -> int:
     generalized spectrum (Sylvester's law): the count of :func:`_sweep`
     on A at shift 0.
     """
-    count, _ = _sweep(problem.stiffness_diag, problem.stiffness_off, 0.0)
-    return int(count)
+    return _sweep(problem.stiffness_diag, problem.stiffness_off, 0.0)[0]
 
 
 def richardson_lowest(

@@ -94,6 +94,22 @@ def _q_closure(m: float, k: int, lam: float):
     return q
 
 
+def _p_closure(m: float, k: int, lam: float):
+    """``P = r^2 Q - 1/4`` at a float or an array ``r``, in the scale-free
+    terms of :func:`_prufer_closure`: ``m/t + lam t^2 - k^2`` with
+    ``s = r + m/2`` and ``t = s (s/r)``.  At ``lam = 0`` it stays finite
+    to the end of the double range; ``r * r`` overflows past 1.34e154."""
+    k2 = float(k * k)
+    hm = 0.5 * m
+
+    def p(r):
+        s = r + hm
+        t = s * (s / r)
+        return m / t + lam * t * t - k2
+
+    return p
+
+
 def _prufer_closure(m: float, k: int, lam: float):
     """Coefficients ``(A, B, D) = (S + P/S, S - P/S, S_x/S)`` of the scaled
     Prüfer pair at ``x = log r``, with ``S = (P^2 + 1)^1/4`` and
@@ -146,7 +162,7 @@ class RadialSolution:
         self.params = params
         self.r_max = float(params.R)
         self._traj = trajectory
-        self._q = _q_closure(params.model.mass, params.k, params.lam)
+        self._p = _p_closure(params.model.mass, params.k, params.lam)
         self._r0 = 0.5 * params.model.mass
 
     @functools.cached_property
@@ -168,8 +184,7 @@ class RadialSolution:
         if not np.all((r >= self._r0) & (r <= self.r_max)):
             raise self._domain_error()
         y = self._traj.eval(np.log(r))
-        p = r * r * self._q(r) - 0.25
-        return r, y[..., 0], y[..., 1], 0.25 * np.log1p(p * p)
+        return r, y[..., 0], y[..., 1], 0.5 * np.log(np.hypot(self._p(r), 1.0))
 
     def _checked(self, r: float) -> float:
         r = float(r)
@@ -181,8 +196,7 @@ class RadialSolution:
         """``(r, theta, log rho, log S)`` at one radius, as floats."""
         r = self._checked(r)
         theta, log_rho = self._traj.eval_scalar(math.log(r))
-        p = r * r * self._q(r) - 0.25
-        return r, theta, log_rho, 0.25 * math.log1p(p * p)
+        return r, theta, log_rho, 0.5 * math.log(math.hypot(self._p(r), 1.0))
 
     def values(self, r) -> tuple:
         """``(v, v')`` at the radii ``r`` (a scalar or an array)."""
@@ -260,13 +274,13 @@ def integrate_v(params: ModeParams, tol: float = DEFAULT_ODE_TOL) -> RadialSolut
     if not (tol > 0.0):
         raise DomainError(f"tol must be > 0, got {tol}")
     hm = 0.5 * m
-    p0 = hm * hm * _q_closure(m, params.k, params.lam)(hm) - 0.25
+    p0 = _p_closure(m, params.k, params.lam)(hm)
     traj = ode.integrate_prufer(
         _prufer_closure(m, params.k, params.lam),
         math.log(hm),
         math.log(params.R),
         0.5 * math.pi,
-        0.5 * math.log(2.0 / m) + 0.125 * math.log1p(p0 * p0),
+        0.5 * math.log(2.0 / m) + 0.25 * math.log(math.hypot(p0, 1.0)),
         tol,
     )
     return RadialSolution(params, traj)

@@ -493,9 +493,9 @@ def _clipped_integral(model, surface, t_iso, spec, w, normal=False, store=None) 
     def slice_integral(s: float):
         def integrand(ts):
             rows = _kept(store, (s, len(ts)), lambda: samples(ts, s))
-            # the flat model's weights are 0/0 at the origin: NaN, which
-            # the rules report
-            weights = [w(m, r) if r else math.nan for _, _, _, r, _ in rows]
+            # a node at the origin, reachable only on the flat model, takes
+            # the flat weight (r = inf), where m/2r would be 0/0
+            weights = [w(m, r if r else math.inf) for _, _, _, r, _ in rows]
             areas = [wt * row[4] for wt, row in zip(weights, rows)]
             if normal:
                 return [wt * (_radial_normal_sq(x, a, b) * el) for wt, (x, a, b, _, el) in zip(weights, rows)], areas

@@ -588,6 +588,43 @@ def test_riccati_exit_codes_and_scale_covariance(log_m, c):
                 assert abs(m * row["psi"] - row1["psi"]) <= 1e-9 * max(1.0, abs(row1["psi"]))
 
 
+def _spectrum(*argv):
+    """``spectrum ... --output json`` in process: the exit code and the
+    parsed document of an exit-0 run (else None)."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        result = run_cli("spectrum", *argv, "--output", "json")
+    assert result.exit_code in (0, 2, 3) and "Traceback" not in result.stderr, result
+    if result.exit_code != 0:
+        return result.exit_code, None
+    assert "nan" not in result.stdout.lower() and "inf" not in result.stdout.lower()
+    return 0, json.loads(result.stdout)
+
+
+@settings(max_examples=25, deadline=None, database=None, derandomize=True)
+@given(
+    j=st.integers(-990, 1000),
+    log_x=st.floats(math.log(0.55), math.log(1e4)),
+    k=st.integers(0, 3),
+    count=st.integers(1, 3),
+    method=st.sampled_from(["fd", "both"]),
+)
+def test_fd_spectra_exit_codes_and_scale_covariance(j, log_x, k, count, method):
+    """The FD routes pose the ``m = 1`` problem on ``R/m``: at ``m = 2^j``
+    and ``R = m X`` (both exact), ``spectrum --method fd|both`` exits as
+    ``--mass 1 --R X`` does (0, 2 or 3, with no traceback, no
+    RuntimeWarning and no nan or inf printed) and prints the same
+    eigenvalues, in units of ``m^2``, bit for bit."""
+    m = 2.0**j
+    X = math.exp(log_x)
+    rest = ("--k", str(k), "--count", str(count), "--method", method)
+    code, doc = _spectrum("--mass", repr(m), "--R", repr(m * X), *rest)
+    code1, doc1 = _spectrum("--mass", "1", "--R", repr(X), *rest)
+    assert code == code1
+    if code == 0:
+        assert doc["entries"] == doc1["entries"]
+
+
 # ------------------------------------------------------------------- misc
 
 

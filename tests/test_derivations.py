@@ -1,8 +1,9 @@
 """The mode equation's coefficients, derived from the metric with sympy.
 
 The potential and the mass density of the plane's Jacobi operator are
-typed out by hand in four places: ``fd_oracle._coefficients``,
-``mode_odes._q_closure``, the Prüfer closure's ``P`` and ``P_x``, and
+typed out by hand in five places: ``fd_oracle._coefficients``,
+``mode_odes._q_closure``, the Prüfer closure's ``P`` and ``P_x``, the
+reads' ``P`` (``mode_odes._p_closure``), and
 ``spectral.rayleigh_quotient``.  (``fd_oracle.assemble`` writes the
 operations of ``_coefficients`` out in place on its arrays; the FD tests
 hold it to the plain rows, which call ``_coefficients``, bit for bit.)
@@ -138,6 +139,22 @@ def test_prufer_p_and_its_slope_are_the_derived_ones(plane):
             tol = 16 * eps * (scale + abs(px))
             assert abs((A - B) / (2 * math.sqrt(A * B)) - p) <= tol
             assert abs(D - p * px / (2 * (p * p + 1))) <= tol * (abs(px) + scale) / (p * p + 1)
+
+
+def test_scale_free_p_of_the_reads_is_the_derived_one(plane):
+    """``mode_odes._p_closure``, the ``P = r (V + lam w)`` that shot reads
+    and the start amplitude form in the terms ``m/t + lam t^2 - k^2``, at
+    a float and at an array of radii."""
+    potential, density = plane
+    lam_, k_ = sp.symbols("lam k", real=True)
+    P_of = sp.lambdify((M, k_, lam_, R_), -(k_**2) + R_ * potential + lam_ * R_ * density, "mpmath")
+    scale_of = sp.lambdify((M, k_, lam_, R_), k_**2 + R_ * potential + abs(lam_) * R_ * density, "mpmath")
+    eps = np.finfo(float).eps
+    with mpmath.workdps(30):
+        for m, k, lam, r in SAMPLES:
+            p = mode_odes._p_closure(m, k, lam)
+            assert p(np.array([r]))[0] == p(r)
+            assert abs(p(r) - P_of(m, k, lam, r)) <= 8 * eps * scale_of(m, k, lam, r)
 
 
 def test_rayleigh_quotient_weights_are_the_derived_ones(plane):

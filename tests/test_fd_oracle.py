@@ -345,10 +345,10 @@ def test_counts_survive_a_near_zero_pivot_of_the_reduction(m2):
     T = np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
     lams = np.linalg.eigvalsh(T)[:6]
     margin = 8.0 * np.finfo(float).eps * np.max(np.sum(np.abs(T), axis=1))
-    below, _ = _sweep(d, e, lams - margin)
-    above, _ = _sweep(d, e, lams + margin)
-    assert below.tolist() == list(range(6))
-    assert above.tolist() == list(range(1, 7))
+    below = [_sweep(d, e, x)[0] for x in (lams - margin).tolist()]
+    above = [_sweep(d, e, x)[0] for x in (lams + margin).tolist()]
+    assert below == list(range(6))
+    assert above == list(range(1, 7))
 
 
 @pytest.mark.parametrize("starts", ["reversed", "all at the second", "far off"])

@@ -900,6 +900,31 @@ def test_closed_forms_at_the_top_of_the_double_range(m):
     assert closed_form_v0(model, 0.5 * m) == 1.0
 
 
+@pytest.mark.parametrize("m", [1.0, 2.0])
+def test_far_reads_of_lambda_zero_shots_are_finite(m):
+    """lam = 0 shots run to the end of the double range, and their reads
+    formed P = r^2 Q - 1/4 with r * r, which overflows past r of about
+    1.34e154: v, v', log|v| and values read NaN there.  In the scale-free
+    terms of the Prufer closure they follow the closed forms: v0 within
+    1e-9 relative, and the k = 1 shot's log|v| within 1e-10 of
+    log(v1/v1(m/2))."""
+    model = SchwarzschildModel(m)
+    radial = integrate_v(ModeParams(model, 0, 0.0, 1e300))
+    for r in (1e100, 1e159, 1e200, 1e300):
+        ref = closed_form_v0(model, r)
+        assert abs(radial.v(r) - ref) <= 1e-9 * abs(ref), r
+        assert math.isfinite(radial.v_prime(r)) and math.isfinite(radial.gamma(r))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        v, vp = radial.values(np.array([1e159, 1e300]))
+    assert np.all(np.isfinite(v)) and np.all(np.isfinite(vp))
+    nonradial = integrate_v(ModeParams(model, 1, 0.0, 1e300))
+    for r in (1e100, 1e159, 1e200, 1e300):
+        ref = 1.5 * math.log(r) + 2.0 * math.log1p(0.5 * m / r) - math.log(closed_form_v1(model, 0.5 * m))
+        log_v, sign = nonradial.log_abs_v(r)
+        assert abs(log_v - ref) <= 1e-10 and sign == 1.0, r
+
+
 def test_riccati_reconstruction_from_shot(m2):
     """v'/v of the radial shot is the c-bar profile, to 1e-6 relative."""
     sol = integrate_v(ModeParams(m2, 0, 0.0, 12.0), tol=1e-10)

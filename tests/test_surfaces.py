@@ -478,6 +478,25 @@ def test_radial_normal_undefined_at_the_origin(flat):
         radial_normal_component(flat, plane, 0.0, 0.0)
 
 
+def test_flat_chart_node_at_the_origin_takes_the_flat_weight(flat):
+    """The unit disc charted as (t cos s, t sin s, 0) on t in [-1, 1],
+    covered twice, puts a node on the origin, where the weights formed
+    m/2|x| as 0/0 and mu and area raised QuadratureError.  The flat
+    weight there is 1, so both are 2 pi; the defect, whose tangent plane
+    degenerates at the origin, still raises GeometryError."""
+    disc = make_general(
+        chart=lambda t, s: (t * math.cos(s), t * math.sin(s), 0.0),
+        t_range=(-1.0, 1.0),
+        s_period=TWO_PI,
+        chart_t=lambda t, s: (math.cos(s), math.sin(s), 0.0),
+        chart_s=lambda t, s: (-t * math.sin(s), t * math.cos(s), 0.0),
+    )
+    assert mu_integral(flat, disc, 5.0) == pytest.approx(TWO_PI, rel=1e-14)
+    assert area_integral(flat, disc, 5.0) == pytest.approx(TWO_PI, rel=1e-14)
+    with pytest.raises(GeometryError):
+        defect_integral(flat, disc, 5.0)
+
+
 # ------------------------------------------------------------- general path
 
 
