@@ -3,8 +3,12 @@
 The right-hand side of the pair, DOP853 (explicit, order 8) with its
 seventh-order dense output, and Radau IIA (implicit, order 5) with its
 collocation cubic, each hand-unrolled for the two components on plain
-floats.  :mod:`schwsurf.ode` chooses the method, controls the step and
-keeps the records each step returns.  The steps sit apart from
+floats.  Each explicit stage makes one call of the pair's closure,
+``coefficients(x, theta)``, for its slopes ``(theta', (log rho)')``; the
+two DOP853 stages at ``x + h``, and Radau at its abscissae, whose Newton
+iterations reuse them, read ``(A, B, D) = coefficients(x)`` and form the
+slopes by :func:`_rhs`.  :mod:`schwsurf.ode` chooses the method, controls
+the step and keeps the records each step returns.  The steps sit apart from
 :mod:`schwsurf.ode` for memory: where no bytecode is written, each source
 is compiled on import, and one module holding both peaked 0.5 MB higher
 while compiling, which the benchmark read as peak RSS.
@@ -237,8 +241,8 @@ def _rhs(c: tuple, th: float, cos=math.cos, sin=math.sin) -> tuple:
 
 
 def _rhs_theta(c: tuple, th: float, cos=math.cos, sin=math.sin) -> float:
-    """``theta'`` alone, for the stages whose ``log rho`` slope no sum
-    reads: the first half of :func:`_rhs`, the same expression."""
+    """``theta'`` alone, for the Newton iterations of :func:`_radau_step`:
+    the first half of :func:`_rhs`, the same expression."""
     a, b, d = c
     return 0.5 * (a + b * cos(2.0 * th) + d * sin(2.0 * th))
 
@@ -254,56 +258,39 @@ def _step(coefficients, x, h, th, k1t, k1l) -> tuple:
     errors scaled down where the third-order one is larger.  The record
     is ``(k1 theta, k1 log rho, k6 theta, ..., k12 log rho, k13 theta, k13
     log rho)``, 18 floats: stages 2 to 5 enter neither the solution, the
-    error nor the dense output, so it leaves them out, and they are
-    taken by :func:`_rhs_theta`, without their ``log rho`` slopes."""
-    k2t = _rhs_theta(coefficients(x + _C2 * h), th + h * _A21 * k1t)
-    k3t = _rhs_theta(coefficients(x + _C3 * h), th + h * (_A31 * k1t + _A32 * k2t))
-    k4t = _rhs_theta(coefficients(x + _C4 * h), th + h * (_A41 * k1t + _A43 * k3t))
-    k5t = _rhs_theta(coefficients(x + _C5 * h), th + h * (_A51 * k1t + _A53 * k3t + _A54 * k4t))
-    k6t, k6l = _rhs(coefficients(x + _C6 * h), th + h * (_A61 * k1t + _A64 * k4t + _A65 * k5t))
-    k7t, k7l = _rhs(coefficients(x + _C7 * h), th + h * (_A71 * k1t + _A74 * k4t + _A75 * k5t + _A76 * k6t))
-    k8t, k8l = _rhs(
-        coefficients(x + _C8 * h),
-        th + h * (_A81 * k1t + _A84 * k4t + _A85 * k5t + _A86 * k6t + _A87 * k7t),
+    error nor the dense output, so it leaves them out, and their ``log
+    rho`` slopes are dropped."""
+    k2t = coefficients(x + _C2 * h, th + h * _A21 * k1t)[0]
+    k3t = coefficients(x + _C3 * h, th + h * (_A31 * k1t + _A32 * k2t))[0]
+    k4t = coefficients(x + _C4 * h, th + h * (_A41 * k1t + _A43 * k3t))[0]
+    k5t = coefficients(x + _C5 * h, th + h * (_A51 * k1t + _A53 * k3t + _A54 * k4t))[0]
+    k6t, k6l = coefficients(x + _C6 * h, th + h * (_A61 * k1t + _A64 * k4t + _A65 * k5t))
+    k7t, k7l = coefficients(x + _C7 * h, th + h * (_A71 * k1t + _A74 * k4t + _A75 * k5t + _A76 * k6t))
+    k8t, k8l = coefficients(x + _C8 * h, th + h * (_A81 * k1t + _A84 * k4t + _A85 * k5t + _A86 * k6t + _A87 * k7t))
+    k9t, k9l = coefficients(
+        x + _C9 * h, th + h * (_A91 * k1t + _A94 * k4t + _A95 * k5t + _A96 * k6t + _A97 * k7t + _A98 * k8t)
     )
-    k9t, k9l = _rhs(
-        coefficients(x + _C9 * h),
-        th + h * (_A91 * k1t + _A94 * k4t + _A95 * k5t + _A96 * k6t + _A97 * k7t + _A98 * k8t),
-    )
-    k10t, k10l = _rhs(
-        coefficients(x + _C10 * h),
-        th + h * (_A101 * k1t + _A104 * k4t + _A105 * k5t + _A106 * k6t + _A107 * k7t + _A108 * k8t + _A109 * k9t),
-    )
-    k11t, k11l = _rhs(
-        coefficients(x + _C11 * h),
-        th
-        + h
-        * (
-            _A111 * k1t + _A114 * k4t + _A115 * k5t + _A116 * k6t + _A117 * k7t + _A118 * k8t + _A119 * k9t
-            + _A1110 * k10t
-        ),
-    )
-    c12 = coefficients(x + h)  # stages 12 and 13 share the abscissa x + h
-    k12t, k12l = _rhs(
-        c12,
-        th
-        + h
-        * (
-            _A121 * k1t + _A124 * k4t + _A125 * k5t + _A126 * k6t + _A127 * k7t + _A128 * k8t + _A129 * k9t
-            + _A1210 * k10t + _A1211 * k11t
-        ),
-    )
+    k10t, k10l = coefficients(x + _C10 * h, th + h * (
+        _A101 * k1t + _A104 * k4t + _A105 * k5t + _A106 * k6t + _A107 * k7t + _A108 * k8t + _A109 * k9t
+    ))
+    k11t, k11l = coefficients(x + _C11 * h, th + h * (
+        _A111 * k1t + _A114 * k4t + _A115 * k5t + _A116 * k6t + _A117 * k7t + _A118 * k8t + _A119 * k9t
+        + _A1110 * k10t
+    ))
+    # stages 12 and 13 share the abscissa x + h: one read of (A, B, D)
+    # costs less than a second call with a phase
+    c12 = coefficients(x + h)
+    k12t, k12l = _rhs(c12, th + h * (
+        _A121 * k1t + _A124 * k4t + _A125 * k5t + _A126 * k6t + _A127 * k7t + _A128 * k8t + _A129 * k9t
+        + _A1210 * k10t + _A1211 * k11t
+    ))
     th_new = th + h * (
         _B1 * k1t + _B6 * k6t + _B7 * k7t + _B8 * k8t + _B9 * k9t + _B10 * k10t + _B11 * k11t + _B12 * k12t
     )
     d_lr = h * (_B1 * k1l + _B6 * k6l + _B7 * k7l + _B8 * k8l + _B9 * k9l + _B10 * k10l + _B11 * k11l + _B12 * k12l)
     k13t, k13l = _rhs(c12, th_new)
-    e5t = (
-        _ER1 * k1t + _ER6 * k6t + _ER7 * k7t + _ER8 * k8t + _ER9 * k9t + _ER10 * k10t + _ER11 * k11t + _ER12 * k12t
-    )
-    e5l = (
-        _ER1 * k1l + _ER6 * k6l + _ER7 * k7l + _ER8 * k8l + _ER9 * k9l + _ER10 * k10l + _ER11 * k11l + _ER12 * k12l
-    )
+    e5t = _ER1 * k1t + _ER6 * k6t + _ER7 * k7t + _ER8 * k8t + _ER9 * k9t + _ER10 * k10t + _ER11 * k11t + _ER12 * k12t
+    e5l = _ER1 * k1l + _ER6 * k6l + _ER7 * k7l + _ER8 * k8l + _ER9 * k9l + _ER10 * k10l + _ER11 * k11l + _ER12 * k12l
     e3t = _E31 * k1t + _B6 * k6t + _B7 * k7t + _B8 * k8t + _E39 * k9t + _B10 * k10t + _B11 * k11t + _E312 * k12t
     e3l = _E31 * k1l + _B6 * k6l + _B7 * k7l + _B8 * k8l + _E39 * k9l + _B10 * k10l + _B11 * k11l + _E312 * k12l
     e5 = e5t * e5t + e5l * e5l
@@ -390,33 +377,18 @@ def _dop853_dense(coefficients, x: float, h: float, th: float, d_th: float, d_lr
     ``h`` times the stages weighted by each row of ``_DENSE_D``, formed by
     :func:`_dense_row` for each component."""
     k1t, k1l, k6t, k6l, k7t, k7l, k8t, k8l, k9t, k9l, k10t, k10l, k11t, k11l, k12t, k12l, k13t, k13l = k
-    k14t, k14l = _rhs(
-        coefficients(x + _C14 * h),
-        th
-        + h
-        * (
-            _A141 * k1t + _A147 * k7t + _A148 * k8t + _A149 * k9t + _A1410 * k10t + _A1411 * k11t + _A1412 * k12t
-            + _A1413 * k13t
-        ),
-    )
-    k15t, k15l = _rhs(
-        coefficients(x + _C15 * h),
-        th
-        + h
-        * (
-            _A151 * k1t + _A156 * k6t + _A157 * k7t + _A158 * k8t + _A1511 * k11t + _A1512 * k12t + _A1513 * k13t
-            + _A1514 * k14t
-        ),
-    )
-    k16t, k16l = _rhs(
-        coefficients(x + _C16 * h),
-        th
-        + h
-        * (
-            _A161 * k1t + _A166 * k6t + _A167 * k7t + _A168 * k8t + _A169 * k9t + _A1613 * k13t + _A1614 * k14t
-            + _A1615 * k15t
-        ),
-    )
+    k14t, k14l = coefficients(x + _C14 * h, th + h * (
+        _A141 * k1t + _A147 * k7t + _A148 * k8t + _A149 * k9t + _A1410 * k10t + _A1411 * k11t + _A1412 * k12t
+        + _A1413 * k13t
+    ))
+    k15t, k15l = coefficients(x + _C15 * h, th + h * (
+        _A151 * k1t + _A156 * k6t + _A157 * k7t + _A158 * k8t + _A1511 * k11t + _A1512 * k12t + _A1513 * k13t
+        + _A1514 * k14t
+    ))
+    k16t, k16l = coefficients(x + _C16 * h, th + h * (
+        _A161 * k1t + _A166 * k6t + _A167 * k7t + _A168 * k8t + _A169 * k9t + _A1613 * k13t + _A1614 * k14t
+        + _A1615 * k15t
+    ))
     return (
         _dense_row(h, d_th, k1t, k6t, k7t, k8t, k9t, k10t, k11t, k12t, k13t, k14t, k15t, k16t),
         _dense_row(h, d_lr, k1l, k6l, k7l, k8l, k9l, k10l, k11l, k12l, k13l, k14l, k15l, k16l),

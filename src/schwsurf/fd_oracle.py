@@ -114,6 +114,16 @@ def _in_units_of_m(model: SchwarzschildModel, R: float, n: int) -> tuple:
     return m, X
 
 
+def _cell_width(m: float, X: float, n: int) -> tuple:
+    """The width ``dx`` of ``n`` cells on ``[m/2, X]`` and ``dx**2``; a
+    square past the double range is a :class:`SearchError`."""
+    dx = (X - 0.5 * m) / n
+    try:
+        return dx, dx**2
+    except OverflowError:
+        raise SearchError(f"the squared width of {n} FD cells to R/m = {X} is past the double range") from None
+
+
 def _check_count(how_many: int, n: int) -> None:
     if how_many < 1:
         raise DomainError(f"how_many must be >= 1, got {how_many}")
@@ -134,8 +144,7 @@ def assemble(model: SchwarzschildModel, k: int, R: float, n: int = 1024) -> Disc
     import numpy as np
 
     r0 = 0.5 * m
-    dx = (X - r0) / n
-    dx2 = dx**2
+    dx, dx2 = _cell_width(m, X, n)
     step = 0.5 * dx
     # each array is formed in place in its own output, by the operations of
     # _coefficients and the stencil in their order: a fresh temporary per
@@ -214,8 +223,7 @@ def _plain_rows(model: SchwarzschildModel, k: int, R: float, n: int) -> tuple:
     :func:`_standard_form`."""
     m, X = _in_units_of_m(model, R, n)
     r0 = 0.5 * m
-    dx = (X - r0) / n
-    dx2 = dx**2
+    dx, dx2 = _cell_width(m, X, n)
     step = 0.5 * dx
     sqrt = math.sqrt
     # horizon half cell
@@ -488,12 +496,16 @@ def _lowest(sweep, bounds: tuple, start: list, how_many: int) -> tuple:
     todo = list(range(how_many))
     probes = 0
     for _ in range(_MAX_SWEEPS):
-        shifts = [x[i] for i in todo]
+        # estimates that sit at one shift (all of them, at a start on the
+        # Gershgorin bound) share its factorization
+        shifts = list(dict.fromkeys(x[i] for i in todo))
         probes += len(shifts)
         counts, slopes = sweep(shifts, True)
         _narrow(lo, hi, shifts, counts)
+        slope_at = dict(zip(shifts, slopes))
         newton = {}
-        for i, slope in zip(todo, slopes):
+        for i in todo:
+            slope = slope_at[x[i]]
             # a zero or non-finite slope gives a step that is not finite:
             # that bisects
             step = -1.0 / slope if slope else -math.inf
@@ -512,7 +524,7 @@ def _lowest(sweep, bounds: tuple, start: list, how_many: int) -> tuple:
             if error <= tol:
                 near.append(i)
         if near:
-            shifts = [x[i] - 1.5 * tol for i in near] + [x[i] + 1.5 * tol for i in near]
+            shifts = list(dict.fromkeys([x[i] - 1.5 * tol for i in near] + [x[i] + 1.5 * tol for i in near]))
             probes += len(shifts)
             _narrow(lo, hi, shifts, sweep(shifts, False)[0])
         todo = [i for i in todo if hi[i] - lo[i] > 4.0 * tol]

@@ -111,17 +111,20 @@ def _p_closure(m: float, k: int, lam: float):
 
 
 def _prufer_closure(m: float, k: int, lam: float):
-    """Coefficients ``(A, B, D) = (S + P/S, S - P/S, S_x/S)`` of the scaled
-    Prüfer pair at ``x = log r``, with ``S = (P^2 + 1)^1/4`` and
+    """The scaled Prüfer pair at ``x = log r``: ``coefficients(x)`` returns
+    ``(A, B, D) = (S + P/S, S - P/S, S_x/S)``, with ``S = (P^2 + 1)^1/4`` and
 
         P = (m/r)(1 + m/2r)^-2 + lam r^2 (1 + m/2r)^4 - k^2,
-        P_x = (r - m/2)(2 lam r^2 (1 + m/2r)^4 - (m/r)(1 + m/2r)^-2)/(r + m/2).
+        P_x = (r - m/2)(2 lam r^2 (1 + m/2r)^4 - (m/r)(1 + m/2r)^-2)/(r + m/2),
+
+    and ``coefficients(x, th)`` the slopes ``(theta', (log rho)')`` at phase
+    ``th``, as ``_steps._rhs`` forms them from those: one call per stage.
     """
     k2 = float(k * k)
     hm = 0.5 * m
-    exp, sqrt = math.exp, math.sqrt
+    exp, sqrt, cos, sin = math.exp, math.sqrt, math.cos, math.sin
 
-    def coefficients(x: float) -> tuple:
+    def coefficients(x: float, th: float | None = None) -> tuple:
         r = exp(x)
         s = r + hm
         # t = s^2/r, finite to the end of the double range
@@ -138,7 +141,12 @@ def _prufer_closure(m: float, k: int, lam: float):
         else:
             t = s2 - p
             a, b = 1.0 / (t * sc), t / sc
-        return a, b, 0.5 * p * (r - hm) * (2.0 * w - g) / (s * s2 * s2)
+        d = 0.5 * p * (r - hm) * (2.0 * w - g) / (s * s2 * s2)
+        if th is None:
+            return a, b, d
+        c2 = cos(2.0 * th)
+        s2 = sin(2.0 * th)
+        return 0.5 * (a + b * c2 + d * s2), 0.5 * (b * s2 - d * c2)
 
     return coefficients
 
@@ -328,10 +336,10 @@ def closed_form_v0(model: SchwarzschildModel, r: float) -> float:
     is formed as ``sqrt(r)/sqrt(m/2)``, exactly 1 on the horizon, so no
     factor overflows before the value does.
     """
-    model.require_horizon("closed_form_v0")
     m = model.mass
     r = float(r)
-    if not (0.5 * m <= r < math.inf):
+    if not (m > 0.0 and 0.5 * m <= r < math.inf):
+        model.require_horizon("closed_form_v0")
         raise DomainError(f"r must be finite and >= m/2 = {0.5 * m}, got {r}")
     s = math.sqrt(r) / math.sqrt(0.5 * m)
     q = 0.5 * m / r
@@ -357,19 +365,13 @@ def closed_form_v1(model: SchwarzschildModel, r: float) -> float:
     return r * math.sqrt(r) * a * a
 
 
-def _barrier_args(model: SchwarzschildModel, k: int, r: float, name: str) -> tuple:
-    """``(b, log(2r/m), r)`` for the barrier of mode ``k`` at ``r``, with
-    ``b = sqrt(4 k^2 - 2)``; ``k`` must be a nonzero integer.  The log is
-    ``2 log(sqrt(r)/sqrt(m/2))``, as ``closed_form_v0`` forms ``s``, so it
-    stays finite where ``2r/m`` overflows."""
+def _reject_barrier_args(model: SchwarzschildModel, k: int, r: float, name: str) -> None:
+    """Raise the error of the first of the barriers' tests that fails:
+    ``m > 0``, ``k`` a nonzero integer, ``r >= m/2``."""
     model.require_horizon(name)
     if not (k % 1 == 0 and k != 0):
         raise DomainError(f"{name} is defined for integer k != 0 only, got k = {k}")
-    m = model.mass
-    r = float(r)
-    if not (r >= 0.5 * m):
-        raise DomainError(f"r must be >= m/2 = {0.5 * m}, got {r}")
-    return math.sqrt(4.0 * k * k - 2.0), 2.0 * math.log(math.sqrt(r) / math.sqrt(0.5 * m)), r
+    raise DomainError(f"r must be >= m/2 = {0.5 * model.mass}, got {r}")
 
 
 def barrier_psi_k(model: SchwarzschildModel, k: int, r: float) -> float:
@@ -381,10 +383,16 @@ def barrier_psi_k(model: SchwarzschildModel, k: int, r: float) -> float:
 
     solves ``psi' + psi^2 = (k^2 - 3/4)/r^2`` with ``psi(m/2) = 1/m`` and
     decays like ``(1 + b)/(2r)``.  Any shot ``v`` of a mode with ``k != 0``
-    and ``lam <= 0`` has ``v'/v >= psi``, hence no zeros.
+    and ``lam <= 0`` has ``v'/v >= psi``, hence no zeros.  ``t/2`` is ``b
+    log(sqrt(r)/sqrt(m/2))``, as ``closed_form_v0`` forms ``s``, so it
+    stays finite where ``2r/m`` overflows.
     """
-    b, lx, r = _barrier_args(model, k, r, "barrier_psi_k")
-    return (1.0 + b * math.tanh(0.5 * b * lx)) / (2.0 * r)
+    m = model.mass
+    r = float(r)
+    if not (m > 0.0 and k % 1 == 0 and k != 0 and r >= 0.5 * m):
+        _reject_barrier_args(model, k, r, "barrier_psi_k")
+    b = math.sqrt(4.0 * k * k - 2.0)
+    return (1.0 + b * math.tanh(b * math.log(math.sqrt(r) / math.sqrt(0.5 * m)))) / (2.0 * r)
 
 
 def log_barrier_envelope(model: SchwarzschildModel, k: int, r: float) -> float:
@@ -395,9 +403,24 @@ def log_barrier_envelope(model: SchwarzschildModel, k: int, r: float) -> float:
         ((1 + b)/2) log(2r/m) - log 2 + log(1 + (2r/m)^-b),
 
     normalized to vanish at the horizon.  A shot with ``k != 0`` and
-    ``lam <= 0`` satisfies ``log v >= `` this envelope.
+    ``lam <= 0`` satisfies ``log v >= `` this envelope.  Where ``2r/m < 2``
+    its ``L = log(2r/m)`` is the ``log1p`` of the exact ``(r - m/2)/(m/2)``,
+    and where also ``b L < 1`` it is ``L/2 + log1p(2 sinh(b L/4)^2)``, the
+    same primitive with no terms that cancel.
     """
-    b, lx, _ = _barrier_args(model, k, r, "log_barrier_envelope")
+    m = model.mass
+    r = float(r)
+    if not (m > 0.0 and k % 1 == 0 and k != 0 and r >= 0.5 * m):
+        _reject_barrier_args(model, k, r, "log_barrier_envelope")
+    b = math.sqrt(4.0 * k * k - 2.0)
+    hm = 0.5 * m
+    if r < m:
+        lx = math.log1p((r - hm) / hm)
+        if b * lx < 1.0:
+            sh = math.sinh(0.25 * b * lx)
+            return 0.5 * lx + math.log1p(2.0 * sh * sh)
+    else:
+        lx = 2.0 * math.log(math.sqrt(r) / math.sqrt(hm))
     return 0.5 * (1.0 + b) * lx - math.log(2.0) + math.log1p(math.exp(-b * lx))
 
 
@@ -444,12 +467,12 @@ def psi_c(model: SchwarzschildModel, c: float, r: float) -> float:
 
     ``c`` is unit-dependent through the bare ``log r``; see :func:`cbar`.
     """
-    model.require_horizon("psi_c")
     m = model.mass
     c, r = float(c), float(r)
-    if not math.isfinite(c):
-        raise DomainError(f"c must be finite, got {c}")
-    if not (0.5 * m <= r < math.inf):
+    if not (m > 0.0 and math.isfinite(c) and 0.5 * m <= r < math.inf):
+        model.require_horizon("psi_c")
+        if not math.isfinite(c):
+            raise DomainError(f"c must be finite, got {c}")
         raise DomainError(f"r must be finite and >= m/2 = {0.5 * m}, got {r}")
     q = m / r
     A = 4.0 * math.log(r) + c + 8.0
@@ -480,8 +503,8 @@ def singularity_radius(model: SchwarzschildModel, c: float, tol: float = DEFAULT
     where ``G`` is not positive raises :class:`NoSingularityError`.  ``A``
     is formed as its value at the lower end plus ``4 log(R/lo)``, so the
     terms that cancel are summed once and ``G`` is smooth in ``R``.  The
-    residual of the returned root satisfies
-    ``|F(R_c)| <= tol * 8 (2 R_c + m)``.
+    residual of the returned root satisfies ``|F(R_c)| <= tol * 8 (2 R_c +
+    m)``, or ``G`` changes sign between ``R_c`` and a neighbouring double.
     """
     model.require_horizon("singularity_radius")
     m = model.mass
@@ -506,7 +529,11 @@ def singularity_radius(model: SchwarzschildModel, c: float, tol: float = DEFAULT
     root = brentq(G, lo, hi, xtol=2.0 * math.ulp(lo))
     g = G(root)
     if abs(g) > tol * 8.0 * (2.0 + m / root):
-        raise NoSingularityError(f"blow-up radius residual {g * root} exceeds tol * {8.0 * (2.0 * root + m)}")
+        # G can jump past the tolerance between neighbouring doubles (as at a
+        # subnormal root): one whose far neighbour changes its sign is the closest
+        side = G(math.nextafter(root, -math.inf if g > 0.0 else math.inf))
+        if (side > 0.0) == (g > 0.0) and side != 0.0:
+            raise NoSingularityError(f"blow-up radius residual {g * root} exceeds tol * {8.0 * (2.0 * root + m)}")
     return root
 
 

@@ -12,6 +12,15 @@ so the right-hand side depends on ``x`` and ``theta`` only, and ``log rho``
 is a quadrature along the phase.  Neither variable overflows: the
 amplitude is carried as a logarithm and the phase grows by ``pi`` per zero.
 
+The pair comes as one closure: ``coefficients(x)`` returns ``(A, B, D)``
+and ``coefficients(x, theta)`` the slopes ``(theta', (log rho)')`` by the
+formulas above, in their order of operations (``_steps._rhs``).  Each
+explicit stage, of a step, of the dense output or of a phase crossing,
+makes one call with its phase.  Where a stepper needs the slopes at one
+abscissa more than once (stages 12 and 13 of a DOP853 step, which share
+``x + h``; a Radau step's start and collocation points, which its Newton
+iterations revisit) it reads ``(A, B, D)`` there once.
+
 Two steppers, in :mod:`schwsurf._steps`, work on plain floats (two
 components; numpy per-step overhead would dominate).  ``tol`` bounds the
 estimated local error of each step, for either, in radians of phase and
@@ -60,7 +69,7 @@ import math
 from typing import Callable
 
 from ._record import Record
-from ._steps import _dop853_dense, _radau_dense, _radau_step, _rhs, _step
+from ._steps import _dop853_dense, _radau_dense, _radau_step, _step
 from .errors import DomainError, IntegrationError
 
 # the bound on -h d theta'/d theta = 2 h (log rho)' at the end of a DOP853
@@ -222,7 +231,8 @@ def integrate_prufer(
     ``x1`` may lie on either side of ``x0``: the step ``h`` has the sign of
     ``x1 - x0``, and negation rounds exactly, so a backward shot is bit for
     bit the forward shot of ``(-A, -B, -D)`` at ``-x`` with its nodes
-    negated.  ``coefficients(x)`` returns ``(A, B, D)``.  With ``z = 2 h
+    negated.  ``coefficients`` is the closure of the module docstring, the
+    ``(A, B, D)`` at ``x`` or the slopes at ``(x, theta)``.  With ``z = 2 h
     (log rho)' = -h d theta'/d theta`` read off the last stage of the step
     just accepted, ``h`` the proposed next step: the next step is a Radau
     IIA step if ``z > 2 _EXPLICIT_LIMIT`` after a DOP853 step or ``z >
@@ -244,7 +254,7 @@ def integrate_prufer(
     xs, thetas, lrs, stages, rejected = [x0], [theta0], [log_rho0], [], 0
 
     x, th, lr = x0, theta0, log_rho0
-    k1t, k1l = _rhs(coefficients(x0), th)  # FSAL seed
+    k1t, k1l = coefficients(x0, th)  # FSAL seed
     h = (x1 - x0) / 100.0
     stiff = False
 

@@ -537,6 +537,17 @@ def test_riccati_exit_codes_at_every_scale(argv, code):
         assert result.stdout == "" and "R_c" in result.stderr
 
 
+def test_riccati_with_a_subnormal_blow_up_radius_fails_on_its_trace():
+    """At m = 7.0673e-319 the blow-up radius 5.8e-318 is subnormal and
+    failed its residual test (exit 3, 'blow-up radius residual').  The
+    radius is now found, and the trace, psi of about 1/r = 2.8e318 at the
+    horizon, is past the double range, as at ``--mass 1e-320``: still
+    exit 3, on one stderr line that names the trace."""
+    proc = run_proc("riccati", "--mass", "7.0673e-319", "--c", "2922.8768444212565")
+    assert proc.returncode == 3 and proc.stdout == ""
+    assert proc.stderr == "numerical failure: psi_c at r = 3.53366e-319 lies past the double range\n"
+
+
 def _riccati(m, c):
     """``riccati --mass m --c c --output json`` in process: the exit code,
     the parsed document of an exit-0 run (else None) and stderr."""
@@ -623,6 +634,16 @@ def test_fd_spectra_exit_codes_and_scale_covariance(j, log_x, k, count, method):
     assert code == code1
     if code == 0:
         assert doc["entries"] == doc1["entries"]
+
+
+def test_fd_cells_whose_squared_width_overflows_are_a_numerical_failure():
+    """At R/m = 1.8e271 the squared width of the 32 coarse FD cells is past
+    the double range: ``dx**2`` raised a bare OverflowError (exit 1 with a
+    traceback).  Now exit 3 with one stderr line."""
+    proc = run_proc("spectrum", "--mass", "2.06", "--R", "3.76e271", "--method", "fd")
+    assert proc.returncode == 3 and proc.stdout == ""
+    assert proc.stderr.startswith("numerical failure: the squared width of 32 FD cells")
+    assert proc.stderr.count("\n") == 1
 
 
 # ------------------------------------------------------------------- misc

@@ -178,13 +178,31 @@ def test_spectrum_units_and_metadata(m2, monkeypatch):
         shifts.append(np.size(x))
         return sweep(d, e, x, slope)
 
+    swept = []
+    solver = fd_oracle._numpy_solver
+
+    def recorded(d, e):
+        sweep_all, bounds = solver(d, e)
+        return lambda xs, slope: swept.append(list(xs)) or sweep_all(xs, slope), bounds
+
     monkeypatch.setattr(fd_oracle, "_sweep", counted)
-    spec = lowest_eigenvalues(assemble(m2, 0, 20.0, 256), 2)
+    monkeypatch.setattr(fd_oracle, "_numpy_solver", recorded)
+    problem = assemble(m2, 0, 20.0, 256)
+    spec = lowest_eigenvalues(problem, 2)
     assert spec.method == "finite-difference"
     # every shift of the derivative and the closing count sweeps
     assert spec.probes == sum(shifts) > 0
     assert [e.n for e in spec.entries] == [1, 2]
     assert np.all(np.diff(spec.lambdas()) > 0.0)
+    # a start whose three estimates repeat one shift: a sweep factors each
+    # distinct shift once, and the probes count those factorizations
+    shifts.clear()
+    swept.clear()
+    again = lowest_eigenvalues(problem, 2, start=[spec.lambdas()[0] - 0.01] * 3)
+    assert swept[0] == [spec.lambdas()[0] - 0.01]
+    assert all(len(set(xs)) == len(xs) for xs in swept)
+    assert again.probes == sum(shifts) == sum(map(len, swept))
+    assert again.lambdas() == pytest.approx(spec.lambdas(), rel=1e-12)
 
 
 # ----------------------------------------------------------------- convergence

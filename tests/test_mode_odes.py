@@ -257,6 +257,25 @@ def test_theta_only_slope_is_the_first_half_of_the_pair(a, b, d, th):
     assert repr(_steps._rhs_theta((a, b, d), th)) == repr(_steps._rhs((a, b, d), th)[0])
 
 
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(
+    log_m=st.floats(math.log(1e-300), math.log(1e300)),
+    k=st.integers(0, 12),
+    lam_units=st.one_of(st.floats(-1e3, 1e3), st.floats(-1e-6, 1e-6), st.just(0.0)),
+    u=st.floats(0.0, 1.0),
+    th=_THETA,
+)
+def test_stage_slopes_are_the_pair_of_the_coefficients(log_m, k, lam_units, u, th):
+    """An explicit stage makes one call of the Prüfer closure with its
+    phase; the slopes it returns are :func:`_steps._rhs` of the closure's
+    ``(A, B, D)`` at the same ``x``, to the bit, from the horizon to
+    ``r = 1e300``, for ``lam`` of either sign."""
+    m = math.exp(log_m)
+    coefficients = _prufer_closure(m, k, lam_units / m / m)
+    x = math.log(0.5 * m) + u * (math.log(1e300) - math.log(0.5 * m))
+    assert repr(coefficients(x, th)) == repr(_steps._rhs(coefficients(x), th))
+
+
 def test_scalar_v_overflows_to_inf_like_array_reads(scalar_shot):
     """Where v leaves the double range, v and v' read +-inf, not OverflowError."""
     sol, radii = scalar_shot
@@ -474,6 +493,47 @@ def test_log_barrier_envelope_matches_50_digits_on_a_random_sample():
         assert abs(got - want) <= 2e-15 * abs(want), (m, k, r)
 
 
+def _log_envelope_by_the_ratio_of_roots(m, k, r):
+    """The envelope's primitive with ``log(2r/m)`` formed as ``2 log(sqrt(r)
+    / sqrt(m/2))`` everywhere: the form kept where ``2r/m >= 2``."""
+    b = math.sqrt(4.0 * k * k - 2.0)
+    lx = 2.0 * math.log(math.sqrt(r) / math.sqrt(0.5 * m))
+    return 0.5 * (1.0 + b) * lx - math.log(2.0) + math.log1p(math.exp(-b * lx))
+
+
+def test_log_barrier_envelope_near_the_horizon_matches_50_digits():
+    """Near the horizon the primitive's terms cancel, and ``log(2r/m)``
+    from a ratio of square roots carries their rounding: at ``2r/m =
+    1.0001`` (m = 597.68, k = 3, r = 298.87) that form errs by 3.0e-12.  The
+    envelope is within 5e-13 there, and on a log-uniform sample of ``2r/m``
+    over [1, 1e6] it is nowhere worse than that form by more than 4 eps,
+    and no worse at its worst.  Where ``2r/m - 1`` is log-uniform over
+    [1e-12, 1] it is within 4 eps (3.1 eps reached)."""
+    m = 597.68
+    model = SchwarzschildModel(m)
+
+    def error(value, k, r):
+        want = _log_envelope_50_digits(m, k, r)
+        return float(abs(value - want) / want) if want else abs(value)
+
+    r = 298.87
+    assert error(log_barrier_envelope(model, 3, r), 3, r) <= 5e-13
+    assert error(_log_envelope_by_the_ratio_of_roots(m, 3, r), 3, r) > 1e-12
+    rng = np.random.default_rng(41)
+    worst = worst_before = 0.0
+    for k in (1, 2, 3, -4, 7, 40):
+        for x in 10.0 ** rng.uniform(0.0, 6.0, 40):
+            r = 0.5 * m * float(x)
+            got = error(log_barrier_envelope(model, k, r), k, r)
+            before = error(_log_envelope_by_the_ratio_of_roots(m, k, r), k, r)
+            assert got <= max(before, 4.0 * sys.float_info.epsilon), (k, x)
+            worst, worst_before = max(worst, got), max(worst_before, before)
+        for x in 1.0 + 10.0 ** rng.uniform(-12.0, 0.0, 40):
+            r = 0.5 * m * float(x)
+            assert error(log_barrier_envelope(model, k, r), k, r) <= 4.0 * sys.float_info.epsilon, (k, x)
+    assert worst <= worst_before
+
+
 def test_barrier_rejects_k_zero(m2):
     with pytest.raises(DomainError):
         barrier_psi_k(m2, 0, 2.0)
@@ -543,6 +603,12 @@ def _reference(coefficients, x0, x1, y0):
         return [0.5 * (a + b * c2 + d * s2), 0.5 * (b * s2 - d * c2)]
 
     return solve_ivp(rhs, (x0, x1), y0, method="DOP853", rtol=1e-12, atol=1e-12, dense_output=True).sol
+
+
+def _pair(coefficients):
+    """A function of ``x`` returning ``(A, B, D)`` as the steppers' closure:
+    ``(A, B, D)`` at ``x``, or the pair's slopes at ``(x, th)``."""
+    return lambda x, th=None: coefficients(x) if th is None else _steps._rhs(coefficients(x), th)
 
 
 def _reference_shot(sol):
@@ -625,7 +691,7 @@ def test_phase_crossing_inside_a_radau_step():
         phi = 2.0 * (math.pi - 0.5 + math.sin(x)) - 0.5 * math.pi
         return 0.0, beta * math.cos(phi), beta * math.sin(phi)
 
-    traj = ode.integrate_prufer(coefficients, 0.0, 1.0, math.pi - 0.5, 0.0, 1e-6)
+    traj = ode.integrate_prufer(_pair(coefficients), 0.0, 1.0, math.pi - 0.5, 0.0, 1e-6)
     x_cross = traj.phase_crossing(math.pi)
     i = bisect.bisect_right(traj.x, x_cross) - 1
     assert len(traj.stages[i]) == 8  # a Radau step
@@ -635,8 +701,7 @@ def test_phase_crossing_inside_a_radau_step():
 
 
 def test_integrate_prufer_validation():
-    def coefficients(x):
-        return 1.0, 0.0, 0.0
+    coefficients = _pair(lambda x: (1.0, 0.0, 0.0))
 
     cases = ((1.0, 1.0, 1e-8), (math.nan, 1.0, 1e-8), (0.0, math.nan, 1e-8), (0.0, 1.0, 0.0), (0.0, 1.0, -1e-8))
     for x0, x1, tol in cases:
@@ -655,7 +720,7 @@ def test_nan_coefficients_underflow_the_step():
     """A right-hand side that is NaN fails every error test, so the step
     shrinks until it underflows; the error carries the last good radius."""
     with pytest.raises(IntegrationError, match="step size underflow") as info:
-        ode.integrate_prufer(lambda x: (math.nan,) * 3, 0.5, 1.0, 0.0, 0.0, 1e-8)
+        ode.integrate_prufer(_pair(lambda x: (math.nan,) * 3), 0.5, 1.0, 0.0, 0.0, 1e-8)
     assert info.value.last_r == math.exp(0.5)
 
 
@@ -670,7 +735,7 @@ def test_miss_distance_reports_an_inward_underflow_at_the_radius(m2, monkeypatch
     def nan_beyond_r_c(m, k, lam):
         coefficients = closure(m, k, lam)
         edge = math.log(r_c) + 1e-9
-        return lambda x: coefficients(x) if x <= edge else (math.nan,) * 3
+        return _pair(lambda x: coefficients(x) if x <= edge else (math.nan,) * 3)
 
     monkeypatch.setattr(mode_odes, "_prufer_closure", nan_beyond_r_c)
     with pytest.raises(IntegrationError, match="step size underflow at r = ") as info:
@@ -745,7 +810,7 @@ def test_backward_shot_is_the_reflected_forward_shot(k, lam, R, tol, radau):
         return -a, -b, -d
 
     back = ode.integrate_prufer(coefficients, math.log(R), math.log(8.0), 0.0, 0.0, tol)
-    fwd = ode.integrate_prufer(reflected, -math.log(R), -math.log(8.0), 0.0, 0.0, tol)
+    fwd = ode.integrate_prufer(_pair(reflected), -math.log(R), -math.log(8.0), 0.0, 0.0, tol)
     assert (back.radau_steps > 0) == radau and back.rejected_steps > 0
     assert [x.hex() for x in back.x] == [(-y).hex() for y in fwd.x]
     assert [t.hex() for t in back.theta] == [t.hex() for t in fwd.theta]
@@ -760,7 +825,7 @@ def test_backward_shot_is_the_reflected_forward_shot(k, lam, R, tol, radau):
 def test_backward_shot_has_no_dense_reads():
     """Dense output and phase crossings are defined on forward shots; on a
     backward one each read raises instead of returning a wrong value."""
-    back = ode.integrate_prufer(lambda x: (1.0, 0.0, 0.0), 1.0, 0.5, 0.0, 0.0, 1e-8)
+    back = ode.integrate_prufer(_pair(lambda x: (1.0, 0.0, 0.0)), 1.0, 0.5, 0.0, 0.0, 1e-8)
     reads = (lambda: back.eval(np.array([0.7])), lambda: back.eval_scalar(0.7), lambda: back.phase_crossing(-0.1))
     for read in reads:
         with pytest.raises(DomainError, match="forward shot"):
@@ -789,7 +854,7 @@ def test_phase_crossing_keeps_its_first_guess_when_the_radau_retake_fails():
         phi = 2.0 * (math.pi - 0.5 + math.sin(x)) - 0.5 * math.pi
         return 0.0, beta * math.cos(phi), beta * math.sin(phi)
 
-    traj = ode.integrate_prufer(coefficients, 0.0, 1.0, math.pi - 0.5, 0.0, 1e-6)
+    traj = ode.integrate_prufer(_pair(coefficients), 0.0, 1.0, math.pi - 0.5, 0.0, 1e-6)
     i = next(j for j, th in enumerate(traj.theta) if th >= math.pi) - 1
     assert len(traj.stages[i]) == 8  # a Radau step
     x0, th0 = traj.x[i], traj.theta[i]
@@ -998,6 +1063,28 @@ def test_singularity_radius_near_1e120():
     assert 1e119 < ref < 1e121
     got = singularity_radius(SchwarzschildModel(2.0), -1105.24)
     assert abs(got - ref) <= 1e-12 * ref
+
+
+@pytest.mark.parametrize(
+    "m, c",
+    [
+        (7.0673e-319, 2922.8768444212565),
+        (2.70017e-319, 2879.6588954222143),
+        (2.4906235e-317, 2932.370533546752),
+        (1.743e-320, 2884.1303568731664),
+    ],
+)
+def test_subnormal_blow_up_radius_is_the_closest_double(m, c):
+    """Where the blow-up radius is subnormal, neighbouring radii move ``G``
+    by more than ``tol * 8 (2 + q)``, so no double met the residual test
+    (``riccati --mass 7.0673e-319 --c 2922.8768444212565`` exited 3 on
+    'blow-up radius residual 1.5e-323').  A root where ``G`` changes sign
+    between it and a neighbouring double is accepted: it is the double
+    closest to the 50-digit root."""
+    got = singularity_radius(SchwarzschildModel(m), c)
+    assert 0.0 < got < sys.float_info.min
+    with mpmath.workdps(50):
+        assert 2 * abs(got - _blow_up_radius_exact(m, c)) <= math.ulp(got)
 
 
 def test_psi_c_scale_dependence_of_c():
